@@ -6,17 +6,18 @@ utility, group fairness gap, and resistance to a linear attribute-inference
 attack.
 """
 
-from .analysis import (CsrBest, CsrWeights, HeatmapGrid, RunRecord, SweepResult,
-                       best_csr, csr, grid_values, group_label, heatmap, normalize,
-                       pearson, seed_medians, tradeoff_correlations)
-from .data import (LabeledDataset, SplitSpec, SyntheticSpec, generate, load_csv,
-                   make_splits, sample_labels, save_csv)
-from .evaluation import (LinearAttacker, MetricTriple, accuracy, attack_accuracy,
-                         balanced_accuracy, fit_attacker, group_gap, tpr, tpr_at_fpr)
-from .learncore import (AdamState, Matrix, Mlp, ShapeError, Tape, Tensor, adam_step,
-                        backward, matmul, mlp_init, relu,
-                        weighted_softmax_cross_entropy)
-from .training import (ModelBundle, TrainConfig, TrainedModel, TrainingDivergedError,
-                       alternating_epoch, build_bundle, objective, train)
+import os as _os
+
+# BLAS runs single-threaded unless the user chose a thread count: the matrices
+# are at most a few thousand rows by tens of columns, and each forked sweep
+# worker would otherwise start its own full OpenBLAS thread pool. This has to
+# run before anything imports numpy.
+if not any(name in _os.environ
+           for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+from .data import SplitSpec, SyntheticSpec, generate, make_splits  # noqa: E402
+from .evaluation import attack_accuracy, fit_attacker  # noqa: E402
+from .training import TrainConfig, train  # noqa: E402
 
 __version__ = "0.1.0"

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,6 +89,33 @@ class ExperimentConfig:
                 w.validate()
             except ValueError as exc:
                 raise ConfigError(f"csr_weights: {exc}") from None
+        for name, vals in (("seeds", self.seeds), ("alphas", self.alphas),
+                           ("betas", self.betas)):
+            dups = sorted({v for v in vals if vals.count(v) > 1})
+            if dups:
+                raise ConfigError(f"{name}: duplicate value(s) {dups}")
+        if not _is_int(self.attacker_iters) or self.attacker_iters < 1:
+            raise ConfigError(f"attacker_iters: must be an integer >= 1, "
+                              f"got {self.attacker_iters!r}")
+        if not (isinstance(self.attacker_lr, numbers.Real)
+                and not isinstance(self.attacker_lr, bool)
+                and math.isfinite(self.attacker_lr) and self.attacker_lr > 0):
+            raise ConfigError(f"attacker_lr: must be a finite number > 0, "
+                              f"got {self.attacker_lr!r}")
+        if self.positive_class is not None:
+            # A CSV's class count is known only once it is read.
+            k_y = self.data.k_y if isinstance(self.data, SyntheticSpec) else math.inf
+            if not _is_int(self.positive_class) or not 0 <= self.positive_class < k_y:
+                raise ConfigError(f"positive_class: must be a task class index in "
+                                  f"[0, {k_y}), got {self.positive_class!r}")
+        for name in ("csr_over_seed_medians", "correlations_over_seed_medians"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name}: must be true or false, "
+                                  f"got {getattr(self, name)!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def default_config() -> ExperimentConfig:

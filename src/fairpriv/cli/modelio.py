@@ -12,7 +12,7 @@ import struct
 
 import numpy as np
 
-from ..learncore import Mlp, Tensor
+from ..learncore import Mlp
 from ..training import ModelBundle
 
 MAGIC = b"FPRVBNDL"
@@ -29,8 +29,8 @@ def save_bundle(bundle: ModelBundle, path) -> None:
             fh.write(struct.pack("<I", len(sizes)))
             fh.write(struct.pack(f"<{len(sizes)}I", *sizes))
             for w, b in zip(net.weights, net.biases):
-                fh.write(np.ascontiguousarray(w.data, dtype="<f8").tobytes())
-                fh.write(np.ascontiguousarray(b.data, dtype="<f8").tobytes())
+                fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
+                fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -49,8 +49,8 @@ def _read_net(fh) -> Mlp:
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         wbuf = _read_exact(fh, 8 * fan_in * fan_out, "weights")
         bbuf = _read_exact(fh, 8 * fan_out, "biases")
-        weights.append(Tensor(np.frombuffer(wbuf, dtype="<f8").reshape(fan_in, fan_out).copy()))
-        biases.append(Tensor(np.frombuffer(bbuf, dtype="<f8").reshape(1, fan_out).copy()))
+        weights.append(np.frombuffer(wbuf, dtype="<f8").reshape(fan_in, fan_out).copy())
+        biases.append(np.frombuffer(bbuf, dtype="<f8").reshape(1, fan_out).copy())
     return Mlp(weights, biases)
 
 

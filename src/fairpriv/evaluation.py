@@ -147,19 +147,6 @@ def fit_multinomial_logistic(x: Matrix, labels, k: int, class_weights,
     return weights, bias
 
 
-def weighted_ce_of(x: Matrix, labels, k: int, class_weights,
-                   weights: Matrix, bias: Matrix) -> float:
-    """Weighted cross entropy of a fitted linear model (diagnostic)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    w = np.asarray(class_weights, dtype=np.float64)
-    z = x @ weights + bias
-    z -= z.max(axis=1, keepdims=True)
-    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    row_w = w[y]
-    return float(-(row_w * log_probs[np.arange(len(y)), y]).sum() / row_w.sum())
-
-
 def fit_attacker(val_features: Matrix, val_y, val_yp, iters: int = 2000,
                  lr: float = 1.0, k_y: int | None = None,
                  k_p: int | None = None) -> LinearAttacker:
@@ -193,35 +180,3 @@ def attack_accuracy(attacker: LinearAttacker, test_features: Matrix,
     """Balanced accuracy of the attacker on held-out (test) features."""
     preds = attacker.predict(test_features, test_y)
     return balanced_accuracy(preds, np.asarray(test_yp, dtype=np.int64))
-
-
-# ---------------------------------------------------------------------------
-# Threshold-calibrated TPR (facial-recognition style utility)
-
-
-def tpr_at_fpr(scores, labels, groups, fpr_target: float) -> dict:
-    """Per-group TPR at the smallest threshold whose in-group FPR <= target.
-
-    A row is predicted positive when its score >= the group's threshold. If
-    no observed score satisfies the FPR constraint the threshold sits above
-    every score and the TPR is 0.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    groups = np.asarray(groups)
-    out = {}
-    for g in np.unique(groups):
-        mask = groups == g
-        s, l = scores[mask], labels[mask]
-        neg, pos = s[l == 0], s[l == 1]
-        if neg.size == 0:
-            raise ValueError(f"group {g} has no negatives")
-        if pos.size == 0:
-            raise ValueError(f"group {g} has no positives")
-        threshold = None
-        for cand in np.unique(s):
-            if np.mean(neg >= cand) <= fpr_target:
-                threshold = cand
-                break
-        out[g] = 0.0 if threshold is None else float(np.mean(pos >= threshold))
-    return out

@@ -1,14 +1,15 @@
-"""Dense float64 math with reverse-mode differentiation, MLPs, and Adam.
+"""Dense float64 MLPs with an explicit backward pass, softmax cross entropy, and Adam.
 
-Everything here operates on 2-D float64 arrays ("matrices"). Differentiable
-operations take and return :class:`Tensor` wrappers; while a :class:`Tape` is
-open, each operation records a backward closure so that :func:`backward` can
-replay the tape in reverse and accumulate gradients into ``Tensor.grad``.
+Everything here operates on 2-D float64 arrays ("matrices"). An MLP's
+:meth:`Mlp.forward` keeps the activations that :meth:`Mlp.backward` needs;
+:func:`backward` runs one training step's backward pass through a trunk net
+and the head nets that read its output. Adam updates one flat buffer per
+parameter group, and each net's weights and biases are views into it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,228 +29,48 @@ def as_matrix(data) -> Matrix:
     return arr
 
 
-class Tensor:
-    """A matrix value that participates in tape-recorded computation.
-
-    ``grad`` is populated by :func:`backward`; repeated backward passes
-    accumulate, so callers reset ``grad = None`` between steps.
-    """
-
-    __slots__ = ("data", "grad")
-
-    def __init__(self, data):
-        self.data = as_matrix(data)
-        self.grad: Matrix | None = None
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    def accumulate(self, g: Matrix) -> None:
-        self.grad = g.copy() if self.grad is None else self.grad + g
-
-    def __repr__(self) -> str:
-        return f"Tensor({self.rows}x{self.cols})"
-
-
-_active_tape: "Tape | None" = None
-
-
-class Tape:
-    """Execution-ordered log of primitive operations.
-
-    Ops are appended as they execute, which is already a topological order;
-    replaying the log backwards propagates gradients from any recorded output
-    to every tensor that fed it.
-    """
-
-    def __init__(self):
-        self._entries: list[tuple[Tensor, Callable[[Matrix], None]]] = []
-
-    def record(self, out: Tensor, backward_fn: Callable[[Matrix], None]) -> None:
-        self._entries.append((out, backward_fn))
-
-    def __enter__(self) -> "Tape":
-        global _active_tape
-        self._previous = _active_tape
-        _active_tape = self
-        return self
-
-    def __exit__(self, *exc) -> None:
-        global _active_tape
-        _active_tape = self._previous
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-def _record(out: Tensor, backward_fn: Callable[[Matrix], None]) -> None:
-    if _active_tape is not None:
-        _active_tape.record(out, backward_fn)
-
-
-def backward(tape: Tape, loss: Tensor) -> None:
-    """Propagate d(loss)/d(node) to every tensor recorded on ``tape``.
-
-    Entries whose output never received a gradient are not on a path from the
-    loss and are skipped, so one tape can carry several heads.
-    """
-    if loss.data.shape != (1, 1):
-        raise ShapeError(f"loss must be scalar (1x1), got {loss.data.shape}")
-    loss.grad = np.ones((1, 1))
-    for out, backward_fn in reversed(tape._entries):
-        if out.grad is not None:
-            backward_fn(out.grad)
-
-
-# ---------------------------------------------------------------------------
-# Primitive operations
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.cols != b.rows:
-        raise ShapeError(f"matmul: inner dims disagree ({a.cols} vs {b.rows})")
-    out = Tensor(a.data @ b.data)
-
-    def back(g: Matrix) -> None:
-        a.accumulate(g @ b.data.T)
-        b.accumulate(a.data.T @ g)
-
-    _record(out, back)
-    return out
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"add: shapes disagree ({a.data.shape} vs {b.data.shape})")
-    out = Tensor(a.data + b.data)
-
-    def back(g: Matrix) -> None:
-        a.accumulate(g)
-        b.accumulate(g)
-
-    _record(out, back)
-    return out
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"sub: shapes disagree ({a.data.shape} vs {b.data.shape})")
-    out = Tensor(a.data - b.data)
-
-    def back(g: Matrix) -> None:
-        a.accumulate(g)
-        b.accumulate(-g)
-
-    _record(out, back)
-    return out
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    out = Tensor(a.data * c)
-
-    def back(g: Matrix) -> None:
-        a.accumulate(g * c)
-
-    _record(out, back)
-    return out
-
-
-def add_bias(x: Tensor, bias: Tensor) -> Tensor:
-    """Add a 1xd bias row to every row of an nxd matrix."""
-    if bias.rows != 1 or bias.cols != x.cols:
-        raise ShapeError(f"add_bias: bias {bias.data.shape} does not match x {x.data.shape}")
-    out = Tensor(x.data + bias.data)
-
-    def back(g: Matrix) -> None:
-        x.accumulate(g)
-        bias.accumulate(g.sum(axis=0, keepdims=True))
-
-    _record(out, back)
-    return out
-
-
-def relu(x: Tensor) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0.0))
-    mask = x.data > 0  # gradient is zero at exactly 0
-
-    def back(g: Matrix) -> None:
-        x.accumulate(g * mask)
-
-    _record(out, back)
-    return out
-
-
-def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    if a.rows != b.rows:
-        raise ShapeError(f"concat_cols: row counts disagree ({a.rows} vs {b.rows})")
-    out = Tensor(np.hstack([a.data, b.data]))
-    split = a.cols
-
-    def back(g: Matrix) -> None:
-        a.accumulate(g[:, :split])
-        b.accumulate(g[:, split:])
-
-    _record(out, back)
-    return out
-
-
-def sum_all(x: Tensor) -> Tensor:
-    out = Tensor(np.array([[x.data.sum()]]))
-
-    def back(g: Matrix) -> None:
-        x.accumulate(np.full_like(x.data, g[0, 0]))
-
-    _record(out, back)
-    return out
-
-
-def weighted_softmax_cross_entropy(
-    logits: Tensor, targets: Sequence[int], class_weights: Sequence[float]
-) -> Tensor:
+def softmax_cross_entropy(logits: Matrix, targets, class_weights=None,
+                          grad_scale: float | None = None) -> tuple[float, Matrix | None]:
     """Class-weighted softmax cross entropy, normalized by total weight.
 
-    Returns (sum_i w[y_i] * -log softmax(logits_i)[y_i]) / sum_i w[y_i] as a
-    1x1 tensor. Stabilized by per-row max subtraction. With unit weights this
-    is the plain mean cross entropy.
+    Returns (loss, dlogits) with loss = (sum_i w[y_i] * -log softmax(logits_i)[y_i])
+    / sum_i w[y_i], stabilized by per-row max subtraction. ``class_weights``
+    None means unit weights, i.e. the plain mean cross entropy. dlogits is the
+    gradient of ``grad_scale * loss`` with respect to the logits, or None when
+    no grad_scale is given.
     """
     y = np.asarray(targets, dtype=np.int64).reshape(-1)
-    w = np.asarray(class_weights, dtype=np.float64).reshape(-1)
-    n, k = logits.data.shape
+    n, k = logits.shape
     if n == 0:
         raise ValueError("cross entropy over an empty batch")
     if y.shape[0] != n:
         raise ShapeError(f"targets length {y.shape[0]} != batch size {n}")
-    if w.shape[0] != k:
-        raise ShapeError(f"class_weights length {w.shape[0]} != class count {k}")
-    if np.any(w < 0) or not np.any(w > 0):
-        raise ValueError("class weights must be >= 0 and not all zero")
-    if np.any(y < 0) or np.any(y >= k):
+    if y.min() < 0 or y.max() >= k:
         raise ValueError(f"target index out of range for {k} classes")
-
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
+    rows = np.arange(n)
+    z = logits - logits.max(axis=1, keepdims=True)
     log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    row_w = w[y]
-    total_w = row_w.sum()
-    if total_w <= 0.0:
-        raise ValueError("total batch weight is zero (every row's class has weight 0)")
-    loss = -(row_w * log_probs[np.arange(n), y]).sum() / total_w
-    out = Tensor(np.array([[loss]]))
-
-    probs = np.exp(log_probs)
-
-    def back(g: Matrix) -> None:
-        one_hot = np.zeros((n, k))
-        one_hot[np.arange(n), y] = 1.0
-        dlogits = (probs - one_hot) * row_w[:, None] * (g[0, 0] / total_w)
-        logits.accumulate(dlogits)
-
-    _record(out, back)
-    return out
+    if class_weights is None:
+        row_w, total_w = None, float(n)
+        loss = -log_probs[rows, y].sum() / total_w
+    else:
+        w = np.asarray(class_weights, dtype=np.float64).reshape(-1)
+        if w.shape[0] != k:
+            raise ShapeError(f"class_weights length {w.shape[0]} != class count {k}")
+        if np.any(w < 0) or not np.any(w > 0):
+            raise ValueError("class weights must be >= 0 and not all zero")
+        row_w = w[y]
+        total_w = row_w.sum()
+        if total_w <= 0.0:
+            raise ValueError("total batch weight is zero (every row's class has weight 0)")
+        loss = -(row_w * log_probs[rows, y]).sum() / total_w
+    if grad_scale is None:
+        return float(loss), None
+    dlogits = np.exp(log_probs)
+    dlogits[rows, y] -= 1.0
+    if row_w is not None:
+        dlogits = dlogits * row_w[:, None]
+    return float(loss), dlogits * (grad_scale / total_w)
 
 
 # ---------------------------------------------------------------------------
@@ -259,54 +80,76 @@ def weighted_softmax_cross_entropy(
 class Mlp:
     """Fully connected net: ReLU on hidden layers, identity on the output."""
 
-    def __init__(self, weights: list[Tensor], biases: list[Tensor]):
+    def __init__(self, weights: list[Matrix], biases: list[Matrix]):
         if not weights or len(weights) != len(biases):
             raise ValueError("need one bias per weight matrix, at least one layer")
-        for i, (wt, bt) in enumerate(zip(weights, biases)):
-            if bt.data.shape != (1, wt.cols):
-                raise ShapeError(f"layer {i}: bias shape {bt.data.shape} != (1, {wt.cols})")
-            if i > 0 and weights[i - 1].cols != wt.rows:
-                raise ShapeError(f"layer {i}: input width {wt.rows} != previous output "
-                                 f"{weights[i - 1].cols}")
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            if b.shape != (1, w.shape[1]):
+                raise ShapeError(f"layer {i}: bias shape {b.shape} != (1, {w.shape[1]})")
+            if i > 0 and weights[i - 1].shape[1] != w.shape[0]:
+                raise ShapeError(f"layer {i}: input width {w.shape[0]} != previous output "
+                                 f"{weights[i - 1].shape[1]}")
         self.weights = weights
         self.biases = biases
 
     @property
     def layer_sizes(self) -> list[int]:
-        return [self.weights[0].rows] + [w.cols for w in self.weights]
+        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
 
-    def params(self) -> list[Tensor]:
-        out: list[Tensor] = []
-        for wt, bt in zip(self.weights, self.biases):
-            out.append(wt)
-            out.append(bt)
-        return out
+    def params(self) -> list[Matrix]:
+        """Weights and biases interleaved, first layer first."""
+        return [p for wb in zip(self.weights, self.biases) for p in wb]
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Matrix, keep: bool = True) -> list[Matrix]:
+        """Activations [x, h_1, ..., output]; with keep=False just [output].
+
+        Hidden activations are post-ReLU, which is all backward() needs.
+        """
+        if x.shape[1] != self.weights[0].shape[0]:
+            raise ShapeError(f"input width {x.shape[1]} != layer input width "
+                             f"{self.weights[0].shape[0]}")
+        acts = [x]
         h = x
         last = len(self.weights) - 1
-        for i, (wt, bt) in enumerate(zip(self.weights, self.biases)):
-            h = add_bias(matmul(h, wt), bt)
-            if i != last:
-                h = relu(h)
-        return h
-
-    def apply(self, x: Matrix) -> Matrix:
-        """Tape-free forward pass on a raw matrix."""
-        h = as_matrix(x)
-        last = len(self.weights) - 1
-        for i, (wt, bt) in enumerate(zip(self.weights, self.biases)):
-            h = h @ wt.data + bt.data
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            h = h @ w + b
             if i != last:
                 h = np.maximum(h, 0.0)
-        return h
+            if keep:
+                acts.append(h)
+        return acts if keep else [h]
+
+    def apply(self, x) -> Matrix:
+        """Forward pass on a raw matrix, keeping no activations."""
+        return self.forward(as_matrix(x), keep=False)[-1]
+
+    def backward(self, acts: list[Matrix], grad_out: Matrix, grads: list[Matrix] | None = None,
+                 input_grad: bool = True) -> Matrix | None:
+        """Backpropagate ``grad_out``, the loss gradient at this net's output.
+
+        ``acts`` come from forward(). The param gradients are written into
+        ``grads`` (params() order) unless it is None. Returns the gradient at
+        the net's input, or None when ``input_grad`` is False.
+        """
+        if grad_out.shape != acts[-1].shape:
+            raise ShapeError(f"grad_out {grad_out.shape} != output {acts[-1].shape}")
+        g = grad_out
+        for i in range(len(self.weights) - 1, -1, -1):
+            if grads is not None:
+                g.sum(axis=0, keepdims=True, out=grads[2 * i + 1])
+                np.matmul(acts[i].T, g, out=grads[2 * i])
+            if i == 0 and not input_grad:
+                return None
+            g = g @ self.weights[i].T
+            if i > 0:
+                g = g * (acts[i] > 0)  # ReLU gradient is zero at exactly 0
+        return g
 
     def copy(self) -> "Mlp":
-        return Mlp([Tensor(w.data.copy()) for w in self.weights],
-                   [Tensor(b.data.copy()) for b in self.biases])
+        return Mlp([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
 
-def mlp_init(layer_sizes: Sequence[int], seed: int) -> Mlp:
+def mlp_init(layer_sizes: Sequence[int], seed) -> Mlp:
     """He-style init: weights ~ N(0, 2/fan_in) from a seeded generator, zero biases."""
     sizes = list(layer_sizes)
     if len(sizes) < 2 or any(s <= 0 for s in sizes):
@@ -314,9 +157,32 @@ def mlp_init(layer_sizes: Sequence[int], seed: int) -> Mlp:
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(Tensor(rng.normal(0.0, np.sqrt(2.0 / fan_in), (fan_in, fan_out))))
-        biases.append(Tensor(np.zeros((1, fan_out))))
+        weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), (fan_in, fan_out)))
+        biases.append(np.zeros((1, fan_out)))
     return Mlp(weights, biases)
+
+
+def backward(heads, trunk=None) -> None:
+    """One step's backward pass through head nets and the trunk that feeds them.
+
+    ``heads`` lists (net, acts, grad_out, grads): the activations from
+    Mlp.forward, the loss gradient at the net's output, and the arrays that
+    receive the net's param gradients (None skips them). With ``trunk`` =
+    (net, acts, grads), each head's input gradient is cut to the trunk's
+    output width (a head may read extra columns after it), the cuts are
+    summed in list order, and the sum is propagated through the trunk, whose
+    input gradient is not formed.
+    """
+    width = trunk[0].layer_sizes[-1] if trunk is not None else 0
+    g_trunk = None
+    for net, acts, grad_out, grads in heads:
+        g_in = net.backward(acts, grad_out, grads, input_grad=trunk is not None)
+        if trunk is not None:
+            g_in = g_in[:, :width]
+            g_trunk = g_in if g_trunk is None else g_trunk + g_in
+    if trunk is not None:
+        net, acts, grads = trunk
+        net.backward(acts, g_trunk, grads, input_grad=False)
 
 
 # ---------------------------------------------------------------------------
@@ -324,35 +190,48 @@ def mlp_init(layer_sizes: Sequence[int], seed: int) -> Mlp:
 
 
 class AdamState:
-    """Bias-corrected adaptive-moment optimizer state for one parameter list."""
+    """Adam over one flat buffer holding the params of ``nets``.
 
-    def __init__(self, params: Sequence[Tensor], lr: float,
+    Building the state moves every net's weights and biases into
+    ``params`` and rebinds them as views into it. ``grads`` has the same
+    layout; ``net_grads[i]`` holds net i's views into it in params() order,
+    ready for Mlp.backward.
+    """
+
+    def __init__(self, nets: Sequence[Mlp], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step = 0
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
+        arrays = [p for net in nets for p in net.params()]
+        self.params = np.concatenate([p.ravel() for p in arrays])
+        self.grads = np.zeros_like(self.params)
+        self.m = np.zeros_like(self.params)
+        self.v = np.zeros_like(self.params)
+        self.net_grads = []
+        offset = 0
+        for net in nets:
+            views, grads = [], []
+            for p in net.params():
+                views.append(self.params[offset:offset + p.size].reshape(p.shape))
+                grads.append(self.grads[offset:offset + p.size].reshape(p.shape))
+                offset += p.size
+            net.weights, net.biases = views[0::2], views[1::2]
+            self.net_grads.append(grads)
 
 
-def adam_step(params: Sequence[Tensor], grads: Sequence[Matrix], state: AdamState) -> None:
-    """One in-place Adam update over ``params``. A missing gradient counts as zero."""
-    if len(params) != len(state.m):
-        raise ShapeError(f"adam_step: {len(params)} params vs state built for {len(state.m)}")
-    if len(grads) != len(params):
-        raise ShapeError(f"adam_step: {len(grads)} grads for {len(params)} params")
+def adam_step(state: AdamState) -> None:
+    """One in-place Adam update of ``state.params`` from ``state.grads``."""
     state.step += 1
     c1 = 1.0 - state.beta1 ** state.step
     c2 = 1.0 - state.beta2 ** state.step
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if g is None:
-            g = np.zeros_like(p.data)
-        if g.shape != p.data.shape:
-            raise ShapeError(f"adam_step: grad shape {g.shape} != param shape {p.data.shape}")
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * (g * g)
-        m_hat = state.m[i] / c1
-        v_hat = state.v[i] / c2
-        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    g = state.grads
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * g
+    state.v *= state.beta2
+    state.v += (1.0 - state.beta2) * (g * g)
+    m_hat = state.m / c1
+    v_hat = state.v / c2
+    state.params -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)

@@ -17,7 +17,9 @@ import numpy as np
 
 from . import learncore as lc
 from .data import LabeledDataset, one_hot
-from .learncore import AdamState, Mlp, Tensor
+from .learncore import AdamState, Matrix, Mlp
+
+MAIN, ADV = "MAIN", "ADV"
 
 
 class TrainingDivergedError(RuntimeError):
@@ -49,10 +51,10 @@ class ModelBundle:
     def k_y(self) -> int:
         return self.classifier.layer_sizes[-1]
 
-    def main_params(self) -> list[Tensor]:
+    def main_params(self) -> list[Matrix]:
         return self.extractor.params() + self.classifier.params()
 
-    def adversary_params(self) -> list[Tensor]:
+    def adversary_params(self) -> list[Matrix]:
         return self.fairness_adv.params() + self.privacy_adv.params()
 
     def copy(self) -> "ModelBundle":
@@ -98,9 +100,33 @@ class TrainedModel:
 
 @dataclass
 class OptimizerStates:
-    main: AdamState
-    adversaries: AdamState
+    main: AdamState  # extractor + classifier
+    adversaries: AdamState  # fairness + privacy adversary
     batch_count: int = 0  # persists across epochs so phases carry over
+
+    @classmethod
+    def for_bundle(cls, bundle: ModelBundle, lr: float) -> "OptimizerStates":
+        """Fresh Adam states; the bundle's params become views into their buffers."""
+        return cls(AdamState([bundle.extractor, bundle.classifier], lr),
+                   AdamState([bundle.fairness_adv, bundle.privacy_adv], lr))
+
+
+@dataclass
+class Forward:
+    """One pass of the objective.
+
+    ``acts`` holds each net's activations (extractor, classifier, fairness,
+    privacy), only their outputs outside a training phase. ``dlogits`` holds
+    the gradient of the phase's loss at each head's output (classifier,
+    fairness, privacy), None where the loss does not reach the head.
+    """
+
+    total: float
+    ce_c: float
+    ce_a: float
+    ce_p: float
+    acts: tuple
+    dlogits: tuple
 
 
 def build_bundle(cfg: TrainConfig, input_dim: int, k_y: int, k_a: int, k_p: int) -> ModelBundle:
@@ -119,37 +145,67 @@ def shuffle_seed(cfg: TrainConfig) -> np.random.SeedSequence:
     return np.random.SeedSequence(cfg.seed).spawn(5)[4]
 
 
-def objective(bundle: ModelBundle, batch: LabeledDataset, alpha: float, beta: float
-              ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """Build the min-max objective graph for one batch.
+def objective(bundle: ModelBundle, batch: LabeledDataset, alpha: float, beta: float,
+              phase: str | None = None) -> Forward:
+    """Forward pass of the min-max objective on one batch.
 
-    Returns (total, ce_c, ce_a, ce_p) where
     total = ce_c - alpha * ce_a - beta * ce_p, all with unit class weights.
     The adversaries see the features concatenated with the one-hot task label.
-    When alpha (or beta) is exactly 0 the corresponding term is left out of
-    the graph, so total == ce_c bitwise at (0, 0).
+    When alpha (or beta) is exactly 0 the corresponding term is left out, so
+    total == ce_c bitwise at (0, 0). ``phase`` MAIN (loss: total) or ADV
+    (loss: ce_a + ce_p) also keeps what that phase's backward pass needs;
+    without a phase the pass keeps no activations.
     """
     if len(batch) == 0:
         raise ValueError("objective over an empty batch")
-    feats = bundle.extractor.forward(Tensor(batch.x))
-    ce_c = lc.weighted_softmax_cross_entropy(
-        bundle.classifier.forward(feats), batch.y, np.ones(batch.k_y))
-    adv_in = lc.concat_cols(feats, Tensor(one_hot(batch.y, batch.k_y)))
-    ce_a = lc.weighted_softmax_cross_entropy(
-        bundle.fairness_adv.forward(adv_in), batch.y_a, np.ones(batch.k_a))
-    ce_p = lc.weighted_softmax_cross_entropy(
-        bundle.privacy_adv.forward(adv_in), batch.y_p, np.ones(batch.k_p))
+    if phase == MAIN:
+        scales = (1.0, -alpha if alpha != 0.0 else None, -beta if beta != 0.0 else None)
+    elif phase == ADV:
+        scales = (None, 1.0, 1.0)
+    else:
+        scales = (None, None, None)
+    keep = phase is not None
+    ext = bundle.extractor.forward(batch.x, keep)
+    adv_in = np.hstack([ext[-1], one_hot(batch.y, batch.k_y)])
+    acts, ces, dlogits = [ext], [], []
+    for net, x, y, scale in ((bundle.classifier, ext[-1], batch.y, scales[0]),
+                             (bundle.fairness_adv, adv_in, batch.y_a, scales[1]),
+                             (bundle.privacy_adv, adv_in, batch.y_p, scales[2])):
+        head = net.forward(x, keep)
+        ce, d = lc.softmax_cross_entropy(head[-1], y, grad_scale=scale)
+        acts.append(head)
+        ces.append(ce)
+        dlogits.append(d)
+    ce_c, ce_a, ce_p = ces
     total = ce_c
     if alpha != 0.0:
-        total = lc.sub(total, lc.scale(ce_a, alpha))
+        total = total - alpha * ce_a
     if beta != 0.0:
-        total = lc.sub(total, lc.scale(ce_p, beta))
-    return total, ce_c, ce_a, ce_p
+        total = total - beta * ce_p
+    return Forward(total, ce_c, ce_a, ce_p, tuple(acts), tuple(dlogits))
 
 
-def _step(params: list[Tensor], state: AdamState) -> None:
-    grads = [p.grad for p in params]
-    lc.adam_step(params, grads, state)
+def _backward(bundle: ModelBundle, fwd: Forward, states: OptimizerStates, phase: str) -> None:
+    """Gradients of the phase's loss into the buffers of the group it updates.
+
+    MAIN backpropagates through the adversaries and the classifier into the
+    extractor, without forming adversary weight gradients. The feature
+    gradient is (adversaries' sum) + classifier's, in that order, which fixes
+    its rounding. ADV stops at the adversaries' first layers: the features
+    are frozen for them.
+    """
+    ext, cls, fair, priv = fwd.acts
+    d_c, d_a, d_p = fwd.dlogits
+    if phase == MAIN:
+        heads = [(net, acts, d, None)
+                 for net, acts, d in ((bundle.privacy_adv, priv, d_p),
+                                      (bundle.fairness_adv, fair, d_a)) if d is not None]
+        heads.append((bundle.classifier, cls, d_c, states.main.net_grads[1]))
+        lc.backward(heads, trunk=(bundle.extractor, ext, states.main.net_grads[0]))
+    else:
+        grads_a, grads_p = states.adversaries.net_grads
+        lc.backward([(bundle.fairness_adv, fair, d_a, grads_a),
+                     (bundle.privacy_adv, priv, d_p, grads_p)])
 
 
 def alternating_epoch(bundle: ModelBundle, train_data: LabeledDataset, cfg: TrainConfig,
@@ -161,7 +217,8 @@ def alternating_epoch(bundle: ModelBundle, train_data: LabeledDataset, cfg: Trai
     objective; ADV phases update only the adversaries on their own cross
     entropies. With update_adversaries=False the ADV phases do nothing, which
     turns the schedule into plain risk minimization over the same batches.
-    Returns the mean objective value across batches.
+    ``states`` must have been built for ``bundle``. Returns the mean
+    objective value across batches.
     """
     n = len(train_data)
     if n == 0:
@@ -171,33 +228,30 @@ def alternating_epoch(bundle: ModelBundle, train_data: LabeledDataset, cfg: Trai
     totals = []
     for start in range(0, n, cfg.batch_size):
         batch = train_data.subset(order[start:start + cfg.batch_size])
-        main_phase = (states.batch_count // k) % 2 == 0
-        phase = "MAIN" if main_phase else "ADV"
-        with lc.Tape() as tape:
-            total, ce_c, ce_a, ce_p = objective(bundle, batch, cfg.alpha, cfg.beta)
-            adv_loss = lc.add(ce_a, ce_p)
-        if not np.isfinite(total.data[0, 0]) or not np.isfinite(adv_loss.data[0, 0]):
+        phase = MAIN if (states.batch_count // k) % 2 == 0 else ADV
+        update = phase == MAIN or update_adversaries
+        fwd = objective(bundle, batch, cfg.alpha, cfg.beta, phase if update else None)
+        if not (math.isfinite(fwd.total) and math.isfinite(fwd.ce_a + fwd.ce_p)):
             raise TrainingDivergedError(
                 f"non-finite loss at epoch {epoch}, {phase} phase, "
                 f"batch {states.batch_count}")
-        if main_phase:
-            lc.backward(tape, total)
-            _step(bundle.main_params(), states.main)
-        elif update_adversaries:
-            lc.backward(tape, adv_loss)
-            _step(bundle.adversary_params(), states.adversaries)
-        for p in bundle.main_params() + bundle.adversary_params():
-            p.grad = None
-        totals.append(total.data[0, 0])
+        if update:
+            _backward(bundle, fwd, states, phase)
+            lc.adam_step(states.main if phase == MAIN else states.adversaries)
+        totals.append(fwd.total)
         states.batch_count += 1
     return float(np.mean(totals))
 
 
 def validation_loss(bundle: ModelBundle, ds: LabeledDataset, cfg: TrainConfig) -> float:
-    """Selection loss on a split: classifier CE, or the full objective."""
-    total, ce_c, _, _ = objective(bundle, ds, cfg.alpha, cfg.beta)
-    value = total if cfg.select_by == "objective" else ce_c
-    return float(value.data[0, 0])
+    """Selection loss on a split: classifier CE, or the full objective.
+
+    Forward only; the classifier-CE path runs neither adversary.
+    """
+    if cfg.select_by == "objective":
+        return objective(bundle, ds, cfg.alpha, cfg.beta).total
+    logits = bundle.classifier.apply(bundle.extractor.apply(ds.x))
+    return lc.softmax_cross_entropy(logits, ds.y)[0]
 
 
 def train(train_data: LabeledDataset, val_data: LabeledDataset, cfg: TrainConfig,
@@ -208,10 +262,7 @@ def train(train_data: LabeledDataset, val_data: LabeledDataset, cfg: TrainConfig
         raise ValueError("train and validation splits must be nonempty")
     bundle = build_bundle(cfg, train_data.dim, train_data.k_y, train_data.k_a,
                           train_data.k_p)
-    states = OptimizerStates(
-        main=AdamState(bundle.main_params(), cfg.lr),
-        adversaries=AdamState(bundle.adversary_params(), cfg.lr),
-    )
+    states = OptimizerStates.for_bundle(bundle, cfg.lr)
     shuffle_rng = np.random.default_rng(shuffle_seed(cfg))
     best_loss = math.inf
     best_bundle = None

@@ -18,8 +18,7 @@ from fairpriv.analysis import (CsrWeights, RunRecord, csr, grid_values, group_la
 from fairpriv.cli import main, pipeline
 from fairpriv.data import LabeledDataset, make_splits
 from fairpriv.evaluation import MetricTriple
-from fairpriv.learncore import Tape, Tensor, backward, mlp_init, \
-    weighted_softmax_cross_entropy
+from fairpriv.learncore import mlp_init, softmax_cross_entropy
 from fairpriv.training import train
 
 CHANCE = 0.5  # binary private label in the reference config
@@ -66,7 +65,7 @@ class TestCriterion1GradientOracle:
             hidden = x
             too_close = False
             for i, (wt, bt) in enumerate(zip(mlp.weights, mlp.biases)):
-                pre = hidden @ wt.data + bt.data
+                pre = hidden @ wt + bt
                 if i < len(mlp.weights) - 1:
                     if np.min(np.abs(pre)) < 1e-4:
                         too_close = True
@@ -76,27 +75,27 @@ class TestCriterion1GradientOracle:
                 continue
 
             def loss_value():
-                return weighted_softmax_cross_entropy(
-                    Tensor(mlp.apply(x)), y, w).data[0, 0]
+                return softmax_cross_entropy(mlp.apply(x), y, w)[0]
 
-            with Tape() as tape:
-                loss = weighted_softmax_cross_entropy(mlp.forward(Tensor(x)), y, w)
-            backward(tape, loss)
+            acts = mlp.forward(x)
+            _, dlogits = softmax_cross_entropy(acts[-1], y, w, grad_scale=1.0)
+            grads = [np.empty_like(p) for p in mlp.params()]
+            mlp.backward(acts, dlogits, grads)
 
-            for p in mlp.params():
-                fd = np.zeros_like(p.data)
-                for idx in np.ndindex(*p.data.shape):
-                    orig = p.data[idx]
-                    p.data[idx] = orig + h
+            for p, grad in zip(mlp.params(), grads):
+                fd = np.zeros_like(p)
+                for idx in np.ndindex(*p.shape):
+                    orig = p[idx]
+                    p[idx] = orig + h
                     up = loss_value()
-                    p.data[idx] = orig - h
+                    p[idx] = orig - h
                     down = loss_value()
-                    p.data[idx] = orig
+                    p[idx] = orig
                     fd[idx] = (up - down) / (2.0 * h)
                 # The 1e-4 floor keeps finite-difference roundoff (~1e-10
                 # absolute) from dominating the ratio on near-zero gradients.
-                rel = np.abs(p.grad - fd) / np.maximum.reduce(
-                    [np.abs(p.grad), np.abs(fd), np.full_like(fd, 1e-4)])
+                rel = np.abs(grad - fd) / np.maximum.reduce(
+                    [np.abs(grad), np.abs(fd), np.full_like(fd, 1e-4)])
                 assert rel.max() < 1e-5, f"sizes={sizes} rel={rel.max():.2e}"
             checked += 1
         elapsed = time.monotonic() - start
@@ -115,7 +114,7 @@ class TestCriterion2ErmReduction:
         full = train(train_ds, val_ds, tc, update_adversaries=True)
         erm = train(train_ds, val_ds, tc, update_adversaries=False)
         for a, b in zip(full.bundle.main_params(), erm.bundle.main_params()):
-            assert np.array_equal(a.data, b.data)
+            assert np.array_equal(a, b)
         assert full.best_val_loss == erm.best_val_loss
         _pass(2, "alpha=beta=0 training is bitwise identical to adversary-free ERM")
 

@@ -84,6 +84,41 @@ class TestConfig:
         cfg = from_dict({"data": {"kind": "csv", "path": "feats.csv"}})
         assert cfg.data == "feats.csv"
 
+    @pytest.mark.parametrize("value", [0, -3, 2.0, True, "100"])
+    def test_attacker_iters_must_be_positive_int(self, value):
+        # 0 iterations used to report an untrained attacker's chance accuracy.
+        with pytest.raises(ConfigError, match="attacker_iters"):
+            from_dict({"attacker_iters": value})
+
+    @pytest.mark.parametrize("value", [0, -1.0, float("nan"), float("inf"), "1", False])
+    def test_attacker_lr_must_be_finite_positive(self, value):
+        with pytest.raises(ConfigError, match="attacker_lr"):
+            from_dict({"attacker_lr": value})
+
+    @pytest.mark.parametrize("value", [2, 7, -1, 1.0, "1", True])
+    def test_positive_class_must_be_class_index(self, value):
+        with pytest.raises(ConfigError, match="positive_class"):
+            from_dict({"positive_class": value})
+        assert from_dict({"positive_class": 1}).positive_class == 1
+
+    @pytest.mark.parametrize("key", ["csr_over_seed_medians",
+                                     "correlations_over_seed_medians"])
+    def test_seed_median_flags_must_be_bool(self, key):
+        for value in (1, "false", None):
+            with pytest.raises(ConfigError, match=key):
+                from_dict({key: value})
+        assert getattr(from_dict({key: True}), key) is True
+
+    @pytest.mark.parametrize("raw, field", [
+        ({"seeds": [0, 1, 0]}, "seeds"),
+        ({"grid": {"alphas": [0, 0.0], "betas": [0.0]}}, "alphas"),
+        ({"grid": {"alphas": [0.0], "betas": [10.0, 0.1, 10]}}, "betas"),
+    ])
+    def test_duplicate_grid_values_rejected(self, raw, field):
+        # Duplicates used to fail only in analyze, as "missing cells: []".
+        with pytest.raises(ConfigError, match=f"{field}: duplicate"):
+            from_dict(raw)
+
     def test_cli_invalid_config_exit_code(self, tmp_path, capsys):
         path = config_json(tmp_path, data={"kind": "synthetic", "n": 100,
                                            "joint": np.full((2, 2, 2), 0.2).tolist()})
@@ -137,7 +172,7 @@ class TestTrainCommand:
         loaded = load_bundle(path)
         for a, b in zip(trained.bundle.main_params() + trained.bundle.adversary_params(),
                         loaded.main_params() + loaded.adversary_params()):
-            assert np.array_equal(a.data, b.data)
+            assert np.array_equal(a, b)
         _, val_ds, test_ds = make_splits(ds, cfg.split, 0)
         triple = pipeline.evaluate_bundle(loaded, val_ds, test_ds, cfg)
         assert triple == record.triple

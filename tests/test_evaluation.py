@@ -3,9 +3,9 @@ import pytest
 
 from fairpriv.evaluation import (LinearAttacker, accuracy, attack_accuracy,
                                  balanced_accuracy, fit_attacker, group_gap,
-                                 inverse_frequency_weights, tpr, tpr_at_fpr,
-                                 weighted_ce_of)
+                                 inverse_frequency_weights, tpr)
 from fairpriv.data import one_hot
+from fairpriv.learncore import softmax_cross_entropy
 
 
 class TestAccuracy:
@@ -119,7 +119,7 @@ class TestFitAttacker:
         attacker = fit_attacker(x, y, y_p, iters=2000, lr=1.0, k_y=2, k_p=2)
         z = np.hstack([x, one_hot(y, 2)])
         w = inverse_frequency_weights(y_p, 2)
-        ce = weighted_ce_of(z, y_p, 2, w, attacker.weights, attacker.bias)
+        ce, _ = softmax_cross_entropy(z @ attacker.weights + attacker.bias, y_p, w)
         assert ce < 0.05
 
     def test_independent_features_near_chance(self):
@@ -164,38 +164,3 @@ class TestAttackAccuracy:
         ba = attack_accuracy(attacker, x[1000:], y[1000:], y_p[1000:])
         assert ba > 0.97
 
-
-class TestTprAtFpr:
-    def test_perfect_separation(self):
-        scores = np.array([0.1, 0.2, 0.3, 0.8, 0.9, 1.0])
-        labels = np.array([0, 0, 0, 1, 1, 1])
-        groups = np.zeros(6, dtype=int)
-        for target in (1e-3, 0.1, 0.5):
-            assert tpr_at_fpr(scores, labels, groups, target)[0] == 1.0
-
-    def test_matches_exhaustive_scan(self):
-        rng = np.random.default_rng(10)
-        labels = rng.integers(0, 2, 400)
-        groups = rng.integers(0, 2, 400)
-        scores = labels + rng.uniform(0, 0.5, 400)
-        result = tpr_at_fpr(scores, labels, groups, 0.1)
-        for g in (0, 1):
-            mask = groups == g
-            s, l = scores[mask], labels[mask]
-            neg, pos = s[l == 0], s[l == 1]
-            best = 0.0
-            for cand in s:  # brute force: best feasible TPR over all thresholds
-                if np.mean(neg >= cand) <= 0.1:
-                    best = max(best, float(np.mean(pos >= cand)))
-            assert result[g] == pytest.approx(best, abs=1e-12)
-
-    def test_full_fpr_budget(self):
-        rng = np.random.default_rng(11)
-        scores = rng.standard_normal(50)
-        labels = rng.integers(0, 2, 50)
-        out = tpr_at_fpr(scores, labels, np.zeros(50, int), 1.0)
-        assert out[0] == 1.0
-
-    def test_group_without_negatives(self):
-        with pytest.raises(ValueError, match="negatives"):
-            tpr_at_fpr([0.1, 0.2], [1, 1], [0, 0], 0.1)

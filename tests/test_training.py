@@ -1,10 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from fairpriv.data import LabeledDataset, SyntheticSpec, generate
-from fairpriv.learncore import AdamState
 from fairpriv.training import (ModelBundle, OptimizerStates, TrainConfig,
                                TrainingDivergedError, alternating_epoch, build_bundle,
                                objective, shuffle_seed, train)
@@ -24,19 +24,19 @@ def small_cfg(alpha=0.0, beta=0.0, seed=0, **kw):
 
 
 def snapshot(params):
-    return [p.data.copy() for p in params]
+    return [p.copy() for p in params]
 
 
 def unchanged(params, before):
-    return all(np.array_equal(p.data, b) for p, b in zip(params, before))
+    return all(np.array_equal(p, b) for p, b in zip(params, before))
 
 
 class TestObjective:
     def test_zero_coefficients_reduce_to_task_ce(self):
         ds = toy_dataset()
         bundle = build_bundle(small_cfg(), ds.dim, 2, 2, 2)
-        total, ce_c, _, _ = objective(bundle, ds, 0.0, 0.0)
-        assert total is ce_c  # not merely close: the same node
+        fwd = objective(bundle, ds, 0.0, 0.0)
+        assert fwd.total is fwd.ce_c  # not merely close: the same value
 
     def test_linear_combination(self):
         # Zeroed networks emit uniform logits, so all three CE terms equal ln 2
@@ -46,20 +46,20 @@ class TestObjective:
         for net in (bundle.extractor, bundle.classifier, bundle.fairness_adv,
                     bundle.privacy_adv):
             for p in net.params():
-                p.data[:] = 0.0
+                p[:] = 0.0
         for alpha, beta in [(0.5, 0.25), (2.0, 3.0), (0.0, 1.0)]:
-            total, ce_c, ce_a, ce_p = objective(bundle, ds, alpha, beta)
-            assert ce_c.data[0, 0] == pytest.approx(math.log(2), abs=1e-12)
-            assert total.data[0, 0] == pytest.approx(
+            fwd = objective(bundle, ds, alpha, beta)
+            assert fwd.ce_c == pytest.approx(math.log(2), abs=1e-12)
+            assert fwd.total == pytest.approx(
                 math.log(2) * (1 - alpha - beta), abs=1e-9)
 
     def test_decomposition_identity(self):
         ds = toy_dataset(seed=3)
         bundle = build_bundle(small_cfg(seed=5), ds.dim, 2, 2, 2)
         for alpha, beta in [(0.0, 0.0), (0.01, 10.0), (4.2, 0.3)]:
-            total, ce_c, ce_a, ce_p = objective(bundle, ds, alpha, beta)
-            expected = ce_c.data[0, 0] - alpha * ce_a.data[0, 0] - beta * ce_p.data[0, 0]
-            assert total.data[0, 0] == pytest.approx(expected, abs=1e-12)
+            fwd = objective(bundle, ds, alpha, beta)
+            expected = fwd.ce_c - alpha * fwd.ce_a - beta * fwd.ce_p
+            assert fwd.total == pytest.approx(expected, abs=1e-12)
 
     def test_fresh_bundle_near_uniform(self):
         # Low-magnitude inputs keep every head's logits near zero, so each
@@ -70,9 +70,9 @@ class TestObjective:
                             rng.integers(0, 2, 512), 2, 2, 2)
         cfg = TrainConfig(alpha=1.0, beta=1.0, seed=6)  # default-sized networks
         bundle = build_bundle(cfg, ds.dim, 2, 2, 2)
-        _, ce_c, ce_a, ce_p = objective(bundle, ds, 1.0, 1.0)
-        for ce in (ce_c, ce_a, ce_p):
-            assert abs(ce.data[0, 0] - math.log(2)) < 0.15
+        fwd = objective(bundle, ds, 1.0, 1.0)
+        for ce in (fwd.ce_c, fwd.ce_a, fwd.ce_p):
+            assert abs(ce - math.log(2)) < 0.15
 
     def test_empty_batch_rejected(self):
         ds = toy_dataset().subset([])
@@ -91,8 +91,7 @@ class TestAlternatingEpoch:
         ds = toy_dataset(n=32)
         cfg = small_cfg(batch_size=32)
         bundle = build_bundle(cfg, ds.dim, 2, 2, 2)
-        states = OptimizerStates(AdamState(bundle.main_params(), cfg.lr),
-                                 AdamState(bundle.adversary_params(), cfg.lr))
+        states = OptimizerStates.for_bundle(bundle, cfg.lr)
         adv_before = snapshot(bundle.adversary_params())
         main_before = snapshot(bundle.main_params())
         self._run_one_epoch(bundle, ds, cfg, states)
@@ -103,8 +102,7 @@ class TestAlternatingEpoch:
         ds = toy_dataset(n=32)
         cfg = small_cfg(batch_size=32)
         bundle = build_bundle(cfg, ds.dim, 2, 2, 2)
-        states = OptimizerStates(AdamState(bundle.main_params(), cfg.lr),
-                                 AdamState(bundle.adversary_params(), cfg.lr))
+        states = OptimizerStates.for_bundle(bundle, cfg.lr)
         self._run_one_epoch(bundle, ds, cfg, states)  # MAIN
         main_before = snapshot(bundle.main_params())
         adv_before = snapshot(bundle.adversary_params())
@@ -117,8 +115,7 @@ class TestAlternatingEpoch:
         ds = toy_dataset(n=96)
         cfg = small_cfg(batch_size=32, switch_period=2)
         bundle = build_bundle(cfg, ds.dim, 2, 2, 2)
-        states = OptimizerStates(AdamState(bundle.main_params(), cfg.lr),
-                                 AdamState(bundle.adversary_params(), cfg.lr))
+        states = OptimizerStates.for_bundle(bundle, cfg.lr)
         adv_before = snapshot(bundle.adversary_params())
         self._run_one_epoch(bundle, ds, cfg, states)
         assert not unchanged(bundle.adversary_params(), adv_before)
@@ -128,8 +125,7 @@ class TestAlternatingEpoch:
         ds = toy_dataset().subset([])
         cfg = small_cfg()
         bundle = build_bundle(cfg, 6, 2, 2, 2)
-        states = OptimizerStates(AdamState(bundle.main_params(), cfg.lr),
-                                 AdamState(bundle.adversary_params(), cfg.lr))
+        states = OptimizerStates.for_bundle(bundle, cfg.lr)
         with pytest.raises(ValueError, match="empty"):
             self._run_one_epoch(bundle, ds, cfg, states)
 
@@ -148,7 +144,7 @@ class TestTrain:
         assert a.best_val_loss == b.best_val_loss
         assert a.history == b.history
         for pa, pb in zip(a.bundle.main_params(), b.bundle.main_params()):
-            assert np.array_equal(pa.data, pb.data)
+            assert np.array_equal(pa, pb)
 
     def test_erm_reduction_bitwise(self):
         ds = toy_dataset(n=200, seed=10)
@@ -157,7 +153,7 @@ class TestTrain:
         full = train(tr, va, cfg, update_adversaries=True)
         erm = train(tr, va, cfg, update_adversaries=False)
         for pa, pb in zip(full.bundle.main_params(), erm.bundle.main_params()):
-            assert np.array_equal(pa.data, pb.data)
+            assert np.array_equal(pa, pb)
         assert full.best_val_loss == erm.best_val_loss
 
     def test_separable_data_learns(self):
@@ -187,8 +183,7 @@ class TestTrain:
             cfg = small_cfg(alpha=alpha, seed=17, epochs=12, feature_dim=6,
                             extractor_hidden=(16,))
             trained = train(tr, va, cfg)
-            _, _, ce, _ = objective(trained.bundle, va, alpha, 0.0)
-            ce_a[alpha] = ce.data[0, 0]
+            ce_a[alpha] = objective(trained.bundle, va, alpha, 0.0).ce_a
         assert ce_a[10.0] > ce_a[0.0]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -215,5 +210,38 @@ class TestModelBundle:
     def test_copy_is_deep(self):
         bundle = build_bundle(small_cfg(), 6, 2, 2, 2)
         dup = bundle.copy()
-        dup.extractor.weights[0].data[0, 0] += 1.0
-        assert bundle.extractor.weights[0].data[0, 0] != dup.extractor.weights[0].data[0, 0]
+        dup.extractor.weights[0][0, 0] += 1.0
+        assert bundle.extractor.weights[0][0, 0] != dup.extractor.weights[0][0, 0]
+
+
+class TestGoldenBytes:
+    """Trained weights and selection loss on the reference setup, pinned bitwise.
+
+    The digests were recorded with the tape-autodiff engine this package
+    used before the explicit forward/backward engine; any change to the
+    floating-point operations or their order shows up here.
+    """
+
+    @pytest.mark.parametrize("alpha, beta, seed, digest, best_val_loss", [
+        (0.0, 0.0, 0, "8a2b57b80bddd9dc4a405e15f64b9a34e7ace988f2ce1952b9f1b19be6caec57",
+         "0x1.5c75c3344facfp-1"),
+        (10.0, 10.0, 1, "3bfff4d8539e8cb0693182942fafb6f3233c2154a1d6294925da07f5f6815f18",
+         "0x1.3df60e4df5fc7p+0"),
+    ])
+    def test_two_epochs_match_recorded_digest(self, alpha, beta, seed, digest, best_val_loss):
+        from conftest import reference_config
+        from fairpriv.cli import pipeline
+        from fairpriv.data import make_splits
+
+        cfg = reference_config()
+        train_ds, val_ds, _ = make_splits(pipeline.load_dataset(cfg), cfg.split, seed)
+        tc = cfg.train.to_config(alpha, beta, seed)
+        tc.epochs = 2
+        trained = train(train_ds, val_ds, tc)
+        h = hashlib.sha256()
+        b = trained.bundle
+        for net in (b.extractor, b.classifier, b.fairness_adv, b.privacy_adv):
+            for p in net.params():
+                h.update(np.ascontiguousarray(p, dtype="<f8").tobytes())
+        assert h.hexdigest() == digest
+        assert trained.best_val_loss.hex() == best_val_loss
