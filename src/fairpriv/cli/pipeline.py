@@ -17,7 +17,7 @@ from ..data import LabeledDataset, generate, load_csv, make_splits
 from ..evaluation import (MetricTriple, accuracy, attack_accuracy, fit_attacker,
                           group_gap, tpr)
 from ..training import TrainedModel, train
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 
 RESULTS_HEADER = ["alpha", "beta", "seed", "utility", "fairness_gap",
                   "attack_balanced_acc", "val_loss"]
@@ -57,6 +57,10 @@ def run_single(config: ExperimentConfig, alpha: float, beta: float, seed: int,
                dataset: LabeledDataset | None = None) -> tuple[RunRecord, TrainedModel]:
     """Train and evaluate one (alpha, beta, seed) configuration."""
     ds = dataset if dataset is not None else load_dataset(config)
+    if config.positive_class is not None and config.positive_class >= ds.k_y:
+        # Config load checks this for synthetic data; a CSV's k_y is known only now.
+        raise ConfigError(f"positive_class: must be a task class index in "
+                          f"[0, {ds.k_y}), got {config.positive_class!r}")
     train_ds, val_ds, test_ds = make_splits(ds, config.split, seed)
     trained = train(train_ds, val_ds, config.train.to_config(alpha, beta, seed))
     triple = evaluate_bundle(trained.bundle, val_ds, test_ds, config)
@@ -122,12 +126,12 @@ def write_results(path, records: list, failures: dict | None = None) -> None:
 
 
 def append_result(path, record: RunRecord) -> None:
-    new = not os.path.exists(path) or os.path.getsize(path) == 0
-    with open(path, "a", newline="") as fh:
-        writer = csv.writer(fh)
-        if new:
-            writer.writerow(RESULTS_HEADER)
-        writer.writerow(record_row(record))
+    """Add one run to a results CSV, replacing any earlier row for its key."""
+    records, failed = [], []
+    if os.path.exists(path) and os.path.getsize(path) > 0:
+        records, failed = load_results(path)
+    records = [r for r in records if r.key != record.key] + [record]
+    write_results(path, records, {key: ERROR_MARKER for key in failed if key != record.key})
 
 
 def load_results(path) -> tuple[list[RunRecord], list[tuple]]:

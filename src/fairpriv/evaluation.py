@@ -122,8 +122,24 @@ def fit_multinomial_logistic(x: Matrix, labels, k: int, class_weights,
                              iters: int, lr: float) -> tuple[Matrix, Matrix]:
     """Full-batch gradient descent on weighted cross entropy from zero init.
 
-    Deterministic. Returns (weights, bias). The gradient step is taken on the
-    weight-normalized loss, matching the training-loss convention.
+    Deterministic. Returns (weights, bias) after exactly ``iters`` steps. The
+    gradient step is taken on the weight-normalized loss, matching the
+    training-loss convention.
+
+    The softmax row max and row sum loop over the k columns, which is faster
+    than numpy's reduction along a length-k axis. The max is exact. The sum
+    adds the columns left to right, numpy's own order for k < 8, so there
+    every iterate is bitwise that of ``z.max(axis=1)`` and ``p.sum(axis=1)``;
+    for k >= 8 numpy unrolls its sum and the last bits may differ. The bias
+    gradient is the last row of a cumulative sum: the same sequential row
+    order as ``dz.sum(axis=0)``, with less overhead.
+
+    A step is a pure function of the state (weights, bias). Brent's cycle
+    detection keeps one saved state and re-saves it whenever the distance to
+    it reaches a power of two. Once the state repeats the saved one, the
+    state after ``iters`` steps is reached by the steps left over after the
+    whole cycles, so only those run. States are compared as bytes, not
+    values, because -0.0 == 0.0 and NaN != NaN.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -134,14 +150,32 @@ def fit_multinomial_logistic(x: Matrix, labels, k: int, class_weights,
     target = one_hot(y, k)
     weights = np.zeros((d, k))
     bias = np.zeros((1, k))
-    for _ in range(iters):
+    rows = np.empty(n)
+    saved, saved_at, power = weights.tobytes() + bias.tobytes(), 0, 1
+    step = 0
+    while step < iters:
         z = x @ weights + bias
-        z -= z.max(axis=1, keepdims=True)
+        np.copyto(rows, z[:, 0])
+        for c in range(1, k):
+            np.maximum(rows, z[:, c], out=rows)
+        z -= rows[:, None]
         p = np.exp(z)
-        p /= p.sum(axis=1, keepdims=True)
+        np.copyto(rows, p[:, 0])
+        for c in range(1, k):
+            rows += p[:, c]
+        p /= rows[:, None]
         dz = (p - target) * row_w / total_w
         weights -= lr * (x.T @ dz)
-        bias -= lr * dz.sum(axis=0, keepdims=True)
+        bias -= lr * np.cumsum(dz, axis=0)[-1:]
+        step += 1
+        if saved is None:
+            continue
+        state = weights.tobytes() + bias.tobytes()
+        if state == saved:
+            iters = step + (iters - step) % (step - saved_at)
+            saved = None
+        elif step - saved_at == power:
+            saved, saved_at, power = state, step, 2 * power
     if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(bias))):
         raise FloatingPointError("logistic fit diverged; lower the learning rate")
     return weights, bias

@@ -163,6 +163,21 @@ class TestTrainCommand:
         assert record.triple.attack_balanced_acc > 0.5
         assert record.triple.fairness_gap > 0.0
 
+    def test_rerun_replaces_row_and_keeps_others(self, tmp_path):
+        path = config_json(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        pipeline.write_results(out / "results.csv", [], {(1.0, 1.0, 0): "RuntimeError: boom"})
+        args = ["train", "--config", str(path), "--alpha", "0", "--beta", "0",
+                "--seed", "0", "--out", str(out)]
+        assert main(args) == 0
+        first = (out / "results.csv").read_bytes()
+        assert main(args) == 0
+        assert (out / "results.csv").read_bytes() == first
+        rows = first.decode().splitlines()
+        assert len(rows) == 3  # header, the trained cell, the kept ERROR row
+        assert rows[1].startswith("0.0,0.0,0,") and rows[2].startswith("1.0,1.0,0,ERROR")
+
     def test_weight_file_round_trip(self, tmp_path):
         cfg = small_config()
         ds = pipeline.load_dataset(cfg)
@@ -193,6 +208,21 @@ class TestTrainCommand:
         record, _ = pipeline.run_single(cfg, 0.0, 0.0, 0)
         synthetic = pipeline.run_single(small_config(), 0.0, 0.0, 0)[0]
         assert record.triple == synthetic.triple  # CSV round trip is lossless
+
+    def test_csv_positive_class_out_of_range_fails_before_training(self, tmp_path,
+                                                                  monkeypatch):
+        csv_path = tmp_path / "features.csv"
+        assert main(["gen-data", "--config", str(config_json(tmp_path)),
+                     "--out", str(csv_path)]) == 0
+        cfg = small_config(data=str(csv_path), positive_class=7)
+        cfg.validate()  # the CSV's class count is unknown at load
+
+        def no_train(*args, **kwargs):
+            raise AssertionError("train must not run")
+
+        monkeypatch.setattr(pipeline, "train", no_train)
+        with pytest.raises(ConfigError, match="positive_class"):
+            pipeline.run_single(cfg, 0.0, 0.0, 0)
 
 
 class TestSweep:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from fairpriv.evaluation import (LinearAttacker, accuracy, attack_accuracy,
-                                 balanced_accuracy, fit_attacker, group_gap,
+                                 balanced_accuracy, fit_attacker,
+                                 fit_multinomial_logistic, group_gap,
                                  inverse_frequency_weights, tpr)
 from fairpriv.data import one_hot
 from fairpriv.learncore import softmax_cross_entropy
@@ -146,6 +147,80 @@ class TestFitAttacker:
         b = fit_attacker(x, y, y_p, iters=500, lr=1.0, k_y=2, k_p=2)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
+
+    def test_huge_learning_rate_diverges(self):
+        x, y, y_p = two_gaussian_features(300, mu=2.0, seed=7)
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="diverged"):
+            fit_attacker(x, y, y_p, iters=200, lr=1e308, k_y=2, k_p=2)
+
+
+def reference_gd_loop(x, labels, k, class_weights, iters, lr):
+    """fit_multinomial_logistic as it was before the column-wise reductions
+    and the exit on a repeated state: the oracle for their bitwise equality."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    w = np.asarray(class_weights, dtype=np.float64)
+    n, d = x.shape
+    row_w = w[y][:, None]
+    total_w = row_w.sum()
+    target = one_hot(y, k)
+    weights = np.zeros((d, k))
+    bias = np.zeros((1, k))
+    for _ in range(iters):
+        z = x @ weights + bias
+        z -= z.max(axis=1, keepdims=True)
+        p = np.exp(z)
+        p /= p.sum(axis=1, keepdims=True)
+        dz = (p - target) * row_w / total_w
+        weights -= lr * (x.T @ dz)
+        bias -= lr * dz.sum(axis=0, keepdims=True)
+    return weights, bias
+
+
+def uninformative_problem(k, seed, n=120, d=3):
+    """Labels independent of x: GD settles into a short cycle of states."""
+    x = np.random.default_rng(seed).standard_normal((n, d))
+    return x, np.arange(n) % k, np.linspace(0.5, 1.5, k)
+
+
+def state_bytes(weights, bias):
+    return weights.tobytes() + bias.tobytes()
+
+
+PAST_EXIT = 2000  # the fixtures below repeat a state, and the fit exits, before this
+
+
+class TestFitMultinomialLogistic:
+    # (k, data seed, cycle period). The oracle's iterates enter these cycles
+    # by step 951.
+    CYCLING = [(2, 5, 2), (3, 1, 2), (4, 3, 3), (5, 2, 4), (6, 0, 8), (7, 3, 6)]
+
+    @pytest.mark.parametrize("k, seed, period", CYCLING)
+    def test_fixture_is_cycling_at_past_exit(self, k, seed, period):
+        x, y, w = uninformative_problem(k, seed)
+        at = state_bytes(*reference_gd_loop(x, y, k, w, PAST_EXIT, 1.0))
+        assert state_bytes(*reference_gd_loop(x, y, k, w, PAST_EXIT + period, 1.0)) == at
+        assert state_bytes(*reference_gd_loop(x, y, k, w, PAST_EXIT + 1, 1.0)) != at
+
+    @pytest.mark.parametrize("k, seed, period", CYCLING)
+    @pytest.mark.parametrize("iters", [1, 2, 3, PAST_EXIT, PAST_EXIT + 1])
+    def test_bitwise_equal_to_reference_loop(self, k, seed, period, iters):
+        # PAST_EXIT + 1 lands mid-cycle, since every period here is >= 2.
+        x, y, w = uninformative_problem(k, seed)
+        got = fit_multinomial_logistic(x, y, k, w, iters, 1.0)
+        want = reference_gd_loop(x, y, k, w, iters, 1.0)
+        assert state_bytes(*got) == state_bytes(*want)
+
+    @pytest.mark.parametrize("k", [8, 9])
+    @pytest.mark.parametrize("iters", [1, 2, 3, 500, 2000])
+    def test_many_classes_match_to_last_bits(self, k, iters):
+        # numpy's row sum is unrolled from 8 columns on, so only the last
+        # bits may differ there.
+        x, y, w = uninformative_problem(k, 0)
+        got = fit_multinomial_logistic(x, y, k, w, iters, 1.0)
+        want = reference_gd_loop(x, y, k, w, iters, 1.0)
+        for g, r in zip(got, want):
+            assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
 
 
 class TestAttackAccuracy:

@@ -215,20 +215,17 @@ class TestModelBundle:
 
 
 class TestGoldenBytes:
-    """Trained weights and selection loss on the reference setup, pinned bitwise.
+    """Trained weights, selection loss and attacker, pinned bitwise.
 
-    The digests were recorded with the tape-autodiff engine this package
-    used before the explicit forward/backward engine; any change to the
+    The training digests were recorded with the tape-autodiff engine this
+    package used before the explicit forward/backward engine, and the
+    attacker digests with the gradient-descent loop that reduced over the
+    class axis and always ran every iteration; any change to the
     floating-point operations or their order shows up here.
     """
 
-    @pytest.mark.parametrize("alpha, beta, seed, digest, best_val_loss", [
-        (0.0, 0.0, 0, "8a2b57b80bddd9dc4a405e15f64b9a34e7ace988f2ce1952b9f1b19be6caec57",
-         "0x1.5c75c3344facfp-1"),
-        (10.0, 10.0, 1, "3bfff4d8539e8cb0693182942fafb6f3233c2154a1d6294925da07f5f6815f18",
-         "0x1.3df60e4df5fc7p+0"),
-    ])
-    def test_two_epochs_match_recorded_digest(self, alpha, beta, seed, digest, best_val_loss):
+    @staticmethod
+    def two_epochs(alpha, beta, seed):
         from conftest import reference_config
         from fairpriv.cli import pipeline
         from fairpriv.data import make_splits
@@ -237,7 +234,16 @@ class TestGoldenBytes:
         train_ds, val_ds, _ = make_splits(pipeline.load_dataset(cfg), cfg.split, seed)
         tc = cfg.train.to_config(alpha, beta, seed)
         tc.epochs = 2
-        trained = train(train_ds, val_ds, tc)
+        return cfg, val_ds, train(train_ds, val_ds, tc)
+
+    @pytest.mark.parametrize("alpha, beta, seed, digest, best_val_loss", [
+        (0.0, 0.0, 0, "8a2b57b80bddd9dc4a405e15f64b9a34e7ace988f2ce1952b9f1b19be6caec57",
+         "0x1.5c75c3344facfp-1"),
+        (10.0, 10.0, 1, "3bfff4d8539e8cb0693182942fafb6f3233c2154a1d6294925da07f5f6815f18",
+         "0x1.3df60e4df5fc7p+0"),
+    ])
+    def test_two_epochs_match_recorded_digest(self, alpha, beta, seed, digest, best_val_loss):
+        _, _, trained = self.two_epochs(alpha, beta, seed)
         h = hashlib.sha256()
         b = trained.bundle
         for net in (b.extractor, b.classifier, b.fairness_adv, b.privacy_adv):
@@ -245,3 +251,19 @@ class TestGoldenBytes:
                 h.update(np.ascontiguousarray(p, dtype="<f8").tobytes())
         assert h.hexdigest() == digest
         assert trained.best_val_loss.hex() == best_val_loss
+
+    @pytest.mark.parametrize("alpha, beta, seed, digest", [
+        (0.0, 0.0, 0, "b372bb4b0dcc0b3355ab58fd4f240924a2b165f8d035d89a80aa33d66df3efe3"),
+        (10.0, 10.0, 1, "6d7937b99bbe405d51bdb5cc1ddc296ffceeabb01c286aa3b546d4f17789b21d"),
+    ])
+    def test_attacker_matches_recorded_digest(self, alpha, beta, seed, digest):
+        from fairpriv.evaluation import fit_attacker
+
+        cfg, val_ds, trained = self.two_epochs(alpha, beta, seed)
+        attacker = fit_attacker(trained.bundle.extractor.apply(val_ds.x), val_ds.y,
+                                val_ds.y_p, iters=cfg.attacker_iters, lr=cfg.attacker_lr,
+                                k_y=val_ds.k_y, k_p=val_ds.k_p)
+        h = hashlib.sha256()
+        for a in (attacker.weights, attacker.bias):
+            h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        assert h.hexdigest() == digest
