@@ -122,60 +122,60 @@ def fit_multinomial_logistic(x: Matrix, labels, k: int, class_weights,
                              iters: int, lr: float) -> tuple[Matrix, Matrix]:
     """Full-batch gradient descent on weighted cross entropy from zero init.
 
-    Deterministic. Returns (weights, bias) after exactly ``iters`` steps. The
-    gradient step is taken on the weight-normalized loss, matching the
-    training-loss convention.
+    Deterministic. Returns (weights, bias) after exactly ``iters`` steps; every
+    step costs the same, whatever the data. The gradient step is taken on the
+    weight-normalized loss, matching the training-loss convention.
 
-    The softmax row max and row sum loop over the k columns, which is faster
-    than numpy's reduction along a length-k axis. The max is exact. The sum
-    adds the columns left to right, numpy's own order for k < 8, so there
-    every iterate is bitwise that of ``z.max(axis=1)`` and ``p.sum(axis=1)``;
-    for k >= 8 numpy unrolls its sum and the last bits may differ. The bias
-    gradient is the last row of a cumulative sum: the same sequential row
-    order as ``dz.sum(axis=0)``, with less overhead.
+    Each step is the plain update below, computed in place in preallocated
+    buffers, with the elementwise work done one column at a time, which is
+    faster than numpy's broadcasting and reductions along a length-k axis.
+    The softmax row max is exact. The row sum adds the columns left to right,
+    numpy's own order for k < 8, so there every iterate is bitwise that of
+    ``z.max(axis=1)`` and ``p.sum(axis=1)``; for k >= 8 numpy unrolls its sum
+    and the last bits may differ. The bias gradient is the last row of a
+    cumulative sum: the same sequential row order as ``dz.sum(axis=0)``.
 
-    A step is a pure function of the state (weights, bias). Brent's cycle
-    detection keeps one saved state and re-saves it whenever the distance to
-    it reaches a power of two. Once the state repeats the saved one, the
-    state after ``iters`` steps is reached by the steps left over after the
-    whole cycles, so only those run. States are compared as bytes, not
-    values, because -0.0 == 0.0 and NaN != NaN.
+        z = x @ weights + bias;  p = softmax(z)
+        dz = (p - target) * row_w / total_w
+        weights -= lr * (x.T @ dz);  bias -= lr * dz.sum(axis=0)
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     w = np.asarray(class_weights, dtype=np.float64)
     n, d = x.shape
-    row_w = w[y][:, None]
-    total_w = row_w.sum()
+    total_w = w[y][:, None].sum()
+    row_w = np.repeat(w[y][:, None], k, axis=1)
     target = one_hot(y, k)
     weights = np.zeros((d, k))
     bias = np.zeros((1, k))
+    z = np.empty((n, k))
+    cols = [z[:, c] for c in range(k)]
     rows = np.empty(n)
-    saved, saved_at, power = weights.tobytes() + bias.tobytes(), 0, 1
-    step = 0
-    while step < iters:
-        z = x @ weights + bias
-        np.copyto(rows, z[:, 0])
-        for c in range(1, k):
-            np.maximum(rows, z[:, c], out=rows)
-        z -= rows[:, None]
-        p = np.exp(z)
-        np.copyto(rows, p[:, 0])
-        for c in range(1, k):
-            rows += p[:, c]
-        p /= rows[:, None]
-        dz = (p - target) * row_w / total_w
-        weights -= lr * (x.T @ dz)
-        bias -= lr * np.cumsum(dz, axis=0)[-1:]
-        step += 1
-        if saved is None:
-            continue
-        state = weights.tobytes() + bias.tobytes()
-        if state == saved:
-            iters = step + (iters - step) % (step - saved_at)
-            saved = None
-        elif step - saved_at == power:
-            saved, saved_at, power = state, step, 2 * power
+    grad = np.empty((d, k))
+    prefix = np.empty((n, k))
+    for _ in range(iters):
+        np.matmul(x, weights, out=z)
+        for col, b in zip(cols, bias[0]):
+            col += b
+        np.copyto(rows, cols[0])
+        for col in cols[1:]:
+            np.maximum(rows, col, out=rows)
+        for col in cols:
+            col -= rows
+        np.exp(z, out=z)
+        np.copyto(rows, cols[0])
+        for col in cols[1:]:
+            rows += col
+        for col in cols:
+            col /= rows
+        z -= target
+        z *= row_w
+        z /= total_w
+        np.matmul(x.T, z, out=grad)
+        grad *= lr
+        weights -= grad
+        np.cumsum(z, axis=0, out=prefix)
+        bias -= lr * prefix[-1:]
     if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(bias))):
         raise FloatingPointError("logistic fit diverged; lower the learning rate")
     return weights, bias
