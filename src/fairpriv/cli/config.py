@@ -68,6 +68,18 @@ class ExperimentConfig:
             self.split.validate()
         except ValueError as exc:
             raise ConfigError(f"split: {exc}") from None
+        for name in ("epochs", "batch_size", "feature_dim", "switch_period"):
+            value = getattr(self.train, name)
+            if not _is_int(value) or value < 1:
+                raise ConfigError(f"train.{name}: must be an integer >= 1, got {value!r}")
+        for name in ("extractor_hidden", "adversary_hidden"):
+            widths = getattr(self.train, name)
+            if not (isinstance(widths, (list, tuple))
+                    and all(_is_int(w) and w >= 1 for w in widths)):
+                raise ConfigError(f"train.{name}: must be a list of integers >= 1, "
+                                  f"got {widths!r}")
+        if not _is_positive_real(self.train.lr):
+            raise ConfigError(f"train.lr: must be a finite number > 0, got {self.train.lr!r}")
         try:
             self.train.to_config(0.0, 0.0, 0).validate()
         except ValueError as exc:
@@ -97,9 +109,7 @@ class ExperimentConfig:
         if not _is_int(self.attacker_iters) or self.attacker_iters < 1:
             raise ConfigError(f"attacker_iters: must be an integer >= 1, "
                               f"got {self.attacker_iters!r}")
-        if not (isinstance(self.attacker_lr, numbers.Real)
-                and not isinstance(self.attacker_lr, bool)
-                and math.isfinite(self.attacker_lr) and self.attacker_lr > 0):
+        if not _is_positive_real(self.attacker_lr):
             raise ConfigError(f"attacker_lr: must be a finite number > 0, "
                               f"got {self.attacker_lr!r}")
         if self.positive_class is not None:
@@ -116,6 +126,12 @@ class ExperimentConfig:
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_positive_real(value) -> bool:
+    """A finite real number > 0, not a bool."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0)
 
 
 def default_config() -> ExperimentConfig:

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import csv
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -62,6 +63,7 @@ def run_single(config: ExperimentConfig, alpha: float, beta: float, seed: int,
         raise ConfigError(f"positive_class: must be a task class index in "
                           f"[0, {ds.k_y}), got {config.positive_class!r}")
     train_ds, val_ds, test_ds = make_splits(ds, config.split, seed)
+    del ds, dataset  # only the splits are used from here on; a sweep's copy is freed
     trained = train(train_ds, val_ds, config.train.to_config(alpha, beta, seed))
     triple = evaluate_bundle(trained.bundle, val_ds, test_ds, config)
     record = RunRecord(alpha=alpha, beta=beta, seed=seed, triple=triple,
@@ -84,7 +86,8 @@ def sweep(config: ExperimentConfig, jobs: int | None = None
 
     Returns (records sorted by key, failures keyed by (alpha, beta, seed)).
     Runs are independent; jobs > 1 fans them out over processes without
-    affecting the output order.
+    affecting the output order. Outcomes are collected as runs finish, so a
+    worker that dies fails only the runs the broken pool could not finish.
     """
     combos = [(config, a, b, s)
               for a in sorted(config.alphas) for b in sorted(config.betas)
@@ -93,7 +96,13 @@ def sweep(config: ExperimentConfig, jobs: int | None = None
         jobs = os.cpu_count() or 1
     if jobs > 1 and len(combos) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_sweep_entry, combos))
+            futures = {pool.submit(_sweep_entry, combo): combo[1:] for combo in combos}
+            outcomes = []
+            for future in as_completed(futures):
+                try:
+                    outcomes.append(future.result())
+                except BrokenProcessPool as exc:
+                    outcomes.append((futures[future], f"{type(exc).__name__}: {exc}"))
     else:
         outcomes = [_sweep_entry(c) for c in combos]
     records, failures = [], {}

@@ -37,7 +37,8 @@ def softmax_cross_entropy(logits: Matrix, targets, class_weights=None,
     / sum_i w[y_i], stabilized by per-row max subtraction. ``class_weights``
     None means unit weights, i.e. the plain mean cross entropy. dlogits is the
     gradient of ``grad_scale * loss`` with respect to the logits, or None when
-    no grad_scale is given.
+    no grad_scale is given. Checks its arguments, encodes the targets and runs
+    :func:`encoded_cross_entropy`.
     """
     y = np.asarray(targets, dtype=np.int64).reshape(-1)
     n, k = logits.shape
@@ -47,30 +48,56 @@ def softmax_cross_entropy(logits: Matrix, targets, class_weights=None,
         raise ShapeError(f"targets length {y.shape[0]} != batch size {n}")
     if y.min() < 0 or y.max() >= k:
         raise ValueError(f"target index out of range for {k} classes")
-    rows = np.arange(n)
-    z = logits - logits.max(axis=1, keepdims=True)
-    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    flat = np.arange(n) * k + y
+    onehot = None
+    if grad_scale is not None:
+        onehot = np.zeros((n, k))
+        onehot.reshape(-1)[flat] = 1.0
     if class_weights is None:
-        row_w, total_w = None, float(n)
-        loss = -log_probs[rows, y].sum() / total_w
+        return encoded_cross_entropy(logits, onehot, flat, grad_scale)
+    w = np.asarray(class_weights, dtype=np.float64).reshape(-1)
+    if w.shape[0] != k:
+        raise ShapeError(f"class_weights length {w.shape[0]} != class count {k}")
+    if np.any(w < 0) or not np.any(w > 0):
+        raise ValueError("class weights must be >= 0 and not all zero")
+    row_w = w[y]
+    total_w = row_w.sum()
+    if total_w <= 0.0:
+        raise ValueError("total batch weight is zero (every row's class has weight 0)")
+    return encoded_cross_entropy(logits, onehot, flat, grad_scale, row_w, total_w)
+
+
+def encoded_cross_entropy(logits: Matrix, onehot: Matrix | None, flat: np.ndarray,
+                          grad_scale: float | None = None, row_w: np.ndarray | None = None,
+                          total_w: float | None = None) -> tuple[float, Matrix | None]:
+    """The arithmetic of :func:`softmax_cross_entropy`, on pre-encoded targets.
+
+    ``flat`` holds each row's index into the flattened (n, k) logits,
+    ``row * k + target``; ``onehot`` the targets' one-hot rows, needed only
+    with a ``grad_scale``. ``row_w`` and ``total_w`` are the rows' class
+    weights and their sum, None for unit weights. Nothing is checked.
+    """
+    n, k = logits.shape
+    m = logits[:, :1].copy()  # row max, column by column: exact
+    for c in range(1, k):
+        np.maximum(m, logits[:, c:c + 1], out=m)
+    log_probs = logits - m
+    s = np.exp(log_probs).sum(axis=1, keepdims=True)
+    log_probs -= np.log(s, out=s)
+    picked = log_probs.take(flat)
+    if row_w is None:
+        total_w = float(n)
+        loss = -picked.sum() / total_w
     else:
-        w = np.asarray(class_weights, dtype=np.float64).reshape(-1)
-        if w.shape[0] != k:
-            raise ShapeError(f"class_weights length {w.shape[0]} != class count {k}")
-        if np.any(w < 0) or not np.any(w > 0):
-            raise ValueError("class weights must be >= 0 and not all zero")
-        row_w = w[y]
-        total_w = row_w.sum()
-        if total_w <= 0.0:
-            raise ValueError("total batch weight is zero (every row's class has weight 0)")
-        loss = -(row_w * log_probs[rows, y]).sum() / total_w
+        loss = -(row_w * picked).sum() / total_w
     if grad_scale is None:
         return float(loss), None
-    dlogits = np.exp(log_probs)
-    dlogits[rows, y] -= 1.0
+    dlogits = np.exp(log_probs, out=log_probs)
+    dlogits -= onehot  # d - 0.0 == d, so only the target entries change
     if row_w is not None:
-        dlogits = dlogits * row_w[:, None]
-    return float(loss), dlogits * (grad_scale / total_w)
+        dlogits *= row_w[:, None]
+    dlogits *= grad_scale / total_w
+    return float(loss), dlogits
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +237,7 @@ class AdamState:
         self.grads = np.zeros_like(self.params)
         self.m = np.zeros_like(self.params)
         self.v = np.zeros_like(self.params)
+        self.tmp = np.empty((2, self.params.size))  # adam_step's scratch
         self.net_grads = []
         offset = 0
         for net in nets:
@@ -223,15 +251,24 @@ class AdamState:
 
 
 def adam_step(state: AdamState) -> None:
-    """One in-place Adam update of ``state.params`` from ``state.grads``."""
+    """One in-place Adam update of ``state.params`` from ``state.grads``.
+
+    The temporaries live in ``state.tmp``; the operations and their order
+    are those of ``params -= lr * (m / c1) / (sqrt(v / c2) + eps)``.
+    """
     state.step += 1
     c1 = 1.0 - state.beta1 ** state.step
     c2 = 1.0 - state.beta2 ** state.step
-    g = state.grads
+    g, t, u = state.grads, state.tmp[0], state.tmp[1]
     state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * g
+    state.m += np.multiply(g, 1.0 - state.beta1, out=t)
     state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * (g * g)
-    m_hat = state.m / c1
-    v_hat = state.v / c2
-    state.params -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    np.multiply(g, g, out=t)
+    state.v += np.multiply(t, 1.0 - state.beta2, out=t)
+    m_hat = np.divide(state.m, c1, out=t)
+    v_hat = np.divide(state.v, c2, out=u)
+    m_hat *= state.lr
+    np.sqrt(v_hat, out=v_hat)
+    v_hat += state.eps
+    m_hat /= v_hat
+    state.params -= m_hat

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import learncore as lc
-from .data import LabeledDataset, one_hot
+from .data import LabeledDataset
 from .learncore import AdamState, Matrix, Mlp
 
 MAIN, ADV = "MAIN", "ADV"
@@ -129,6 +129,81 @@ class Forward:
     dlogits: tuple
 
 
+@dataclass
+class Batch:
+    """Rows for one pass of the objective, with their labels pre-encoded.
+
+    ``adv_in`` is the adversaries' input: the pass writes the extractor
+    output into its first feature_dim columns, and the rest hold the one-hot
+    task label. ``targets`` holds (one-hot rows, flat gather index) for y,
+    y_a and y_p, as :func:`learncore.encoded_cross_entropy` takes them.
+    """
+
+    x: Matrix
+    adv_in: Matrix
+    targets: tuple
+
+    def __len__(self) -> int:
+        return self.x.shape[0]
+
+
+class EpochArrays:
+    """A split's rows in one order, encoded once, and its batches as views.
+
+    Built once per split; :meth:`fill` gathers the rows in a new order into
+    the same buffers, so ``batches`` (contiguous row slices of
+    ``batch_size``) stay valid. A batch's flat gather index counts rows from
+    the start of its batch. With ``shuffled`` False the rows keep the
+    split's order, ``x`` is the split's own matrix, and the labels are
+    encoded at once; such arrays must not be filled (see :func:`whole_batch`).
+    """
+
+    def __init__(self, ds: LabeledDataset, feature_dim: int, batch_size: int,
+                 shuffled: bool = True):
+        n = len(ds)
+        self.ds = ds
+        self.x = np.empty_like(ds.x) if shuffled else ds.x
+        self.adv_in = np.zeros((n, feature_dim + ds.k_y))
+        in_batch = np.arange(n) % batch_size
+        bases = {}
+        self.targets = []  # (one-hot rows, flat index, row-in-batch * k) per label
+        for onehot in (self.adv_in[:, feature_dim:], np.zeros((n, ds.k_a)),
+                       np.zeros((n, ds.k_p))):
+            k = onehot.shape[1]
+            if k not in bases:
+                bases[k] = in_batch * k
+            self.targets.append((onehot, np.empty(n, dtype=np.int64), bases[k]))
+        self.batches = [self.batch(slice(i, i + batch_size)) for i in range(0, n, batch_size)]
+        if not shuffled:
+            self._encode_labels(np.arange(n))
+
+    def batch(self, rows: slice) -> Batch:
+        """A batch of views into the buffers."""
+        return Batch(self.x[rows], self.adv_in[rows],
+                     tuple((onehot[rows], flat[rows]) for onehot, flat, _ in self.targets))
+
+    def fill(self, order: np.ndarray) -> None:
+        """Gather the rows in ``order``, a permutation of the split's rows."""
+        # No index is out of range, and "clip" spares the buffered copy that
+        # take makes with out= under the default "raise".
+        np.take(self.ds.x, order, axis=0, out=self.x, mode="clip")
+        self._encode_labels(order)
+
+    def _encode_labels(self, order: np.ndarray) -> None:
+        rows = np.arange(len(order))
+        for src, (onehot, flat, base) in zip((self.ds.y, self.ds.y_a, self.ds.y_p),
+                                             self.targets):
+            np.take(src, order, out=flat, mode="clip")  # the labels, for now
+            onehot[...] = 0.0
+            onehot[rows, flat] = 1.0
+            flat += base
+
+
+def whole_batch(ds: LabeledDataset, feature_dim: int) -> Batch:
+    """All of ``ds`` in its own order as one batch, for features of that width."""
+    return EpochArrays(ds, feature_dim, max(len(ds), 1), shuffled=False).batch(slice(None))
+
+
 def build_bundle(cfg: TrainConfig, input_dim: int, k_y: int, k_a: int, k_p: int) -> ModelBundle:
     """Seeded networks; the classifier is a linear head on the features."""
     seeds = np.random.SeedSequence(cfg.seed).spawn(5)
@@ -145,7 +220,7 @@ def shuffle_seed(cfg: TrainConfig) -> np.random.SeedSequence:
     return np.random.SeedSequence(cfg.seed).spawn(5)[4]
 
 
-def objective(bundle: ModelBundle, batch: LabeledDataset, alpha: float, beta: float,
+def objective(bundle: ModelBundle, batch: Batch, alpha: float, beta: float,
               phase: str | None = None) -> Forward:
     """Forward pass of the min-max objective on one batch.
 
@@ -166,13 +241,15 @@ def objective(bundle: ModelBundle, batch: LabeledDataset, alpha: float, beta: fl
         scales = (None, None, None)
     keep = phase is not None
     ext = bundle.extractor.forward(batch.x, keep)
-    adv_in = np.hstack([ext[-1], one_hot(batch.y, batch.k_y)])
+    features = ext[-1]
+    batch.adv_in[:, :features.shape[1]] = features
     acts, ces, dlogits = [ext], [], []
-    for net, x, y, scale in ((bundle.classifier, ext[-1], batch.y, scales[0]),
-                             (bundle.fairness_adv, adv_in, batch.y_a, scales[1]),
-                             (bundle.privacy_adv, adv_in, batch.y_p, scales[2])):
+    for net, x, (onehot, flat), scale in (
+            (bundle.classifier, features, batch.targets[0], scales[0]),
+            (bundle.fairness_adv, batch.adv_in, batch.targets[1], scales[1]),
+            (bundle.privacy_adv, batch.adv_in, batch.targets[2], scales[2])):
         head = net.forward(x, keep)
-        ce, d = lc.softmax_cross_entropy(head[-1], y, grad_scale=scale)
+        ce, d = lc.encoded_cross_entropy(head[-1], onehot, flat, grad_scale=scale)
         acts.append(head)
         ces.append(ce)
         dlogits.append(d)
@@ -208,7 +285,7 @@ def _backward(bundle: ModelBundle, fwd: Forward, states: OptimizerStates, phase:
                      (bundle.privacy_adv, priv, d_p, grads_p)])
 
 
-def alternating_epoch(bundle: ModelBundle, train_data: LabeledDataset, cfg: TrainConfig,
+def alternating_epoch(bundle: ModelBundle, arrays: EpochArrays, cfg: TrainConfig,
                       states: OptimizerStates, shuffle_rng: np.random.Generator,
                       update_adversaries: bool = True, epoch: int = 0) -> float:
     """One pass over the data, alternating parameter groups every k batches.
@@ -217,17 +294,17 @@ def alternating_epoch(bundle: ModelBundle, train_data: LabeledDataset, cfg: Trai
     objective; ADV phases update only the adversaries on their own cross
     entropies. With update_adversaries=False the ADV phases do nothing, which
     turns the schedule into plain risk minimization over the same batches.
-    ``states`` must have been built for ``bundle``. Returns the mean
-    objective value across batches.
+    ``states`` must have been built for ``bundle``, and ``arrays`` for the
+    training split with cfg's batch size. Returns the mean objective value
+    across batches.
     """
-    n = len(train_data)
+    n = len(arrays.ds)
     if n == 0:
         raise ValueError("empty training set")
-    order = shuffle_rng.permutation(n)
+    arrays.fill(shuffle_rng.permutation(n))
     k = cfg.switch_period
     totals = []
-    for start in range(0, n, cfg.batch_size):
-        batch = train_data.subset(order[start:start + cfg.batch_size])
+    for batch in arrays.batches:
         phase = MAIN if (states.batch_count // k) % 2 == 0 else ADV
         update = phase == MAIN or update_adversaries
         fwd = objective(bundle, batch, cfg.alpha, cfg.beta, phase if update else None)
@@ -243,15 +320,15 @@ def alternating_epoch(bundle: ModelBundle, train_data: LabeledDataset, cfg: Trai
     return float(np.mean(totals))
 
 
-def validation_loss(bundle: ModelBundle, ds: LabeledDataset, cfg: TrainConfig) -> float:
+def validation_loss(bundle: ModelBundle, val: Batch, cfg: TrainConfig) -> float:
     """Selection loss on a split: classifier CE, or the full objective.
 
     Forward only; the classifier-CE path runs neither adversary.
     """
     if cfg.select_by == "objective":
-        return objective(bundle, ds, cfg.alpha, cfg.beta).total
-    logits = bundle.classifier.apply(bundle.extractor.apply(ds.x))
-    return lc.softmax_cross_entropy(logits, ds.y)[0]
+        return objective(bundle, val, cfg.alpha, cfg.beta).total
+    logits = bundle.classifier.apply(bundle.extractor.apply(val.x))
+    return lc.encoded_cross_entropy(logits, *val.targets[0])[0]
 
 
 def train(train_data: LabeledDataset, val_data: LabeledDataset, cfg: TrainConfig,
@@ -264,13 +341,15 @@ def train(train_data: LabeledDataset, val_data: LabeledDataset, cfg: TrainConfig
                           train_data.k_p)
     states = OptimizerStates.for_bundle(bundle, cfg.lr)
     shuffle_rng = np.random.default_rng(shuffle_seed(cfg))
+    arrays = EpochArrays(train_data, cfg.feature_dim, cfg.batch_size)
+    val = whole_batch(val_data, cfg.feature_dim)
     best_loss = math.inf
     best_bundle = None
     history = []
     for epoch in range(cfg.epochs):
-        mean_total = alternating_epoch(bundle, train_data, cfg, states, shuffle_rng,
+        mean_total = alternating_epoch(bundle, arrays, cfg, states, shuffle_rng,
                                        update_adversaries=update_adversaries, epoch=epoch)
-        val_loss = validation_loss(bundle, val_data, cfg)
+        val_loss = validation_loss(bundle, val, cfg)
         if not np.isfinite(val_loss):
             raise TrainingDivergedError(f"non-finite validation loss at epoch {epoch}")
         history.append((mean_total, val_loss))

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -118,6 +119,27 @@ class TestConfig:
         # Duplicates used to fail only in analyze, as "missing cells: []".
         with pytest.raises(ConfigError, match=f"{field}: duplicate"):
             from_dict(raw)
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 2.5),
+        ("batch_size", 0),
+        ("feature_dim", 2.0),
+        ("switch_period", True),
+        ("extractor_hidden", [0]),
+        ("adversary_hidden", [32, "8"]),
+        ("lr", "0.001"),
+    ])
+    def test_bad_train_field_rejected_at_load(self, tmp_path, field, value):
+        # Each of these used to load and then fail every sweep cell (or, for
+        # a string lr, escape as a bare TypeError).
+        path = config_json(tmp_path, train={field: value})
+        with pytest.raises(ConfigError, match=f"train.{field}:"):
+            load_config(path)
+
+    @pytest.mark.parametrize("value", [0, -1e-3, float("nan"), float("inf"), False])
+    def test_train_lr_must_be_finite_positive(self, value):
+        with pytest.raises(ConfigError, match="train.lr:"):
+            from_dict({"train": {"lr": value}})
 
     def test_cli_invalid_config_exit_code(self, tmp_path, capsys):
         path = config_json(tmp_path, data={"kind": "synthetic", "n": 100,
@@ -264,6 +286,28 @@ class TestSweep:
         assert len(marker) == 1 and marker[0].startswith("1.0,0.0,0")
         loaded, failed = pipeline.load_results(results)
         assert len(loaded) == 3 and failed == [(1.0, 0.0, 0)]
+
+    def test_dead_worker_keeps_finished_runs(self, tmp_path, monkeypatch, capsys):
+        path = config_json(tmp_path)
+        real = pipeline.run_single
+        sweeper = os.getpid()
+
+        def dies(config, alpha, beta, seed, dataset=None):
+            if alpha == 1.0 and beta == 0.0:
+                if os.getpid() == sweeper:
+                    raise RuntimeError("must run in a pool worker")
+                os._exit(1)  # the worker process dies, as if killed
+            return real(config, alpha, beta, seed, dataset=dataset)
+
+        monkeypatch.setattr(pipeline, "run_single", dies)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--jobs", "2",
+                     "--out", str(out)]) == 1
+        records, failed = pipeline.load_results(out / "results.csv")
+        keys = sorted([r.key for r in records] + failed)
+        assert keys == [(a, b, 0) for a in (0.0, 1.0) for b in (0.0, 1.0)]
+        assert (1.0, 0.0, 0) in failed
+        assert "BrokenProcessPool" in capsys.readouterr().err
 
 
 def synthetic_records(alphas, betas, seeds, rng):

@@ -93,6 +93,43 @@ class TestRelu:
         assert np.array_equal(g_in, [[0.0, 1.0]])
 
 
+def reference_softmax_ce(logits, targets, class_weights=None, grad_scale=None):
+    """softmax_cross_entropy as it was before its arithmetic moved into
+    lc.encoded_cross_entropy, kept verbatim as the oracle for that kernel."""
+    y = np.asarray(targets, dtype=np.int64).reshape(-1)
+    n, k = logits.shape
+    if n == 0:
+        raise ValueError("cross entropy over an empty batch")
+    if y.shape[0] != n:
+        raise ShapeError(f"targets length {y.shape[0]} != batch size {n}")
+    if y.min() < 0 or y.max() >= k:
+        raise ValueError(f"target index out of range for {k} classes")
+    rows = np.arange(n)
+    z = logits - logits.max(axis=1, keepdims=True)
+    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    if class_weights is None:
+        row_w, total_w = None, float(n)
+        loss = -log_probs[rows, y].sum() / total_w
+    else:
+        w = np.asarray(class_weights, dtype=np.float64).reshape(-1)
+        if w.shape[0] != k:
+            raise ShapeError(f"class_weights length {w.shape[0]} != class count {k}")
+        if np.any(w < 0) or not np.any(w > 0):
+            raise ValueError("class weights must be >= 0 and not all zero")
+        row_w = w[y]
+        total_w = row_w.sum()
+        if total_w <= 0.0:
+            raise ValueError("total batch weight is zero (every row's class has weight 0)")
+        loss = -(row_w * log_probs[rows, y]).sum() / total_w
+    if grad_scale is None:
+        return float(loss), None
+    dlogits = np.exp(log_probs)
+    dlogits[rows, y] -= 1.0
+    if row_w is not None:
+        dlogits = dlogits * row_w[:, None]
+    return float(loss), dlogits * (grad_scale / total_w)
+
+
 class TestWeightedCrossEntropy:
     def test_uniform_binary(self):
         loss, _ = softmax_cross_entropy(np.array([[0.0, 0.0]]), [1], [1.0, 1.0])
@@ -143,6 +180,37 @@ class TestWeightedCrossEntropy:
         _, d = softmax_cross_entropy(logits, y, w, grad_scale=-3.0)
         (fd,) = finite_diff(lambda: -3.0 * softmax_cross_entropy(logits, y, w)[0], [logits])
         assert rel_err(d, fd).max() < 1e-6
+
+
+class TestEncodedCrossEntropy:
+    @pytest.mark.parametrize("k", range(2, 10))
+    @pytest.mark.parametrize("n", [64, 53])  # a full batch and an epoch's last one
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("grad_scale", [None, 1.0, -0.7])
+    def test_bytes_equal_reference(self, k, n, weighted, grad_scale):
+        rng = np.random.default_rng(100 * k + n)
+        logits = 4.0 * rng.standard_normal((n, k))
+        y = rng.integers(0, k, n)
+        w = rng.uniform(0.1, 3.0, k) if weighted else None
+        ref_loss, ref_d = reference_softmax_ce(logits, y, w, grad_scale=grad_scale)
+
+        flat = np.arange(n) * k + y
+        onehot = np.zeros((n, k))
+        onehot[np.arange(n), y] = 1.0
+        row_w = total_w = None
+        if weighted:
+            row_w = w[y]
+            total_w = row_w.sum()
+        before = logits.copy()
+        for loss, d in (lc.encoded_cross_entropy(logits, onehot, flat, grad_scale,
+                                                 row_w, total_w),
+                        softmax_cross_entropy(logits, y, w, grad_scale=grad_scale)):
+            assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+            if grad_scale is None:
+                assert d is None and ref_d is None
+            else:
+                assert d.tobytes() == ref_d.tobytes()
+        assert np.array_equal(logits, before)  # the kernel leaves its input alone
 
 
 class TestBackward:

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from fairpriv.data import LabeledDataset, SyntheticSpec, generate
-from fairpriv.training import (ModelBundle, OptimizerStates, TrainConfig,
+from fairpriv.training import (EpochArrays, ModelBundle, OptimizerStates, TrainConfig,
                                TrainingDivergedError, alternating_epoch, build_bundle,
-                               objective, shuffle_seed, train)
+                               objective, shuffle_seed, train, whole_batch)
 
 
 def toy_dataset(n=200, seed=0, d=6):
@@ -35,7 +35,7 @@ class TestObjective:
     def test_zero_coefficients_reduce_to_task_ce(self):
         ds = toy_dataset()
         bundle = build_bundle(small_cfg(), ds.dim, 2, 2, 2)
-        fwd = objective(bundle, ds, 0.0, 0.0)
+        fwd = objective(bundle, whole_batch(ds, bundle.feature_dim), 0.0, 0.0)
         assert fwd.total is fwd.ce_c  # not merely close: the same value
 
     def test_linear_combination(self):
@@ -48,7 +48,7 @@ class TestObjective:
             for p in net.params():
                 p[:] = 0.0
         for alpha, beta in [(0.5, 0.25), (2.0, 3.0), (0.0, 1.0)]:
-            fwd = objective(bundle, ds, alpha, beta)
+            fwd = objective(bundle, whole_batch(ds, bundle.feature_dim), alpha, beta)
             assert fwd.ce_c == pytest.approx(math.log(2), abs=1e-12)
             assert fwd.total == pytest.approx(
                 math.log(2) * (1 - alpha - beta), abs=1e-9)
@@ -57,7 +57,7 @@ class TestObjective:
         ds = toy_dataset(seed=3)
         bundle = build_bundle(small_cfg(seed=5), ds.dim, 2, 2, 2)
         for alpha, beta in [(0.0, 0.0), (0.01, 10.0), (4.2, 0.3)]:
-            fwd = objective(bundle, ds, alpha, beta)
+            fwd = objective(bundle, whole_batch(ds, bundle.feature_dim), alpha, beta)
             expected = fwd.ce_c - alpha * fwd.ce_a - beta * fwd.ce_p
             assert fwd.total == pytest.approx(expected, abs=1e-12)
 
@@ -70,7 +70,7 @@ class TestObjective:
                             rng.integers(0, 2, 512), 2, 2, 2)
         cfg = TrainConfig(alpha=1.0, beta=1.0, seed=6)  # default-sized networks
         bundle = build_bundle(cfg, ds.dim, 2, 2, 2)
-        fwd = objective(bundle, ds, 1.0, 1.0)
+        fwd = objective(bundle, whole_batch(ds, bundle.feature_dim), 1.0, 1.0)
         for ce in (fwd.ce_c, fwd.ce_a, fwd.ce_p):
             assert abs(ce - math.log(2)) < 0.15
 
@@ -78,13 +78,14 @@ class TestObjective:
         ds = toy_dataset().subset([])
         bundle = build_bundle(small_cfg(), 6, 2, 2, 2)
         with pytest.raises(ValueError):
-            objective(bundle, ds, 0.0, 0.0)
+            objective(bundle, whole_batch(ds, bundle.feature_dim), 0.0, 0.0)
 
 
 class TestAlternatingEpoch:
     def _run_one_epoch(self, bundle, data, cfg, states):
         rng = np.random.default_rng(shuffle_seed(cfg))
-        return alternating_epoch(bundle, data, cfg, states, rng)
+        arrays = EpochArrays(data, cfg.feature_dim, cfg.batch_size)
+        return alternating_epoch(bundle, arrays, cfg, states, rng)
 
     def test_main_phase_leaves_adversaries(self):
         # One batch per epoch: the first epoch is purely a MAIN phase.
@@ -183,7 +184,8 @@ class TestTrain:
             cfg = small_cfg(alpha=alpha, seed=17, epochs=12, feature_dim=6,
                             extractor_hidden=(16,))
             trained = train(tr, va, cfg)
-            ce_a[alpha] = objective(trained.bundle, va, alpha, 0.0).ce_a
+            val = whole_batch(va, trained.bundle.feature_dim)
+            ce_a[alpha] = objective(trained.bundle, val, alpha, 0.0).ce_a
         assert ce_a[10.0] > ce_a[0.0]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -217,11 +219,14 @@ class TestModelBundle:
 class TestGoldenBytes:
     """Trained weights, selection loss and attacker, pinned bitwise.
 
-    The training digests were recorded with the tape-autodiff engine this
-    package used before the explicit forward/backward engine, and the
-    attacker digests with the gradient-descent loop that reduced over the
-    class axis and always ran every iteration; any change to the
-    floating-point operations or their order shows up here.
+    The training digests of the (0, 0) and (10, 10) cells were recorded with
+    the tape-autodiff engine this package used before the explicit
+    forward/backward engine; those of the (0, 10) and (10, 0) cells, where
+    exactly one adversary term is on, and every cell's per-epoch history,
+    with the engine that still built a dataset, a one-hot and an hstack per
+    batch. The attacker digests were recorded with the gradient-descent loop
+    that reduced over the class axis and always ran every iteration. Any
+    change to the floating-point operations or their order shows up here.
     """
 
     @staticmethod
@@ -236,11 +241,27 @@ class TestGoldenBytes:
         tc.epochs = 2
         return cfg, val_ds, train(train_ds, val_ds, tc)
 
+    # Per-epoch (mean train objective, validation loss) of each pinned cell.
+    HISTORY = {
+        (0.0, 0.0, 0): [("0x1.064f2de9addaap+1", "0x1.63279b1079014p+0"),
+                        ("0x1.e48846193af59p-1", "0x1.5c75c3344facfp-1")],
+        (10.0, 10.0, 1): [("-0x1.e072d41ab859bp+3", "0x1.d588a955c063dp+0"),
+                          ("-0x1.539790c447701p+3", "0x1.3df60e4df5fc7p+0")],
+        (0.0, 10.0, 0): [("-0x1.0e83b272dfa28p+3", "0x1.2f4c9b4a76933p+1"),
+                         ("-0x1.86cb991290e6ap+2", "0x1.b9036a02fdc85p+0")],
+        (10.0, 0.0, 1): [("-0x1.c470a0c284049p+2", "0x1.8cfd40ffc3aacp+0"),
+                         ("-0x1.0ed7243476bebp+2", "0x1.fca9c52e738c5p-1")],
+    }
+
     @pytest.mark.parametrize("alpha, beta, seed, digest, best_val_loss", [
         (0.0, 0.0, 0, "8a2b57b80bddd9dc4a405e15f64b9a34e7ace988f2ce1952b9f1b19be6caec57",
          "0x1.5c75c3344facfp-1"),
         (10.0, 10.0, 1, "3bfff4d8539e8cb0693182942fafb6f3233c2154a1d6294925da07f5f6815f18",
          "0x1.3df60e4df5fc7p+0"),
+        (0.0, 10.0, 0, "d010b5726888ea79725d9ae934f86685ac36ef24a4acaae3f9d76b60c75b7bef",
+         "0x1.b9036a02fdc85p+0"),
+        (10.0, 0.0, 1, "270faf064ef8b91936b5ab8781fc9f27619eb65ebd9a72866f7e793a7736adc2",
+         "0x1.fca9c52e738c5p-1"),
     ])
     def test_two_epochs_match_recorded_digest(self, alpha, beta, seed, digest, best_val_loss):
         _, _, trained = self.two_epochs(alpha, beta, seed)
@@ -251,6 +272,8 @@ class TestGoldenBytes:
                 h.update(np.ascontiguousarray(p, dtype="<f8").tobytes())
         assert h.hexdigest() == digest
         assert trained.best_val_loss.hex() == best_val_loss
+        assert ([(total.hex(), val.hex()) for total, val in trained.history]
+                == self.HISTORY[(alpha, beta, seed)])
 
     @pytest.mark.parametrize("alpha, beta, seed, digest", [
         (0.0, 0.0, 0, "b372bb4b0dcc0b3355ab58fd4f240924a2b165f8d035d89a80aa33d66df3efe3"),
