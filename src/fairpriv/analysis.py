@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _check_fields, _is_real
 from .evaluation import MetricTriple
 
 GROUP_ORDER = ("B", "L", "M", "H")
@@ -49,15 +50,16 @@ class SweepResult:
 
     def validate(self) -> None:
         """Require exactly one record per (alpha, beta, seed) grid point."""
-        seen = {}
+        seen = set()
         for r in self.records:
             if r.key in seen:
                 raise ValueError(f"duplicate record for {r.key}")
-            seen[r.key] = r
-        missing = [(a, b, s) for a in self.alphas for b in self.betas
-                   for s in self.seeds if (a, b, s) not in seen]
-        if missing or len(seen) != len(self.alphas) * len(self.betas) * len(self.seeds):
-            raise ValueError(f"incomplete sweep; missing cells: {missing[:20]}")
+            seen.add(r.key)
+        grid = {(a, b, s) for a in self.alphas for b in self.betas for s in self.seeds}
+        missing, extra = sorted(grid - seen), sorted(seen - grid)
+        if missing or extra:
+            raise ValueError(f"records do not match the grid; missing cells: {missing[:20]}, "
+                             f"cells outside the grid: {extra[:20]}")
 
 
 @dataclass
@@ -67,11 +69,11 @@ class CsrWeights:
     privacy: float
 
     def validate(self) -> None:
-        if min(self.utility, self.fairness, self.privacy) < 0:
-            raise ValueError("CSR weights must be >= 0")
+        _check_fields(self, ("utility", "fairness", "privacy"),
+                      lambda v: _is_real(v) and v >= 0, "a finite number >= 0")
         total = self.utility + self.fairness + self.privacy
         if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"CSR weights sum to {total}, expected 1")
+            raise ValueError(f"utility + fairness + privacy: must sum to 1, got {total}")
 
 
 @dataclass
@@ -97,16 +99,14 @@ def group_label(v: float) -> str:
     raise ValueError(f"{v} falls outside every regularization group")
 
 
-def _metric_fn(metric):
-    if callable(metric):
-        return metric
+def _metric_fn(metric: str):
     try:
         return METRICS[metric]
     except KeyError:
         raise ValueError(f"unknown metric {metric!r}; expected one of {sorted(METRICS)}")
 
 
-def normalize(records, metric) -> dict:
+def normalize(records, metric: str) -> dict:
     """Min-max normalize a metric over all records: worst -> 0, best -> 1.
 
     Keyed by (alpha, beta, seed). If every record ties, all values are 0.5.
@@ -207,7 +207,7 @@ def seed_medians(records) -> list:
     return out
 
 
-def heatmap(records, metric) -> HeatmapGrid:
+def heatmap(records, metric: str) -> HeatmapGrid:
     """Median of a metric per (alpha-group, beta-group) cell.
 
     The grid covers the groups actually present in the records (the full
@@ -225,6 +225,5 @@ def heatmap(records, metric) -> HeatmapGrid:
             if not cell:
                 raise ValueError(f"heatmap cell (alpha={ga}, beta={gb}) is empty")
             values[i, j] = np.median(cell)
-    name = metric if isinstance(metric, str) else getattr(metric, "__name__", "metric")
-    return HeatmapGrid(metric=name, alpha_groups=a_groups, beta_groups=b_groups,
+    return HeatmapGrid(metric=metric, alpha_groups=a_groups, beta_groups=b_groups,
                        values=values)

@@ -100,6 +100,13 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fairpriv",
@@ -122,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run the full (alpha, beta) x seeds grid")
     common(p)
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--jobs", type=positive_int, default=None,
                    help="parallel runs (default: all cores)")
 
     p = sub.add_parser("analyze", help="emit report tables and heatmaps from results")

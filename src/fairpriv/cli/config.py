@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..analysis import CsrWeights, grid_values, group_label
-from ..data import SplitSpec, SyntheticSpec
+from ..data import SplitSpec, SyntheticSpec, _check_fields, _is_int, _is_real
 from ..training import TrainConfig
 
 
@@ -19,32 +19,11 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class TrainSettings:
-    """TrainConfig minus the swept (alpha, beta, seed)."""
-
-    epochs: int = 40
-    batch_size: int = 64
-    lr: float = 1e-3
-    feature_dim: int = 8
-    extractor_hidden: tuple = (32,)
-    adversary_hidden: tuple = (32, 32)
-    switch_period: int = 1
-    select_by: str = "classifier-ce"
-
-    def to_config(self, alpha: float, beta: float, seed: int) -> TrainConfig:
-        return TrainConfig(alpha=alpha, beta=beta, seed=seed, epochs=self.epochs,
-                           batch_size=self.batch_size, lr=self.lr,
-                           feature_dim=self.feature_dim,
-                           extractor_hidden=tuple(self.extractor_hidden),
-                           adversary_hidden=tuple(self.adversary_hidden),
-                           switch_period=self.switch_period, select_by=self.select_by)
-
-
-@dataclass
 class ExperimentConfig:
     data: SyntheticSpec | str  # a generator spec, or a path to a feature CSV
     split: SplitSpec = field(default_factory=SplitSpec)
-    train: TrainSettings = field(default_factory=TrainSettings)
+    # alpha, beta and seed stay 0 here; each run sets them from the grid and seeds.
+    train: TrainConfig = field(default_factory=lambda: TrainConfig(alpha=0.0, beta=0.0, seed=0))
     alphas: list = field(default_factory=grid_values)
     betas: list = field(default_factory=grid_values)
     seeds: list = field(default_factory=lambda: [0, 1, 2])
@@ -59,79 +38,51 @@ class ExperimentConfig:
     correlations_over_seed_medians: bool = False
 
     def validate(self) -> None:
-        if isinstance(self.data, SyntheticSpec):
+        """Check every section's fields; the ConfigError names ``section.field``."""
+        checks = [("data.", self.data.validate)] if isinstance(self.data, SyntheticSpec) else []
+        checks += [("split.", self.split.validate), ("train.", self.train.validate)]
+        checks += [("csr_weights: ", w.validate) for w in self.csr_weights]
+        checks.append(("", self._validate_top_level))
+        for prefix, check in checks:
             try:
-                self.data.validate()
+                check()
             except ValueError as exc:
-                raise ConfigError(f"data: {exc}") from None
-        try:
-            self.split.validate()
-        except ValueError as exc:
-            raise ConfigError(f"split: {exc}") from None
-        for name in ("epochs", "batch_size", "feature_dim", "switch_period"):
-            value = getattr(self.train, name)
-            if not _is_int(value) or value < 1:
-                raise ConfigError(f"train.{name}: must be an integer >= 1, got {value!r}")
-        for name in ("extractor_hidden", "adversary_hidden"):
-            widths = getattr(self.train, name)
-            if not (isinstance(widths, (list, tuple))
-                    and all(_is_int(w) and w >= 1 for w in widths)):
-                raise ConfigError(f"train.{name}: must be a list of integers >= 1, "
-                                  f"got {widths!r}")
-        if not _is_positive_real(self.train.lr):
-            raise ConfigError(f"train.lr: must be a finite number > 0, got {self.train.lr!r}")
-        try:
-            self.train.to_config(0.0, 0.0, 0).validate()
-        except ValueError as exc:
-            raise ConfigError(f"train: {exc}") from None
-        if not self.seeds:
-            raise ConfigError("seeds: need at least one seed")
-        if self.utility_metric not in ("accuracy", "tpr"):
-            raise ConfigError(f"utility_metric: unknown value {self.utility_metric!r}")
-        for name, vals in (("alphas", self.alphas), ("betas", self.betas)):
-            if not vals:
-                raise ConfigError(f"{name}: grid must be nonempty")
+                raise ConfigError(f"{prefix}{exc}") from None
+
+    def _validate_top_level(self) -> None:
+        _check_fields(self, ("seeds",),
+                      lambda v: (isinstance(v, list) and len(v) > 0
+                                 and all(_is_int(s) and s >= 0 for s in v)),
+                      "a nonempty list of integers >= 0")
+        for name in ("alphas", "betas"):
+            vals = getattr(self, name)
+            if not (isinstance(vals, list) and vals and all(_is_real(v) for v in vals)):
+                raise ValueError(f"grid.{name}: must be a nonempty list of numbers, "
+                                 f"got {vals!r}")
             for v in vals:
                 try:
                     group_label(v)
                 except ValueError as exc:
-                    raise ConfigError(f"{name}: {exc}") from None
-        for w in self.csr_weights:
-            try:
-                w.validate()
-            except ValueError as exc:
-                raise ConfigError(f"csr_weights: {exc}") from None
-        for name, vals in (("seeds", self.seeds), ("alphas", self.alphas),
-                           ("betas", self.betas)):
+                    raise ValueError(f"grid.{name}: {exc}") from None
+        for name, vals in (("seeds", self.seeds), ("grid.alphas", self.alphas),
+                           ("grid.betas", self.betas)):
             dups = sorted({v for v in vals if vals.count(v) > 1})
             if dups:
-                raise ConfigError(f"{name}: duplicate value(s) {dups}")
-        if not _is_int(self.attacker_iters) or self.attacker_iters < 1:
-            raise ConfigError(f"attacker_iters: must be an integer >= 1, "
-                              f"got {self.attacker_iters!r}")
-        if not _is_positive_real(self.attacker_lr):
-            raise ConfigError(f"attacker_lr: must be a finite number > 0, "
-                              f"got {self.attacker_lr!r}")
+                raise ValueError(f"{name}: duplicate value(s) {dups}")
+        _check_fields(self, ("utility_metric",), lambda v: v in ("accuracy", "tpr"),
+                      "'accuracy' or 'tpr'")
+        _check_fields(self, ("attacker_iters",), lambda v: _is_int(v) and v >= 1,
+                      "an integer >= 1")
+        _check_fields(self, ("attacker_lr",), lambda v: _is_real(v) and v > 0,
+                      "a finite number > 0")
         if self.positive_class is not None:
             # A CSV's class count is known only once it is read.
             k_y = self.data.k_y if isinstance(self.data, SyntheticSpec) else math.inf
-            if not _is_int(self.positive_class) or not 0 <= self.positive_class < k_y:
-                raise ConfigError(f"positive_class: must be a task class index in "
-                                  f"[0, {k_y}), got {self.positive_class!r}")
-        for name in ("csr_over_seed_medians", "correlations_over_seed_medians"):
-            if not isinstance(getattr(self, name), bool):
-                raise ConfigError(f"{name}: must be true or false, "
-                                  f"got {getattr(self, name)!r}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_positive_real(value) -> bool:
-    """A finite real number > 0, not a bool."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value) and value > 0)
+            _check_fields(self, ("positive_class",), lambda v: _is_int(v) and 0 <= v < k_y,
+                          f"a task class index in [0, {k_y})")
+        _check_fields(self, ("output_dir",), lambda v: isinstance(v, str), "a string")
+        _check_fields(self, ("csr_over_seed_medians", "correlations_over_seed_medians"),
+                      lambda v: isinstance(v, bool), "true or false")
 
 
 def default_config() -> ExperimentConfig:
@@ -161,10 +112,6 @@ def mild_correlation_joint(delta_a: float = -0.15, delta_p: float = 0.10) -> np.
     return joint
 
 
-def _take(section: dict, key: str, default):
-    return section[key] if key in section else default
-
-
 def _parse_data(raw) -> SyntheticSpec | str:
     if isinstance(raw, str):
         return raw
@@ -177,24 +124,22 @@ def _parse_data(raw) -> SyntheticSpec | str:
         return str(raw["path"])
     if kind != "synthetic":
         raise ConfigError(f"data.kind: unknown value {kind!r}")
-    fields = {k: v for k, v in raw.items() if k != "kind"}
-    joint = fields.pop("joint", None)
-    if joint is not None:
-        fields["joint"] = np.asarray(joint, dtype=np.float64)
     try:
-        return SyntheticSpec(**fields)
+        return SyntheticSpec(**{k: v for k, v in raw.items() if k != "kind"})
     except TypeError as exc:
         raise ConfigError(f"data: {exc}") from None
 
 
 def from_dict(raw: dict) -> ExperimentConfig:
     cfg = default_config()
-    known = {"data", "split", "train", "grid", "seeds", "csr_weights", "utility_metric",
-             "positive_class", "attacker_iters", "attacker_lr", "output_dir",
-             "csr_over_seed_medians", "correlations_over_seed_medians"}
-    unknown = set(raw) - known
+    plain = ("seeds", "utility_metric", "positive_class", "attacker_iters", "attacker_lr",
+             "output_dir", "csr_over_seed_medians", "correlations_over_seed_medians")
+    unknown = set(raw) - {"data", "split", "train", "grid", "csr_weights", *plain}
     if unknown:
         raise ConfigError(f"unknown field(s): {sorted(unknown)}")
+    for name in ("split", "train"):
+        if not isinstance(raw.get(name, {}), dict):
+            raise ConfigError(f"{name}: expected an object, got {raw[name]!r}")
     if "data" in raw:
         cfg.data = _parse_data(raw["data"])
     if "split" in raw:
@@ -203,28 +148,40 @@ def from_dict(raw: dict) -> ExperimentConfig:
         except TypeError as exc:
             raise ConfigError(f"split: {exc}") from None
     if "train" in raw:
+        train = dict(raw["train"])
+        for name in ("alpha", "beta", "seed"):
+            if name in train:
+                raise ConfigError(f"train.{name}: set per run by the grid and seeds, "
+                                  f"not in the train section")
+        for name in ("extractor_hidden", "adversary_hidden"):
+            if isinstance(train.get(name), list):
+                train[name] = tuple(train[name])
         try:
-            cfg.train = TrainSettings(**raw["train"])
+            cfg.train = dataclasses.replace(cfg.train, **train)
         except TypeError as exc:
             raise ConfigError(f"train: {exc}") from None
     grid = raw.get("grid", "default")
     if grid != "default":
         if not isinstance(grid, dict) or set(grid) - {"alphas", "betas"}:
             raise ConfigError("grid: expected \"default\" or {alphas: [...], betas: [...]}")
-        cfg.alphas = [float(v) for v in _take(grid, "alphas", grid_values())]
-        cfg.betas = [float(v) for v in _take(grid, "betas", grid_values())]
-    if "seeds" in raw:
-        cfg.seeds = [int(s) for s in raw["seeds"]]
+        cfg.alphas = grid.get("alphas", grid_values())
+        cfg.betas = grid.get("betas", grid_values())
     if "csr_weights" in raw:
         try:
-            cfg.csr_weights = [CsrWeights(*map(float, w)) for w in raw["csr_weights"]]
-        except TypeError as exc:
-            raise ConfigError(f"csr_weights: {exc}") from None
-    for key in ("utility_metric", "positive_class", "attacker_iters", "attacker_lr",
-                "output_dir", "csr_over_seed_medians", "correlations_over_seed_medians"):
+            cfg.csr_weights = [CsrWeights(*w) for w in raw["csr_weights"]]
+        except TypeError:
+            raise ConfigError(f"csr_weights: must be a list of [utility, fairness, privacy] "
+                              f"triples, got {raw['csr_weights']!r}") from None
+    for key in plain:
         if key in raw:
             setattr(cfg, key, raw[key])
     cfg.validate()
+    # Checked as written; stored as floats, so report.json prints 1.0 whether the
+    # file wrote 1 or 1.0.
+    cfg.alphas = [float(v) for v in cfg.alphas]
+    cfg.betas = [float(v) for v in cfg.betas]
+    cfg.csr_weights = [CsrWeights(*map(float, dataclasses.astuple(w)))
+                       for w in cfg.csr_weights]
     return cfg
 
 

@@ -7,6 +7,7 @@ validation-split features only and scored on test-split features only.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
@@ -64,7 +65,8 @@ def run_single(config: ExperimentConfig, alpha: float, beta: float, seed: int,
                           f"[0, {ds.k_y}), got {config.positive_class!r}")
     train_ds, val_ds, test_ds = make_splits(ds, config.split, seed)
     del ds, dataset  # only the splits are used from here on; a sweep's copy is freed
-    trained = train(train_ds, val_ds, config.train.to_config(alpha, beta, seed))
+    trained = train(train_ds, val_ds,
+                    dataclasses.replace(config.train, alpha=alpha, beta=beta, seed=seed))
     triple = evaluate_bundle(trained.bundle, val_ds, test_ds, config)
     record = RunRecord(alpha=alpha, beta=beta, seed=seed, triple=triple,
                        val_loss=trained.best_val_loss)

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analysis import (HeatmapGrid, best_csr, csr, group_label, heatmap,
+from ..analysis import (METRICS, HeatmapGrid, best_csr, csr, group_label, heatmap,
                         normalize, seed_medians, tradeoff_correlations)
-
-HEATMAP_METRICS = ("utility", "fairness_gap", "attack_balanced_acc")
 
 
 def fmt_pct(v: float) -> str:
@@ -200,4 +198,4 @@ def heatmap_svg(grid: HeatmapGrid, cell: int = 64) -> str:
 
 
 def build_heatmaps(records) -> dict[str, HeatmapGrid]:
-    return {m: heatmap(records, m) for m in HEATMAP_METRICS}
+    return {m: heatmap(records, m) for m in METRICS}

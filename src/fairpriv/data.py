@@ -9,6 +9,8 @@ leakage into the features can be dialed up or down attribute by attribute.
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +66,8 @@ class SyntheticSpec:
     separation mu_y, one signaling the sensitive label (mu_a), one signaling
     the private label (mu_p), and pure noise. Within a block of width d for a
     K-class label, dimension j carries the mean bump for class j mod K.
-    ``joint`` is a k_y x k_a x k_p probability table for the label triple.
+    ``joint`` is a k_y x k_a x k_p probability table for the label triple;
+    None means uniform.
     """
 
     n: int
@@ -81,23 +84,18 @@ class SyntheticSpec:
     joint: np.ndarray | None = None
     seed: int = 0
 
-    def __post_init__(self):
-        if self.joint is None:
-            self.joint = np.full((self.k_y, self.k_a, self.k_p),
-                                 1.0 / (self.k_y * self.k_a * self.k_p))
-        self.joint = np.asarray(self.joint, dtype=np.float64)
-
     def validate(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        dims = (self.d_y, self.d_a, self.d_p, self.d_noise)
-        if any(d < 0 for d in dims) or sum(dims) < 1:
-            raise ValueError(f"block dims must be >= 0 with total >= 1, got {dims}")
-        if min(self.k_y, self.k_a, self.k_p) < 2:
-            raise ValueError("all class counts must be >= 2")
-        if min(self.mu_y, self.mu_a, self.mu_p) < 0:
-            raise ValueError("separations must be >= 0")
-        _check_joint(self.joint, (self.k_y, self.k_a, self.k_p))
+        _check_fields(self, ("n",), lambda v: _is_int(v) and v >= 1, "an integer >= 1")
+        _check_fields(self, ("d_y", "d_a", "d_p", "d_noise", "seed"),
+                      lambda v: _is_int(v) and v >= 0, "an integer >= 0")
+        _check_fields(self, ("k_y", "k_a", "k_p"), lambda v: _is_int(v) and v >= 2,
+                      "an integer >= 2")
+        _check_fields(self, ("mu_y", "mu_a", "mu_p"), lambda v: _is_real(v) and v >= 0,
+                      "a finite number >= 0")
+        if self.dim < 1:
+            raise ValueError(f"d_y + d_a + d_p + d_noise: must be >= 1, got {self.dim}")
+        if self.joint is not None:
+            _check_joint(self.joint, (self.k_y, self.k_a, self.k_p))
 
     @property
     def dim(self) -> int:
@@ -122,26 +120,53 @@ class SplitSpec:
     test_mode: str = "as-is"  # or "trio-balanced"
 
     def validate(self) -> None:
-        if not (0.0 < self.val_fraction < 1.0 and 0.0 < self.test_fraction < 1.0):
-            raise ValueError("val_fraction and test_fraction must be in (0, 1)")
+        _check_fields(self, ("val_fraction", "test_fraction"),
+                      lambda v: _is_real(v) and 0 < v < 1, "a number in (0, 1)")
         if self.val_fraction + self.test_fraction >= 1.0:
-            raise ValueError("val_fraction + test_fraction must be < 1")
-        if self.train_mode not in ("as-is", "exacerbated"):
-            raise ValueError(f"unknown train_mode {self.train_mode!r}")
-        if self.test_mode not in ("as-is", "trio-balanced"):
-            raise ValueError(f"unknown test_mode {self.test_mode!r}")
-        if not (0.0 < self.undersample_factor <= 1.0):
-            raise ValueError("undersample_factor must be in (0, 1]")
+            raise ValueError(f"val_fraction + test_fraction: must be < 1, got "
+                             f"{self.val_fraction + self.test_fraction}")
+        _check_fields(self, ("train_mode",), lambda v: v in ("as-is", "exacerbated"),
+                      "'as-is' or 'exacerbated'")
+        _check_fields(self, ("test_mode",), lambda v: v in ("as-is", "trio-balanced"),
+                      "'as-is' or 'trio-balanced'")
+        _check_fields(self, ("undersample_factor",), lambda v: _is_real(v) and 0 < v <= 1,
+                      "a number in (0, 1]")
 
 
-def _check_joint(joint: np.ndarray, shape: tuple[int, int, int]) -> None:
-    if joint.shape != shape:
-        raise ValueError(f"joint shape {joint.shape} != class counts {shape}")
-    if np.any(joint < 0):
-        raise ValueError("joint probabilities must be >= 0")
-    total = float(joint.sum())
+def _is_int(value) -> bool:
+    """An integer, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A finite real number, not a bool."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _check_fields(spec, names, ok, rule: str) -> None:
+    """Raise ``ValueError("<name>: must be <rule>, got <value>")`` for the first
+    field of ``spec`` among ``names`` whose value fails ``ok``."""
+    for name in names:
+        value = getattr(spec, name)
+        if not ok(value):
+            raise ValueError(f"{name}: must be {rule}, got {value!r}")
+
+
+def _check_joint(joint, shape: tuple[int, int, int]) -> None:
+    try:
+        table = np.asarray(joint)
+    except ValueError:  # ragged nesting
+        table = None
+    if table is None or table.dtype.kind not in "iuf":
+        raise ValueError(f"joint: must be a table of numbers, got {joint!r}")
+    if table.shape != shape:
+        raise ValueError(f"joint: shape {table.shape} != class counts {shape}")
+    if not np.all(table >= 0):
+        raise ValueError("joint: probabilities must be >= 0")
+    total = float(table.sum())
     if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"joint probabilities sum to {total}, expected 1")
+        raise ValueError(f"joint: probabilities sum to {total}, expected 1")
 
 
 def one_hot(labels: np.ndarray, k: int) -> Matrix:
@@ -178,8 +203,12 @@ def _signal_block(labels: np.ndarray, k: int, mu: float, d: int,
 def generate(spec: SyntheticSpec) -> LabeledDataset:
     """Sample a dataset from a SyntheticSpec (deterministic given spec.seed)."""
     spec.validate()
+    joint = spec.joint
+    if joint is None:
+        k = (spec.k_y, spec.k_a, spec.k_p)
+        joint = np.full(k, 1.0 / math.prod(k))
     seeds = np.random.SeedSequence(spec.seed).spawn(5)
-    y, y_a, y_p = sample_labels(spec.joint, spec.n, seeds[0])
+    y, y_a, y_p = sample_labels(joint, spec.n, seeds[0])
     blocks = [
         _signal_block(y, spec.k_y, spec.mu_y, spec.d_y, np.random.default_rng(seeds[1])),
         _signal_block(y_a, spec.k_a, spec.mu_a, spec.d_a, np.random.default_rng(seeds[2])),

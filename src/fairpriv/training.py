@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import learncore as lc
-from .data import LabeledDataset
+from .data import LabeledDataset, _check_fields, _is_int, _is_real
 from .learncore import AdamState, Matrix, Mlp
 
 MAIN, ADV = "MAIN", "ADV"
@@ -77,18 +77,19 @@ class TrainConfig:
     select_by: str = "classifier-ce"  # or "objective"
 
     def validate(self) -> None:
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise ValueError("alpha and beta must be finite")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be >= 0")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.switch_period < 1:
-            raise ValueError("switch_period must be >= 1")
-        if self.batch_size < 1 or self.feature_dim < 1 or self.lr <= 0:
-            raise ValueError("batch_size/feature_dim must be >= 1 and lr > 0")
-        if self.select_by not in ("classifier-ce", "objective"):
-            raise ValueError(f"unknown select_by {self.select_by!r}")
+        """Check every field's type and range; the ValueError names the field."""
+        _check_fields(self, ("alpha", "beta"), lambda v: _is_real(v) and v >= 0,
+                      "a finite number >= 0")
+        _check_fields(self, ("seed",), lambda v: _is_int(v) and v >= 0, "an integer >= 0")
+        _check_fields(self, ("epochs", "batch_size", "feature_dim", "switch_period"),
+                      lambda v: _is_int(v) and v >= 1, "an integer >= 1")
+        _check_fields(self, ("extractor_hidden", "adversary_hidden"),
+                      lambda v: (isinstance(v, (list, tuple))
+                                 and all(_is_int(w) and w >= 1 for w in v)),
+                      "a list of integers >= 1")
+        _check_fields(self, ("lr",), lambda v: _is_real(v) and v > 0, "a finite number > 0")
+        _check_fields(self, ("select_by",), lambda v: v in ("classifier-ce", "objective"),
+                      "'classifier-ce' or 'objective'")
 
 
 @dataclass

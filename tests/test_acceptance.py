@@ -109,7 +109,7 @@ class TestCriterion2ErmReduction:
         cfg = reference_config()
         ds = pipeline.load_dataset(cfg)
         train_ds, val_ds, _ = make_splits(ds, cfg.split, seed=0)
-        tc = cfg.train.to_config(0.0, 0.0, seed=0)
+        tc = replace(cfg.train, alpha=0.0, beta=0.0, seed=0)
         tc.epochs = 5
         full = train(train_ds, val_ds, tc, update_adversaries=True)
         erm = train(train_ds, val_ds, tc, update_adversaries=False)

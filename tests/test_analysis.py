@@ -277,6 +277,12 @@ class TestSweepResult:
         with pytest.raises(ValueError, match=r"1\.0"):
             SweepResult(records, [0.0, 1.0], [0.0], [0]).validate()
 
+    def test_extra_cell_listed(self):
+        # Used to fail as "incomplete sweep; missing cells: []".
+        records = [rec(a, 0.0, 0, 0.5, 0.1, 0.5) for a in (0.0, 1.0)]
+        with pytest.raises(ValueError, match=r"outside the grid: \[\(1\.0, 0\.0, 0\)\]"):
+            SweepResult(records, [0.0], [0.0], [0]).validate()
+
     def test_duplicate_rejected(self):
         records = [rec(0.0, 0.0, 0, 0.5, 0.1, 0.5)] * 2
         with pytest.raises(ValueError, match="duplicate"):

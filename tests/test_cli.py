@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,20 +122,50 @@ class TestConfig:
             from_dict(raw)
 
     @pytest.mark.parametrize("field, value", [
-        ("epochs", 2.5),
-        ("batch_size", 0),
-        ("feature_dim", 2.0),
-        ("switch_period", True),
-        ("extractor_hidden", [0]),
-        ("adversary_hidden", [32, "8"]),
-        ("lr", "0.001"),
-    ])
-    def test_bad_train_field_rejected_at_load(self, tmp_path, field, value):
-        # Each of these used to load and then fail every sweep cell (or, for
-        # a string lr, escape as a bare TypeError).
-        path = config_json(tmp_path, train={field: value})
-        with pytest.raises(ConfigError, match=f"train.{field}:"):
+        ("train.epochs", 2.5),
+        ("train.batch_size", 0),
+        ("train.feature_dim", 2.0),
+        ("train.switch_period", True),
+        ("train.extractor_hidden", [0]),
+        ("train.adversary_hidden", [32, "8"]),
+        ("train.lr", "0.001"),
+        ("split.val_fraction", "0.2"),
+        ("data.n", "100"),
+        ("data.mu_y", "3"),
+        ("data.joint", "x"),
+        ("data.seed", -2),
+        ("seeds", [1.5]),
+        ("seeds", [True]),
+        ("seeds", ["a"]),
+        ("seeds", 3),
+        ("seeds", [-1]),
+        ("grid.alphas", ["x"]),
+        ("csr_weights", [["a", 0, 0]]),
+        ("output_dir", 5),
+        ("train.alpha", 1.0),
+    ], ids=lambda v: v.removeprefix("train.") if isinstance(v, str) else None)
+    def test_bad_train_field_rejected_at_load(self, tmp_path, capsys, field, value):
+        # Each of these used to load and then fail every sweep cell, load as
+        # something else (seeds [1.5] as [1]), or escape as a bare TypeError.
+        # (IDs drop "train." to stay those of the rows the table began with.)
+        path = config_json(tmp_path)
+        raw = json.loads(path.read_text())
+        *section, key = field.split(".")
+        (raw[section[0]] if section else raw)[key] = value
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=f"^{field}:"):
             load_config(path)
+        assert main(["gen-data", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: ") and "Traceback" not in err
+
+    def test_readme_example_loads_to_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Configuration")[1].split("```json")[1].split("```")[0]
+        cfg, default = from_dict(json.loads(block)), default_config()
+        assert np.allclose(cfg.data.joint, default.data.joint)
+        cfg.data.joint = default.data.joint
+        assert cfg == default
 
     @pytest.mark.parametrize("value", [0, -1e-3, float("nan"), float("inf"), False])
     def test_train_lr_must_be_finite_positive(self, value):
@@ -248,6 +279,13 @@ class TestTrainCommand:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--config", str(config_json(tmp_path)), "--jobs", jobs])
+        assert exit_info.value.code == 2
+        assert f"argument --jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
+
     def test_small_grid_rows_and_determinism(self, tmp_path):
         path = config_json(tmp_path)
         out1, out2 = tmp_path / "s1", tmp_path / "s2"

@@ -1,9 +1,11 @@
+import dataclasses
 import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from fairpriv import training
 from fairpriv.data import LabeledDataset, SyntheticSpec, generate
 from fairpriv.training import (EpochArrays, ModelBundle, OptimizerStates, TrainConfig,
                                TrainingDivergedError, alternating_epoch, build_bundle,
@@ -137,6 +139,21 @@ class TestTrain:
         with pytest.raises(ValueError, match="epochs"):
             train(ds, ds, small_cfg(epochs=0))
 
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", -0.5), ("alpha", float("nan")), ("alpha", "1"), ("beta", float("inf")),
+        ("beta", True), ("seed", -1), ("seed", 1.5), ("seed", True), ("epochs", 2.5),
+        ("batch_size", 0), ("lr", "0.001"), ("lr", 0.0), ("feature_dim", 2.0),
+        ("extractor_hidden", (0,)), ("adversary_hidden", (8, "8")),
+        ("adversary_hidden", 8), ("switch_period", False), ("select_by", "loss"),
+    ])
+    def test_bad_field_rejected_before_any_network(self, monkeypatch, field, value):
+        # A library call gets the same checks as a loaded config.
+        monkeypatch.setattr(training, "build_bundle",
+                            lambda *a: pytest.fail("built a network for a bad config"))
+        ds = toy_dataset()
+        with pytest.raises(ValueError, match=f"^{field}: must be"):
+            train(ds, ds, small_cfg(**{field: value}))
+
     def test_deterministic(self):
         ds = toy_dataset(n=160, seed=8)
         tr, va = ds.subset(np.arange(128)), ds.subset(np.arange(128, 160))
@@ -237,7 +254,7 @@ class TestGoldenBytes:
 
         cfg = reference_config()
         train_ds, val_ds, _ = make_splits(pipeline.load_dataset(cfg), cfg.split, seed)
-        tc = cfg.train.to_config(alpha, beta, seed)
+        tc = dataclasses.replace(cfg.train, alpha=alpha, beta=beta, seed=seed)
         tc.epochs = 2
         return cfg, val_ds, train(train_ds, val_ds, tc)
 
