@@ -112,7 +112,15 @@ def mild_correlation_joint(delta_a: float = -0.15, delta_p: float = 0.10) -> np.
     return joint
 
 
-def _parse_data(raw) -> SyntheticSpec | str:
+def _replace(section: str, spec, fields: dict):
+    """``spec`` with ``fields`` set; an unknown field fails naming ``section.field``."""
+    unknown = sorted(set(fields) - {f.name for f in dataclasses.fields(spec)})
+    if unknown:
+        raise ConfigError(f"{section}.{unknown[0]}: unknown field")
+    return dataclasses.replace(spec, **fields)
+
+
+def _parse_data(raw, default: SyntheticSpec) -> SyntheticSpec | str:
     if isinstance(raw, str):
         return raw
     if not isinstance(raw, dict):
@@ -124,10 +132,11 @@ def _parse_data(raw) -> SyntheticSpec | str:
         return str(raw["path"])
     if kind != "synthetic":
         raise ConfigError(f"data.kind: unknown value {kind!r}")
-    try:
-        return SyntheticSpec(**{k: v for k, v in raw.items() if k != "kind"})
-    except TypeError as exc:
-        raise ConfigError(f"data: {exc}") from None
+    spec = _replace("data", default, {k: v for k, v in raw.items() if k != "kind"})
+    if "joint" not in raw and (spec.k_y, spec.k_a, spec.k_p) != np.shape(default.joint):
+        raise ConfigError(f"data.joint: required when k_y, k_a or k_p change the default "
+                          f"joint's shape {np.shape(default.joint)}")
+    return spec
 
 
 def from_dict(raw: dict) -> ExperimentConfig:
@@ -141,12 +150,9 @@ def from_dict(raw: dict) -> ExperimentConfig:
         if not isinstance(raw.get(name, {}), dict):
             raise ConfigError(f"{name}: expected an object, got {raw[name]!r}")
     if "data" in raw:
-        cfg.data = _parse_data(raw["data"])
+        cfg.data = _parse_data(raw["data"], cfg.data)
     if "split" in raw:
-        try:
-            cfg.split = SplitSpec(**raw["split"])
-        except TypeError as exc:
-            raise ConfigError(f"split: {exc}") from None
+        cfg.split = _replace("split", cfg.split, raw["split"])
     if "train" in raw:
         train = dict(raw["train"])
         for name in ("alpha", "beta", "seed"):
@@ -156,10 +162,7 @@ def from_dict(raw: dict) -> ExperimentConfig:
         for name in ("extractor_hidden", "adversary_hidden"):
             if isinstance(train.get(name), list):
                 train[name] = tuple(train[name])
-        try:
-            cfg.train = dataclasses.replace(cfg.train, **train)
-        except TypeError as exc:
-            raise ConfigError(f"train: {exc}") from None
+        cfg.train = _replace("train", cfg.train, train)
     grid = raw.get("grid", "default")
     if grid != "default":
         if not isinstance(grid, dict) or set(grid) - {"alphas", "betas"}:

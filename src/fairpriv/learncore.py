@@ -1,7 +1,7 @@
 """Dense float64 MLPs with an explicit backward pass, softmax cross entropy, and Adam.
 
-Everything here operates on 2-D float64 arrays ("matrices"). An MLP's
-:meth:`Mlp.forward` keeps the activations that :meth:`Mlp.backward` needs;
+Everything here operates on 2-D float64 arrays ("matrices") or stacks of
+them. An MLP's :meth:`Mlp.forward` keeps the activations that backward needs;
 :func:`backward` runs one training step's backward pass through a trunk net
 and the head nets that read its output. Adam updates one flat buffer per
 parameter group, and each net's weights and biases are views into it.
@@ -76,28 +76,30 @@ def encoded_cross_entropy(logits: Matrix, onehot: Matrix | None, flat: np.ndarra
     ``row * k + target``; ``onehot`` the targets' one-hot rows, needed only
     with a ``grad_scale``. ``row_w`` and ``total_w`` are the rows' class
     weights and their sum, None for unit weights. Nothing is checked.
+    Stacked (heads, n, k) logits, with targets stacked alike and a number or
+    (heads, 1, 1) ``grad_scale``, give a list of per-head losses in one call.
     """
-    n, k = logits.shape
-    m = logits[:, :1].copy()  # row max, column by column: exact
+    n, k = logits.shape[-2:]
+    m = logits[..., :1].copy()  # row max, column by column: exact
     for c in range(1, k):
-        np.maximum(m, logits[:, c:c + 1], out=m)
+        np.maximum(m, logits[..., c:c + 1], out=m)
     log_probs = logits - m
-    s = np.exp(log_probs).sum(axis=1, keepdims=True)
+    s = np.exp(log_probs).sum(axis=-1, keepdims=True)
     log_probs -= np.log(s, out=s)
     picked = log_probs.take(flat)
     if row_w is None:
         total_w = float(n)
-        loss = -picked.sum() / total_w
+        loss = -picked.sum(axis=-1) / total_w
     else:
-        loss = -(row_w * picked).sum() / total_w
+        loss = -(row_w * picked).sum(axis=-1) / total_w
     if grad_scale is None:
-        return float(loss), None
+        return loss.tolist(), None
     dlogits = np.exp(log_probs, out=log_probs)
     dlogits -= onehot  # d - 0.0 == d, so only the target entries change
     if row_w is not None:
-        dlogits *= row_w[:, None]
+        dlogits *= row_w[..., None]
     dlogits *= grad_scale / total_w
-    return float(loss), dlogits
+    return loss.tolist(), dlogits
 
 
 # ---------------------------------------------------------------------------
@@ -105,23 +107,23 @@ def encoded_cross_entropy(logits: Matrix, onehot: Matrix | None, flat: np.ndarra
 
 
 class Mlp:
-    """Fully connected net: ReLU on hidden layers, identity on the output."""
+    """Fully connected net, or a stack of them: ReLU on hidden layers, identity on the output."""
 
     def __init__(self, weights: list[Matrix], biases: list[Matrix]):
         if not weights or len(weights) != len(biases):
             raise ValueError("need one bias per weight matrix, at least one layer")
         for i, (w, b) in enumerate(zip(weights, biases)):
-            if b.shape != (1, w.shape[1]):
-                raise ShapeError(f"layer {i}: bias shape {b.shape} != (1, {w.shape[1]})")
-            if i > 0 and weights[i - 1].shape[1] != w.shape[0]:
-                raise ShapeError(f"layer {i}: input width {w.shape[0]} != previous output "
-                                 f"{weights[i - 1].shape[1]}")
+            if b.shape != (*w.shape[:-2], 1, w.shape[-1]):
+                raise ShapeError(f"layer {i}: bias shape {b.shape} != weights {w.shape}, 1 row")
+            if i > 0 and weights[i - 1].shape[-1] != w.shape[-2]:
+                raise ShapeError(f"layer {i}: input width {w.shape[-2]} != previous output "
+                                 f"{weights[i - 1].shape[-1]}")
         self.weights = weights
         self.biases = biases
 
     @property
     def layer_sizes(self) -> list[int]:
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
+        return [self.weights[0].shape[-2]] + [w.shape[-1] for w in self.weights]
 
     def params(self) -> list[Matrix]:
         """Weights and biases interleaved, first layer first."""
@@ -132,9 +134,9 @@ class Mlp:
 
         Hidden activations are post-ReLU, which is all backward() needs.
         """
-        if x.shape[1] != self.weights[0].shape[0]:
-            raise ShapeError(f"input width {x.shape[1]} != layer input width "
-                             f"{self.weights[0].shape[0]}")
+        if x.shape[-1] != self.weights[0].shape[-2]:
+            raise ShapeError(f"input width {x.shape[-1]} != layer input width "
+                             f"{self.weights[0].shape[-2]}")
         acts = [x]
         h = x
         last = len(self.weights) - 1
@@ -163,11 +165,11 @@ class Mlp:
         g = grad_out
         for i in range(len(self.weights) - 1, -1, -1):
             if grads is not None:
-                g.sum(axis=0, keepdims=True, out=grads[2 * i + 1])
-                np.matmul(acts[i].T, g, out=grads[2 * i])
+                g.sum(axis=-2, keepdims=True, out=grads[2 * i + 1])
+                np.matmul(acts[i].swapaxes(-1, -2), g, out=grads[2 * i])
             if i == 0 and not input_grad:
                 return None
-            g = g @ self.weights[i].T
+            g = g @ self.weights[i].swapaxes(-1, -2)
             if i > 0:
                 g = g * (acts[i] > 0)  # ReLU gradient is zero at exactly 0
         return g
@@ -196,16 +198,18 @@ def backward(heads, trunk=None) -> None:
     Mlp.forward, the loss gradient at the net's output, and the arrays that
     receive the net's param gradients (None skips them). With ``trunk`` =
     (net, acts, grads), each head's input gradient is cut to the trunk's
-    output width (a head may read extra columns after it), the cuts are
-    summed in list order, and the sum is propagated through the trunk, whose
-    input gradient is not formed.
+    output width (a head may read extra columns after it) and, for a stacked
+    head, summed over its head axis; the cuts are summed in list order, and
+    the sum is propagated through the trunk, whose input gradient is not formed.
     """
     width = trunk[0].layer_sizes[-1] if trunk is not None else 0
     g_trunk = None
     for net, acts, grad_out, grads in heads:
         g_in = net.backward(acts, grad_out, grads, input_grad=trunk is not None)
         if trunk is not None:
-            g_in = g_in[:, :width]
+            g_in = g_in[..., :width]
+            if g_in.ndim == 3:
+                g_in = g_in.sum(axis=0)
             g_trunk = g_in if g_trunk is None else g_trunk + g_in
     if trunk is not None:
         net, acts, grads = trunk

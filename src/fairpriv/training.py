@@ -99,27 +99,84 @@ class TrainedModel:
     history: list  # per-epoch (mean train objective, val loss)
 
 
+class Adversaries:
+    """The fairness and privacy adversaries as one net on a leading head axis of 2.
+
+    ``stack`` holds their layers stacked: all of them when k_a == k_p, else
+    the hidden ones (None if none) and ``outs`` each head's output layer.
+    ``nets`` hold the params; :meth:`unstack` makes ``heads``' params views of them.
+    """
+
+    def __init__(self, fairness: Mlp, privacy: Mlp):
+        self.heads = (fairness, privacy)
+        n = len(fairness.weights) - (fairness.layer_sizes[-1] != privacy.layer_sizes[-1])
+        stacked = [np.stack(p) for p in zip(fairness.params()[:2 * n], privacy.params()[:2 * n])]
+        self.stack = Mlp(stacked[0::2], stacked[1::2]) if n else None
+        self.outs = [Mlp(net.weights[n:], net.biases[n:]) for net in self.heads
+                     if n < len(net.weights)]
+        self.nets = [net for net in (self.stack, *self.outs) if net]  # backward()'s grads order
+
+    def unstack(self) -> None:
+        """Rebind each head net's weights and biases as views of this pair's."""
+        stacked = self.stack.params() if self.stack else []
+        for j, net in enumerate(self.heads):
+            params = [p[j] for p in stacked] + (self.outs[j].params() if self.outs else [])
+            net.weights, net.biases = params[0::2], params[1::2]
+
+    def forward(self, x: Matrix, targets: tuple, scales: tuple | None, keep: bool) -> tuple:
+        """Activations, both CEs, and their dlogits if ``scales`` gives their grad scales.
+
+        ``targets`` are a Batch's for y_a and y_p: one stacked pair unless ``outs``,
+        whose acts are listed in the last entry.
+        """
+        acts = self.stack.forward(x, keep) if self.stack else [x]
+        if not self.outs:
+            stacked = None if scales is None else np.array(scales).reshape(2, 1, 1)
+            return (acts, *lc.encoded_cross_entropy(acts[-1], *targets[0], stacked))
+        h = np.maximum(acts[-1], 0.0) if self.stack else (x, x)
+        acts.append([out.forward(h_j, keep) for out, h_j in zip(self.outs, h)])
+        (ce_a, d_a), (ce_p, d_p) = [lc.encoded_cross_entropy(a[-1], *t, s) for a, t, s in
+                                    zip(acts[-1], targets, scales or (None, None))]
+        return acts, [ce_a, ce_p], None if scales is None else [d_a, d_p]
+
+    def backward(self, acts: list, grad_out, grads: list | None = None,
+                 input_grad: bool = True) -> np.ndarray | None:
+        """As Mlp.backward, with ``grads`` in ``nets`` order; the input gradient is stacked."""
+        grads = grads or [None] * len(self.nets)
+        if self.outs:
+            g = np.stack([out.backward(a, d, gr) for out, a, d, gr in
+                          zip(self.outs, acts[-1], grad_out, grads[-2:])])
+            if self.stack is None:
+                return g
+            grad_out, acts = g * (acts[-2] > 0), acts[:-1]
+        return self.stack.backward(acts, grad_out, grads[0], input_grad)
+
+
 @dataclass
 class OptimizerStates:
     main: AdamState  # extractor + classifier
-    adversaries: AdamState  # fairness + privacy adversary
+    adversaries: AdamState  # pair's params
+    pair: Adversaries  # the bundle's adversaries, stacked; their params are views of its
     batch_count: int = 0  # persists across epochs so phases carry over
 
     @classmethod
     def for_bundle(cls, bundle: ModelBundle, lr: float) -> "OptimizerStates":
         """Fresh Adam states; the bundle's params become views into their buffers."""
-        return cls(AdamState([bundle.extractor, bundle.classifier], lr),
-                   AdamState([bundle.fairness_adv, bundle.privacy_adv], lr))
+        pair = Adversaries(bundle.fairness_adv, bundle.privacy_adv)
+        states = cls(AdamState([bundle.extractor, bundle.classifier], lr),
+                     AdamState(pair.nets, lr), pair)
+        pair.unstack()
+        return states
 
 
 @dataclass
 class Forward:
     """One pass of the objective.
 
-    ``acts`` holds each net's activations (extractor, classifier, fairness,
-    privacy), only their outputs outside a training phase. ``dlogits`` holds
-    the gradient of the phase's loss at each head's output (classifier,
-    fairness, privacy), None where the loss does not reach the head.
+    ``acts`` holds the activations of the extractor, the classifier and the
+    :class:`Adversaries`, only their outputs outside a training phase.
+    ``dlogits`` holds the gradient of the phase's loss at the classifier's
+    and the adversaries' outputs, None where the loss does not reach them.
     """
 
     total: float
@@ -137,7 +194,8 @@ class Batch:
     ``adv_in`` is the adversaries' input: the pass writes the extractor
     output into its first feature_dim columns, and the rest hold the one-hot
     task label. ``targets`` holds (one-hot rows, flat gather index) for y,
-    y_a and y_p, as :func:`learncore.encoded_cross_entropy` takes them.
+    then for y_a and y_p, as :func:`learncore.encoded_cross_entropy` takes
+    them: y_a and y_p stacked on a leading head axis when k_a == k_p, else apart.
     """
 
     x: Matrix
@@ -165,15 +223,19 @@ class EpochArrays:
         self.ds = ds
         self.x = np.empty_like(ds.x) if shuffled else ds.x
         self.adv_in = np.zeros((n, feature_dim + ds.k_y))
-        in_batch = np.arange(n) % batch_size
-        bases = {}
-        self.targets = []  # (one-hot rows, flat index, row-in-batch * k) per label
-        for onehot in (self.adv_in[:, feature_dim:], np.zeros((n, ds.k_a)),
-                       np.zeros((n, ds.k_p))):
-            k = onehot.shape[1]
-            if k not in bases:
-                bases[k] = in_batch * k
-            self.targets.append((onehot, np.empty(n, dtype=np.int64), bases[k]))
+        # Labels grouped as the cross-entropy calls take them: y, then y_a and
+        # y_p together when k_a == k_p. y's one-hot is also the adversaries' input.
+        labels, ks = (ds.y, ds.y_a, ds.y_p), (ds.k_y, ds.k_a, ds.k_p)
+        rows = np.arange(n)
+        start = rows - rows % batch_size  # of each row's batch
+        self.groups = []  # (labels, one-hot rows, flat index, its offset in the batch)
+        for lo, hi in ((0, 1), (1, 3)) if ds.k_a == ds.k_p else ((0, 1), (1, 2), (2, 3)):
+            shape = (n,) if hi - lo == 1 else (2, n)
+            # Subtracting a bool one-hot gives the float one's bytes, in an eighth of the memory.
+            onehot = self.adv_in[:, feature_dim:] if lo == 0 else np.zeros((*shape, ks[lo]), bool)
+            base = np.arange(hi - lo)[:, None] * np.minimum(n - start, batch_size) + rows - start
+            self.groups.append((labels[lo:hi], onehot, np.empty(shape, dtype=np.int64),
+                                (base * ks[lo]).reshape(shape)))
         self.batches = [self.batch(slice(i, i + batch_size)) for i in range(0, n, batch_size)]
         if not shuffled:
             self._encode_labels(np.arange(n))
@@ -181,7 +243,8 @@ class EpochArrays:
     def batch(self, rows: slice) -> Batch:
         """A batch of views into the buffers."""
         return Batch(self.x[rows], self.adv_in[rows],
-                     tuple((onehot[rows], flat[rows]) for onehot, flat, _ in self.targets))
+                     tuple((onehot[..., rows, :], flat[..., rows])
+                           for _, onehot, flat, _ in self.groups))
 
     def fill(self, order: np.ndarray) -> None:
         """Gather the rows in ``order``, a permutation of the split's rows."""
@@ -191,12 +254,11 @@ class EpochArrays:
         self._encode_labels(order)
 
     def _encode_labels(self, order: np.ndarray) -> None:
-        rows = np.arange(len(order))
-        for src, (onehot, flat, base) in zip((self.ds.y, self.ds.y_a, self.ds.y_p),
-                                             self.targets):
-            np.take(src, order, out=flat, mode="clip")  # the labels, for now
+        for labels, onehot, flat, base in self.groups:
+            for src, out in zip(labels, flat.reshape(len(labels), -1)):
+                np.take(src, order, out=out, mode="clip")  # the labels, for now
             onehot[...] = 0.0
-            onehot[rows, flat] = 1.0
+            np.put_along_axis(onehot, flat[..., None], 1.0, axis=-1)
             flat += base
 
 
@@ -222,7 +284,7 @@ def shuffle_seed(cfg: TrainConfig) -> np.random.SeedSequence:
 
 
 def objective(bundle: ModelBundle, batch: Batch, alpha: float, beta: float,
-              phase: str | None = None) -> Forward:
+              phase: str | None = None, adversaries: Adversaries | None = None) -> Forward:
     """Forward pass of the min-max objective on one batch.
 
     total = ce_c - alpha * ce_a - beta * ce_p, all with unit class weights.
@@ -230,37 +292,33 @@ def objective(bundle: ModelBundle, batch: Batch, alpha: float, beta: float,
     When alpha (or beta) is exactly 0 the corresponding term is left out, so
     total == ce_c bitwise at (0, 0). ``phase`` MAIN (loss: total) or ADV
     (loss: ce_a + ce_p) also keeps what that phase's backward pass needs;
-    without a phase the pass keeps no activations.
+    without a phase the pass keeps no activations. ``adversaries`` are the
+    bundle's adversaries stacked; None stacks a copy. In MAIN the adversary
+    whose coefficient alone is 0 has its gradient scaled by -0.0.
     """
     if len(batch) == 0:
         raise ValueError("objective over an empty batch")
     if phase == MAIN:
-        scales = (1.0, -alpha if alpha != 0.0 else None, -beta if beta != 0.0 else None)
+        scales = (1.0, (-alpha, -beta) if alpha != 0.0 or beta != 0.0 else None)
     elif phase == ADV:
-        scales = (None, 1.0, 1.0)
+        scales = (None, (1.0, 1.0))
     else:
-        scales = (None, None, None)
+        scales = (None, None)
+    adversaries = adversaries or Adversaries(bundle.fairness_adv, bundle.privacy_adv)
     keep = phase is not None
     ext = bundle.extractor.forward(batch.x, keep)
     features = ext[-1]
     batch.adv_in[:, :features.shape[1]] = features
-    acts, ces, dlogits = [ext], [], []
-    for net, x, (onehot, flat), scale in (
-            (bundle.classifier, features, batch.targets[0], scales[0]),
-            (bundle.fairness_adv, batch.adv_in, batch.targets[1], scales[1]),
-            (bundle.privacy_adv, batch.adv_in, batch.targets[2], scales[2])):
-        head = net.forward(x, keep)
-        ce, d = lc.encoded_cross_entropy(head[-1], onehot, flat, grad_scale=scale)
-        acts.append(head)
-        ces.append(ce)
-        dlogits.append(d)
-    ce_c, ce_a, ce_p = ces
+    cls = bundle.classifier.forward(features, keep)
+    ce_c, d_c = lc.encoded_cross_entropy(cls[-1], *batch.targets[0], grad_scale=scales[0])
+    adv, (ce_a, ce_p), d_adv = adversaries.forward(batch.adv_in, batch.targets[1:], scales[1],
+                                                   keep)
     total = ce_c
     if alpha != 0.0:
         total = total - alpha * ce_a
     if beta != 0.0:
         total = total - beta * ce_p
-    return Forward(total, ce_c, ce_a, ce_p, tuple(acts), tuple(dlogits))
+    return Forward(total, ce_c, ce_a, ce_p, (ext, cls, adv), (d_c, d_adv))
 
 
 def _backward(bundle: ModelBundle, fwd: Forward, states: OptimizerStates, phase: str) -> None:
@@ -268,22 +326,18 @@ def _backward(bundle: ModelBundle, fwd: Forward, states: OptimizerStates, phase:
 
     MAIN backpropagates through the adversaries and the classifier into the
     extractor, without forming adversary weight gradients. The feature
-    gradient is (adversaries' sum) + classifier's, in that order, which fixes
-    its rounding. ADV stops at the adversaries' first layers: the features
-    are frozen for them.
+    gradient is (fairness + privacy) + classifier, in that order, which
+    fixes its rounding. ADV stops at the adversaries' first layers: the
+    features are frozen for them.
     """
-    ext, cls, fair, priv = fwd.acts
-    d_c, d_a, d_p = fwd.dlogits
-    if phase == MAIN:
-        heads = [(net, acts, d, None)
-                 for net, acts, d in ((bundle.privacy_adv, priv, d_p),
-                                      (bundle.fairness_adv, fair, d_a)) if d is not None]
-        heads.append((bundle.classifier, cls, d_c, states.main.net_grads[1]))
-        lc.backward(heads, trunk=(bundle.extractor, ext, states.main.net_grads[0]))
-    else:
-        grads_a, grads_p = states.adversaries.net_grads
-        lc.backward([(bundle.fairness_adv, fair, d_a, grads_a),
-                     (bundle.privacy_adv, priv, d_p, grads_p)])
+    ext, cls, adv = fwd.acts
+    d_c, d_adv = fwd.dlogits
+    if phase == ADV:
+        lc.backward([(states.pair, adv, d_adv, states.adversaries.net_grads)])
+        return
+    heads = [] if d_adv is None else [(states.pair, adv, d_adv, None)]
+    heads.append((bundle.classifier, cls, d_c, states.main.net_grads[1]))
+    lc.backward(heads, trunk=(bundle.extractor, ext, states.main.net_grads[0]))
 
 
 def alternating_epoch(bundle: ModelBundle, arrays: EpochArrays, cfg: TrainConfig,
@@ -308,7 +362,8 @@ def alternating_epoch(bundle: ModelBundle, arrays: EpochArrays, cfg: TrainConfig
     for batch in arrays.batches:
         phase = MAIN if (states.batch_count // k) % 2 == 0 else ADV
         update = phase == MAIN or update_adversaries
-        fwd = objective(bundle, batch, cfg.alpha, cfg.beta, phase if update else None)
+        fwd = objective(bundle, batch, cfg.alpha, cfg.beta, phase if update else None,
+                        states.pair)
         if not (math.isfinite(fwd.total) and math.isfinite(fwd.ce_a + fwd.ce_p)):
             raise TrainingDivergedError(
                 f"non-finite loss at epoch {epoch}, {phase} phase, "

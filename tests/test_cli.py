@@ -143,6 +143,9 @@ class TestConfig:
         ("csr_weights", [["a", 0, 0]]),
         ("output_dir", 5),
         ("train.alpha", 1.0),
+        ("train.dropout", 0.5),
+        ("split.shuffle", True),
+        ("data.k_z", 2),
     ], ids=lambda v: v.removeprefix("train.") if isinstance(v, str) else None)
     def test_bad_train_field_rejected_at_load(self, tmp_path, capsys, field, value):
         # Each of these used to load and then fail every sweep cell, load as
@@ -158,6 +161,37 @@ class TestConfig:
         assert main(["gen-data", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("section, fields", [
+        ("split", {"val_fraction": 0.1}),
+        ("split", {"test_mode": "as-is"}),
+        ("data", {"n": 100}),
+        ("data", {"kind": "synthetic", "mu_a": 0.5, "seed": 3}),
+        ("data", {"k_a": 3, "joint": np.full((2, 3, 2), 1 / 12).tolist()}),
+        ("data", {"joint": None}),
+        ("train", {"epochs": 3}),
+    ])
+    def test_partial_section_keeps_the_other_defaults(self, section, fields):
+        # split and data sections used to start from the class defaults: an
+        # as-is train split, no undersampling, and a uniform joint.
+        cfg, expected = from_dict({section: fields}), default_config()
+        for name, value in fields.items():
+            if name != "kind":
+                setattr(getattr(expected, section), name, value)
+        assert np.array_equal(cfg.data.joint, expected.data.joint)
+        cfg.data.joint = expected.data.joint
+        assert cfg == expected
+
+    @pytest.mark.parametrize("fields", [{"k_a": 3}, {"k_y": 3, "k_p": 3}])
+    def test_class_counts_without_joint_rejected(self, fields):
+        # The default joint is 2 x 2 x 2, so it cannot silently serve other counts.
+        with pytest.raises(ConfigError, match="^data.joint: required"):
+            from_dict({"data": fields})
+
+    def test_data_section_without_n_uses_default_n(self):
+        # It used to fail with SyntheticSpec's "missing 1 required positional
+        # argument: 'n'".
+        assert from_dict({"data": {"seed": 4}}).data.n == default_config().data.n
 
     def test_readme_example_loads_to_defaults(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

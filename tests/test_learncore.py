@@ -213,6 +213,75 @@ class TestEncodedCrossEntropy:
         assert np.array_equal(logits, before)  # the kernel leaves its input alone
 
 
+def stack_nets(nets):
+    """The nets as one stacked net, head j holding nets[j]'s params."""
+    stacked = [np.stack(p) for p in zip(*(net.params() for net in nets))]
+    return Mlp(stacked[0::2], stacked[1::2])
+
+
+class TestStackedBytes:
+    """A stacked net and a stacked cross entropy give, head by head, the bytes
+    of the same calls on each head alone."""
+
+    @pytest.mark.parametrize("k", range(2, 10))
+    @pytest.mark.parametrize("n", [64, 53])  # a full batch and an epoch's last one
+    @pytest.mark.parametrize("scales", [None, (1.0, 1.0), (-0.7, -0.7), (-0.7, -0.0),
+                                        (-0.0, -0.7), (-0.0, -0.0), (1.0, -0.7, -0.0),
+                                        (0.0, 1.0, 1.0)])
+    def test_forward_cross_entropy_backward(self, k, n, scales):
+        rng = np.random.default_rng(100 * k + n)
+        heads = 2 if scales is None else len(scales)
+        nets = [mlp_init([10, 32, 32, k], seed) for seed in range(k, k + 20 * heads, 20)]
+        stacked = stack_nets(nets)
+        x = rng.standard_normal((n, 10))
+        y = rng.integers(0, k, (heads, n))
+        onehot = np.zeros((heads, n, k))
+        np.put_along_axis(onehot, y[..., None], 1.0, axis=-1)
+        flat = (np.arange(heads)[:, None] * n + np.arange(n)) * k + y
+        acts = stacked.forward(x)
+        grad_scale = None if scales is None else np.reshape(scales, (heads, 1, 1))
+        losses, d = lc.encoded_cross_entropy(acts[-1], onehot, flat, grad_scale)
+        grads = [np.empty_like(p) for p in stacked.params()]
+        g_in = None if d is None else stacked.backward(acts, d, grads)
+        for j, net in enumerate(nets):
+            acts_j = net.forward(x)
+            for a, a_j in zip(acts[1:], acts_j[1:]):
+                assert a[j].tobytes() == a_j.tobytes()
+            loss_j, d_j = lc.encoded_cross_entropy(acts_j[-1], onehot[j], np.arange(n) * k + y[j],
+                                                   None if scales is None else scales[j])
+            assert np.float64(losses[j]).tobytes() == np.float64(loss_j).tobytes()
+            if scales is None:
+                assert d is None and d_j is None
+                continue
+            assert d[j].tobytes() == d_j.tobytes()
+            grads_j = [np.empty_like(p) for p in net.params()]
+            assert g_in[j].tobytes() == net.backward(acts_j, d_j, grads_j).tobytes()
+            for g, g_j in zip(grads, grads_j):
+                assert g[j].tobytes() == g_j.tobytes()
+
+    @pytest.mark.parametrize("scales", [(1.0, -0.7), (-0.0, -0.7), (-0.7, -0.0)])
+    def test_backward_sums_stacked_head_like_its_heads(self, scales):
+        # The trunk gradient is (head 0 + head 1) + other head with a stacked
+        # head, and (head 1 + head 0) + other head with the heads apart.
+        rng = np.random.default_rng(7)
+        trunk, other = mlp_init([6, 16, 8], seed=1), mlp_init([8, 2], seed=2)
+        pair = [mlp_init([10, 32, 32, 2], seed) for seed in (3, 4)]
+        x, extra = rng.standard_normal((53, 6)), rng.standard_normal((53, 2))
+        t_acts = trunk.forward(x)
+        adv_in = np.hstack([t_acts[-1], extra])
+        o_acts = other.forward(t_acts[-1])
+        _, d_o = softmax_cross_entropy(o_acts[-1], rng.integers(0, 2, 53), grad_scale=1.0)
+        d_pair = rng.standard_normal((2, 53, 2)) * np.reshape(scales, (2, 1, 1))
+        stacked = stack_nets(pair)
+        results = []
+        for heads in ([(stacked, stacked.forward(adv_in), d_pair, None)],
+                      [(pair[j], pair[j].forward(adv_in), d_pair[j], None) for j in (1, 0)]):
+            grads = [np.empty_like(p) for p in trunk.params()]
+            lc.backward(heads + [(other, o_acts, d_o, None)], trunk=(trunk, t_acts, grads))
+            results.append(b"".join(g.tobytes() for g in grads))
+        assert results[0] == results[1]
+
+
 class TestBackward:
     def test_sum_of_linear_matches_fd(self):
         rng = np.random.default_rng(4)

@@ -247,16 +247,87 @@ class TestGoldenBytes:
     """
 
     @staticmethod
-    def two_epochs(alpha, beta, seed):
+    def two_epochs(alpha, beta, seed, update_adversaries=True, **train_fields):
         from conftest import reference_config
         from fairpriv.cli import pipeline
         from fairpriv.data import make_splits
 
         cfg = reference_config()
         train_ds, val_ds, _ = make_splits(pipeline.load_dataset(cfg), cfg.split, seed)
-        tc = dataclasses.replace(cfg.train, alpha=alpha, beta=beta, seed=seed)
+        tc = dataclasses.replace(cfg.train, alpha=alpha, beta=beta, seed=seed, **train_fields)
         tc.epochs = 2
-        return cfg, val_ds, train(train_ds, val_ds, tc)
+        return cfg, val_ds, train(train_ds, val_ds, tc, update_adversaries=update_adversaries)
+
+    @staticmethod
+    def toy_run(alpha, beta, k_y=2, k_a=3, k_p=2, **train_fields):
+        """A toy run with the given class counts, by default k_a = 3 and k_p = 2."""
+        rng = np.random.default_rng(30)
+        n = 240
+        ds = LabeledDataset(rng.standard_normal((n, 6)), rng.integers(0, k_y, n),
+                            rng.integers(0, k_a, n), rng.integers(0, k_p, n), k_y, k_a, k_p)
+        tr, va = ds.subset(np.arange(200)), ds.subset(np.arange(200, n))
+        return train(tr, va, small_cfg(alpha, beta, seed=31, **train_fields))
+
+    # Cells on paths the four pinned cells above do not take: one digest over
+    # the trained params, the selection loss and the per-epoch history. They
+    # were recorded with the engine that ran each adversary as its own net.
+    CELLS = {
+        "switch_period=2": lambda: TestGoldenBytes.two_epochs(
+            10.0, 10.0, 1, switch_period=2)[2],
+        "select_by=objective": lambda: TestGoldenBytes.two_epochs(
+            10.0, 0.1, 1, select_by="objective")[2],
+        "update_adversaries=False": lambda: TestGoldenBytes.two_epochs(
+            10.0, 10.0, 0, update_adversaries=False)[2],
+        "k_a != k_p": lambda: TestGoldenBytes.toy_run(1.0, 1.0),
+        "k_a != k_p, alpha = 0": lambda: TestGoldenBytes.toy_run(0.0, 2.0),
+        "k_a != k_p, no hidden layer": lambda: TestGoldenBytes.toy_run(
+            0.5, 0.0, adversary_hidden=()),
+        "k_a == k_p, no hidden layer": lambda: TestGoldenBytes.two_epochs(
+            0.0, 10.0, 0, adversary_hidden=())[2],
+        "k_y = 3, k_a == k_p": lambda: TestGoldenBytes.toy_run(1.0, 1.0, k_y=3, k_a=2),
+        "k_y = 3, k_a == k_p, beta = 0, select_by=objective": lambda: TestGoldenBytes.toy_run(
+            2.0, 0.0, k_y=3, k_a=2, select_by="objective"),
+    }
+
+    @pytest.mark.parametrize("cell, digest", [
+        ("switch_period=2",
+         "8efc50ecd35864c678bdfdf61e550567187d5f967947ad411625c85527721862"),
+        ("select_by=objective",
+         "ee2a5bbc12b9f288616ed0cd226a59670e18d50e4a190b2b9e8516fc1add268d"),
+        ("update_adversaries=False",
+         "279c0794b74edf3fe27acb77f10c5a91f5d39cc3cfea5c984771de951daa5918"),
+        ("k_a != k_p",
+         "d89f8cd6ad1cd1b4b466d1341f73b34bb5ffdea53e4e1e850936baea011ad343"),
+        ("k_a != k_p, alpha = 0",
+         "0680cc9dc6e5544326179863c679cb81a8a02a8bfb0a5e8f50ec483e9cda4c03"),
+        ("k_a != k_p, no hidden layer",
+         "aa553af8c5d5d88b55894e4ac07a27c5570ff3ecaf6da59c35f9fd9e7798e95b"),
+        ("k_a == k_p, no hidden layer",
+         "b6686f9fddfcb60597151144fdaf2afa2703783249acb1e49f41000d8eca594e"),
+        ("k_y = 3, k_a == k_p",
+         "c1602268b27e20eac6b9f72595fb51093b9be28dbec58394124021f696bd8471"),
+        ("k_y = 3, k_a == k_p, beta = 0, select_by=objective",
+         "6709afe2c5f86bed3fb9486a5c148ac0fb9bfb664b7d9e26f4c707fed5a67a12"),
+    ])
+    def test_more_cells_match_recorded_digest(self, cell, digest):
+        trained = self.CELLS[cell]()
+        h = hashlib.sha256()
+        b = trained.bundle
+        for net in (b.extractor, b.classifier, b.fairness_adv, b.privacy_adv):
+            for p in net.params():
+                h.update(np.ascontiguousarray(p, dtype="<f8").tobytes())
+        h.update(repr([trained.best_val_loss.hex()]
+                      + [(total.hex(), val.hex()) for total, val in trained.history]).encode())
+        assert h.hexdigest() == digest
+
+    def test_saved_model_file_matches_recorded_digest(self, tmp_path):
+        # The file format is independent of how training lays out the params.
+        from fairpriv.cli.modelio import save_bundle
+
+        _, _, trained = self.two_epochs(10.0, 10.0, 1)
+        save_bundle(trained.bundle, tmp_path / "model.bin")
+        assert (hashlib.sha256((tmp_path / "model.bin").read_bytes()).hexdigest()
+                == "e446ceedf32b29193cbb621bac11b5878b267c572ecba424fa285fda8c6c2682")
 
     # Per-epoch (mean train objective, validation loss) of each pinned cell.
     HISTORY = {
