@@ -153,3 +153,6 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, OSError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except FloatingPointError as exc:  # raised only by the attacker fit
+        print(f"error: attacker_lr: {exc}", file=sys.stderr)
+        return 1

@@ -124,7 +124,9 @@ def fit_multinomial_logistic(x: Matrix, labels, k: int, class_weights,
 
     Deterministic. Returns (weights, bias) after exactly ``iters`` steps; every
     step costs the same, whatever the data. The gradient step is taken on the
-    weight-normalized loss, matching the training-loss convention.
+    weight-normalized loss, matching the training-loss convention. ``k`` must
+    be at least 2, every label in ``[0, k)`` and every class weight finite
+    and > 0.
 
     Each step is the plain update below, computed in place in preallocated
     buffers, with the elementwise work done one column at a time, which is
@@ -132,8 +134,15 @@ def fit_multinomial_logistic(x: Matrix, labels, k: int, class_weights,
     The softmax row max is exact. The row sum adds the columns left to right,
     numpy's own order for k < 8, so there every iterate is bitwise that of
     ``z.max(axis=1)`` and ``p.sum(axis=1)``; for k >= 8 numpy unrolls its sum
-    and the last bits may differ. The bias gradient is the last row of a
-    cumulative sum: the same sequential row order as ``dz.sum(axis=0)``.
+    and the last bits may differ.
+
+    The bias gradient is a ones row times ``dz``. Numpy cannot hand a
+    stride-0 operand to BLAS, so its own matmul loop adds each column's rows
+    in order from +0.0: the sequential sum of ``dz.sum(axis=0)``, which
+    starts from the first row instead. The two differ only when a whole
+    column is -0.0. With every class weight > 0, an entry of ``dz`` has the
+    sign of ``p - t``, which is never -0.0, so it is -0.0 only if the
+    weighting underflows a negative ``p - t`` to zero.
 
         z = x @ weights + bias;  p = softmax(z)
         dz = (p - target) * row_w / total_w
@@ -142,6 +151,15 @@ def fit_multinomial_logistic(x: Matrix, labels, k: int, class_weights,
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     w = np.asarray(class_weights, dtype=np.float64)
+    if k < 2:
+        raise ValueError(f"k: need at least 2 classes, got {k}")
+    if y.ndim != 1 or np.any((y < 0) | (y >= k)):
+        raise ValueError(f"labels: must be a 1-D array of class indices in [0, {k})")
+    if w.shape != (k,) or not np.all(np.isfinite(w) & (w > 0)):
+        raise ValueError(f"class_weights: must be {k} finite numbers > 0")
+    if x.ndim != 2 or x.shape[0] != y.shape[0]:
+        raise ValueError(f"x: must have one row per label ({y.shape[0]}), "
+                         f"got shape {x.shape}")
     n, d = x.shape
     total_w = w[y][:, None].sum()
     row_w = np.repeat(w[y][:, None], k, axis=1)
@@ -152,19 +170,20 @@ def fit_multinomial_logistic(x: Matrix, labels, k: int, class_weights,
     cols = [z[:, c] for c in range(k)]
     rows = np.empty(n)
     grad = np.empty((d, k))
-    prefix = np.empty((n, k))
+    ones = np.broadcast_to(1.0, (1, n))
+    bias_grad = np.empty((1, k))
     for _ in range(iters):
         np.matmul(x, weights, out=z)
         for col, b in zip(cols, bias[0]):
             col += b
-        np.copyto(rows, cols[0])
-        for col in cols[1:]:
+        np.maximum(cols[0], cols[1], out=rows)
+        for col in cols[2:]:
             np.maximum(rows, col, out=rows)
         for col in cols:
             col -= rows
         np.exp(z, out=z)
-        np.copyto(rows, cols[0])
-        for col in cols[1:]:
+        np.add(cols[0], cols[1], out=rows)
+        for col in cols[2:]:
             rows += col
         for col in cols:
             col /= rows
@@ -174,8 +193,7 @@ def fit_multinomial_logistic(x: Matrix, labels, k: int, class_weights,
         np.matmul(x.T, z, out=grad)
         grad *= lr
         weights -= grad
-        np.cumsum(z, axis=0, out=prefix)
-        bias -= lr * prefix[-1:]
+        bias -= lr * np.matmul(ones, z, out=bias_grad)
     if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(bias))):
         raise FloatingPointError("logistic fit diverged; lower the learning rate")
     return weights, bias

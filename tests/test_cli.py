@@ -279,6 +279,17 @@ class TestTrainCommand:
         triple = pipeline.evaluate_bundle(loaded, val_ds, test_ds, cfg)
         assert triple == record.triple
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_attacker_reported_without_traceback(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"data": {"n": 800}, "train": {"epochs": 1},
+                                    "attacker_lr": 1e308, "attacker_iters": 50}))
+        rc = main(["train", "--config", str(path), "--alpha", "0", "--beta", "0",
+                   "--seed", "0", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: attacker_lr:") and "diverged" in err
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)

@@ -187,6 +187,16 @@ def state_bytes(weights, bias):
     return weights.tobytes() + bias.tobytes()
 
 
+def informative_problem(n, d, k, seed):
+    """Standardized features that carry skewed labels, reweighted by inverse
+    class frequency: the shape of the attack fit in a benchmark run."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    scores = x[:, :k] * 1.5 + rng.standard_normal((n, k)) + np.linspace(0.0, 1.0, k)
+    y = np.argmax(scores, axis=1)
+    return (x - x.mean(axis=0)) / x.std(axis=0), y, inverse_frequency_weights(y, k)
+
+
 class TestFitMultinomialLogistic:
     # (k, data seed): by step 951 the oracle's iterates on these problems
     # cycle with periods 2 to 8, so 2000 and 2001 end on different states.
@@ -210,6 +220,43 @@ class TestFitMultinomialLogistic:
         want = reference_gd_loop(x, y, k, w, iters, 1.0)
         for g, r in zip(got, want):
             assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
+
+    @pytest.mark.parametrize("n, d, k", [(1600, 10, 2), (6000, 20, 3)])
+    @pytest.mark.parametrize("iters", [1, 2, 2000])
+    def test_benchmark_shaped_problems_bitwise(self, n, d, k, iters):
+        x, y, w = informative_problem(n, d, k, seed=n + k)
+        got = fit_multinomial_logistic(x, y, k, w, iters, 1.0)
+        want = reference_gd_loop(x, y, k, w, iters, 1.0)
+        assert state_bytes(*got) == state_bytes(*want)
+
+    @pytest.mark.parametrize("n", [1, 7, 120, 1600, 9000])
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_ones_row_matmul_is_a_sequential_column_sum(self, n, k):
+        # The bias gradient relies on numpy's own matmul loop for a stride-0
+        # operand. Should numpy ever route it through BLAS, the sum order
+        # changes and this fails before any result drifts.
+        rng = np.random.default_rng(100 * n + k)
+        z = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-8, 8, (n, k))
+        got = np.matmul(np.broadcast_to(1.0, (1, n)), z)
+        assert got.tobytes() == np.cumsum(z, axis=0)[-1:].tobytes()
+
+    @pytest.mark.parametrize("x_rows, labels, k, class_weights, name", [
+        (4, [0, 0, 0, 0], 1, [1.0], "k"),
+        (4, [0, 1, 2, 1], 2, [1.0, 1.0], "labels"),
+        (4, [0, 1, -1, 1], 2, [1.0, 1.0], "labels"),
+        (4, [0, 1, 0, 1], 2, [1.0, 0.0], "class_weights"),
+        (4, [0, 1, 0, 1], 2, [1.0, -2.0], "class_weights"),
+        (4, [0, 1, 0, 1], 2, [1.0, np.inf], "class_weights"),
+        (4, [0, 1, 0, 1], 2, [1.0, np.nan], "class_weights"),
+        (4, [0, 1, 0, 1], 2, [1.0, 1.0, 1.0], "class_weights"),
+        (5, [0, 1, 0, 1], 2, [1.0, 1.0], "x"),
+    ], ids=["one-class", "label-too-high", "label-negative", "zero-weight",
+            "negative-weight", "infinite-weight", "nan-weight", "weight-count",
+            "row-count"])
+    def test_bad_arguments_rejected_by_name(self, x_rows, labels, k, class_weights, name):
+        x = np.ones((x_rows, 3))
+        with pytest.raises(ValueError, match=f"^{name}:"):
+            fit_multinomial_logistic(x, labels, k, class_weights, 1, 1.0)
 
 
 class TestAttackAccuracy:
