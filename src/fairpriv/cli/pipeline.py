@@ -9,8 +9,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -24,6 +22,7 @@ from .config import ConfigError, ExperimentConfig
 RESULTS_HEADER = ["alpha", "beta", "seed", "utility", "fairness_gap",
                   "attack_balanced_acc", "val_loss"]
 ERROR_MARKER = "ERROR"
+_seed_memo: dict = {}  # {seed: splits} of this process's last seed; each sweep clears it
 
 
 def load_dataset(config: ExperimentConfig) -> LabeledDataset:
@@ -36,9 +35,12 @@ def evaluate_bundle(bundle, val_ds: LabeledDataset, test_ds: LabeledDataset,
                     config: ExperimentConfig) -> MetricTriple:
     """Utility and fairness gap on test; attack fit on val, scored on test."""
     val_features = bundle.extractor.apply(val_ds.x)
-    attacker = fit_attacker(val_features, val_ds.y, val_ds.y_p,
-                            iters=config.attacker_iters, lr=config.attacker_lr,
-                            k_y=val_ds.k_y, k_p=val_ds.k_p)
+    try:
+        attacker = fit_attacker(val_features, val_ds.y, val_ds.y_p,
+                                iters=config.attacker_iters, lr=config.attacker_lr,
+                                k_y=val_ds.k_y, k_p=val_ds.k_p)
+    except FloatingPointError as exc:  # the fit diverges only when the step is too large
+        raise ConfigError(f"attacker_lr: {exc}") from exc
     test_features = bundle.extractor.apply(test_ds.x)
     m_p = attack_accuracy(attacker, test_features, test_ds.y, test_ds.y_p)
 
@@ -55,16 +57,28 @@ def evaluate_bundle(bundle, val_ds: LabeledDataset, test_ds: LabeledDataset,
     return MetricTriple(utility=m_u, fairness_gap=m_a, attack_balanced_acc=m_p)
 
 
-def run_single(config: ExperimentConfig, alpha: float, beta: float, seed: int,
-               dataset: LabeledDataset | None = None) -> tuple[RunRecord, TrainedModel]:
-    """Train and evaluate one (alpha, beta, seed) configuration."""
-    ds = dataset if dataset is not None else load_dataset(config)
+def seed_splits(config: ExperimentConfig, seed: int) -> tuple[LabeledDataset, ...]:
+    """The config's data split for ``seed``: (train, val, test), read-only."""
+    ds = load_dataset(config)
     if config.positive_class is not None and config.positive_class >= ds.k_y:
         # Config load checks this for synthetic data; a CSV's k_y is known only now.
         raise ConfigError(f"positive_class: must be a task class index in "
                           f"[0, {ds.k_y}), got {config.positive_class!r}")
-    train_ds, val_ds, test_ds = make_splits(ds, config.split, seed)
-    del ds, dataset  # only the splits are used from here on; a sweep's copy is freed
+    splits = make_splits(ds, config.split, seed)
+    for arr in (a for split in splits for a in (split.x, split.y, split.y_a, split.y_p)):
+        arr.flags.writeable = False  # a seed's runs may share them; a write fails at once
+    return splits
+
+
+def run_single(config: ExperimentConfig, alpha: float, beta: float, seed: int,
+               splits: tuple | None = None) -> tuple[RunRecord, TrainedModel]:
+    """Train and evaluate one (alpha, beta, seed) configuration.
+
+    ``splits`` is the config's data split for ``seed``, as ``seed_splits`` or
+    ``make_splits`` builds it; None builds it. A run writes into no split
+    (training shuffles a copy), so the runs of a seed may share one.
+    """
+    train_ds, val_ds, test_ds = splits if splits is not None else seed_splits(config, seed)
     trained = train(train_ds, val_ds,
                     dataclasses.replace(config.train, alpha=alpha, beta=beta, seed=seed))
     triple = evaluate_bundle(trained.bundle, val_ds, test_ds, config)
@@ -76,7 +90,10 @@ def run_single(config: ExperimentConfig, alpha: float, beta: float, seed: int,
 def _sweep_entry(args) -> tuple[tuple, object]:
     config, alpha, beta, seed = args
     try:
-        record, _ = run_single(config, alpha, beta, seed)
+        if seed not in _seed_memo:
+            _seed_memo.clear()  # free the last seed's splits before building these
+            _seed_memo[seed] = seed_splits(config, seed)
+        record, _ = run_single(config, alpha, beta, seed, splits=_seed_memo[seed])
         return (alpha, beta, seed), record
     except Exception as exc:  # a failed run must not sink the sweep
         return (alpha, beta, seed), f"{type(exc).__name__}: {exc}"
@@ -87,16 +104,20 @@ def sweep(config: ExperimentConfig, jobs: int | None = None
     """Run the whole (alpha, beta, seed) grid.
 
     Returns (records sorted by key, failures keyed by (alpha, beta, seed)).
-    Runs are independent; jobs > 1 fans them out over processes without
-    affecting the output order. Outcomes are collected as runs finish, so a
-    worker that dies fails only the runs the broken pool could not finish.
+    Runs go out seed by seed; each process (this one, or each pool worker when
+    jobs > 1) splits a seed's data once for that seed's runs. The output does
+    not depend on jobs. Outcomes are collected as runs finish, so a worker
+    that dies fails only the runs the broken pool could not finish.
     """
     combos = [(config, a, b, s)
-              for a in sorted(config.alphas) for b in sorted(config.betas)
-              for s in sorted(config.seeds)]
+              for s in sorted(config.seeds)
+              for a in sorted(config.alphas) for b in sorted(config.betas)]
     if jobs is None:
         jobs = os.cpu_count() or 1
+    _seed_memo.clear()
     if jobs > 1 and len(combos) > 1:
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures.process import BrokenProcessPool
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {pool.submit(_sweep_entry, combo): combo[1:] for combo in combos}
             outcomes = []
@@ -107,6 +128,7 @@ def sweep(config: ExperimentConfig, jobs: int | None = None
                     outcomes.append((futures[future], f"{type(exc).__name__}: {exc}"))
     else:
         outcomes = [_sweep_entry(c) for c in combos]
+    _seed_memo.clear()
     records, failures = [], {}
     for key, outcome in outcomes:
         if isinstance(outcome, RunRecord):

@@ -172,28 +172,29 @@ def fit_multinomial_logistic(x: Matrix, labels, k: int, class_weights,
     grad = np.empty((d, k))
     ones = np.broadcast_to(1.0, (1, n))
     bias_grad = np.empty((1, k))
-    for _ in range(iters):
-        np.matmul(x, weights, out=z)
-        for col, b in zip(cols, bias[0]):
-            col += b
-        np.maximum(cols[0], cols[1], out=rows)
-        for col in cols[2:]:
-            np.maximum(rows, col, out=rows)
-        for col in cols:
-            col -= rows
-        np.exp(z, out=z)
-        np.add(cols[0], cols[1], out=rows)
-        for col in cols[2:]:
-            rows += col
-        for col in cols:
-            col /= rows
-        z -= target
-        z *= row_w
-        z /= total_w
-        np.matmul(x.T, z, out=grad)
-        grad *= lr
-        weights -= grad
-        bias -= lr * np.matmul(ones, z, out=bias_grad)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports divergence
+        for _ in range(iters):
+            np.matmul(x, weights, out=z)
+            for col, b in zip(cols, bias[0]):
+                col += b
+            np.maximum(cols[0], cols[1], out=rows)
+            for col in cols[2:]:
+                np.maximum(rows, col, out=rows)
+            for col in cols:
+                col -= rows
+            np.exp(z, out=z)
+            np.add(cols[0], cols[1], out=rows)
+            for col in cols[2:]:
+                rows += col
+            for col in cols:
+                col /= rows
+            z -= target
+            z *= row_w
+            z /= total_w
+            np.matmul(x.T, z, out=grad)
+            grad *= lr
+            weights -= grad
+            bias -= lr * np.matmul(ones, z, out=bias_grad)
     if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(bias))):
         raise FloatingPointError("logistic fit diverged; lower the learning rate")
     return weights, bias

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fairpriv.cli.config import ExperimentConfig, mild_correlation_joint
-from fairpriv.data import SplitSpec, SyntheticSpec
+from fairpriv.data import SplitSpec, SyntheticSpec, make_splits
 
 
 def reference_config() -> ExperimentConfig:
@@ -34,9 +34,10 @@ def reference_runs():
     cfg = reference_config()
     ds = pipeline.load_dataset(cfg)
     out = {}
-    for alpha, beta in [(0.0, 0.0), (0.0, 10.0), (10.0, 0.0)]:
-        for seed in (0, 1, 2):
-            record, _ = pipeline.run_single(cfg, alpha, beta, seed, dataset=ds)
+    for seed in (0, 1, 2):
+        splits = make_splits(ds, cfg.split, seed)
+        for alpha, beta in [(0.0, 0.0), (0.0, 10.0), (10.0, 0.0)]:
+            record, _ = pipeline.run_single(cfg, alpha, beta, seed, splits=splits)
             out[(alpha, beta, seed)] = record.triple
     return out
 

@@ -155,7 +155,8 @@ class TestCriterion6NullLeak:
         cfg = reference_config()
         cfg.data = replace(cfg.data, mu_p=0.0)
         ds = pipeline.load_dataset(cfg)
-        vals = [pipeline.run_single(cfg, 0.0, 0.0, s, dataset=ds)[0]
+        vals = [pipeline.run_single(cfg, 0.0, 0.0, s,
+                                    splits=make_splits(ds, cfg.split, s))[0]
                 .triple.attack_balanced_acc for s in (0, 1, 2)]
         m_p = float(np.median(vals))
         assert abs(m_p - CHANCE) <= 0.05, f"mu_p=0 attack {m_p:.3f} far from chance"
@@ -373,9 +374,10 @@ class TestCriterion11AttackHygiene:
 
         monkeypatch.setattr(pipeline, "fit_attacker", spy_fit)
         monkeypatch.setattr(pipeline, "attack_accuracy", spy_score)
-        _, trained = pipeline.run_single(cfg, 0.0, 0.0, seed, dataset=ds)
+        splits = make_splits(ds, cfg.split, seed)
+        _, trained = pipeline.run_single(cfg, 0.0, 0.0, seed, splits=splits)
 
-        _, val_ds, test_ds = make_splits(ds, cfg.split, seed)
+        _, val_ds, test_ds = splits
         fit_expected = trained.bundle.extractor.apply(val_ds.x)
         score_expected = trained.bundle.extractor.apply(test_ds.x)
         assert np.array_equal(seen["fit"], fit_expected)

@@ -1,5 +1,8 @@
+import dataclasses
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -268,18 +271,18 @@ class TestTrainCommand:
     def test_weight_file_round_trip(self, tmp_path):
         cfg = small_config()
         ds = pipeline.load_dataset(cfg)
-        record, trained = pipeline.run_single(cfg, 0.0, 1.0, 0, dataset=ds)
+        splits = make_splits(ds, cfg.split, 0)
+        record, trained = pipeline.run_single(cfg, 0.0, 1.0, 0, splits=splits)
         path = tmp_path / "model.bin"
         save_bundle(trained.bundle, path)
         loaded = load_bundle(path)
         for a, b in zip(trained.bundle.main_params() + trained.bundle.adversary_params(),
                         loaded.main_params() + loaded.adversary_params()):
             assert np.array_equal(a, b)
-        _, val_ds, test_ds = make_splits(ds, cfg.split, 0)
+        _, val_ds, test_ds = splits
         triple = pipeline.evaluate_bundle(loaded, val_ds, test_ds, cfg)
         assert triple == record.triple
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_attacker_reported_without_traceback(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"data": {"n": 800}, "train": {"epochs": 1},
@@ -289,6 +292,7 @@ class TestTrainCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: attacker_lr:") and "diverged" in err
+        assert "RuntimeWarning" not in err
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -353,10 +357,10 @@ class TestSweep:
         cfg = small_config()
         real = pipeline.run_single
 
-        def flaky(config, alpha, beta, seed, dataset=None):
+        def flaky(config, alpha, beta, seed, splits=None):
             if alpha == 1.0 and beta == 0.0:
                 raise RuntimeError("boom")
-            return real(config, alpha, beta, seed, dataset=dataset)
+            return real(config, alpha, beta, seed, splits=splits)
 
         monkeypatch.setattr(pipeline, "run_single", flaky)
         records, failures = pipeline.sweep(cfg, jobs=1)
@@ -375,12 +379,12 @@ class TestSweep:
         real = pipeline.run_single
         sweeper = os.getpid()
 
-        def dies(config, alpha, beta, seed, dataset=None):
+        def dies(config, alpha, beta, seed, splits=None):
             if alpha == 1.0 and beta == 0.0:
                 if os.getpid() == sweeper:
                     raise RuntimeError("must run in a pool worker")
                 os._exit(1)  # the worker process dies, as if killed
-            return real(config, alpha, beta, seed, dataset=dataset)
+            return real(config, alpha, beta, seed, splits=splits)
 
         monkeypatch.setattr(pipeline, "run_single", dies)
         out = tmp_path / "out"
@@ -392,6 +396,102 @@ class TestSweep:
         assert (1.0, 0.0, 0) in failed
         assert "BrokenProcessPool" in capsys.readouterr().err
 
+
+    @staticmethod
+    def two_seed_config(**overrides):
+        cfg = small_config(**{"seeds": [1, 0], **overrides})
+        cfg.train.epochs = 2
+        cfg.attacker_iters = 200
+        return cfg
+
+    @staticmethod
+    def results_bytes(path, records, failures=None):
+        pipeline.write_results(path, records, failures)
+        return path.read_bytes()
+
+    def per_cell_bytes(self, path, cfg):
+        records = [pipeline.run_single(cfg, a, b, s)[0]
+                   for a in cfg.alphas for b in cfg.betas for s in cfg.seeds]
+        return self.results_bytes(path, records)
+
+    def test_shared_splits_match_per_cell_runs(self, tmp_path):
+        cfg = self.two_seed_config()
+        serial = self.results_bytes(tmp_path / "serial.csv", *pipeline.sweep(cfg, jobs=1))
+        parallel = self.results_bytes(tmp_path / "par.csv", *pipeline.sweep(cfg, jobs=2))
+        assert serial == parallel == self.per_cell_bytes(tmp_path / "cells.csv", cfg)
+        assert len(serial.decode().splitlines()) == 1 + 8
+
+    def test_serial_sweep_splits_once_per_seed(self, monkeypatch):
+        cfg = self.two_seed_config()
+        real = pipeline.make_splits
+        seeds = []
+
+        def counted(ds, split, seed):
+            seeds.append(seed)
+            return real(ds, split, seed)
+
+        monkeypatch.setattr(pipeline, "make_splits", counted)
+        records, failures = pipeline.sweep(cfg, jobs=1)
+        assert len(records) == 8 and not failures
+        assert seeds == [0, 1]  # seed-major order
+
+    def test_next_sweep_gets_its_own_data(self, tmp_path):
+        # The first sweep ends on seed 0, where the second one starts.
+        first = self.two_seed_config(seeds=[0])
+        second = self.two_seed_config(data=dataclasses.replace(first.data, seed=1))
+        first_bytes = self.results_bytes(tmp_path / "a.csv", *pipeline.sweep(first, jobs=1))
+        second_bytes = self.results_bytes(tmp_path / "b.csv", *pipeline.sweep(second, jobs=1))
+        assert second_bytes != first_bytes
+        assert second_bytes == self.per_cell_bytes(tmp_path / "fresh.csv", second)
+
+    def test_csv_backed_sweep_matches_synthetic(self, tmp_path):
+        csv_path = tmp_path / "features.csv"
+        assert main(["gen-data", "--config", str(config_json(tmp_path)),
+                     "--out", str(csv_path)]) == 0
+        from_csv = pipeline.sweep(self.two_seed_config(data=str(csv_path)), jobs=2)
+        synthetic = pipeline.sweep(self.two_seed_config(), jobs=2)
+        assert (self.results_bytes(tmp_path / "csv.csv", *from_csv)
+                == self.results_bytes(tmp_path / "syn.csv", *synthetic))
+
+    def test_runs_of_a_seed_share_read_only_splits(self, monkeypatch):
+        seen = []
+
+        def capture(config, alpha, beta, seed, splits=None):
+            seen.append(splits)
+            raise RuntimeError("captured")
+
+        monkeypatch.setattr(pipeline, "run_single", capture)
+        records, failures = pipeline.sweep(self.two_seed_config(), jobs=1)
+        assert not records and len(failures) == 8
+        assert all(s is seen[0] for s in seen[:4]) and all(s is seen[4] for s in seen[4:])
+        for ds in seen[0] + seen[4]:
+            assert not any(a.flags.writeable for a in (ds.x, ds.y, ds.y_a, ds.y_p))
+        with pytest.raises(ValueError, match="read-only"):
+            seen[0][0].x[0, 0] = 0.0
+        assert not pipeline._seed_memo  # a finished sweep holds no split
+
+    def test_diverged_attacker_failure_names_field(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"data": {"n": 800}, "train": {"epochs": 1},
+                                    "attacker_lr": 1e308, "attacker_iters": 50,
+                                    "grid": {"alphas": [0.0], "betas": [0.0]},
+                                    "seeds": [0]}))
+        assert main(["sweep", "--config", str(path), "--jobs", "1",
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "FAILED (alpha=0, beta=0, seed=0): ConfigError: attacker_lr:" in err
+        assert "RuntimeWarning" not in err
+
+    def test_cli_import_leaves_process_pool_out(self):
+        src = Path(pipeline.__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, fairpriv.cli; print('concurrent.futures.process' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 def synthetic_records(alphas, betas, seeds, rng):
     records = []
@@ -536,7 +636,8 @@ class TestAttackHygiene:
 
         monkeypatch.setattr(pipeline, "fit_attacker", spy_fit)
         monkeypatch.setattr(pipeline, "attack_accuracy", spy_score)
-        _, trained = pipeline.run_single(cfg, 0.0, 0.0, seed, dataset=ds)
+        _, trained = pipeline.run_single(cfg, 0.0, 0.0, seed,
+                                         splits=(train_ds, val_ds, test_ds))
 
         expected_fit = trained.bundle.extractor.apply(val_ds.x)
         expected_score = trained.bundle.extractor.apply(test_ds.x)
