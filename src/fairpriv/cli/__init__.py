@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from ..analysis import SweepResult
-from ..data import save_csv
+from ..data import csv_class_counts, save_csv
 from ..training import TrainingDivergedError
 from . import pipeline, report
 from .config import ConfigError, ExperimentConfig, default_config, load_config
@@ -68,7 +68,7 @@ def cmd_sweep(args) -> int:
 
 def _dataset_k_p(config: ExperimentConfig) -> int:
     if isinstance(config.data, str):
-        return pipeline.load_dataset(config).k_p
+        return csv_class_counts(config.data)[2]
     return config.data.k_p
 
 

@@ -292,19 +292,39 @@ def save_csv(ds: LabeledDataset, path) -> None:
                             + [int(ds.y[i]), int(ds.y_a[i]), int(ds.y_p[i])])
 
 
+def _csv_reader(path, fh):
+    """A reader past the checked header of a fairpriv CSV, and its feature count."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: empty file") from None
+    if len(header) < 4 or header[-3:] != ["y", "y_a", "y_p"]:
+        raise ValueError(f"{path}: header must end with y,y_a,y_p, got {header[-3:]}")
+    d = len(header) - 3
+    expected = [f"x{j}" for j in range(d)]
+    if header[:d] != expected:
+        raise ValueError(f"{path}: feature columns must be x0..x{d - 1}")
+    return reader, d
+
+
+def _class_counts(path, columns) -> tuple[int, int, int]:
+    """(k_y, k_a, k_p) from the y, y_a and y_p label arrays: one more than the
+    largest label, and at least 2. A negative label is an error naming its line."""
+    if not columns[0].size:
+        raise ValueError(f"{path}: no data rows")
+    counts = []
+    for name, column in zip(("y", "y_a", "y_p"), columns):
+        row = int(np.argmin(column))
+        if column[row] < 0:
+            raise ValueError(f"{path}:{row + 2}: {name} must be >= 0, got {column[row]}")
+        counts.append(max(2, int(column.max()) + 1))
+    return tuple(counts)
+
+
 def load_csv(path) -> LabeledDataset:
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if len(header) < 4 or header[-3:] != ["y", "y_a", "y_p"]:
-            raise ValueError(f"{path}: header must end with y,y_a,y_p, got {header[-3:]}")
-        d = len(header) - 3
-        expected = [f"x{j}" for j in range(d)]
-        if header[:d] != expected:
-            raise ValueError(f"{path}: feature columns must be x0..x{d - 1}")
+        reader, d = _csv_reader(path, fh)
         xs, ys, yas, yps = [], [], [], []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != d + 3:
@@ -316,10 +336,22 @@ def load_csv(path) -> LabeledDataset:
                 yps.append(int(row[d + 2]))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if not xs:
-        raise ValueError(f"{path}: no data rows")
     y, y_a, y_p = np.array(ys), np.array(yas), np.array(yps)
-    return LabeledDataset(np.array(xs), y, y_a, y_p,
-                          k_y=max(2, int(y.max()) + 1),
-                          k_a=max(2, int(y_a.max()) + 1),
-                          k_p=max(2, int(y_p.max()) + 1))
+    k_y, k_a, k_p = _class_counts(path, (y, y_a, y_p))
+    return LabeledDataset(np.array(xs), y, y_a, y_p, k_y=k_y, k_a=k_a, k_p=k_p)
+
+
+def csv_class_counts(path) -> tuple[int, int, int]:
+    """The (k_y, k_a, k_p) of ``load_csv(path)``, read from the label columns
+    alone: the feature fields are split but not parsed or checked."""
+    with open(path, newline="") as fh:
+        reader, d = _csv_reader(path, fh)
+        labels = []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != d + 3:
+                raise ValueError(f"{path}:{lineno}: expected {d + 3} fields, got {len(row)}")
+            try:
+                labels.append(tuple(map(int, row[d:])))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return _class_counts(path, np.array(labels, dtype=np.int64).reshape(-1, 3).T)

@@ -124,25 +124,29 @@ def fit_multinomial_logistic(x: Matrix, labels, k: int, class_weights,
 
     Deterministic. Returns (weights, bias) after exactly ``iters`` steps; every
     step costs the same, whatever the data. The gradient step is taken on the
-    weight-normalized loss, matching the training-loss convention. ``k`` must
-    be at least 2, every label in ``[0, k)`` and every class weight finite
-    and > 0.
+    weight-normalized loss, matching the training-loss convention. ``x``
+    needs at least one row and ``k`` at least 2 classes; every label must lie
+    in ``[0, k)``, every class weight and ``lr`` be finite and > 0, and
+    ``iters`` be at least 1.
 
     Each step is the plain update below, computed in place in preallocated
-    buffers, with the elementwise work done one column at a time, which is
-    faster than numpy's broadcasting and reductions along a length-k axis.
-    The softmax row max is exact. The row sum adds the columns left to right,
-    numpy's own order for k < 8, so there every iterate is bitwise that of
-    ``z.max(axis=1)`` and ``p.sum(axis=1)``; for k >= 8 numpy unrolls its sum
-    and the last bits may differ.
+    buffers with the logits held class-major, as a (k, n) array: each
+    elementwise step is one call on contiguous rows, faster than numpy's
+    broadcasting and reductions along a length-k axis. Both products keep
+    the plain update's operands (``x @ weights`` is transposed after the
+    product), because BLAS may sum transposed operands in another order. The
+    softmax max over classes is exact. The sum over classes adds the rows in
+    class order, numpy's own order for k < 8, so there every iterate is
+    bitwise that of ``z.max(axis=1)`` and ``p.sum(axis=1)``; for k >= 8
+    numpy unrolls its sum and the last bits may differ.
 
-    The bias gradient is a ones row times ``dz``. Numpy cannot hand a
-    stride-0 operand to BLAS, so its own matmul loop adds each column's rows
-    in order from +0.0: the sequential sum of ``dz.sum(axis=0)``, which
-    starts from the first row instead. The two differ only when a whole
-    column is -0.0. With every class weight > 0, an entry of ``dz`` has the
-    sign of ``p - t``, which is never -0.0, so it is -0.0 only if the
-    weighting underflows a negative ``p - t`` to zero.
+    The bias gradient is ``dz`` times a ones column. Numpy cannot hand a
+    stride-0 operand to BLAS, so its own matmul loop adds each class's
+    entries in row order from +0.0: the sequential sum of
+    ``dz.sum(axis=0)``, which starts from the first row instead. The two
+    differ only when a whole column is -0.0. With every class weight > 0, an
+    entry of ``dz`` has the sign of ``p - t``, which is never -0.0, so it is
+    -0.0 only if the weighting underflows a negative ``p - t`` to zero.
 
         z = x @ weights + bias;  p = softmax(z)
         dz = (p - target) * row_w / total_w
@@ -160,42 +164,45 @@ def fit_multinomial_logistic(x: Matrix, labels, k: int, class_weights,
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ValueError(f"x: must have one row per label ({y.shape[0]}), "
                          f"got shape {x.shape}")
+    if x.shape[0] == 0:
+        raise ValueError("x: no rows to fit on")
+    if iters < 1:
+        raise ValueError(f"iters: must be at least 1, got {iters}")
+    if not (np.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr: must be a finite number > 0, got {lr!r}")
     n, d = x.shape
-    total_w = w[y][:, None].sum()
-    row_w = np.repeat(w[y][:, None], k, axis=1)
-    target = one_hot(y, k)
-    weights = np.zeros((d, k))
-    bias = np.zeros((1, k))
-    z = np.empty((n, k))
-    cols = [z[:, c] for c in range(k)]
+    row_w = w[y]
+    total_w = row_w[:, None].sum()
+    target = np.ascontiguousarray(one_hot(y, k).T)
+    params = np.zeros((d + 1, k))
+    grads = np.empty((d + 1, k))
+    weights, bias, grad_w, grad_b = params[:d], params[d:], grads[:d], grads[d:].T
+    zn = np.empty((n, k))
+    z = np.empty((k, n))
+    z_rest = list(z[2:])
     rows = np.empty(n)
-    grad = np.empty((d, k))
-    ones = np.broadcast_to(1.0, (1, n))
-    bias_grad = np.empty((1, k))
+    ones_col = np.broadcast_to(1.0, (n, 1))
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports divergence
         for _ in range(iters):
-            np.matmul(x, weights, out=z)
-            for col, b in zip(cols, bias[0]):
-                col += b
-            np.maximum(cols[0], cols[1], out=rows)
-            for col in cols[2:]:
-                np.maximum(rows, col, out=rows)
-            for col in cols:
-                col -= rows
+            np.matmul(x, weights, out=zn)
+            np.add(zn.T, bias.T, out=z)
+            np.maximum(z[0], z[1], out=rows)
+            for row in z_rest:
+                np.maximum(rows, row, out=rows)
+            z -= rows
             np.exp(z, out=z)
-            np.add(cols[0], cols[1], out=rows)
-            for col in cols[2:]:
-                rows += col
-            for col in cols:
-                col /= rows
+            np.add(z[0], z[1], out=rows)
+            for row in z_rest:
+                rows += row
+            z /= rows
             z -= target
             z *= row_w
             z /= total_w
-            np.matmul(x.T, z, out=grad)
-            grad *= lr
-            weights -= grad
-            bias -= lr * np.matmul(ones, z, out=bias_grad)
-    if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(bias))):
+            np.matmul(x.T, z.T, out=grad_w)
+            np.matmul(z, ones_col, out=grad_b)
+            grads *= lr
+            params -= grads
+    if not np.all(np.isfinite(params)):
         raise FloatingPointError("logistic fit diverged; lower the learning rate")
     return weights, bias
 

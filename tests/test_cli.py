@@ -13,7 +13,9 @@ from fairpriv.cli import main, pipeline, report
 from fairpriv.cli.config import (ConfigError, ExperimentConfig, default_config,
                                  from_dict, load_config, mild_correlation_joint)
 from fairpriv.cli.modelio import load_bundle, save_bundle
-from fairpriv.data import LabeledDataset, SplitSpec, SyntheticSpec, make_splits
+from fairpriv import data
+from fairpriv.data import (LabeledDataset, SplitSpec, SyntheticSpec, load_csv,
+                          make_splits)
 from fairpriv.evaluation import MetricTriple
 
 
@@ -558,6 +560,32 @@ class TestAnalyze:
                                {(1.0, 1.0, 0): "boom"})
         assert main(["analyze", "--config", str(path), "--out", str(out)]) == 1
         assert "ERROR" in capsys.readouterr().err.upper()
+
+    def test_csv_backed_analyze_reads_only_labels(self, tmp_path, monkeypatch):
+        # k_p = 3 in the CSV, so a k_p from anywhere else shows in the report.
+        csv_path = tmp_path / "features.csv"
+        gen = config_json(tmp_path, data={"n": 300, "k_p": 3,
+                                          "joint": np.full((2, 2, 3), 1 / 12).tolist()})
+        assert main(["gen-data", "--config", str(gen), "--out", str(csv_path)]) == 0
+        path = config_json(tmp_path, data=str(csv_path))
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = load_config(path)
+        pipeline.write_results(out / "results.csv", synthetic_records(
+            cfg.alphas, cfg.betas, cfg.seeds, np.random.default_rng(3)))
+        records, _ = pipeline.load_results(out / "results.csv")
+        want = json.dumps(report.build_report(records, cfg, k_p=load_csv(csv_path).k_p),
+                          indent=2, sort_keys=True) + "\n"
+
+        def no_full_parse(path):
+            raise AssertionError("analyze parsed the whole CSV")
+
+        monkeypatch.setattr(pipeline, "load_csv", no_full_parse)
+        monkeypatch.setattr(data, "load_csv", no_full_parse)
+        assert main(["analyze", "--config", str(path), "--out", str(out)]) == 0
+        assert (out / "report.json").read_text() == want
+        assert json.loads(want)["single_metrics"]["formatted"]["baseline_privacy"].endswith(
+            "(33%)")
 
     def test_full_grid_heatmap_has_16_cells(self):
         rng = np.random.default_rng(1)

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
-from fairpriv.data import (LabeledDataset, SplitSpec, SyntheticSpec, generate,
-                           load_csv, make_splits, sample_labels, save_csv)
+from fairpriv.data import (LabeledDataset, SplitSpec, SyntheticSpec, csv_class_counts,
+                           generate, load_csv, make_splits, sample_labels, save_csv)
 from fairpriv.evaluation import (balanced_accuracy, fit_attacker,
                                  fit_multinomial_logistic, attack_accuracy)
 
@@ -193,3 +195,28 @@ class TestCsv:
         path.write_text("x0,y,y_a,y_p\n1.0,0,0\n")
         with pytest.raises(ValueError, match=r":2:"):
             load_csv(path)
+
+    def test_class_counts_match_load_csv(self, tmp_path):
+        ds = generate(SyntheticSpec(n=60, k_y=3, k_a=2, k_p=4,
+                                    joint=np.full((3, 2, 4), 1 / 24), seed=17))
+        path = tmp_path / "data.csv"
+        save_csv(ds, path)
+        loaded = load_csv(path)
+        assert csv_class_counts(path) == (loaded.k_y, loaded.k_a, loaded.k_p) == (3, 2, 4)
+
+    @pytest.mark.parametrize("read", [load_csv, csv_class_counts])
+    @pytest.mark.parametrize("text, match", [
+        ("", ": empty file"),
+        ("x0,y,y_a\n1.0,0,0\n", ": header must end with y,y_a,y_p"),
+        ("x1,y,y_a,y_p\n1.0,0,0,0\n", ": feature columns must be x0"),
+        ("x0,y,y_a,y_p\n", ": no data rows"),
+        ("x0,y,y_a,y_p\n1.0,0,0,0\n1.0,0,0\n", ":3: expected 4 fields"),
+        ("x0,y,y_a,y_p\n1.0,0,0,0\n1.0,0,1.5,0\n", ":3: invalid literal"),
+        ("x0,y,y_a,y_p\n1.0,0,0,0\n1.0,0,0,-1\n", ":3: y_p must be >= 0"),
+    ], ids=["empty", "label-header", "feature-header", "no-rows", "field-count",
+            "fractional-label", "negative-label"])
+    def test_errors_name_file_and_line(self, tmp_path, read, text, match):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^" + re.escape(str(path)) + match):
+            read(path)

@@ -221,7 +221,8 @@ class TestFitMultinomialLogistic:
         for g, r in zip(got, want):
             assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
 
-    @pytest.mark.parametrize("n, d, k", [(1600, 10, 2), (6000, 20, 3)])
+    @pytest.mark.parametrize("n, d, k", [(1600, 10, 2), (6000, 20, 3), (1600, 16, 2),
+                                         (53, 20, 2)])
     @pytest.mark.parametrize("iters", [1, 2, 2000])
     def test_benchmark_shaped_problems_bitwise(self, n, d, k, iters):
         x, y, w = informative_problem(n, d, k, seed=n + k)
@@ -240,6 +241,16 @@ class TestFitMultinomialLogistic:
         got = np.matmul(np.broadcast_to(1.0, (1, n)), z)
         assert got.tobytes() == np.cumsum(z, axis=0)[-1:].tobytes()
 
+    @pytest.mark.parametrize("n", [1, 7, 120, 1600, 9000])
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_ones_column_matmul_is_a_sequential_row_sum(self, n, k):
+        # The same canary for the class-major loop, whose bias gradient is a
+        # (k, n) array times a stride-0 ones column.
+        rng = np.random.default_rng(100 * n + k)
+        z = rng.standard_normal((k, n)) * 10.0 ** rng.integers(-8, 8, (k, n))
+        got = np.matmul(z, np.broadcast_to(1.0, (n, 1)))
+        assert got.tobytes() == np.cumsum(z, axis=1)[:, -1:].tobytes()
+
     @pytest.mark.parametrize("x_rows, labels, k, class_weights, name", [
         (4, [0, 0, 0, 0], 1, [1.0], "k"),
         (4, [0, 1, 2, 1], 2, [1.0, 1.0], "labels"),
@@ -250,13 +261,24 @@ class TestFitMultinomialLogistic:
         (4, [0, 1, 0, 1], 2, [1.0, np.nan], "class_weights"),
         (4, [0, 1, 0, 1], 2, [1.0, 1.0, 1.0], "class_weights"),
         (5, [0, 1, 0, 1], 2, [1.0, 1.0], "x"),
+        (0, [], 2, [1.0, 1.0], "x"),
     ], ids=["one-class", "label-too-high", "label-negative", "zero-weight",
             "negative-weight", "infinite-weight", "nan-weight", "weight-count",
-            "row-count"])
+            "row-count", "no-rows"])
     def test_bad_arguments_rejected_by_name(self, x_rows, labels, k, class_weights, name):
         x = np.ones((x_rows, 3))
         with pytest.raises(ValueError, match=f"^{name}:"):
             fit_multinomial_logistic(x, labels, k, class_weights, 1, 1.0)
+
+    @pytest.mark.parametrize("iters, lr, name", [
+        (1, 0.0, "lr"), (1, -1.0, "lr"), (1, np.nan, "lr"), (1, np.inf, "lr"),
+        (0, 1.0, "iters"), (-3, 1.0, "iters"),
+    ])
+    def test_bad_step_settings_rejected_by_name(self, iters, lr, name):
+        # No steps or a zero step used to return the all-zero attacker, and a
+        # NaN step to report a divergence.
+        with pytest.raises(ValueError, match=f"^{name}:"):
+            fit_multinomial_logistic(np.ones((4, 3)), [0, 1, 0, 1], 2, [1.0, 1.0], iters, lr)
 
 
 class TestAttackAccuracy:
