@@ -130,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run the full (alpha, beta) x seeds grid")
     common(p)
     p.add_argument("--jobs", type=positive_int, default=None,
-                   help="parallel runs (default: all cores)")
+                   help="parallel runs (default: the cores this process may use)")
 
     p = sub.add_parser("analyze", help="emit report tables and heatmaps from results")
     common(p)

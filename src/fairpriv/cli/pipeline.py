@@ -112,13 +112,15 @@ def sweep(config: ExperimentConfig, jobs: int | None = None
     combos = [(config, a, b, s)
               for s in sorted(config.seeds)
               for a in sorted(config.alphas) for b in sorted(config.betas)]
-    if jobs is None:
-        jobs = os.cpu_count() or 1
+    if jobs is None:  # the cores this process may use
+        jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
     _seed_memo.clear()
     if jobs > 1 and len(combos) > 1:
         from concurrent.futures import ProcessPoolExecutor, as_completed
         from concurrent.futures.process import BrokenProcessPool
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # Under fork the pool starts all its workers at the first submit.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(combos))) as pool:
             futures = {pool.submit(_sweep_entry, combo): combo[1:] for combo in combos}
             outcomes = []
             for future in as_completed(futures):

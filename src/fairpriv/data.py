@@ -336,9 +336,12 @@ def load_csv(path) -> LabeledDataset:
                 yps.append(int(row[d + 2]))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-    y, y_a, y_p = np.array(ys), np.array(yas), np.array(yps)
+    x, y, y_a, y_p = np.array(xs), np.array(ys), np.array(yas), np.array(yps)
+    if not np.isfinite(x).all():  # float() parses "nan" and "inf"
+        i, j = np.argwhere(~np.isfinite(x))[0]
+        raise ValueError(f"{path}:{i + 2}: x{j} must be finite, got {x[i, j]}")
     k_y, k_a, k_p = _class_counts(path, (y, y_a, y_p))
-    return LabeledDataset(np.array(xs), y, y_a, y_p, k_y=k_y, k_a=k_a, k_p=k_p)
+    return LabeledDataset(x, y, y_a, y_p, k_y=k_y, k_a=k_a, k_p=k_p)
 
 
 def csv_class_counts(path) -> tuple[int, int, int]:

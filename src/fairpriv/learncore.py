@@ -80,26 +80,26 @@ def encoded_cross_entropy(logits: Matrix, onehot: Matrix | None, flat: np.ndarra
     (heads, 1, 1) ``grad_scale``, give a list of per-head losses in one call.
     """
     n, k = logits.shape[-2:]
-    m = logits[..., :1].copy()  # row max, column by column: exact
-    for c in range(1, k):
+    # Row max, column by column: exact. Column 1 % k is column 0 again when k == 1.
+    m = np.maximum(logits[..., :1], logits[..., 1 % k, None])
+    for c in range(2, k):
         np.maximum(m, logits[..., c:c + 1], out=m)
     log_probs = logits - m
     s = np.exp(log_probs).sum(axis=-1, keepdims=True)
     log_probs -= np.log(s, out=s)
     picked = log_probs.take(flat)
-    if row_w is None:
-        total_w = float(n)
-        loss = -picked.sum(axis=-1) / total_w
-    else:
-        loss = -(row_w * picked).sum(axis=-1) / total_w
+    total_w = float(n if row_w is None else total_w)
+    sums = (picked if row_w is None else row_w * picked).sum(axis=-1).tolist()
+    # Python's -s / total_w makes the IEEE negate and divide numpy would.
+    loss = -sums / total_w if logits.ndim == 2 else [-s / total_w for s in sums]
     if grad_scale is None:
-        return loss.tolist(), None
+        return loss, None
     dlogits = np.exp(log_probs, out=log_probs)
     dlogits -= onehot  # d - 0.0 == d, so only the target entries change
     if row_w is not None:
         dlogits *= row_w[..., None]
     dlogits *= grad_scale / total_w
-    return loss.tolist(), dlogits
+    return loss, dlogits
 
 
 # ---------------------------------------------------------------------------

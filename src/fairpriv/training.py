@@ -115,6 +115,7 @@ class Adversaries:
         self.outs = [Mlp(net.weights[n:], net.biases[n:]) for net in self.heads
                      if n < len(net.weights)]
         self.nets = [net for net in (self.stack, *self.outs) if net]  # backward()'s grads order
+        self.scales = {}  # grad_scales() by its arguments
 
     def unstack(self) -> None:
         """Rebind each head net's weights and biases as views of this pair's."""
@@ -123,21 +124,23 @@ class Adversaries:
             params = [p[j] for p in stacked] + (self.outs[j].params() if self.outs else [])
             net.weights, net.biases = params[0::2], params[1::2]
 
-    def forward(self, x: Matrix, targets: tuple, scales: tuple | None, keep: bool) -> tuple:
-        """Activations, both CEs, and their dlogits if ``scales`` gives their grad scales.
-
-        ``targets`` are a Batch's for y_a and y_p: one stacked pair unless ``outs``,
-        whose acts are listed in the last entry.
-        """
+    def forward(self, x: Matrix, keep: bool) -> list:
+        """Activations as Mlp.forward's; with ``outs``, the last entry lists each head's."""
         acts = self.stack.forward(x, keep) if self.stack else [x]
-        if not self.outs:
-            stacked = None if scales is None else np.array(scales).reshape(2, 1, 1)
-            return (acts, *lc.encoded_cross_entropy(acts[-1], *targets[0], stacked))
-        h = np.maximum(acts[-1], 0.0) if self.stack else (x, x)
-        acts.append([out.forward(h_j, keep) for out, h_j in zip(self.outs, h)])
-        (ce_a, d_a), (ce_p, d_p) = [lc.encoded_cross_entropy(a[-1], *t, s) for a, t, s in
-                                    zip(acts[-1], targets, scales or (None, None))]
-        return acts, [ce_a, ce_p], None if scales is None else [d_a, d_p]
+        if self.outs:
+            h = np.maximum(acts[-1], 0.0) if self.stack else (x, x)
+            acts.append([out.forward(h_j, keep) for out, h_j in zip(self.outs, h)])
+        return acts
+
+    def grad_scales(self, phase: str | None, alpha: float, beta: float, groups: int) -> list:
+        """Per label group (see Batch), the (heads, 1, 1) grad scales of the classifier's and
+        these heads' CEs in ``phase``, built once: MAIN's (1, -alpha, -beta), ADV's ones."""
+        key = (phase, alpha, beta, groups)
+        if key not in self.scales:
+            s = np.array((1.0, -alpha, -beta) if phase == MAIN else (1.0, 1.0, 1.0))
+            self.scales[key] = (np.split(s.reshape(3, 1, 1), (1, 2)[:groups - 1]) if phase
+                                else [None] * groups)
+        return self.scales[key]
 
     def backward(self, acts: list, grad_out, grads: list | None = None,
                  input_grad: bool = True) -> np.ndarray | None:
@@ -193,9 +196,10 @@ class Batch:
 
     ``adv_in`` is the adversaries' input: the pass writes the extractor
     output into its first feature_dim columns, and the rest hold the one-hot
-    task label. ``targets`` holds (one-hot rows, flat gather index) for y,
-    then for y_a and y_p, as :func:`learncore.encoded_cross_entropy` takes
-    them: y_a and y_p stacked on a leading head axis when k_a == k_p, else apart.
+    task label. ``targets`` holds (one-hot rows, flat gather index) per label
+    group, its heads stacked, as :func:`learncore.encoded_cross_entropy` takes
+    them: y, y_a and y_p as one group when their class counts match, else y
+    alone and y_a with y_p when k_a == k_p, else each alone.
     """
 
     x: Matrix
@@ -223,19 +227,18 @@ class EpochArrays:
         self.ds = ds
         self.x = np.empty_like(ds.x) if shuffled else ds.x
         self.adv_in = np.zeros((n, feature_dim + ds.k_y))
-        # Labels grouped as the cross-entropy calls take them: y, then y_a and
-        # y_p together when k_a == k_p. y's one-hot is also the adversaries' input.
+        # Labels in the groups of Batch.targets, as the cross-entropy calls take them.
         labels, ks = (ds.y, ds.y_a, ds.y_p), (ds.k_y, ds.k_a, ds.k_p)
+        bounds = (((0, 3),) if ks[0] == ks[1] == ks[2] else ((0, 1), (1, 3)) if ks[1] == ks[2]
+                  else ((0, 1), (1, 2), (2, 3)))
         rows = np.arange(n)
         start = rows - rows % batch_size  # of each row's batch
         self.groups = []  # (labels, one-hot rows, flat index, its offset in the batch)
-        for lo, hi in ((0, 1), (1, 3)) if ds.k_a == ds.k_p else ((0, 1), (1, 2), (2, 3)):
-            shape = (n,) if hi - lo == 1 else (2, n)
+        for lo, hi in bounds:
             # Subtracting a bool one-hot gives the float one's bytes, in an eighth of the memory.
-            onehot = self.adv_in[:, feature_dim:] if lo == 0 else np.zeros((*shape, ks[lo]), bool)
             base = np.arange(hi - lo)[:, None] * np.minimum(n - start, batch_size) + rows - start
-            self.groups.append((labels[lo:hi], onehot, np.empty(shape, dtype=np.int64),
-                                (base * ks[lo]).reshape(shape)))
+            self.groups.append((labels[lo:hi], np.zeros((hi - lo, n, ks[lo]), bool),
+                                np.empty((hi - lo, n), dtype=np.int64), base * ks[lo]))
         self.batches = [self.batch(slice(i, i + batch_size)) for i in range(0, n, batch_size)]
         if not shuffled:
             self._encode_labels(np.arange(n))
@@ -243,8 +246,7 @@ class EpochArrays:
     def batch(self, rows: slice) -> Batch:
         """A batch of views into the buffers."""
         return Batch(self.x[rows], self.adv_in[rows],
-                     tuple((onehot[..., rows, :], flat[..., rows])
-                           for _, onehot, flat, _ in self.groups))
+                     tuple((onehot[:, rows], flat[:, rows]) for _, onehot, flat, _ in self.groups))
 
     def fill(self, order: np.ndarray) -> None:
         """Gather the rows in ``order``, a permutation of the split's rows."""
@@ -255,11 +257,12 @@ class EpochArrays:
 
     def _encode_labels(self, order: np.ndarray) -> None:
         for labels, onehot, flat, base in self.groups:
-            for src, out in zip(labels, flat.reshape(len(labels), -1)):
+            for src, out in zip(labels, flat):
                 np.take(src, order, out=out, mode="clip")  # the labels, for now
-            onehot[...] = 0.0
-            np.put_along_axis(onehot, flat[..., None], 1.0, axis=-1)
+            onehot[...] = False
+            np.put_along_axis(onehot, flat[..., None], True, axis=-1)
             flat += base
+        self.adv_in[:, -self.ds.k_y:] = self.groups[0][1][0]  # y's one-hot
 
 
 def whole_batch(ds: LabeledDataset, feature_dim: int) -> Batch:
@@ -293,31 +296,38 @@ def objective(bundle: ModelBundle, batch: Batch, alpha: float, beta: float,
     total == ce_c bitwise at (0, 0). ``phase`` MAIN (loss: total) or ADV
     (loss: ce_a + ce_p) also keeps what that phase's backward pass needs;
     without a phase the pass keeps no activations. ``adversaries`` are the
-    bundle's adversaries stacked; None stacks a copy. In MAIN the adversary
-    whose coefficient alone is 0 has its gradient scaled by -0.0.
+    bundle's adversaries stacked; None stacks a copy. One cross-entropy call
+    serves each label group of ``batch``. In MAIN the adversary whose
+    coefficient alone is 0 has its gradient scaled by -0.0; at (0, 0) none has one.
     """
     if len(batch) == 0:
         raise ValueError("objective over an empty batch")
-    if phase == MAIN:
-        scales = (1.0, (-alpha, -beta) if alpha != 0.0 or beta != 0.0 else None)
-    elif phase == ADV:
-        scales = (None, (1.0, 1.0))
-    else:
-        scales = (None, None)
     adversaries = adversaries or Adversaries(bundle.fairness_adv, bundle.privacy_adv)
     keep = phase is not None
     ext = bundle.extractor.forward(batch.x, keep)
     features = ext[-1]
     batch.adv_in[:, :features.shape[1]] = features
     cls = bundle.classifier.forward(features, keep)
-    ce_c, d_c = lc.encoded_cross_entropy(cls[-1], *batch.targets[0], grad_scale=scales[0])
-    adv, (ce_a, ce_p), d_adv = adversaries.forward(batch.adv_in, batch.targets[1:], scales[1],
-                                                   keep)
+    adv = adversaries.forward(batch.adv_in, keep)
+    logits = [cls[-1][None], *([a[-1][None] for a in adv[-1]] if adversaries.outs else adv[-1:])]
+    if len(batch.targets) == 1:
+        logits = [np.concatenate(logits)]
+    ces, dlogits = [], []
+    for z, targets, scale in zip(logits, batch.targets,
+                                 adversaries.grad_scales(phase, alpha, beta, len(logits))):
+        ce, d = lc.encoded_cross_entropy(z, *targets, scale)
+        ces += ce
+        dlogits.append(d)
+    ce_c, ce_a, ce_p = ces
     total = ce_c
     if alpha != 0.0:
         total = total - alpha * ce_a
     if beta != 0.0:
         total = total - beta * ce_p
+    d_c = dlogits[0][0] if phase == MAIN else None
+    d_adv = None
+    if phase == ADV or (phase == MAIN and (alpha != 0.0 or beta != 0.0)):
+        d_adv = dlogits[-1][-2:] if len(dlogits) < 3 else [d[0] for d in dlogits[1:]]
     return Forward(total, ce_c, ce_a, ce_p, (ext, cls, adv), (d_c, d_adv))
 
 
@@ -384,7 +394,8 @@ def validation_loss(bundle: ModelBundle, val: Batch, cfg: TrainConfig) -> float:
     if cfg.select_by == "objective":
         return objective(bundle, val, cfg.alpha, cfg.beta).total
     logits = bundle.classifier.apply(bundle.extractor.apply(val.x))
-    return lc.encoded_cross_entropy(logits, *val.targets[0])[0]
+    onehot, flat = val.targets[0]  # y is head 0 of its group
+    return lc.encoded_cross_entropy(logits, onehot[0], flat[0])[0]
 
 
 def train(train_data: LabeledDataset, val_data: LabeledDataset, cfg: TrainConfig,

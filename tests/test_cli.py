@@ -313,6 +313,21 @@ class TestTrainCommand:
         synthetic = pipeline.run_single(small_config(), 0.0, 0.0, 0)[0]
         assert record.triple == synthetic.triple  # CSV round trip is lossless
 
+    def test_non_finite_csv_feature_fails_by_name(self, tmp_path, capsys):
+        # It used to train into a RuntimeWarning and a non-finite loss at epoch 0.
+        csv_path = tmp_path / "features.csv"
+        assert main(["gen-data", "--config", str(config_json(tmp_path)),
+                     "--out", str(csv_path)]) == 0
+        lines = csv_path.read_text().splitlines()
+        fields = lines[6].split(",")
+        fields[2] = "nan"
+        lines[6] = ",".join(fields)
+        csv_path.write_text("\n".join(lines) + "\n")
+        path = config_json(tmp_path, data=str(csv_path))
+        assert main(["train", "--config", str(path), "--alpha", "0", "--beta", "0",
+                     "--seed", "0"]) == 1
+        assert capsys.readouterr().err == f"error: {csv_path}:7: x2 must be finite, got nan\n"
+
     def test_csv_positive_class_out_of_range_fails_before_training(self, tmp_path,
                                                                   monkeypatch):
         csv_path = tmp_path / "features.csv"
@@ -454,6 +469,58 @@ class TestSweep:
         synthetic = pipeline.sweep(self.two_seed_config(), jobs=2)
         assert (self.results_bytes(tmp_path / "csv.csv", *from_csv)
                 == self.results_bytes(tmp_path / "syn.csv", *synthetic))
+
+    @staticmethod
+    def pool_sizes(monkeypatch):
+        """Make sweep's process pool a recorder of its max_workers that runs
+        each task at once in this process, so no worker process starts."""
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(pipeline, "run_single", TestSweep.refuse)
+        return sizes
+
+    @staticmethod
+    def refuse(config, alpha, beta, seed, splits=None):
+        raise RuntimeError("not run")
+
+    @pytest.mark.parametrize("jobs, workers", [(16, 8), (3, 3)])
+    def test_pool_has_at_most_one_worker_per_run(self, monkeypatch, jobs, workers):
+        sizes = self.pool_sizes(monkeypatch)
+        records, failures = pipeline.sweep(self.two_seed_config(), jobs=jobs)
+        assert sizes == [workers] and not records and len(failures) == 8
+
+    @pytest.mark.parametrize("affinity, cpu_count, workers", [
+        ({0, 1, 2}, 64, [3]),  # an affinity mask or cpuset of 3 cores on a 64-core machine
+        ({5}, 64, []),  # one usable core runs serially
+        (None, 5, [5]),  # no sched_getaffinity on this platform
+    ])
+    def test_default_jobs_count_usable_cores(self, monkeypatch, affinity, cpu_count, workers):
+        sizes = self.pool_sizes(monkeypatch)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        records, failures = pipeline.sweep(self.two_seed_config())
+        assert sizes == workers and not records and len(failures) == 8
 
     def test_runs_of_a_seed_share_read_only_splits(self, monkeypatch):
         seen = []

@@ -220,3 +220,12 @@ class TestCsv:
         path.write_text(text)
         with pytest.raises(ValueError, match="^" + re.escape(str(path)) + match):
             read(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_feature_names_file_line_and_column(self, tmp_path, value):
+        # float() parses these; the first bad cell in row order is the one named.
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x0,x1,y,y_a,y_p\n1.0,2.0,0,0,0\n1.0,{value},1,0,1\n{value},0.5,0,1,1\n")
+        want = f"{path}:3: x1 must be finite, got {float(value)}"
+        with pytest.raises(ValueError, match="^" + re.escape(want) + "$"):
+            load_csv(path)

@@ -282,6 +282,42 @@ class TestStackedBytes:
         assert results[0] == results[1]
 
 
+class TestFusedCrossEntropy:
+    """One call over the classifier's logits joined to the adversary pair's
+    gives, head by head, the bytes of the two calls apart: the classifier's
+    with a float one-hot and a number grad scale, and the pair's stacked."""
+
+    @pytest.mark.parametrize("k", range(2, 10))
+    @pytest.mark.parametrize("n", [64, 53])  # a full batch and an epoch's last one
+    @pytest.mark.parametrize("phase, scales", [
+        ("MAIN", (1.0, -0.7, -2.5)), ("MAIN", (1.0, -0.0, -2.5)), ("MAIN", (1.0, -0.7, -0.0)),
+        ("MAIN", (1.0, -0.0, -0.0)), ("ADV", (1.0, 1.0, 1.0)), (None, None)])
+    def test_heads_match_separate_calls(self, k, n, phase, scales):
+        rng = np.random.default_rng(100 * k + n)
+        classifier, pair = 4.0 * rng.standard_normal((n, k)), 4.0 * rng.standard_normal((2, n, k))
+        y = rng.integers(0, k, (3, n))
+        onehot = np.zeros((3, n, k), bool)
+        np.put_along_axis(onehot, y[..., None], True, axis=-1)
+        flat = (np.arange(3)[:, None] * n + np.arange(n)) * k + y
+        losses, d = lc.encoded_cross_entropy(np.concatenate([classifier[None], pair]), onehot,
+                                             flat, None if scales is None
+                                             else np.reshape(scales, (3, 1, 1)))
+        loss_c, d_c = lc.encoded_cross_entropy(classifier, onehot[0].astype(float),
+                                               np.arange(n) * k + y[0],
+                                               scales[0] if phase == "MAIN" else None)
+        losses_pair, d_pair = lc.encoded_cross_entropy(pair, onehot[1:], flat[1:] - n * k,
+                                                       None if scales is None
+                                                       else np.reshape(scales[1:], (2, 1, 1)))
+        for got, want in zip(losses, [loss_c, *losses_pair]):
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        if phase is None:
+            assert d is None and d_c is None and d_pair is None
+            return
+        assert d[1:].tobytes() == d_pair.tobytes()
+        if phase == "MAIN":  # ADV leaves the classifier's slice unused
+            assert d[0].tobytes() == d_c.tobytes()
+
+
 class TestBackward:
     def test_sum_of_linear_matches_fd(self):
         rng = np.random.default_rng(4)

@@ -233,6 +233,34 @@ class TestModelBundle:
         assert bundle.extractor.weights[0][0, 0] != dup.extractor.weights[0][0, 0]
 
 
+class TestCrossEntropyCalls:
+    """One cross-entropy call per label group and training step: the three
+    heads together when their class counts match, else y alone and the
+    adversaries together when k_a == k_p, else each alone."""
+
+    @pytest.mark.parametrize("ks, calls", [
+        ((2, 2, 2), 1), ((3, 3, 3), 1), ((3, 2, 2), 2), ((2, 3, 2), 3), ((2, 2, 3), 3),
+        ((3, 3, 2), 3)])
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (1.0, 0.0), (1.0, 2.0)])
+    def test_calls_per_step(self, monkeypatch, ks, calls, alpha, beta):
+        rng = np.random.default_rng(0)
+        ds = LabeledDataset(rng.standard_normal((96, 6)),
+                            *(rng.integers(0, k, 96) for k in ks), *ks)
+        cfg = small_cfg(alpha, beta)  # 3 batches of 32: MAIN, ADV, MAIN
+        bundle = build_bundle(cfg, ds.dim, *ks)
+        states = OptimizerStates.for_bundle(bundle, cfg.lr)
+        arrays = EpochArrays(ds, cfg.feature_dim, cfg.batch_size)
+        real, count = training.lc.encoded_cross_entropy, []
+
+        def counted(*args):
+            count.append(args[0].shape[0])  # the call's heads
+            return real(*args)
+
+        monkeypatch.setattr(training.lc, "encoded_cross_entropy", counted)
+        alternating_epoch(bundle, arrays, cfg, states, np.random.default_rng(1))
+        assert len(count) == 3 * calls and sum(count) == 3 * 3
+
+
 class TestGoldenBytes:
     """Trained weights, selection loss and attacker, pinned bitwise.
 
