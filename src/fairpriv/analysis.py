@@ -10,6 +10,7 @@ strength buckets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -21,10 +22,19 @@ GROUP_ORDER = ("B", "L", "M", "H")
 # Regularization-strength buckets: Baseline, Low, Medium, High.
 _GROUP_RANGES = (("L", 0.01, 0.05), ("M", 0.1, 0.5), ("H", 1.0, 10.0))
 
+
+@dataclass(frozen=True)
+class Metric:
+    higher_is_better: bool
+    weight: str  # the CsrWeights field that weighs it
+    letter: str  # its letter in tradeoff_correlations' keys
+
+
+# The per-run metrics, keyed by MetricTriple's fields in field order.
 METRICS = {
-    "utility": lambda r: r.triple.utility,
-    "fairness_gap": lambda r: r.triple.fairness_gap,
-    "attack_balanced_acc": lambda r: r.triple.attack_balanced_acc,
+    "utility": Metric(higher_is_better=True, weight="utility", letter="u"),
+    "fairness_gap": Metric(higher_is_better=False, weight="fairness", letter="f"),
+    "attack_balanced_acc": Metric(higher_is_better=False, weight="privacy", letter="p"),
 }
 
 
@@ -99,11 +109,11 @@ def group_label(v: float) -> str:
     raise ValueError(f"{v} falls outside every regularization group")
 
 
-def _metric_fn(metric: str):
-    try:
-        return METRICS[metric]
-    except KeyError:
+def metric_values(records, metric: str) -> list:
+    """Each record's value of ``metric``, a key of METRICS."""
+    if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {sorted(METRICS)}")
+    return [getattr(r.triple, metric) for r in records]
 
 
 def normalize(records, metric: str) -> dict:
@@ -113,30 +123,26 @@ def normalize(records, metric: str) -> dict:
     """
     if len(records) < 2:
         raise ValueError("normalization needs >= 2 records")
-    fn = _metric_fn(metric)
-    values = np.array([fn(r) for r in records])
+    values = np.array(metric_values(records, metric))
     lo, hi = values.min(), values.max()
     if hi == lo:
         return {r.key: 0.5 for r in records}
-    return {r.key: float((fn(r) - lo) / (hi - lo)) for r in records}
+    return {r.key: float((v - lo) / (hi - lo)) for r, v in zip(records, values)}
 
 
 def csr(records, weights: CsrWeights) -> dict:
     """Conjunctive soft ranking in [0, 100] per record.
 
-    Convex combination of the normalized metrics, with the fairness gap and
-    attack accuracy flipped so that higher is better for all three terms.
+    Convex combination of the normalized metrics, with the lower-is-better
+    ones flipped so that higher is better for every term.
     """
     weights.validate()
-    n_u = normalize(records, "utility")
-    n_a = normalize(records, "fairness_gap")
-    n_p = normalize(records, "attack_balanced_acc")
-    return {
-        r.key: 100.0 * (weights.utility * n_u[r.key]
-                        + weights.fairness * (1.0 - n_a[r.key])
-                        + weights.privacy * (1.0 - n_p[r.key]))
-        for r in records
-    }
+    scores = dict.fromkeys((r.key for r in records), 0.0)
+    for name, m in METRICS.items():  # terms add left to right in METRICS order
+        w, norm = getattr(weights, m.weight), normalize(records, name)
+        for key in scores:
+            scores[key] += w * (norm[key] if m.higher_is_better else 1.0 - norm[key])
+    return {key: 100.0 * total for key, total in scores.items()}
 
 
 @dataclass
@@ -184,10 +190,9 @@ def tradeoff_correlations(records) -> dict:
     """
     if len(records) < 2:
         raise ValueError("correlations need >= 2 records")
-    u = [-r.triple.utility for r in records]
-    f = [r.triple.fairness_gap for r in records]
-    p = [r.triple.attack_balanced_acc for r in records]
-    return {"uf": pearson(u, f), "up": pearson(u, p), "fp": pearson(f, p)}
+    series = {m.letter: [-v if m.higher_is_better else v for v in metric_values(records, name)]
+              for name, m in METRICS.items()}
+    return {a + b: pearson(xs, ys) for (a, xs), (b, ys) in combinations(series.items(), 2)}
 
 
 def seed_medians(records) -> list:
@@ -197,11 +202,7 @@ def seed_medians(records) -> list:
         by_ab.setdefault((r.alpha, r.beta), []).append(r)
     out = []
     for (a, b), rs in sorted(by_ab.items()):
-        triple = MetricTriple(
-            utility=float(np.median([x.triple.utility for x in rs])),
-            fairness_gap=float(np.median([x.triple.fairness_gap for x in rs])),
-            attack_balanced_acc=float(np.median([x.triple.attack_balanced_acc for x in rs])),
-        )
+        triple = MetricTriple(**{m: float(np.median(metric_values(rs, m))) for m in METRICS})
         out.append(RunRecord(a, b, seed=-1, triple=triple,
                              val_loss=float(np.median([x.val_loss for x in rs]))))
     return out
@@ -214,13 +215,13 @@ def heatmap(records, metric: str) -> HeatmapGrid:
     sweep populates all four per axis); any empty cell in that cover is an
     error naming the cell.
     """
-    fn = _metric_fn(metric)
+    per_run = metric_values(records, metric)
     a_groups = [g for g in GROUP_ORDER if any(group_label(r.alpha) == g for r in records)]
     b_groups = [g for g in GROUP_ORDER if any(group_label(r.beta) == g for r in records)]
     values = np.zeros((len(a_groups), len(b_groups)))
     for i, ga in enumerate(a_groups):
         for j, gb in enumerate(b_groups):
-            cell = [fn(r) for r in records
+            cell = [v for r, v in zip(records, per_run)
                     if group_label(r.alpha) == ga and group_label(r.beta) == gb]
             if not cell:
                 raise ValueError(f"heatmap cell (alpha={ga}, beta={gb}) is empty")

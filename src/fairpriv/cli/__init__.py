@@ -83,9 +83,7 @@ def cmd_analyze(args) -> int:
                 sorted(config.seeds)).validate()
     rep = report.build_report(records, config, k_p=_dataset_k_p(config))
     report_path = out / "report.json"
-    with open(report_path, "w") as fh:
-        json.dump(rep, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    report_path.write_text(json.dumps(rep, indent=2, sort_keys=True) + "\n")
     tables_path = out / "tables.txt"
     tables_path.write_text(report.text_tables(rep))
     svg_paths = []

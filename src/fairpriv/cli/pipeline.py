@@ -12,15 +12,14 @@ import os
 
 import numpy as np
 
-from ..analysis import RunRecord
+from ..analysis import METRICS, RunRecord
 from ..data import LabeledDataset, generate, load_csv, make_splits
 from ..evaluation import (MetricTriple, accuracy, attack_accuracy, fit_attacker,
                           group_gap, tpr)
 from ..training import TrainedModel, train
 from .config import ConfigError, ExperimentConfig
 
-RESULTS_HEADER = ["alpha", "beta", "seed", "utility", "fairness_gap",
-                  "attack_balanced_acc", "val_loss"]
+RESULTS_HEADER = ["alpha", "beta", "seed", *METRICS, "val_loss"]
 ERROR_MARKER = "ERROR"
 _seed_memo: dict = {}  # {seed: splits} of this process's last seed; each sweep clears it
 
@@ -78,9 +77,10 @@ def run_single(config: ExperimentConfig, alpha: float, beta: float, seed: int,
     ``make_splits`` builds it; None builds it. A run writes into no split
     (training shuffles a copy), so the runs of a seed may share one.
     """
+    train_config = dataclasses.replace(config.train, alpha=alpha, beta=beta, seed=seed)
+    train_config.validate()  # a bad argument fails before any data work
     train_ds, val_ds, test_ds = splits if splits is not None else seed_splits(config, seed)
-    trained = train(train_ds, val_ds,
-                    dataclasses.replace(config.train, alpha=alpha, beta=beta, seed=seed))
+    trained = train(train_ds, val_ds, train_config)
     triple = evaluate_bundle(trained.bundle, val_ds, test_ds, config)
     record = RunRecord(alpha=alpha, beta=beta, seed=seed, triple=triple,
                        val_loss=trained.best_val_loss)
@@ -141,23 +141,32 @@ def sweep(config: ExperimentConfig, jobs: int | None = None
     return records, failures
 
 
+def _key_cells(key: tuple) -> list:
+    return [repr(float(key[0])), repr(float(key[1])), str(int(key[2]))]
+
+
 def record_row(record: RunRecord) -> list:
-    return [repr(float(record.alpha)), repr(float(record.beta)), str(int(record.seed)),
-            repr(float(record.triple.utility)), repr(float(record.triple.fairness_gap)),
-            repr(float(record.triple.attack_balanced_acc)), repr(float(record.val_loss))]
+    values = [getattr(record.triple, name) for name in METRICS] + [record.val_loss]
+    return _key_cells(record.key) + [repr(float(v)) for v in values]
 
 
 def write_results(path, records: list, failures: dict | None = None) -> None:
-    failures = failures or {}
+    """Replace ``path`` whole: a write that fails part-way leaves the old file as it was."""
     rows = {r.key: record_row(r) for r in records}
-    for key in failures:
-        rows[key] = [repr(float(key[0])), repr(float(key[1])), str(int(key[2])),
-                     ERROR_MARKER, ERROR_MARKER, ERROR_MARKER, ERROR_MARKER]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULTS_HEADER)
-        for key in sorted(rows):
-            writer.writerow(rows[key])
+    for key in failures or {}:
+        rows[key] = _key_cells(key) + [ERROR_MARKER] * (len(RESULTS_HEADER) - 3)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"  # same directory, so os.replace is atomic
+    fh = open(tmp, "w", newline="")
+    try:
+        with fh:
+            writer = csv.writer(fh)
+            writer.writerow(RESULTS_HEADER)
+            for key in sorted(rows):
+                writer.writerow(rows[key])
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def append_result(path, record: RunRecord) -> None:
@@ -184,7 +193,6 @@ def load_results(path) -> tuple[list[RunRecord], list[tuple]]:
             if ERROR_MARKER in row[3:]:
                 failed.append(key)
                 continue
-            triple = MetricTriple(utility=float(row[3]), fairness_gap=float(row[4]),
-                                  attack_balanced_acc=float(row[5]))
-            records.append(RunRecord(*key, triple=triple, val_loss=float(row[6])))
+            triple = MetricTriple(*map(float, row[3:-1]))  # METRICS is in field order
+            records.append(RunRecord(*key, triple=triple, val_loss=float(row[-1])))
     return records, failed

@@ -11,15 +11,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis import (METRICS, HeatmapGrid, best_csr, csr, group_label, heatmap,
-                        normalize, seed_medians, tradeoff_correlations)
+                        metric_values, normalize, seed_medians, tradeoff_correlations)
 
 
 def fmt_pct(v: float) -> str:
     return f"{100.0 * v:.2f}%"
-
-
-def _median(values) -> float:
-    return float(np.median(values))
 
 
 def single_metric_table(records, utility_metric: str, k_p: int) -> dict:
@@ -29,33 +25,22 @@ def single_metric_table(records, utility_metric: str, k_p: int) -> dict:
     out = {
         "utility_metric": util_name,
         "chance_level": chance,
-        "best": {
-            "utility": max(r.triple.utility for r in records),
-            "fairness_gap": min(r.triple.fairness_gap for r in records),
-            "attack_balanced_acc": min(r.triple.attack_balanced_acc for r in records),
-        },
+        "best": {name: (max if m.higher_is_better else min)(metric_values(records, name))
+                 for name, m in METRICS.items()},
+        "baseline": None,
     }
+    out["formatted"] = {f"best_{m.weight}": fmt_pct(out["best"][name])
+                        for name, m in METRICS.items()}
     base = [r for r in records if r.alpha == 0.0 and r.beta == 0.0]
     if base:
-        out["baseline"] = {
-            "utility": _median([r.triple.utility for r in base]),
-            "fairness_gap": _median([r.triple.fairness_gap for r in base]),
-            "attack_balanced_acc": _median([r.triple.attack_balanced_acc for r in base]),
-        }
-        out["formatted"] = {
+        out["baseline"] = {name: float(np.median(metric_values(base, name)))
+                           for name in METRICS}
+        out["formatted"].update({
             "baseline_utility": f"{fmt_pct(out['baseline']['utility'])} ({util_name})",
             "baseline_fairness": f"{fmt_pct(out['baseline']['fairness_gap'])} ({util_name} Gap)",
             "baseline_privacy": (f"{fmt_pct(out['baseline']['attack_balanced_acc'])} "
                                  f"({100.0 * chance:.0f}%)"),
-        }
-    else:
-        out["baseline"] = None
-        out["formatted"] = {}
-    out["formatted"].update({
-        "best_utility": fmt_pct(out["best"]["utility"]),
-        "best_fairness": fmt_pct(out["best"]["fairness_gap"]),
-        "best_privacy": fmt_pct(out["best"]["attack_balanced_acc"]),
-    })
+        })
     return out
 
 
@@ -81,19 +66,14 @@ def tradeoff_table(records, csr_weights, correlations_over_seed_medians: bool = 
             "formatted": f"{top.score:.2f}% ({top.alpha_group}., {top.beta_group}.)",
         })
     return {
-        "correlations": {
-            "uf": corr["uf"], "up": corr["up"], "fp": corr["fp"],
-            "formatted": {k: _fmt_corr(corr[k]) for k in ("uf", "up", "fp")},
-        },
+        "correlations": {**corr, "formatted": {k: _fmt_corr(v) for k, v in corr.items()}},
         "csr": entries,
     }
 
 
 def run_table(records, csr_weights) -> list:
     """Per-run rows with group labels, normalized metrics, and CSR scores."""
-    n_u = normalize(records, "utility")
-    n_a = normalize(records, "fairness_gap")
-    n_p = normalize(records, "attack_balanced_acc")
+    norms = {name: normalize(records, name) for name in METRICS}
     scores = {f"{w.utility:g}/{w.fairness:g}/{w.privacy:g}": csr(records, w)
               for w in csr_weights}
     rows = []
@@ -101,10 +81,8 @@ def run_table(records, csr_weights) -> list:
         rows.append({
             "alpha": r.alpha, "beta": r.beta, "seed": r.seed,
             "alpha_group": group_label(r.alpha), "beta_group": group_label(r.beta),
-            "utility": r.triple.utility, "fairness_gap": r.triple.fairness_gap,
-            "attack_balanced_acc": r.triple.attack_balanced_acc, "val_loss": r.val_loss,
-            "normalized": {"utility": n_u[r.key], "fairness_gap": n_a[r.key],
-                           "attack_balanced_acc": n_p[r.key]},
+            **{name: getattr(r.triple, name) for name in METRICS}, "val_loss": r.val_loss,
+            "normalized": {name: norm[r.key] for name, norm in norms.items()},
             "csr": {name: s[r.key] for name, s in scores.items()},
         })
     return rows

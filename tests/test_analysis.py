@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from fairpriv.analysis import (CsrWeights, RunRecord, SweepResult, best_csr, csr,
+from fairpriv.analysis import (METRICS, CsrWeights, RunRecord, SweepResult, best_csr, csr,
                                grid_values, group_label, heatmap, normalize, pearson,
                                seed_medians, tradeoff_correlations)
 from fairpriv.evaluation import MetricTriple
@@ -18,6 +20,20 @@ def random_records(rng, n=12):
         out.append(rec(grid[rng.integers(0, 11)], grid[rng.integers(0, 11)], i,
                        rng.random(), rng.random(), rng.random()))
     return out
+
+
+class TestMetricTable:
+    def test_keys_follow_metric_triple_fields(self):
+        assert list(METRICS) == [f.name for f in dataclasses.fields(MetricTriple)]
+
+    def test_weights_are_csr_weight_fields(self):
+        assert [m.weight for m in METRICS.values()] == [
+            f.name for f in dataclasses.fields(CsrWeights)]
+
+    def test_unknown_metric_named(self):
+        with pytest.raises(ValueError, match="unknown metric 'accuracy'"):
+            normalize([rec(0.0, 0.0, 0, 0.5, 0.1, 0.5), rec(1.0, 0.0, 0, 0.6, 0.2, 0.5)],
+                      "accuracy")
 
 
 class TestGrid:

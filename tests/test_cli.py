@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -296,6 +297,22 @@ class TestTrainCommand:
         assert err.startswith("error: attacker_lr:") and "diverged" in err
         assert "RuntimeWarning" not in err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "error: seed: must be an integer >= 0, got -1"),
+        ("--alpha", "nan", "error: alpha: must be a finite number >= 0, got nan"),
+    ], ids=["seed", "alpha"])
+    def test_bad_run_argument_fails_before_data_work(self, tmp_path, capsys, monkeypatch,
+                                                     flag, value, message):
+        def no_data(config):
+            raise AssertionError("the dataset was loaded for a bad run argument")
+
+        monkeypatch.setattr(pipeline, "load_dataset", no_data)
+        args = {"--alpha": "0", "--beta": "0", "--seed": "0", flag: value}
+        rc = main(["train", "--config", str(config_json(tmp_path)),
+                   "--out", str(tmp_path / "out"), *[x for kv in args.items() for x in kv]])
+        assert rc == 1
+        assert capsys.readouterr().err == message + "\n"
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
@@ -342,6 +359,58 @@ class TestTrainCommand:
         monkeypatch.setattr(pipeline, "train", no_train)
         with pytest.raises(ConfigError, match="positive_class"):
             pipeline.run_single(cfg, 0.0, 0.0, 0)
+
+
+class TestResultsFile:
+    def test_failed_write_leaves_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "results.csv"
+        old, new = synthetic_records([0.0], [0.0], [0, 1], np.random.default_rng(0))
+        pipeline.write_results(path, [old], {(1.0, 1.0, 0): "RuntimeError: boom"})
+        before = path.read_bytes()
+        real_writer = csv.writer
+
+        class FullDisk:  # a csv writer whose second row finds the disk full
+            def __init__(self, fh):
+                self.inner, self.rows = real_writer(fh), 0
+
+            def writerow(self, row):
+                self.rows += 1
+                if self.rows == 2:
+                    raise OSError(28, "No space left on device")
+                return self.inner.writerow(row)
+
+        monkeypatch.setattr(csv, "writer", FullDisk)
+        with pytest.raises(OSError, match="No space left"):
+            pipeline.append_result(path, new)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["results.csv"]
+
+
+class TestModuleEntryPoint:
+    """``python -m fairpriv`` runs the CLI and passes its exit code on."""
+
+    def run(self, *args):
+        src = Path(pipeline.__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        return subprocess.run([sys.executable, "-m", "fairpriv", *args],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    def test_help(self):
+        proc = self.run("--help")
+        assert proc.returncode == 0, proc.stderr
+        assert "analyze" in proc.stdout
+
+    def test_usage_error_exits_2(self):
+        proc = self.run("sweep", "--jobs", "0")
+        assert proc.returncode == 2
+        assert "argument --jobs: must be >= 1, got 0" in proc.stderr
+
+    def test_missing_results_exits_1(self, tmp_path):
+        proc = self.run("analyze", "--out", str(tmp_path), "--results",
+                        str(tmp_path / "missing.csv"))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:") and "missing.csv" in proc.stderr
 
 
 class TestSweep:
