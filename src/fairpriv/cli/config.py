@@ -127,9 +127,14 @@ def _parse_data(raw, default: SyntheticSpec) -> SyntheticSpec | str:
         raise ConfigError("data: expected a CSV path string or a synthetic-spec object")
     kind = raw.get("kind", "synthetic")
     if kind == "csv":
+        unknown = sorted(set(raw) - {"kind", "path"})
+        if unknown:
+            raise ConfigError(f"data.{unknown[0]}: unknown field")
         if "path" not in raw:
             raise ConfigError("data.path: required for kind 'csv'")
-        return str(raw["path"])
+        if not isinstance(raw["path"], str):
+            raise ConfigError(f"data.path: must be a string, got {raw['path']!r}")
+        return raw["path"]
     if kind != "synthetic":
         raise ConfigError(f"data.kind: unknown value {kind!r}")
     spec = _replace("data", default, {k: v for k, v in raw.items() if k != "kind"})

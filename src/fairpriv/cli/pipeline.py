@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import math
 import os
 
 import numpy as np
@@ -178,8 +179,23 @@ def append_result(path, record: RunRecord) -> None:
     write_results(path, records, {key: ERROR_MARKER for key in failed if key != record.key})
 
 
+def _number(cell: str, where: str, integer: bool = False) -> float | int:
+    """``cell`` as an int, or a finite float; a ValueError names ``where`` if it is not."""
+    try:
+        value = int(cell) if integer else float(cell)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{where}: must be {'an integer' if integer else 'a finite number'}, "
+                         f"got {cell!r}")
+    return value
+
+
 def load_results(path) -> tuple[list[RunRecord], list[tuple]]:
-    """Read a results CSV; returns (records, keys of error-marker rows)."""
+    """Read a results CSV; returns (records, keys of error-marker rows).
+
+    A field that does not parse, or is not finite, fails as ``path:line: field: ...``.
+    """
     records, failed = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -189,10 +205,12 @@ def load_results(path) -> tuple[list[RunRecord], list[tuple]]:
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(RESULTS_HEADER):
                 raise ValueError(f"{path}:{lineno}: expected {len(RESULTS_HEADER)} fields")
-            key = (float(row[0]), float(row[1]), int(row[2]))
-            if ERROR_MARKER in row[3:]:
-                failed.append(key)
+            cells = row[:3] if ERROR_MARKER in row[3:] else row  # a failed run has only its key
+            values = [_number(cell, f"{path}:{lineno}: {name}", name == "seed")
+                      for name, cell in zip(RESULTS_HEADER, cells)]
+            if len(values) == 3:
+                failed.append(tuple(values))
                 continue
-            triple = MetricTriple(*map(float, row[3:-1]))  # METRICS is in field order
-            records.append(RunRecord(*key, triple=triple, val_loss=float(row[-1])))
+            triple = MetricTriple(*values[3:-1])  # METRICS is in field order
+            records.append(RunRecord(*values[:3], triple=triple, val_loss=values[-1]))
     return records, failed

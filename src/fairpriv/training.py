@@ -11,7 +11,7 @@ batches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,76 +99,47 @@ class TrainedModel:
     history: list  # per-epoch (mean train objective, val loss)
 
 
-class Adversaries:
-    """The fairness and privacy adversaries as one net on a leading head axis of 2.
+def adversary_nets(bundle: ModelBundle) -> list[Mlp]:
+    """The adversary nets training runs, as plain Mlps.
 
-    ``stack`` holds their layers stacked: all of them when k_a == k_p, else
-    the hidden ones (None if none) and ``outs`` each head's output layer.
-    ``nets`` hold the params; :meth:`unstack` makes ``heads``' params views of them.
+    When k_a == k_p, one net: a copy of the fairness and privacy adversaries
+    stacked on a leading head axis of 2, so each layer is one matmul. Else
+    the bundle's two adversaries themselves.
     """
+    fairness, privacy = bundle.fairness_adv, bundle.privacy_adv
+    if fairness.layer_sizes[-1] != privacy.layer_sizes[-1]:
+        return [fairness, privacy]
+    stacked = [np.stack(p) for p in zip(fairness.params(), privacy.params())]
+    return [Mlp(stacked[0::2], stacked[1::2])]
 
-    def __init__(self, fairness: Mlp, privacy: Mlp):
-        self.heads = (fairness, privacy)
-        n = len(fairness.weights) - (fairness.layer_sizes[-1] != privacy.layer_sizes[-1])
-        stacked = [np.stack(p) for p in zip(fairness.params()[:2 * n], privacy.params()[:2 * n])]
-        self.stack = Mlp(stacked[0::2], stacked[1::2]) if n else None
-        self.outs = [Mlp(net.weights[n:], net.biases[n:]) for net in self.heads
-                     if n < len(net.weights)]
-        self.nets = [net for net in (self.stack, *self.outs) if net]  # backward()'s grads order
-        self.scales = {}  # grad_scales() by its arguments
 
-    def unstack(self) -> None:
-        """Rebind each head net's weights and biases as views of this pair's."""
-        stacked = self.stack.params() if self.stack else []
-        for j, net in enumerate(self.heads):
-            params = [p[j] for p in stacked] + (self.outs[j].params() if self.outs else [])
-            net.weights, net.biases = params[0::2], params[1::2]
-
-    def forward(self, x: Matrix, keep: bool) -> list:
-        """Activations as Mlp.forward's; with ``outs``, the last entry lists each head's."""
-        acts = self.stack.forward(x, keep) if self.stack else [x]
-        if self.outs:
-            h = np.maximum(acts[-1], 0.0) if self.stack else (x, x)
-            acts.append([out.forward(h_j, keep) for out, h_j in zip(self.outs, h)])
-        return acts
-
-    def grad_scales(self, phase: str | None, alpha: float, beta: float, groups: int) -> list:
-        """Per label group (see Batch), the (heads, 1, 1) grad scales of the classifier's and
-        these heads' CEs in ``phase``, built once: MAIN's (1, -alpha, -beta), ADV's ones."""
-        key = (phase, alpha, beta, groups)
-        if key not in self.scales:
-            s = np.array((1.0, -alpha, -beta) if phase == MAIN else (1.0, 1.0, 1.0))
-            self.scales[key] = (np.split(s.reshape(3, 1, 1), (1, 2)[:groups - 1]) if phase
-                                else [None] * groups)
-        return self.scales[key]
-
-    def backward(self, acts: list, grad_out, grads: list | None = None,
-                 input_grad: bool = True) -> np.ndarray | None:
-        """As Mlp.backward, with ``grads`` in ``nets`` order; the input gradient is stacked."""
-        grads = grads or [None] * len(self.nets)
-        if self.outs:
-            g = np.stack([out.backward(a, d, gr) for out, a, d, gr in
-                          zip(self.outs, acts[-1], grad_out, grads[-2:])])
-            if self.stack is None:
-                return g
-            grad_out, acts = g * (acts[-2] > 0), acts[:-1]
-        return self.stack.backward(acts, grad_out, grads[0], input_grad)
+def grad_scales(phase: str | None, alpha: float, beta: float, groups: int) -> list:
+    """Per label group (see Batch), the (heads, 1, 1) grad scales of the classifier's and
+    the adversaries' CEs in ``phase``: MAIN's (1, -alpha, -beta), ADV's ones."""
+    s = np.array((1.0, -alpha, -beta) if phase == MAIN else (1.0, 1.0, 1.0))
+    return np.split(s.reshape(3, 1, 1), (1, 2)[:groups - 1]) if phase else [None] * groups
 
 
 @dataclass
 class OptimizerStates:
+    """A run's Adam states and the :func:`adversary_nets` it trains."""
+
     main: AdamState  # extractor + classifier
-    adversaries: AdamState  # pair's params
-    pair: Adversaries  # the bundle's adversaries, stacked; their params are views of its
+    adversaries: AdamState  # the params of nets
+    nets: list  # the bundle's adversary params are views of theirs
     batch_count: int = 0  # persists across epochs so phases carry over
+    scales: dict = field(default_factory=dict)  # grad_scales() by its arguments
 
     @classmethod
     def for_bundle(cls, bundle: ModelBundle, lr: float) -> "OptimizerStates":
         """Fresh Adam states; the bundle's params become views into their buffers."""
-        pair = Adversaries(bundle.fairness_adv, bundle.privacy_adv)
-        states = cls(AdamState([bundle.extractor, bundle.classifier], lr),
-                     AdamState(pair.nets, lr), pair)
-        pair.unstack()
+        nets = adversary_nets(bundle)
+        main = AdamState([bundle.extractor, bundle.classifier], lr)
+        states = cls(main, AdamState(nets, lr), nets)
+        if len(nets) == 1:  # the bundle's adversaries become the stack's heads
+            for j, net in enumerate((bundle.fairness_adv, bundle.privacy_adv)):
+                net.weights = [w[j] for w in nets[0].weights]
+                net.biases = [b[j] for b in nets[0].biases]
         return states
 
 
@@ -176,10 +147,11 @@ class OptimizerStates:
 class Forward:
     """One pass of the objective.
 
-    ``acts`` holds the activations of the extractor, the classifier and the
-    :class:`Adversaries`, only their outputs outside a training phase.
-    ``dlogits`` holds the gradient of the phase's loss at the classifier's
-    and the adversaries' outputs, None where the loss does not reach them.
+    ``acts`` holds the activations of the extractor, the classifier and, as
+    a list, each of :func:`adversary_nets`, only their outputs outside a
+    training phase. ``dlogits`` holds the gradient of the phase's loss at
+    the classifier's output and, as a list, at each adversary net's, None
+    where the loss does not reach them.
     """
 
     total: float
@@ -287,7 +259,7 @@ def shuffle_seed(cfg: TrainConfig) -> np.random.SeedSequence:
 
 
 def objective(bundle: ModelBundle, batch: Batch, alpha: float, beta: float,
-              phase: str | None = None, adversaries: Adversaries | None = None) -> Forward:
+              phase: str | None = None, states: OptimizerStates | None = None) -> Forward:
     """Forward pass of the min-max objective on one batch.
 
     total = ce_c - alpha * ce_a - beta * ce_p, all with unit class weights.
@@ -295,26 +267,30 @@ def objective(bundle: ModelBundle, batch: Batch, alpha: float, beta: float,
     When alpha (or beta) is exactly 0 the corresponding term is left out, so
     total == ce_c bitwise at (0, 0). ``phase`` MAIN (loss: total) or ADV
     (loss: ce_a + ce_p) also keeps what that phase's backward pass needs;
-    without a phase the pass keeps no activations. ``adversaries`` are the
-    bundle's adversaries stacked; None stacks a copy. One cross-entropy call
-    serves each label group of ``batch``. In MAIN the adversary whose
-    coefficient alone is 0 has its gradient scaled by -0.0; at (0, 0) none has one.
+    without a phase the pass keeps no activations. The adversaries run as
+    the nets of ``states``, the training run's; None runs
+    :func:`adversary_nets` of the bundle. One cross-entropy call serves each
+    label group of ``batch``. In MAIN the adversary whose coefficient alone
+    is 0 has its gradient scaled by -0.0; at (0, 0) none has one.
     """
     if len(batch) == 0:
         raise ValueError("objective over an empty batch")
-    adversaries = adversaries or Adversaries(bundle.fairness_adv, bundle.privacy_adv)
+    nets = states.nets if states else adversary_nets(bundle)
     keep = phase is not None
     ext = bundle.extractor.forward(batch.x, keep)
     features = ext[-1]
     batch.adv_in[:, :features.shape[1]] = features
     cls = bundle.classifier.forward(features, keep)
-    adv = adversaries.forward(batch.adv_in, keep)
-    logits = [cls[-1][None], *([a[-1][None] for a in adv[-1]] if adversaries.outs else adv[-1:])]
+    adv = [net.forward(batch.adv_in, keep) for net in nets]
+    logits = [cls[-1][None]] + [a[-1] if len(nets) == 1 else a[-1][None] for a in adv]
     if len(batch.targets) == 1:
         logits = [np.concatenate(logits)]
+    scales = states.scales if states else {}
+    key = (phase, alpha, beta, len(logits))
+    if key not in scales:
+        scales[key] = grad_scales(*key)
     ces, dlogits = [], []
-    for z, targets, scale in zip(logits, batch.targets,
-                                 adversaries.grad_scales(phase, alpha, beta, len(logits))):
+    for z, targets, scale in zip(logits, batch.targets, scales[key]):
         ce, d = lc.encoded_cross_entropy(z, *targets, scale)
         ces += ce
         dlogits.append(d)
@@ -327,7 +303,7 @@ def objective(bundle: ModelBundle, batch: Batch, alpha: float, beta: float,
     d_c = dlogits[0][0] if phase == MAIN else None
     d_adv = None
     if phase == ADV or (phase == MAIN and (alpha != 0.0 or beta != 0.0)):
-        d_adv = dlogits[-1][-2:] if len(dlogits) < 3 else [d[0] for d in dlogits[1:]]
+        d_adv = [dlogits[-1][-2:]] if len(nets) == 1 else [d[0] for d in dlogits[1:]]
     return Forward(total, ce_c, ce_a, ce_p, (ext, cls, adv), (d_c, d_adv))
 
 
@@ -343,9 +319,9 @@ def _backward(bundle: ModelBundle, fwd: Forward, states: OptimizerStates, phase:
     ext, cls, adv = fwd.acts
     d_c, d_adv = fwd.dlogits
     if phase == ADV:
-        lc.backward([(states.pair, adv, d_adv, states.adversaries.net_grads)])
+        lc.backward(list(zip(states.nets, adv, d_adv, states.adversaries.net_grads)))
         return
-    heads = [] if d_adv is None else [(states.pair, adv, d_adv, None)]
+    heads = list(zip(states.nets, adv, d_adv, (None, None))) if d_adv else []
     heads.append((bundle.classifier, cls, d_c, states.main.net_grads[1]))
     lc.backward(heads, trunk=(bundle.extractor, ext, states.main.net_grads[0]))
 
@@ -372,8 +348,7 @@ def alternating_epoch(bundle: ModelBundle, arrays: EpochArrays, cfg: TrainConfig
     for batch in arrays.batches:
         phase = MAIN if (states.batch_count // k) % 2 == 0 else ADV
         update = phase == MAIN or update_adversaries
-        fwd = objective(bundle, batch, cfg.alpha, cfg.beta, phase if update else None,
-                        states.pair)
+        fwd = objective(bundle, batch, cfg.alpha, cfg.beta, phase if update else None, states)
         if not (math.isfinite(fwd.total) and math.isfinite(fwd.ce_a + fwd.ce_p)):
             raise TrainingDivergedError(
                 f"non-finite loss at epoch {epoch}, {phase} phase, "

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -152,15 +153,23 @@ class TestConfig:
         ("train.dropout", 0.5),
         ("split.shuffle", True),
         ("data.k_z", 2),
-    ], ids=lambda v: v.removeprefix("train.") if isinstance(v, str) else None)
+        ("data.n", {"kind": "csv", "path": "d.csv", "n": 100, "seed": 3}),
+        ("data.path", {"kind": "csv", "path": 5}),
+    ], ids=lambda v: (v.removeprefix("train.") if isinstance(v, str)
+                      else v["kind"] if isinstance(v, dict) else None))
     def test_bad_train_field_rejected_at_load(self, tmp_path, capsys, field, value):
         # Each of these used to load and then fail every sweep cell, load as
-        # something else (seeds [1.5] as [1]), or escape as a bare TypeError.
-        # (IDs drop "train." to stay those of the rows the table began with.)
+        # something else (seeds [1.5] as [1], a CSV path 5 as "5", a CSV
+        # section's n dropped), or escape as a bare TypeError. A dict value is
+        # the whole data section. (IDs drop "train." to stay those of the rows
+        # the table began with.)
         path = config_json(tmp_path)
         raw = json.loads(path.read_text())
         *section, key = field.split(".")
-        (raw[section[0]] if section else raw)[key] = value
+        if isinstance(value, dict):
+            raw["data"] = value
+        else:
+            (raw[section[0]] if section else raw)[key] = value
         path.write_text(json.dumps(raw))
         with pytest.raises(ConfigError, match=f"^{field}:"):
             load_config(path)
@@ -384,6 +393,41 @@ class TestResultsFile:
             pipeline.append_result(path, new)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["results.csv"]
+
+    @pytest.mark.parametrize("column, cell, message", [
+        ("seed", "x", "must be an integer, got 'x'"),
+        ("alpha", "one", "must be a finite number, got 'one'"),
+        ("utility", "", "must be a finite number, got ''"),
+        ("fairness_gap", "nan", "must be a finite number, got 'nan'"),
+        ("val_loss", "-inf", "must be a finite number, got '-inf'"),
+    ], ids=["seed-x", "alpha-one", "utility-empty", "fairness_gap-nan", "val_loss-inf"])
+    def test_bad_field_fails_by_name(self, tmp_path, capsys, column, cell, message):
+        # A seed "x" used to fail with no file or line; a nan metric loaded,
+        # and analyze wrote a report.json that was not JSON before it failed.
+        path = config_json(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        results = out / "results.csv"
+        records = synthetic_records([0.0, 1.0], [0.0, 1.0], [0], np.random.default_rng(0))
+        pipeline.write_results(results, records)
+        lines = results.read_text().splitlines()
+        row = lines[2].split(",")
+        row[pipeline.RESULTS_HEADER.index(column)] = cell
+        lines[2] = ",".join(row)
+        results.write_text("\n".join(lines) + "\n")
+        expected = f"{results}:3: {column}: {message}"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            pipeline.load_results(results)
+        assert main(["analyze", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not (out / "report.json").exists()
+
+    def test_error_row_key_is_checked(self, tmp_path):
+        results = tmp_path / "results.csv"
+        pipeline.write_results(results, [], {(1.0, 0.0, 0): "boom"})
+        results.write_text(results.read_text().replace("1.0,0.0,0,", "1.0,0.0,zero,"))
+        with pytest.raises(ValueError, match=r":2: seed: must be an integer, got 'zero'$"):
+            pipeline.load_results(results)
 
 
 class TestModuleEntryPoint:

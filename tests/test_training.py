@@ -233,6 +233,40 @@ class TestModelBundle:
         assert bundle.extractor.weights[0][0, 0] != dup.extractor.weights[0][0, 0]
 
 
+class TestAdversaryNets:
+    """Training runs the adversaries as one stacked net if and only if k_a == k_p."""
+
+    @pytest.mark.parametrize("k_a, k_p", [(2, 2), (3, 3), (3, 2), (2, 3)])
+    def test_stacked_iff_class_counts_match(self, k_a, k_p):
+        bundle = build_bundle(small_cfg(), 6, 2, k_a, k_p)
+        nets = training.adversary_nets(bundle)
+        if k_a != k_p:
+            assert len(nets) == 2
+            assert nets[0] is bundle.fairness_adv and nets[1] is bundle.privacy_adv
+            return
+        [stack] = nets
+        assert stack.layer_sizes == bundle.fairness_adv.layer_sizes
+        for j, net in enumerate((bundle.fairness_adv, bundle.privacy_adv)):
+            assert all(np.array_equal(s[j], p) for s, p in zip(stack.params(), net.params()))
+
+    @pytest.mark.parametrize("k_a, k_p", [(2, 2), (3, 2)])
+    def test_bundle_params_are_views_that_an_adv_step_moves(self, k_a, k_p):
+        rng = np.random.default_rng(0)
+        ds = LabeledDataset(rng.standard_normal((32, 6)), rng.integers(0, 2, 32),
+                            rng.integers(0, k_a, 32), rng.integers(0, k_p, 32), 2, k_a, k_p)
+        cfg = small_cfg(1.0, 1.0, batch_size=32)
+        bundle = build_bundle(cfg, ds.dim, 2, k_a, k_p)
+        states = OptimizerStates.for_bundle(bundle, cfg.lr)
+        assert len(states.nets) == (1 if k_a == k_p else 2)
+        params = bundle.adversary_params()
+        assert all(np.shares_memory(p, states.adversaries.params) for p in params)
+        before = snapshot(params)
+        states.batch_count = 1  # the epoch's one batch is an ADV phase
+        alternating_epoch(bundle, EpochArrays(ds, cfg.feature_dim, cfg.batch_size), cfg,
+                          states, np.random.default_rng(1))
+        assert not any(np.array_equal(p, b) for p, b in zip(bundle.adversary_params(), before))
+
+
 class TestCrossEntropyCalls:
     """One cross-entropy call per label group and training step: the three
     heads together when their class counts match, else y alone and the
@@ -298,7 +332,9 @@ class TestGoldenBytes:
 
     # Cells on paths the four pinned cells above do not take: one digest over
     # the trained params, the selection loss and the per-epoch history. They
-    # were recorded with the engine that ran each adversary as its own net.
+    # were recorded with the engine that ran each adversary as its own net,
+    # but for the k_y == k_a != k_p cell, recorded with the engine that
+    # stacked the adversaries' hidden layers when k_a != k_p.
     CELLS = {
         "switch_period=2": lambda: TestGoldenBytes.two_epochs(
             10.0, 10.0, 1, switch_period=2)[2],
@@ -315,6 +351,7 @@ class TestGoldenBytes:
         "k_y = 3, k_a == k_p": lambda: TestGoldenBytes.toy_run(1.0, 1.0, k_y=3, k_a=2),
         "k_y = 3, k_a == k_p, beta = 0, select_by=objective": lambda: TestGoldenBytes.toy_run(
             2.0, 0.0, k_y=3, k_a=2, select_by="objective"),
+        "k_y == k_a != k_p, beta = 0": lambda: TestGoldenBytes.toy_run(1.0, 0.0, k_a=2, k_p=3),
     }
 
     @pytest.mark.parametrize("cell, digest", [
@@ -336,6 +373,8 @@ class TestGoldenBytes:
          "c1602268b27e20eac6b9f72595fb51093b9be28dbec58394124021f696bd8471"),
         ("k_y = 3, k_a == k_p, beta = 0, select_by=objective",
          "6709afe2c5f86bed3fb9486a5c148ac0fb9bfb664b7d9e26f4c707fed5a67a12"),
+        ("k_y == k_a != k_p, beta = 0",
+         "2ea2b7d6bcf92a8e121eeac001db752ac752063b9698a940c92b7f4a91938894"),
     ])
     def test_more_cells_match_recorded_digest(self, cell, digest):
         trained = self.CELLS[cell]()
