@@ -194,9 +194,10 @@ def _number(cell: str, where: str, integer: bool = False) -> float | int:
 def load_results(path) -> tuple[list[RunRecord], list[tuple]]:
     """Read a results CSV; returns (records, keys of error-marker rows).
 
-    A field that does not parse, or is not finite, fails as ``path:line: field: ...``.
+    A field that does not parse, or is not finite, fails as ``path:line: field: ...``;
+    a second row for a key, ``ERROR`` rows included, as ``path:line: duplicate of line ...``.
     """
-    records, failed = [], []
+    records, failed, lines = [], [], {}  # lines: each key's first line
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -208,9 +209,14 @@ def load_results(path) -> tuple[list[RunRecord], list[tuple]]:
             cells = row[:3] if ERROR_MARKER in row[3:] else row  # a failed run has only its key
             values = [_number(cell, f"{path}:{lineno}: {name}", name == "seed")
                       for name, cell in zip(RESULTS_HEADER, cells)]
+            alpha, beta, seed = key = tuple(values[:3])
+            if key in lines:
+                raise ValueError(f"{path}:{lineno}: duplicate of line {lines[key]} "
+                                 f"(alpha={alpha:g}, beta={beta:g}, seed={seed})")
+            lines[key] = lineno
             if len(values) == 3:
-                failed.append(tuple(values))
+                failed.append(key)
                 continue
             triple = MetricTriple(*values[3:-1])  # METRICS is in field order
-            records.append(RunRecord(*values[:3], triple=triple, val_loss=values[-1]))
+            records.append(RunRecord(*key, triple=triple, val_loss=values[-1]))
     return records, failed

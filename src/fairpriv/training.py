@@ -168,10 +168,10 @@ class Batch:
 
     ``adv_in`` is the adversaries' input: the pass writes the extractor
     output into its first feature_dim columns, and the rest hold the one-hot
-    task label. ``targets`` holds (one-hot rows, flat gather index) per label
-    group, its heads stacked, as :func:`learncore.encoded_cross_entropy` takes
-    them: y, y_a and y_p as one group when their class counts match, else y
-    alone and y_a with y_p when k_a == k_p, else each alone.
+    task label. ``targets`` holds one flat gather index per label group, its
+    heads stacked, as :func:`learncore.encoded_cross_entropy` takes it: y,
+    y_a and y_p as one group when their class counts match, else y alone and
+    y_a with y_p when k_a == k_p, else each alone.
     """
 
     x: Matrix
@@ -187,59 +187,47 @@ class EpochArrays:
 
     Built once per split; :meth:`fill` gathers the rows in a new order into
     the same buffers, so ``batches`` (contiguous row slices of
-    ``batch_size``) stay valid. A batch's flat gather index counts rows from
-    the start of its batch. With ``shuffled`` False the rows keep the
-    split's order, ``x`` is the split's own matrix, and the labels are
-    encoded at once; such arrays must not be filled (see :func:`whole_batch`).
+    ``batch_size``) stay valid. A batch's flat gather index counts from the
+    start of its label group's logits for that batch.
     """
 
-    def __init__(self, ds: LabeledDataset, feature_dim: int, batch_size: int,
-                 shuffled: bool = True):
+    def __init__(self, ds: LabeledDataset, feature_dim: int, batch_size: int):
         n = len(ds)
         self.ds = ds
-        self.x = np.empty_like(ds.x) if shuffled else ds.x
+        self.x = np.empty_like(ds.x)
         self.adv_in = np.zeros((n, feature_dim + ds.k_y))
-        # Labels in the groups of Batch.targets, as the cross-entropy calls take them.
-        labels, ks = (ds.y, ds.y_a, ds.y_p), (ds.k_y, ds.k_a, ds.k_p)
-        bounds = (((0, 3),) if ks[0] == ks[1] == ks[2] else ((0, 1), (1, 3)) if ks[1] == ks[2]
-                  else ((0, 1), (1, 2), (2, 3)))
+        self.labels, ks = np.stack((ds.y, ds.y_a, ds.y_p)), (ds.k_y, ds.k_a, ds.k_p)
+        self.flat = np.empty_like(self.labels)
+        # The (first, end) label rows of each group of Batch.targets.
+        self.bounds = (((0, 3),) if ks[0] == ks[1] == ks[2] else ((0, 1), (1, 3)) if ks[1] == ks[2]
+                       else ((0, 1), (1, 2), (2, 3)))
         rows = np.arange(n)
         start = rows - rows % batch_size  # of each row's batch
-        self.groups = []  # (labels, one-hot rows, flat index, its offset in the batch)
-        for lo, hi in bounds:
-            # Subtracting a bool one-hot gives the float one's bytes, in an eighth of the memory.
-            base = np.arange(hi - lo)[:, None] * np.minimum(n - start, batch_size) + rows - start
-            self.groups.append((labels[lo:hi], np.zeros((hi - lo, n, ks[lo]), bool),
-                                np.empty((hi - lo, n), dtype=np.int64), base * ks[lo]))
+        self.base = np.concatenate([  # each label's flat index, less the label
+            (np.arange(hi - lo)[:, None] * np.minimum(n - start, batch_size) + rows - start)
+            * ks[lo] for lo, hi in self.bounds])
         self.batches = [self.batch(slice(i, i + batch_size)) for i in range(0, n, batch_size)]
-        if not shuffled:
-            self._encode_labels(np.arange(n))
 
     def batch(self, rows: slice) -> Batch:
         """A batch of views into the buffers."""
         return Batch(self.x[rows], self.adv_in[rows],
-                     tuple((onehot[:, rows], flat[:, rows]) for _, onehot, flat, _ in self.groups))
+                     tuple(self.flat[lo:hi, rows] for lo, hi in self.bounds))
 
     def fill(self, order: np.ndarray) -> None:
         """Gather the rows in ``order``, a permutation of the split's rows."""
         # No index is out of range, and "clip" spares the buffered copy that
         # take makes with out= under the default "raise".
         np.take(self.ds.x, order, axis=0, out=self.x, mode="clip")
-        self._encode_labels(order)
-
-    def _encode_labels(self, order: np.ndarray) -> None:
-        for labels, onehot, flat, base in self.groups:
-            for src, out in zip(labels, flat):
-                np.take(src, order, out=out, mode="clip")  # the labels, for now
-            onehot[...] = False
-            np.put_along_axis(onehot, flat[..., None], True, axis=-1)
-            flat += base
-        self.adv_in[:, -self.ds.k_y:] = self.groups[0][1][0]  # y's one-hot
+        np.take(self.labels, order, axis=1, out=self.flat, mode="clip")  # the labels, for now
+        np.equal(self.flat[0, :, None], np.arange(self.ds.k_y), out=self.adv_in[:, -self.ds.k_y:])
+        self.flat += self.base
 
 
 def whole_batch(ds: LabeledDataset, feature_dim: int) -> Batch:
     """All of ``ds`` in its own order as one batch, for features of that width."""
-    return EpochArrays(ds, feature_dim, max(len(ds), 1), shuffled=False).batch(slice(None))
+    arrays = EpochArrays(ds, feature_dim, max(len(ds), 1))
+    arrays.fill(np.arange(len(ds)))
+    return arrays.batch(slice(None))
 
 
 def build_bundle(cfg: TrainConfig, input_dim: int, k_y: int, k_a: int, k_p: int) -> ModelBundle:
@@ -290,8 +278,8 @@ def objective(bundle: ModelBundle, batch: Batch, alpha: float, beta: float,
     if key not in scales:
         scales[key] = grad_scales(*key)
     ces, dlogits = [], []
-    for z, targets, scale in zip(logits, batch.targets, scales[key]):
-        ce, d = lc.encoded_cross_entropy(z, *targets, scale)
+    for z, flat, scale in zip(logits, batch.targets, scales[key]):
+        ce, d = lc.encoded_cross_entropy(z, flat, scale)
         ces += ce
         dlogits.append(d)
     ce_c, ce_a, ce_p = ces
@@ -369,8 +357,7 @@ def validation_loss(bundle: ModelBundle, val: Batch, cfg: TrainConfig) -> float:
     if cfg.select_by == "objective":
         return objective(bundle, val, cfg.alpha, cfg.beta).total
     logits = bundle.classifier.apply(bundle.extractor.apply(val.x))
-    onehot, flat = val.targets[0]  # y is head 0 of its group
-    return lc.encoded_cross_entropy(logits, onehot[0], flat[0])[0]
+    return lc.encoded_cross_entropy(logits, val.targets[0][0])[0]  # y is head 0 of its group
 
 
 def train(train_data: LabeledDataset, val_data: LabeledDataset, cfg: TrainConfig,

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairpriv.analysis import RunRecord, grid_values
+from fairpriv.analysis import RunRecord, grid_values, seed_medians
 from fairpriv.cli import main, pipeline, report
 from fairpriv.cli.config import (ConfigError, ExperimentConfig, default_config,
                                  from_dict, load_config, mild_correlation_joint)
@@ -422,6 +422,27 @@ class TestResultsFile:
         assert capsys.readouterr().err == f"error: {expected}\n"
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("copied, key", [(2, "alpha=0, beta=0, seed=0"),
+                                             (5, "alpha=1, beta=1, seed=0")],
+                             ids=["record", "error-row"])
+    def test_duplicate_row_names_both_lines(self, tmp_path, capsys, copied, key):
+        # A repeated key used to fail as "duplicate record for (0.0, 0.0, 0)",
+        # naming neither the file nor a line.
+        path = config_json(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        results = out / "results.csv"
+        records = synthetic_records([0.0, 1.0], [0.0, 1.0], [0], np.random.default_rng(0))
+        pipeline.write_results(results, records[:-1], {(1.0, 1.0, 0): "boom"})
+        lines = results.read_text().splitlines()
+        results.write_text("\n".join(lines + [lines[copied - 1]]) + "\n")
+        expected = f"{results}:6: duplicate of line {copied} ({key})"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            pipeline.load_results(results)
+        assert main(["analyze", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not (out / "report.json").exists()
+
     def test_error_row_key_is_checked(self, tmp_path):
         results = tmp_path / "results.csv"
         pipeline.write_results(results, [], {(1.0, 0.0, 0): "boom"})
@@ -807,6 +828,19 @@ class TestAnalyze:
         rep = report.build_report(records, cfg, k_p=2)
         for entry in rep["tradeoffs"]["csr"]:
             assert entry["score"] == pytest.approx(100.0)
+
+    @pytest.mark.parametrize("flag, section", [("correlations_over_seed_medians", "correlations"),
+                                               ("csr_over_seed_medians", "csr")])
+    def test_seed_median_flag_changes_only_its_section(self, flag, section):
+        records = synthetic_records([0.0, 0.1, 1.0], [0.0, 1.0], [0, 1, 2],
+                                    np.random.default_rng(3))
+        cfg = small_config(**{flag: True})
+        base = report.build_report(records, small_config(), k_p=2)
+        rep = report.build_report(records, cfg, k_p=2)
+        over_medians = report.tradeoff_table(seed_medians(records), cfg.csr_weights)[section]
+        assert rep["tradeoffs"][section] == over_medians != base["tradeoffs"][section]
+        rep["tradeoffs"][section] = base["tradeoffs"][section]
+        assert rep == base  # every other section as without the flag
 
 
 class TestAttackHygiene:

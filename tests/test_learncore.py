@@ -195,22 +195,20 @@ class TestEncodedCrossEntropy:
         ref_loss, ref_d = reference_softmax_ce(logits, y, w, grad_scale=grad_scale)
 
         flat = np.arange(n) * k + y
-        onehot = np.zeros((n, k))
-        onehot[np.arange(n), y] = 1.0
         row_w = total_w = None
         if weighted:
             row_w = w[y]
             total_w = row_w.sum()
-        before = logits.copy()
-        for loss, d in (lc.encoded_cross_entropy(logits, onehot, flat, grad_scale,
-                                                 row_w, total_w),
+        before, flat_before = logits.copy(), flat.copy()
+        for loss, d in (lc.encoded_cross_entropy(logits, flat, grad_scale, row_w, total_w),
                         softmax_cross_entropy(logits, y, w, grad_scale=grad_scale)):
             assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
             if grad_scale is None:
                 assert d is None and ref_d is None
             else:
                 assert d.tobytes() == ref_d.tobytes()
-        assert np.array_equal(logits, before)  # the kernel leaves its input alone
+        # The kernel leaves its inputs alone.
+        assert np.array_equal(logits, before) and np.array_equal(flat, flat_before)
 
 
 def stack_nets(nets):
@@ -235,19 +233,18 @@ class TestStackedBytes:
         stacked = stack_nets(nets)
         x = rng.standard_normal((n, 10))
         y = rng.integers(0, k, (heads, n))
-        onehot = np.zeros((heads, n, k))
-        np.put_along_axis(onehot, y[..., None], 1.0, axis=-1)
-        flat = (np.arange(heads)[:, None] * n + np.arange(n)) * k + y
+        flat = np.empty((heads, n + 64), np.int64)[:, :n]  # a view like EpochArrays.batch's
+        flat[...] = (np.arange(heads)[:, None] * n + np.arange(n)) * k + y
         acts = stacked.forward(x)
         grad_scale = None if scales is None else np.reshape(scales, (heads, 1, 1))
-        losses, d = lc.encoded_cross_entropy(acts[-1], onehot, flat, grad_scale)
+        losses, d = lc.encoded_cross_entropy(acts[-1], flat, grad_scale)
         grads = [np.empty_like(p) for p in stacked.params()]
         g_in = None if d is None else stacked.backward(acts, d, grads)
         for j, net in enumerate(nets):
             acts_j = net.forward(x)
             for a, a_j in zip(acts[1:], acts_j[1:]):
                 assert a[j].tobytes() == a_j.tobytes()
-            loss_j, d_j = lc.encoded_cross_entropy(acts_j[-1], onehot[j], np.arange(n) * k + y[j],
+            loss_j, d_j = lc.encoded_cross_entropy(acts_j[-1], np.arange(n) * k + y[j],
                                                    None if scales is None else scales[j])
             assert np.float64(losses[j]).tobytes() == np.float64(loss_j).tobytes()
             if scales is None:
@@ -285,7 +282,7 @@ class TestStackedBytes:
 class TestFusedCrossEntropy:
     """One call over the classifier's logits joined to the adversary pair's
     gives, head by head, the bytes of the two calls apart: the classifier's
-    with a float one-hot and a number grad scale, and the pair's stacked."""
+    with a number grad scale, and the pair's stacked."""
 
     @pytest.mark.parametrize("k", range(2, 10))
     @pytest.mark.parametrize("n", [64, 53])  # a full batch and an epoch's last one
@@ -296,16 +293,14 @@ class TestFusedCrossEntropy:
         rng = np.random.default_rng(100 * k + n)
         classifier, pair = 4.0 * rng.standard_normal((n, k)), 4.0 * rng.standard_normal((2, n, k))
         y = rng.integers(0, k, (3, n))
-        onehot = np.zeros((3, n, k), bool)
-        np.put_along_axis(onehot, y[..., None], True, axis=-1)
-        flat = (np.arange(3)[:, None] * n + np.arange(n)) * k + y
-        losses, d = lc.encoded_cross_entropy(np.concatenate([classifier[None], pair]), onehot,
-                                             flat, None if scales is None
+        flat = np.empty((3, n + 64), np.int64)[:, :n]  # a view like EpochArrays.batch's
+        flat[...] = (np.arange(3)[:, None] * n + np.arange(n)) * k + y
+        losses, d = lc.encoded_cross_entropy(np.concatenate([classifier[None], pair]), flat,
+                                             None if scales is None
                                              else np.reshape(scales, (3, 1, 1)))
-        loss_c, d_c = lc.encoded_cross_entropy(classifier, onehot[0].astype(float),
-                                               np.arange(n) * k + y[0],
+        loss_c, d_c = lc.encoded_cross_entropy(classifier, np.arange(n) * k + y[0],
                                                scales[0] if phase == "MAIN" else None)
-        losses_pair, d_pair = lc.encoded_cross_entropy(pair, onehot[1:], flat[1:] - n * k,
+        losses_pair, d_pair = lc.encoded_cross_entropy(pair, flat[1:] - n * k,
                                                        None if scales is None
                                                        else np.reshape(scales[1:], (2, 1, 1)))
         for got, want in zip(losses, [loss_c, *losses_pair]):
