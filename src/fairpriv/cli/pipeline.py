@@ -76,11 +76,18 @@ def run_single(config: ExperimentConfig, alpha: float, beta: float, seed: int,
 
     ``splits`` is the config's data split for ``seed``, as ``seed_splits`` or
     ``make_splits`` builds it; None builds it. A run writes into no split
-    (training shuffles a copy), so the runs of a seed may share one.
+    (training shuffles a copy), so the runs of a seed may share one. A test
+    split that lacks a class of y_a or y_p fails before training: the
+    fairness gap would skip that group and the balanced attack accuracy
+    that class, and both would still look valid.
     """
     train_config = dataclasses.replace(config.train, alpha=alpha, beta=beta, seed=seed)
     train_config.validate()  # a bad argument fails before any data work
     train_ds, val_ds, test_ds = splits if splits is not None else seed_splits(config, seed)
+    for name, labels, k in (("y_a", test_ds.y_a, test_ds.k_a), ("y_p", test_ds.y_p, test_ds.k_p)):
+        missing = np.flatnonzero(np.bincount(labels, minlength=k) == 0).tolist()
+        if missing:
+            raise ValueError(f"test split: {name} lacks class(es) {missing} of k_{name[-1]} = {k}")
     trained = train(train_ds, val_ds, train_config)
     triple = evaluate_bundle(trained.bundle, val_ds, test_ds, config)
     record = RunRecord(alpha=alpha, beta=beta, seed=seed, triple=triple,

@@ -99,47 +99,56 @@ class TrainedModel:
     history: list  # per-epoch (mean train objective, val loss)
 
 
-def adversary_nets(bundle: ModelBundle) -> list[Mlp]:
-    """The adversary nets training runs, as plain Mlps.
+def head_nets(bundle: ModelBundle) -> tuple[Mlp, Mlp]:
+    """The classifier and the adversaries as training runs them, as plain Mlps.
 
-    When k_a == k_p, one net: a copy of the fairness and privacy adversaries
-    stacked on a leading head axis of 2, so each layer is one matmul. Else
-    the bundle's two adversaries themselves.
+    Their output layers are padded to K = max(k_y, k_a, k_p) columns with
+    zero weights and -inf biases, so all three heads' logits share one
+    (n, K) layout: a padded logit's probability and gradient are exactly 0,
+    and Adam never moves it. The adversaries are stacked on a leading head
+    axis of 2, so each of their layers is one matmul.
     """
-    fairness, privacy = bundle.fairness_adv, bundle.privacy_adv
-    if fairness.layer_sizes[-1] != privacy.layer_sizes[-1]:
-        return [fairness, privacy]
-    stacked = [np.stack(p) for p in zip(fairness.params(), privacy.params())]
-    return [Mlp(stacked[0::2], stacked[1::2])]
+    nets = (bundle.classifier, bundle.fairness_adv, bundle.privacy_adv)
+    width = max(net.layer_sizes[-1] for net in nets)
+    params = []
+    for net in nets:
+        pad = ((0, 0), (0, width - net.layer_sizes[-1]))
+        params.append(net.params()[:-2] + [np.pad(net.weights[-1], pad),
+                                           np.pad(net.biases[-1], pad, constant_values=-np.inf)])
+    stacked = [np.stack(p) for p in zip(*params[1:])]
+    return Mlp(params[0][0::2], params[0][1::2]), Mlp(stacked[0::2], stacked[1::2])
 
 
-def grad_scales(phase: str | None, alpha: float, beta: float, groups: int) -> list:
-    """Per label group (see Batch), the (heads, 1, 1) grad scales of the classifier's and
-    the adversaries' CEs in ``phase``: MAIN's (1, -alpha, -beta), ADV's ones."""
-    s = np.array((1.0, -alpha, -beta) if phase == MAIN else (1.0, 1.0, 1.0))
-    return np.split(s.reshape(3, 1, 1), (1, 2)[:groups - 1]) if phase else [None] * groups
+def grad_scales(phase: str | None, alpha: float, beta: float) -> np.ndarray | None:
+    """The (3, 1, 1) grad scales of the classifier's and the adversaries' CEs in
+    ``phase``: MAIN's (1, -alpha, -beta), ADV's ones, None without a phase."""
+    s = (1.0, -alpha, -beta) if phase == MAIN else (1.0, 1.0, 1.0)
+    return np.array(s).reshape(3, 1, 1) if phase else None
 
 
 @dataclass
 class OptimizerStates:
-    """A run's Adam states and the :func:`adversary_nets` it trains."""
+    """A run's Adam states and the :func:`head_nets` it trains."""
 
-    main: AdamState  # extractor + classifier
-    adversaries: AdamState  # the params of nets
-    nets: list  # the bundle's adversary params are views of theirs
+    main: AdamState  # extractor + padded classifier
+    adversaries: AdamState  # the stacked adversaries
+    nets: tuple  # head_nets(); the bundle's head params are views of theirs
     batch_count: int = 0  # persists across epochs so phases carry over
     scales: dict = field(default_factory=dict)  # grad_scales() by its arguments
 
     @classmethod
     def for_bundle(cls, bundle: ModelBundle, lr: float) -> "OptimizerStates":
-        """Fresh Adam states; the bundle's params become views into their buffers."""
-        nets = adversary_nets(bundle)
-        main = AdamState([bundle.extractor, bundle.classifier], lr)
-        states = cls(main, AdamState(nets, lr), nets)
-        if len(nets) == 1:  # the bundle's adversaries become the stack's heads
-            for j, net in enumerate((bundle.fairness_adv, bundle.privacy_adv)):
-                net.weights = [w[j] for w in nets[0].weights]
-                net.biases = [b[j] for b in nets[0].biases]
+        """Fresh Adam states; the bundle's params become views into their buffers,
+        its heads' of their own slice and columns, so no padding shows outside training."""
+        classifier, adversaries = nets = head_nets(bundle)
+        states = cls(AdamState([bundle.extractor, classifier], lr),
+                     AdamState([adversaries], lr), nets)
+        for net, source, head in ((bundle.classifier, classifier, ()),  # (): the whole array
+                                  (bundle.fairness_adv, adversaries, 0),
+                                  (bundle.privacy_adv, adversaries, 1)):
+            views = [p[head] for p in source.params()]
+            views[-2:] = [p[:, :net.layer_sizes[-1]] for p in views[-2:]]
+            net.weights, net.biases = views[0::2], views[1::2]
         return states
 
 
@@ -147,11 +156,9 @@ class OptimizerStates:
 class Forward:
     """One pass of the objective.
 
-    ``acts`` holds the activations of the extractor, the classifier and, as
-    a list, each of :func:`adversary_nets`, only their outputs outside a
-    training phase. ``dlogits`` holds the gradient of the phase's loss at
-    the classifier's output and, as a list, at each adversary net's, None
-    where the loss does not reach them.
+    ``acts`` holds the activations of the extractor and the two :func:`head_nets`,
+    only their outputs outside a training phase; ``dlogits`` the gradients of the
+    phase's loss at the heads' outputs, None where the loss does not reach them.
     """
 
     total: float
@@ -168,15 +175,14 @@ class Batch:
 
     ``adv_in`` is the adversaries' input: the pass writes the extractor
     output into its first feature_dim columns, and the rest hold the one-hot
-    task label. ``targets`` holds one flat gather index per label group, its
-    heads stacked, as :func:`learncore.encoded_cross_entropy` takes it: y,
-    y_a and y_p as one group when their class counts match, else y alone and
-    y_a with y_p when k_a == k_p, else each alone.
+    task label. ``targets`` is the (3, n) flat gather index of y, y_a and
+    y_p into the heads' stacked (3, n, K) logits, as
+    :func:`learncore.encoded_cross_entropy` takes it.
     """
 
     x: Matrix
     adv_in: Matrix
-    targets: tuple
+    targets: np.ndarray
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -188,7 +194,7 @@ class EpochArrays:
     Built once per split; :meth:`fill` gathers the rows in a new order into
     the same buffers, so ``batches`` (contiguous row slices of
     ``batch_size``) stay valid. A batch's flat gather index counts from the
-    start of its label group's logits for that batch.
+    start of its (3, rows, K) logits, K = max(k_y, k_a, k_p).
     """
 
     def __init__(self, ds: LabeledDataset, feature_dim: int, batch_size: int):
@@ -196,22 +202,17 @@ class EpochArrays:
         self.ds = ds
         self.x = np.empty_like(ds.x)
         self.adv_in = np.zeros((n, feature_dim + ds.k_y))
-        self.labels, ks = np.stack((ds.y, ds.y_a, ds.y_p)), (ds.k_y, ds.k_a, ds.k_p)
+        self.labels = np.stack((ds.y, ds.y_a, ds.y_p))
         self.flat = np.empty_like(self.labels)
-        # The (first, end) label rows of each group of Batch.targets.
-        self.bounds = (((0, 3),) if ks[0] == ks[1] == ks[2] else ((0, 1), (1, 3)) if ks[1] == ks[2]
-                       else ((0, 1), (1, 2), (2, 3)))
         rows = np.arange(n)
         start = rows - rows % batch_size  # of each row's batch
-        self.base = np.concatenate([  # each label's flat index, less the label
-            (np.arange(hi - lo)[:, None] * np.minimum(n - start, batch_size) + rows - start)
-            * ks[lo] for lo, hi in self.bounds])
+        self.base = ((np.arange(3)[:, None] * np.minimum(n - start, batch_size) + rows - start)
+                     * max(ds.k_y, ds.k_a, ds.k_p))  # each label's flat index, less the label
         self.batches = [self.batch(slice(i, i + batch_size)) for i in range(0, n, batch_size)]
 
     def batch(self, rows: slice) -> Batch:
         """A batch of views into the buffers."""
-        return Batch(self.x[rows], self.adv_in[rows],
-                     tuple(self.flat[lo:hi, rows] for lo, hi in self.bounds))
+        return Batch(self.x[rows], self.adv_in[rows], self.flat[:, rows])
 
     def fill(self, order: np.ndarray) -> None:
         """Gather the rows in ``order``, a permutation of the split's rows."""
@@ -255,43 +256,35 @@ def objective(bundle: ModelBundle, batch: Batch, alpha: float, beta: float,
     When alpha (or beta) is exactly 0 the corresponding term is left out, so
     total == ce_c bitwise at (0, 0). ``phase`` MAIN (loss: total) or ADV
     (loss: ce_a + ce_p) also keeps what that phase's backward pass needs;
-    without a phase the pass keeps no activations. The adversaries run as
-    the nets of ``states``, the training run's; None runs
-    :func:`adversary_nets` of the bundle. One cross-entropy call serves each
-    label group of ``batch``. In MAIN the adversary whose coefficient alone
-    is 0 has its gradient scaled by -0.0; at (0, 0) none has one.
+    without a phase the pass keeps no activations. The heads run as the
+    nets of ``states``, the training run's; None runs :func:`head_nets` of
+    the bundle. One cross-entropy call serves all three heads. In MAIN the
+    adversary whose coefficient alone is 0 has its gradient scaled by -0.0;
+    at (0, 0) none has one.
     """
     if len(batch) == 0:
         raise ValueError("objective over an empty batch")
-    nets = states.nets if states else adversary_nets(bundle)
+    classifier, adversaries = states.nets if states else head_nets(bundle)
     keep = phase is not None
     ext = bundle.extractor.forward(batch.x, keep)
     features = ext[-1]
     batch.adv_in[:, :features.shape[1]] = features
-    cls = bundle.classifier.forward(features, keep)
-    adv = [net.forward(batch.adv_in, keep) for net in nets]
-    logits = [cls[-1][None]] + [a[-1] if len(nets) == 1 else a[-1][None] for a in adv]
-    if len(batch.targets) == 1:
-        logits = [np.concatenate(logits)]
+    cls = classifier.forward(features, keep)
+    adv = adversaries.forward(batch.adv_in, keep)
     scales = states.scales if states else {}
-    key = (phase, alpha, beta, len(logits))
+    key = (phase, alpha, beta)
     if key not in scales:
         scales[key] = grad_scales(*key)
-    ces, dlogits = [], []
-    for z, flat, scale in zip(logits, batch.targets, scales[key]):
-        ce, d = lc.encoded_cross_entropy(z, flat, scale)
-        ces += ce
-        dlogits.append(d)
-    ce_c, ce_a, ce_p = ces
+    (ce_c, ce_a, ce_p), dlogits = lc.encoded_cross_entropy(
+        np.concatenate((cls[-1][None], adv[-1])), batch.targets, scales[key])
     total = ce_c
     if alpha != 0.0:
         total = total - alpha * ce_a
     if beta != 0.0:
         total = total - beta * ce_p
-    d_c = dlogits[0][0] if phase == MAIN else None
-    d_adv = None
-    if phase == ADV or (phase == MAIN and (alpha != 0.0 or beta != 0.0)):
-        d_adv = [dlogits[-1][-2:]] if len(nets) == 1 else [d[0] for d in dlogits[1:]]
+    d_c = dlogits[0] if phase == MAIN else None
+    reached = phase == ADV or (phase == MAIN and (alpha != 0.0 or beta != 0.0))
+    d_adv = dlogits[1:] if reached else None
     return Forward(total, ce_c, ce_a, ce_p, (ext, cls, adv), (d_c, d_adv))
 
 
@@ -306,11 +299,12 @@ def _backward(bundle: ModelBundle, fwd: Forward, states: OptimizerStates, phase:
     """
     ext, cls, adv = fwd.acts
     d_c, d_adv = fwd.dlogits
+    classifier, adversaries = states.nets
     if phase == ADV:
-        lc.backward(list(zip(states.nets, adv, d_adv, states.adversaries.net_grads)))
+        lc.backward([(adversaries, adv, d_adv, states.adversaries.net_grads[0])])
         return
-    heads = list(zip(states.nets, adv, d_adv, (None, None))) if d_adv else []
-    heads.append((bundle.classifier, cls, d_c, states.main.net_grads[1]))
+    heads = [(adversaries, adv, d_adv, None)] if d_adv is not None else []
+    heads.append((classifier, cls, d_c, states.main.net_grads[1]))
     lc.backward(heads, trunk=(bundle.extractor, ext, states.main.net_grads[0]))
 
 
@@ -349,15 +343,17 @@ def alternating_epoch(bundle: ModelBundle, arrays: EpochArrays, cfg: TrainConfig
     return float(np.mean(totals))
 
 
-def validation_loss(bundle: ModelBundle, val: Batch, cfg: TrainConfig) -> float:
+def validation_loss(bundle: ModelBundle, val: Batch, cfg: TrainConfig,
+                    states: OptimizerStates) -> float:
     """Selection loss on a split: classifier CE, or the full objective.
 
-    Forward only; the classifier-CE path runs neither adversary.
+    Forward only, through the nets of ``states``, the training run's; the
+    classifier-CE path runs neither adversary.
     """
     if cfg.select_by == "objective":
-        return objective(bundle, val, cfg.alpha, cfg.beta).total
-    logits = bundle.classifier.apply(bundle.extractor.apply(val.x))
-    return lc.encoded_cross_entropy(logits, val.targets[0][0])[0]  # y is head 0 of its group
+        return objective(bundle, val, cfg.alpha, cfg.beta, states=states).total
+    logits = states.nets[0].apply(bundle.extractor.apply(val.x))
+    return lc.encoded_cross_entropy(logits, val.targets[0])[0]  # y is head 0
 
 
 def train(train_data: LabeledDataset, val_data: LabeledDataset, cfg: TrainConfig,
@@ -378,7 +374,7 @@ def train(train_data: LabeledDataset, val_data: LabeledDataset, cfg: TrainConfig
     for epoch in range(cfg.epochs):
         mean_total = alternating_epoch(bundle, arrays, cfg, states, shuffle_rng,
                                        update_adversaries=update_adversaries, epoch=epoch)
-        val_loss = validation_loss(bundle, val, cfg)
+        val_loss = validation_loss(bundle, val, cfg, states)
         if not np.isfinite(val_loss):
             raise TrainingDivergedError(f"non-finite validation loss at epoch {epoch}")
         history.append((mean_total, val_loss))

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -280,13 +281,37 @@ class TestTrainCommand:
         assert len(rows) == 3  # header, the trained cell, the kept ERROR row
         assert rows[1].startswith("0.0,0.0,0,") and rows[2].startswith("1.0,1.0,0,ERROR")
 
-    def test_weight_file_round_trip(self, tmp_path):
-        cfg = small_config()
+    @staticmethod
+    def declared_nets(path):
+        """Each net's declared layer sizes and float values, read straight from a model file."""
+        buf = path.read_bytes()
+        offset, nets = 12, []  # past the magic and the version
+        for _ in range(4):
+            (count,) = struct.unpack_from("<I", buf, offset)
+            sizes = list(struct.unpack_from(f"<{count}I", buf, offset + 4))
+            offset += 4 * (count + 1)
+            n = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+            nets.append((sizes, np.frombuffer(buf, "<f8", n, offset)))
+            offset += 8 * n
+        assert offset == len(buf)
+        return nets
+
+    @pytest.mark.parametrize("data", [
+        None, SyntheticSpec(n=1600, k_a=3, seed=0)], ids=["k_a=2", "k_a=3"])
+    def test_weight_file_round_trip(self, tmp_path, data):
+        # With k_a != k_p training pads the heads' output layers; the file must not show it.
+        cfg = small_config(**({"data": data} if data else {}))
         ds = pipeline.load_dataset(cfg)
         splits = make_splits(ds, cfg.split, 0)
         record, trained = pipeline.run_single(cfg, 0.0, 1.0, 0, splits=splits)
         path = tmp_path / "model.bin"
         save_bundle(trained.bundle, path)
+        b = trained.bundle
+        nets = self.declared_nets(path)
+        assert [sizes for sizes, _ in nets] == [
+            net.layer_sizes for net in (b.extractor, b.classifier, b.fairness_adv, b.privacy_adv)]
+        assert [sizes[-1] for sizes, _ in nets[1:]] == [ds.k_y, ds.k_a, ds.k_p]
+        assert all(np.all(np.isfinite(values)) for _, values in nets)
         loaded = load_bundle(path)
         for a, b in zip(trained.bundle.main_params() + trained.bundle.adversary_params(),
                         loaded.main_params() + loaded.adversary_params()):
@@ -321,6 +346,33 @@ class TestTrainCommand:
                    "--out", str(tmp_path / "out"), *[x for kv in args.items() for x in kv]])
         assert rc == 1
         assert capsys.readouterr().err == message + "\n"
+
+    def test_test_split_missing_sensitive_class_fails_before_training(self, monkeypatch):
+        # With one sensitive group, the fairness gap would read 0.0, "perfectly fair".
+        cfg = small_config()
+        train_ds, val_ds, test_ds = make_splits(pipeline.load_dataset(cfg), cfg.split, 0)
+        one_group = test_ds.subset(np.flatnonzero(test_ds.y_a == 0))
+
+        def no_train(*args, **kwargs):
+            raise AssertionError("train must not run")
+
+        monkeypatch.setattr(pipeline, "train", no_train)
+        with pytest.raises(ValueError) as info:
+            pipeline.run_single(cfg, 0.0, 0.0, 0, splits=(train_ds, val_ds, one_group))
+        assert str(info.value) == "test split: y_a lacks class(es) [1] of k_a = 2"
+
+    def test_test_split_missing_private_class_fails_in_cli(self, tmp_path, capsys):
+        # y_p class 2 has probability 0, so an as-is test split never holds it: the
+        # balanced attack accuracy would average 2 recalls against a chance level of 1/3.
+        joint = np.zeros((2, 2, 3))
+        joint[:, :, :2] = 0.125
+        path = config_json(tmp_path, data={"n": 800, "k_p": 3, "joint": joint.tolist()},
+                           split={"test_mode": "as-is"})
+        rc = main(["train", "--config", str(path), "--alpha", "0", "--beta", "0",
+                   "--seed", "0", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: test split: y_p lacks class(es) [2] of k_p = 3\n"
+        assert not (tmp_path / "out" / "results.csv").exists()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -313,6 +313,39 @@ class TestFusedCrossEntropy:
             assert d[0].tobytes() == d_c.tobytes()
 
 
+class TestPaddedCrossEntropy:
+    """Heads whose logits are padded with -inf columns up to a common width
+    K <= 7 give, head by head, the losses and dlogits of each head's own call
+    on its real columns, and exactly 0 in the padded ones. From 8 columns
+    numpy unrolls its row sum, and the last bits may differ."""
+
+    @pytest.mark.parametrize("ks, width", [
+        ((2, 3, 2), 3), ((3, 2, 2), 3), ((2, 2, 3), 3), ((4, 7, 5), 7), ((2, 2, 2), 7),
+        ((2, 6, 3), 6)])
+    @pytest.mark.parametrize("n", [64, 53])  # a full batch and an epoch's last one
+    @pytest.mark.parametrize("scales", [None, (1.0, -0.7, -2.5), (1.0, -0.0, -0.7),
+                                        (1.0, 1.0, 1.0)])
+    def test_heads_match_unpadded_calls(self, ks, width, n, scales):
+        rng = np.random.default_rng(sum(ks) + n)
+        padded = np.full((3, n, width), -np.inf)
+        for j, k in enumerate(ks):
+            padded[j, :, :k] = 4.0 * rng.standard_normal((n, k))
+        y = np.stack([rng.integers(0, k, n) for k in ks])
+        flat = (np.arange(3)[:, None] * n + np.arange(n)) * width + y
+        losses, d = lc.encoded_cross_entropy(padded, flat, None if scales is None
+                                             else np.reshape(scales, (3, 1, 1)))
+        for j, k in enumerate(ks):
+            loss_j, d_j = lc.encoded_cross_entropy(np.ascontiguousarray(padded[j, :, :k]),
+                                                   np.arange(n) * k + y[j],
+                                                   None if scales is None else scales[j])
+            assert np.float64(losses[j]).tobytes() == np.float64(loss_j).tobytes()
+            if scales is None:
+                assert d is None and d_j is None
+                continue
+            assert d[j, :, :k].tobytes() == d_j.tobytes()
+            assert np.all(d[j, :, k:] == 0.0)
+
+
 class TestBackward:
     def test_sum_of_linear_matches_fd(self):
         rng = np.random.default_rng(4)

@@ -233,50 +233,57 @@ class TestModelBundle:
         assert bundle.extractor.weights[0][0, 0] != dup.extractor.weights[0][0, 0]
 
 
-class TestAdversaryNets:
-    """Training runs the adversaries as one stacked net if and only if k_a == k_p."""
+class TestHeadNets:
+    """Training runs every class-count combination in one layout: the
+    classifier and the adversaries padded to K = max(k_y, k_a, k_p) output
+    columns, the adversaries stacked on a head axis of 2."""
 
-    @pytest.mark.parametrize("k_a, k_p", [(2, 2), (3, 3), (3, 2), (2, 3)])
-    def test_stacked_iff_class_counts_match(self, k_a, k_p):
-        bundle = build_bundle(small_cfg(), 6, 2, k_a, k_p)
-        nets = training.adversary_nets(bundle)
-        if k_a != k_p:
-            assert len(nets) == 2
-            assert nets[0] is bundle.fairness_adv and nets[1] is bundle.privacy_adv
-            return
-        [stack] = nets
-        assert stack.layer_sizes == bundle.fairness_adv.layer_sizes
-        for j, net in enumerate((bundle.fairness_adv, bundle.privacy_adv)):
-            assert all(np.array_equal(s[j], p) for s, p in zip(stack.params(), net.params()))
+    @pytest.mark.parametrize("ks", [(2, 2, 2), (3, 3, 3), (2, 3, 2), (3, 2, 2), (2, 2, 3),
+                                    (4, 7, 5)])
+    def test_padded_copies(self, ks):
+        bundle = build_bundle(small_cfg(), 6, *ks)
+        classifier, stack = training.head_nets(bundle)
+        heads = ((classifier, ()), (stack, 0), (stack, 1))
+        for (padded, j), net, k in zip(heads, (bundle.classifier, bundle.fairness_adv,
+                                               bundle.privacy_adv), ks):
+            *hidden, w, b = [p[j] for p in padded.params()]
+            assert w.shape[1] == max(ks)
+            assert all(np.array_equal(p, q)
+                       for p, q in zip(hidden + [w[:, :k], b[:, :k]], net.params()))
+            assert np.all(w[:, k:] == 0.0) and np.all(b[:, k:] == -np.inf)
 
-    @pytest.mark.parametrize("k_a, k_p", [(2, 2), (3, 2)])
-    def test_bundle_params_are_views_that_an_adv_step_moves(self, k_a, k_p):
+    @pytest.mark.parametrize("ks", [(2, 3, 2), (3, 2, 2), (2, 2, 3)])
+    def test_padding_stays_put_while_real_params_move(self, ks):
         rng = np.random.default_rng(0)
-        ds = LabeledDataset(rng.standard_normal((32, 6)), rng.integers(0, 2, 32),
-                            rng.integers(0, k_a, 32), rng.integers(0, k_p, 32), 2, k_a, k_p)
-        cfg = small_cfg(1.0, 1.0, batch_size=32)
-        bundle = build_bundle(cfg, ds.dim, 2, k_a, k_p)
+        ds = LabeledDataset(rng.standard_normal((64, 6)),
+                            *(rng.integers(0, k, 64) for k in ks), *ks)
+        cfg = small_cfg(1.0, 1.0, batch_size=32)  # 2 batches: MAIN, then ADV
+        bundle = build_bundle(cfg, ds.dim, *ks)
         states = OptimizerStates.for_bundle(bundle, cfg.lr)
-        assert len(states.nets) == (1 if k_a == k_p else 2)
-        params = bundle.adversary_params()
-        assert all(np.shares_memory(p, states.adversaries.params) for p in params)
-        before = snapshot(params)
-        states.batch_count = 1  # the epoch's one batch is an ADV phase
+        assert all(np.shares_memory(p, states.main.params) for p in bundle.main_params())
+        assert all(np.shares_memory(p, states.adversaries.params)
+                   for p in bundle.adversary_params())
+        before = snapshot(bundle.main_params() + bundle.adversary_params())
         alternating_epoch(bundle, EpochArrays(ds, cfg.feature_dim, cfg.batch_size), cfg,
                           states, np.random.default_rng(1))
-        assert not any(np.array_equal(p, b) for p, b in zip(bundle.adversary_params(), before))
+        assert states.main.step == states.adversaries.step == 1
+        after = bundle.main_params() + bundle.adversary_params()
+        assert not any(np.array_equal(p, b) for p, b in zip(after, before))
+        classifier, stack = states.nets
+        padded = [(classifier.weights[-1], classifier.biases[-1], ks[0])] + [
+            (stack.weights[-1][j], stack.biases[-1][j], k) for j, k in enumerate(ks[1:])]
+        for w, b, k in padded:
+            assert np.all(w[:, k:] == 0.0) and not np.any(np.signbit(w[:, k:]))
+            assert np.all(b[:, k:] == -np.inf)
 
 
 class TestCrossEntropyCalls:
-    """One cross-entropy call per label group and training step: the three
-    heads together when their class counts match, else y alone and the
-    adversaries together when k_a == k_p, else each alone."""
+    """One cross-entropy call per training step, on the three heads' (3, n, K) logits."""
 
-    @pytest.mark.parametrize("ks, calls", [
-        ((2, 2, 2), 1), ((3, 3, 3), 1), ((3, 2, 2), 2), ((2, 3, 2), 3), ((2, 2, 3), 3),
-        ((3, 3, 2), 3)])
+    @pytest.mark.parametrize("ks", [(2, 2, 2), (3, 3, 3), (3, 2, 2), (2, 3, 2), (2, 2, 3),
+                                    (3, 3, 2)])
     @pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (1.0, 0.0), (1.0, 2.0)])
-    def test_calls_per_step(self, monkeypatch, ks, calls, alpha, beta):
+    def test_one_call_per_step(self, monkeypatch, ks, alpha, beta):
         rng = np.random.default_rng(0)
         ds = LabeledDataset(rng.standard_normal((96, 6)),
                             *(rng.integers(0, k, 96) for k in ks), *ks)
@@ -284,15 +291,15 @@ class TestCrossEntropyCalls:
         bundle = build_bundle(cfg, ds.dim, *ks)
         states = OptimizerStates.for_bundle(bundle, cfg.lr)
         arrays = EpochArrays(ds, cfg.feature_dim, cfg.batch_size)
-        real, count = training.lc.encoded_cross_entropy, []
+        real, shapes = training.lc.encoded_cross_entropy, []
 
         def counted(*args):
-            count.append(args[0].shape[0])  # the call's heads
+            shapes.append(args[0].shape)
             return real(*args)
 
         monkeypatch.setattr(training.lc, "encoded_cross_entropy", counted)
         alternating_epoch(bundle, arrays, cfg, states, np.random.default_rng(1))
-        assert len(count) == 3 * calls and sum(count) == 3 * 3
+        assert shapes == [(3, 32, max(ks))] * 3
 
 
 class TestGoldenBytes:
