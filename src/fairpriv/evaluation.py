@@ -72,22 +72,23 @@ def group_gap(preds, labels, groups, base_metric: str = "accuracy",
     return float(max(values) - min(values))
 
 
-def balanced_accuracy(preds, labels) -> float:
-    """Mean per-class recall; chance level is 1/K regardless of imbalance.
-
-    K is one more than the highest label present: a class above it goes
-    unseen, so ``pipeline.run_single`` rejects a test split that lacks one.
-    """
+def balanced_accuracy(preds, labels, k: int) -> float:
+    """Mean per-class recall over the classes ``[0, k)``; chance level is 1/k
+    regardless of imbalance. A class with no label row is an error, so is a
+    label outside ``[0, k)``."""
     preds = np.asarray(preds)
     labels = np.asarray(labels)
     if preds.shape != labels.shape:
         raise ValueError(f"length mismatch: {preds.shape} vs {labels.shape}")
-    classes = np.unique(labels)
-    k = int(labels.max()) + 1 if labels.size else 0
-    if len(classes) < k or preds.size == 0:
-        missing = sorted(set(range(k)) - set(classes.tolist()))
-        raise ValueError(f"labels missing class(es) {missing or 'all'}")
-    recalls = [np.mean(preds[labels == c] == c) for c in classes]
+    if labels.size == 0:
+        raise ValueError("balanced accuracy over an empty set")
+    if np.any((labels < 0) | (labels >= k)):
+        raise ValueError(f"labels outside [0, {k})")
+    present = np.unique(labels).tolist()
+    if len(present) < k:
+        missing = sorted(set(range(k)) - set(present))
+        raise ValueError(f"labels missing class(es) {missing}")
+    recalls = [np.mean(preds[labels == c] == c) for c in range(k)]
     return float(np.mean(recalls))
 
 
@@ -126,12 +127,26 @@ def fit_multinomial_logistic(x: Matrix, labels, k: int, class_weights,
                              iters: int, lr: float) -> tuple[Matrix, Matrix]:
     """Full-batch gradient descent on weighted cross entropy from zero init.
 
-    Deterministic. Returns (weights, bias) after exactly ``iters`` steps; every
-    step costs the same, whatever the data. The gradient step is taken on the
-    weight-normalized loss, matching the training-loss convention. ``x``
-    needs at least one row and ``k`` at least 2 classes; every label must lie
-    in ``[0, k)``, every class weight and ``lr`` be finite and > 0, and
-    ``iters`` be at least 1.
+    Deterministic. Returns (weights, bias) bitwise equal to those after
+    exactly ``iters`` steps, computed with fewer steps once the iterate
+    repeats. The gradient step is taken on the weight-normalized loss,
+    matching the training-loss convention. ``x`` needs at least one row and
+    ``k`` at least 2 classes; every label must lie in ``[0, k)``, every class
+    weight and ``lr`` be finite and > 0, and ``iters`` be at least 1.
+
+    A step is a pure function of the parameter bytes: every scratch buffer
+    is overwritten in each step, and the BLAS products are deterministic
+    (importing the package pins BLAS to one thread). So once the parameters
+    after step t are byte for byte those after an earlier step t - p, the
+    run from there on is a cycle of period p, and ``(iters - t) % p`` more
+    steps reach the state of step ``iters``. One saved copy of the parameter
+    bytes finds the repeat (Brent's cycle detection, Brent 1980, moving the
+    copy once the steps since it exceed an eighth of its step number in
+    place of doubling), so the memory does not depend on ``iters``, and a
+    cycle that starts at step m with p <= m / 8 is caught within
+    m / 8 + p + 1 steps of its start. Comparing bytes keeps -0.0 and +0.0
+    apart, and a NaN state repeats only with the same bits. A fit whose
+    iterate never repeats runs all ``iters`` steps.
 
     Each step is the plain update below, computed in place in preallocated
     buffers with the logits held class-major, as a (k, n) array: each
@@ -186,8 +201,11 @@ def fit_multinomial_logistic(x: Matrix, labels, k: int, class_weights,
     z_rest = list(z[2:])
     rows = np.empty(n)
     ones_col = np.broadcast_to(1.0, (n, 1))
+
+    saved, saved_at = params.tobytes(), 0
+    t, end = 0, iters
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports divergence
-        for _ in range(iters):
+        while t < end:
             np.matmul(x, weights, out=zn)
             np.add(zn.T, bias.T, out=z)
             np.maximum(z[0], z[1], out=rows)
@@ -206,14 +224,19 @@ def fit_multinomial_logistic(x: Matrix, labels, k: int, class_weights,
             np.matmul(z, ones_col, out=grad_b)
             grads *= lr
             params -= grads
+            t += 1
+            state = params.tobytes()
+            if state == saved:  # a cycle of period t - saved_at: skip its whole laps
+                end = t + (iters - t) % (t - saved_at)
+            elif 8 * (t - saved_at) > saved_at:
+                saved, saved_at = state, t
     if not np.all(np.isfinite(params)):
         raise FloatingPointError("logistic fit diverged; lower the learning rate")
     return weights, bias
 
 
 def fit_attacker(val_features: Matrix, val_y, val_yp, iters: int = 2000,
-                 lr: float = 1.0, k_y: int | None = None,
-                 k_p: int | None = None) -> LinearAttacker:
+                 lr: float = 1.0, *, k_y: int, k_p: int) -> LinearAttacker:
     """Fit the attack model on validation features, reweighted by class.
 
     Inverse-frequency loss reweighting keeps the attacker from collapsing to
@@ -223,10 +246,6 @@ def fit_attacker(val_features: Matrix, val_y, val_yp, iters: int = 2000,
     """
     val_y = np.asarray(val_y, dtype=np.int64)
     val_yp = np.asarray(val_yp, dtype=np.int64)
-    if k_y is None:
-        k_y = int(val_y.max()) + 1
-    if k_p is None:
-        k_p = int(val_yp.max()) + 1
     class_weights = inverse_frequency_weights(val_yp, k_p)
     z = np.hstack([np.asarray(val_features, dtype=np.float64), one_hot(val_y, k_y)])
     center = z.mean(axis=0)
@@ -243,4 +262,5 @@ def attack_accuracy(attacker: LinearAttacker, test_features: Matrix,
                     test_y, test_yp) -> float:
     """Balanced accuracy of the attacker on held-out (test) features."""
     preds = attacker.predict(test_features, test_y)
-    return balanced_accuracy(preds, np.asarray(test_yp, dtype=np.int64))
+    return balanced_accuracy(preds, np.asarray(test_yp, dtype=np.int64),
+                             attacker.weights.shape[1])

@@ -107,7 +107,7 @@ class TestMakeSplits:
         ds = generate(SyntheticSpec(n=3200, joint=uniform_joint(), seed=8))
         split = SplitSpec(test_mode="trio-balanced")
         _, _, test = make_splits(ds, split, seed=1)
-        assert balanced_accuracy(np.zeros(len(test), dtype=int), test.y_p) == 0.5
+        assert balanced_accuracy(np.zeros(len(test), dtype=int), test.y_p, 2) == 0.5
 
     def test_undersample_factor_one_balances_only(self):
         ds = generate(SyntheticSpec(n=2000, joint=uniform_joint(), seed=9))

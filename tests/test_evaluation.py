@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from fairpriv import evaluation
 from fairpriv.evaluation import (LinearAttacker, accuracy, attack_accuracy,
                                  balanced_accuracy, fit_attacker,
                                  fit_multinomial_logistic, group_gap,
@@ -78,30 +81,46 @@ class TestGroupGap:
 class TestBalancedAccuracy:
     def test_constant_predictor_chance(self):
         labels = np.array([0] * 30 + [1] * 5 + [2] * 15)
-        assert balanced_accuracy(np.zeros(50, dtype=int), labels) == pytest.approx(1 / 3)
+        assert balanced_accuracy(np.zeros(50, dtype=int), labels, 3) == pytest.approx(1 / 3)
 
     def test_perfect(self):
         labels = np.array([0, 1, 2, 1])
-        assert balanced_accuracy(labels, labels) == 1.0
+        assert balanced_accuracy(labels, labels, 3) == 1.0
 
     def test_mean_of_recalls(self):
         labels = np.array([1] * 10 + [0] * 10)
         preds = np.array([1] * 9 + [0] + [0] * 5 + [1] * 5)
-        assert balanced_accuracy(preds, labels) == pytest.approx(0.7)
+        assert balanced_accuracy(preds, labels, 2) == pytest.approx(0.7)
 
     def test_missing_class(self):
-        with pytest.raises(ValueError, match="missing"):
-            balanced_accuracy([0, 1], [0, 2])
+        with pytest.raises(ValueError, match=r"missing class\(es\) \[1\]"):
+            balanced_accuracy([0, 1], [0, 2], 3)
+
+    def test_missing_top_class_named(self):
+        # Inferring the class count from the labels scored this as 0.5 over
+        # 2 classes, although class 2 has no row.
+        with pytest.raises(ValueError, match=r"missing class\(es\) \[2\]"):
+            balanced_accuracy([0, 1, 2, 2], [0, 1, 0, 1], 3)
+        assert balanced_accuracy([0, 1, 2, 2], [0, 1, 0, 1], 2) == 0.5
+
+    @pytest.mark.parametrize("labels", [[0, 1, 2], [0, 1, -1]])
+    def test_label_outside_classes(self, labels):
+        with pytest.raises(ValueError, match=r"outside \[0, 2\)"):
+            balanced_accuracy([0, 1, 0], labels, 2)
+
+    def test_empty(self):
+        with pytest.raises(ValueError, match="empty"):
+            balanced_accuracy([], [], 2)
 
     def test_duplication_invariance(self):
         rng = np.random.default_rng(2)
         labels = rng.integers(0, 3, 60)
         preds = rng.integers(0, 3, 60)
-        ba = balanced_accuracy(preds, labels)
+        ba = balanced_accuracy(preds, labels, 3)
         dup = labels == 1
         labels2 = np.concatenate([labels, labels[dup]])
         preds2 = np.concatenate([preds, preds[dup]])
-        assert balanced_accuracy(preds2, labels2) == pytest.approx(ba, abs=1e-12)
+        assert balanced_accuracy(preds2, labels2, 3) == pytest.approx(ba, abs=1e-12)
 
 
 def two_gaussian_features(n, mu, seed, skew=0.5):
@@ -154,9 +173,11 @@ class TestFitAttacker:
             fit_attacker(x, y, y_p, iters=200, lr=1e308, k_y=2, k_p=2)
 
 
-def reference_gd_loop(x, labels, k, class_weights, iters, lr):
+def reference_gd_iterates(x, labels, k, class_weights, lr):
     """fit_multinomial_logistic as it was before the column-wise, in-place
-    loop: the oracle for its bitwise equality."""
+    loop and the exit on a repeated state: the oracle for its bitwise
+    equality. Yields the (weights, bias) buffers after each step, without
+    end."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     w = np.asarray(class_weights, dtype=np.float64)
@@ -166,7 +187,7 @@ def reference_gd_loop(x, labels, k, class_weights, iters, lr):
     target = one_hot(y, k)
     weights = np.zeros((d, k))
     bias = np.zeros((1, k))
-    for _ in range(iters):
+    while True:
         z = x @ weights + bias
         z -= z.max(axis=1, keepdims=True)
         p = np.exp(z)
@@ -174,7 +195,51 @@ def reference_gd_loop(x, labels, k, class_weights, iters, lr):
         dz = (p - target) * row_w / total_w
         weights -= lr * (x.T @ dz)
         bias -= lr * dz.sum(axis=0, keepdims=True)
-    return weights, bias
+        yield weights, bias
+
+
+def reference_gd_loop(x, labels, k, class_weights, iters, lr):
+    """The oracle's (weights, bias) after exactly ``iters`` steps."""
+    return next(itertools.islice(reference_gd_iterates(x, labels, k, class_weights, lr),
+                                 iters - 1, None))
+
+
+def first_repeat(x, labels, k, class_weights, iters):
+    """(m, p) when the oracle's state after step m + p is that after step m
+    (step 0 is the zero init), for the first such m + p <= iters; else None."""
+    seen = {}
+    iterates = reference_gd_iterates(x, labels, k, class_weights, 1.0)
+    states = itertools.chain([(np.zeros((x.shape[1], k)), np.zeros((1, k)))], iterates)
+    for t, state in enumerate(itertools.islice(states, iters + 1)):
+        key = state_bytes(*state)
+        if key in seen:
+            return seen[key], t - seen[key]
+        seen[key] = t
+    return None
+
+
+class CountingNumpy:
+    """Stands in for ``numpy`` in the evaluation module and counts the fit's
+    steps: each computes one ``np.exp``."""
+
+    def __init__(self):
+        self.steps = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, *args, **kwargs):
+        self.steps += 1
+        return np.exp(*args, **kwargs)
+
+
+def counted_fit(monkeypatch, *args):
+    """fit_multinomial_logistic(*args) and the number of steps it computed."""
+    counter = CountingNumpy()
+    with monkeypatch.context() as m:
+        m.setattr(evaluation, "np", counter)
+        result = fit_multinomial_logistic(*args)
+    return result, counter.steps
 
 
 def uninformative_problem(k, seed, n=120, d=3):
@@ -251,6 +316,63 @@ class TestFitMultinomialLogistic:
         got = np.matmul(z, np.broadcast_to(1.0, (n, 1)))
         assert got.tobytes() == np.cumsum(z, axis=1)[:, -1:].tobytes()
 
+    # name: (problem, its oracle's first repeat (m, p)). The exit is exact
+    # only if it runs the remaining steps modulo p, so periods > 1 matter.
+    REPEATING = {
+        "fixed point": (2, lambda: informative_problem(200, 4, 2, seed=202), (418, 1)),
+        "period 2": (3, lambda: uninformative_problem(3, 1), (317, 2)),
+        "period 4": (5, lambda: uninformative_problem(5, 2), (407, 4)),
+    }
+
+    @staticmethod
+    def repeating_problem(name):
+        k, make, repeat = TestFitMultinomialLogistic.REPEATING[name]
+        x, y, w = make()
+        return x, y, k, w, repeat
+
+    @staticmethod
+    def exit_step(monkeypatch, x, y, k, w, period):
+        """The step at which the fit sees the repeat: with ``iters`` past it,
+        the fit computes that step plus ``(iters - exit) % period`` more, so
+        the fewest over ``period`` consecutive ``iters`` is the exit step."""
+        return min(counted_fit(monkeypatch, x, y, k, w, iters, 1.0)[1]
+                   for iters in range(3000, 3000 + period))
+
+    @pytest.mark.parametrize("name", list(REPEATING))
+    def test_exit_fires_within_an_eighth_of_the_cycle_start(self, monkeypatch, name):
+        x, y, k, w, (start, period) = self.repeating_problem(name)
+        assert first_repeat(x, y, k, w, 3000) == (start, period)
+        assert period <= start / 8  # where the bound holds
+        exit_at = self.exit_step(monkeypatch, x, y, k, w, period)
+        assert start + period <= exit_at <= start + start // 8 + period + 1
+
+    @pytest.mark.parametrize("name", list(REPEATING))
+    def test_bitwise_equal_to_reference_loop_around_the_exit(self, monkeypatch, name):
+        x, y, k, w, (_, period) = self.repeating_problem(name)
+        exit_at = self.exit_step(monkeypatch, x, y, k, w, period)
+        for iters in (exit_at - 1, exit_at, exit_at + 1, exit_at + period - 1,
+                      exit_at + period + 1, 2000, 2001):
+            got, steps = counted_fit(monkeypatch, x, y, k, w, iters, 1.0)
+            want = reference_gd_loop(x, y, k, w, iters, 1.0)
+            assert state_bytes(*got) == state_bytes(*want), iters
+            assert steps == (iters if iters < exit_at
+                             else exit_at + (iters - exit_at) % period), iters
+
+    def test_never_repeating_fit_computes_every_step(self, monkeypatch):
+        x, y, w = informative_problem(53, 20, 2, seed=55)
+        assert first_repeat(x, y, 2, w, 2000) is None
+        got, steps = counted_fit(monkeypatch, x, y, 2, w, 2000, 1.0)
+        assert steps == 2000
+        assert state_bytes(*got) == state_bytes(*reference_gd_loop(x, y, 2, w, 2000, 1.0))
+
+    def test_diverging_fit_raises_after_its_nan_state_repeats(self, monkeypatch):
+        x, y, y_p = two_gaussian_features(300, mu=2.0, seed=7)
+        counter = CountingNumpy()
+        monkeypatch.setattr(evaluation, "np", counter)
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="diverged"):
+            fit_attacker(x, y, y_p, iters=2000, lr=1e308, k_y=2, k_p=2)
+        assert counter.steps < 2000
+
     @pytest.mark.parametrize("x_rows, labels, k, class_weights, name", [
         (4, [0, 0, 0, 0], 1, [1.0], "k"),
         (4, [0, 1, 2, 1], 2, [1.0, 1.0], "labels"),
@@ -289,6 +411,12 @@ class TestAttackAccuracy:
         y = rng.integers(0, 2, 90)
         y_p = np.repeat([0, 1, 2], 30)
         assert attack_accuracy(attacker, x, y, y_p) == pytest.approx(1 / 3)
+
+    def test_class_count_is_the_attackers(self):
+        # Test labels without class 2 cannot score a 3-class attacker.
+        attacker = LinearAttacker(np.zeros((6, 3)), np.zeros((1, 3)), k_y=2)
+        with pytest.raises(ValueError, match=r"missing class\(es\) \[2\]"):
+            attack_accuracy(attacker, np.zeros((4, 4)), np.zeros(4, int), [0, 1, 0, 1])
 
     def test_separable_near_perfect(self):
         x, y, y_p = two_gaussian_features(2000, mu=6.0, seed=9)
