@@ -15,8 +15,8 @@ import numpy as np
 
 from ..analysis import METRICS, RunRecord
 from ..data import LabeledDataset, generate, load_csv, make_splits
-from ..evaluation import (MetricTriple, accuracy, attack_accuracy, fit_attacker,
-                          group_gap, tpr)
+from ..evaluation import (MetricTriple, attack_accuracy, class_counts, fit_attacker,
+                          utility_and_gap)
 from ..training import TrainedModel, train
 from .config import ConfigError, ExperimentConfig
 
@@ -45,15 +45,10 @@ def evaluate_bundle(bundle, val_ds: LabeledDataset, test_ds: LabeledDataset,
     m_p = attack_accuracy(attacker, test_features, test_ds.y, test_ds.y_p)
 
     preds = np.argmax(bundle.classifier.apply(test_features), axis=1)
-    positive = config.positive_class
-    if positive is None:
-        positive = test_ds.k_y - 1
+    positive = None  # accuracy
     if config.utility_metric == "tpr":
-        m_u = tpr(preds, test_ds.y, positive)
-    else:
-        m_u = accuracy(preds, test_ds.y)
-    m_a = group_gap(preds, test_ds.y, test_ds.y_a, base_metric=config.utility_metric,
-                    positive_class=positive)
+        positive = test_ds.k_y - 1 if config.positive_class is None else config.positive_class
+    m_u, m_a = utility_and_gap(preds, test_ds.y, test_ds.y_a, test_ds.k_a, positive)
     return MetricTriple(utility=m_u, fairness_gap=m_a, attack_balanced_acc=m_p)
 
 
@@ -77,17 +72,16 @@ def run_single(config: ExperimentConfig, alpha: float, beta: float, seed: int,
     ``splits`` is the config's data split for ``seed``, as ``seed_splits`` or
     ``make_splits`` builds it; None builds it. A run writes into no split
     (training shuffles a copy), so the runs of a seed may share one. A test
-    split that lacks a class of y_a or y_p fails before training: the
-    fairness gap would skip that group and the balanced attack accuracy
-    that class, and both would still look valid.
+    split that lacks a class of y_a or y_p, or a validation split that lacks
+    a class of y_p, fails before training, not after it, where the metrics
+    or the attacker's reweighting would fail on it.
     """
     train_config = dataclasses.replace(config.train, alpha=alpha, beta=beta, seed=seed)
     train_config.validate()  # a bad argument fails before any data work
     train_ds, val_ds, test_ds = splits if splits is not None else seed_splits(config, seed)
-    for name, labels, k in (("y_a", test_ds.y_a, test_ds.k_a), ("y_p", test_ds.y_p, test_ds.k_p)):
-        missing = np.flatnonzero(np.bincount(labels, minlength=k) == 0).tolist()
-        if missing:
-            raise ValueError(f"test split: {name} lacks class(es) {missing} of k_{name[-1]} = {k}")
+    class_counts(test_ds.y_a, test_ds.k_a, "test split: y_a")
+    class_counts(test_ds.y_p, test_ds.k_p, "test split: y_p")
+    class_counts(val_ds.y_p, val_ds.k_p, "validation split: y_p")
     trained = train(train_ds, val_ds, train_config)
     triple = evaluate_bundle(trained.bundle, val_ds, test_ds, config)
     record = RunRecord(alpha=alpha, beta=beta, seed=seed, triple=triple,

@@ -22,74 +22,50 @@ class MetricTriple:
     attack_balanced_acc: float
 
 
-def accuracy(preds, labels) -> float:
-    preds = np.asarray(preds)
-    labels = np.asarray(labels)
-    if preds.shape != labels.shape:
-        raise ValueError(f"length mismatch: {preds.shape} vs {labels.shape}")
-    if preds.size == 0:
-        raise ValueError("accuracy over an empty set")
-    return float(np.mean(preds == labels))
-
-
-def tpr(preds, labels, positive_class: int) -> float:
-    """P(pred == positive | label == positive)."""
-    preds = np.asarray(preds)
-    labels = np.asarray(labels)
-    if preds.shape != labels.shape:
-        raise ValueError(f"length mismatch: {preds.shape} vs {labels.shape}")
-    pos = labels == positive_class
-    if not np.any(pos):
-        raise ValueError(f"no rows with label {positive_class}")
-    return float(np.mean(preds[pos] == positive_class))
-
-
-def group_gap(preds, labels, groups, base_metric: str = "accuracy",
-              positive_class: int | None = None) -> float:
-    """Max pairwise absolute difference of the base metric across groups.
-
-    base_metric "accuracy" gives the accuracy-parity gap; "tpr" the
-    equal-opportunity gap (positive_class defaults to the highest label).
-    The groups are those present in ``groups``, so one group alone gives 0.0;
-    ``pipeline.run_single`` rejects a test split that lacks a group.
-    """
-    preds = np.asarray(preds)
-    labels = np.asarray(labels)
-    groups = np.asarray(groups)
-    if base_metric not in ("accuracy", "tpr"):
-        raise ValueError(f"unknown base_metric {base_metric!r}")
-    if positive_class is None:
-        positive_class = int(labels.max()) if labels.size else 1
-    values = []
-    for g in np.unique(groups):
-        mask = groups == g
-        if base_metric == "accuracy":
-            values.append(accuracy(preds[mask], labels[mask]))
-        else:
-            if not np.any(labels[mask] == positive_class):
-                raise ValueError(f"group {g} has no positive rows for tpr")
-            values.append(tpr(preds[mask], labels[mask], positive_class))
-    return float(max(values) - min(values))
-
-
-def balanced_accuracy(preds, labels, k: int) -> float:
-    """Mean per-class recall over the classes ``[0, k)``; chance level is 1/k
-    regardless of imbalance. A class with no label row is an error, so is a
-    label outside ``[0, k)``."""
-    preds = np.asarray(preds)
-    labels = np.asarray(labels)
-    if preds.shape != labels.shape:
-        raise ValueError(f"length mismatch: {preds.shape} vs {labels.shape}")
-    if labels.size == 0:
-        raise ValueError("balanced accuracy over an empty set")
+def class_counts(labels, k: int, name: str) -> np.ndarray:
+    """Rows of each class ``[0, k)`` in ``labels``. A label outside that
+    range, or a class with no row, is an error naming ``name``, which ends in
+    the label's name (y, y_a or y_p; its class count is k_y, k_a or k_p)."""
+    labels = np.asarray(labels, dtype=np.int64)
     if np.any((labels < 0) | (labels >= k)):
-        raise ValueError(f"labels outside [0, {k})")
-    present = np.unique(labels).tolist()
-    if len(present) < k:
-        missing = sorted(set(range(k)) - set(present))
-        raise ValueError(f"labels missing class(es) {missing}")
-    recalls = [np.mean(preds[labels == c] == c) for c in range(k)]
-    return float(np.mean(recalls))
+        raise ValueError(f"{name} has labels outside [0, {k})")
+    counts = np.bincount(labels, minlength=k)
+    missing = np.flatnonzero(counts == 0).tolist()
+    if missing:
+        raise ValueError(f"{name} lacks class(es) {missing} of k_{name[-1]} = {k}")
+    return counts
+
+
+def class_rates(labels, hits, k: int, name: str) -> np.ndarray:
+    """The share of each class's rows in ``labels`` that ``hits`` marks: an
+    exact count over an exact count, so each equals ``np.mean`` of that
+    class's hits. Checked as :func:`class_counts`."""
+    counts = class_counts(labels, k, name)
+    return np.bincount(np.asarray(labels, dtype=np.int64), hits, k) / counts
+
+
+def utility_and_gap(preds, labels, groups, k_groups: int,
+                    positive_class: int | None) -> tuple[float, float]:
+    """(utility, fairness gap) of predictions against task labels.
+
+    With ``positive_class`` None the utility is accuracy; with a class, the
+    TPR of that class, over its rows alone. The gap is the max pairwise
+    absolute difference of the same rate across the ``k_groups`` sensitive
+    groups. Inputs of different shapes, or a group with no counted row, are errors.
+    """
+    labels = np.asarray(labels)
+    groups = np.asarray(groups, dtype=np.int64)
+    if not np.shape(preds) == labels.shape == groups.shape:
+        raise ValueError(f"length mismatch: {np.shape(preds)} preds, {labels.shape} y, "
+                         f"{groups.shape} y_a")
+    hits = np.asarray(preds) == labels
+    name = "y_a"
+    if positive_class is not None:
+        rows = labels == positive_class
+        hits, groups = hits[rows], groups[rows]
+        name = f"rows with y = {positive_class}: y_a"
+    rates = class_rates(groups, hits, k_groups, name)
+    return float(np.count_nonzero(hits) / hits.size), float(rates.max() - rates.min())
 
 
 # ---------------------------------------------------------------------------
@@ -114,13 +90,9 @@ class LinearAttacker:
 
 
 def inverse_frequency_weights(labels, k: int) -> np.ndarray:
-    """w_c = n / (k * n_c); missing classes are an error."""
-    labels = np.asarray(labels)
-    counts = np.bincount(labels, minlength=k)
-    if np.any(counts == 0):
-        missing = np.flatnonzero(counts == 0).tolist()
-        raise ValueError(f"class(es) {missing} absent; cannot reweight")
-    return labels.shape[0] / (k * counts.astype(np.float64))
+    """w_c = n / (k * n_c) for the private labels y_p, checked as :func:`class_counts`."""
+    counts = class_counts(labels, k, "y_p")
+    return counts.sum() / (k * counts.astype(np.float64))
 
 
 def fit_multinomial_logistic(x: Matrix, labels, k: int, class_weights,
@@ -260,7 +232,10 @@ def fit_attacker(val_features: Matrix, val_y, val_yp, iters: int = 2000,
 
 def attack_accuracy(attacker: LinearAttacker, test_features: Matrix,
                     test_y, test_yp) -> float:
-    """Balanced accuracy of the attacker on held-out (test) features."""
+    """Balanced accuracy of the attacker on held-out (test) features: the
+    mean recall over its k_p classes, so chance level is 1/k_p."""
+    test_yp = np.asarray(test_yp, dtype=np.int64)
     preds = attacker.predict(test_features, test_y)
-    return balanced_accuracy(preds, np.asarray(test_yp, dtype=np.int64),
-                             attacker.weights.shape[1])
+    if preds.shape != test_yp.shape:
+        raise ValueError(f"length mismatch: {preds.shape} preds vs {test_yp.shape} y_p")
+    return float(np.mean(class_rates(test_yp, preds == test_yp, attacker.weights.shape[1], "y_p")))

@@ -29,48 +29,18 @@ def as_matrix(data) -> Matrix:
     return arr
 
 
-def softmax_cross_entropy(logits: Matrix, targets, class_weights=None,
-                          grad_scale: float | None = None) -> tuple[float, Matrix | None]:
-    """Class-weighted softmax cross entropy, normalized by total weight.
-
-    Returns (loss, dlogits) with loss = (sum_i w[y_i] * -log softmax(logits_i)[y_i])
-    / sum_i w[y_i], stabilized by per-row max subtraction. ``class_weights``
-    None means unit weights, i.e. the plain mean cross entropy. dlogits is the
-    gradient of ``grad_scale * loss`` with respect to the logits, or None when
-    no grad_scale is given. Checks its arguments, encodes the targets and runs
-    :func:`encoded_cross_entropy`.
-    """
-    y = np.asarray(targets, dtype=np.int64).reshape(-1)
-    n, k = logits.shape
-    if n == 0:
-        raise ValueError("cross entropy over an empty batch")
-    if y.shape[0] != n:
-        raise ShapeError(f"targets length {y.shape[0]} != batch size {n}")
-    if y.min() < 0 or y.max() >= k:
-        raise ValueError(f"target index out of range for {k} classes")
-    flat = np.arange(n) * k + y
-    if class_weights is None:
-        return encoded_cross_entropy(logits, flat, grad_scale)
-    w = np.asarray(class_weights, dtype=np.float64).reshape(-1)
-    if w.shape[0] != k:
-        raise ShapeError(f"class_weights length {w.shape[0]} != class count {k}")
-    if np.any(w < 0) or not np.any(w > 0):
-        raise ValueError("class weights must be >= 0 and not all zero")
-    row_w = w[y]
-    total_w = row_w.sum()
-    if total_w <= 0.0:
-        raise ValueError("total batch weight is zero (every row's class has weight 0)")
-    return encoded_cross_entropy(logits, flat, grad_scale, row_w, total_w)
-
-
 def encoded_cross_entropy(logits: Matrix, flat: np.ndarray, grad_scale: float | None = None,
                           row_w: np.ndarray | None = None,
                           total_w: float | None = None) -> tuple[float, Matrix | None]:
-    """The arithmetic of :func:`softmax_cross_entropy`, on pre-encoded targets.
+    """Class-weighted softmax cross entropy on pre-encoded targets.
 
-    ``flat`` holds each row's index into the flattened (n, k) logits,
-    ``row * k + target``. ``row_w`` and ``total_w`` are the rows' class
-    weights and their sum, None for unit weights. Nothing is checked.
+    Returns (loss, dlogits) with loss = (sum_i w_i * -log softmax(logits_i)[y_i])
+    / sum_i w_i, stabilized by per-row max subtraction. ``flat`` holds each
+    row's index into the flattened (n, k) logits, ``row * k + y_i``.
+    ``row_w`` and ``total_w`` are the rows' class weights w_i and their sum,
+    None for unit weights (the plain mean). dlogits is the gradient of
+    ``grad_scale * loss`` with respect to the logits, or None when no
+    grad_scale is given. Nothing is checked.
     Stacked (heads, n, k) logits, with (heads, n) indices into all of them
     and a number or (heads, 1, 1) ``grad_scale``, give a list of per-head losses.
     """

@@ -18,7 +18,7 @@ from fairpriv.analysis import (CsrWeights, RunRecord, csr, grid_values, group_la
 from fairpriv.cli import main, pipeline
 from fairpriv.data import LabeledDataset, make_splits
 from fairpriv.evaluation import MetricTriple
-from fairpriv.learncore import mlp_init, softmax_cross_entropy
+from fairpriv.learncore import encoded_cross_entropy, mlp_init
 from fairpriv.training import train
 
 CHANCE = 0.5  # binary private label in the reference config
@@ -58,6 +58,9 @@ class TestCriterion1GradientOracle:
             x = rng.standard_normal((int(rng.integers(1, 9)), sizes[0]))
             y = rng.integers(0, sizes[-1], x.shape[0])
             w = rng.uniform(0.2, 2.0, sizes[-1])
+            flat = np.arange(x.shape[0]) * sizes[-1] + y
+            row_w = w[y]
+            total_w = row_w.sum()
 
             # Central differences are invalid across ReLU kinks; skip instances
             # with a hidden pre-activation close enough to 0 for the +-h probe
@@ -75,10 +78,10 @@ class TestCriterion1GradientOracle:
                 continue
 
             def loss_value():
-                return softmax_cross_entropy(mlp.apply(x), y, w)[0]
+                return encoded_cross_entropy(mlp.apply(x), flat, None, row_w, total_w)[0]
 
             acts = mlp.forward(x)
-            _, dlogits = softmax_cross_entropy(acts[-1], y, w, grad_scale=1.0)
+            _, dlogits = encoded_cross_entropy(acts[-1], flat, 1.0, row_w, total_w)
             grads = [np.empty_like(p) for p in mlp.params()]
             mlp.backward(acts, dlogits, grads)
 

@@ -19,7 +19,9 @@ from fairpriv.cli.modelio import load_bundle, save_bundle
 from fairpriv import data
 from fairpriv.data import (LabeledDataset, SplitSpec, SyntheticSpec, load_csv,
                           make_splits)
-from fairpriv.evaluation import MetricTriple
+from fairpriv.evaluation import MetricTriple, fit_attacker
+
+import test_evaluation as oracle
 
 
 def small_config(**overrides):
@@ -373,6 +375,46 @@ class TestTrainCommand:
         assert rc == 1
         assert capsys.readouterr().err == "error: test split: y_p lacks class(es) [2] of k_p = 3\n"
         assert not (tmp_path / "out" / "results.csv").exists()
+
+    def test_validation_split_missing_private_class_fails_before_training(self, monkeypatch):
+        # The attacker's reweighting would fail on it, but only after training.
+        cfg = small_config()
+        train_ds, val_ds, test_ds = make_splits(pipeline.load_dataset(cfg), cfg.split, 0)
+        no_class_1 = val_ds.subset(np.flatnonzero(val_ds.y_p != 1))
+
+        def no_train(*args, **kwargs):
+            raise AssertionError("train must not run")
+
+        monkeypatch.setattr(pipeline, "train", no_train)
+        with pytest.raises(ValueError) as info:
+            pipeline.run_single(cfg, 0.0, 0.0, 0, splits=(train_ds, no_class_1, test_ds))
+        assert str(info.value) == "validation split: y_p lacks class(es) [1] of k_p = 2"
+
+    @pytest.mark.parametrize("metric", ["accuracy", "tpr"])
+    @pytest.mark.parametrize("positive", [None, 0])
+    def test_metrics_match_oracle(self, metric, positive):
+        # The metrics before class_rates replaced them, on the trained model's
+        # predictions; positive_class counts only in tpr mode.
+        cfg = small_config(utility_metric=metric, positive_class=positive)
+        splits = pipeline.seed_splits(cfg, 0)
+        _, val_ds, test_ds = splits
+        record, trained = pipeline.run_single(cfg, 1.0, 1.0, 0, splits=splits)
+        bundle = trained.bundle
+        features = bundle.extractor.apply(test_ds.x)
+        preds = np.argmax(bundle.classifier.apply(features), axis=1)
+        if metric == "tpr":
+            pos = test_ds.k_y - 1 if positive is None else positive
+            utility = oracle.tpr(preds, test_ds.y, pos)
+        else:
+            pos = None
+            utility = oracle.accuracy(preds, test_ds.y)
+        gap = oracle.group_gap(preds, test_ds.y, test_ds.y_a, metric, pos)
+        attacker = fit_attacker(bundle.extractor.apply(val_ds.x), val_ds.y, val_ds.y_p,
+                                iters=cfg.attacker_iters, lr=cfg.attacker_lr,
+                                k_y=val_ds.k_y, k_p=val_ds.k_p)
+        attack = oracle.balanced_accuracy(attacker.predict(features, test_ds.y), test_ds.y_p,
+                                          test_ds.k_p)
+        assert dataclasses.astuple(record.triple) == (utility, gap, attack)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

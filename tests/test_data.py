@@ -5,8 +5,8 @@ import pytest
 
 from fairpriv.data import (LabeledDataset, SplitSpec, SyntheticSpec, csv_class_counts,
                            generate, load_csv, make_splits, sample_labels, save_csv)
-from fairpriv.evaluation import (balanced_accuracy, fit_attacker,
-                                 fit_multinomial_logistic, attack_accuracy)
+from fairpriv.evaluation import (LinearAttacker, attack_accuracy, fit_attacker,
+                                 fit_multinomial_logistic)
 
 
 def uniform_joint():
@@ -107,7 +107,10 @@ class TestMakeSplits:
         ds = generate(SyntheticSpec(n=3200, joint=uniform_joint(), seed=8))
         split = SplitSpec(test_mode="trio-balanced")
         _, _, test = make_splits(ds, split, seed=1)
-        assert balanced_accuracy(np.zeros(len(test), dtype=int), test.y_p, 2) == 0.5
+        # A zero-weight attacker whose bias picks class 0 predicts it everywhere.
+        constant = LinearAttacker(np.zeros((test.x.shape[1] + 2, 2)), np.array([[1.0, 0.0]]),
+                                  k_y=2)
+        assert attack_accuracy(constant, test.x, test.y, test.y_p) == 0.5
 
     def test_undersample_factor_one_balances_only(self):
         ds = generate(SyntheticSpec(n=2000, joint=uniform_joint(), seed=9))

@@ -4,51 +4,179 @@ import numpy as np
 import pytest
 
 from fairpriv import evaluation
-from fairpriv.evaluation import (LinearAttacker, accuracy, attack_accuracy,
-                                 balanced_accuracy, fit_attacker,
-                                 fit_multinomial_logistic, group_gap,
-                                 inverse_frequency_weights, tpr)
+from fairpriv.evaluation import (LinearAttacker, attack_accuracy, class_counts, class_rates,
+                                 fit_attacker, fit_multinomial_logistic,
+                                 inverse_frequency_weights, utility_and_gap)
 from fairpriv.data import one_hot
-from fairpriv.learncore import softmax_cross_entropy
+from test_learncore import reference_softmax_ce
 
 
-class TestAccuracy:
-    def test_all_correct(self):
-        assert accuracy([0, 1, 1], [0, 1, 1]) == 1.0
+# The four metric functions that class_rates replaced, kept verbatim as the
+# oracle for the new rule.
 
-    def test_counted(self):
-        assert accuracy([0, 1, 1, 0], [0, 1, 0, 0]) == 0.75
+
+def accuracy(preds, labels) -> float:
+    preds = np.asarray(preds)
+    labels = np.asarray(labels)
+    if preds.shape != labels.shape:
+        raise ValueError(f"length mismatch: {preds.shape} vs {labels.shape}")
+    if preds.size == 0:
+        raise ValueError("accuracy over an empty set")
+    return float(np.mean(preds == labels))
+
+
+def tpr(preds, labels, positive_class: int) -> float:
+    """P(pred == positive | label == positive)."""
+    preds = np.asarray(preds)
+    labels = np.asarray(labels)
+    if preds.shape != labels.shape:
+        raise ValueError(f"length mismatch: {preds.shape} vs {labels.shape}")
+    pos = labels == positive_class
+    if not np.any(pos):
+        raise ValueError(f"no rows with label {positive_class}")
+    return float(np.mean(preds[pos] == positive_class))
+
+
+def group_gap(preds, labels, groups, base_metric: str = "accuracy",
+              positive_class: int | None = None) -> float:
+    """Max pairwise absolute difference of the base metric across groups.
+
+    base_metric "accuracy" gives the accuracy-parity gap; "tpr" the
+    equal-opportunity gap (positive_class defaults to the highest label).
+    The groups are those present in ``groups``, so one group alone gives 0.0;
+    ``pipeline.run_single`` rejects a test split that lacks a group.
+    """
+    preds = np.asarray(preds)
+    labels = np.asarray(labels)
+    groups = np.asarray(groups)
+    if base_metric not in ("accuracy", "tpr"):
+        raise ValueError(f"unknown base_metric {base_metric!r}")
+    if positive_class is None:
+        positive_class = int(labels.max()) if labels.size else 1
+    values = []
+    for g in np.unique(groups):
+        mask = groups == g
+        if base_metric == "accuracy":
+            values.append(accuracy(preds[mask], labels[mask]))
+        else:
+            if not np.any(labels[mask] == positive_class):
+                raise ValueError(f"group {g} has no positive rows for tpr")
+            values.append(tpr(preds[mask], labels[mask], positive_class))
+    return float(max(values) - min(values))
+
+
+def balanced_accuracy(preds, labels, k: int) -> float:
+    """Mean per-class recall over the classes ``[0, k)``; chance level is 1/k
+    regardless of imbalance. A class with no label row is an error, so is a
+    label outside ``[0, k)``."""
+    preds = np.asarray(preds)
+    labels = np.asarray(labels)
+    if preds.shape != labels.shape:
+        raise ValueError(f"length mismatch: {preds.shape} vs {labels.shape}")
+    if labels.size == 0:
+        raise ValueError("balanced accuracy over an empty set")
+    if np.any((labels < 0) | (labels >= k)):
+        raise ValueError(f"labels outside [0, {k})")
+    present = np.unique(labels).tolist()
+    if len(present) < k:
+        missing = sorted(set(range(k)) - set(present))
+        raise ValueError(f"labels missing class(es) {missing}")
+    recalls = [np.mean(preds[labels == c] == c) for c in range(k)]
+    return float(np.mean(recalls))
+
+
+def oracle_utility_and_gap(preds, labels, groups, positive_class):
+    if positive_class is None:
+        return accuracy(preds, labels), group_gap(preds, labels, groups)
+    return (tpr(preds, labels, positive_class),
+            group_gap(preds, labels, groups, "tpr", positive_class))
+
+
+def attack_score(preds, labels, k):
+    """attack_accuracy of a k-class attacker whose predictions are ``preds``:
+    its features are the one-hot predictions, which it reads out unchanged."""
+    attacker = LinearAttacker(np.vstack([np.eye(k), np.zeros((2, k))]), np.zeros((1, k)), k_y=2)
+    return attack_accuracy(attacker, one_hot(preds, k), np.zeros(len(preds), int), labels)
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def labeled_rows(k, k_groups, seed, n=300):
+    """Predictions, labels and groups with every (label, group) pair present
+    and about 60% of the predictions right."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, k, n)
+    groups = rng.integers(0, k_groups, n)
+    labels[:k * k_groups] = np.repeat(np.arange(k), k_groups)
+    groups[:k * k_groups] = np.tile(np.arange(k_groups), k)
+    preds = np.where(rng.random(n) < 0.6, labels, rng.integers(0, k, n))
+    return preds, labels, groups
+
+
+class TestClassCounts:
+    def test_counts(self):
+        assert class_counts([2, 0, 2, 1], 3, "y").tolist() == [1, 1, 2]
+
+    def test_missing_class_named(self):
+        with pytest.raises(ValueError) as info:
+            class_counts([0, 0, 2], 3, "test split: y_p")
+        assert str(info.value) == "test split: y_p lacks class(es) [1] of k_p = 3"
+
+    @pytest.mark.parametrize("labels", [[0, 1, 2], [0, 1, -1]])
+    def test_label_outside_classes(self, labels):
+        with pytest.raises(ValueError, match=r"^y_a has labels outside \[0, 2\)$"):
+            class_counts(labels, 2, "y_a")
 
     def test_empty(self):
-        with pytest.raises(ValueError):
-            accuracy([], [])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            accuracy([0, 1], [0])
+        with pytest.raises(ValueError, match=r"^y lacks class\(es\) \[0, 1\] of k_y = 2$"):
+            class_counts([], 2, "y")
 
 
-class TestTpr:
-    def test_perfect(self):
-        assert tpr([1, 1, 0], [1, 1, 0], positive_class=1) == 1.0
+class TestMatchesOracle:
+    @pytest.mark.parametrize("k", range(2, 8))
+    @pytest.mark.parametrize("k_groups", [2, 3, 5])
+    @pytest.mark.parametrize("positive", [None, 0, "top"])
+    def test_utility_and_gap_bitwise(self, k, k_groups, positive):
+        positive = k - 1 if positive == "top" else positive
+        for seed in range(5):
+            preds, labels, groups = labeled_rows(k, k_groups, 10 * k + seed)
+            new = utility_and_gap(preds, labels, groups, k_groups, positive)
+            old = oracle_utility_and_gap(preds, labels, groups, positive)
+            assert all(map(same_bits, new, old)), (seed, new, old)
+            assert all(type(v) is float for v in new)  # as the oracle's, so a triple prints alike
 
-    def test_half(self):
-        assert tpr([1, 0], [1, 1], positive_class=1) == 0.5
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_balanced_accuracy_bitwise(self, k):
+        for seed in range(5):
+            preds, labels, _ = labeled_rows(k, 2, 10 * k + seed)
+            assert same_bits(attack_score(preds, labels, k), balanced_accuracy(preds, labels, k))
 
-    def test_no_positives(self):
-        with pytest.raises(ValueError):
-            tpr([0, 0], [0, 0], positive_class=1)
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_attack_accuracy_bitwise(self, k):
+        rng = np.random.default_rng(k)
+        attacker = LinearAttacker(rng.standard_normal((6, k)), rng.standard_normal((1, k)), k_y=2)
+        x, y = rng.standard_normal((400, 4)), rng.integers(0, 2, 400)
+        y_p = rng.integers(0, k, 400)
+        expected = balanced_accuracy(attacker.predict(x, y), y_p, k)
+        got = attack_accuracy(attacker, x, y, y_p)
+        assert same_bits(got, expected) and type(got) is float
 
 
-class TestGroupGap:
+class TestUtilityAndGap:
+    def test_accuracy_counted(self):
+        assert utility_and_gap([0, 1, 1, 0], [0, 1, 0, 0], [0, 0, 1, 1], 2, None) == (0.75, 0.5)
+
+    def test_tpr_counts_positive_rows_only(self):
+        assert utility_and_gap([1, 1, 0], [1, 1, 0], [0, 1, 1], 2, 1) == (1.0, 0.0)
+        assert utility_and_gap([1, 0, 1, 1], [1, 1, 1, 1], [0, 0, 1, 1], 2, 1) == (0.75, 0.5)
+
     def test_identical_groups_zero(self):
-        preds = [0, 1, 0, 1]
-        labels = [0, 1, 0, 1]
-        assert group_gap(preds, labels, [0, 0, 1, 1]) == 0.0
+        assert utility_and_gap([0, 1, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1], 2, None)[1] == 0.0
 
     def test_three_group_max_pairwise(self):
         # accuracies 0.9, 0.8, 0.85 over 20-row groups
-        rng = np.random.default_rng(0)
         labels = np.zeros(60, dtype=int)
         preds = np.zeros(60, dtype=int)
         groups = np.repeat([0, 1, 2], 20)
@@ -56,71 +184,108 @@ class TestGroupGap:
             wrong = int(round((1 - acc) * 20))
             idx = np.flatnonzero(groups == g)[:wrong]
             preds[idx] = 1
-        gap = group_gap(preds, labels, groups)
+        utility, gap = utility_and_gap(preds, labels, groups, 3, None)
+        assert utility == pytest.approx(0.85, abs=1e-12)
         assert gap == pytest.approx(0.1, abs=1e-12)
 
-    def test_two_groups_absolute_difference(self):
-        preds = [1, 0, 1, 1]
-        labels = [1, 1, 1, 1]
-        groups = [0, 0, 1, 1]
-        assert group_gap(preds, labels, groups, base_metric="tpr",
-                         positive_class=1) == pytest.approx(0.5)
-
-    def test_relabel_symmetry(self):
-        rng = np.random.default_rng(1)
-        preds = rng.integers(0, 2, 40)
-        labels = rng.integers(0, 2, 40)
-        groups = rng.integers(0, 3, 40)
-        assert group_gap(preds, labels, groups) == group_gap(preds, labels, 2 - groups)
+    @pytest.mark.parametrize("positive", [None, 1])
+    def test_relabel_symmetry(self, positive):
+        preds, labels, groups = labeled_rows(2, 3, seed=1, n=40)
+        assert (utility_and_gap(preds, labels, groups, 3, positive)
+                == utility_and_gap(preds, labels, 2 - groups, 3, positive))
 
     def test_group_without_positives_named(self):
-        with pytest.raises(ValueError, match="group 1"):
-            group_gap([1, 0], [1, 0], [0, 1], base_metric="tpr", positive_class=1)
+        with pytest.raises(ValueError) as info:
+            utility_and_gap([1, 0], [1, 0], [0, 1], 2, 1)
+        assert str(info.value) == "rows with y = 1: y_a lacks class(es) [1] of k_a = 2"
+
+    def test_group_without_rows_named(self):
+        # The oracle scored this 0.0, "perfectly fair", from the one group present.
+        with pytest.raises(ValueError, match=r"^y_a lacks class\(es\) \[1\] of k_a = 2$"):
+            utility_and_gap([0, 1], [0, 0], [0, 0], 2, None)
+        assert group_gap([0, 1], [0, 0], [0, 0]) == 0.0
+
+    def test_missing_top_class_named(self):
+        # Labels without task class 2: the oracle's default positive class was
+        # the highest label present, 1, so it scored the TPR gap of class 1.
+        preds, labels, groups = [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 1, 1]
+        assert group_gap(preds, labels, groups, "tpr") == 0.0
+        with pytest.raises(ValueError, match=r"^rows with y = 2: y_a lacks class\(es\) \[0, 1\]"):
+            utility_and_gap(preds, labels, groups, 2, 2)
+
+    @pytest.mark.parametrize("positive", [None, 1])
+    def test_empty(self, positive):
+        with pytest.raises(ValueError, match=r"y_a lacks class\(es\) \[0, 1\]"):
+            utility_and_gap([], [], [], 2, positive)
+
+    @pytest.mark.parametrize("groups", [[0, 1, 2], [0, 1, -1]])
+    def test_group_outside_classes(self, groups):
+        with pytest.raises(ValueError, match=r"^y_a has labels outside \[0, 2\)$"):
+            utility_and_gap([0, 1, 0], [0, 1, 1], groups, 2, None)
+
+    @pytest.mark.parametrize("positive", [None, 1])
+    @pytest.mark.parametrize("preds, labels, groups", [
+        ([0, 1], [0], [0]),
+        ([0], [0, 1, 1, 0], [0, 0, 1, 1]),  # broadcasts without the check
+        ([0, 1, 1, 0], [0, 1, 1, 0], [0, 1]),
+    ])
+    def test_length_mismatch(self, preds, labels, groups, positive):
+        with pytest.raises(ValueError, match="^length mismatch"):
+            utility_and_gap(preds, labels, groups, 2, positive)
 
 
-class TestBalancedAccuracy:
+class TestClassRates:
     def test_constant_predictor_chance(self):
         labels = np.array([0] * 30 + [1] * 5 + [2] * 15)
-        assert balanced_accuracy(np.zeros(50, dtype=int), labels, 3) == pytest.approx(1 / 3)
+        assert attack_score(np.zeros(50, dtype=int), labels, 3) == pytest.approx(1 / 3)
 
     def test_perfect(self):
         labels = np.array([0, 1, 2, 1])
-        assert balanced_accuracy(labels, labels, 3) == 1.0
+        assert class_rates(labels, np.ones(4, bool), 3, "y_p").tolist() == [1.0, 1.0, 1.0]
 
     def test_mean_of_recalls(self):
         labels = np.array([1] * 10 + [0] * 10)
         preds = np.array([1] * 9 + [0] + [0] * 5 + [1] * 5)
-        assert balanced_accuracy(preds, labels, 2) == pytest.approx(0.7)
+        assert class_rates(labels, preds == labels, 2, "y_p").tolist() == [0.5, 0.9]
+        assert attack_score(preds, labels, 2) == pytest.approx(0.7)
 
     def test_missing_class(self):
-        with pytest.raises(ValueError, match=r"missing class\(es\) \[1\]"):
-            balanced_accuracy([0, 1], [0, 2], 3)
+        with pytest.raises(ValueError, match=r"^y_p lacks class\(es\) \[1\] of k_p = 3$"):
+            class_rates([0, 2], [True, False], 3, "y_p")
 
     def test_missing_top_class_named(self):
         # Inferring the class count from the labels scored this as 0.5 over
         # 2 classes, although class 2 has no row.
-        with pytest.raises(ValueError, match=r"missing class\(es\) \[2\]"):
-            balanced_accuracy([0, 1, 2, 2], [0, 1, 0, 1], 3)
+        with pytest.raises(ValueError, match=r"^y_p lacks class\(es\) \[2\] of k_p = 3$"):
+            attack_score([0, 1, 2, 2], [0, 1, 0, 1], 3)
         assert balanced_accuracy([0, 1, 2, 2], [0, 1, 0, 1], 2) == 0.5
 
     @pytest.mark.parametrize("labels", [[0, 1, 2], [0, 1, -1]])
     def test_label_outside_classes(self, labels):
         with pytest.raises(ValueError, match=r"outside \[0, 2\)"):
-            balanced_accuracy([0, 1, 0], labels, 2)
+            attack_score([0, 1, 0], labels, 2)
 
     def test_empty(self):
-        with pytest.raises(ValueError, match="empty"):
-            balanced_accuracy([], [], 2)
+        with pytest.raises(ValueError, match=r"^y_p lacks class\(es\) \[0, 1\]"):
+            class_rates([], [], 2, "y_p")
+        with pytest.raises(ValueError, match=r"^y_p lacks class\(es\) \[0, 1\]"):
+            attack_score([], [], 2)
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError):
+            class_rates([0, 1], [True], 2, "y_p")
+        with pytest.raises(ValueError, match=r"^length mismatch: \(1,\) preds vs \(2,\) y_p$"):
+            attack_score([1], [0, 1], 2)  # one prediction broadcasts without the check
 
     def test_duplication_invariance(self):
         rng = np.random.default_rng(2)
         labels = rng.integers(0, 3, 60)
         preds = rng.integers(0, 3, 60)
-        ba = balanced_accuracy(preds, labels, 3)
+        ba = attack_score(preds, labels, 3)
         dup = labels == 1
         labels2 = np.concatenate([labels, labels[dup]])
         preds2 = np.concatenate([preds, preds[dup]])
-        assert balanced_accuracy(preds2, labels2, 3) == pytest.approx(ba, abs=1e-12)
+        assert attack_score(preds2, labels2, 3) == pytest.approx(ba, abs=1e-12)
 
 
 def two_gaussian_features(n, mu, seed, skew=0.5):
@@ -139,7 +304,7 @@ class TestFitAttacker:
         attacker = fit_attacker(x, y, y_p, iters=2000, lr=1.0, k_y=2, k_p=2)
         z = np.hstack([x, one_hot(y, 2)])
         w = inverse_frequency_weights(y_p, 2)
-        ce, _ = softmax_cross_entropy(z @ attacker.weights + attacker.bias, y_p, w)
+        ce, _ = reference_softmax_ce(z @ attacker.weights + attacker.bias, y_p, w)
         assert ce < 0.05
 
     def test_independent_features_near_chance(self):
@@ -157,7 +322,7 @@ class TestFitAttacker:
 
     def test_missing_class_rejected(self):
         x = np.random.default_rng(6).standard_normal((10, 3))
-        with pytest.raises(ValueError, match="absent"):
+        with pytest.raises(ValueError, match=r"^y_p lacks class\(es\) \[1\] of k_p = 2$"):
             fit_attacker(x, np.zeros(10, int), np.zeros(10, int), k_y=2, k_p=2)
 
     def test_deterministic(self):
@@ -415,7 +580,7 @@ class TestAttackAccuracy:
     def test_class_count_is_the_attackers(self):
         # Test labels without class 2 cannot score a 3-class attacker.
         attacker = LinearAttacker(np.zeros((6, 3)), np.zeros((1, 3)), k_y=2)
-        with pytest.raises(ValueError, match=r"missing class\(es\) \[2\]"):
+        with pytest.raises(ValueError, match=r"^y_p lacks class\(es\) \[2\] of k_p = 3$"):
             attack_accuracy(attacker, np.zeros((4, 4)), np.zeros(4, int), [0, 1, 0, 1])
 
     def test_separable_near_perfect(self):
