@@ -51,25 +51,18 @@ class RunRecord:
         return (self.alpha, self.beta, self.seed)
 
 
-@dataclass
-class SweepResult:
-    records: list
-    alphas: list
-    betas: list
-    seeds: list
-
-    def validate(self) -> None:
-        """Require exactly one record per (alpha, beta, seed) grid point."""
-        seen = set()
-        for r in self.records:
-            if r.key in seen:
-                raise ValueError(f"duplicate record for {r.key}")
-            seen.add(r.key)
-        grid = {(a, b, s) for a in self.alphas for b in self.betas for s in self.seeds}
-        missing, extra = sorted(grid - seen), sorted(seen - grid)
-        if missing or extra:
-            raise ValueError(f"records do not match the grid; missing cells: {missing[:20]}, "
-                             f"cells outside the grid: {extra[:20]}")
+def check_grid(records: list, alphas: list, betas: list, seeds: list) -> None:
+    """Require exactly one record per (alpha, beta, seed) grid point."""
+    seen = set()
+    for r in records:
+        if r.key in seen:
+            raise ValueError(f"duplicate record for {r.key}")
+        seen.add(r.key)
+    grid = {(a, b, s) for a in alphas for b in betas for s in seeds}
+    missing, extra = sorted(grid - seen), sorted(seen - grid)
+    if missing or extra:
+        raise ValueError(f"records do not match the grid; missing cells: {missing[:20]}, "
+                         f"cells outside the grid: {extra[:20]}")
 
 
 @dataclass

@@ -7,7 +7,7 @@ import json
 import sys
 from pathlib import Path
 
-from ..analysis import SweepResult
+from ..analysis import check_grid
 from ..data import csv_class_counts, save_csv
 from ..training import TrainingDivergedError
 from . import pipeline, report
@@ -79,8 +79,7 @@ def cmd_analyze(args) -> int:
     records, failed = pipeline.load_results(results_path)
     if failed:
         raise ValueError(f"{results_path}: error-marker rows for cells {failed}")
-    SweepResult(records, sorted(config.alphas), sorted(config.betas),
-                sorted(config.seeds)).validate()
+    check_grid(records, sorted(config.alphas), sorted(config.betas), sorted(config.seeds))
     rep = report.build_report(records, config, k_p=_dataset_k_p(config))
     report_path = out / "report.json"
     report_path.write_text(json.dumps(rep, indent=2, sort_keys=True) + "\n")

@@ -8,6 +8,7 @@ weight matrix followed by the bias row as little-endian float64.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -34,7 +35,8 @@ def save_bundle(bundle: ModelBundle, path) -> None:
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
-    buf = fh.read(n)
+    """``n`` bytes; a count past the end of the file fails before any read."""
+    buf = fh.read(n) if n <= os.fstat(fh.fileno()).st_size - fh.tell() else b""
     if len(buf) != n:
         raise ValueError(f"truncated model file while reading {what}")
     return buf
@@ -45,6 +47,8 @@ def _read_net(fh) -> Mlp:
     if n_sizes < 2:
         raise ValueError(f"model file declares {n_sizes} layer sizes, need >= 2")
     sizes = struct.unpack(f"<{n_sizes}I", _read_exact(fh, 4 * n_sizes, "layer sizes"))
+    if 0 in sizes:
+        raise ValueError(f"model file declares a layer size of 0: {list(sizes)}")
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         wbuf = _read_exact(fh, 8 * fan_in * fan_out, "weights")

@@ -284,6 +284,11 @@ def _exacerbate(ds: LabeledDataset, idx: np.ndarray, factor: float,
 
 
 def save_csv(ds: LabeledDataset, path) -> None:
+    """Write ``ds`` as a CSV that :func:`load_csv` reads back with its class counts."""
+    for name, labels, k in (("y", ds.y, ds.k_y), ("y_a", ds.y_a, ds.k_a), ("y_p", ds.y_p, ds.k_p)):
+        if max(2, int(labels.max(initial=-1)) + 1) != k:
+            raise ValueError(f"{name}: class {k - 1} of k_{name[-1]} = {k} has no row; a dataset "
+                             "CSV takes each class count from its largest label")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{j}" for j in range(ds.dim)] + ["y", "y_a", "y_p"])

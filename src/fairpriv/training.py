@@ -11,7 +11,7 @@ batches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,19 +47,11 @@ class ModelBundle:
     def feature_dim(self) -> int:
         return self.extractor.layer_sizes[-1]
 
-    @property
-    def k_y(self) -> int:
-        return self.classifier.layer_sizes[-1]
-
     def main_params(self) -> list[Matrix]:
         return self.extractor.params() + self.classifier.params()
 
     def adversary_params(self) -> list[Matrix]:
         return self.fairness_adv.params() + self.privacy_adv.params()
-
-    def copy(self) -> "ModelBundle":
-        return ModelBundle(self.extractor.copy(), self.classifier.copy(),
-                           self.fairness_adv.copy(), self.privacy_adv.copy())
 
 
 @dataclass
@@ -99,64 +91,54 @@ class TrainedModel:
     history: list  # per-epoch (mean train objective, val loss)
 
 
-def head_nets(bundle: ModelBundle) -> tuple[Mlp, Mlp]:
-    """The classifier and the adversaries as training runs them, as plain Mlps.
+class TrainState:
+    """A run's training nets, their Adam states, its alpha and beta, and its batch count.
 
-    Their output layers are padded to K = max(k_y, k_a, k_p) columns with
-    zero weights and -inf biases, so all three heads' logits share one
-    (n, K) layout: a padded logit's probability and gradient are exactly 0,
-    and Adam never moves it. The adversaries are stacked on a leading head
-    axis of 2, so each of their layers is one matmul.
+    Built from copies of ``bundle``'s arrays, which it leaves as they are.
+    The classifier's and the adversaries' output layers are padded to
+    K = max(k_y, k_a, k_p) columns with zero weights and -inf biases, so all
+    three heads' logits share one (n, K) layout: a padded logit's
+    probability and gradient are exactly 0, and Adam never moves it. The
+    adversaries are stacked on a leading head axis of 2, so each of their
+    layers is one matmul.
     """
-    nets = (bundle.classifier, bundle.fairness_adv, bundle.privacy_adv)
-    width = max(net.layer_sizes[-1] for net in nets)
-    params = []
-    for net in nets:
-        pad = ((0, 0), (0, width - net.layer_sizes[-1]))
-        params.append(net.params()[:-2] + [np.pad(net.weights[-1], pad),
-                                           np.pad(net.biases[-1], pad, constant_values=-np.inf)])
-    stacked = [np.stack(p) for p in zip(*params[1:])]
-    return Mlp(params[0][0::2], params[0][1::2]), Mlp(stacked[0::2], stacked[1::2])
 
+    def __init__(self, bundle: ModelBundle, cfg: TrainConfig):
+        heads = (bundle.classifier, bundle.fairness_adv, bundle.privacy_adv)
+        self.widths = [net.layer_sizes[-1] for net in heads]
+        params = []
+        for net, k in zip(heads, self.widths):
+            pad = ((0, 0), (0, max(self.widths) - k))
+            *hidden, w, b = net.params()
+            params.append(hidden + [np.pad(w, pad), np.pad(b, pad, constant_values=-np.inf)])
+        stacked = [np.stack(p) for p in zip(*params[1:])]
+        self.extractor = bundle.extractor.copy()
+        self.classifier = Mlp(params[0][0::2], params[0][1::2])
+        self.adversaries = Mlp(stacked[0::2], stacked[1::2])
+        self.main = AdamState([self.extractor, self.classifier], cfg.lr)
+        self.adv = AdamState([self.adversaries], cfg.lr)
+        self.alpha, self.beta = cfg.alpha, cfg.beta
+        self.batch_count = 0  # persists across epochs so phases carry over
+        # The heads' CE grad scales in each phase, as (3, 1, 1) arrays.
+        self.scales = {MAIN: np.array((1.0, -self.alpha, -self.beta)).reshape(3, 1, 1),
+                       ADV: np.ones((3, 1, 1))}
 
-def grad_scales(phase: str | None, alpha: float, beta: float) -> np.ndarray | None:
-    """The (3, 1, 1) grad scales of the classifier's and the adversaries' CEs in
-    ``phase``: MAIN's (1, -alpha, -beta), ADV's ones, None without a phase."""
-    s = (1.0, -alpha, -beta) if phase == MAIN else (1.0, 1.0, 1.0)
-    return np.array(s).reshape(3, 1, 1) if phase else None
-
-
-@dataclass
-class OptimizerStates:
-    """A run's Adam states and the :func:`head_nets` it trains."""
-
-    main: AdamState  # extractor + padded classifier
-    adversaries: AdamState  # the stacked adversaries
-    nets: tuple  # head_nets(); the bundle's head params are views of theirs
-    batch_count: int = 0  # persists across epochs so phases carry over
-    scales: dict = field(default_factory=dict)  # grad_scales() by its arguments
-
-    @classmethod
-    def for_bundle(cls, bundle: ModelBundle, lr: float) -> "OptimizerStates":
-        """Fresh Adam states; the bundle's params become views into their buffers,
-        its heads' of their own slice and columns, so no padding shows outside training."""
-        classifier, adversaries = nets = head_nets(bundle)
-        states = cls(AdamState([bundle.extractor, classifier], lr),
-                     AdamState([adversaries], lr), nets)
-        for net, source, head in ((bundle.classifier, classifier, ()),  # (): the whole array
-                                  (bundle.fairness_adv, adversaries, 0),
-                                  (bundle.privacy_adv, adversaries, 1)):
-            views = [p[head] for p in source.params()]
-            views[-2:] = [p[:, :net.layer_sizes[-1]] for p in views[-2:]]
-            net.weights, net.biases = views[0::2], views[1::2]
-        return states
+    def bundle(self) -> ModelBundle:
+        """A bundle of copies of the nets, each head cut to its real columns."""
+        nets = []
+        for net, head, k in zip((self.classifier, self.adversaries, self.adversaries),
+                                ((), 0, 1), self.widths):  # (): the whole array
+            params = [p[head] for p in net.params()]
+            params[-2:] = [p[:, :k] for p in params[-2:]]
+            nets.append(Mlp(params[0::2], params[1::2]).copy())
+        return ModelBundle(self.extractor.copy(), *nets)
 
 
 @dataclass
 class Forward:
     """One pass of the objective.
 
-    ``acts`` holds the activations of the extractor and the two :func:`head_nets`,
+    ``acts`` holds the activations of the extractor and :class:`TrainState`'s two head nets,
     only their outputs outside a training phase; ``dlogits`` the gradients of the
     phase's loss at the heads' outputs, None where the loss does not reach them.
     """
@@ -247,36 +229,30 @@ def shuffle_seed(cfg: TrainConfig) -> np.random.SeedSequence:
     return np.random.SeedSequence(cfg.seed).spawn(5)[4]
 
 
-def objective(bundle: ModelBundle, batch: Batch, alpha: float, beta: float,
-              phase: str | None = None, states: OptimizerStates | None = None) -> Forward:
-    """Forward pass of the min-max objective on one batch.
+def objective(state: TrainState, batch: Batch, phase: str | None = None) -> Forward:
+    """Forward pass of the min-max objective on one batch, through ``state``'s nets.
 
-    total = ce_c - alpha * ce_a - beta * ce_p, all with unit class weights.
-    The adversaries see the features concatenated with the one-hot task label.
-    When alpha (or beta) is exactly 0 the corresponding term is left out, so
-    total == ce_c bitwise at (0, 0). ``phase`` MAIN (loss: total) or ADV
-    (loss: ce_a + ce_p) also keeps what that phase's backward pass needs;
-    without a phase the pass keeps no activations. The heads run as the
-    nets of ``states``, the training run's; None runs :func:`head_nets` of
-    the bundle. One cross-entropy call serves all three heads. In MAIN the
-    adversary whose coefficient alone is 0 has its gradient scaled by -0.0;
-    at (0, 0) none has one.
+    total = ce_c - alpha * ce_a - beta * ce_p, all with unit class weights,
+    with the state's alpha and beta. The adversaries see the features
+    concatenated with the one-hot task label. When alpha (or beta) is
+    exactly 0 the corresponding term is left out, so total == ce_c bitwise
+    at (0, 0). ``phase`` MAIN (loss: total) or ADV (loss: ce_a + ce_p) also
+    keeps what that phase's backward pass needs; without a phase the pass
+    keeps no activations. One cross-entropy call serves all three heads. In
+    MAIN the adversary whose coefficient alone is 0 has its gradient scaled
+    by -0.0; at (0, 0) none has one.
     """
     if len(batch) == 0:
         raise ValueError("objective over an empty batch")
-    classifier, adversaries = states.nets if states else head_nets(bundle)
+    alpha, beta = state.alpha, state.beta
     keep = phase is not None
-    ext = bundle.extractor.forward(batch.x, keep)
+    ext = state.extractor.forward(batch.x, keep)
     features = ext[-1]
     batch.adv_in[:, :features.shape[1]] = features
-    cls = classifier.forward(features, keep)
-    adv = adversaries.forward(batch.adv_in, keep)
-    scales = states.scales if states else {}
-    key = (phase, alpha, beta)
-    if key not in scales:
-        scales[key] = grad_scales(*key)
+    cls = state.classifier.forward(features, keep)
+    adv = state.adversaries.forward(batch.adv_in, keep)
     (ce_c, ce_a, ce_p), dlogits = lc.encoded_cross_entropy(
-        np.concatenate((cls[-1][None], adv[-1])), batch.targets, scales[key])
+        np.concatenate((cls[-1][None], adv[-1])), batch.targets, state.scales.get(phase))
     total = ce_c
     if alpha != 0.0:
         total = total - alpha * ce_a
@@ -288,7 +264,7 @@ def objective(bundle: ModelBundle, batch: Batch, alpha: float, beta: float,
     return Forward(total, ce_c, ce_a, ce_p, (ext, cls, adv), (d_c, d_adv))
 
 
-def _backward(bundle: ModelBundle, fwd: Forward, states: OptimizerStates, phase: str) -> None:
+def _backward(state: TrainState, fwd: Forward, phase: str) -> None:
     """Gradients of the phase's loss into the buffers of the group it updates.
 
     MAIN backpropagates through the adversaries and the classifier into the
@@ -299,27 +275,25 @@ def _backward(bundle: ModelBundle, fwd: Forward, states: OptimizerStates, phase:
     """
     ext, cls, adv = fwd.acts
     d_c, d_adv = fwd.dlogits
-    classifier, adversaries = states.nets
     if phase == ADV:
-        lc.backward([(adversaries, adv, d_adv, states.adversaries.net_grads[0])])
+        lc.backward([(state.adversaries, adv, d_adv, state.adv.net_grads[0])])
         return
-    heads = [(adversaries, adv, d_adv, None)] if d_adv is not None else []
-    heads.append((classifier, cls, d_c, states.main.net_grads[1]))
-    lc.backward(heads, trunk=(bundle.extractor, ext, states.main.net_grads[0]))
+    heads = [(state.adversaries, adv, d_adv, None)] if d_adv is not None else []
+    heads.append((state.classifier, cls, d_c, state.main.net_grads[1]))
+    lc.backward(heads, trunk=(state.extractor, ext, state.main.net_grads[0]))
 
 
-def alternating_epoch(bundle: ModelBundle, arrays: EpochArrays, cfg: TrainConfig,
-                      states: OptimizerStates, shuffle_rng: np.random.Generator,
-                      update_adversaries: bool = True, epoch: int = 0) -> float:
+def alternating_epoch(state: TrainState, arrays: EpochArrays, cfg: TrainConfig,
+                      shuffle_rng: np.random.Generator, update_adversaries: bool = True,
+                      epoch: int = 0) -> float:
     """One pass over the data, alternating parameter groups every k batches.
 
     MAIN phases update only the extractor and classifier on the full
     objective; ADV phases update only the adversaries on their own cross
     entropies. With update_adversaries=False the ADV phases do nothing, which
     turns the schedule into plain risk minimization over the same batches.
-    ``states`` must have been built for ``bundle``, and ``arrays`` for the
-    training split with cfg's batch size. Returns the mean objective value
-    across batches.
+    ``arrays`` must have been built for the training split with cfg's batch
+    size. Returns the mean objective value across batches.
     """
     n = len(arrays.ds)
     if n == 0:
@@ -328,31 +302,29 @@ def alternating_epoch(bundle: ModelBundle, arrays: EpochArrays, cfg: TrainConfig
     k = cfg.switch_period
     totals = []
     for batch in arrays.batches:
-        phase = MAIN if (states.batch_count // k) % 2 == 0 else ADV
+        phase = MAIN if (state.batch_count // k) % 2 == 0 else ADV
         update = phase == MAIN or update_adversaries
-        fwd = objective(bundle, batch, cfg.alpha, cfg.beta, phase if update else None, states)
+        fwd = objective(state, batch, phase if update else None)
         if not (math.isfinite(fwd.total) and math.isfinite(fwd.ce_a + fwd.ce_p)):
             raise TrainingDivergedError(
                 f"non-finite loss at epoch {epoch}, {phase} phase, "
-                f"batch {states.batch_count}")
+                f"batch {state.batch_count}")
         if update:
-            _backward(bundle, fwd, states, phase)
-            lc.adam_step(states.main if phase == MAIN else states.adversaries)
+            _backward(state, fwd, phase)
+            lc.adam_step(state.main if phase == MAIN else state.adv)
         totals.append(fwd.total)
-        states.batch_count += 1
+        state.batch_count += 1
     return float(np.mean(totals))
 
 
-def validation_loss(bundle: ModelBundle, val: Batch, cfg: TrainConfig,
-                    states: OptimizerStates) -> float:
+def validation_loss(state: TrainState, val: Batch, cfg: TrainConfig) -> float:
     """Selection loss on a split: classifier CE, or the full objective.
 
-    Forward only, through the nets of ``states``, the training run's; the
-    classifier-CE path runs neither adversary.
+    Forward only; the classifier-CE path runs neither adversary.
     """
     if cfg.select_by == "objective":
-        return objective(bundle, val, cfg.alpha, cfg.beta, states=states).total
-    logits = states.nets[0].apply(bundle.extractor.apply(val.x))
+        return objective(state, val).total
+    logits = state.classifier.apply(state.extractor.apply(val.x))
     return lc.encoded_cross_entropy(logits, val.targets[0])[0]  # y is head 0
 
 
@@ -362,9 +334,8 @@ def train(train_data: LabeledDataset, val_data: LabeledDataset, cfg: TrainConfig
     cfg.validate()
     if len(train_data) == 0 or len(val_data) == 0:
         raise ValueError("train and validation splits must be nonempty")
-    bundle = build_bundle(cfg, train_data.dim, train_data.k_y, train_data.k_a,
-                          train_data.k_p)
-    states = OptimizerStates.for_bundle(bundle, cfg.lr)
+    state = TrainState(build_bundle(cfg, train_data.dim, train_data.k_y, train_data.k_a,
+                                    train_data.k_p), cfg)
     shuffle_rng = np.random.default_rng(shuffle_seed(cfg))
     arrays = EpochArrays(train_data, cfg.feature_dim, cfg.batch_size)
     val = whole_batch(val_data, cfg.feature_dim)
@@ -372,13 +343,13 @@ def train(train_data: LabeledDataset, val_data: LabeledDataset, cfg: TrainConfig
     best_bundle = None
     history = []
     for epoch in range(cfg.epochs):
-        mean_total = alternating_epoch(bundle, arrays, cfg, states, shuffle_rng,
+        mean_total = alternating_epoch(state, arrays, cfg, shuffle_rng,
                                        update_adversaries=update_adversaries, epoch=epoch)
-        val_loss = validation_loss(bundle, val, cfg, states)
+        val_loss = validation_loss(state, val, cfg)
         if not np.isfinite(val_loss):
             raise TrainingDivergedError(f"non-finite validation loss at epoch {epoch}")
         history.append((mean_total, val_loss))
         if val_loss < best_loss:
             best_loss = val_loss
-            best_bundle = bundle.copy()
+            best_bundle = state.bundle()
     return TrainedModel(bundle=best_bundle, best_val_loss=best_loss, history=history)

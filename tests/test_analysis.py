@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fairpriv.analysis import (METRICS, CsrWeights, RunRecord, SweepResult, best_csr, csr,
+from fairpriv.analysis import (METRICS, CsrWeights, RunRecord, best_csr, check_grid, csr,
                                grid_values, group_label, heatmap, normalize, pearson,
                                seed_medians, tradeoff_correlations)
 from fairpriv.evaluation import MetricTriple
@@ -282,27 +282,27 @@ class TestHeatmap:
             heatmap(records, "utility")
 
 
-class TestSweepResult:
+class TestCheckGrid:
     def test_complete_grid_ok(self):
         records = [rec(a, b, s, 0.5, 0.1, 0.5)
                    for a in (0.0, 1.0) for b in (0.0, 1.0) for s in (0, 1)]
-        SweepResult(records, [0.0, 1.0], [0.0, 1.0], [0, 1]).validate()
+        check_grid(records, [0.0, 1.0], [0.0, 1.0], [0, 1])
 
     def test_missing_cell_listed(self):
         records = [rec(0.0, 0.0, 0, 0.5, 0.1, 0.5)]
         with pytest.raises(ValueError, match=r"1\.0"):
-            SweepResult(records, [0.0, 1.0], [0.0], [0]).validate()
+            check_grid(records, [0.0, 1.0], [0.0], [0])
 
     def test_extra_cell_listed(self):
         # Used to fail as "incomplete sweep; missing cells: []".
         records = [rec(a, 0.0, 0, 0.5, 0.1, 0.5) for a in (0.0, 1.0)]
         with pytest.raises(ValueError, match=r"outside the grid: \[\(1\.0, 0\.0, 0\)\]"):
-            SweepResult(records, [0.0], [0.0], [0]).validate()
+            check_grid(records, [0.0], [0.0], [0])
 
     def test_duplicate_rejected(self):
         records = [rec(0.0, 0.0, 0, 0.5, 0.1, 0.5)] * 2
         with pytest.raises(ValueError, match="duplicate"):
-            SweepResult(records, [0.0], [0.0], [0]).validate()
+            check_grid(records, [0.0], [0.0], [0])
 
 
 class TestSeedMedians:

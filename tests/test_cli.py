@@ -15,7 +15,7 @@ from fairpriv.analysis import RunRecord, grid_values, seed_medians
 from fairpriv.cli import main, pipeline, report
 from fairpriv.cli.config import (ConfigError, ExperimentConfig, default_config,
                                  from_dict, load_config, mild_correlation_joint)
-from fairpriv.cli.modelio import load_bundle, save_bundle
+from fairpriv.cli.modelio import MAGIC, VERSION, load_bundle, save_bundle
 from fairpriv import data
 from fairpriv.data import (LabeledDataset, SplitSpec, SyntheticSpec, load_csv,
                           make_splits)
@@ -240,6 +240,20 @@ class TestGenData:
         assert main(["gen-data", "--config", str(path), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_missing_top_class_rejected_before_writing(self, tmp_path, capsys):
+        # load_csv would read the file back with k_p = 2, and the attack's
+        # chance level would be 1/2 instead of 1/3.
+        joint = np.zeros((2, 2, 3))
+        joint[..., :2] = 0.125
+        path = config_json(tmp_path, data={"kind": "synthetic", "n": 400, "k_p": 3,
+                                           "joint": joint.tolist()})
+        out = tmp_path / "d.csv"
+        assert main(["gen-data", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: y_p: class 2 of k_p = 3 has no row; a dataset CSV takes each class "
+            "count from its largest label\n")
+        assert not out.exists()
+
     def test_row_and_column_counts(self, tmp_path):
         path = config_json(tmp_path)
         out = tmp_path / "d.csv"
@@ -420,6 +434,17 @@ class TestTrainCommand:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
+            load_bundle(path)
+
+    @pytest.mark.parametrize("sizes, match", [
+        ((2 ** 31, 2 ** 31), "truncated model file while reading weights"),  # 2**65 bytes
+        ((4, 0), "layer size of 0"),
+    ])
+    def test_bad_layer_sizes_rejected_before_reading(self, tmp_path, sizes, match):
+        path = tmp_path / "model.bin"
+        path.write_bytes(MAGIC + struct.pack("<II", VERSION, len(sizes))
+                         + struct.pack(f"<{len(sizes)}I", *sizes) + b"\x00" * 64)
+        with pytest.raises(ValueError, match=match):
             load_bundle(path)
 
     def test_csv_backed_config_trains(self, tmp_path):

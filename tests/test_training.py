@@ -7,9 +7,9 @@ import pytest
 
 from fairpriv import training
 from fairpriv.data import LabeledDataset, SyntheticSpec, generate
-from fairpriv.training import (EpochArrays, ModelBundle, OptimizerStates, TrainConfig,
-                               TrainingDivergedError, alternating_epoch, build_bundle,
-                               objective, shuffle_seed, train, whole_batch)
+from fairpriv.training import (EpochArrays, ModelBundle, TrainConfig, TrainingDivergedError,
+                               TrainState, alternating_epoch, build_bundle, objective,
+                               shuffle_seed, train, whole_batch)
 
 
 def toy_dataset(n=200, seed=0, d=6):
@@ -37,7 +37,7 @@ class TestObjective:
     def test_zero_coefficients_reduce_to_task_ce(self):
         ds = toy_dataset()
         bundle = build_bundle(small_cfg(), ds.dim, 2, 2, 2)
-        fwd = objective(bundle, whole_batch(ds, bundle.feature_dim), 0.0, 0.0)
+        fwd = objective(TrainState(bundle, small_cfg()), whole_batch(ds, bundle.feature_dim))
         assert fwd.total is fwd.ce_c  # not merely close: the same value
 
     def test_linear_combination(self):
@@ -50,7 +50,8 @@ class TestObjective:
             for p in net.params():
                 p[:] = 0.0
         for alpha, beta in [(0.5, 0.25), (2.0, 3.0), (0.0, 1.0)]:
-            fwd = objective(bundle, whole_batch(ds, bundle.feature_dim), alpha, beta)
+            fwd = objective(TrainState(bundle, small_cfg(alpha, beta)),
+                            whole_batch(ds, bundle.feature_dim))
             assert fwd.ce_c == pytest.approx(math.log(2), abs=1e-12)
             assert fwd.total == pytest.approx(
                 math.log(2) * (1 - alpha - beta), abs=1e-9)
@@ -59,7 +60,8 @@ class TestObjective:
         ds = toy_dataset(seed=3)
         bundle = build_bundle(small_cfg(seed=5), ds.dim, 2, 2, 2)
         for alpha, beta in [(0.0, 0.0), (0.01, 10.0), (4.2, 0.3)]:
-            fwd = objective(bundle, whole_batch(ds, bundle.feature_dim), alpha, beta)
+            fwd = objective(TrainState(bundle, small_cfg(alpha, beta)),
+                            whole_batch(ds, bundle.feature_dim))
             expected = fwd.ce_c - alpha * fwd.ce_a - beta * fwd.ce_p
             assert fwd.total == pytest.approx(expected, abs=1e-12)
 
@@ -72,7 +74,7 @@ class TestObjective:
                             rng.integers(0, 2, 512), 2, 2, 2)
         cfg = TrainConfig(alpha=1.0, beta=1.0, seed=6)  # default-sized networks
         bundle = build_bundle(cfg, ds.dim, 2, 2, 2)
-        fwd = objective(bundle, whole_batch(ds, bundle.feature_dim), 1.0, 1.0)
+        fwd = objective(TrainState(bundle, cfg), whole_batch(ds, bundle.feature_dim))
         for ce in (fwd.ce_c, fwd.ce_a, fwd.ce_p):
             assert abs(ce - math.log(2)) < 0.15
 
@@ -80,57 +82,51 @@ class TestObjective:
         ds = toy_dataset().subset([])
         bundle = build_bundle(small_cfg(), 6, 2, 2, 2)
         with pytest.raises(ValueError):
-            objective(bundle, whole_batch(ds, bundle.feature_dim), 0.0, 0.0)
+            objective(TrainState(bundle, small_cfg()), whole_batch(ds, bundle.feature_dim))
 
 
 class TestAlternatingEpoch:
-    def _run_one_epoch(self, bundle, data, cfg, states):
+    def _run_one_epoch(self, state, data, cfg):
         rng = np.random.default_rng(shuffle_seed(cfg))
         arrays = EpochArrays(data, cfg.feature_dim, cfg.batch_size)
-        return alternating_epoch(bundle, arrays, cfg, states, rng)
+        return alternating_epoch(state, arrays, cfg, rng)
 
     def test_main_phase_leaves_adversaries(self):
         # One batch per epoch: the first epoch is purely a MAIN phase.
         ds = toy_dataset(n=32)
         cfg = small_cfg(batch_size=32)
-        bundle = build_bundle(cfg, ds.dim, 2, 2, 2)
-        states = OptimizerStates.for_bundle(bundle, cfg.lr)
-        adv_before = snapshot(bundle.adversary_params())
-        main_before = snapshot(bundle.main_params())
-        self._run_one_epoch(bundle, ds, cfg, states)
-        assert unchanged(bundle.adversary_params(), adv_before)
-        assert not unchanged(bundle.main_params(), main_before)
+        state = TrainState(build_bundle(cfg, ds.dim, 2, 2, 2), cfg)
+        adv_before, main_before = state.adv.params.copy(), state.main.params.copy()
+        self._run_one_epoch(state, ds, cfg)
+        assert np.array_equal(state.adv.params, adv_before)
+        assert not np.array_equal(state.main.params, main_before)
 
     def test_adv_phase_leaves_main(self):
         ds = toy_dataset(n=32)
         cfg = small_cfg(batch_size=32)
-        bundle = build_bundle(cfg, ds.dim, 2, 2, 2)
-        states = OptimizerStates.for_bundle(bundle, cfg.lr)
-        self._run_one_epoch(bundle, ds, cfg, states)  # MAIN
-        main_before = snapshot(bundle.main_params())
-        adv_before = snapshot(bundle.adversary_params())
-        self._run_one_epoch(bundle, ds, cfg, states)  # ADV (counter carried over)
-        assert unchanged(bundle.main_params(), main_before)
-        assert not unchanged(bundle.adversary_params(), adv_before)
+        state = TrainState(build_bundle(cfg, ds.dim, 2, 2, 2), cfg)
+        self._run_one_epoch(state, ds, cfg)  # MAIN
+        adv_before, main_before = state.adv.params.copy(), state.main.params.copy()
+        self._run_one_epoch(state, ds, cfg)  # ADV (counter carried over)
+        assert np.array_equal(state.main.params, main_before)
+        assert not np.array_equal(state.adv.params, adv_before)
 
     def test_switch_period(self):
         # k=2: batches 0,1 are MAIN; batch 2 is ADV.
         ds = toy_dataset(n=96)
         cfg = small_cfg(batch_size=32, switch_period=2)
-        bundle = build_bundle(cfg, ds.dim, 2, 2, 2)
-        states = OptimizerStates.for_bundle(bundle, cfg.lr)
-        adv_before = snapshot(bundle.adversary_params())
-        self._run_one_epoch(bundle, ds, cfg, states)
-        assert not unchanged(bundle.adversary_params(), adv_before)
-        assert states.batch_count == 3
+        state = TrainState(build_bundle(cfg, ds.dim, 2, 2, 2), cfg)
+        adv_before = state.adv.params.copy()
+        self._run_one_epoch(state, ds, cfg)
+        assert not np.array_equal(state.adv.params, adv_before)
+        assert state.batch_count == 3
 
     def test_empty_training_set(self):
         ds = toy_dataset().subset([])
         cfg = small_cfg()
-        bundle = build_bundle(cfg, 6, 2, 2, 2)
-        states = OptimizerStates.for_bundle(bundle, cfg.lr)
+        state = TrainState(build_bundle(cfg, 6, 2, 2, 2), cfg)
         with pytest.raises(ValueError, match="empty"):
-            self._run_one_epoch(bundle, ds, cfg, states)
+            self._run_one_epoch(state, ds, cfg)
 
 
 class TestTrain:
@@ -202,7 +198,7 @@ class TestTrain:
                             extractor_hidden=(16,))
             trained = train(tr, va, cfg)
             val = whole_batch(va, trained.bundle.feature_dim)
-            ce_a[alpha] = objective(trained.bundle, val, alpha, 0.0).ce_a
+            ce_a[alpha] = objective(TrainState(trained.bundle, cfg), val).ce_a
         assert ce_a[10.0] > ce_a[0.0]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -226,14 +222,15 @@ class TestModelBundle:
             ModelBundle(extractor=bundle.extractor, classifier=bundle.classifier,
                         fairness_adv=narrow, privacy_adv=bundle.privacy_adv)
 
-    def test_copy_is_deep(self):
-        bundle = build_bundle(small_cfg(), 6, 2, 2, 2)
-        dup = bundle.copy()
-        dup.extractor.weights[0][0, 0] += 1.0
-        assert bundle.extractor.weights[0][0, 0] != dup.extractor.weights[0][0, 0]
+
+def mixed_dataset(ks, n):
+    """Random rows whose labels have the class counts ``ks`` = (k_y, k_a, k_p)."""
+    rng = np.random.default_rng(0)
+    return LabeledDataset(rng.standard_normal((n, 6)),
+                          *(rng.integers(0, k, n) for k in ks), *ks)
 
 
-class TestHeadNets:
+class TestTrainState:
     """Training runs every class-count combination in one layout: the
     classifier and the adversaries padded to K = max(k_y, k_a, k_p) output
     columns, the adversaries stacked on a head axis of 2."""
@@ -242,8 +239,8 @@ class TestHeadNets:
                                     (4, 7, 5)])
     def test_padded_copies(self, ks):
         bundle = build_bundle(small_cfg(), 6, *ks)
-        classifier, stack = training.head_nets(bundle)
-        heads = ((classifier, ()), (stack, 0), (stack, 1))
+        state = TrainState(bundle, small_cfg())
+        heads = ((state.classifier, ()), (state.adversaries, 0), (state.adversaries, 1))
         for (padded, j), net, k in zip(heads, (bundle.classifier, bundle.fairness_adv,
                                                bundle.privacy_adv), ks):
             *hidden, w, b = [p[j] for p in padded.params()]
@@ -254,27 +251,47 @@ class TestHeadNets:
 
     @pytest.mark.parametrize("ks", [(2, 3, 2), (3, 2, 2), (2, 2, 3)])
     def test_padding_stays_put_while_real_params_move(self, ks):
-        rng = np.random.default_rng(0)
-        ds = LabeledDataset(rng.standard_normal((64, 6)),
-                            *(rng.integers(0, k, 64) for k in ks), *ks)
+        ds = mixed_dataset(ks, 64)
         cfg = small_cfg(1.0, 1.0, batch_size=32)  # 2 batches: MAIN, then ADV
-        bundle = build_bundle(cfg, ds.dim, *ks)
-        states = OptimizerStates.for_bundle(bundle, cfg.lr)
-        assert all(np.shares_memory(p, states.main.params) for p in bundle.main_params())
-        assert all(np.shares_memory(p, states.adversaries.params)
-                   for p in bundle.adversary_params())
-        before = snapshot(bundle.main_params() + bundle.adversary_params())
-        alternating_epoch(bundle, EpochArrays(ds, cfg.feature_dim, cfg.batch_size), cfg,
-                          states, np.random.default_rng(1))
-        assert states.main.step == states.adversaries.step == 1
-        after = bundle.main_params() + bundle.adversary_params()
-        assert not any(np.array_equal(p, b) for p, b in zip(after, before))
-        classifier, stack = states.nets
-        padded = [(classifier.weights[-1], classifier.biases[-1], ks[0])] + [
-            (stack.weights[-1][j], stack.biases[-1][j], k) for j, k in enumerate(ks[1:])]
+        state = TrainState(build_bundle(cfg, ds.dim, *ks), cfg)
+        assert all(np.shares_memory(p, state.main.params)
+                   for p in state.extractor.params() + state.classifier.params())
+        assert all(np.shares_memory(p, state.adv.params) for p in state.adversaries.params())
+        before = state.bundle()
+        alternating_epoch(state, EpochArrays(ds, cfg.feature_dim, cfg.batch_size), cfg,
+                          np.random.default_rng(1))
+        assert state.main.step == state.adv.step == 1
+        after = state.bundle()
+        assert [p.shape for p in after.main_params() + after.adversary_params()] == [
+            p.shape for p in before.main_params() + before.adversary_params()]
+        assert not any(np.array_equal(p, b) for p, b in zip(
+            after.main_params() + after.adversary_params(),
+            before.main_params() + before.adversary_params()))
+        padded = [(state.classifier.weights[-1], state.classifier.biases[-1], ks[0])] + [
+            (state.adversaries.weights[-1][j], state.adversaries.biases[-1][j], k)
+            for j, k in enumerate(ks[1:])]
         for w, b, k in padded:
             assert np.all(w[:, k:] == 0.0) and not np.any(np.signbit(w[:, k:]))
             assert np.all(b[:, k:] == -np.inf)
+
+    @pytest.mark.parametrize("ks", [(2, 2, 2), (4, 7, 5)])
+    def test_snapshot_and_source_stay_put_while_the_state_trains(self, ks):
+        ds = mixed_dataset(ks, 64)
+        cfg = small_cfg(1.0, 1.0, batch_size=32)  # 2 batches: MAIN, then ADV
+        source = build_bundle(cfg, ds.dim, *ks)
+        source_before = snapshot(source.main_params() + source.adversary_params())
+        state = TrainState(source, cfg)
+        snap = state.bundle()
+        snap_before = snapshot(snap.main_params() + snap.adversary_params())
+        assert unchanged(snap_before, source_before)
+        alternating_epoch(state, EpochArrays(ds, cfg.feature_dim, cfg.batch_size), cfg,
+                          np.random.default_rng(1))
+        assert state.main.step == state.adv.step == 1
+        assert unchanged(source.main_params() + source.adversary_params(), source_before)
+        assert unchanged(snap.main_params() + snap.adversary_params(), snap_before)
+        moved = state.bundle()
+        assert not unchanged(moved.main_params(), snap_before[:len(moved.main_params())])
+        assert not unchanged(moved.adversary_params(), snap_before[len(moved.main_params()):])
 
 
 class TestCrossEntropyCalls:
@@ -284,12 +301,9 @@ class TestCrossEntropyCalls:
                                     (3, 3, 2)])
     @pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (1.0, 0.0), (1.0, 2.0)])
     def test_one_call_per_step(self, monkeypatch, ks, alpha, beta):
-        rng = np.random.default_rng(0)
-        ds = LabeledDataset(rng.standard_normal((96, 6)),
-                            *(rng.integers(0, k, 96) for k in ks), *ks)
+        ds = mixed_dataset(ks, 96)
         cfg = small_cfg(alpha, beta)  # 3 batches of 32: MAIN, ADV, MAIN
-        bundle = build_bundle(cfg, ds.dim, *ks)
-        states = OptimizerStates.for_bundle(bundle, cfg.lr)
+        state = TrainState(build_bundle(cfg, ds.dim, *ks), cfg)
         arrays = EpochArrays(ds, cfg.feature_dim, cfg.batch_size)
         real, shapes = training.lc.encoded_cross_entropy, []
 
@@ -298,7 +312,7 @@ class TestCrossEntropyCalls:
             return real(*args)
 
         monkeypatch.setattr(training.lc, "encoded_cross_entropy", counted)
-        alternating_epoch(bundle, arrays, cfg, states, np.random.default_rng(1))
+        alternating_epoch(state, arrays, cfg, np.random.default_rng(1))
         assert shapes == [(3, 32, max(ks))] * 3
 
 
