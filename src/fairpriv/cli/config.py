@@ -22,8 +22,7 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     data: SyntheticSpec | str  # a generator spec, or a path to a feature CSV
     split: SplitSpec = field(default_factory=SplitSpec)
-    # alpha, beta and seed stay 0 here; each run sets them from the grid and seeds.
-    train: TrainConfig = field(default_factory=lambda: TrainConfig(alpha=0.0, beta=0.0, seed=0))
+    train: TrainConfig = field(default_factory=TrainConfig)
     alphas: list = field(default_factory=grid_values)
     betas: list = field(default_factory=grid_values)
     seeds: list = field(default_factory=lambda: [0, 1, 2])
@@ -160,10 +159,6 @@ def from_dict(raw: dict) -> ExperimentConfig:
         cfg.split = _replace("split", cfg.split, raw["split"])
     if "train" in raw:
         train = dict(raw["train"])
-        for name in ("alpha", "beta", "seed"):
-            if name in train:
-                raise ConfigError(f"train.{name}: set per run by the grid and seeds, "
-                                  f"not in the train section")
         for name in ("extractor_hidden", "adversary_hidden"):
             if isinstance(train.get(name), list):
                 train[name] = tuple(train[name])

@@ -7,7 +7,6 @@ validation-split features only and scored on test-split features only.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import math
 import os
 
@@ -17,7 +16,7 @@ from ..analysis import METRICS, RunRecord
 from ..data import LabeledDataset, generate, load_csv, make_splits
 from ..evaluation import (MetricTriple, attack_accuracy, class_counts, fit_attacker,
                           utility_and_gap)
-from ..training import TrainedModel, train
+from ..training import TrainedModel, check_run_key, train
 from .config import ConfigError, ExperimentConfig
 
 RESULTS_HEADER = ["alpha", "beta", "seed", *METRICS, "val_loss"]
@@ -76,13 +75,13 @@ def run_single(config: ExperimentConfig, alpha: float, beta: float, seed: int,
     a class of y_p, fails before training, not after it, where the metrics
     or the attacker's reweighting would fail on it.
     """
-    train_config = dataclasses.replace(config.train, alpha=alpha, beta=beta, seed=seed)
-    train_config.validate()  # a bad argument fails before any data work
+    check_run_key(alpha, beta, seed)  # a bad argument fails before any data work
+    config.train.validate()
     train_ds, val_ds, test_ds = splits if splits is not None else seed_splits(config, seed)
     class_counts(test_ds.y_a, test_ds.k_a, "test split: y_a")
     class_counts(test_ds.y_p, test_ds.k_p, "test split: y_p")
     class_counts(val_ds.y_p, val_ds.k_p, "validation split: y_p")
-    trained = train(train_ds, val_ds, train_config)
+    trained = train(train_ds, val_ds, config.train, alpha=alpha, beta=beta, seed=seed)
     triple = evaluate_bundle(trained.bundle, val_ds, test_ds, config)
     record = RunRecord(alpha=alpha, beta=beta, seed=seed, triple=triple,
                        val_loss=trained.best_val_loss)

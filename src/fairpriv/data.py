@@ -65,9 +65,9 @@ class SyntheticSpec:
     Features are four concatenated blocks: one signaling the task label with
     separation mu_y, one signaling the sensitive label (mu_a), one signaling
     the private label (mu_p), and pure noise. Within a block of width d for a
-    K-class label, dimension j carries the mean bump for class j mod K.
-    ``joint`` is a k_y x k_a x k_p probability table for the label triple;
-    None means uniform.
+    K-class label, dimension c < K carries the mean bump for class c; with
+    mu > 0, d must be 0 or >= K. ``joint`` is a k_y x k_a x k_p probability
+    table for the label triple; None means uniform.
     """
 
     n: int
@@ -92,6 +92,11 @@ class SyntheticSpec:
                       "an integer >= 2")
         _check_fields(self, ("mu_y", "mu_a", "mu_p"), lambda v: _is_real(v) and v >= 0,
                       "a finite number >= 0")
+        for label in ("y", "a", "p"):
+            d, k = getattr(self, f"d_{label}"), getattr(self, f"k_{label}")
+            if getattr(self, f"mu_{label}") > 0 and 0 < d < k:
+                raise ValueError(f"d_{label}: must be 0 or >= k_{label} = {k} when "
+                                 f"mu_{label} > 0, got {d}")
         if self.dim < 1:
             raise ValueError(f"d_y + d_a + d_p + d_noise: must be >= 1, got {self.dim}")
         if self.joint is not None:
@@ -191,8 +196,8 @@ def sample_labels(joint: np.ndarray, n: int, seed) -> tuple[np.ndarray, np.ndarr
 def _signal_block(labels: np.ndarray, k: int, mu: float, d: int,
                   rng: np.random.Generator) -> Matrix:
     # Class c gets a mean bump of mu/sqrt(2) in dimension c, so the L2
-    # distance between any two class means is exactly mu; dims beyond the
-    # class count stay zero-mean.
+    # distance between any two class means is exactly mu (SyntheticSpec
+    # keeps d >= k when mu > 0); dims beyond the class count stay zero-mean.
     block = rng.standard_normal((labels.shape[0], d))
     bump = mu / np.sqrt(2.0)
     for c in range(min(k, d)):

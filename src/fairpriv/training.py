@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -47,18 +48,11 @@ class ModelBundle:
     def feature_dim(self) -> int:
         return self.extractor.layer_sizes[-1]
 
-    def main_params(self) -> list[Matrix]:
-        return self.extractor.params() + self.classifier.params()
-
-    def adversary_params(self) -> list[Matrix]:
-        return self.fairness_adv.params() + self.privacy_adv.params()
-
 
 @dataclass
 class TrainConfig:
-    alpha: float
-    beta: float
-    seed: int
+    """The hyperparameters every run of a sweep shares; a run's key is passed beside it."""
+
     epochs: int = 40
     batch_size: int = 64
     lr: float = 1e-3
@@ -70,9 +64,6 @@ class TrainConfig:
 
     def validate(self) -> None:
         """Check every field's type and range; the ValueError names the field."""
-        _check_fields(self, ("alpha", "beta"), lambda v: _is_real(v) and v >= 0,
-                      "a finite number >= 0")
-        _check_fields(self, ("seed",), lambda v: _is_int(v) and v >= 0, "an integer >= 0")
         _check_fields(self, ("epochs", "batch_size", "feature_dim", "switch_period"),
                       lambda v: _is_int(v) and v >= 1, "an integer >= 1")
         _check_fields(self, ("extractor_hidden", "adversary_hidden"),
@@ -82,6 +73,14 @@ class TrainConfig:
         _check_fields(self, ("lr",), lambda v: _is_real(v) and v > 0, "a finite number > 0")
         _check_fields(self, ("select_by",), lambda v: v in ("classifier-ce", "objective"),
                       "'classifier-ce' or 'objective'")
+
+
+def check_run_key(alpha, beta, seed) -> None:
+    """Check one run's key; the ValueError names the argument."""
+    key = SimpleNamespace(alpha=alpha, beta=beta, seed=seed)
+    _check_fields(key, ("alpha", "beta"), lambda v: _is_real(v) and v >= 0,
+                  "a finite number >= 0")
+    _check_fields(key, ("seed",), lambda v: _is_int(v) and v >= 0, "an integer >= 0")
 
 
 @dataclass
@@ -103,7 +102,7 @@ class TrainState:
     layers is one matmul.
     """
 
-    def __init__(self, bundle: ModelBundle, cfg: TrainConfig):
+    def __init__(self, bundle: ModelBundle, cfg: TrainConfig, alpha: float, beta: float):
         heads = (bundle.classifier, bundle.fairness_adv, bundle.privacy_adv)
         self.widths = [net.layer_sizes[-1] for net in heads]
         params = []
@@ -117,7 +116,7 @@ class TrainState:
         self.adversaries = Mlp(stacked[0::2], stacked[1::2])
         self.main = AdamState([self.extractor, self.classifier], cfg.lr)
         self.adv = AdamState([self.adversaries], cfg.lr)
-        self.alpha, self.beta = cfg.alpha, cfg.beta
+        self.alpha, self.beta = alpha, beta
         self.batch_count = 0  # persists across epochs so phases carry over
         # The heads' CE grad scales in each phase, as (3, 1, 1) arrays.
         self.scales = {MAIN: np.array((1.0, -self.alpha, -self.beta)).reshape(3, 1, 1),
@@ -213,9 +212,9 @@ def whole_batch(ds: LabeledDataset, feature_dim: int) -> Batch:
     return arrays.batch(slice(None))
 
 
-def build_bundle(cfg: TrainConfig, input_dim: int, k_y: int, k_a: int, k_p: int) -> ModelBundle:
-    """Seeded networks; the classifier is a linear head on the features."""
-    seeds = np.random.SeedSequence(cfg.seed).spawn(5)
+def build_bundle(cfg: TrainConfig, seeds: list, input_dim: int, k_y: int, k_a: int,
+                 k_p: int) -> ModelBundle:
+    """Networks seeded by ``seeds[0:4]``; the classifier is a linear head on the features."""
     adv_in = cfg.feature_dim + k_y
     return ModelBundle(
         extractor=lc.mlp_init([input_dim, *cfg.extractor_hidden, cfg.feature_dim], seeds[0]),
@@ -223,10 +222,6 @@ def build_bundle(cfg: TrainConfig, input_dim: int, k_y: int, k_a: int, k_p: int)
         fairness_adv=lc.mlp_init([adv_in, *cfg.adversary_hidden, k_a], seeds[2]),
         privacy_adv=lc.mlp_init([adv_in, *cfg.adversary_hidden, k_p], seeds[3]),
     )
-
-
-def shuffle_seed(cfg: TrainConfig) -> np.random.SeedSequence:
-    return np.random.SeedSequence(cfg.seed).spawn(5)[4]
 
 
 def objective(state: TrainState, batch: Batch, phase: str | None = None) -> Forward:
@@ -328,15 +323,18 @@ def validation_loss(state: TrainState, val: Batch, cfg: TrainConfig) -> float:
     return lc.encoded_cross_entropy(logits, val.targets[0])[0]  # y is head 0
 
 
-def train(train_data: LabeledDataset, val_data: LabeledDataset, cfg: TrainConfig,
-          update_adversaries: bool = True) -> TrainedModel:
-    """Run cfg.epochs alternating epochs; keep the best-validation snapshot."""
+def train(train_data: LabeledDataset, val_data: LabeledDataset, cfg: TrainConfig, *,
+          alpha: float, beta: float, seed: int, update_adversaries: bool = True) -> TrainedModel:
+    """Run cfg.epochs alternating epochs; keep the best-validation snapshot. The
+    seed's SeedSequence children 0-3 seed the nets, and child 4 the batch shuffling."""
+    check_run_key(alpha, beta, seed)
     cfg.validate()
     if len(train_data) == 0 or len(val_data) == 0:
         raise ValueError("train and validation splits must be nonempty")
-    state = TrainState(build_bundle(cfg, train_data.dim, train_data.k_y, train_data.k_a,
-                                    train_data.k_p), cfg)
-    shuffle_rng = np.random.default_rng(shuffle_seed(cfg))
+    seeds = np.random.SeedSequence(seed).spawn(5)
+    state = TrainState(build_bundle(cfg, seeds, train_data.dim, train_data.k_y, train_data.k_a,
+                                    train_data.k_p), cfg, alpha, beta)
+    shuffle_rng = np.random.default_rng(seeds[4])
     arrays = EpochArrays(train_data, cfg.feature_dim, cfg.batch_size)
     val = whole_batch(val_data, cfg.feature_dim)
     best_loss = math.inf

@@ -45,3 +45,12 @@ def reference_runs():
 def median_of(runs, alpha, beta, field):
     vals = [getattr(runs[(alpha, beta, s)], field) for s in (0, 1, 2)]
     return float(np.median(vals))
+
+
+NETS = ("extractor", "classifier", "fairness_adv", "privacy_adv")
+MAIN_NETS = NETS[:2]
+
+
+def bundle_params(bundle, nets=NETS) -> list:
+    """The params of ``bundle``'s nets named in ``nets``, net by net in that order."""
+    return [p for name in nets for p in getattr(bundle, name).params()]

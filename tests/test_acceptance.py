@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import median_of, reference_config
+from conftest import MAIN_NETS, bundle_params, median_of, reference_config
 from fairpriv.analysis import (CsrWeights, RunRecord, csr, grid_values, group_label,
                                heatmap, normalize, pearson)
 from fairpriv.cli import main, pipeline
@@ -112,11 +112,12 @@ class TestCriterion2ErmReduction:
         cfg = reference_config()
         ds = pipeline.load_dataset(cfg)
         train_ds, val_ds, _ = make_splits(ds, cfg.split, seed=0)
-        tc = replace(cfg.train, alpha=0.0, beta=0.0, seed=0)
-        tc.epochs = 5
-        full = train(train_ds, val_ds, tc, update_adversaries=True)
-        erm = train(train_ds, val_ds, tc, update_adversaries=False)
-        for a, b in zip(full.bundle.main_params(), erm.bundle.main_params()):
+        tc = replace(cfg.train, epochs=5)
+        key = dict(alpha=0.0, beta=0.0, seed=0)
+        full = train(train_ds, val_ds, tc, **key, update_adversaries=True)
+        erm = train(train_ds, val_ds, tc, **key, update_adversaries=False)
+        for a, b in zip(bundle_params(full.bundle, MAIN_NETS),
+                        bundle_params(erm.bundle, MAIN_NETS)):
             assert np.array_equal(a, b)
         assert full.best_val_loss == erm.best_val_loss
         _pass(2, "alpha=beta=0 training is bitwise identical to adversary-free ERM")

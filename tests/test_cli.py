@@ -20,8 +20,10 @@ from fairpriv import data
 from fairpriv.data import (LabeledDataset, SplitSpec, SyntheticSpec, load_csv,
                           make_splits)
 from fairpriv.evaluation import MetricTriple, fit_attacker
+from fairpriv.training import TrainConfig
 
 import test_evaluation as oracle
+from conftest import bundle_params
 
 
 def small_config(**overrides):
@@ -158,6 +160,7 @@ class TestConfig:
         ("data.k_z", 2),
         ("data.n", {"kind": "csv", "path": "d.csv", "n": 100, "seed": 3}),
         ("data.path", {"kind": "csv", "path": 5}),
+        ("data.d_y", 1),
     ], ids=lambda v: (v.removeprefix("train.") if isinstance(v, str)
                       else v["kind"] if isinstance(v, dict) else None))
     def test_bad_train_field_rejected_at_load(self, tmp_path, capsys, field, value):
@@ -218,6 +221,29 @@ class TestConfig:
         assert np.allclose(cfg.data.joint, default.data.joint)
         cfg.data.joint = default.data.joint
         assert cfg == default
+
+    # A valid value for each TrainConfig field, other than its default and
+    # than the base run's 2 epochs.
+    TRAIN_VALUES = {"epochs": 3, "batch_size": 32, "lr": 0.003, "feature_dim": 6,
+                    "extractor_hidden": [16], "adversary_hidden": [16], "switch_period": 2,
+                    "select_by": "objective"}
+
+    def test_every_train_field_reaches_the_run(self, tmp_path):
+        # A field that loads but that no run reads would leave both unchanged.
+        def run(name, fields):
+            cfg = from_dict({"data": {"n": 800}, "train": {"epochs": 2, **fields},
+                             "attacker_iters": 1})
+            record, trained = pipeline.run_single(cfg, 1.0, 1.0, 0)
+            save_bundle(trained.bundle, tmp_path / f"{name}.bin")
+            return cfg, (tmp_path / f"{name}.bin").read_bytes(), record.val_loss
+
+        assert {field.name for field in dataclasses.fields(TrainConfig)} == set(self.TRAIN_VALUES)
+        _, base_bytes, base_loss = run("base", {})
+        for field in dataclasses.fields(TrainConfig):
+            value = self.TRAIN_VALUES[field.name]
+            cfg, model_bytes, val_loss = run(field.name, {field.name: value})
+            assert getattr(cfg.train, field.name) != field.default
+            assert model_bytes != base_bytes or val_loss != base_loss, field.name
 
     @pytest.mark.parametrize("value", [0, -1e-3, float("nan"), float("inf"), False])
     def test_train_lr_must_be_finite_positive(self, value):
@@ -329,8 +355,7 @@ class TestTrainCommand:
         assert [sizes[-1] for sizes, _ in nets[1:]] == [ds.k_y, ds.k_a, ds.k_p]
         assert all(np.all(np.isfinite(values)) for _, values in nets)
         loaded = load_bundle(path)
-        for a, b in zip(trained.bundle.main_params() + trained.bundle.adversary_params(),
-                        loaded.main_params() + loaded.adversary_params()):
+        for a, b in zip(bundle_params(trained.bundle), bundle_params(loaded)):
             assert np.array_equal(a, b)
         _, val_ds, test_ds = splits
         triple = pipeline.evaluate_bundle(loaded, val_ds, test_ds, cfg)

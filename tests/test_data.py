@@ -83,6 +83,24 @@ class TestGenerate:
         for lo, hi in zip(bas, bas[1:]):
             assert hi >= lo - 0.02, f"leakage not monotone: {bas}"
 
+    @pytest.mark.parametrize("label", ["y", "a", "p"])
+    def test_signal_block_narrower_than_class_count_rejected(self, label):
+        # Classes from d on got no signal dimension: at k = 3, d = 2 classes 0
+        # and 2 sat 2.12 apart, not mu = 3, and two such classes share a mean.
+        narrow = {f"k_{label}": 3, f"d_{label}": 2}
+        with pytest.raises(ValueError, match=f"^d_{label}: must be 0 or >= k_{label} = 3 "
+                                             f"when mu_{label} > 0, got 2$"):
+            generate(SyntheticSpec(n=10, **narrow))
+        for fine in ({f"d_{label}": 3}, {f"d_{label}": 0}, {f"mu_{label}": 0.0}):
+            assert len(generate(SyntheticSpec(n=10, **{**narrow, **fine}))) == 10
+
+    def test_class_means_are_mu_apart(self):
+        ds = generate(SyntheticSpec(n=30000, k_y=3, d_y=3, mu_y=3.0, d_a=0, d_p=0,
+                                    d_noise=0, seed=20))
+        means = np.array([ds.x[ds.y == c].mean(axis=0) for c in range(3)])
+        for i, j in [(0, 1), (0, 2), (1, 2)]:
+            assert abs(np.linalg.norm(means[i] - means[j]) - 3.0) < 0.1
+
     def test_invalid_spec(self):
         with pytest.raises(ValueError):
             generate(SyntheticSpec(n=0, joint=uniform_joint()))
@@ -175,6 +193,7 @@ class TestCsv:
 
     def test_header_names(self, tmp_path):
         ds = generate(SyntheticSpec(n=3, d_y=1, d_a=1, d_p=1, d_noise=0,
+                                    mu_y=0.0, mu_a=0.0, mu_p=0.0,
                                     joint=uniform_joint(), seed=16))
         path = tmp_path / "data.csv"
         save_csv(ds, path)

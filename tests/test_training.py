@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import MAIN_NETS, NETS, bundle_params
 from fairpriv import training
 from fairpriv.data import LabeledDataset, SyntheticSpec, generate
 from fairpriv.training import (EpochArrays, ModelBundle, TrainConfig, TrainingDivergedError,
-                               TrainState, alternating_epoch, build_bundle, objective,
-                               shuffle_seed, train, whole_batch)
+                               TrainState, alternating_epoch, build_bundle, objective, train,
+                               whole_batch)
 
 
 def toy_dataset(n=200, seed=0, d=6):
@@ -18,11 +19,16 @@ def toy_dataset(n=200, seed=0, d=6):
                           rng.integers(0, 2, n), rng.integers(0, 2, n), 2, 2, 2)
 
 
-def small_cfg(alpha=0.0, beta=0.0, seed=0, **kw):
+def small_cfg(**kw):
     defaults = dict(epochs=3, batch_size=32, feature_dim=4,
                     extractor_hidden=(8,), adversary_hidden=(8, 8))
     defaults.update(kw)
-    return TrainConfig(alpha=alpha, beta=beta, seed=seed, **defaults)
+    return TrainConfig(**defaults)
+
+
+def init_bundle(cfg, input_dim, ks=(2, 2, 2), seed=0):
+    """The nets ``train`` starts a ``seed`` run from, for class counts ``ks``."""
+    return build_bundle(cfg, np.random.SeedSequence(seed).spawn(5), input_dim, *ks)
 
 
 def snapshot(params):
@@ -36,21 +42,22 @@ def unchanged(params, before):
 class TestObjective:
     def test_zero_coefficients_reduce_to_task_ce(self):
         ds = toy_dataset()
-        bundle = build_bundle(small_cfg(), ds.dim, 2, 2, 2)
-        fwd = objective(TrainState(bundle, small_cfg()), whole_batch(ds, bundle.feature_dim))
+        bundle = init_bundle(small_cfg(), ds.dim)
+        fwd = objective(TrainState(bundle, small_cfg(), 0.0, 0.0),
+                        whole_batch(ds, bundle.feature_dim))
         assert fwd.total is fwd.ce_c  # not merely close: the same value
 
     def test_linear_combination(self):
         # Zeroed networks emit uniform logits, so all three CE terms equal ln 2
         # and the total collapses to ln2 * (1 - alpha - beta).
         ds = toy_dataset()
-        bundle = build_bundle(small_cfg(), ds.dim, 2, 2, 2)
+        bundle = init_bundle(small_cfg(), ds.dim)
         for net in (bundle.extractor, bundle.classifier, bundle.fairness_adv,
                     bundle.privacy_adv):
             for p in net.params():
                 p[:] = 0.0
         for alpha, beta in [(0.5, 0.25), (2.0, 3.0), (0.0, 1.0)]:
-            fwd = objective(TrainState(bundle, small_cfg(alpha, beta)),
+            fwd = objective(TrainState(bundle, small_cfg(), alpha, beta),
                             whole_batch(ds, bundle.feature_dim))
             assert fwd.ce_c == pytest.approx(math.log(2), abs=1e-12)
             assert fwd.total == pytest.approx(
@@ -58,9 +65,9 @@ class TestObjective:
 
     def test_decomposition_identity(self):
         ds = toy_dataset(seed=3)
-        bundle = build_bundle(small_cfg(seed=5), ds.dim, 2, 2, 2)
+        bundle = init_bundle(small_cfg(), ds.dim, seed=5)
         for alpha, beta in [(0.0, 0.0), (0.01, 10.0), (4.2, 0.3)]:
-            fwd = objective(TrainState(bundle, small_cfg(alpha, beta)),
+            fwd = objective(TrainState(bundle, small_cfg(), alpha, beta),
                             whole_batch(ds, bundle.feature_dim))
             expected = fwd.ce_c - alpha * fwd.ce_a - beta * fwd.ce_p
             assert fwd.total == pytest.approx(expected, abs=1e-12)
@@ -72,22 +79,23 @@ class TestObjective:
         ds = LabeledDataset(0.1 * rng.standard_normal((512, 6)),
                             rng.integers(0, 2, 512), rng.integers(0, 2, 512),
                             rng.integers(0, 2, 512), 2, 2, 2)
-        cfg = TrainConfig(alpha=1.0, beta=1.0, seed=6)  # default-sized networks
-        bundle = build_bundle(cfg, ds.dim, 2, 2, 2)
-        fwd = objective(TrainState(bundle, cfg), whole_batch(ds, bundle.feature_dim))
+        cfg = TrainConfig()  # default-sized networks
+        bundle = init_bundle(cfg, ds.dim, seed=6)
+        fwd = objective(TrainState(bundle, cfg, 1.0, 1.0), whole_batch(ds, bundle.feature_dim))
         for ce in (fwd.ce_c, fwd.ce_a, fwd.ce_p):
             assert abs(ce - math.log(2)) < 0.15
 
     def test_empty_batch_rejected(self):
         ds = toy_dataset().subset([])
-        bundle = build_bundle(small_cfg(), 6, 2, 2, 2)
+        bundle = init_bundle(small_cfg(), 6)
         with pytest.raises(ValueError):
-            objective(TrainState(bundle, small_cfg()), whole_batch(ds, bundle.feature_dim))
+            objective(TrainState(bundle, small_cfg(), 0.0, 0.0),
+                      whole_batch(ds, bundle.feature_dim))
 
 
 class TestAlternatingEpoch:
     def _run_one_epoch(self, state, data, cfg):
-        rng = np.random.default_rng(shuffle_seed(cfg))
+        rng = np.random.default_rng(np.random.SeedSequence(0).spawn(5)[4])  # train's, at seed 0
         arrays = EpochArrays(data, cfg.feature_dim, cfg.batch_size)
         return alternating_epoch(state, arrays, cfg, rng)
 
@@ -95,7 +103,7 @@ class TestAlternatingEpoch:
         # One batch per epoch: the first epoch is purely a MAIN phase.
         ds = toy_dataset(n=32)
         cfg = small_cfg(batch_size=32)
-        state = TrainState(build_bundle(cfg, ds.dim, 2, 2, 2), cfg)
+        state = TrainState(init_bundle(cfg, ds.dim), cfg, 0.0, 0.0)
         adv_before, main_before = state.adv.params.copy(), state.main.params.copy()
         self._run_one_epoch(state, ds, cfg)
         assert np.array_equal(state.adv.params, adv_before)
@@ -104,7 +112,7 @@ class TestAlternatingEpoch:
     def test_adv_phase_leaves_main(self):
         ds = toy_dataset(n=32)
         cfg = small_cfg(batch_size=32)
-        state = TrainState(build_bundle(cfg, ds.dim, 2, 2, 2), cfg)
+        state = TrainState(init_bundle(cfg, ds.dim), cfg, 0.0, 0.0)
         self._run_one_epoch(state, ds, cfg)  # MAIN
         adv_before, main_before = state.adv.params.copy(), state.main.params.copy()
         self._run_one_epoch(state, ds, cfg)  # ADV (counter carried over)
@@ -115,7 +123,7 @@ class TestAlternatingEpoch:
         # k=2: batches 0,1 are MAIN; batch 2 is ADV.
         ds = toy_dataset(n=96)
         cfg = small_cfg(batch_size=32, switch_period=2)
-        state = TrainState(build_bundle(cfg, ds.dim, 2, 2, 2), cfg)
+        state = TrainState(init_bundle(cfg, ds.dim), cfg, 0.0, 0.0)
         adv_before = state.adv.params.copy()
         self._run_one_epoch(state, ds, cfg)
         assert not np.array_equal(state.adv.params, adv_before)
@@ -124,7 +132,7 @@ class TestAlternatingEpoch:
     def test_empty_training_set(self):
         ds = toy_dataset().subset([])
         cfg = small_cfg()
-        state = TrainState(build_bundle(cfg, 6, 2, 2, 2), cfg)
+        state = TrainState(init_bundle(cfg, 6), cfg, 0.0, 0.0)
         with pytest.raises(ValueError, match="empty"):
             self._run_one_epoch(state, ds, cfg)
 
@@ -133,7 +141,7 @@ class TestTrain:
     def test_zero_epochs_rejected(self):
         ds = toy_dataset()
         with pytest.raises(ValueError, match="epochs"):
-            train(ds, ds, small_cfg(epochs=0))
+            train(ds, ds, small_cfg(epochs=0), alpha=0.0, beta=0.0, seed=0)
 
     @pytest.mark.parametrize("field, value", [
         ("alpha", -0.5), ("alpha", float("nan")), ("alpha", "1"), ("beta", float("inf")),
@@ -143,30 +151,36 @@ class TestTrain:
         ("adversary_hidden", 8), ("switch_period", False), ("select_by", "loss"),
     ])
     def test_bad_field_rejected_before_any_network(self, monkeypatch, field, value):
-        # A library call gets the same checks as a loaded config.
+        # A library call gets the same checks as a loaded config and a CLI run key.
         monkeypatch.setattr(training, "build_bundle",
                             lambda *a: pytest.fail("built a network for a bad config"))
         ds = toy_dataset()
+        key, cfg = dict(alpha=0.0, beta=0.0, seed=0), small_cfg()
+        if field in key:
+            key[field] = value
+        else:
+            cfg = small_cfg(**{field: value})
         with pytest.raises(ValueError, match=f"^{field}: must be"):
-            train(ds, ds, small_cfg(**{field: value}))
+            train(ds, ds, cfg, **key)
 
     def test_deterministic(self):
         ds = toy_dataset(n=160, seed=8)
         tr, va = ds.subset(np.arange(128)), ds.subset(np.arange(128, 160))
-        cfg = small_cfg(alpha=0.5, beta=0.5, seed=9, epochs=4)
-        a, b = train(tr, va, cfg), train(tr, va, cfg)
+        cfg, key = small_cfg(epochs=4), dict(alpha=0.5, beta=0.5, seed=9)
+        a, b = train(tr, va, cfg, **key), train(tr, va, cfg, **key)
         assert a.best_val_loss == b.best_val_loss
         assert a.history == b.history
-        for pa, pb in zip(a.bundle.main_params(), b.bundle.main_params()):
+        for pa, pb in zip(bundle_params(a.bundle, MAIN_NETS), bundle_params(b.bundle, MAIN_NETS)):
             assert np.array_equal(pa, pb)
 
     def test_erm_reduction_bitwise(self):
         ds = toy_dataset(n=200, seed=10)
         tr, va = ds.subset(np.arange(160)), ds.subset(np.arange(160, 200))
-        cfg = small_cfg(seed=11, epochs=5)
-        full = train(tr, va, cfg, update_adversaries=True)
-        erm = train(tr, va, cfg, update_adversaries=False)
-        for pa, pb in zip(full.bundle.main_params(), erm.bundle.main_params()):
+        cfg, key = small_cfg(epochs=5), dict(alpha=0.0, beta=0.0, seed=11)
+        full = train(tr, va, cfg, **key, update_adversaries=True)
+        erm = train(tr, va, cfg, **key, update_adversaries=False)
+        for pa, pb in zip(bundle_params(full.bundle, MAIN_NETS),
+                          bundle_params(erm.bundle, MAIN_NETS)):
             assert np.array_equal(pa, pb)
         assert full.best_val_loss == erm.best_val_loss
 
@@ -174,8 +188,8 @@ class TestTrain:
         ds = generate(SyntheticSpec(n=2000, mu_y=4.0, joint=np.full((2, 2, 2), 0.125),
                                     seed=12))
         tr, va = ds.subset(np.arange(1600)), ds.subset(np.arange(1600, 2000))
-        cfg = small_cfg(seed=13, epochs=20, feature_dim=6, extractor_hidden=(16,))
-        trained = train(tr, va, cfg)
+        cfg = small_cfg(epochs=20, feature_dim=6, extractor_hidden=(16,))
+        trained = train(tr, va, cfg, alpha=0.0, beta=0.0, seed=13)
         feats = trained.bundle.extractor.apply(va.x)
         preds = np.argmax(trained.bundle.classifier.apply(feats), axis=1)
         assert np.mean(preds == va.y) > 0.9
@@ -183,7 +197,7 @@ class TestTrain:
     def test_best_val_loss_is_history_min(self):
         ds = toy_dataset(n=160, seed=14)
         tr, va = ds.subset(np.arange(128)), ds.subset(np.arange(128, 160))
-        trained = train(tr, va, small_cfg(seed=15, epochs=6))
+        trained = train(tr, va, small_cfg(epochs=6), alpha=0.0, beta=0.0, seed=15)
         assert trained.best_val_loss == min(v for _, v in trained.history)
 
     def test_adversarial_pressure_raises_adversary_ce(self):
@@ -194,30 +208,29 @@ class TestTrain:
         tr, va = ds.subset(np.arange(1600)), ds.subset(np.arange(1600, 2000))
         ce_a = {}
         for alpha in (0.0, 10.0):
-            cfg = small_cfg(alpha=alpha, seed=17, epochs=12, feature_dim=6,
-                            extractor_hidden=(16,))
-            trained = train(tr, va, cfg)
+            cfg = small_cfg(epochs=12, feature_dim=6, extractor_hidden=(16,))
+            trained = train(tr, va, cfg, alpha=alpha, beta=0.0, seed=17)
             val = whole_batch(va, trained.bundle.feature_dim)
-            ce_a[alpha] = objective(TrainState(trained.bundle, cfg), val).ce_a
+            ce_a[alpha] = objective(TrainState(trained.bundle, cfg, alpha, 0.0), val).ce_a
         assert ce_a[10.0] > ce_a[0.0]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_abort_names_epoch(self):
         ds = toy_dataset(n=64, seed=18)
-        cfg = small_cfg(seed=19, epochs=3, lr=1e200)  # overflow to inf-inf = nan
+        cfg = small_cfg(epochs=3, lr=1e200)  # overflow to inf-inf = nan
         with pytest.raises(TrainingDivergedError, match="epoch"):
-            train(ds, ds, cfg)
+            train(ds, ds, cfg, alpha=0.0, beta=0.0, seed=19)
 
     def test_nonempty_splits_required(self):
         ds = toy_dataset()
         with pytest.raises(ValueError):
-            train(ds.subset([]), ds, small_cfg())
+            train(ds.subset([]), ds, small_cfg(), alpha=0.0, beta=0.0, seed=0)
 
 
 class TestModelBundle:
     def test_adversary_width_checked(self):
-        bundle = build_bundle(small_cfg(), 6, 2, 2, 2)
-        narrow = build_bundle(small_cfg(feature_dim=5), 6, 2, 2, 2).fairness_adv
+        bundle = init_bundle(small_cfg(), 6)
+        narrow = init_bundle(small_cfg(feature_dim=5), 6).fairness_adv
         with pytest.raises(ValueError, match="adversary"):
             ModelBundle(extractor=bundle.extractor, classifier=bundle.classifier,
                         fairness_adv=narrow, privacy_adv=bundle.privacy_adv)
@@ -238,8 +251,8 @@ class TestTrainState:
     @pytest.mark.parametrize("ks", [(2, 2, 2), (3, 3, 3), (2, 3, 2), (3, 2, 2), (2, 2, 3),
                                     (4, 7, 5)])
     def test_padded_copies(self, ks):
-        bundle = build_bundle(small_cfg(), 6, *ks)
-        state = TrainState(bundle, small_cfg())
+        bundle = init_bundle(small_cfg(), 6, ks)
+        state = TrainState(bundle, small_cfg(), 0.0, 0.0)
         heads = ((state.classifier, ()), (state.adversaries, 0), (state.adversaries, 1))
         for (padded, j), net, k in zip(heads, (bundle.classifier, bundle.fairness_adv,
                                                bundle.privacy_adv), ks):
@@ -252,8 +265,8 @@ class TestTrainState:
     @pytest.mark.parametrize("ks", [(2, 3, 2), (3, 2, 2), (2, 2, 3)])
     def test_padding_stays_put_while_real_params_move(self, ks):
         ds = mixed_dataset(ks, 64)
-        cfg = small_cfg(1.0, 1.0, batch_size=32)  # 2 batches: MAIN, then ADV
-        state = TrainState(build_bundle(cfg, ds.dim, *ks), cfg)
+        cfg = small_cfg(batch_size=32)  # 2 batches: MAIN, then ADV
+        state = TrainState(init_bundle(cfg, ds.dim, ks), cfg, 1.0, 1.0)
         assert all(np.shares_memory(p, state.main.params)
                    for p in state.extractor.params() + state.classifier.params())
         assert all(np.shares_memory(p, state.adv.params) for p in state.adversaries.params())
@@ -262,11 +275,10 @@ class TestTrainState:
                           np.random.default_rng(1))
         assert state.main.step == state.adv.step == 1
         after = state.bundle()
-        assert [p.shape for p in after.main_params() + after.adversary_params()] == [
-            p.shape for p in before.main_params() + before.adversary_params()]
+        assert [p.shape for p in bundle_params(after)] == [
+            p.shape for p in bundle_params(before)]
         assert not any(np.array_equal(p, b) for p, b in zip(
-            after.main_params() + after.adversary_params(),
-            before.main_params() + before.adversary_params()))
+            bundle_params(after), bundle_params(before)))
         padded = [(state.classifier.weights[-1], state.classifier.biases[-1], ks[0])] + [
             (state.adversaries.weights[-1][j], state.adversaries.biases[-1][j], k)
             for j, k in enumerate(ks[1:])]
@@ -277,21 +289,22 @@ class TestTrainState:
     @pytest.mark.parametrize("ks", [(2, 2, 2), (4, 7, 5)])
     def test_snapshot_and_source_stay_put_while_the_state_trains(self, ks):
         ds = mixed_dataset(ks, 64)
-        cfg = small_cfg(1.0, 1.0, batch_size=32)  # 2 batches: MAIN, then ADV
-        source = build_bundle(cfg, ds.dim, *ks)
-        source_before = snapshot(source.main_params() + source.adversary_params())
-        state = TrainState(source, cfg)
+        cfg = small_cfg(batch_size=32)  # 2 batches: MAIN, then ADV
+        source = init_bundle(cfg, ds.dim, ks)
+        source_before = snapshot(bundle_params(source))
+        state = TrainState(source, cfg, 1.0, 1.0)
         snap = state.bundle()
-        snap_before = snapshot(snap.main_params() + snap.adversary_params())
+        snap_before = snapshot(bundle_params(snap))
         assert unchanged(snap_before, source_before)
         alternating_epoch(state, EpochArrays(ds, cfg.feature_dim, cfg.batch_size), cfg,
                           np.random.default_rng(1))
         assert state.main.step == state.adv.step == 1
-        assert unchanged(source.main_params() + source.adversary_params(), source_before)
-        assert unchanged(snap.main_params() + snap.adversary_params(), snap_before)
+        assert unchanged(bundle_params(source), source_before)
+        assert unchanged(bundle_params(snap), snap_before)
         moved = state.bundle()
-        assert not unchanged(moved.main_params(), snap_before[:len(moved.main_params())])
-        assert not unchanged(moved.adversary_params(), snap_before[len(moved.main_params()):])
+        main = bundle_params(moved, MAIN_NETS)
+        assert not unchanged(main, snap_before[:len(main)])
+        assert not unchanged(bundle_params(moved, NETS[2:]), snap_before[len(main):])
 
 
 class TestCrossEntropyCalls:
@@ -302,8 +315,8 @@ class TestCrossEntropyCalls:
     @pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (1.0, 0.0), (1.0, 2.0)])
     def test_one_call_per_step(self, monkeypatch, ks, alpha, beta):
         ds = mixed_dataset(ks, 96)
-        cfg = small_cfg(alpha, beta)  # 3 batches of 32: MAIN, ADV, MAIN
-        state = TrainState(build_bundle(cfg, ds.dim, *ks), cfg)
+        cfg = small_cfg()  # 3 batches of 32: MAIN, ADV, MAIN
+        state = TrainState(init_bundle(cfg, ds.dim, ks), cfg, alpha, beta)
         arrays = EpochArrays(ds, cfg.feature_dim, cfg.batch_size)
         real, shapes = training.lc.encoded_cross_entropy, []
 
@@ -337,9 +350,10 @@ class TestGoldenBytes:
 
         cfg = reference_config()
         train_ds, val_ds, _ = make_splits(pipeline.load_dataset(cfg), cfg.split, seed)
-        tc = dataclasses.replace(cfg.train, alpha=alpha, beta=beta, seed=seed, **train_fields)
+        tc = dataclasses.replace(cfg.train, **train_fields)
         tc.epochs = 2
-        return cfg, val_ds, train(train_ds, val_ds, tc, update_adversaries=update_adversaries)
+        return cfg, val_ds, train(train_ds, val_ds, tc, alpha=alpha, beta=beta, seed=seed,
+                                  update_adversaries=update_adversaries)
 
     @staticmethod
     def toy_run(alpha, beta, k_y=2, k_a=3, k_p=2, **train_fields):
@@ -349,7 +363,7 @@ class TestGoldenBytes:
         ds = LabeledDataset(rng.standard_normal((n, 6)), rng.integers(0, k_y, n),
                             rng.integers(0, k_a, n), rng.integers(0, k_p, n), k_y, k_a, k_p)
         tr, va = ds.subset(np.arange(200)), ds.subset(np.arange(200, n))
-        return train(tr, va, small_cfg(alpha, beta, seed=31, **train_fields))
+        return train(tr, va, small_cfg(**train_fields), alpha=alpha, beta=beta, seed=31)
 
     # Cells on paths the four pinned cells above do not take: one digest over
     # the trained params, the selection loss and the per-epoch history. They
