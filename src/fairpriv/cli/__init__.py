@@ -44,10 +44,13 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     config = _load(args)
     out = _out_dir(args, config)
+    results_path = out / "results.csv"
+    if results_path.exists() and results_path.stat().st_size > 0:
+        pipeline.load_results(results_path)  # a malformed file fails before training
     record, trained = pipeline.run_single(config, args.alpha, args.beta, args.seed)
     model_path = out / f"model_a{args.alpha:g}_b{args.beta:g}_s{args.seed}.bin"
     save_bundle(trained.bundle, model_path)
-    pipeline.append_result(out / "results.csv", record)
+    pipeline.append_result(results_path, record)
     print(",".join(pipeline.record_row(record)))
     print(f"model -> {model_path}")
     return 0
@@ -85,15 +88,12 @@ def cmd_analyze(args) -> int:
     report_path.write_text(json.dumps(rep, indent=2, sort_keys=True) + "\n")
     tables_path = out / "tables.txt"
     tables_path.write_text(report.text_tables(rep))
-    svg_paths = []
+    print(f"report -> {report_path}")
+    print(f"tables -> {tables_path}")
     for metric, grid in report.build_heatmaps(records).items():
         svg_path = out / f"heatmap_{metric}.svg"
         svg_path.write_text(report.heatmap_svg(grid))
-        svg_paths.append(svg_path)
-    print(f"report -> {report_path}")
-    print(f"tables -> {tables_path}")
-    for p in svg_paths:
-        print(f"heatmap -> {p}")
+        print(f"heatmap -> {svg_path}")
     return 0
 
 

@@ -33,8 +33,6 @@ class ExperimentConfig:
     attacker_iters: int = 2000
     attacker_lr: float = 1.0
     output_dir: str = "results"
-    csr_over_seed_medians: bool = False
-    correlations_over_seed_medians: bool = False
 
     def validate(self) -> None:
         """Check every section's fields; the ConfigError names ``section.field``."""
@@ -80,8 +78,6 @@ class ExperimentConfig:
             _check_fields(self, ("positive_class",), lambda v: _is_int(v) and 0 <= v < k_y,
                           f"a task class index in [0, {k_y})")
         _check_fields(self, ("output_dir",), lambda v: isinstance(v, str), "a string")
-        _check_fields(self, ("csr_over_seed_medians", "correlations_over_seed_medians"),
-                      lambda v: isinstance(v, bool), "true or false")
 
 
 def default_config() -> ExperimentConfig:
@@ -146,7 +142,10 @@ def _parse_data(raw, default: SyntheticSpec) -> SyntheticSpec | str:
 def from_dict(raw: dict) -> ExperimentConfig:
     cfg = default_config()
     plain = ("seeds", "utility_metric", "positive_class", "attacker_iters", "attacker_lr",
-             "output_dir", "csr_over_seed_medians", "correlations_over_seed_medians")
+             "output_dir")
+    retired = sorted({"correlations_over_seed_medians", "csr_over_seed_medians"} & set(raw))
+    if retired:
+        raise ConfigError(f"{retired[0]}: removed; the report always holds both tradeoff views")
     unknown = set(raw) - {"data", "split", "train", "grid", "csr_weights", *plain}
     if unknown:
         raise ConfigError(f"unknown field(s): {sorted(unknown)}")

@@ -1,9 +1,9 @@
 """Report tables and SVG heatmaps from sweep results.
 
-The JSON report carries three sections: single-metric baseline/best values,
+The JSON report carries four sections: single-metric baseline/best values,
 tradeoff statistics (correlations plus the best conjunctive-soft-ranking
-configuration per preference weighting), and the full per-run table with
-normalized columns and CSR scores.
+configuration per preference weighting) over the runs and over seed medians,
+and the full per-run table with normalized columns and CSR scores.
 """
 
 from __future__ import annotations
@@ -48,14 +48,11 @@ def _fmt_corr(v: float | None) -> str:
     return "undefined" if v is None else f"{v:.2f}"
 
 
-def tradeoff_table(records, csr_weights, correlations_over_seed_medians: bool = False,
-                   csr_over_seed_medians: bool = False) -> dict:
-    corr_records = seed_medians(records) if correlations_over_seed_medians else records
-    csr_records = seed_medians(records) if csr_over_seed_medians else records
-    corr = tradeoff_correlations(corr_records)
+def tradeoff_table(records, csr_weights) -> dict:
+    corr = tradeoff_correlations(records)
     entries = []
     for w in csr_weights:
-        top = best_csr(csr_records, w)
+        top = best_csr(records, w)
         entries.append({
             "weights": [w.utility, w.fairness, w.privacy],
             "score": top.score,
@@ -89,38 +86,43 @@ def run_table(records, csr_weights) -> list:
 
 
 def build_report(records, config, k_p: int) -> dict:
+    medians = seed_medians(records)
     return {
         "single_metrics": single_metric_table(records, config.utility_metric, k_p),
-        "tradeoffs": tradeoff_table(
-            records, config.csr_weights,
-            correlations_over_seed_medians=config.correlations_over_seed_medians,
-            csr_over_seed_medians=config.csr_over_seed_medians),
+        "tradeoffs": tradeoff_table(records, config.csr_weights),
+        # A single (alpha, beta) cell leaves the seed medians nothing to normalize.
+        "tradeoffs_over_seed_medians": (tradeoff_table(medians, config.csr_weights)
+                                        if len(medians) >= 2 else None),
         "runs": run_table(records, config.csr_weights),
     }
 
 
-def text_tables(report: dict) -> str:
-    """Terminal-friendly rendering of the two report tables."""
-    sm = report["single_metrics"]
-    f = dict(sm["formatted"])
-    lines = ["Single metrics", "-" * 78]
-    header = ["Baseline Utility", "Baseline Fairness", "Baseline Privacy",
-              "Best Utility", "Best Fairness", "Best Privacy"]
-    values = [f.get("baseline_utility", "n/a"), f.get("baseline_fairness", "n/a"),
-              f.get("baseline_privacy", "n/a"), f["best_utility"], f["best_fairness"],
-              f["best_privacy"]]
+def _columns(title: str, header: list, values: list) -> list:
+    """A titled block: header and value rows, every column as wide as the widest cell + 2."""
     width = max(len(s) for s in header + values) + 2
-    lines.append("".join(h.ljust(width) for h in header))
-    lines.append("".join(v.ljust(width) for v in values))
-    td = report["tradeoffs"]
-    lines += ["", "Tradeoffs", "-" * 78]
+    return [title, "-" * 78, "".join(h.ljust(width) for h in header),
+            "".join(v.ljust(width) for v in values)]
+
+
+def _tradeoff_lines(title: str, td: dict | None) -> list:
+    if td is None:
+        return [title, "-" * 78, "n/a: fewer than two (alpha, beta) cells"]
     corr = td["correlations"]["formatted"]
-    header2 = ["U./F. Corr.", "U./P. Corr.", "F./P. Corr."] + [
+    header = ["U./F. Corr.", "U./P. Corr.", "F./P. Corr."] + [
         "CSR(" + ", ".join(f"{w:g}" for w in e["weights"]) + ")" for e in td["csr"]]
-    values2 = [corr["uf"], corr["up"], corr["fp"]] + [e["formatted"] for e in td["csr"]]
-    width2 = max(len(s) for s in header2 + values2) + 2
-    lines.append("".join(h.ljust(width2) for h in header2))
-    lines.append("".join(v.ljust(width2) for v in values2))
+    values = [corr["uf"], corr["up"], corr["fp"]] + [e["formatted"] for e in td["csr"]]
+    return _columns(title, header, values)
+
+
+def text_tables(report: dict) -> str:
+    """Terminal-friendly rendering of the single-metric and both tradeoff tables."""
+    f = report["single_metrics"]["formatted"]
+    cells = [(kind, m.weight) for kind in ("baseline", "best") for m in METRICS.values()]
+    lines = _columns("Single metrics", [f"{k.title()} {w.title()}" for k, w in cells],
+                     [f.get(f"{k}_{w}", "n/a") for k, w in cells])
+    lines += ["", *_tradeoff_lines("Tradeoffs", report["tradeoffs"])]
+    lines += ["", *_tradeoff_lines("Tradeoffs over seed medians",
+                                   report["tradeoffs_over_seed_medians"])]
     return "\n".join(lines) + "\n"
 
 

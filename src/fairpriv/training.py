@@ -44,10 +44,6 @@ class ModelBundle:
                 raise ValueError(f"{name} adversary input width must be "
                                  f"feature_dim + k_y = {feature_dim + k_y}")
 
-    @property
-    def feature_dim(self) -> int:
-        return self.extractor.layer_sizes[-1]
-
 
 @dataclass
 class TrainConfig:

@@ -117,11 +117,12 @@ class TestConfig:
 
     @pytest.mark.parametrize("key", ["csr_over_seed_medians",
                                      "correlations_over_seed_medians"])
-    def test_seed_median_flags_must_be_bool(self, key):
-        for value in (1, "false", None):
-            with pytest.raises(ConfigError, match=key):
-                from_dict({key: value})
-        assert getattr(from_dict({key: True}), key) is True
+    @pytest.mark.parametrize("value", [True, False])
+    def test_removed_seed_median_flags_fail_by_name(self, key, value):
+        # Both tradeoff views are always in the report; the switches are gone.
+        with pytest.raises(ConfigError, match=f"^{key}: removed; .* both tradeoff views"):
+            from_dict({key: value})
+        assert key not in {f.name for f in dataclasses.fields(ExperimentConfig)}
 
     @pytest.mark.parametrize("raw, field", [
         ({"seeds": [0, 1, 0]}, "seeds"),
@@ -512,6 +513,22 @@ class TestTrainCommand:
         monkeypatch.setattr(pipeline, "train", no_train)
         with pytest.raises(ConfigError, match="positive_class"):
             pipeline.run_single(cfg, 0.0, 0.0, 0)
+
+    def test_malformed_results_file_fails_before_training(self, tmp_path, monkeypatch, capsys):
+        path = config_json(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "results.csv").write_text("not,a,results,file\n")
+
+        def no_train(*args, **kwargs):
+            raise AssertionError("train must not run")
+
+        monkeypatch.setattr(pipeline, "train", no_train)
+        assert main(["train", "--config", str(path), "--alpha", "0", "--beta", "0",
+                     "--seed", "0", "--out", str(out)]) == 1
+        assert "unexpected header ['not', 'a', 'results', 'file']" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["results.csv"]  # no model file
+        assert (out / "results.csv").read_text() == "not,a,results,file\n"
 
 
 class TestResultsFile:
@@ -973,18 +990,38 @@ class TestAnalyze:
         for entry in rep["tradeoffs"]["csr"]:
             assert entry["score"] == pytest.approx(100.0)
 
-    @pytest.mark.parametrize("flag, section", [("correlations_over_seed_medians", "correlations"),
-                                               ("csr_over_seed_medians", "csr")])
-    def test_seed_median_flag_changes_only_its_section(self, flag, section):
+    def test_report_holds_both_tradeoff_views(self):
         records = synthetic_records([0.0, 0.1, 1.0], [0.0, 1.0], [0, 1, 2],
                                     np.random.default_rng(3))
-        cfg = small_config(**{flag: True})
-        base = report.build_report(records, small_config(), k_p=2)
+        cfg = small_config()
+        w = cfg.csr_weights
         rep = report.build_report(records, cfg, k_p=2)
-        over_medians = report.tradeoff_table(seed_medians(records), cfg.csr_weights)[section]
-        assert rep["tradeoffs"][section] == over_medians != base["tradeoffs"][section]
-        rep["tradeoffs"][section] = base["tradeoffs"][section]
-        assert rep == base  # every other section as without the flag
+        assert rep["tradeoffs"] == report.tradeoff_table(records, w)
+        assert rep["tradeoffs_over_seed_medians"] == report.tradeoff_table(seed_medians(records), w)
+        assert rep["tradeoffs_over_seed_medians"] != rep["tradeoffs"]
+        pooled, medians = report.text_tables(rep).split("\nTradeoffs over seed medians\n")
+        assert "\nTradeoffs\n" in pooled
+        for entry in rep["tradeoffs_over_seed_medians"]["csr"]:
+            assert entry["formatted"] in medians
+
+    def test_one_cell_grid_has_no_seed_median_view(self, tmp_path):
+        # Three seeds of one (alpha, beta) cell give one seed-median record,
+        # which leaves nothing to normalize or correlate.
+        path = config_json(tmp_path, grid={"alphas": [0.0], "betas": [0.0]}, seeds=[0, 1, 2])
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = load_config(path)
+        pipeline.write_results(out / "results.csv", synthetic_records(
+            cfg.alphas, cfg.betas, cfg.seeds, np.random.default_rng(5)))
+        records, _ = pipeline.load_results(out / "results.csv")
+        assert main(["analyze", "--config", str(path), "--out", str(out)]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        pooled = report.tradeoff_table(records, cfg.csr_weights)
+        assert rep["tradeoffs"] == json.loads(json.dumps(pooled))
+        assert rep["tradeoffs_over_seed_medians"] is None
+        tables = (out / "tables.txt").read_text()
+        assert tables.endswith("Tradeoffs over seed medians\n" + "-" * 78
+                               + "\nn/a: fewer than two (alpha, beta) cells\n")
 
 
 class TestAttackHygiene:

@@ -36,25 +36,25 @@ def _perfbench_run():
     return module
 
 
-# Recorded before the metric table replaced the per-metric code in analysis,
-# report and pipeline.
+# Recorded once report.json and tables.txt held the tradeoffs over seed
+# medians beside the tradeoffs over the runs.
 RECORDED = {
-    ("sweep_reduced", 0): "cff9befdfb7497ca67b299be479118996231afa0152ad766f80306f745e18a27",
-    ("sweep_reduced", 1): "407d9b3df02bd73c220a9cfdaa217cf6e864d59a088053757c7bf14e273fdfea",
-    ("sweep_reduced", 2): "2ee932b8c210ba5e6cfe2977245aaa1a1b51c5e27840808687263c5b88ffe17a",
-    ("sweep_reduced", 3): "ed1fa85ebd42b1edc5d2984899871882bc4704b06ed40fe97f6e40023264f8b8",
-    ("sweep_reduced", 4): "7853e7d5363b092790aff81dad8c9f870cf863a52e21b800b1a4e5ca3c4ee1d5",
-    ("sweep_reduced", 5): "c4fa7dbd75ea30566557ecc8ea4180d379ce12cb4c9b9777b3e8789b8da60a88",
-    ("sweep_reduced", 6): "4199b9022965be5ce603ef47c3df1b17dadc6b68a81a0231b2fe8989b76c45c3",
-    ("sweep_reduced", 7): "9107941eaac910ad42d515e087a27e5396e107d6781081fdad510846d89ad347",
-    ("attack_short", 0): "d13cb5a8fe02d858e37251cc230d181827c18e2019257847e18e068f03d0d6e9",
-    ("attack_short", 1): "4af1db6be0327f7e3283b56eca031882a5ea3b8cc301e1d3d41d3371ba9e9ac4",
-    ("attack_short", 2): "f8ae3c8578de5aec02f339644825cb5538317c9d5b45b279b32289a1c0039024",
-    ("attack_short", 3): "799b7bb2d47e98c62a3be9860d1bd60ac64b98653c33494e8d97e400c83de41c",
-    ("attack_short", 4): "a43fa8b1ab7766f7b63c678c4c789b79bdb661c43e769269d68ce66dafe31b43",
-    ("attack_short", 5): "ec5709c5d73d33f563f9e99df974c70ead874922fe65a9457b640521bca1532c",
-    ("attack_short", 6): "0e5a00201b93ef56c678a564087cb550101001bec17d1380bb1ad505d89f0d54",
-    ("attack_short", 7): "c9d46c80a81547e673014561cdaf0317cfadc9501756d4cde7bb1b8b312dfef6",
+    ("sweep_reduced", 0): "bcebe9461de7ad7893421ac27be88098d3ff70bf7cf75467c24e3d28659e8003",
+    ("sweep_reduced", 1): "672097e04f3ea62d607757efc526bdcf471684332f2a10c5a47600f9ec3f4d53",
+    ("sweep_reduced", 2): "c145d2f0b230104238b6850536998f207303e451fccb7adf9f49ef89ba62efad",
+    ("sweep_reduced", 3): "abf59248f0d78247b0f21235064007f590afd777cee347aaf8c7d6b1a06a8b29",
+    ("sweep_reduced", 4): "82f6efb2515c8598843824470a81029c370adb55249a1dc95a2570a53e13d472",
+    ("sweep_reduced", 5): "2a329803f5cc22d478ee771ba2b7556347cc94cab689f78e9abf92439ba75086",
+    ("sweep_reduced", 6): "634bf68ef3daef2f44048930164277fea3378edf9e7723d81d62921e5f756260",
+    ("sweep_reduced", 7): "acb293ad7995fdb996e34c266ed13d0fa8fa1564fdd47b1ba9129f2fa1d7bd8c",
+    ("attack_short", 0): "0c373c05310f2aff0f1fc2b62535bb240cb34f81f26ac3a558451f7f830b5fdf",
+    ("attack_short", 1): "f1fcb8993dc70b5c593891c4309c7a33347dea782020660f7220e063bea9de99",
+    ("attack_short", 2): "ba0979f692a7c3ad11386cf67014efe5f55079a534ede17e619ff87cddcf6457",
+    ("attack_short", 3): "0a179239c919f607b3d9fa10d3c9bbd0216f410a7a41eaecf3bd523d36b59f0c",
+    ("attack_short", 4): "594a2134d1aab4745df8bfa7f83bdadebe30339cffdce6563e32836bb9d87c1d",
+    ("attack_short", 5): "521194ecaf99f7839c0ddfda29d0c690559a5c34d792834d357ef2b430d7d654",
+    ("attack_short", 6): "8b182cbfe820c719d556d86c988134345416d30bb52de442ec7f8468c8c66982",
+    ("attack_short", 7): "aa6a86c53fb597e833765e28574dffcc64aa8460ea994a3734ccbf1ff1f59290",
 }
 
 

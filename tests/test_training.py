@@ -44,7 +44,7 @@ class TestObjective:
         ds = toy_dataset()
         bundle = init_bundle(small_cfg(), ds.dim)
         fwd = objective(TrainState(bundle, small_cfg(), 0.0, 0.0),
-                        whole_batch(ds, bundle.feature_dim))
+                        whole_batch(ds, small_cfg().feature_dim))
         assert fwd.total is fwd.ce_c  # not merely close: the same value
 
     def test_linear_combination(self):
@@ -58,7 +58,7 @@ class TestObjective:
                 p[:] = 0.0
         for alpha, beta in [(0.5, 0.25), (2.0, 3.0), (0.0, 1.0)]:
             fwd = objective(TrainState(bundle, small_cfg(), alpha, beta),
-                            whole_batch(ds, bundle.feature_dim))
+                            whole_batch(ds, small_cfg().feature_dim))
             assert fwd.ce_c == pytest.approx(math.log(2), abs=1e-12)
             assert fwd.total == pytest.approx(
                 math.log(2) * (1 - alpha - beta), abs=1e-9)
@@ -68,7 +68,7 @@ class TestObjective:
         bundle = init_bundle(small_cfg(), ds.dim, seed=5)
         for alpha, beta in [(0.0, 0.0), (0.01, 10.0), (4.2, 0.3)]:
             fwd = objective(TrainState(bundle, small_cfg(), alpha, beta),
-                            whole_batch(ds, bundle.feature_dim))
+                            whole_batch(ds, small_cfg().feature_dim))
             expected = fwd.ce_c - alpha * fwd.ce_a - beta * fwd.ce_p
             assert fwd.total == pytest.approx(expected, abs=1e-12)
 
@@ -81,7 +81,7 @@ class TestObjective:
                             rng.integers(0, 2, 512), 2, 2, 2)
         cfg = TrainConfig()  # default-sized networks
         bundle = init_bundle(cfg, ds.dim, seed=6)
-        fwd = objective(TrainState(bundle, cfg, 1.0, 1.0), whole_batch(ds, bundle.feature_dim))
+        fwd = objective(TrainState(bundle, cfg, 1.0, 1.0), whole_batch(ds, cfg.feature_dim))
         for ce in (fwd.ce_c, fwd.ce_a, fwd.ce_p):
             assert abs(ce - math.log(2)) < 0.15
 
@@ -90,7 +90,7 @@ class TestObjective:
         bundle = init_bundle(small_cfg(), 6)
         with pytest.raises(ValueError):
             objective(TrainState(bundle, small_cfg(), 0.0, 0.0),
-                      whole_batch(ds, bundle.feature_dim))
+                      whole_batch(ds, small_cfg().feature_dim))
 
 
 class TestAlternatingEpoch:
@@ -210,7 +210,7 @@ class TestTrain:
         for alpha in (0.0, 10.0):
             cfg = small_cfg(epochs=12, feature_dim=6, extractor_hidden=(16,))
             trained = train(tr, va, cfg, alpha=alpha, beta=0.0, seed=17)
-            val = whole_batch(va, trained.bundle.feature_dim)
+            val = whole_batch(va, cfg.feature_dim)
             ce_a[alpha] = objective(TrainState(trained.bundle, cfg, alpha, 0.0), val).ce_a
         assert ce_a[10.0] > ce_a[0.0]
 
