@@ -112,10 +112,11 @@ def metric_values(records, metric: str) -> list:
 def normalize(records, metric: str) -> dict:
     """Min-max normalize a metric over all records: worst -> 0, best -> 1.
 
-    Keyed by (alpha, beta, seed). If every record ties, all values are 0.5.
+    Keyed by (alpha, beta, seed). If every record ties, a lone record
+    included, all values are 0.5.
     """
-    if len(records) < 2:
-        raise ValueError("normalization needs >= 2 records")
+    if not records:
+        raise ValueError("normalization needs >= 1 record")
     values = np.array(metric_values(records, metric))
     lo, hi = values.min(), values.max()
     if hi == lo:

@@ -11,16 +11,12 @@ from ..analysis import check_grid
 from ..data import csv_class_counts, save_csv
 from ..training import TrainingDivergedError
 from . import pipeline, report
-from .config import ConfigError, ExperimentConfig, default_config, load_config
+from .config import ConfigError, ExperimentConfig, from_dict, load_config
 from .modelio import save_bundle
 
 
 def _load(args) -> ExperimentConfig:
-    if args.config is None:
-        cfg = default_config()
-        cfg.validate()
-        return cfg
-    return load_config(args.config)
+    return from_dict({}) if args.config is None else load_config(args.config)
 
 
 def _out_dir(args, config: ExperimentConfig) -> Path:
@@ -147,6 +143,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ValueError, OSError, TrainingDivergedError) as exc:
+    except (ConfigError, ValueError, OSError, TrainingDivergedError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

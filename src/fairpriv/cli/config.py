@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..analysis import CsrWeights, grid_values, group_label
-from ..data import SplitSpec, SyntheticSpec, _check_fields, _is_int, _is_real
+from ..data import (SplitSpec, SyntheticSpec, _check_fields, _is_int, _is_real,
+                    csv_class_counts)
 from ..training import TrainConfig
 
 
@@ -31,7 +31,6 @@ class ExperimentConfig:
     utility_metric: str = "accuracy"  # or "tpr"
     positive_class: int | None = None  # tpr positive class; default highest index
     attacker_iters: int = 2000
-    attacker_lr: float = 1.0
     output_dir: str = "results"
 
     def validate(self) -> None:
@@ -70,11 +69,9 @@ class ExperimentConfig:
                       "'accuracy' or 'tpr'")
         _check_fields(self, ("attacker_iters",), lambda v: _is_int(v) and v >= 1,
                       "an integer >= 1")
-        _check_fields(self, ("attacker_lr",), lambda v: _is_real(v) and v > 0,
-                      "a finite number > 0")
         if self.positive_class is not None:
-            # A CSV's class count is known only once it is read.
-            k_y = self.data.k_y if isinstance(self.data, SyntheticSpec) else math.inf
+            k_y = (self.data.k_y if isinstance(self.data, SyntheticSpec)
+                   else csv_class_counts(self.data)[0])
             _check_fields(self, ("positive_class",), lambda v: _is_int(v) and 0 <= v < k_y,
                           f"a task class index in [0, {k_y})")
         _check_fields(self, ("output_dir",), lambda v: isinstance(v, str), "a string")
@@ -87,8 +84,8 @@ def default_config() -> ExperimentConfig:
     together with the exacerbated train split makes the trained baseline
     carry a visible fairness gap; the private label leans mildly toward it.
     """
-    return ExperimentConfig(data=SyntheticSpec(n=8000,
-                                               joint=mild_correlation_joint(-0.15, 0.10)),
+    joint = mild_correlation_joint(-0.15, 0.10).tolist()
+    return ExperimentConfig(data=SyntheticSpec(n=8000, joint=joint),
                             split=SplitSpec(train_mode="exacerbated",
                                             undersample_factor=0.25,
                                             test_mode="trio-balanced"),
@@ -141,8 +138,7 @@ def _parse_data(raw, default: SyntheticSpec) -> SyntheticSpec | str:
 
 def from_dict(raw: dict) -> ExperimentConfig:
     cfg = default_config()
-    plain = ("seeds", "utility_metric", "positive_class", "attacker_iters", "attacker_lr",
-             "output_dir")
+    plain = ("seeds", "utility_metric", "positive_class", "attacker_iters", "output_dir")
     retired = sorted({"correlations_over_seed_medians", "csr_over_seed_medians"} & set(raw))
     if retired:
         raise ConfigError(f"{retired[0]}: removed; the report always holds both tradeoff views")
@@ -179,7 +175,9 @@ def from_dict(raw: dict) -> ExperimentConfig:
             setattr(cfg, key, raw[key])
     cfg.validate()
     # Checked as written; stored as floats, so report.json prints 1.0 whether the
-    # file wrote 1 or 1.0.
+    # file wrote 1 or 1.0, and a joint as nested lists, as default_config holds it.
+    if isinstance(cfg.data, SyntheticSpec) and cfg.data.joint is not None:
+        cfg.data.joint = np.asarray(cfg.data.joint, float).tolist()
     cfg.alphas = [float(v) for v in cfg.alphas]
     cfg.betas = [float(v) for v in cfg.betas]
     cfg.csr_weights = [CsrWeights(*map(float, dataclasses.astuple(w)))

@@ -48,7 +48,11 @@ def _fmt_corr(v: float | None) -> str:
     return "undefined" if v is None else f"{v:.2f}"
 
 
-def tradeoff_table(records, csr_weights) -> dict:
+def tradeoff_table(records, csr_weights) -> dict | None:
+    """Correlations and best CSR per weighting; None below two records, which
+    leave nothing to correlate."""
+    if len(records) < 2:
+        return None
     corr = tradeoff_correlations(records)
     entries = []
     for w in csr_weights:
@@ -86,13 +90,11 @@ def run_table(records, csr_weights) -> list:
 
 
 def build_report(records, config, k_p: int) -> dict:
-    medians = seed_medians(records)
     return {
         "single_metrics": single_metric_table(records, config.utility_metric, k_p),
         "tradeoffs": tradeoff_table(records, config.csr_weights),
-        # A single (alpha, beta) cell leaves the seed medians nothing to normalize.
-        "tradeoffs_over_seed_medians": (tradeoff_table(medians, config.csr_weights)
-                                        if len(medians) >= 2 else None),
+        "tradeoffs_over_seed_medians": tradeoff_table(seed_medians(records),
+                                                      config.csr_weights),
         "runs": run_table(records, config.csr_weights),
     }
 
@@ -104,9 +106,9 @@ def _columns(title: str, header: list, values: list) -> list:
             "".join(v.ljust(width) for v in values)]
 
 
-def _tradeoff_lines(title: str, td: dict | None) -> list:
+def _tradeoff_lines(title: str, td: dict | None, unit: str) -> list:
     if td is None:
-        return [title, "-" * 78, "n/a: fewer than two (alpha, beta) cells"]
+        return [title, "-" * 78, f"n/a: fewer than two {unit}"]
     corr = td["correlations"]["formatted"]
     header = ["U./F. Corr.", "U./P. Corr.", "F./P. Corr."] + [
         "CSR(" + ", ".join(f"{w:g}" for w in e["weights"]) + ")" for e in td["csr"]]
@@ -120,9 +122,10 @@ def text_tables(report: dict) -> str:
     cells = [(kind, m.weight) for kind in ("baseline", "best") for m in METRICS.values()]
     lines = _columns("Single metrics", [f"{k.title()} {w.title()}" for k, w in cells],
                      [f.get(f"{k}_{w}", "n/a") for k, w in cells])
-    lines += ["", *_tradeoff_lines("Tradeoffs", report["tradeoffs"])]
+    lines += ["", *_tradeoff_lines("Tradeoffs", report["tradeoffs"], "runs")]
     lines += ["", *_tradeoff_lines("Tradeoffs over seed medians",
-                                   report["tradeoffs_over_seed_medians"])]
+                                   report["tradeoffs_over_seed_medians"],
+                                   "(alpha, beta) cells")]
     return "\n".join(lines) + "\n"
 
 
@@ -131,6 +134,7 @@ def text_tables(report: dict) -> str:
 
 _LOW_RGB = (247, 251, 255)
 _HIGH_RGB = (8, 48, 107)
+_CELL = 64  # a heatmap cell's side, in px
 
 
 def _cell_color(t: float) -> str:
@@ -138,12 +142,12 @@ def _cell_color(t: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(*rgb)
 
 
-def heatmap_svg(grid: HeatmapGrid, cell: int = 64) -> str:
+def heatmap_svg(grid: HeatmapGrid) -> str:
     """Render a grouped-median heatmap: one rect + one value label per cell."""
     left, top, right, bottom = 88, 64, 24, 16
     n_rows, n_cols = len(grid.alpha_groups), len(grid.beta_groups)
-    width = left + cell * n_cols + right
-    height = top + cell * n_rows + bottom
+    width = left + _CELL * n_cols + right
+    height = top + _CELL * n_rows + bottom
     vmin = float(grid.values.min())
     vmax = float(grid.values.max())
     parts = [
@@ -151,27 +155,27 @@ def heatmap_svg(grid: HeatmapGrid, cell: int = 64) -> str:
         f'font-family="sans-serif" font-size="12">',
         f'<text class="title" x="{width / 2:g}" y="20" text-anchor="middle" '
         f'font-size="15">{grid.metric}</text>',
-        f'<text class="axis" x="{left + cell * n_cols / 2:g}" y="40" '
+        f'<text class="axis" x="{left + _CELL * n_cols / 2:g}" y="40" '
         f'text-anchor="middle">beta group</text>',
-        f'<text class="axis" x="14" y="{top + cell * n_rows / 2:g}" '
+        f'<text class="axis" x="14" y="{top + _CELL * n_rows / 2:g}" '
         f'text-anchor="middle" transform="rotate(-90 14 '
-        f'{top + cell * n_rows / 2:g})">alpha group</text>',
+        f'{top + _CELL * n_rows / 2:g})">alpha group</text>',
     ]
     for j, gb in enumerate(grid.beta_groups):
-        parts.append(f'<text class="tick" x="{left + cell * j + cell / 2:g}" y="58" '
+        parts.append(f'<text class="tick" x="{left + _CELL * j + _CELL / 2:g}" y="58" '
                      f'text-anchor="middle">{gb}</text>')
     for i, ga in enumerate(grid.alpha_groups):
         parts.append(f'<text class="tick" x="{left - 10}" '
-                     f'y="{top + cell * i + cell / 2 + 4:g}" text-anchor="end">{ga}</text>')
+                     f'y="{top + _CELL * i + _CELL / 2 + 4:g}" text-anchor="end">{ga}</text>')
         for j in range(n_cols):
             v = float(grid.values[i, j])
             t = 0.5 if vmax == vmin else (v - vmin) / (vmax - vmin)
-            x, y = left + cell * j, top + cell * i
-            parts.append(f'<rect class="cell" x="{x}" y="{y}" width="{cell}" '
-                         f'height="{cell}" fill="{_cell_color(t)}" stroke="#ffffff"/>')
+            x, y = left + _CELL * j, top + _CELL * i
+            parts.append(f'<rect class="cell" x="{x}" y="{y}" width="{_CELL}" '
+                         f'height="{_CELL}" fill="{_cell_color(t)}" stroke="#ffffff"/>')
             ink = "#ffffff" if t > 0.55 else "#1a1a1a"
-            parts.append(f'<text class="cell-value" x="{x + cell / 2:g}" '
-                         f'y="{y + cell / 2 + 4:g}" text-anchor="middle" '
+            parts.append(f'<text class="cell-value" x="{x + _CELL / 2:g}" '
+                         f'y="{y + _CELL / 2 + 4:g}" text-anchor="middle" '
                          f'fill="{ink}">{v:.3f}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

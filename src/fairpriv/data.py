@@ -81,7 +81,7 @@ class SyntheticSpec:
     mu_y: float = 3.0
     mu_a: float = 2.0
     mu_p: float = 2.0
-    joint: np.ndarray | None = None
+    joint: list | np.ndarray | None = None
     seed: int = 0
 
     def validate(self) -> None:

@@ -203,18 +203,19 @@ def fit_multinomial_logistic(x: Matrix, labels, k: int, class_weights,
             elif 8 * (t - saved_at) > saved_at:
                 saved, saved_at = state, t
     if not np.all(np.isfinite(params)):
-        raise FloatingPointError("logistic fit diverged; lower the learning rate")
+        raise FloatingPointError(f"logistic fit diverged at step size {lr!r}")
     return weights, bias
 
 
-def fit_attacker(val_features: Matrix, val_y, val_yp, iters: int = 2000,
-                 lr: float = 1.0, *, k_y: int, k_p: int) -> LinearAttacker:
+def fit_attacker(val_features: Matrix, val_y, val_yp, iters: int = 2000, *,
+                 k_y: int, k_p: int) -> LinearAttacker:
     """Fit the attack model on validation features, reweighted by class.
 
     Inverse-frequency loss reweighting keeps the attacker from collapsing to
     a constant prediction under class skew. The fit runs on standardized
-    inputs for conditioning and the affine map is folded back into the
-    returned weights, so the attacker stays linear in the raw features.
+    inputs for conditioning, with a fixed step size of 1.0, and the affine map
+    is folded back into the returned weights, so the attacker stays linear in
+    the raw features.
     """
     val_y = np.asarray(val_y, dtype=np.int64)
     val_yp = np.asarray(val_yp, dtype=np.int64)
@@ -224,7 +225,7 @@ def fit_attacker(val_features: Matrix, val_y, val_yp, iters: int = 2000,
     spread = z.std(axis=0)
     spread[spread == 0.0] = 1.0
     weights_std, bias_std = fit_multinomial_logistic(
-        (z - center) / spread, val_yp, k_p, class_weights, iters, lr)
+        (z - center) / spread, val_yp, k_p, class_weights, iters, lr=1.0)
     weights = weights_std / spread[:, None]
     bias = bias_std - (center / spread) @ weights_std
     return LinearAttacker(weights, bias, k_y)

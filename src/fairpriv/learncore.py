@@ -184,6 +184,8 @@ def backward(heads, trunk=None) -> None:
 # ---------------------------------------------------------------------------
 # Adam
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 class AdamState:
     """Adam over one flat buffer holding the params of ``nets``.
@@ -194,12 +196,8 @@ class AdamState:
     ready for Mlp.backward.
     """
 
-    def __init__(self, nets: Sequence[Mlp], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, nets: Sequence[Mlp], lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step = 0
         arrays = [p for net in nets for p in net.params()]
         self.params = np.concatenate([p.ravel() for p in arrays])
@@ -226,18 +224,18 @@ def adam_step(state: AdamState) -> None:
     are those of ``params -= lr * (m / c1) / (sqrt(v / c2) + eps)``.
     """
     state.step += 1
-    c1 = 1.0 - state.beta1 ** state.step
-    c2 = 1.0 - state.beta2 ** state.step
+    c1 = 1.0 - ADAM_BETA1 ** state.step
+    c2 = 1.0 - ADAM_BETA2 ** state.step
     g, t, u = state.grads, state.tmp[0], state.tmp[1]
-    state.m *= state.beta1
-    state.m += np.multiply(g, 1.0 - state.beta1, out=t)
-    state.v *= state.beta2
+    state.m *= ADAM_BETA1
+    state.m += np.multiply(g, 1.0 - ADAM_BETA1, out=t)
+    state.v *= ADAM_BETA2
     np.multiply(g, g, out=t)
-    state.v += np.multiply(t, 1.0 - state.beta2, out=t)
+    state.v += np.multiply(t, 1.0 - ADAM_BETA2, out=t)
     m_hat = np.divide(state.m, c1, out=t)
     v_hat = np.divide(state.v, c2, out=u)
     m_hat *= state.lr
     np.sqrt(v_hat, out=v_hat)
-    v_hat += state.eps
+    v_hat += ADAM_EPS
     m_hat /= v_hat
     state.params -= m_hat

@@ -105,9 +105,13 @@ class TestNormalize:
             for key in n1:
                 assert n1[key] == pytest.approx(n2[key], abs=1e-9)
 
-    def test_too_few_records(self):
-        with pytest.raises(ValueError):
-            normalize([rec(0, 0, 0, 1, 0, 0)], "utility")
+    def test_one_record_ties(self):
+        # A lone record ties with itself, as in the all-ties case.
+        assert normalize([rec(0, 0, 0, 1, 0, 0)], "utility") == {(0, 0, 0): 0.5}
+
+    def test_no_records(self):
+        with pytest.raises(ValueError, match="needs >= 1 record"):
+            normalize([], "utility")
 
 
 class TestCsr:

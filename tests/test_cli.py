@@ -11,12 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairpriv.analysis import RunRecord, grid_values, seed_medians
+from fairpriv.analysis import METRICS, RunRecord, grid_values, seed_medians
 from fairpriv.cli import main, pipeline, report
 from fairpriv.cli.config import (ConfigError, ExperimentConfig, default_config,
                                  from_dict, load_config, mild_correlation_joint)
 from fairpriv.cli.modelio import MAGIC, VERSION, load_bundle, save_bundle
-from fairpriv import data
+from fairpriv import data, evaluation
 from fairpriv.data import (LabeledDataset, SplitSpec, SyntheticSpec, load_csv,
                           make_splits)
 from fairpriv.evaluation import MetricTriple, fit_attacker
@@ -24,6 +24,11 @@ from fairpriv.training import TrainConfig
 
 import test_evaluation as oracle
 from conftest import bundle_params
+
+
+def diverging_fit(x, labels, k, class_weights, iters, lr):
+    """Stands in for fit_multinomial_logistic; fails as its non-finite guard does."""
+    raise FloatingPointError(f"logistic fit diverged at step size {lr!r}")
 
 
 def small_config(**overrides):
@@ -42,6 +47,12 @@ def small_config(**overrides):
     for key, value in overrides.items():
         setattr(cfg, key, value)
     return cfg
+
+
+def readme_config() -> dict:
+    """The json block under README's "Configuration" heading."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return json.loads(readme.split("## Configuration")[1].split("```json")[1].split("```")[0])
 
 
 def config_json(tmp_path, **kw):
@@ -104,10 +115,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="attacker_iters"):
             from_dict({"attacker_iters": value})
 
-    @pytest.mark.parametrize("value", [0, -1.0, float("nan"), float("inf"), "1", False])
-    def test_attacker_lr_must_be_finite_positive(self, value):
-        with pytest.raises(ConfigError, match="attacker_lr"):
+    @pytest.mark.parametrize("value", [1.0, 0.5, 1e308, float("nan"), "1", False])
+    def test_attacker_lr_fails_at_load_by_name(self, value):
+        # The attacker's step size is fixed at 1.0; the setting is gone.
+        with pytest.raises(ConfigError, match=r"^unknown field\(s\): \['attacker_lr'\]$"):
             from_dict({"attacker_lr": value})
+        assert "attacker_lr" not in {f.name for f in dataclasses.fields(ExperimentConfig)}
 
     @pytest.mark.parametrize("value", [2, 7, -1, 1.0, "1", True])
     def test_positive_class_must_be_class_index(self, value):
@@ -216,12 +229,17 @@ class TestConfig:
         assert from_dict({"data": {"seed": 4}}).data.n == default_config().data.n
 
     def test_readme_example_loads_to_defaults(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        block = readme.split("## Configuration")[1].split("```json")[1].split("```")[0]
-        cfg, default = from_dict(json.loads(block)), default_config()
+        cfg, default = from_dict(readme_config()), default_config()
         assert np.allclose(cfg.data.joint, default.data.joint)
         cfg.data.joint = default.data.joint
         assert cfg == default
+
+    def test_configs_compare_by_value(self):
+        # The joint is nested lists both in default_config and after a load, so
+        # == compares values instead of asking an array for its truth value.
+        assert from_dict({}) == default_config()
+        assert from_dict(readme_config()) == from_dict(readme_config())
+        assert from_dict({"data": {"joint": None}}) != default_config()
 
     # A valid value for each TrainConfig field, other than its default and
     # than the base run's 2 epochs.
@@ -362,16 +380,14 @@ class TestTrainCommand:
         triple = pipeline.evaluate_bundle(loaded, val_ds, test_ds, cfg)
         assert triple == record.triple
 
-    def test_diverged_attacker_reported_without_traceback(self, tmp_path, capsys):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"data": {"n": 800}, "train": {"epochs": 1},
-                                    "attacker_lr": 1e308, "attacker_iters": 50}))
-        rc = main(["train", "--config", str(path), "--alpha", "0", "--beta", "0",
-                   "--seed", "0", "--out", str(tmp_path / "out")])
+    def test_diverged_attacker_reported_without_traceback(self, tmp_path, capsys,
+                                                          monkeypatch):
+        monkeypatch.setattr(evaluation, "fit_multinomial_logistic", diverging_fit)
+        rc = main(["train", "--config", str(config_json(tmp_path)), "--alpha", "0",
+                   "--beta", "0", "--seed", "0", "--out", str(tmp_path / "out")])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: attacker_lr:") and "diverged" in err
-        assert "RuntimeWarning" not in err
+        assert capsys.readouterr().err == "error: logistic fit diverged at step size 1.0\n"
+        assert not (tmp_path / "out" / "results.csv").exists()
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--seed", "-1", "error: seed: must be an integer >= 0, got -1"),
@@ -450,8 +466,7 @@ class TestTrainCommand:
             utility = oracle.accuracy(preds, test_ds.y)
         gap = oracle.group_gap(preds, test_ds.y, test_ds.y_a, metric, pos)
         attacker = fit_attacker(bundle.extractor.apply(val_ds.x), val_ds.y, val_ds.y_p,
-                                iters=cfg.attacker_iters, lr=cfg.attacker_lr,
-                                k_y=val_ds.k_y, k_p=val_ds.k_p)
+                                iters=cfg.attacker_iters, k_y=val_ds.k_y, k_p=val_ds.k_p)
         attack = oracle.balanced_accuracy(attacker.predict(features, test_ds.y), test_ds.y_p,
                                           test_ds.k_p)
         assert dataclasses.astuple(record.triple) == (utility, gap, attack)
@@ -504,15 +519,36 @@ class TestTrainCommand:
         csv_path = tmp_path / "features.csv"
         assert main(["gen-data", "--config", str(config_json(tmp_path)),
                      "--out", str(csv_path)]) == 0
+        message = "positive_class: must be a task class index in [0, 2), got 7"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            from_dict({"data": str(csv_path), "utility_metric": "tpr", "positive_class": 7})
+        assert from_dict({"data": str(csv_path), "positive_class": 1}).positive_class == 1
         cfg = small_config(data=str(csv_path), positive_class=7)
-        cfg.validate()  # the CSV's class count is unknown at load
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            cfg.validate()
 
         def no_train(*args, **kwargs):
             raise AssertionError("train must not run")
 
+        # A config built in code and never validated is caught before training.
         monkeypatch.setattr(pipeline, "train", no_train)
         with pytest.raises(ConfigError, match="positive_class"):
             pipeline.run_single(cfg, 0.0, 0.0, 0)
+
+    def test_csv_positive_class_check_reads_only_labels(self, tmp_path, monkeypatch, capsys):
+        csv_path = tmp_path / "features.csv"
+        assert main(["gen-data", "--config", str(config_json(tmp_path)),
+                     "--out", str(csv_path)]) == 0
+
+        def no_full_parse(path):
+            raise AssertionError("config load parsed the whole CSV")
+
+        monkeypatch.setattr(data, "load_csv", no_full_parse)
+        path = config_json(tmp_path, data=str(csv_path), positive_class=2)
+        assert main(["sweep", "--config", str(path), "--jobs", "1"]) == 1
+        assert capsys.readouterr().err.endswith(
+            "error: positive_class: must be a task class index in [0, 2), got 2\n")
+        assert not (tmp_path / "out").exists()  # it failed at load
 
     def test_malformed_results_file_fails_before_training(self, tmp_path, monkeypatch, capsys):
         path = config_json(tmp_path)
@@ -834,17 +870,15 @@ class TestSweep:
             seen[0][0].x[0, 0] = 0.0
         assert not pipeline._seed_memo  # a finished sweep holds no split
 
-    def test_diverged_attacker_failure_names_field(self, tmp_path, capsys):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"data": {"n": 800}, "train": {"epochs": 1},
-                                    "attacker_lr": 1e308, "attacker_iters": 50,
-                                    "grid": {"alphas": [0.0], "betas": [0.0]},
-                                    "seeds": [0]}))
+    def test_diverged_attacker_recorded_as_failed_run(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(evaluation, "fit_multinomial_logistic", diverging_fit)
+        path = config_json(tmp_path, grid={"alphas": [0.0], "betas": [0.0]})
         assert main(["sweep", "--config", str(path), "--jobs", "1",
                      "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert "FAILED (alpha=0, beta=0, seed=0): ConfigError: attacker_lr:" in err
-        assert "RuntimeWarning" not in err
+        assert ("FAILED (alpha=0, beta=0, seed=0): FloatingPointError: "
+                "logistic fit diverged at step size 1.0\n") in err
+        assert "Traceback" not in err
 
     def test_cli_import_leaves_process_pool_out(self):
         src = Path(pipeline.__file__).resolve().parents[2]
@@ -1003,6 +1037,28 @@ class TestAnalyze:
         assert "\nTradeoffs\n" in pooled
         for entry in rep["tradeoffs_over_seed_medians"]["csr"]:
             assert entry["formatted"] in medians
+
+    def test_one_run_grid(self, tmp_path):
+        # One (alpha, beta) cell and one seed leave nothing to correlate, but
+        # the single-metric table, the run table and the heatmaps need one run.
+        path = config_json(tmp_path, grid={"alphas": [0.0], "betas": [0.0]}, seeds=[0])
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = load_config(path)
+        pipeline.write_results(out / "results.csv", synthetic_records(
+            cfg.alphas, cfg.betas, cfg.seeds, np.random.default_rng(7)))
+        assert main(["analyze", "--config", str(path), "--out", str(out)]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        assert rep["tradeoffs"] is None and rep["tradeoffs_over_seed_medians"] is None
+        [row] = rep["runs"]
+        assert row["normalized"] == {name: 0.5 for name in METRICS}
+        assert row["csr"] == pytest.approx({name: 50.0 for name in row["csr"]})
+        assert rep["single_metrics"]["baseline"] is not None
+        tables = (out / "tables.txt").read_text()
+        assert ("\nTradeoffs\n" + "-" * 78 + "\nn/a: fewer than two runs\n") in tables
+        assert tables.endswith("Tradeoffs over seed medians\n" + "-" * 78
+                               + "\nn/a: fewer than two (alpha, beta) cells\n")
+        assert all((out / f"heatmap_{m}.svg").is_file() for m in METRICS)
 
     def test_one_cell_grid_has_no_seed_median_view(self, tmp_path):
         # Three seeds of one (alpha, beta) cell give one seed-median record,

@@ -17,8 +17,7 @@ def raw_feature_attack(ds, n_fit, seed=0):
     """Fit the evaluation attacker on raw features of one half, score the other."""
     fit = ds.subset(np.arange(n_fit))
     held = ds.subset(np.arange(n_fit, len(ds)))
-    attacker = fit_attacker(fit.x, fit.y, fit.y_p, iters=1500, lr=1.0,
-                            k_y=ds.k_y, k_p=ds.k_p)
+    attacker = fit_attacker(fit.x, fit.y, fit.y_p, iters=1500, k_y=ds.k_y, k_p=ds.k_p)
     return attack_accuracy(attacker, held.x, held.y, held.y_p)
 
 

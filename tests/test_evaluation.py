@@ -298,10 +298,17 @@ def two_gaussian_features(n, mu, seed, skew=0.5):
     return x, y, y_p
 
 
+def standardized_attack_problem(x, y, y_p):
+    """What fit_attacker hands fit_multinomial_logistic for binary y and y_p:
+    the standardized [x, one-hot y], y_p, and its inverse-frequency weights."""
+    z = np.hstack([x, one_hot(y, 2)])
+    return (z - z.mean(axis=0)) / z.std(axis=0), y_p, inverse_frequency_weights(y_p, 2)
+
+
 class TestFitAttacker:
     def test_separable_features_fit_tightly(self):
         x, y, y_p = two_gaussian_features(800, mu=6.0, seed=3)
-        attacker = fit_attacker(x, y, y_p, iters=2000, lr=1.0, k_y=2, k_p=2)
+        attacker = fit_attacker(x, y, y_p, iters=2000, k_y=2, k_p=2)
         z = np.hstack([x, one_hot(y, 2)])
         w = inverse_frequency_weights(y_p, 2)
         ce, _ = reference_softmax_ce(z @ attacker.weights + attacker.bias, y_p, w)
@@ -309,14 +316,13 @@ class TestFitAttacker:
 
     def test_independent_features_near_chance(self):
         x, y, y_p = two_gaussian_features(5000, mu=0.0, seed=4)
-        attacker = fit_attacker(x[:2500], y[:2500], y_p[:2500], iters=1500, lr=1.0,
-                                k_y=2, k_p=2)
+        attacker = fit_attacker(x[:2500], y[:2500], y_p[:2500], iters=1500, k_y=2, k_p=2)
         ba = attack_accuracy(attacker, x[2500:], y[2500:], y_p[2500:])
         assert abs(ba - 0.5) < 0.05
 
     def test_skewed_classes_not_constant(self):
         x, y, y_p = two_gaussian_features(1000, mu=6.0, seed=5, skew=0.1)
-        attacker = fit_attacker(x, y, y_p, iters=2000, lr=1.0, k_y=2, k_p=2)
+        attacker = fit_attacker(x, y, y_p, iters=2000, k_y=2, k_p=2)
         preds = attacker.predict(x, y)
         assert len(np.unique(preds)) == 2
 
@@ -327,15 +333,15 @@ class TestFitAttacker:
 
     def test_deterministic(self):
         x, y, y_p = two_gaussian_features(300, mu=2.0, seed=7)
-        a = fit_attacker(x, y, y_p, iters=500, lr=1.0, k_y=2, k_p=2)
-        b = fit_attacker(x, y, y_p, iters=500, lr=1.0, k_y=2, k_p=2)
+        a = fit_attacker(x, y, y_p, iters=500, k_y=2, k_p=2)
+        b = fit_attacker(x, y, y_p, iters=500, k_y=2, k_p=2)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
 
     def test_huge_learning_rate_diverges(self):
-        x, y, y_p = two_gaussian_features(300, mu=2.0, seed=7)
+        z, y_p, w = standardized_attack_problem(*two_gaussian_features(300, mu=2.0, seed=7))
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="diverged"):
-            fit_attacker(x, y, y_p, iters=200, lr=1e308, k_y=2, k_p=2)
+            fit_multinomial_logistic(z, y_p, 2, w, 200, 1e308)
 
 
 def reference_gd_iterates(x, labels, k, class_weights, lr):
@@ -531,11 +537,11 @@ class TestFitMultinomialLogistic:
         assert state_bytes(*got) == state_bytes(*reference_gd_loop(x, y, 2, w, 2000, 1.0))
 
     def test_diverging_fit_raises_after_its_nan_state_repeats(self, monkeypatch):
-        x, y, y_p = two_gaussian_features(300, mu=2.0, seed=7)
+        z, y_p, w = standardized_attack_problem(*two_gaussian_features(300, mu=2.0, seed=7))
         counter = CountingNumpy()
         monkeypatch.setattr(evaluation, "np", counter)
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="diverged"):
-            fit_attacker(x, y, y_p, iters=2000, lr=1e308, k_y=2, k_p=2)
+            fit_multinomial_logistic(z, y_p, 2, w, 2000, 1e308)
         assert counter.steps < 2000
 
     @pytest.mark.parametrize("x_rows, labels, k, class_weights, name", [
@@ -585,8 +591,7 @@ class TestAttackAccuracy:
 
     def test_separable_near_perfect(self):
         x, y, y_p = two_gaussian_features(2000, mu=6.0, seed=9)
-        attacker = fit_attacker(x[:1000], y[:1000], y_p[:1000], iters=2000, lr=1.0,
-                                k_y=2, k_p=2)
+        attacker = fit_attacker(x[:1000], y[:1000], y_p[:1000], iters=2000, k_y=2, k_p=2)
         ba = attack_accuracy(attacker, x[1000:], y[1000:], y_p[1000:])
         assert ba > 0.97
 

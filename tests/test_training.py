@@ -474,7 +474,7 @@ class TestGoldenBytes:
 
         cfg, val_ds, trained = self.two_epochs(alpha, beta, seed)
         attacker = fit_attacker(trained.bundle.extractor.apply(val_ds.x), val_ds.y,
-                                val_ds.y_p, iters=cfg.attacker_iters, lr=cfg.attacker_lr,
+                                val_ds.y_p, iters=cfg.attacker_iters,
                                 k_y=val_ds.k_y, k_p=val_ds.k_p)
         h = hashlib.sha256()
         for a in (attacker.weights, attacker.bias):
