@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..analysis import CsrWeights, grid_values, group_label
-from ..data import (SplitSpec, SyntheticSpec, _check_fields, _is_int, _is_real,
+from ..data import (SplitSpec, SyntheticSpec, _check_fields, _csv_reader, _is_int, _is_real,
                     csv_class_counts)
 from ..training import TrainConfig
 
@@ -34,8 +34,10 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def validate(self) -> None:
-        """Check every section's fields; the ConfigError names ``section.field``."""
-        checks = [("data.", self.data.validate)] if isinstance(self.data, SyntheticSpec) else []
+        """Check every section's fields, and a CSV source's header; the ConfigError
+        names ``section.field``, or ``data`` and the CSV's path."""
+        checks = [("data.", self.data.validate) if isinstance(self.data, SyntheticSpec)
+                  else ("data: ", lambda: _check_csv_header(self.data))]
         checks += [("split.", self.split.validate), ("train.", self.train.validate)]
         checks += [("csr_weights: ", w.validate) for w in self.csr_weights]
         checks.append(("", self._validate_top_level))
@@ -75,6 +77,15 @@ class ExperimentConfig:
             _check_fields(self, ("positive_class",), lambda v: _is_int(v) and 0 <= v < k_y,
                           f"a task class index in [0, {k_y})")
         _check_fields(self, ("output_dir",), lambda v: isinstance(v, str), "a string")
+
+
+def _check_csv_header(path) -> None:
+    """Open a CSV source and check its header, as ``load_csv`` does first."""
+    try:
+        with open(path, newline="") as fh:
+            _csv_reader(path, fh)
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror}") from None
 
 
 def default_config() -> ExperimentConfig:

@@ -103,8 +103,8 @@ def sweep(config: ExperimentConfig, jobs: int | None = None
     Returns (records sorted by key, failures keyed by (alpha, beta, seed)).
     Runs go out seed by seed; each process (this one, or each pool worker when
     jobs > 1) splits a seed's data once for that seed's runs. The output does
-    not depend on jobs. Outcomes are collected as runs finish, so a worker
-    that dies fails only the runs the broken pool could not finish.
+    not depend on jobs. A worker that dies breaks the whole pool: every run
+    not finished by then fails as BrokenProcessPool, not just that worker's.
     """
     combos = [(config, a, b, s)
               for s in sorted(config.seeds)

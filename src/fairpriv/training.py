@@ -4,8 +4,7 @@ The extractor and classifier minimize the task cross entropy minus
 alpha/beta-scaled adversary cross entropies, so the extractor is pushed to
 make the sensitive and private attributes hard to read off its features. The
 adversaries minimize their own cross entropies against frozen features.
-Updates alternate between the two parameter groups every ``switch_period``
-batches.
+Updates alternate between the two parameter groups every other batch.
 """
 
 from __future__ import annotations
@@ -55,20 +54,16 @@ class TrainConfig:
     feature_dim: int = 8
     extractor_hidden: tuple = (32,)
     adversary_hidden: tuple = (32, 32)
-    switch_period: int = 1
-    select_by: str = "classifier-ce"  # or "objective"
 
     def validate(self) -> None:
         """Check every field's type and range; the ValueError names the field."""
-        _check_fields(self, ("epochs", "batch_size", "feature_dim", "switch_period"),
+        _check_fields(self, ("epochs", "batch_size", "feature_dim"),
                       lambda v: _is_int(v) and v >= 1, "an integer >= 1")
         _check_fields(self, ("extractor_hidden", "adversary_hidden"),
                       lambda v: (isinstance(v, (list, tuple))
                                  and all(_is_int(w) and w >= 1 for w in v)),
                       "a list of integers >= 1")
         _check_fields(self, ("lr",), lambda v: _is_real(v) and v > 0, "a finite number > 0")
-        _check_fields(self, ("select_by",), lambda v: v in ("classifier-ce", "objective"),
-                      "'classifier-ce' or 'objective'")
 
 
 def check_run_key(alpha, beta, seed) -> None:
@@ -274,26 +269,24 @@ def _backward(state: TrainState, fwd: Forward, phase: str) -> None:
     lc.backward(heads, trunk=(state.extractor, ext, state.main.net_grads[0]))
 
 
-def alternating_epoch(state: TrainState, arrays: EpochArrays, cfg: TrainConfig,
-                      shuffle_rng: np.random.Generator, update_adversaries: bool = True,
-                      epoch: int = 0) -> float:
-    """One pass over the data, alternating parameter groups every k batches.
+def alternating_epoch(state: TrainState, arrays: EpochArrays, shuffle_rng: np.random.Generator,
+                      update_adversaries: bool = True, epoch: int = 0) -> float:
+    """One pass over the data, alternating parameter groups every other batch.
 
     MAIN phases update only the extractor and classifier on the full
     objective; ADV phases update only the adversaries on their own cross
     entropies. With update_adversaries=False the ADV phases do nothing, which
     turns the schedule into plain risk minimization over the same batches.
-    ``arrays`` must have been built for the training split with cfg's batch
-    size. Returns the mean objective value across batches.
+    ``arrays`` holds the training split. Returns the mean objective value
+    across batches.
     """
     n = len(arrays.ds)
     if n == 0:
         raise ValueError("empty training set")
     arrays.fill(shuffle_rng.permutation(n))
-    k = cfg.switch_period
     totals = []
     for batch in arrays.batches:
-        phase = MAIN if (state.batch_count // k) % 2 == 0 else ADV
+        phase = MAIN if state.batch_count % 2 == 0 else ADV
         update = phase == MAIN or update_adversaries
         fwd = objective(state, batch, phase if update else None)
         if not (math.isfinite(fwd.total) and math.isfinite(fwd.ce_a + fwd.ce_p)):
@@ -308,13 +301,8 @@ def alternating_epoch(state: TrainState, arrays: EpochArrays, cfg: TrainConfig,
     return float(np.mean(totals))
 
 
-def validation_loss(state: TrainState, val: Batch, cfg: TrainConfig) -> float:
-    """Selection loss on a split: classifier CE, or the full objective.
-
-    Forward only; the classifier-CE path runs neither adversary.
-    """
-    if cfg.select_by == "objective":
-        return objective(state, val).total
+def validation_loss(state: TrainState, val: Batch) -> float:
+    """Selection loss on a split: the classifier CE on y. Forward only; runs neither adversary."""
     logits = state.classifier.apply(state.extractor.apply(val.x))
     return lc.encoded_cross_entropy(logits, val.targets[0])[0]  # y is head 0
 
@@ -337,9 +325,9 @@ def train(train_data: LabeledDataset, val_data: LabeledDataset, cfg: TrainConfig
     best_bundle = None
     history = []
     for epoch in range(cfg.epochs):
-        mean_total = alternating_epoch(state, arrays, cfg, shuffle_rng,
+        mean_total = alternating_epoch(state, arrays, shuffle_rng,
                                        update_adversaries=update_adversaries, epoch=epoch)
-        val_loss = validation_loss(state, val, cfg)
+        val_loss = validation_loss(state, val)
         if not np.isfinite(val_loss):
             raise TrainingDivergedError(f"non-finite validation loss at epoch {epoch}")
         history.append((mean_total, val_loss))

@@ -106,8 +106,16 @@ class TestConfig:
             from_dict({"grid": {"alphas": [0.07], "betas": [0.0]}})
 
     def test_csv_data_config(self, tmp_path):
-        cfg = from_dict({"data": {"kind": "csv", "path": "feats.csv"}})
-        assert cfg.data == "feats.csv"
+        path = str(tmp_path / "feats.csv")
+        assert main(["gen-data", "--config", str(config_json(tmp_path)), "--out", path]) == 0
+        cfg = from_dict({"data": {"kind": "csv", "path": path}})
+        assert cfg.data == path
+
+    def test_csv_without_fairpriv_header_fails_at_load(self, tmp_path):
+        path = tmp_path / "other.csv"
+        path.write_text("a,b,c\n1,2,3\n")
+        with pytest.raises(ConfigError, match=f"^data: {re.escape(str(path))}: header "):
+            from_dict({"data": str(path)})
 
     @pytest.mark.parametrize("value", [0, -3, 2.0, True, "100"])
     def test_attacker_iters_must_be_positive_int(self, value):
@@ -151,7 +159,6 @@ class TestConfig:
         ("train.epochs", 2.5),
         ("train.batch_size", 0),
         ("train.feature_dim", 2.0),
-        ("train.switch_period", True),
         ("train.extractor_hidden", [0]),
         ("train.adversary_hidden", [32, "8"]),
         ("train.lr", "0.001"),
@@ -170,11 +177,15 @@ class TestConfig:
         ("output_dir", 5),
         ("train.alpha", 1.0),
         ("train.dropout", 0.5),
+        ("train.switch_period", 1),  # removed: updates alternate every other batch
+        ("train.select_by", "classifier-ce"),  # removed: selection is by classifier CE
         ("split.shuffle", True),
         ("data.k_z", 2),
         ("data.n", {"kind": "csv", "path": "d.csv", "n": 100, "seed": 3}),
         ("data.path", {"kind": "csv", "path": 5}),
         ("data.d_y", 1),
+        ("data", "missing.csv"),
+        ("data", {"kind": "csv", "path": "missing.csv"}),
     ], ids=lambda v: (v.removeprefix("train.") if isinstance(v, str)
                       else v["kind"] if isinstance(v, dict) else None))
     def test_bad_train_field_rejected_at_load(self, tmp_path, capsys, field, value):
@@ -244,8 +255,7 @@ class TestConfig:
     # A valid value for each TrainConfig field, other than its default and
     # than the base run's 2 epochs.
     TRAIN_VALUES = {"epochs": 3, "batch_size": 32, "lr": 0.003, "feature_dim": 6,
-                    "extractor_hidden": [16], "adversary_hidden": [16], "switch_period": 2,
-                    "select_by": "objective"}
+                    "extractor_hidden": [16], "adversary_hidden": [16]}
 
     def test_every_train_field_reaches_the_run(self, tmp_path):
         # A field that loads but that no run reads would leave both unchanged.
@@ -682,6 +692,17 @@ class TestSweep:
             main(["sweep", "--config", str(config_json(tmp_path)), "--jobs", jobs])
         assert exit_info.value.code == 2
         assert f"argument --jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
+
+    def test_missing_csv_fails_once_at_load(self, tmp_path, capsys):
+        # It used to write an ERROR row for every run, each FileNotFoundError.
+        missing = tmp_path / "missing.csv"
+        path = config_json(tmp_path, data=str(missing),
+                           grid={"alphas": [0.0], "betas": [0.0, 1.0]})
+        assert main(["sweep", "--config", str(path), "--jobs", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: data: {missing}: No such file or directory\n"
+        assert not (tmp_path / "out" / "results.csv").exists()
 
     def test_small_grid_rows_and_determinism(self, tmp_path):
         path = config_json(tmp_path)

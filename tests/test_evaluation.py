@@ -8,6 +8,7 @@ from fairpriv.evaluation import (LinearAttacker, attack_accuracy, class_counts, 
                                  fit_attacker, fit_multinomial_logistic,
                                  inverse_frequency_weights, utility_and_gap)
 from fairpriv.data import one_hot
+from conftest import host_note
 from test_learncore import reference_softmax_ce
 
 
@@ -512,10 +513,10 @@ class TestFitMultinomialLogistic:
     @pytest.mark.parametrize("name", list(REPEATING))
     def test_exit_fires_within_an_eighth_of_the_cycle_start(self, monkeypatch, name):
         x, y, k, w, (start, period) = self.repeating_problem(name)
-        assert first_repeat(x, y, k, w, 3000) == (start, period)
+        assert first_repeat(x, y, k, w, 3000) == (start, period), host_note()
         assert period <= start / 8  # where the bound holds
         exit_at = self.exit_step(monkeypatch, x, y, k, w, period)
-        assert start + period <= exit_at <= start + start // 8 + period + 1
+        assert start + period <= exit_at <= start + start // 8 + period + 1, host_note()
 
     @pytest.mark.parametrize("name", list(REPEATING))
     def test_bitwise_equal_to_reference_loop_around_the_exit(self, monkeypatch, name):
@@ -525,9 +526,9 @@ class TestFitMultinomialLogistic:
                       exit_at + period + 1, 2000, 2001):
             got, steps = counted_fit(monkeypatch, x, y, k, w, iters, 1.0)
             want = reference_gd_loop(x, y, k, w, iters, 1.0)
-            assert state_bytes(*got) == state_bytes(*want), iters
-            assert steps == (iters if iters < exit_at
-                             else exit_at + (iters - exit_at) % period), iters
+            assert state_bytes(*got) == state_bytes(*want), host_note(f"iters={iters}")
+            assert steps == (iters if iters < exit_at else exit_at + (iters - exit_at) % period), \
+                host_note(f"iters={iters}")
 
     def test_never_repeating_fit_computes_every_step(self, monkeypatch):
         x, y, w = informative_problem(53, 20, 2, seed=55)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import MAIN_NETS, NETS, bundle_params
+from conftest import MAIN_NETS, NETS, bundle_params, host_note
 from fairpriv import training
 from fairpriv.data import LabeledDataset, SyntheticSpec, generate
 from fairpriv.training import (EpochArrays, ModelBundle, TrainConfig, TrainingDivergedError,
@@ -97,7 +97,7 @@ class TestAlternatingEpoch:
     def _run_one_epoch(self, state, data, cfg):
         rng = np.random.default_rng(np.random.SeedSequence(0).spawn(5)[4])  # train's, at seed 0
         arrays = EpochArrays(data, cfg.feature_dim, cfg.batch_size)
-        return alternating_epoch(state, arrays, cfg, rng)
+        return alternating_epoch(state, arrays, rng)
 
     def test_main_phase_leaves_adversaries(self):
         # One batch per epoch: the first epoch is purely a MAIN phase.
@@ -119,16 +119,6 @@ class TestAlternatingEpoch:
         assert np.array_equal(state.main.params, main_before)
         assert not np.array_equal(state.adv.params, adv_before)
 
-    def test_switch_period(self):
-        # k=2: batches 0,1 are MAIN; batch 2 is ADV.
-        ds = toy_dataset(n=96)
-        cfg = small_cfg(batch_size=32, switch_period=2)
-        state = TrainState(init_bundle(cfg, ds.dim), cfg, 0.0, 0.0)
-        adv_before = state.adv.params.copy()
-        self._run_one_epoch(state, ds, cfg)
-        assert not np.array_equal(state.adv.params, adv_before)
-        assert state.batch_count == 3
-
     def test_empty_training_set(self):
         ds = toy_dataset().subset([])
         cfg = small_cfg()
@@ -148,7 +138,7 @@ class TestTrain:
         ("beta", True), ("seed", -1), ("seed", 1.5), ("seed", True), ("epochs", 2.5),
         ("batch_size", 0), ("lr", "0.001"), ("lr", 0.0), ("feature_dim", 2.0),
         ("extractor_hidden", (0,)), ("adversary_hidden", (8, "8")),
-        ("adversary_hidden", 8), ("switch_period", False), ("select_by", "loss"),
+        ("adversary_hidden", 8),
     ])
     def test_bad_field_rejected_before_any_network(self, monkeypatch, field, value):
         # A library call gets the same checks as a loaded config and a CLI run key.
@@ -271,7 +261,7 @@ class TestTrainState:
                    for p in state.extractor.params() + state.classifier.params())
         assert all(np.shares_memory(p, state.adv.params) for p in state.adversaries.params())
         before = state.bundle()
-        alternating_epoch(state, EpochArrays(ds, cfg.feature_dim, cfg.batch_size), cfg,
+        alternating_epoch(state, EpochArrays(ds, cfg.feature_dim, cfg.batch_size),
                           np.random.default_rng(1))
         assert state.main.step == state.adv.step == 1
         after = state.bundle()
@@ -296,7 +286,7 @@ class TestTrainState:
         snap = state.bundle()
         snap_before = snapshot(bundle_params(snap))
         assert unchanged(snap_before, source_before)
-        alternating_epoch(state, EpochArrays(ds, cfg.feature_dim, cfg.batch_size), cfg,
+        alternating_epoch(state, EpochArrays(ds, cfg.feature_dim, cfg.batch_size),
                           np.random.default_rng(1))
         assert state.main.step == state.adv.step == 1
         assert unchanged(bundle_params(source), source_before)
@@ -325,7 +315,7 @@ class TestCrossEntropyCalls:
             return real(*args)
 
         monkeypatch.setattr(training.lc, "encoded_cross_entropy", counted)
-        alternating_epoch(state, arrays, cfg, np.random.default_rng(1))
+        alternating_epoch(state, arrays, np.random.default_rng(1))
         assert shapes == [(3, 32, max(ks))] * 3
 
 
@@ -369,12 +359,9 @@ class TestGoldenBytes:
     # the trained params, the selection loss and the per-epoch history. They
     # were recorded with the engine that ran each adversary as its own net,
     # but for the k_y == k_a != k_p cell, recorded with the engine that
-    # stacked the adversaries' hidden layers when k_a != k_p.
+    # stacked the adversaries' hidden layers when k_a != k_p, and the
+    # k_y = 3, beta = 0 cell, recorded with the padded-head TrainState engine.
     CELLS = {
-        "switch_period=2": lambda: TestGoldenBytes.two_epochs(
-            10.0, 10.0, 1, switch_period=2)[2],
-        "select_by=objective": lambda: TestGoldenBytes.two_epochs(
-            10.0, 0.1, 1, select_by="objective")[2],
         "update_adversaries=False": lambda: TestGoldenBytes.two_epochs(
             10.0, 10.0, 0, update_adversaries=False)[2],
         "k_a != k_p": lambda: TestGoldenBytes.toy_run(1.0, 1.0),
@@ -384,16 +371,11 @@ class TestGoldenBytes:
         "k_a == k_p, no hidden layer": lambda: TestGoldenBytes.two_epochs(
             0.0, 10.0, 0, adversary_hidden=())[2],
         "k_y = 3, k_a == k_p": lambda: TestGoldenBytes.toy_run(1.0, 1.0, k_y=3, k_a=2),
-        "k_y = 3, k_a == k_p, beta = 0, select_by=objective": lambda: TestGoldenBytes.toy_run(
-            2.0, 0.0, k_y=3, k_a=2, select_by="objective"),
+        "k_y = 3, k_a == k_p, beta = 0": lambda: TestGoldenBytes.toy_run(2.0, 0.0, k_y=3, k_a=2),
         "k_y == k_a != k_p, beta = 0": lambda: TestGoldenBytes.toy_run(1.0, 0.0, k_a=2, k_p=3),
     }
 
     @pytest.mark.parametrize("cell, digest", [
-        ("switch_period=2",
-         "8efc50ecd35864c678bdfdf61e550567187d5f967947ad411625c85527721862"),
-        ("select_by=objective",
-         "ee2a5bbc12b9f288616ed0cd226a59670e18d50e4a190b2b9e8516fc1add268d"),
         ("update_adversaries=False",
          "279c0794b74edf3fe27acb77f10c5a91f5d39cc3cfea5c984771de951daa5918"),
         ("k_a != k_p",
@@ -406,8 +388,8 @@ class TestGoldenBytes:
          "b6686f9fddfcb60597151144fdaf2afa2703783249acb1e49f41000d8eca594e"),
         ("k_y = 3, k_a == k_p",
          "c1602268b27e20eac6b9f72595fb51093b9be28dbec58394124021f696bd8471"),
-        ("k_y = 3, k_a == k_p, beta = 0, select_by=objective",
-         "6709afe2c5f86bed3fb9486a5c148ac0fb9bfb664b7d9e26f4c707fed5a67a12"),
+        ("k_y = 3, k_a == k_p, beta = 0",
+         "3a1a0c3b7b9486a54adad5dff3b243e505b405b6e6590008cdd50e7efde0506b"),
         ("k_y == k_a != k_p, beta = 0",
          "2ea2b7d6bcf92a8e121eeac001db752ac752063b9698a940c92b7f4a91938894"),
     ])
@@ -420,7 +402,7 @@ class TestGoldenBytes:
                 h.update(np.ascontiguousarray(p, dtype="<f8").tobytes())
         h.update(repr([trained.best_val_loss.hex()]
                       + [(total.hex(), val.hex()) for total, val in trained.history]).encode())
-        assert h.hexdigest() == digest
+        assert h.hexdigest() == digest, host_note()
 
     def test_saved_model_file_matches_recorded_digest(self, tmp_path):
         # The file format is independent of how training lays out the params.
@@ -429,7 +411,7 @@ class TestGoldenBytes:
         _, _, trained = self.two_epochs(10.0, 10.0, 1)
         save_bundle(trained.bundle, tmp_path / "model.bin")
         assert (hashlib.sha256((tmp_path / "model.bin").read_bytes()).hexdigest()
-                == "e446ceedf32b29193cbb621bac11b5878b267c572ecba424fa285fda8c6c2682")
+                == "e446ceedf32b29193cbb621bac11b5878b267c572ecba424fa285fda8c6c2682"), host_note()
 
     # Per-epoch (mean train objective, validation loss) of each pinned cell.
     HISTORY = {
@@ -460,10 +442,10 @@ class TestGoldenBytes:
         for net in (b.extractor, b.classifier, b.fairness_adv, b.privacy_adv):
             for p in net.params():
                 h.update(np.ascontiguousarray(p, dtype="<f8").tobytes())
-        assert h.hexdigest() == digest
-        assert trained.best_val_loss.hex() == best_val_loss
+        assert h.hexdigest() == digest, host_note()
+        assert trained.best_val_loss.hex() == best_val_loss, host_note()
         assert ([(total.hex(), val.hex()) for total, val in trained.history]
-                == self.HISTORY[(alpha, beta, seed)])
+                == self.HISTORY[(alpha, beta, seed)]), host_note()
 
     @pytest.mark.parametrize("alpha, beta, seed, digest", [
         (0.0, 0.0, 0, "b372bb4b0dcc0b3355ab58fd4f240924a2b165f8d035d89a80aa33d66df3efe3"),
@@ -479,4 +461,4 @@ class TestGoldenBytes:
         h = hashlib.sha256()
         for a in (attacker.weights, attacker.bias):
             h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
-        assert h.hexdigest() == digest
+        assert h.hexdigest() == digest, host_note()
