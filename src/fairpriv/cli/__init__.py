@@ -65,12 +65,6 @@ def cmd_sweep(args) -> int:
     return 1 if failures else 0
 
 
-def _dataset_k_p(config: ExperimentConfig) -> int:
-    if isinstance(config.data, str):
-        return csv_class_counts(config.data)[2]
-    return config.data.k_p
-
-
 def cmd_analyze(args) -> int:
     config = _load(args)
     out = _out_dir(args, config)
@@ -79,7 +73,8 @@ def cmd_analyze(args) -> int:
     if failed:
         raise ValueError(f"{results_path}: error-marker rows for cells {failed}")
     check_grid(records, sorted(config.alphas), sorted(config.betas), sorted(config.seeds))
-    rep = report.build_report(records, config, k_p=_dataset_k_p(config))
+    k_p = csv_class_counts(config.data)[2] if isinstance(config.data, str) else config.data.k_p
+    rep = report.build_report(records, config, k_p=k_p)
     report_path = out / "report.json"
     report_path.write_text(json.dumps(rep, indent=2, sort_keys=True) + "\n")
     tables_path = out / "tables.txt"

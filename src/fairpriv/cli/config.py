@@ -9,8 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..analysis import CsrWeights, grid_values, group_label
-from ..data import (SplitSpec, SyntheticSpec, _check_fields, _csv_reader, _is_int, _is_real,
-                    csv_class_counts)
+from ..data import SplitSpec, SyntheticSpec, _check_fields, _is_int, _is_real, csv_class_counts
 from ..training import TrainConfig
 
 
@@ -34,20 +33,21 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def validate(self) -> None:
-        """Check every section's fields, and a CSV source's header; the ConfigError
-        names ``section.field``, or ``data`` and the CSV's path."""
-        checks = [("data.", self.data.validate) if isinstance(self.data, SyntheticSpec)
-                  else ("data: ", lambda: _check_csv_header(self.data))]
-        checks += [("split.", self.split.validate), ("train.", self.train.validate)]
-        checks += [("csr_weights: ", w.validate) for w in self.csr_weights]
-        checks.append(("", self._validate_top_level))
-        for prefix, check in checks:
-            try:
-                check()
-            except ValueError as exc:
-                raise ConfigError(f"{prefix}{exc}") from None
+        """Check every section's fields, and read a CSV source's label columns
+        with :func:`csv_class_counts`; the ConfigError names ``section.field``,
+        or ``data`` and the CSV's path."""
+        if isinstance(self.data, SyntheticSpec):
+            _as_config_error("data.", self.data.validate)
+            k_y = self.data.k_y
+        else:
+            k_y = _as_config_error("data: ", csv_class_counts, self.data)[0]
+        _as_config_error("split.", self.split.validate)
+        _as_config_error("train.", self.train.validate)
+        for w in self.csr_weights:
+            _as_config_error("csr_weights: ", w.validate)
+        _as_config_error("", self._validate_top_level, k_y)
 
-    def _validate_top_level(self) -> None:
+    def _validate_top_level(self, k_y: int) -> None:
         _check_fields(self, ("seeds",),
                       lambda v: (isinstance(v, list) and len(v) > 0
                                  and all(_is_int(s) and s >= 0 for s in v)),
@@ -72,20 +72,20 @@ class ExperimentConfig:
         _check_fields(self, ("attacker_iters",), lambda v: _is_int(v) and v >= 1,
                       "an integer >= 1")
         if self.positive_class is not None:
-            k_y = (self.data.k_y if isinstance(self.data, SyntheticSpec)
-                   else csv_class_counts(self.data)[0])
+            if self.utility_metric != "tpr":
+                raise ValueError(f"positive_class: must be null when utility_metric is "
+                                 f"{self.utility_metric!r}, got {self.positive_class!r}")
             _check_fields(self, ("positive_class",), lambda v: _is_int(v) and 0 <= v < k_y,
                           f"a task class index in [0, {k_y})")
         _check_fields(self, ("output_dir",), lambda v: isinstance(v, str), "a string")
 
 
-def _check_csv_header(path) -> None:
-    """Open a CSV source and check its header, as ``load_csv`` does first."""
+def _as_config_error(prefix: str, check, *args):
+    """``check(*args)``; a ValueError from it is raised as a ConfigError led by ``prefix``."""
     try:
-        with open(path, newline="") as fh:
-            _csv_reader(path, fh)
-    except OSError as exc:
-        raise ValueError(f"{path}: {exc.strerror}") from None
+        return check(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
 def default_config() -> ExperimentConfig:

@@ -287,84 +287,85 @@ def _exacerbate(ds: LabeledDataset, idx: np.ndarray, factor: float,
 # ---------------------------------------------------------------------------
 # CSV interchange (also the ingestion path for externally computed features)
 
+_LABELS = ("y", "y_a", "y_p")
+
+
+def _class_counts(where: str, columns, least=(2, 2, 2)) -> tuple[int, int, int]:
+    """The y, y_a and y_p class counts: one more than each column's largest label,
+    and at least ``least``. A class with no row is an error starting with ``where``,
+    so every CSV that loads, or that :func:`save_csv` writes, keeps all its classes."""
+    if not len(columns[0]):
+        raise ValueError(f"{where}no data rows")
+    counts = [np.bincount(column, minlength=k) for column, k in zip(columns, least)]
+    for name, rows in zip(_LABELS, counts):
+        missing = np.flatnonzero(rows == 0).tolist()
+        if missing:
+            raise ValueError(f"{where}{name} lacks class(es) {missing} of k_{name[-1]} = "
+                             f"{rows.size}; a dataset CSV takes each class count from its "
+                             "largest label (at least 2) and needs a row of every class")
+    return tuple(rows.size for rows in counts)
+
 
 def save_csv(ds: LabeledDataset, path) -> None:
     """Write ``ds`` as a CSV that :func:`load_csv` reads back with its class counts."""
-    for name, labels, k in (("y", ds.y, ds.k_y), ("y_a", ds.y_a, ds.k_a), ("y_p", ds.y_p, ds.k_p)):
-        if max(2, int(labels.max(initial=-1)) + 1) != k:
-            raise ValueError(f"{name}: class {k - 1} of k_{name[-1]} = {k} has no row; a dataset "
-                             "CSV takes each class count from its largest label")
+    _class_counts("", (ds.y, ds.y_a, ds.y_p), (ds.k_y, ds.k_a, ds.k_p))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"x{j}" for j in range(ds.dim)] + ["y", "y_a", "y_p"])
+        writer.writerow([f"x{j}" for j in range(ds.dim)] + list(_LABELS))
         for i in range(len(ds)):
             writer.writerow([repr(float(v)) for v in ds.x[i]]
                             + [int(ds.y[i]), int(ds.y_a[i]), int(ds.y_p[i])])
 
 
-def _csv_reader(path, fh):
-    """A reader past the checked header of a fairpriv CSV, and its feature count."""
-    reader = csv.reader(fh)
+def _csv_rows(path):
+    """``(line, feature fields, (y, y_a, y_p))`` for each row of a dataset CSV,
+    its header, field count and labels (integers >= 0) checked; every error,
+    an unreadable or non-UTF-8 file included, is a ValueError naming the path."""
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError(f"{path}: empty file") from None
-    if len(header) < 4 or header[-3:] != ["y", "y_a", "y_p"]:
-        raise ValueError(f"{path}: header must end with y,y_a,y_p, got {header[-3:]}")
-    d = len(header) - 3
-    expected = [f"x{j}" for j in range(d)]
-    if header[:d] != expected:
-        raise ValueError(f"{path}: feature columns must be x0..x{d - 1}")
-    return reader, d
-
-
-def _class_counts(path, columns) -> tuple[int, int, int]:
-    """(k_y, k_a, k_p) from the y, y_a and y_p label arrays: one more than the
-    largest label, and at least 2. A negative label is an error naming its line."""
-    if not columns[0].size:
-        raise ValueError(f"{path}: no data rows")
-    counts = []
-    for name, column in zip(("y", "y_a", "y_p"), columns):
-        row = int(np.argmin(column))
-        if column[row] < 0:
-            raise ValueError(f"{path}:{row + 2}: {name} must be >= 0, got {column[row]}")
-        counts.append(max(2, int(column.max()) + 1))
-    return tuple(counts)
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file")
+            if len(header) < 4 or header[-3:] != list(_LABELS):
+                raise ValueError(f"{path}: header must end with y,y_a,y_p, got {header[-3:]}")
+            d = len(header) - 3
+            if header[:d] != [f"x{j}" for j in range(d)]:
+                raise ValueError(f"{path}: feature columns must be x0..x{d - 1}")
+            for line, row in enumerate(reader, start=2):
+                if len(row) != d + 3:
+                    raise ValueError(f"{path}:{line}: expected {d + 3} fields, got {len(row)}")
+                try:
+                    labels = tuple(map(int, row[d:]))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{line}: {exc}") from None
+                for name, label in zip(_LABELS, labels):
+                    if label < 0:
+                        raise ValueError(f"{path}:{line}: {name} must be >= 0, got {label}")
+                yield line, row[:d], labels
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ValueError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 def load_csv(path) -> LabeledDataset:
-    with open(path, newline="") as fh:
-        reader, d = _csv_reader(path, fh)
-        xs, ys, yas, yps = [], [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != d + 3:
-                raise ValueError(f"{path}:{lineno}: expected {d + 3} fields, got {len(row)}")
-            try:
-                xs.append([float(v) for v in row[:d]])
-                ys.append(int(row[d]))
-                yas.append(int(row[d + 1]))
-                yps.append(int(row[d + 2]))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    x, y, y_a, y_p = np.array(xs), np.array(ys), np.array(yas), np.array(yps)
+    """A dataset CSV, checked as :func:`csv_class_counts` checks it, with finite features."""
+    xs, labels = [], []
+    for line, features, row_labels in _csv_rows(path):
+        try:
+            xs.append([float(v) for v in features])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line}: {exc}") from None
+        labels.append(row_labels)
+    x, columns = np.array(xs), np.array(labels, dtype=np.int64).reshape(-1, 3).T
     if not np.isfinite(x).all():  # float() parses "nan" and "inf"
         i, j = np.argwhere(~np.isfinite(x))[0]
         raise ValueError(f"{path}:{i + 2}: x{j} must be finite, got {x[i, j]}")
-    k_y, k_a, k_p = _class_counts(path, (y, y_a, y_p))
-    return LabeledDataset(x, y, y_a, y_p, k_y=k_y, k_a=k_a, k_p=k_p)
+    k_y, k_a, k_p = _class_counts(f"{path}: ", columns)
+    return LabeledDataset(x, *columns, k_y=k_y, k_a=k_a, k_p=k_p)
 
 
 def csv_class_counts(path) -> tuple[int, int, int]:
-    """The (k_y, k_a, k_p) of ``load_csv(path)``, read from the label columns
-    alone: the feature fields are split but not parsed or checked."""
-    with open(path, newline="") as fh:
-        reader, d = _csv_reader(path, fh)
-        labels = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != d + 3:
-                raise ValueError(f"{path}:{lineno}: expected {d + 3} fields, got {len(row)}")
-            try:
-                labels.append(tuple(map(int, row[d:])))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return _class_counts(path, np.array(labels, dtype=np.int64).reshape(-1, 3).T)
+    """The (k_y, k_a, k_p) of ``load_csv(path)``, after all its checks but the
+    feature values': the feature fields are split but not parsed."""
+    labels = [row_labels for _, _, row_labels in _csv_rows(path)]
+    return _class_counts(f"{path}: ", np.array(labels, dtype=np.int64).reshape(-1, 3).T)

@@ -136,6 +136,17 @@ class TestConfig:
             from_dict({"positive_class": value})
         assert from_dict({"positive_class": 1}).positive_class == 1
 
+    def test_positive_class_with_accuracy_rejected_at_load(self, tmp_path, capsys):
+        # It used to load, and every run scored accuracy without it.
+        path = config_json(tmp_path, utility_metric="accuracy", positive_class=1)
+        message = "positive_class: must be null when utility_metric is 'accuracy', got 1"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(path)
+        assert main(["gen-data", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        cfg = from_dict({"utility_metric": "accuracy", "positive_class": None})
+        assert (cfg.utility_metric, cfg.positive_class) == ("accuracy", None)
+
     @pytest.mark.parametrize("key", ["csr_over_seed_medians",
                                      "correlations_over_seed_medians"])
     @pytest.mark.parametrize("value", [True, False])
@@ -305,8 +316,8 @@ class TestGenData:
         out = tmp_path / "d.csv"
         assert main(["gen-data", "--config", str(path), "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            "error: y_p: class 2 of k_p = 3 has no row; a dataset CSV takes each class "
-            "count from its largest label\n")
+            "error: y_p lacks class(es) [2] of k_p = 3; a dataset CSV takes each class "
+            "count from its largest label (at least 2) and needs a row of every class\n")
         assert not out.exists()
 
     def test_row_and_column_counts(self, tmp_path):
@@ -693,15 +704,36 @@ class TestSweep:
         assert exit_info.value.code == 2
         assert f"argument --jobs: must be >= 1, got {jobs}" in capsys.readouterr().err
 
-    def test_missing_csv_fails_once_at_load(self, tmp_path, capsys):
-        # It used to write an ERROR row for every run, each FileNotFoundError.
-        missing = tmp_path / "missing.csv"
-        path = config_json(tmp_path, data=str(missing),
+    @pytest.mark.parametrize("content", [
+        None,
+        b"x0,y,y_a,y_p\n1.0,0,0,0\n\xff\xfe,1,1,1\n",
+        b"a,b,c\n1,2,3\n",
+        b"x0,y,y_a,y_p\n",
+        b"x0,y,y_a,y_p\n1.0,0,0,0\n1.0,1,1\n",
+        b"x0,y,y_a,y_p\n1.0,0,0,0\n1.0,1,1.5,1\n",
+        b"x0,y,y_a,y_p\n1.0,0,0,0\n1.0,1,-1,1\n",
+        b"x0,y,y_a,y_p\n1.0,0,0,0\n1.0,1,1,2\n",
+    ], ids=["missing", "not-utf-8", "foreign-header", "header-only", "short-row",
+            "non-integer-label", "negative-label", "empty-middle-class"])
+    def test_missing_csv_fails_once_at_load(self, tmp_path, capsys, content):
+        # A missing file used to write an ERROR row for every run, each
+        # FileNotFoundError; the others loaded and then failed every run, or
+        # (not UTF-8) failed at load without the path. A bad row is named as
+        # path:line.
+        csv_path = tmp_path / "data.csv"
+        if content is not None:
+            csv_path.write_bytes(content)
+        named = f"data: {re.escape(str(csv_path))}(:[0-9]+)?: [^\n]+"
+        with pytest.raises(ConfigError, match=f"^{named}$"):
+            from_dict({"data": str(csv_path)})
+        path = config_json(tmp_path, data=str(csv_path),
                            grid={"alphas": [0.0], "betas": [0.0, 1.0]})
         assert main(["sweep", "--config", str(path), "--jobs", "1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: data: {missing}: No such file or directory\n"
+        assert re.fullmatch(f"error: {named}\n", captured.err)
+        if content is None:
+            assert captured.err == f"error: data: {csv_path}: No such file or directory\n"
         assert not (tmp_path / "out" / "results.csv").exists()
 
     def test_small_grid_rows_and_determinism(self, tmp_path):

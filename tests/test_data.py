@@ -191,9 +191,7 @@ class TestCsv:
         assert np.array_equal(loaded.y_p, ds.y_p)
 
     def test_header_names(self, tmp_path):
-        ds = generate(SyntheticSpec(n=3, d_y=1, d_a=1, d_p=1, d_noise=0,
-                                    mu_y=0.0, mu_a=0.0, mu_p=0.0,
-                                    joint=uniform_joint(), seed=16))
+        ds = LabeledDataset(np.zeros((2, 3)), [0, 1], [1, 0], [0, 1], 2, 2, 2)
         path = tmp_path / "data.csv"
         save_csv(ds, path)
         header = path.read_text().splitlines()[0]
@@ -234,13 +232,39 @@ class TestCsv:
         ("x0,y,y_a,y_p\n1.0,0,0,0\n1.0,0,0\n", ":3: expected 4 fields"),
         ("x0,y,y_a,y_p\n1.0,0,0,0\n1.0,0,1.5,0\n", ":3: invalid literal"),
         ("x0,y,y_a,y_p\n1.0,0,0,0\n1.0,0,0,-1\n", ":3: y_p must be >= 0"),
+        ("x0,y,y_a,y_p\n1.0,0,0,0\n1.0,1,1,2\n", r": y_p lacks class\(es\) \[1\] of k_p = 3;"),
+        ("x0,y,y_a,y_p\n1.0,0,0,0\n1.0,1,0,1\n", r": y_a lacks class\(es\) \[1\] of k_a = 2;"),
+        ("x0,y,y_a,y_p\n1.0,0,0,0\n1.0,3,1,1\n", r": y lacks class\(es\) \[1, 2\] of k_y = 4;"),
+        (f"x0,y,y_a,y_p\n{'1' * 200_000},0,0,0\n", ": field larger than field limit"),
     ], ids=["empty", "label-header", "feature-header", "no-rows", "field-count",
-            "fractional-label", "negative-label"])
+            "fractional-label", "negative-label", "empty-middle-class", "one-class",
+            "empty-classes", "huge-field"])
     def test_errors_name_file_and_line(self, tmp_path, read, text, match):
         path = tmp_path / "bad.csv"
         path.write_text(text)
         with pytest.raises(ValueError, match="^" + re.escape(str(path)) + match):
             read(path)
+
+    @pytest.mark.parametrize("read", [load_csv, csv_class_counts])
+    @pytest.mark.parametrize("make, match", [
+        (lambda path: None, ": No such file or directory$"),
+        (lambda path: path.mkdir(), ": Is a directory$"),
+        (lambda path: path.write_bytes(b"x0,y,y_a,y_p\n\xef\x01,0,0,0\n"),
+         ": 'utf-8' codec can't decode byte 0xef"),
+    ], ids=["missing", "directory", "not-utf-8"])
+    def test_unreadable_file_names_path(self, tmp_path, read, make, match):
+        path = tmp_path / "bad.csv"
+        make(path)
+        with pytest.raises(ValueError, match="^" + re.escape(str(path)) + match):
+            read(path)
+
+    def test_save_refuses_empty_middle_class(self, tmp_path):
+        # load_csv would reject the file: k_p = 3 from label 2, and no row of class 1.
+        ds = LabeledDataset(np.zeros((4, 1)), [0, 1, 0, 1], [0, 1, 1, 0], [0, 2, 2, 0], 2, 2, 3)
+        path = tmp_path / "data.csv"
+        with pytest.raises(ValueError, match=r"^y_p lacks class\(es\) \[1\] of k_p = 3;"):
+            save_csv(ds, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_feature_names_file_line_and_column(self, tmp_path, value):
