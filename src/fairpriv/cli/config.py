@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..analysis import CsrWeights, grid_values, group_label
-from ..data import SplitSpec, SyntheticSpec, _check_fields, _is_int, _is_real, csv_class_counts
+from ..data import (SplitSpec, SyntheticSpec, _check_fields, _is_int, _is_real,
+                    csv_class_counts, split_rows)
 from ..training import TrainConfig
 
 
@@ -27,27 +28,27 @@ class ExperimentConfig:
     seeds: list = field(default_factory=lambda: [0, 1, 2])
     csr_weights: list = field(default_factory=lambda: [
         CsrWeights(0.6, 0.2, 0.2), CsrWeights(0.2, 0.6, 0.2), CsrWeights(0.2, 0.2, 0.6)])
-    utility_metric: str = "accuracy"  # or "tpr"
-    positive_class: int | None = None  # tpr positive class; default highest index
+    utility_metric: str = "accuracy"  # or "tpr": the TPR of the highest task class
     attacker_iters: int = 2000
     output_dir: str = "results"
 
     def validate(self) -> None:
-        """Check every section's fields, and read a CSV source's label columns
-        with :func:`csv_class_counts`; the ConfigError names ``section.field``,
-        or ``data`` and the CSV's path."""
+        """Check every section's fields, a synthetic source's split sizes, and read
+        a CSV source's label columns with :func:`csv_class_counts`; the
+        ConfigError names ``section.field``, or ``data`` and the CSV's path."""
         if isinstance(self.data, SyntheticSpec):
             _as_config_error("data.", self.data.validate)
-            k_y = self.data.k_y
-        else:
-            k_y = _as_config_error("data: ", csv_class_counts, self.data)[0]
-        _as_config_error("split.", self.split.validate)
+            d = self.data
+            _as_config_error("split.", split_rows, self.split, d.n, d.k_y * d.k_a * d.k_p)
+        else:  # a CSV's row count is known only when a run loads it
+            _as_config_error("data: ", csv_class_counts, self.data)
+            _as_config_error("split.", self.split.validate)
         _as_config_error("train.", self.train.validate)
         for w in self.csr_weights:
             _as_config_error("csr_weights: ", w.validate)
-        _as_config_error("", self._validate_top_level, k_y)
+        _as_config_error("", self._validate_top_level)
 
-    def _validate_top_level(self, k_y: int) -> None:
+    def _validate_top_level(self) -> None:
         _check_fields(self, ("seeds",),
                       lambda v: (isinstance(v, list) and len(v) > 0
                                  and all(_is_int(s) and s >= 0 for s in v)),
@@ -71,12 +72,6 @@ class ExperimentConfig:
                       "'accuracy' or 'tpr'")
         _check_fields(self, ("attacker_iters",), lambda v: _is_int(v) and v >= 1,
                       "an integer >= 1")
-        if self.positive_class is not None:
-            if self.utility_metric != "tpr":
-                raise ValueError(f"positive_class: must be null when utility_metric is "
-                                 f"{self.utility_metric!r}, got {self.positive_class!r}")
-            _check_fields(self, ("positive_class",), lambda v: _is_int(v) and 0 <= v < k_y,
-                          f"a task class index in [0, {k_y})")
         _check_fields(self, ("output_dir",), lambda v: isinstance(v, str), "a string")
 
 
@@ -149,7 +144,7 @@ def _parse_data(raw, default: SyntheticSpec) -> SyntheticSpec | str:
 
 def from_dict(raw: dict) -> ExperimentConfig:
     cfg = default_config()
-    plain = ("seeds", "utility_metric", "positive_class", "attacker_iters", "output_dir")
+    plain = ("seeds", "utility_metric", "attacker_iters", "output_dir")
     retired = sorted({"correlations_over_seed_medians", "csr_over_seed_medians"} & set(raw))
     if retired:
         raise ConfigError(f"{retired[0]}: removed; the report always holds both tradeoff views")

@@ -13,14 +13,15 @@ import os
 import numpy as np
 
 from ..analysis import METRICS, RunRecord
-from ..data import LabeledDataset, generate, load_csv, make_splits
+from ..data import LabeledDataset, _errors_naming, generate, load_csv, make_splits
 from ..evaluation import (MetricTriple, attack_accuracy, class_counts, fit_attacker,
                           utility_and_gap)
 from ..training import TrainedModel, check_run_key, train
-from .config import ConfigError, ExperimentConfig
+from .config import ExperimentConfig
 
 RESULTS_HEADER = ["alpha", "beta", "seed", *METRICS, "val_loss"]
 ERROR_MARKER = "ERROR"
+_FAILED_CELLS = [ERROR_MARKER] * (len(RESULTS_HEADER) - 3)  # a failed run's metric cells
 _seed_memo: dict = {}  # {seed: splits} of this process's last seed; each sweep clears it
 
 
@@ -40,21 +41,14 @@ def evaluate_bundle(bundle, val_ds: LabeledDataset, test_ds: LabeledDataset,
     m_p = attack_accuracy(attacker, test_features, test_ds.y, test_ds.y_p)
 
     preds = np.argmax(bundle.classifier.apply(test_features), axis=1)
-    positive = None  # accuracy
-    if config.utility_metric == "tpr":
-        positive = test_ds.k_y - 1 if config.positive_class is None else config.positive_class
+    positive = test_ds.k_y - 1 if config.utility_metric == "tpr" else None  # None: accuracy
     m_u, m_a = utility_and_gap(preds, test_ds.y, test_ds.y_a, test_ds.k_a, positive)
     return MetricTriple(utility=m_u, fairness_gap=m_a, attack_balanced_acc=m_p)
 
 
 def seed_splits(config: ExperimentConfig, seed: int) -> tuple[LabeledDataset, ...]:
     """The config's data split for ``seed``: (train, val, test), read-only."""
-    ds = load_dataset(config)
-    if config.positive_class is not None and config.positive_class >= ds.k_y:
-        # Config load checks this too; a config built in code is checked only here.
-        raise ConfigError(f"positive_class: must be a task class index in "
-                          f"[0, {ds.k_y}), got {config.positive_class!r}")
-    splits = make_splits(ds, config.split, seed)
+    splits = make_splits(load_dataset(config), config.split, seed)
     for arr in (a for split in splits for a in (split.x, split.y, split.y_a, split.y_p)):
         arr.flags.writeable = False  # a seed's runs may share them; a write fails at once
     return splits
@@ -151,9 +145,9 @@ def write_results(path, records: list, failures: dict | None = None) -> None:
     """Replace ``path`` whole: a write that fails part-way leaves the old file as it was."""
     rows = {r.key: record_row(r) for r in records}
     for key in failures or {}:
-        rows[key] = _key_cells(key) + [ERROR_MARKER] * (len(RESULTS_HEADER) - 3)
+        rows[key] = _key_cells(key) + _FAILED_CELLS
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"  # same directory, so os.replace is atomic
-    fh = open(tmp, "w", newline="")
+    fh = open(tmp, "w", newline="", encoding="utf-8")
     try:
         with fh:
             writer = csv.writer(fh)
@@ -190,11 +184,13 @@ def _number(cell: str, where: str, integer: bool = False) -> float | int:
 def load_results(path) -> tuple[list[RunRecord], list[tuple]]:
     """Read a results CSV; returns (records, keys of error-marker rows).
 
-    A field that does not parse, or is not finite, fails as ``path:line: field: ...``;
-    a second row for a key, ``ERROR`` rows included, as ``path:line: duplicate of line ...``.
+    A failed run has ``ERROR`` in all four metric cells. Any other field that does not
+    parse, or is not finite, fails as ``path:line: field: ...``; a second row for a key,
+    ``ERROR`` rows included, as ``path:line: duplicate of line ...``; a file that cannot
+    be read (missing, not UTF-8, rejected by the csv module) as ``path: ...``.
     """
     records, failed, lines = [], [], {}  # lines: each key's first line
-    with open(path, newline="") as fh:
+    with _errors_naming(path), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != RESULTS_HEADER:
@@ -202,7 +198,7 @@ def load_results(path) -> tuple[list[RunRecord], list[tuple]]:
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(RESULTS_HEADER):
                 raise ValueError(f"{path}:{lineno}: expected {len(RESULTS_HEADER)} fields")
-            cells = row[:3] if ERROR_MARKER in row[3:] else row  # a failed run has only its key
+            cells = row[:3] if row[3:] == _FAILED_CELLS else row  # a failed run: its key
             values = [_number(cell, f"{path}:{lineno}: {name}", name == "seed")
                       for name, cell in zip(RESULTS_HEADER, cells)]
             alpha, beta, seed = key = tuple(values[:3])

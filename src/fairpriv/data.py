@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,31 +225,39 @@ def generate(spec: SyntheticSpec) -> LabeledDataset:
     return LabeledDataset(x, y, y_a, y_p, spec.k_y, spec.k_a, spec.k_p)
 
 
+def split_rows(split: SplitSpec, n: int, cells: int) -> tuple[int, int, int]:
+    """(test rows, validation rows, test rows per trio cell or 0) of ``split``, checked,
+    over ``n`` rows in ``cells`` (y, y_a, y_p) cells. Too few test rows (one per trio
+    cell when "trio-balanced") or no validation row fails naming the fraction."""
+    split.validate()
+    trio = split.test_mode == "trio-balanced"
+    test, val = int(split.test_fraction * n), int(split.val_fraction * n)
+    if test < (cells if trio else 1):
+        raise ValueError(f"test_fraction: {split.test_fraction} of {n} rows yields {test} "
+                         "test rows" + (f", fewer than the {cells} trio cells" if trio else ""))
+    if val == 0:
+        raise ValueError(f"val_fraction: {split.val_fraction} of {n} rows yields 0 "
+                         "validation rows")
+    return test, val, test // cells if trio else 0
+
+
 def make_splits(ds: LabeledDataset, split: SplitSpec, seed) \
         -> tuple[LabeledDataset, LabeledDataset, LabeledDataset]:
     """Carve disjoint (train, val, test) index sets per the split spec."""
-    split.validate()
     rng = np.random.default_rng(seed)
     n = len(ds)
-    test_target = int(split.test_fraction * n)
-    val_target = int(split.val_fraction * n)
+    test_target, val_target, per_cell = split_rows(split, n, ds.k_y * ds.k_a * ds.k_p)
 
     if split.test_mode == "trio-balanced":
-        n_cells = ds.k_y * ds.k_a * ds.k_p
-        per_cell = test_target // n_cells
-        if per_cell == 0:
-            raise ValueError(f"test_fraction {split.test_fraction} yields "
-                             f"{test_target} test rows, fewer than the "
-                             f"{n_cells} trio cells")
         test_idx = []
         for cy in range(ds.k_y):
             for ca in range(ds.k_a):
                 for cp in range(ds.k_p):
                     cell = np.flatnonzero((ds.y == cy) & (ds.y_a == ca) & (ds.y_p == cp))
-                    if len(cell) < per_cell or len(cell) == 0:
+                    if len(cell) < per_cell:
                         raise ValueError(
                             f"cell (y={cy}, y_a={ca}, y_p={cp}) has {len(cell)} rows, "
-                            f"need {max(per_cell, 1)} for a trio-balanced test split")
+                            f"need {per_cell} for a trio-balanced test split")
                     test_idx.append(rng.permutation(cell)[:per_cell])
         test_idx = np.concatenate(test_idx)
     else:
@@ -317,34 +326,39 @@ def save_csv(ds: LabeledDataset, path) -> None:
                             + [int(ds.y[i]), int(ds.y_a[i]), int(ds.y_p[i])])
 
 
-def _csv_rows(path):
-    """``(line, feature fields, (y, y_a, y_p))`` for each row of a dataset CSV,
-    its header, field count and labels (integers >= 0) checked; every error,
-    an unreadable or non-UTF-8 file included, is a ValueError naming the path."""
+@contextmanager
+def _errors_naming(path):
+    """Raise a read, decode or csv error as a ValueError that starts with ``path``."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ValueError(f"{path}: empty file")
-            if len(header) < 4 or header[-3:] != list(_LABELS):
-                raise ValueError(f"{path}: header must end with y,y_a,y_p, got {header[-3:]}")
-            d = len(header) - 3
-            if header[:d] != [f"x{j}" for j in range(d)]:
-                raise ValueError(f"{path}: feature columns must be x0..x{d - 1}")
-            for line, row in enumerate(reader, start=2):
-                if len(row) != d + 3:
-                    raise ValueError(f"{path}:{line}: expected {d + 3} fields, got {len(row)}")
-                try:
-                    labels = tuple(map(int, row[d:]))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{line}: {exc}") from None
-                for name, label in zip(_LABELS, labels):
-                    if label < 0:
-                        raise ValueError(f"{path}:{line}: {name} must be >= 0, got {label}")
-                yield line, row[:d], labels
+        yield
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ValueError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
+def _csv_rows(path):
+    """``(line, feature fields, (y, y_a, y_p))`` for each row of a dataset CSV, its header,
+    field count and labels (integers >= 0) checked; every error names the path."""
+    with _errors_naming(path), open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        if len(header) < 4 or header[-3:] != list(_LABELS):
+            raise ValueError(f"{path}: header must end with y,y_a,y_p, got {header[-3:]}")
+        d = len(header) - 3
+        if header[:d] != [f"x{j}" for j in range(d)]:
+            raise ValueError(f"{path}: feature columns must be x0..x{d - 1}")
+        for line, row in enumerate(reader, start=2):
+            if len(row) != d + 3:
+                raise ValueError(f"{path}:{line}: expected {d + 3} fields, got {len(row)}")
+            try:
+                labels = tuple(map(int, row[d:]))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line}: {exc}") from None
+            for name, label in zip(_LABELS, labels):
+                if label < 0:
+                    raise ValueError(f"{path}:{line}: {name} must be >= 0, got {label}")
+            yield line, row[:d], labels
 
 
 def load_csv(path) -> LabeledDataset:

@@ -196,13 +196,6 @@ class EpochArrays:
         self.flat += self.base
 
 
-def whole_batch(ds: LabeledDataset, feature_dim: int) -> Batch:
-    """All of ``ds`` in its own order as one batch, for features of that width."""
-    arrays = EpochArrays(ds, feature_dim, max(len(ds), 1))
-    arrays.fill(np.arange(len(ds)))
-    return arrays.batch(slice(None))
-
-
 def build_bundle(cfg: TrainConfig, seeds: list, input_dim: int, k_y: int, k_a: int,
                  k_p: int) -> ModelBundle:
     """Networks seeded by ``seeds[0:4]``; the classifier is a linear head on the features."""
@@ -301,10 +294,11 @@ def alternating_epoch(state: TrainState, arrays: EpochArrays, shuffle_rng: np.ra
     return float(np.mean(totals))
 
 
-def validation_loss(state: TrainState, val: Batch) -> float:
-    """Selection loss on a split: the classifier CE on y. Forward only; runs neither adversary."""
-    logits = state.classifier.apply(state.extractor.apply(val.x))
-    return lc.encoded_cross_entropy(logits, val.targets[0])[0]  # y is head 0
+def validation_loss(state: TrainState, x: Matrix, flat: np.ndarray) -> float:
+    """Selection loss on a split: the classifier CE on y, given as ``flat`` = row * K + y
+    into the (n, K) logits. Forward only; runs neither adversary."""
+    logits = state.classifier.apply(state.extractor.apply(x))
+    return lc.encoded_cross_entropy(logits, flat)[0]
 
 
 def train(train_data: LabeledDataset, val_data: LabeledDataset, cfg: TrainConfig, *,
@@ -320,14 +314,14 @@ def train(train_data: LabeledDataset, val_data: LabeledDataset, cfg: TrainConfig
                                     train_data.k_p), cfg, alpha, beta)
     shuffle_rng = np.random.default_rng(seeds[4])
     arrays = EpochArrays(train_data, cfg.feature_dim, cfg.batch_size)
-    val = whole_batch(val_data, cfg.feature_dim)
+    val_flat = np.arange(len(val_data)) * max(state.widths) + val_data.y
     best_loss = math.inf
     best_bundle = None
     history = []
     for epoch in range(cfg.epochs):
         mean_total = alternating_epoch(state, arrays, shuffle_rng,
                                        update_adversaries=update_adversaries, epoch=epoch)
-        val_loss = validation_loss(state, val)
+        val_loss = validation_loss(state, val_data.x, val_flat)
         if not np.isfinite(val_loss):
             raise TrainingDivergedError(f"non-finite validation loss at epoch {epoch}")
         history.append((mean_total, val_loss))

@@ -123,29 +123,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="attacker_iters"):
             from_dict({"attacker_iters": value})
 
-    @pytest.mark.parametrize("value", [1.0, 0.5, 1e308, float("nan"), "1", False])
-    def test_attacker_lr_fails_at_load_by_name(self, value):
-        # The attacker's step size is fixed at 1.0; the setting is gone.
-        with pytest.raises(ConfigError, match=r"^unknown field\(s\): \['attacker_lr'\]$"):
-            from_dict({"attacker_lr": value})
-        assert "attacker_lr" not in {f.name for f in dataclasses.fields(ExperimentConfig)}
-
-    @pytest.mark.parametrize("value", [2, 7, -1, 1.0, "1", True])
-    def test_positive_class_must_be_class_index(self, value):
-        with pytest.raises(ConfigError, match="positive_class"):
-            from_dict({"positive_class": value})
-        assert from_dict({"positive_class": 1}).positive_class == 1
-
-    def test_positive_class_with_accuracy_rejected_at_load(self, tmp_path, capsys):
-        # It used to load, and every run scored accuracy without it.
-        path = config_json(tmp_path, utility_metric="accuracy", positive_class=1)
-        message = "positive_class: must be null when utility_metric is 'accuracy', got 1"
-        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            load_config(path)
-        assert main(["gen-data", "--config", str(path)]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-        cfg = from_dict({"utility_metric": "accuracy", "positive_class": None})
-        assert (cfg.utility_metric, cfg.positive_class) == ("accuracy", None)
+    @pytest.mark.parametrize("key", ["attacker_lr", "positive_class"])
+    @pytest.mark.parametrize("value", [1.0, 0.5, 1e308, float("nan"), "1", False, 1, None],
+                             ids=repr)
+    def test_removed_key_fails_at_load_by_name(self, key, value):
+        # The attacker's step size is fixed at 1.0, and under "tpr" the utility is
+        # the TPR of the highest task class; neither is a setting any more.
+        with pytest.raises(ConfigError, match=rf"^unknown field\(s\): \['{key}'\]$"):
+            from_dict({key: value})
+        assert key not in {f.name for f in dataclasses.fields(ExperimentConfig)}
 
     @pytest.mark.parametrize("key", ["csr_over_seed_medians",
                                      "correlations_over_seed_medians"])
@@ -218,6 +204,24 @@ class TestConfig:
         assert main(["gen-data", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"data": {"n": 30}},
+         "split.test_fraction: 0.2 of 30 rows yields 6 test rows, fewer than the 8 trio cells"),
+        ({"data": {"n": 800}, "split": {"test_mode": "as-is", "test_fraction": 0.001}},
+         "split.test_fraction: 0.001 of 800 rows yields 0 test rows"),
+        ({"data": {"n": 800}, "split": {"val_fraction": 0.001}},
+         "split.val_fraction: 0.001 of 800 rows yields 0 validation rows"),
+    ], ids=["trio-cells", "no-test-row", "no-validation-row"])
+    def test_split_sizes_checked_at_load(self, tmp_path, capsys, raw, message):
+        # Each used to load and then fail every run of a sweep; the empty
+        # validation split as "validation split: y_p lacks class(es) [0, 1]".
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            from_dict(raw)
+        path = config_json(tmp_path, **raw)
+        assert main(["sweep", "--config", str(path), "--jobs", "1"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("section, fields", [
         ("split", {"val_fraction": 0.1}),
@@ -468,11 +472,10 @@ class TestTrainCommand:
         assert str(info.value) == "validation split: y_p lacks class(es) [1] of k_p = 2"
 
     @pytest.mark.parametrize("metric", ["accuracy", "tpr"])
-    @pytest.mark.parametrize("positive", [None, 0])
-    def test_metrics_match_oracle(self, metric, positive):
+    def test_metrics_match_oracle(self, metric):
         # The metrics before class_rates replaced them, on the trained model's
-        # predictions; positive_class counts only in tpr mode.
-        cfg = small_config(utility_metric=metric, positive_class=positive)
+        # predictions; tpr scores the highest task class.
+        cfg = small_config(utility_metric=metric)
         splits = pipeline.seed_splits(cfg, 0)
         _, val_ds, test_ds = splits
         record, trained = pipeline.run_single(cfg, 1.0, 1.0, 0, splits=splits)
@@ -480,7 +483,7 @@ class TestTrainCommand:
         features = bundle.extractor.apply(test_ds.x)
         preds = np.argmax(bundle.classifier.apply(features), axis=1)
         if metric == "tpr":
-            pos = test_ds.k_y - 1 if positive is None else positive
+            pos = test_ds.k_y - 1
             utility = oracle.tpr(preds, test_ds.y, pos)
         else:
             pos = None
@@ -535,40 +538,28 @@ class TestTrainCommand:
                      "--seed", "0"]) == 1
         assert capsys.readouterr().err == f"error: {csv_path}:7: x2 must be finite, got nan\n"
 
-    def test_csv_positive_class_out_of_range_fails_before_training(self, tmp_path,
-                                                                  monkeypatch):
+    def test_csv_check_at_load_reads_only_labels(self, tmp_path, monkeypatch, capsys):
+        # Every y_p of 1 becomes 2, so the file's last row still holds a full
+        # feature vector while y_p class 1 of k_p = 3 has no row left.
         csv_path = tmp_path / "features.csv"
-        assert main(["gen-data", "--config", str(config_json(tmp_path)),
-                     "--out", str(csv_path)]) == 0
-        message = "positive_class: must be a task class index in [0, 2), got 7"
-        with pytest.raises(ConfigError, match=re.escape(message)):
-            from_dict({"data": str(csv_path), "utility_metric": "tpr", "positive_class": 7})
-        assert from_dict({"data": str(csv_path), "positive_class": 1}).positive_class == 1
-        cfg = small_config(data=str(csv_path), positive_class=7)
-        with pytest.raises(ConfigError, match=re.escape(message)):
-            cfg.validate()
-
-        def no_train(*args, **kwargs):
-            raise AssertionError("train must not run")
-
-        # A config built in code and never validated is caught before training.
-        monkeypatch.setattr(pipeline, "train", no_train)
-        with pytest.raises(ConfigError, match="positive_class"):
-            pipeline.run_single(cfg, 0.0, 0.0, 0)
-
-    def test_csv_positive_class_check_reads_only_labels(self, tmp_path, monkeypatch, capsys):
-        csv_path = tmp_path / "features.csv"
-        assert main(["gen-data", "--config", str(config_json(tmp_path)),
-                     "--out", str(csv_path)]) == 0
+        gen = config_json(tmp_path, data={"n": 300, "k_p": 3,
+                                          "joint": np.full((2, 2, 3), 1 / 12).tolist()})
+        assert main(["gen-data", "--config", str(gen), "--out", str(csv_path)]) == 0
+        lines = csv_path.read_text().splitlines()
+        csv_path.write_text("\n".join([lines[0]] + [re.sub(",1$", ",2", line)
+                                                    for line in lines[1:]]) + "\n")
 
         def no_full_parse(path):
             raise AssertionError("config load parsed the whole CSV")
 
+        monkeypatch.setattr(pipeline, "load_csv", no_full_parse)
         monkeypatch.setattr(data, "load_csv", no_full_parse)
-        path = config_json(tmp_path, data=str(csv_path), positive_class=2)
+        path = config_json(tmp_path, data=str(csv_path))
         assert main(["sweep", "--config", str(path), "--jobs", "1"]) == 1
-        assert capsys.readouterr().err.endswith(
-            "error: positive_class: must be a task class index in [0, 2), got 2\n")
+        assert capsys.readouterr().err == (
+            f"error: data: {csv_path}: y_p lacks class(es) [1] of k_p = 3; a dataset CSV "
+            "takes each class count from its largest label (at least 2) and needs a row "
+            "of every class\n")
         assert not (tmp_path / "out").exists()  # it failed at load
 
     def test_malformed_results_file_fails_before_training(self, tmp_path, monkeypatch, capsys):
@@ -618,10 +609,14 @@ class TestResultsFile:
         ("utility", "", "must be a finite number, got ''"),
         ("fairness_gap", "nan", "must be a finite number, got 'nan'"),
         ("val_loss", "-inf", "must be a finite number, got '-inf'"),
-    ], ids=["seed-x", "alpha-one", "utility-empty", "fairness_gap-nan", "val_loss-inf"])
+        ("utility", "ERROR", "must be a finite number, got 'ERROR'"),
+    ], ids=["seed-x", "alpha-one", "utility-empty", "fairness_gap-nan", "val_loss-inf",
+            "utility-ERROR"])
     def test_bad_field_fails_by_name(self, tmp_path, capsys, column, cell, message):
         # A seed "x" used to fail with no file or line; a nan metric loaded,
         # and analyze wrote a report.json that was not JSON before it failed.
+        # One ERROR cell among numbers used to load the row as a failed run,
+        # which train then rewrote as a whole ERROR row, dropping its numbers.
         path = config_json(tmp_path)
         out = tmp_path / "out"
         out.mkdir()
@@ -658,6 +653,27 @@ class TestResultsFile:
         with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
             pipeline.load_results(results)
         assert main(["analyze", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("content, message", [
+        ("alpha,beta,seed,utility,fairness_gap,attack_balanced_acc,val_loss\n"
+         f"0.0,0.0,0,{'1' * 200000},0.1,0.5,0.3\n".encode(),
+         "field larger than field limit (131072)"),
+        (b"\xff\xfe" + "alpha,beta\n".encode("utf-16-le"),
+         "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ], ids=["huge-field", "not-utf-8"])
+    def test_unreadable_file_names_path(self, tmp_path, capsys, content, message):
+        # The huge field ended in an uncaught csv traceback, and the decode
+        # error was printed without the path.
+        out = tmp_path / "out"
+        out.mkdir()
+        results = tmp_path / "results.csv"
+        results.write_bytes(content)
+        expected = f"{results}: {message}"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            pipeline.load_results(results)
+        assert main(["analyze", "--out", str(out), "--results", str(results)]) == 1
         assert capsys.readouterr().err == f"error: {expected}\n"
         assert not (out / "report.json").exists()
 
@@ -735,6 +751,19 @@ class TestSweep:
         if content is None:
             assert captured.err == f"error: data: {csv_path}: No such file or directory\n"
         assert not (tmp_path / "out" / "results.csv").exists()
+
+    def test_csv_split_sizes_fail_each_run_by_name(self, tmp_path, capsys):
+        # A CSV's row count is known only when a run loads it.
+        csv_path = tmp_path / "data.csv"
+        gen = config_json(tmp_path, data={"n": 30}, split={"test_mode": "as-is"})
+        assert main(["gen-data", "--config", str(gen), "--out", str(csv_path)]) == 0
+        path = config_json(tmp_path, data=str(csv_path),
+                           grid={"alphas": [0.0], "betas": [0.0, 1.0]})
+        assert main(["sweep", "--config", str(path), "--jobs", "1"]) == 1
+        message = ("ValueError: test_fraction: 0.2 of 30 rows yields 6 test rows, fewer than "
+                   "the 8 trio cells")
+        assert capsys.readouterr().err == "".join(
+            f"  FAILED (alpha=0, beta={beta}, seed=0): {message}\n" for beta in (0, 1))
 
     def test_small_grid_rows_and_determinism(self, tmp_path):
         path = config_json(tmp_path)

@@ -173,6 +173,17 @@ class TestMakeSplits:
         for da, db in zip(a, b):
             assert np.array_equal(da.x, db.x)
 
+    @pytest.mark.parametrize("split, message", [
+        (SplitSpec(test_mode="trio-balanced"),
+         "test_fraction: 0.2 of 30 rows yields 6 test rows, fewer than the 8 trio cells"),
+        (SplitSpec(test_fraction=0.01), "test_fraction: 0.01 of 30 rows yields 0 test rows"),
+        (SplitSpec(val_fraction=0.01), "val_fraction: 0.01 of 30 rows yields 0 validation rows"),
+    ], ids=["trio-cells", "no-test-row", "no-validation-row"])
+    def test_too_few_rows_names_fraction(self, split, message):
+        ds = generate(SyntheticSpec(n=30, joint=uniform_joint(), seed=15))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_splits(ds, split, seed=0)
+
     def test_invalid_fractions(self):
         ds = generate(SyntheticSpec(n=100, joint=uniform_joint(), seed=14))
         with pytest.raises(ValueError):

@@ -9,8 +9,7 @@ from conftest import MAIN_NETS, NETS, bundle_params, host_note
 from fairpriv import training
 from fairpriv.data import LabeledDataset, SyntheticSpec, generate
 from fairpriv.training import (EpochArrays, ModelBundle, TrainConfig, TrainingDivergedError,
-                               TrainState, alternating_epoch, build_bundle, objective, train,
-                               whole_batch)
+                               TrainState, alternating_epoch, build_bundle, objective, train)
 
 
 def toy_dataset(n=200, seed=0, d=6):
@@ -29,6 +28,13 @@ def small_cfg(**kw):
 def init_bundle(cfg, input_dim, ks=(2, 2, 2), seed=0):
     """The nets ``train`` starts a ``seed`` run from, for class counts ``ks``."""
     return build_bundle(cfg, np.random.SeedSequence(seed).spawn(5), input_dim, *ks)
+
+
+def whole_batch(ds, feature_dim):
+    """All of ``ds`` in its own order as one batch, for features of that width."""
+    arrays = EpochArrays(ds, feature_dim, max(len(ds), 1))
+    arrays.fill(np.arange(len(ds)))
+    return arrays.batch(slice(None))
 
 
 def snapshot(params):
