@@ -65,7 +65,7 @@ def check_grid(records: list, alphas: list, betas: list, seeds: list) -> None:
                          f"cells outside the grid: {extra[:20]}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CsrWeights:
     utility: float
     fairness: float
@@ -77,6 +77,10 @@ class CsrWeights:
         total = self.utility + self.fairness + self.privacy
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"utility + fairness + privacy: must sum to 1, got {total}")
+
+
+# The report's preference weightings: each goal weighed 0.6 in turn.
+CSR_WEIGHTS = (CsrWeights(0.6, 0.2, 0.2), CsrWeights(0.2, 0.6, 0.2), CsrWeights(0.2, 0.2, 0.6))
 
 
 @dataclass

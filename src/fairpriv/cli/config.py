@@ -8,9 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..analysis import CsrWeights, grid_values, group_label
-from ..data import (SplitSpec, SyntheticSpec, _check_fields, _is_int, _is_real,
-                    csv_class_counts, split_rows)
+from ..analysis import grid_values, group_label
+from ..data import (SplitSpec, SyntheticSpec, _check_fields, _errors_naming, _is_int,
+                    _is_real, csv_class_counts, split_rows)
 from ..training import TrainConfig
 
 
@@ -26,8 +26,6 @@ class ExperimentConfig:
     alphas: list = field(default_factory=grid_values)
     betas: list = field(default_factory=grid_values)
     seeds: list = field(default_factory=lambda: [0, 1, 2])
-    csr_weights: list = field(default_factory=lambda: [
-        CsrWeights(0.6, 0.2, 0.2), CsrWeights(0.2, 0.6, 0.2), CsrWeights(0.2, 0.2, 0.6)])
     utility_metric: str = "accuracy"  # or "tpr": the TPR of the highest task class
     attacker_iters: int = 2000
     output_dir: str = "results"
@@ -44,8 +42,6 @@ class ExperimentConfig:
             _as_config_error("data: ", csv_class_counts, self.data)
             _as_config_error("split.", self.split.validate)
         _as_config_error("train.", self.train.validate)
-        for w in self.csr_weights:
-            _as_config_error("csr_weights: ", w.validate)
         _as_config_error("", self._validate_top_level)
 
     def _validate_top_level(self) -> None:
@@ -145,10 +141,7 @@ def _parse_data(raw, default: SyntheticSpec) -> SyntheticSpec | str:
 def from_dict(raw: dict) -> ExperimentConfig:
     cfg = default_config()
     plain = ("seeds", "utility_metric", "attacker_iters", "output_dir")
-    retired = sorted({"correlations_over_seed_medians", "csr_over_seed_medians"} & set(raw))
-    if retired:
-        raise ConfigError(f"{retired[0]}: removed; the report always holds both tradeoff views")
-    unknown = set(raw) - {"data", "split", "train", "grid", "csr_weights", *plain}
+    unknown = set(raw) - {"data", "split", "train", "grid", *plain}
     if unknown:
         raise ConfigError(f"unknown field(s): {sorted(unknown)}")
     for name in ("split", "train"):
@@ -170,12 +163,6 @@ def from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigError("grid: expected \"default\" or {alphas: [...], betas: [...]}")
         cfg.alphas = grid.get("alphas", grid_values())
         cfg.betas = grid.get("betas", grid_values())
-    if "csr_weights" in raw:
-        try:
-            cfg.csr_weights = [CsrWeights(*w) for w in raw["csr_weights"]]
-        except TypeError:
-            raise ConfigError(f"csr_weights: must be a list of [utility, fairness, privacy] "
-                              f"triples, got {raw['csr_weights']!r}") from None
     for key in plain:
         if key in raw:
             setattr(cfg, key, raw[key])
@@ -186,14 +173,14 @@ def from_dict(raw: dict) -> ExperimentConfig:
         cfg.data.joint = np.asarray(cfg.data.joint, float).tolist()
     cfg.alphas = [float(v) for v in cfg.alphas]
     cfg.betas = [float(v) for v in cfg.betas]
-    cfg.csr_weights = [CsrWeights(*map(float, dataclasses.astuple(w)))
-                       for w in cfg.csr_weights]
     return cfg
 
 
 def load_config(path) -> ExperimentConfig:
+    """The config in the UTF-8 JSON file ``path``; a read, decode or JSON error
+    starts with ``path``."""
     try:
-        with open(path) as fh:
+        with _errors_naming(path), open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from None

@@ -13,9 +13,9 @@ import os
 import numpy as np
 
 from ..analysis import METRICS, RunRecord
-from ..data import LabeledDataset, _errors_naming, generate, load_csv, make_splits
-from ..evaluation import (MetricTriple, attack_accuracy, class_counts, fit_attacker,
-                          utility_and_gap)
+from ..data import (LabeledDataset, _errors_naming, class_counts, generate, load_csv,
+                    make_splits)
+from ..evaluation import MetricTriple, attack_accuracy, fit_attacker, utility_and_gap
 from ..training import TrainedModel, check_run_key, train
 from .config import ExperimentConfig
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analysis import (METRICS, HeatmapGrid, best_csr, csr, group_label, heatmap,
-                        metric_values, normalize, seed_medians, tradeoff_correlations)
+from ..analysis import (CSR_WEIGHTS, METRICS, HeatmapGrid, best_csr, csr, group_label,
+                        heatmap, metric_values, normalize, seed_medians,
+                        tradeoff_correlations)
 
 
 def fmt_pct(v: float) -> str:
@@ -48,14 +49,14 @@ def _fmt_corr(v: float | None) -> str:
     return "undefined" if v is None else f"{v:.2f}"
 
 
-def tradeoff_table(records, csr_weights) -> dict | None:
-    """Correlations and best CSR per weighting; None below two records, which
-    leave nothing to correlate."""
+def tradeoff_table(records) -> dict | None:
+    """Correlations and best CSR per weighting of CSR_WEIGHTS; None below two
+    records, which leave nothing to correlate."""
     if len(records) < 2:
         return None
     corr = tradeoff_correlations(records)
     entries = []
-    for w in csr_weights:
+    for w in CSR_WEIGHTS:
         top = best_csr(records, w)
         entries.append({
             "weights": [w.utility, w.fairness, w.privacy],
@@ -72,11 +73,12 @@ def tradeoff_table(records, csr_weights) -> dict | None:
     }
 
 
-def run_table(records, csr_weights) -> list:
-    """Per-run rows with group labels, normalized metrics, and CSR scores."""
+def run_table(records) -> list:
+    """Per-run rows with group labels, normalized metrics, and CSR scores
+    under CSR_WEIGHTS."""
     norms = {name: normalize(records, name) for name in METRICS}
     scores = {f"{w.utility:g}/{w.fairness:g}/{w.privacy:g}": csr(records, w)
-              for w in csr_weights}
+              for w in CSR_WEIGHTS}
     rows = []
     for r in sorted(records, key=lambda r: r.key):
         rows.append({
@@ -92,10 +94,9 @@ def run_table(records, csr_weights) -> list:
 def build_report(records, config, k_p: int) -> dict:
     return {
         "single_metrics": single_metric_table(records, config.utility_metric, k_p),
-        "tradeoffs": tradeoff_table(records, config.csr_weights),
-        "tradeoffs_over_seed_medians": tradeoff_table(seed_medians(records),
-                                                      config.csr_weights),
-        "runs": run_table(records, config.csr_weights),
+        "tradeoffs": tradeoff_table(records),
+        "tradeoffs_over_seed_medians": tradeoff_table(seed_medians(records)),
+        "runs": run_table(records),
     }
 
 

@@ -182,6 +182,20 @@ def one_hot(labels: np.ndarray, k: int) -> Matrix:
     return out
 
 
+def class_counts(labels, k: int, name: str) -> np.ndarray:
+    """Rows of each class ``[0, k)`` in ``labels``. A label outside that
+    range, or a class with no row, is an error naming ``name``, which ends in
+    the label's name (y, y_a or y_p; its class count is k_y, k_a or k_p)."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if np.any((labels < 0) | (labels >= k)):
+        raise ValueError(f"{name} has labels outside [0, {k})")
+    counts = np.bincount(labels, minlength=k)
+    missing = np.flatnonzero(counts == 0).tolist()
+    if missing:
+        raise ValueError(f"{name} lacks class(es) {missing} of k_{name[-1]} = {k}")
+    return counts
+
+
 def sample_labels(joint: np.ndarray, n: int, seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw n i.i.d. label triples from a categorical joint table."""
     joint = np.asarray(joint, dtype=np.float64)
@@ -305,14 +319,12 @@ def _class_counts(where: str, columns, least=(2, 2, 2)) -> tuple[int, int, int]:
     so every CSV that loads, or that :func:`save_csv` writes, keeps all its classes."""
     if not len(columns[0]):
         raise ValueError(f"{where}no data rows")
-    counts = [np.bincount(column, minlength=k) for column, k in zip(columns, least)]
-    for name, rows in zip(_LABELS, counts):
-        missing = np.flatnonzero(rows == 0).tolist()
-        if missing:
-            raise ValueError(f"{where}{name} lacks class(es) {missing} of k_{name[-1]} = "
-                             f"{rows.size}; a dataset CSV takes each class count from its "
-                             "largest label (at least 2) and needs a row of every class")
-    return tuple(rows.size for rows in counts)
+    try:
+        return tuple(len(class_counts(column, max(k, int(column.max()) + 1), name))
+                     for column, k, name in zip(columns, least, _LABELS))
+    except ValueError as exc:
+        raise ValueError(f"{where}{exc}; a dataset CSV takes each class count from its "
+                         "largest label (at least 2) and needs a row of every class") from None
 
 
 def save_csv(ds: LabeledDataset, path) -> None:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import one_hot
+from .data import class_counts, one_hot
 from .learncore import Matrix
 
 
@@ -20,20 +20,6 @@ class MetricTriple:
     utility: float
     fairness_gap: float
     attack_balanced_acc: float
-
-
-def class_counts(labels, k: int, name: str) -> np.ndarray:
-    """Rows of each class ``[0, k)`` in ``labels``. A label outside that
-    range, or a class with no row, is an error naming ``name``, which ends in
-    the label's name (y, y_a or y_p; its class count is k_y, k_a or k_p)."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if np.any((labels < 0) | (labels >= k)):
-        raise ValueError(f"{name} has labels outside [0, {k})")
-    counts = np.bincount(labels, minlength=k)
-    missing = np.flatnonzero(counts == 0).tolist()
-    if missing:
-        raise ValueError(f"{name} lacks class(es) {missing} of k_{name[-1]} = {k}")
-    return counts
 
 
 def class_rates(labels, hits, k: int, name: str) -> np.ndarray:
@@ -96,7 +82,7 @@ def inverse_frequency_weights(labels, k: int) -> np.ndarray:
 
 
 def fit_multinomial_logistic(x: Matrix, labels, k: int, class_weights,
-                             iters: int, lr: float) -> tuple[Matrix, Matrix]:
+                             iters: int) -> tuple[Matrix, Matrix]:
     """Full-batch gradient descent on weighted cross entropy from zero init.
 
     Deterministic. Returns (weights, bias) bitwise equal to those after
@@ -104,7 +90,7 @@ def fit_multinomial_logistic(x: Matrix, labels, k: int, class_weights,
     repeats. The gradient step is taken on the weight-normalized loss,
     matching the training-loss convention. ``x`` needs at least one row and
     ``k`` at least 2 classes; every label must lie in ``[0, k)``, every class
-    weight and ``lr`` be finite and > 0, and ``iters`` be at least 1.
+    weight be finite and > 0, and ``iters`` be at least 1.
 
     A step is a pure function of the parameter bytes: every scratch buffer
     is overwritten in each step, and the BLAS products are deterministic
@@ -141,7 +127,7 @@ def fit_multinomial_logistic(x: Matrix, labels, k: int, class_weights,
 
         z = x @ weights + bias;  p = softmax(z)
         dz = (p - target) * row_w / total_w
-        weights -= lr * (x.T @ dz);  bias -= lr * dz.sum(axis=0)
+        weights -= x.T @ dz;  bias -= dz.sum(axis=0)
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -159,8 +145,6 @@ def fit_multinomial_logistic(x: Matrix, labels, k: int, class_weights,
         raise ValueError("x: no rows to fit on")
     if iters < 1:
         raise ValueError(f"iters: must be at least 1, got {iters}")
-    if not (np.isfinite(lr) and lr > 0):
-        raise ValueError(f"lr: must be a finite number > 0, got {lr!r}")
     n, d = x.shape
     row_w = w[y]
     total_w = row_w[:, None].sum()
@@ -194,7 +178,6 @@ def fit_multinomial_logistic(x: Matrix, labels, k: int, class_weights,
             z /= total_w
             np.matmul(x.T, z.T, out=grad_w)
             np.matmul(z, ones_col, out=grad_b)
-            grads *= lr
             params -= grads
             t += 1
             state = params.tobytes()
@@ -203,7 +186,7 @@ def fit_multinomial_logistic(x: Matrix, labels, k: int, class_weights,
             elif 8 * (t - saved_at) > saved_at:
                 saved, saved_at = state, t
     if not np.all(np.isfinite(params)):
-        raise FloatingPointError(f"logistic fit diverged at step size {lr!r}")
+        raise FloatingPointError("logistic fit diverged")
     return weights, bias
 
 
@@ -225,7 +208,7 @@ def fit_attacker(val_features: Matrix, val_y, val_yp, iters: int = 2000, *,
     spread = z.std(axis=0)
     spread[spread == 0.0] = 1.0
     weights_std, bias_std = fit_multinomial_logistic(
-        (z - center) / spread, val_yp, k_p, class_weights, iters, lr=1.0)
+        (z - center) / spread, val_yp, k_p, class_weights, iters)
     weights = weights_std / spread[:, None]
     bias = bias_std - (center / spread) @ weights_std
     return LinearAttacker(weights, bias, k_y)

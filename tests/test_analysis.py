@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fairpriv.analysis import (METRICS, CsrWeights, RunRecord, best_csr, check_grid, csr,
-                               grid_values, group_label, heatmap, normalize, pearson,
-                               seed_medians, tradeoff_correlations)
+from fairpriv.analysis import (CSR_WEIGHTS, METRICS, CsrWeights, RunRecord, best_csr,
+                               check_grid, csr, grid_values, group_label, heatmap, normalize,
+                               pearson, seed_medians, tradeoff_correlations)
 from fairpriv.evaluation import MetricTriple
 
 
@@ -156,6 +156,12 @@ class TestCsr:
         records = random_records(rng)
         scores = csr(records, CsrWeights(0.2, 0.2, 0.6))
         assert all(-1e-9 <= s <= 100 + 1e-9 for s in scores.values())
+
+    def test_report_weightings_weigh_each_goal_0_6_in_turn(self):
+        assert [dataclasses.astuple(w) for w in CSR_WEIGHTS] == [
+            (0.6, 0.2, 0.2), (0.2, 0.6, 0.2), (0.2, 0.2, 0.6)]
+        for w in CSR_WEIGHTS:
+            w.validate()
 
     def test_invalid_weights(self):
         with pytest.raises(ValueError):

@@ -26,9 +26,9 @@ import test_evaluation as oracle
 from conftest import bundle_params
 
 
-def diverging_fit(x, labels, k, class_weights, iters, lr):
+def diverging_fit(x, labels, k, class_weights, iters):
     """Stands in for fit_multinomial_logistic; fails as its non-finite guard does."""
-    raise FloatingPointError(f"logistic fit diverged at step size {lr!r}")
+    raise FloatingPointError("logistic fit diverged")
 
 
 def small_config(**overrides):
@@ -79,9 +79,6 @@ class TestConfig:
         cfg = default_config()
         cfg.validate()
         assert len(cfg.alphas) == 11 and len(cfg.seeds) == 3
-        assert [tuple(np.round([w.utility, w.fairness, w.privacy], 3))
-                for w in cfg.csr_weights] == [(0.6, 0.2, 0.2), (0.2, 0.6, 0.2),
-                                              (0.2, 0.2, 0.6)]
 
     def test_load_round_trip(self, tmp_path):
         path = config_json(tmp_path)
@@ -89,6 +86,38 @@ class TestConfig:
         assert cfg.alphas == [0.0, 1.0]
         assert cfg.split.undersample_factor == 0.25
         assert cfg.train.epochs == 6
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "No such file or directory"),
+        (b"\xff\xfe" + '{"seeds": [0]}'.encode("utf-16-le"),
+         "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ], ids=["missing", "not-utf-8"])
+    def test_unreadable_config_names_path(self, tmp_path, capsys, content, message):
+        # The decode error was printed without the path.
+        path = tmp_path / "bad.json"
+        if content is not None:
+            path.write_bytes(content)
+        expected = f"{path}: {message}"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            load_config(path)
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_config_read_as_utf8_under_an_ascii_locale(self, tmp_path):
+        # The file used to be decoded with the locale's encoding, so under
+        # LC_ALL=C a UTF-8 "é" failed as an uncaught UnicodeDecodeError.
+        path = tmp_path / "config.json"
+        path.write_bytes('{"output_dir": "rés"}'.encode("utf-8"))
+        src = Path(pipeline.__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONUTF8="0", LC_ALL="C", PYTHONPATH=os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from fairpriv.cli.config import load_config; "
+             "print(ascii(load_config(sys.argv[1]).output_dir))", str(path)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "'r\\xe9s'\n"
 
     def test_invalid_joint_names_field(self, tmp_path):
         path = config_json(tmp_path, data={"kind": "synthetic", "n": 100,
@@ -123,22 +152,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="attacker_iters"):
             from_dict({"attacker_iters": value})
 
-    @pytest.mark.parametrize("key", ["attacker_lr", "positive_class"])
-    @pytest.mark.parametrize("value", [1.0, 0.5, 1e308, float("nan"), "1", False, 1, None],
-                             ids=repr)
-    def test_removed_key_fails_at_load_by_name(self, key, value):
-        # The attacker's step size is fixed at 1.0, and under "tpr" the utility is
-        # the TPR of the highest task class; neither is a setting any more.
-        with pytest.raises(ConfigError, match=rf"^unknown field\(s\): \['{key}'\]$"):
-            from_dict({key: value})
-        assert key not in {f.name for f in dataclasses.fields(ExperimentConfig)}
-
-    @pytest.mark.parametrize("key", ["csr_over_seed_medians",
+    @pytest.mark.parametrize("key", ["attacker_lr", "positive_class", "csr_weights",
+                                     "csr_over_seed_medians",
                                      "correlations_over_seed_medians"])
-    @pytest.mark.parametrize("value", [True, False])
-    def test_removed_seed_median_flags_fail_by_name(self, key, value):
-        # Both tradeoff views are always in the report; the switches are gone.
-        with pytest.raises(ConfigError, match=f"^{key}: removed; .* both tradeoff views"):
+    @pytest.mark.parametrize("value", [1.0, 0.5, 1e308, float("nan"), "1", False, 1, None,
+                                       True, [[1, 0, 0]]], ids=repr)
+    def test_removed_key_fails_at_load_by_name(self, key, value):
+        # The attacker's step size is fixed at 1.0, under "tpr" the utility is
+        # the TPR of the highest task class, the report ranks by the three
+        # CSR_WEIGHTS, and it always holds both tradeoff views; none of these is
+        # a setting any more.
+        with pytest.raises(ConfigError, match=rf"^unknown field\(s\): \['{key}'\]$"):
             from_dict({key: value})
         assert key not in {f.name for f in dataclasses.fields(ExperimentConfig)}
 
@@ -170,7 +194,6 @@ class TestConfig:
         ("seeds", 3),
         ("seeds", [-1]),
         ("grid.alphas", ["x"]),
-        ("csr_weights", [["a", 0, 0]]),
         ("output_dir", 5),
         ("train.alpha", 1.0),
         ("train.dropout", 0.5),
@@ -411,7 +434,7 @@ class TestTrainCommand:
         rc = main(["train", "--config", str(config_json(tmp_path)), "--alpha", "0",
                    "--beta", "0", "--seed", "0", "--out", str(tmp_path / "out")])
         assert rc == 1
-        assert capsys.readouterr().err == "error: logistic fit diverged at step size 1.0\n"
+        assert capsys.readouterr().err == "error: logistic fit diverged\n"
         assert not (tmp_path / "out" / "results.csv").exists()
 
     @pytest.mark.parametrize("flag, value, message", [
@@ -959,7 +982,7 @@ class TestSweep:
                      "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert ("FAILED (alpha=0, beta=0, seed=0): FloatingPointError: "
-                "logistic fit diverged at step size 1.0\n") in err
+                "logistic fit diverged\n") in err
         assert "Traceback" not in err
 
     def test_cli_import_leaves_process_pool_out(self):
@@ -1110,10 +1133,9 @@ class TestAnalyze:
         records = synthetic_records([0.0, 0.1, 1.0], [0.0, 1.0], [0, 1, 2],
                                     np.random.default_rng(3))
         cfg = small_config()
-        w = cfg.csr_weights
         rep = report.build_report(records, cfg, k_p=2)
-        assert rep["tradeoffs"] == report.tradeoff_table(records, w)
-        assert rep["tradeoffs_over_seed_medians"] == report.tradeoff_table(seed_medians(records), w)
+        assert rep["tradeoffs"] == report.tradeoff_table(records)
+        assert rep["tradeoffs_over_seed_medians"] == report.tradeoff_table(seed_medians(records))
         assert rep["tradeoffs_over_seed_medians"] != rep["tradeoffs"]
         pooled, medians = report.text_tables(rep).split("\nTradeoffs over seed medians\n")
         assert "\nTradeoffs\n" in pooled
@@ -1154,7 +1176,7 @@ class TestAnalyze:
         records, _ = pipeline.load_results(out / "results.csv")
         assert main(["analyze", "--config", str(path), "--out", str(out)]) == 0
         rep = json.loads((out / "report.json").read_text())
-        pooled = report.tradeoff_table(records, cfg.csr_weights)
+        pooled = report.tradeoff_table(records)
         assert rep["tradeoffs"] == json.loads(json.dumps(pooled))
         assert rep["tradeoffs_over_seed_medians"] is None
         tables = (out / "tables.txt").read_text()

@@ -58,7 +58,7 @@ class TestGenerate:
         mu, sd = ds.x.mean(0), ds.x.std(0)
         fit = slice(0, 2500)
         w, b = fit_multinomial_logistic((ds.x[fit] - mu) / sd, ds.y[fit], 2,
-                                        np.ones(2), 1500, 1.0)
+                                        np.ones(2), 1500)
         preds = np.argmax(((ds.x[2500:] - mu) / sd) @ w + b, axis=1)
         assert np.mean(preds == ds.y[2500:]) > 0.95
 
