@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from ..analysis import check_grid
-from ..data import csv_class_counts, save_csv
+from ..data import csv_shape, save_csv
 from ..training import TrainingDivergedError
 from . import pipeline, report
 from .config import ConfigError, ExperimentConfig, from_dict, load_config
@@ -73,7 +73,7 @@ def cmd_analyze(args) -> int:
     if failed:
         raise ValueError(f"{results_path}: error-marker rows for cells {failed}")
     check_grid(records, sorted(config.alphas), sorted(config.betas), sorted(config.seeds))
-    k_p = csv_class_counts(config.data)[2] if isinstance(config.data, str) else config.data.k_p
+    k_p = csv_shape(config.data)[1][2] if isinstance(config.data, str) else config.data.k_p
     rep = report.build_report(records, config, k_p=k_p)
     report_path = out / "report.json"
     report_path.write_text(json.dumps(rep, indent=2, sort_keys=True) + "\n")
@@ -86,6 +86,11 @@ def cmd_analyze(args) -> int:
         svg_path.write_text(report.heatmap_svg(grid))
         print(f"heatmap -> {svg_path}")
     return 0
+
+
+def grid_float(text: str) -> float:
+    """``float(text)``, with -0 read as 0.0, as ``from_dict`` stores the grid."""
+    return float(text) + 0.0
 
 
 def positive_int(text: str) -> int:
@@ -111,8 +116,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train and evaluate one configuration")
     common(p)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--alpha", type=grid_float, required=True)
+    p.add_argument("--beta", type=grid_float, required=True)
     p.add_argument("--seed", type=int, required=True)
 
     p = sub.add_parser("sweep", help="run the full (alpha, beta) x seeds grid")

@@ -59,14 +59,18 @@ def _read_net(fh) -> Mlp:
 
 
 def load_bundle(path) -> ModelBundle:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise ValueError(f"{path}: not a model bundle (bad magic {magic!r})")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
-        if version != VERSION:
-            raise ValueError(f"{path}: unsupported format version {version}")
-        nets = [_read_net(fh) for _ in range(4)]
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after bundle")
-    return ModelBundle(*nets)
+    """The bundle in ``path``; every error in its contents starts with ``path``."""
+    try:
+        with open(path, "rb") as fh:
+            magic = fh.read(len(MAGIC))
+            if magic != MAGIC:
+                raise ValueError(f"not a model bundle (bad magic {magic!r})")
+            (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
+            if version != VERSION:
+                raise ValueError(f"unsupported format version {version}")
+            nets = [_read_net(fh) for _ in range(4)]
+            if fh.read(1):
+                raise ValueError("trailing bytes after bundle")
+        return ModelBundle(*nets)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

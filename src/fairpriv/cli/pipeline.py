@@ -190,7 +190,7 @@ def load_results(path) -> tuple[list[RunRecord], list[tuple]]:
     be read (missing, not UTF-8, rejected by the csv module) as ``path: ...``.
     """
     records, failed, lines = [], [], {}  # lines: each key's first line
-    with _errors_naming(path), open(path, newline="", encoding="utf-8") as fh:
+    with _errors_naming(path), open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != RESULTS_HEADER:

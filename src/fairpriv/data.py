@@ -350,7 +350,7 @@ def _errors_naming(path):
 def _csv_rows(path):
     """``(line, feature fields, (y, y_a, y_p))`` for each row of a dataset CSV, its header,
     field count and labels (integers >= 0) checked; every error names the path."""
-    with _errors_naming(path), open(path, newline="", encoding="utf-8") as fh:
+    with _errors_naming(path), open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -374,7 +374,7 @@ def _csv_rows(path):
 
 
 def load_csv(path) -> LabeledDataset:
-    """A dataset CSV, checked as :func:`csv_class_counts` checks it, with finite features."""
+    """A dataset CSV, checked as :func:`csv_shape` checks it, with finite features."""
     xs, labels = [], []
     for line, features, row_labels in _csv_rows(path):
         try:
@@ -390,8 +390,8 @@ def load_csv(path) -> LabeledDataset:
     return LabeledDataset(x, *columns, k_y=k_y, k_a=k_a, k_p=k_p)
 
 
-def csv_class_counts(path) -> tuple[int, int, int]:
-    """The (k_y, k_a, k_p) of ``load_csv(path)``, after all its checks but the
-    feature values': the feature fields are split but not parsed."""
-    labels = [row_labels for _, _, row_labels in _csv_rows(path)]
-    return _class_counts(f"{path}: ", np.array(labels, dtype=np.int64).reshape(-1, 3).T)
+def csv_shape(path) -> tuple[int, tuple[int, int, int]]:
+    """The row count and (k_y, k_a, k_p) of ``load_csv(path)``, after all its checks
+    but the feature values': the feature fields are split but not parsed."""
+    labels = np.array([row_labels for _, _, row_labels in _csv_rows(path)], dtype=np.int64)
+    return len(labels), _class_counts(f"{path}: ", labels.reshape(-1, 3).T)

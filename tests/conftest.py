@@ -12,8 +12,8 @@ from fairpriv.data import SplitSpec, SyntheticSpec, make_splits
 def reference_config() -> ExperimentConfig:
     """The synthetic reference setup used by the acceptance suite.
 
-    Pinned explicitly rather than via default_config so the acceptance tests
-    do not drift with library defaults.
+    Pinned explicitly rather than via ``ExperimentConfig()``'s defaults so the
+    acceptance tests do not drift with library defaults.
     """
     return ExperimentConfig(
         data=SyntheticSpec(n=8000, d_y=4, d_a=4, d_p=4, d_noise=8,

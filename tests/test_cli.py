@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import re
 import struct
@@ -12,15 +13,16 @@ import numpy as np
 import pytest
 
 from fairpriv.analysis import METRICS, RunRecord, grid_values, seed_medians
-from fairpriv.cli import main, pipeline, report
-from fairpriv.cli.config import (ConfigError, ExperimentConfig, default_config,
-                                 from_dict, load_config, mild_correlation_joint)
+from fairpriv.cli import config, main, pipeline, report
+from fairpriv.cli.config import (ConfigError, ExperimentConfig, from_dict, load_config,
+                                 mild_correlation_joint)
 from fairpriv.cli.modelio import MAGIC, VERSION, load_bundle, save_bundle
 from fairpriv import data, evaluation
 from fairpriv.data import (LabeledDataset, SplitSpec, SyntheticSpec, load_csv,
                           make_splits)
 from fairpriv.evaluation import MetricTriple, fit_attacker
-from fairpriv.training import TrainConfig
+from fairpriv.learncore import Mlp
+from fairpriv.training import ModelBundle, TrainConfig
 
 import test_evaluation as oracle
 from conftest import bundle_params
@@ -76,9 +78,11 @@ def config_json(tmp_path, **kw):
 
 class TestConfig:
     def test_defaults_valid(self):
-        cfg = default_config()
+        cfg = ExperimentConfig()
         cfg.validate()
         assert len(cfg.alphas) == 11 and len(cfg.seeds) == 3
+        assert cfg.split.train_mode == "exacerbated" and cfg.utility_metric == "tpr"
+        assert not hasattr(config, "default_config")  # the class defaults are the defaults
 
     def test_load_round_trip(self, tmp_path):
         path = config_json(tmp_path)
@@ -119,6 +123,19 @@ class TestConfig:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "'r\\xe9s'\n"
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # It used to fail as "not valid JSON (Unexpected UTF-8 BOM ...)".
+        plain, marked = config_json(tmp_path), tmp_path / "bom.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load_config(marked) == load_config(plain)
+
+    @pytest.mark.parametrize("grid", [{"alphas": [-0.0]}, {"alphas": [1.0], "betas": [-0.0]}])
+    def test_negative_zero_grid_value_stored_as_zero(self, grid):
+        # -0.0 used to reach results.csv and report.json as "-0.0".
+        cfg = from_dict({"grid": grid})
+        assert [math.copysign(1.0, v) for v in cfg.alphas + cfg.betas] \
+            == [1.0] * len(cfg.alphas + cfg.betas)
+
     def test_invalid_joint_names_field(self, tmp_path):
         path = config_json(tmp_path, data={"kind": "synthetic", "n": 100,
                                            "joint": [[[0.5, 0.5], [0.5, 0.5]],
@@ -135,10 +152,15 @@ class TestConfig:
             from_dict({"grid": {"alphas": [0.07], "betas": [0.0]}})
 
     def test_csv_data_config(self, tmp_path):
+        # A CSV source is its path string; the {"kind": "csv", "path": ...}
+        # spelling it once also had fails at load and names the string form.
         path = str(tmp_path / "feats.csv")
         assert main(["gen-data", "--config", str(config_json(tmp_path)), "--out", path]) == 0
-        cfg = from_dict({"data": {"kind": "csv", "path": path}})
-        assert cfg.data == path
+        assert from_dict({"data": path}).data == path
+        with pytest.raises(ConfigError, match="^" + re.escape(
+                "data.kind: must be 'synthetic', got 'csv'; a CSV source is written as "
+                "its path string") + "$"):
+            from_dict({"data": {"kind": "csv", "path": path}})
 
     def test_csv_without_fairpriv_header_fails_at_load(self, tmp_path):
         path = tmp_path / "other.csv"
@@ -201,19 +223,16 @@ class TestConfig:
         ("train.select_by", "classifier-ce"),  # removed: selection is by classifier CE
         ("split.shuffle", True),
         ("data.k_z", 2),
-        ("data.n", {"kind": "csv", "path": "d.csv", "n": 100, "seed": 3}),
-        ("data.path", {"kind": "csv", "path": 5}),
+        ("data.kind", {"kind": "csv", "path": "d.csv"}),
         ("data.d_y", 1),
         ("data", "missing.csv"),
-        ("data", {"kind": "csv", "path": "missing.csv"}),
     ], ids=lambda v: (v.removeprefix("train.") if isinstance(v, str)
                       else v["kind"] if isinstance(v, dict) else None))
     def test_bad_train_field_rejected_at_load(self, tmp_path, capsys, field, value):
         # Each of these used to load and then fail every sweep cell, load as
-        # something else (seeds [1.5] as [1], a CSV path 5 as "5", a CSV
-        # section's n dropped), or escape as a bare TypeError. A dict value is
-        # the whole data section. (IDs drop "train." to stay those of the rows
-        # the table began with.)
+        # something else (seeds [1.5] as [1]), or escape as a bare TypeError. A
+        # dict value is the whole data section. (IDs drop "train." to stay those
+        # of the rows the table began with.)
         path = config_json(tmp_path)
         raw = json.loads(path.read_text())
         *section, key = field.split(".")
@@ -235,10 +254,16 @@ class TestConfig:
          "split.test_fraction: 0.001 of 800 rows yields 0 test rows"),
         ({"data": {"n": 800}, "split": {"val_fraction": 0.001}},
          "split.val_fraction: 0.001 of 800 rows yields 0 validation rows"),
-    ], ids=["trio-cells", "no-test-row", "no-validation-row"])
-    def test_split_sizes_checked_at_load(self, tmp_path, capsys, raw, message):
+        ({"data": "rows30.csv"},
+         "split.test_fraction: 0.2 of 30 rows yields 6 test rows, fewer than the 8 trio cells"),
+    ], ids=["trio-cells", "no-test-row", "no-validation-row", "csv"])
+    def test_split_sizes_checked_at_load(self, tmp_path, monkeypatch, capsys, raw, message):
         # Each used to load and then fail every run of a sweep; the empty
-        # validation split as "validation split: y_p lacks class(es) [0, 1]".
+        # validation split as "validation split: y_p lacks class(es) [0, 1]",
+        # and the CSV, whose rows were counted only when a run loaded it, as
+        # one "FAILED ... ValueError: test_fraction: ..." line per run.
+        monkeypatch.chdir(tmp_path)
+        data.save_csv(data.generate(SyntheticSpec(n=30)), "rows30.csv")
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             from_dict(raw)
         path = config_json(tmp_path, **raw)
@@ -258,7 +283,7 @@ class TestConfig:
     def test_partial_section_keeps_the_other_defaults(self, section, fields):
         # split and data sections used to start from the class defaults: an
         # as-is train split, no undersampling, and a uniform joint.
-        cfg, expected = from_dict({section: fields}), default_config()
+        cfg, expected = from_dict({section: fields}), ExperimentConfig()
         for name, value in fields.items():
             if name != "kind":
                 setattr(getattr(expected, section), name, value)
@@ -275,20 +300,20 @@ class TestConfig:
     def test_data_section_without_n_uses_default_n(self):
         # It used to fail with SyntheticSpec's "missing 1 required positional
         # argument: 'n'".
-        assert from_dict({"data": {"seed": 4}}).data.n == default_config().data.n
+        assert from_dict({"data": {"seed": 4}}).data.n == ExperimentConfig().data.n
 
     def test_readme_example_loads_to_defaults(self):
-        cfg, default = from_dict(readme_config()), default_config()
+        cfg, default = from_dict(readme_config()), ExperimentConfig()
         assert np.allclose(cfg.data.joint, default.data.joint)
         cfg.data.joint = default.data.joint
         assert cfg == default
 
     def test_configs_compare_by_value(self):
-        # The joint is nested lists both in default_config and after a load, so
-        # == compares values instead of asking an array for its truth value.
-        assert from_dict({}) == default_config()
+        # The joint is nested lists both in ExperimentConfig() and after a load,
+        # so == compares values instead of asking an array for its truth value.
+        assert from_dict({}) == ExperimentConfig()
         assert from_dict(readme_config()) == from_dict(readme_config())
-        assert from_dict({"data": {"joint": None}}) != default_config()
+        assert from_dict({"data": {"joint": None}}) != ExperimentConfig()
 
     # A valid value for each TrainConfig field, other than its default and
     # than the base run's 2 epochs.
@@ -347,6 +372,16 @@ class TestGenData:
             "count from its largest label (at least 2) and needs a row of every class\n")
         assert not out.exists()
 
+    def test_csv_config_has_nothing_to_generate(self, tmp_path, capsys):
+        csv_path = tmp_path / "d.csv"
+        assert main(["gen-data", "--config", str(config_json(tmp_path)),
+                     "--out", str(csv_path)]) == 0
+        path = config_json(tmp_path, data=str(csv_path))
+        assert main(["gen-data", "--config", str(path), "--out", str(tmp_path / "e.csv")]) == 1
+        assert capsys.readouterr().err == ("error: data: config points at a CSV; "
+                                           "nothing to generate\n")
+        assert not (tmp_path / "e.csv").exists()
+
     def test_row_and_column_counts(self, tmp_path):
         path = config_json(tmp_path)
         out = tmp_path / "d.csv"
@@ -389,6 +424,18 @@ class TestTrainCommand:
         rows = first.decode().splitlines()
         assert len(rows) == 3  # header, the trained cell, the kept ERROR row
         assert rows[1].startswith("0.0,0.0,0,") and rows[2].startswith("1.0,1.0,0,ERROR")
+
+    def test_negative_zero_key_is_the_zero_key(self, tmp_path):
+        # --alpha -0 used to rewrite the sweep's "0.0,0.0,0" row as "-0.0,0.0,0"
+        # and save model_a-0_b0_s0.bin.
+        path = config_json(tmp_path, grid={"alphas": [0.0], "betas": [0.0]})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--jobs", "1"]) == 0
+        swept = (out / "results.csv").read_bytes()
+        assert main(["train", "--config", str(path), "--alpha", "-0", "--beta", "-0.0",
+                     "--seed", "0"]) == 0
+        assert (out / "results.csv").read_bytes() == swept
+        assert sorted(p.name for p in out.iterdir()) == ["model_a0_b0_s0.bin", "results.csv"]
 
     @staticmethod
     def declared_nets(path):
@@ -527,12 +574,28 @@ class TestTrainCommand:
     @pytest.mark.parametrize("sizes, match", [
         ((2 ** 31, 2 ** 31), "truncated model file while reading weights"),  # 2**65 bytes
         ((4, 0), "layer size of 0"),
+        ((4,), "model file declares 1 layer sizes, need >= 2"),
     ])
     def test_bad_layer_sizes_rejected_before_reading(self, tmp_path, sizes, match):
         path = tmp_path / "model.bin"
         path.write_bytes(MAGIC + struct.pack("<II", VERSION, len(sizes))
                          + struct.pack(f"<{len(sizes)}I", *sizes) + b"\x00" * 64)
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{match}"):
+            load_bundle(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda buf: buf + b"\x00", "trailing bytes after bundle"),
+        (lambda buf: MAGIC + struct.pack("<I", 2) + buf[12:], "unsupported format version 2"),
+        (lambda buf: buf[:10], "truncated model file while reading version"),
+    ], ids=["trailing-bytes", "version-2", "truncated-version"])
+    def test_bundle_errors_name_path(self, tmp_path, edit, message):
+        nets = [Mlp([np.ones((i, o))], [np.ones((1, o))]) for i, o in
+                ((3, 2), (2, 2), (4, 2), (4, 2))]  # extractor, classifier, both heads
+        path = tmp_path / "model.bin"
+        save_bundle(ModelBundle(*nets), path)
+        assert load_bundle(path).classifier.layer_sizes == [2, 2]
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_bundle(path)
 
     def test_csv_backed_config_trains(self, tmp_path):
@@ -603,6 +666,15 @@ class TestTrainCommand:
 
 
 class TestResultsFile:
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # It used to fail as "unexpected header ['\\ufeffalpha', ...]".
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        records = synthetic_records([0.0, 1.0], [0.0], [0], np.random.default_rng(1))
+        pipeline.write_results(plain, records, {(1.0, 1.0, 0): "RuntimeError: boom"})
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert pipeline.load_results(marked) == pipeline.load_results(plain)
+        assert len(pipeline.load_results(plain)[0]) == 2
+
     def test_failed_write_leaves_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "results.csv"
         old, new = synthetic_records([0.0], [0.0], [0, 1], np.random.default_rng(0))
@@ -774,19 +846,6 @@ class TestSweep:
         if content is None:
             assert captured.err == f"error: data: {csv_path}: No such file or directory\n"
         assert not (tmp_path / "out" / "results.csv").exists()
-
-    def test_csv_split_sizes_fail_each_run_by_name(self, tmp_path, capsys):
-        # A CSV's row count is known only when a run loads it.
-        csv_path = tmp_path / "data.csv"
-        gen = config_json(tmp_path, data={"n": 30}, split={"test_mode": "as-is"})
-        assert main(["gen-data", "--config", str(gen), "--out", str(csv_path)]) == 0
-        path = config_json(tmp_path, data=str(csv_path),
-                           grid={"alphas": [0.0], "betas": [0.0, 1.0]})
-        assert main(["sweep", "--config", str(path), "--jobs", "1"]) == 1
-        message = ("ValueError: test_fraction: 0.2 of 30 rows yields 6 test rows, fewer than "
-                   "the 8 trio cells")
-        assert capsys.readouterr().err == "".join(
-            f"  FAILED (alpha=0, beta={beta}, seed=0): {message}\n" for beta in (0, 1))
 
     def test_small_grid_rows_and_determinism(self, tmp_path):
         path = config_json(tmp_path)
