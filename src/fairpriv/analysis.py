@@ -143,22 +143,12 @@ def csr(records, weights: CsrWeights) -> dict:
     return {key: 100.0 * total for key, total in scores.items()}
 
 
-@dataclass
-class CsrBest:
-    score: float
-    alpha: float
-    beta: float
-    seed: int
-    alpha_group: str
-    beta_group: str
-
-
-def best_csr(records, weights: CsrWeights) -> CsrBest:
-    """Top-scoring record; ties resolve to smaller alpha, then beta, then seed."""
+def best_csr(records, weights: CsrWeights) -> tuple[float, RunRecord]:
+    """(score, record) of the top-scoring record; ties resolve to smaller alpha,
+    then beta, then seed."""
     scores = csr(records, weights)
     best = max(records, key=lambda r: (scores[r.key], -r.alpha, -r.beta, -r.seed))
-    return CsrBest(scores[best.key], best.alpha, best.beta, best.seed,
-                   group_label(best.alpha), group_label(best.beta))
+    return scores[best.key], best
 
 
 def pearson(xs, ys) -> float | None:

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from ..analysis import check_grid
-from ..data import csv_shape, save_csv
+from ..data import save_csv
 from ..training import TrainingDivergedError
 from . import pipeline, report
 from .config import ConfigError, ExperimentConfig, from_dict, load_config
@@ -73,8 +73,7 @@ def cmd_analyze(args) -> int:
     if failed:
         raise ValueError(f"{results_path}: error-marker rows for cells {failed}")
     check_grid(records, sorted(config.alphas), sorted(config.betas), sorted(config.seeds))
-    k_p = csv_shape(config.data)[1][2] if isinstance(config.data, str) else config.data.k_p
-    rep = report.build_report(records, config, k_p=k_p)
+    rep = report.build_report(records, config, k_p=config.source_shape[1][2])
     report_path = out / "report.json"
     report_path.write_text(json.dumps(rep, indent=2, sort_keys=True) + "\n")
     tables_path = out / "tables.txt"

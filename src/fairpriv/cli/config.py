@@ -41,7 +41,9 @@ class ExperimentConfig:
     def validate(self) -> None:
         """Check every section's fields and the split sizes over the source's rows,
         reading a CSV source's label columns with :func:`csv_shape`; the ConfigError
-        names ``section.field``, or ``data`` and the CSV's path."""
+        names ``section.field``, or ``data`` and the CSV's path. Sets
+        ``source_shape``, the source's ``(n, (k_y, k_a, k_p))``: an attribute, not a
+        field, so no JSON key, and neither compared nor printed."""
         if isinstance(self.data, SyntheticSpec):
             _as_config_error("data.", self.data.validate)
             n, counts = self.data.n, (self.data.k_y, self.data.k_a, self.data.k_p)
@@ -50,6 +52,7 @@ class ExperimentConfig:
         _as_config_error("split.", split_rows, self.split, n, math.prod(counts))
         _as_config_error("train.", self.train.validate)
         _as_config_error("", self._validate_top_level)
+        self.source_shape = n, counts
 
     def _validate_top_level(self) -> None:
         _check_fields(self, ("seeds",),

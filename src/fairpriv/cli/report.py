@@ -57,15 +57,16 @@ def tradeoff_table(records) -> dict | None:
     corr = tradeoff_correlations(records)
     entries = []
     for w in CSR_WEIGHTS:
-        top = best_csr(records, w)
+        score, top = best_csr(records, w)
+        a_group, b_group = group_label(top.alpha), group_label(top.beta)
         entries.append({
             "weights": [w.utility, w.fairness, w.privacy],
-            "score": top.score,
+            "score": score,
             "alpha": top.alpha,
             "beta": top.beta,
-            "alpha_group": top.alpha_group,
-            "beta_group": top.beta_group,
-            "formatted": f"{top.score:.2f}% ({top.alpha_group}., {top.beta_group}.)",
+            "alpha_group": a_group,
+            "beta_group": b_group,
+            "formatted": f"{score:.2f}% ({a_group}., {b_group}.)",
         })
     return {
         "correlations": {**corr, "formatted": {k: _fmt_corr(v) for k, v in corr.items()}},

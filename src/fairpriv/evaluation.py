@@ -112,10 +112,12 @@ def fit_multinomial_logistic(x: Matrix, labels, k: int, class_weights,
     broadcasting and reductions along a length-k axis. Both products keep
     the plain update's operands (``x @ weights`` is transposed after the
     product), because BLAS may sum transposed operands in another order. The
-    softmax max over classes is exact. The sum over classes adds the rows in
-    class order, numpy's own order for k < 8, so there every iterate is
-    bitwise that of ``z.max(axis=1)`` and ``p.sum(axis=1)``; for k >= 8
-    numpy unrolls its sum and the last bits may differ.
+    softmax's max and sum over classes reduce the (k, n) array over its
+    first axis, which numpy does row by row in class order. The max is
+    exact; the sum is the left-to-right one, numpy's own order along a
+    length-k axis for k < 8, so there every iterate is bitwise that of
+    ``z.max(axis=1)`` and ``p.sum(axis=1)``; for k >= 8 numpy unrolls that
+    sum and the last bits may differ.
 
     The bias gradient is ``dz`` times a ones column. Numpy cannot hand a
     stride-0 operand to BLAS, so its own matmul loop adds each class's
@@ -154,7 +156,6 @@ def fit_multinomial_logistic(x: Matrix, labels, k: int, class_weights,
     weights, bias, grad_w, grad_b = params[:d], params[d:], grads[:d], grads[d:].T
     zn = np.empty((n, k))
     z = np.empty((k, n))
-    z_rest = list(z[2:])
     rows = np.empty(n)
     ones_col = np.broadcast_to(1.0, (n, 1))
 
@@ -164,14 +165,10 @@ def fit_multinomial_logistic(x: Matrix, labels, k: int, class_weights,
         while t < end:
             np.matmul(x, weights, out=zn)
             np.add(zn.T, bias.T, out=z)
-            np.maximum(z[0], z[1], out=rows)
-            for row in z_rest:
-                np.maximum(rows, row, out=rows)
+            np.maximum.reduce(z, axis=0, out=rows)
             z -= rows
             np.exp(z, out=z)
-            np.add(z[0], z[1], out=rows)
-            for row in z_rest:
-                rows += row
+            np.add.reduce(z, axis=0, out=rows)
             z /= rows
             z -= target
             z *= row_w

@@ -172,15 +172,15 @@ class TestCsr:
 class TestBestCsr:
     def test_dominating_record(self):
         records = [rec(1.0, 0.1, 0, 0.9, 0.0, 0.5), rec(0.0, 0.0, 0, 0.5, 0.3, 0.9)]
-        top = best_csr(records, CsrWeights(1 / 3, 1 / 3, 1 / 3))
-        assert top.score == pytest.approx(100.0)
-        assert (top.alpha_group, top.beta_group) == ("H", "M")
+        score, top = best_csr(records, CsrWeights(1 / 3, 1 / 3, 1 / 3))
+        assert score == pytest.approx(100.0)
+        assert top is records[0]
 
     def test_tie_breaks_to_smaller_alpha(self):
         records = [rec(1.0, 0.0, 0, 0.8, 0.1, 0.5), rec(0.1, 0.0, 0, 0.8, 0.1, 0.5),
                    rec(0.0, 0.0, 0, 0.2, 0.9, 0.9)]
-        top = best_csr(records, CsrWeights(0.6, 0.2, 0.2))
-        assert top.alpha == 0.1
+        _, top = best_csr(records, CsrWeights(0.6, 0.2, 0.2))
+        assert top is records[1]
 
 
 class TestPearson:

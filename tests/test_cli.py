@@ -1140,9 +1140,18 @@ class TestAnalyze:
         def no_full_parse(path):
             raise AssertionError("analyze parsed the whole CSV")
 
+        passes = []
+        csv_rows = data._csv_rows
+
+        def counted(path):
+            passes.append(path)
+            return csv_rows(path)
+
         monkeypatch.setattr(pipeline, "load_csv", no_full_parse)
         monkeypatch.setattr(data, "load_csv", no_full_parse)
+        monkeypatch.setattr(data, "_csv_rows", counted)
         assert main(["analyze", "--config", str(path), "--out", str(out)]) == 0
+        assert passes == [str(csv_path)]  # config load's, which analyze takes k_p from
         assert (out / "report.json").read_text() == want
         assert json.loads(want)["single_metrics"]["formatted"]["baseline_privacy"].endswith(
             "(33%)")

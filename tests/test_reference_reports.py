@@ -2,8 +2,9 @@
 
 Each of the 16 reference result files is analyzed under the config that
 perfbench/run.py builds for it; one sha256 over report.json, tables.txt and
-the three heatmaps pins every byte the report path writes. The perfbench
-files are only read.
+the three heatmaps pins every byte the report path writes. The paper's three
+directions (acceptance criteria 3-5) are checked on each recorded input set
+of the reduced sweep. The perfbench files are only read.
 """
 
 import hashlib
@@ -13,9 +14,10 @@ import sys
 from functools import cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fairpriv.cli import main
+from fairpriv.cli import main, pipeline
 
 ROOT = Path(__file__).resolve().parents[1]
 OUTPUTS = ("report.json", "tables.txt", "heatmap_utility.svg", "heatmap_fairness_gap.svg",
@@ -76,3 +78,23 @@ def analyze_digest(workload: str, k: int, tmp_path: Path) -> str:
 @pytest.mark.parametrize("k", range(8))
 def test_analyze_matches_recorded_digest(workload, k, tmp_path):
     assert analyze_digest(workload, k, tmp_path) == RECORDED[workload, k]
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_paper_directions_hold_on_recorded_input_set(k):
+    # Acceptance criteria 3-5 and their thresholds, on data seed k's recorded
+    # cells at grid seeds 2k and 2k + 1 (their median), training nothing.
+    path = ROOT / "perfbench" / "reference" / "sweep_reduced" / f"inputs-{k}.csv"
+    records, failed = pipeline.load_results(path)
+    assert not failed and {r.seed for r in records} == {2 * k, 2 * k + 1}
+
+    def median(alpha, beta, metric):
+        return float(np.median([getattr(r.triple, metric) for r in records
+                                if (r.alpha, r.beta) == (alpha, beta)]))
+
+    attack, gap = median(0.0, 0.0, "attack_balanced_acc"), median(0.0, 0.0, "fairness_gap")
+    assert attack >= 0.60 and gap >= 0.05, (attack, gap)  # criterion 3
+    private = median(0.0, 10.0, "attack_balanced_acc")  # criterion 4, chance 0.5
+    assert private <= 0.55 and attack - private >= 0.05, (attack, private)
+    fair = median(10.0, 0.0, "fairness_gap")  # criterion 5
+    assert fair <= 0.5 * gap, (gap, fair)
