@@ -11,7 +11,7 @@ import numpy as np
 
 from ..analysis import grid_values, group_label
 from ..data import (SplitSpec, SyntheticSpec, _check_fields, _errors_naming, _is_int,
-                    _is_real, csv_shape, split_rows)
+                    _is_real, load_csv, split_rows)
 from ..training import TrainConfig
 
 
@@ -40,16 +40,22 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Check every section's fields and the split sizes over the source's rows,
-        reading a CSV source's label columns with :func:`csv_shape`; the ConfigError
-        names ``section.field``, or ``data`` and the CSV's path. Sets
+        reading a CSV source whole with :func:`load_csv`, as a run reads it; the
+        ConfigError names ``section.field``, or ``data`` and the CSV's path. Sets
         ``source_shape``, the source's ``(n, (k_y, k_a, k_p))``: an attribute, not a
         field, so no JSON key, and neither compared nor printed."""
         if isinstance(self.data, SyntheticSpec):
             _as_config_error("data.", self.data.validate)
             n, counts = self.data.n, (self.data.k_y, self.data.k_a, self.data.k_p)
         else:
-            n, counts = _as_config_error("data: ", csv_shape, self.data)
+            ds = _as_config_error("data: ", load_csv, self.data)
+            n, counts = len(ds), (ds.k_y, ds.k_a, ds.k_p)
         _as_config_error("split.", split_rows, self.split, n, math.prod(counts))
+        joint = getattr(self.data, "joint", None)
+        if self.split.test_mode == "trio-balanced" and joint is not None and not np.all(joint):
+            y, y_a, y_p = np.argwhere(np.asarray(joint) == 0)[0]
+            raise ConfigError(f"data.joint: cell (y={y}, y_a={y_a}, y_p={y_p}) has probability "
+                              "0, so a trio-balanced test split gets no row of it")
         _as_config_error("train.", self.train.validate)
         _as_config_error("", self._validate_top_level)
         self.source_shape = n, counts

@@ -61,14 +61,19 @@ def run_single(config: ExperimentConfig, alpha: float, beta: float, seed: int,
     ``splits`` is the config's data split for ``seed``, as ``seed_splits`` or
     ``make_splits`` builds it; None builds it. A run writes into no split
     (training shuffles a copy), so the runs of a seed may share one. A test
-    split that lacks a class of y_a or y_p, or a validation split that lacks
-    a class of y_p, fails before training, not after it, where the metrics
-    or the attacker's reweighting would fail on it.
+    split that lacks a class of y_a or y_p (under "tpr", of y_a among its rows
+    of task class k_y - 1), or a validation split that lacks a class of y_p,
+    fails before training, not after it, where the metrics or the attacker's
+    reweighting would fail on it.
     """
     check_run_key(alpha, beta, seed)  # a bad argument fails before any data work
     config.train.validate()
     train_ds, val_ds, test_ds = splits if splits is not None else seed_splits(config, seed)
     class_counts(test_ds.y_a, test_ds.k_a, "test split: y_a")
+    if config.utility_metric == "tpr":
+        top = test_ds.k_y - 1
+        class_counts(test_ds.y_a[test_ds.y == top], test_ds.k_a,
+                     f"test split: rows with y = {top}: y_a")
     class_counts(test_ds.y_p, test_ds.k_p, "test split: y_p")
     class_counts(val_ds.y_p, val_ds.k_p, "validation split: y_p")
     trained = train(train_ds, val_ds, config.train, alpha=alpha, beta=beta, seed=seed)

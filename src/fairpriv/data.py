@@ -347,9 +347,12 @@ def _errors_naming(path):
         raise ValueError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
-def _csv_rows(path):
-    """``(line, feature fields, (y, y_a, y_p))`` for each row of a dataset CSV, its header,
-    field count and labels (integers >= 0) checked; every error names the path."""
+def load_csv(path) -> LabeledDataset:
+    """A dataset CSV, its header checked, then each row's field count, labels (integers
+    >= 0) and features (floats) in that order, then that every feature is finite and
+    every class up to each label's largest has a row. Every error names the path, and
+    a bad row's its line."""
+    xs, labels = [], []
     with _errors_naming(path), open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -364,34 +367,20 @@ def _csv_rows(path):
             if len(row) != d + 3:
                 raise ValueError(f"{path}:{line}: expected {d + 3} fields, got {len(row)}")
             try:
-                labels = tuple(map(int, row[d:]))
+                row_labels = tuple(map(int, row[d:]))
             except ValueError as exc:
                 raise ValueError(f"{path}:{line}: {exc}") from None
-            for name, label in zip(_LABELS, labels):
+            for name, label in zip(_LABELS, row_labels):
                 if label < 0:
                     raise ValueError(f"{path}:{line}: {name} must be >= 0, got {label}")
-            yield line, row[:d], labels
-
-
-def load_csv(path) -> LabeledDataset:
-    """A dataset CSV, checked as :func:`csv_shape` checks it, with finite features."""
-    xs, labels = [], []
-    for line, features, row_labels in _csv_rows(path):
-        try:
-            xs.append([float(v) for v in features])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{line}: {exc}") from None
-        labels.append(row_labels)
+            try:
+                xs.append([float(v) for v in row[:d]])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line}: {exc}") from None
+            labels.append(row_labels)
     x, columns = np.array(xs), np.array(labels, dtype=np.int64).reshape(-1, 3).T
     if not np.isfinite(x).all():  # float() parses "nan" and "inf"
         i, j = np.argwhere(~np.isfinite(x))[0]
         raise ValueError(f"{path}:{i + 2}: x{j} must be finite, got {x[i, j]}")
     k_y, k_a, k_p = _class_counts(f"{path}: ", columns)
     return LabeledDataset(x, *columns, k_y=k_y, k_a=k_a, k_p=k_p)
-
-
-def csv_shape(path) -> tuple[int, tuple[int, int, int]]:
-    """The row count and (k_y, k_a, k_p) of ``load_csv(path)``, after all its checks
-    but the feature values': the feature fields are split but not parsed."""
-    labels = np.array([row_labels for _, _, row_labels in _csv_rows(path)], dtype=np.int64)
-    return len(labels), _class_counts(f"{path}: ", labels.reshape(-1, 3).T)

@@ -129,8 +129,8 @@ class Forward:
     """One pass of the objective.
 
     ``acts`` holds the activations of the extractor and :class:`TrainState`'s two head nets,
-    only their outputs outside a training phase; ``dlogits`` the gradients of the
-    phase's loss at the heads' outputs, None where the loss does not reach them.
+    only their outputs outside a training phase; ``dlogits`` the (3, n, K) gradients of
+    the phase's loss at the three heads' stacked logits, None outside a training phase.
     """
 
     total: float
@@ -138,7 +138,7 @@ class Forward:
     ce_a: float
     ce_p: float
     acts: tuple
-    dlogits: tuple
+    dlogits: np.ndarray | None
 
 
 @dataclass
@@ -213,17 +213,14 @@ def objective(state: TrainState, batch: Batch, phase: str | None = None) -> Forw
 
     total = ce_c - alpha * ce_a - beta * ce_p, all with unit class weights,
     with the state's alpha and beta. The adversaries see the features
-    concatenated with the one-hot task label. When alpha (or beta) is
-    exactly 0 the corresponding term is left out, so total == ce_c bitwise
-    at (0, 0). ``phase`` MAIN (loss: total) or ADV (loss: ce_a + ce_p) also
-    keeps what that phase's backward pass needs; without a phase the pass
-    keeps no activations. One cross-entropy call serves all three heads. In
-    MAIN the adversary whose coefficient alone is 0 has its gradient scaled
-    by -0.0; at (0, 0) none has one.
+    concatenated with the one-hot task label. A zero coefficient's term is
+    +0.0 for a finite cross entropy, so total == ce_c bitwise at (0, 0).
+    ``phase`` MAIN (loss: total) or ADV (loss: ce_a + ce_p) also keeps what
+    that phase's backward pass needs; without a phase the pass keeps no
+    activations. One cross-entropy call serves all three heads.
     """
     if len(batch) == 0:
         raise ValueError("objective over an empty batch")
-    alpha, beta = state.alpha, state.beta
     keep = phase is not None
     ext = state.extractor.forward(batch.x, keep)
     features = ext[-1]
@@ -232,15 +229,8 @@ def objective(state: TrainState, batch: Batch, phase: str | None = None) -> Forw
     adv = state.adversaries.forward(batch.adv_in, keep)
     (ce_c, ce_a, ce_p), dlogits = lc.encoded_cross_entropy(
         np.concatenate((cls[-1][None], adv[-1])), batch.targets, state.scales.get(phase))
-    total = ce_c
-    if alpha != 0.0:
-        total = total - alpha * ce_a
-    if beta != 0.0:
-        total = total - beta * ce_p
-    d_c = dlogits[0] if phase == MAIN else None
-    reached = phase == ADV or (phase == MAIN and (alpha != 0.0 or beta != 0.0))
-    d_adv = dlogits[1:] if reached else None
-    return Forward(total, ce_c, ce_a, ce_p, (ext, cls, adv), (d_c, d_adv))
+    total = ce_c - state.alpha * ce_a - state.beta * ce_p
+    return Forward(total, ce_c, ce_a, ce_p, (ext, cls, adv), dlogits)
 
 
 def _backward(state: TrainState, fwd: Forward, phase: str) -> None:
@@ -249,16 +239,17 @@ def _backward(state: TrainState, fwd: Forward, phase: str) -> None:
     MAIN backpropagates through the adversaries and the classifier into the
     extractor, without forming adversary weight gradients. The feature
     gradient is (fairness + privacy) + classifier, in that order, which
-    fixes its rounding. ADV stops at the adversaries' first layers: the
-    features are frozen for them.
+    fixes its rounding. At alpha == beta == 0 the MAIN loss does not reach
+    the adversaries, and MAIN skips them; otherwise the adversary whose
+    coefficient alone is 0 has its gradient scaled by -0.0. ADV stops at the
+    adversaries' first layers: the features are frozen for them.
     """
     ext, cls, adv = fwd.acts
-    d_c, d_adv = fwd.dlogits
     if phase == ADV:
-        lc.backward([(state.adversaries, adv, d_adv, state.adv.net_grads[0])])
+        lc.backward([(state.adversaries, adv, fwd.dlogits[1:], state.adv.net_grads[0])])
         return
-    heads = [(state.adversaries, adv, d_adv, None)] if d_adv is not None else []
-    heads.append((state.classifier, cls, d_c, state.main.net_grads[1]))
+    heads = [(state.adversaries, adv, fwd.dlogits[1:], None)] if state.alpha or state.beta else []
+    heads.append((state.classifier, cls, fwd.dlogits[0], state.main.net_grads[1]))
     lc.backward(heads, trunk=(state.extractor, ext, state.main.net_grads[0]))
 
 

@@ -1,12 +1,9 @@
-import ctypes
-import functools
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from fairpriv.cli.config import ExperimentConfig, mild_correlation_joint
 from fairpriv.data import SplitSpec, SyntheticSpec, make_splits
+from fairpriv.hostinfo import host_class
 
 
 def reference_config() -> ExperimentConfig:
@@ -63,28 +60,6 @@ def bundle_params(bundle, nets=NETS) -> list:
 # The host class that recorded every pinned byte: the TestGoldenBytes digests,
 # the REPEATING cycle problems and perfbench/reference/.
 PINNING_HOST = "SkylakeX/X86_V4"
-
-
-@functools.cache
-def host_class() -> str:
-    """This process's host class, "<OpenBLAS core>/<numpy SIMD level>", e.g. "SkylakeX/X86_V4".
-
-    The core is the kernel set OpenBLAS picked at load ("unknown" without the
-    wheel's bundled OpenBLAS); the level is the highest x86-64 dispatch target
-    numpy enables (or its highest enabled target on another architecture).
-    Both choose the bits of BLAS products and of np.exp and np.log.
-    """
-    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-
-    core = "unknown"
-    for lib in (Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas*"):
-        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
-        if corename is not None:
-            corename.restype = ctypes.c_char_p
-            core = corename().decode()
-    enabled = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
-    levels = [t for t in enabled if t.startswith("X86_V")] or enabled or ["baseline"]
-    return f"{core}/{levels[-1]}"
 
 
 def host_note(*detail) -> str:

@@ -226,6 +226,7 @@ class TestConfig:
         ("data.kind", {"kind": "csv", "path": "d.csv"}),
         ("data.d_y", 1),
         ("data", "missing.csv"),
+        ("data.joint", [[[0.25, 0.25], [0.0, 0.25]], [[0.0, 0.25], [0.0, 0.0]]]),  # trio cells
     ], ids=lambda v: (v.removeprefix("train.") if isinstance(v, str)
                       else v["kind"] if isinstance(v, dict) else None))
     def test_bad_train_field_rejected_at_load(self, tmp_path, capsys, field, value):
@@ -246,6 +247,27 @@ class TestConfig:
         assert main(["gen-data", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("value, message", [
+        ("abc", "could not convert string to float: 'abc'"),
+        ("nan", "x1 must be finite, got nan"),
+    ], ids=["non-numeric", "non-finite"])
+    def test_bad_csv_feature_fails_at_load(self, tmp_path, capsys, value, message):
+        # Config load used to read only the labels, so every run failed instead.
+        csv_path = tmp_path / "features.csv"
+        data.save_csv(data.generate(SyntheticSpec(n=44, d_noise=0, seed=0)), csv_path)
+        lines = csv_path.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[1] = value
+        lines[3] = ",".join(fields)
+        csv_path.write_text("\n".join(lines) + "\n")
+        want = f"data: {csv_path}:4: {message}"
+        path = config_json(tmp_path, data=str(csv_path))
+        with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+            load_config(path)
+        assert main(["sweep", "--config", str(path), "--jobs", "1"]) == 1
+        assert capsys.readouterr().err == f"error: {want}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("raw, message", [
         ({"data": {"n": 30}},
@@ -364,7 +386,8 @@ class TestGenData:
         joint = np.zeros((2, 2, 3))
         joint[..., :2] = 0.125
         path = config_json(tmp_path, data={"kind": "synthetic", "n": 400, "k_p": 3,
-                                           "joint": joint.tolist()})
+                                           "joint": joint.tolist()},
+                           split={"test_mode": "as-is"})  # trio-balanced rejects the zeros
         out = tmp_path / "d.csv"
         assert main(["gen-data", "--config", str(path), "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
@@ -541,6 +564,24 @@ class TestTrainCommand:
             pipeline.run_single(cfg, 0.0, 0.0, 0, splits=(train_ds, no_class_1, test_ds))
         assert str(info.value) == "validation split: y_p lacks class(es) [1] of k_p = 2"
 
+    def test_tpr_rows_missing_sensitive_class_fail_before_training(self, monkeypatch):
+        # Every row with y = 1 has y_a = 0: the TPR gap has one group, which
+        # utility_and_gap used to reject only after training.
+        joint = [[[0.25, 0.25], [0.0, 0.25]], [[0.0, 0.25], [0.0, 0.0]]]
+        cfg = small_config(data=SyntheticSpec(n=1600, joint=joint, seed=0),
+                           split=SplitSpec(test_mode="as-is"))
+
+        def no_train(*args, **kwargs):
+            raise AssertionError("train must not run")
+
+        monkeypatch.setattr(pipeline, "train", no_train)
+        with pytest.raises(ValueError) as info:
+            pipeline.run_single(cfg, 0.0, 0.0, 0)
+        assert str(info.value) == "test split: rows with y = 1: y_a lacks class(es) [1] of k_a = 2"
+        cfg.utility_metric = "accuracy"  # counts every row, and both groups have some
+        with pytest.raises(AssertionError, match="^train must not run$"):
+            pipeline.run_single(cfg, 0.0, 0.0, 0)
+
     @pytest.mark.parametrize("metric", ["accuracy", "tpr"])
     def test_metrics_match_oracle(self, metric):
         # The metrics before class_rates replaced them, on the trained model's
@@ -610,7 +651,8 @@ class TestTrainCommand:
         assert record.triple == synthetic.triple  # CSV round trip is lossless
 
     def test_non_finite_csv_feature_fails_by_name(self, tmp_path, capsys):
-        # It used to train into a RuntimeWarning and a non-finite loss at epoch 0.
+        # It used to train into a RuntimeWarning and a non-finite loss at epoch 0;
+        # config load now reads the features, and names the source.
         csv_path = tmp_path / "features.csv"
         assert main(["gen-data", "--config", str(config_json(tmp_path)),
                      "--out", str(csv_path)]) == 0
@@ -622,9 +664,10 @@ class TestTrainCommand:
         path = config_json(tmp_path, data=str(csv_path))
         assert main(["train", "--config", str(path), "--alpha", "0", "--beta", "0",
                      "--seed", "0"]) == 1
-        assert capsys.readouterr().err == f"error: {csv_path}:7: x2 must be finite, got nan\n"
+        assert capsys.readouterr().err == (f"error: data: {csv_path}:7: x2 must be finite, "
+                                           "got nan\n")
 
-    def test_csv_check_at_load_reads_only_labels(self, tmp_path, monkeypatch, capsys):
+    def test_csv_missing_class_fails_at_load(self, tmp_path, capsys):
         # Every y_p of 1 becomes 2, so the file's last row still holds a full
         # feature vector while y_p class 1 of k_p = 3 has no row left.
         csv_path = tmp_path / "features.csv"
@@ -634,12 +677,6 @@ class TestTrainCommand:
         lines = csv_path.read_text().splitlines()
         csv_path.write_text("\n".join([lines[0]] + [re.sub(",1$", ",2", line)
                                                     for line in lines[1:]]) + "\n")
-
-        def no_full_parse(path):
-            raise AssertionError("config load parsed the whole CSV")
-
-        monkeypatch.setattr(pipeline, "load_csv", no_full_parse)
-        monkeypatch.setattr(data, "load_csv", no_full_parse)
         path = config_json(tmp_path, data=str(csv_path))
         assert main(["sweep", "--config", str(path), "--jobs", "1"]) == 1
         assert capsys.readouterr().err == (
@@ -1121,7 +1158,7 @@ class TestAnalyze:
         assert main(["analyze", "--config", str(path), "--out", str(out)]) == 1
         assert "ERROR" in capsys.readouterr().err.upper()
 
-    def test_csv_backed_analyze_reads_only_labels(self, tmp_path, monkeypatch):
+    def test_csv_backed_analyze_reads_the_csv_once(self, tmp_path, monkeypatch):
         # k_p = 3 in the CSV, so a k_p from anywhere else shows in the report.
         csv_path = tmp_path / "features.csv"
         gen = config_json(tmp_path, data={"n": 300, "k_p": 3,
@@ -1137,19 +1174,14 @@ class TestAnalyze:
         want = json.dumps(report.build_report(records, cfg, k_p=load_csv(csv_path).k_p),
                           indent=2, sort_keys=True) + "\n"
 
-        def no_full_parse(path):
-            raise AssertionError("analyze parsed the whole CSV")
-
         passes = []
-        csv_rows = data._csv_rows
 
         def counted(path):
             passes.append(path)
-            return csv_rows(path)
+            return load_csv(path)
 
-        monkeypatch.setattr(pipeline, "load_csv", no_full_parse)
-        monkeypatch.setattr(data, "load_csv", no_full_parse)
-        monkeypatch.setattr(data, "_csv_rows", counted)
+        monkeypatch.setattr(config, "load_csv", counted)
+        monkeypatch.setattr(pipeline, "load_csv", counted)
         assert main(["analyze", "--config", str(path), "--out", str(out)]) == 0
         assert passes == [str(csv_path)]  # config load's, which analyze takes k_p from
         assert (out / "report.json").read_text() == want

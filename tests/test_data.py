@@ -3,8 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from fairpriv.data import (LabeledDataset, SplitSpec, SyntheticSpec, csv_shape,
-                           generate, load_csv, make_splits, sample_labels, save_csv)
+from fairpriv.data import (LabeledDataset, SplitSpec, SyntheticSpec, generate, load_csv,
+                           make_splits, sample_labels, save_csv)
 from fairpriv.evaluation import (LinearAttacker, attack_accuracy, fit_attacker,
                                  fit_multinomial_logistic)
 
@@ -226,15 +226,6 @@ class TestCsv:
         with pytest.raises(ValueError, match=r":2:"):
             load_csv(path)
 
-    def test_shape_matches_load_csv(self, tmp_path):
-        ds = generate(SyntheticSpec(n=60, k_y=3, k_a=2, k_p=4,
-                                    joint=np.full((3, 2, 4), 1 / 24), seed=17))
-        path = tmp_path / "data.csv"
-        save_csv(ds, path)
-        loaded = load_csv(path)
-        assert csv_shape(path) == (len(loaded), (loaded.k_y, loaded.k_a, loaded.k_p)) \
-            == (60, (3, 2, 4))
-
     def test_byte_order_mark_skipped(self, tmp_path):
         # A spreadsheet's "CSV UTF-8" export starts with one; it used to fail
         # as "feature columns must be x0..x0" under a header that looks right.
@@ -245,9 +236,8 @@ class TestCsv:
         a, b = load_csv(plain), load_csv(marked)
         for name in ("x", "y", "y_a", "y_p", "k_y", "k_a", "k_p"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
-        assert csv_shape(marked) == csv_shape(plain) == (40, (2, 2, 2))
 
-    @pytest.mark.parametrize("read", [load_csv, csv_shape])
+    @pytest.mark.parametrize("read", [load_csv])  # the one reader; its IDs kept
     @pytest.mark.parametrize("text, match", [
         ("", ": empty file"),
         ("x0,y,y_a\n1.0,0,0\n", ": header must end with y,y_a,y_p"),
@@ -269,7 +259,7 @@ class TestCsv:
         with pytest.raises(ValueError, match="^" + re.escape(str(path)) + match):
             read(path)
 
-    @pytest.mark.parametrize("read", [load_csv, csv_shape])
+    @pytest.mark.parametrize("read", [load_csv])  # the one reader; its IDs kept
     @pytest.mark.parametrize("make, match", [
         (lambda path: None, ": No such file or directory$"),
         (lambda path: path.mkdir(), ": Is a directory$"),

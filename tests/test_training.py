@@ -51,7 +51,7 @@ class TestObjective:
         bundle = init_bundle(small_cfg(), ds.dim)
         fwd = objective(TrainState(bundle, small_cfg(), 0.0, 0.0),
                         whole_batch(ds, small_cfg().feature_dim))
-        assert fwd.total is fwd.ce_c  # not merely close: the same value
+        assert fwd.total.hex() == fwd.ce_c.hex()  # not merely close: the same value
 
     def test_linear_combination(self):
         # Zeroed networks emit uniform logits, so all three CE terms equal ln 2
@@ -323,6 +323,31 @@ class TestCrossEntropyCalls:
         monkeypatch.setattr(training.lc, "encoded_cross_entropy", counted)
         alternating_epoch(state, arrays, np.random.default_rng(1))
         assert shapes == [(3, 32, max(ks))] * 3
+
+
+class TestMainStepHeads:
+    """Which heads a MAIN step backpropagates: the adversaries only when alpha or beta is not 0."""
+
+    @pytest.mark.parametrize("alpha, beta, nets", [
+        (0.0, 0.0, ["classifier"]),
+        (1.0, 0.0, ["adversaries", "classifier"]),
+        (0.0, 1.0, ["adversaries", "classifier"]),
+    ], ids=["zero", "alpha", "beta"])
+    def test_heads_backpropagated(self, monkeypatch, alpha, beta, nets):
+        ds = toy_dataset(n=32)
+        cfg = small_cfg(batch_size=32)  # one batch: a MAIN step
+        state = TrainState(init_bundle(cfg, ds.dim), cfg, alpha, beta)
+        names = {id(state.classifier): "classifier", id(state.adversaries): "adversaries"}
+        real, calls = training.lc.backward, []
+
+        def spy(heads, trunk=None):
+            calls.append(([names[id(head[0])] for head in heads], trunk[0] is state.extractor))
+            return real(heads, trunk)
+
+        monkeypatch.setattr(training.lc, "backward", spy)
+        alternating_epoch(state, EpochArrays(ds, cfg.feature_dim, cfg.batch_size),
+                          np.random.default_rng(0))
+        assert calls == [(nets, True)]
 
 
 class TestGoldenBytes:
