@@ -3,10 +3,20 @@ import re
 import numpy as np
 import pytest
 
+from fairpriv.cli.config import ConfigError, from_dict
 from fairpriv.data import (LabeledDataset, SplitSpec, SyntheticSpec, generate, load_csv,
                            make_splits, sample_labels, save_csv)
 from fairpriv.evaluation import (LinearAttacker, attack_accuracy, fit_attacker,
                                  fit_multinomial_logistic)
+
+
+def config_load(path):
+    """Load a config whose source is the CSV at ``path``; its ``data: `` error, unled."""
+    try:
+        return from_dict({"data": str(path)})
+    except ValueError as exc:
+        assert isinstance(exc, ConfigError) and str(exc).startswith("data: "), repr(exc)
+        raise ValueError(str(exc).removeprefix("data: ")) from None
 
 
 def uniform_joint():
@@ -226,6 +236,15 @@ class TestCsv:
         with pytest.raises(ValueError, match=r":2:"):
             load_csv(path)
 
+    def test_shape_matches_load_csv(self, tmp_path):
+        ds = generate(SyntheticSpec(n=240, k_y=3, k_a=2, k_p=4,
+                                    joint=np.full((3, 2, 4), 1 / 24), seed=17))
+        path = tmp_path / "data.csv"
+        save_csv(ds, path)
+        loaded = load_csv(path)
+        assert config_load(path).source_shape \
+            == (len(loaded), (loaded.k_y, loaded.k_a, loaded.k_p)) == (240, (3, 2, 4))
+
     def test_byte_order_mark_skipped(self, tmp_path):
         # A spreadsheet's "CSV UTF-8" export starts with one; it used to fail
         # as "feature columns must be x0..x0" under a header that looks right.
@@ -236,8 +255,10 @@ class TestCsv:
         a, b = load_csv(plain), load_csv(marked)
         for name in ("x", "y", "y_a", "y_p", "k_y", "k_a", "k_p"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert config_load(marked).source_shape == config_load(plain).source_shape \
+            == (40, (2, 2, 2))
 
-    @pytest.mark.parametrize("read", [load_csv])  # the one reader; its IDs kept
+    @pytest.mark.parametrize("read", [load_csv, config_load])  # a run's read, config load's
     @pytest.mark.parametrize("text, match", [
         ("", ": empty file"),
         ("x0,y,y_a\n1.0,0,0\n", ": header must end with y,y_a,y_p"),
@@ -259,7 +280,7 @@ class TestCsv:
         with pytest.raises(ValueError, match="^" + re.escape(str(path)) + match):
             read(path)
 
-    @pytest.mark.parametrize("read", [load_csv])  # the one reader; its IDs kept
+    @pytest.mark.parametrize("read", [load_csv, config_load])  # a run's read, config load's
     @pytest.mark.parametrize("make, match", [
         (lambda path: None, ": No such file or directory$"),
         (lambda path: path.mkdir(), ": Is a directory$"),
