@@ -73,7 +73,7 @@ def cmd_analyze(args) -> int:
     if failed:
         raise ValueError(f"{results_path}: error-marker rows for cells {failed}")
     check_grid(records, sorted(config.alphas), sorted(config.betas), sorted(config.seeds))
-    rep = report.build_report(records, config, k_p=config.source_shape[1][2])
+    rep = report.build_report(records, config, k_p=pipeline.load_dataset(config).k_p)
     report_path = out / "report.json"
     report_path.write_text(json.dumps(rep, indent=2, sort_keys=True) + "\n")
     tables_path = out / "tables.txt"

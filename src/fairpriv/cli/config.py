@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..analysis import grid_values, group_label
 from ..data import (SplitSpec, SyntheticSpec, _check_fields, _errors_naming, _is_int,
-                    _is_real, load_csv, split_rows)
+                    _is_real, split_rows)
 from ..training import TrainConfig
 
 
@@ -39,26 +38,24 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def validate(self) -> None:
-        """Check every section's fields and the split sizes over the source's rows,
-        reading a CSV source whole with :func:`load_csv`, as a run reads it; the
-        ConfigError names ``section.field``, or ``data`` and the CSV's path. Sets
-        ``source_shape``, the source's ``(n, (k_y, k_a, k_p))``: an attribute, not a
-        field, so no JSON key, and neither compared nor printed."""
+        """Check every section's fields, then build the dataset anew with
+        ``pipeline.load_dataset``, as the command's runs take it, and the split over its
+        rows; the ConfigError names ``section.field``, or ``data`` and the CSV's path.
+        Run it again after ``data`` changes, or runs split the old data."""
         if isinstance(self.data, SyntheticSpec):
             _as_config_error("data.", self.data.validate)
-            n, counts = self.data.n, (self.data.k_y, self.data.k_a, self.data.k_p)
-        else:
-            ds = _as_config_error("data: ", load_csv, self.data)
-            n, counts = len(ds), (ds.k_y, ds.k_a, ds.k_p)
-        _as_config_error("split.", split_rows, self.split, n, math.prod(counts))
-        joint = getattr(self.data, "joint", None)
-        if self.split.test_mode == "trio-balanced" and joint is not None and not np.all(joint):
-            y, y_a, y_p = np.argwhere(np.asarray(joint) == 0)[0]
-            raise ConfigError(f"data.joint: cell (y={y}, y_a={y_a}, y_p={y_p}) has probability "
-                              "0, so a trio-balanced test split gets no row of it")
+        _as_config_error("split.", self.split.validate)
         _as_config_error("train.", self.train.validate)
         _as_config_error("", self._validate_top_level)
-        self.source_shape = n, counts
+        from .pipeline import load_dataset  # pipeline imports this module
+        self.__dict__.pop("dataset", None)
+        ds = _as_config_error("data: ", load_dataset, self)
+        _as_config_error("split.", split_rows, self.split, ds)
+
+    def __getstate__(self) -> dict:
+        """Without ``dataset``: a pickled (spawned pool worker's) or copied config builds
+        its own on first use."""
+        return {k: v for k, v in self.__dict__.items() if k != "dataset"}
 
     def _validate_top_level(self) -> None:
         _check_fields(self, ("seeds",),

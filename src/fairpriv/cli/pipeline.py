@@ -22,13 +22,19 @@ from .config import ExperimentConfig
 RESULTS_HEADER = ["alpha", "beta", "seed", *METRICS, "val_loss"]
 ERROR_MARKER = "ERROR"
 _FAILED_CELLS = [ERROR_MARKER] * (len(RESULTS_HEADER) - 3)  # a failed run's metric cells
-_seed_memo: dict = {}  # {seed: splits} of this process's last seed; each sweep clears it
+_worker_config = None  # in a sweep's pool worker, the sweep's config; set by its initializer
 
 
 def load_dataset(config: ExperimentConfig) -> LabeledDataset:
-    if isinstance(config.data, str):
-        return load_csv(config.data)
-    return generate(config.data)
+    """The config's dataset, read-only, built from ``config.data`` on first use and kept
+    as ``config.dataset``; ``ExperimentConfig.validate`` builds it anew."""
+    ds = getattr(config, "dataset", None)
+    if ds is None:
+        ds = load_csv(config.data) if isinstance(config.data, str) else generate(config.data)
+        for arr in (ds.x, ds.y, ds.y_a, ds.y_p):
+            arr.flags.writeable = False  # every run of the command splits it
+        config.dataset = ds
+    return ds
 
 
 def evaluate_bundle(bundle, val_ds: LabeledDataset, test_ds: LabeledDataset,
@@ -46,21 +52,13 @@ def evaluate_bundle(bundle, val_ds: LabeledDataset, test_ds: LabeledDataset,
     return MetricTriple(utility=m_u, fairness_gap=m_a, attack_balanced_acc=m_p)
 
 
-def seed_splits(config: ExperimentConfig, seed: int) -> tuple[LabeledDataset, ...]:
-    """The config's data split for ``seed``: (train, val, test), read-only."""
-    splits = make_splits(load_dataset(config), config.split, seed)
-    for arr in (a for split in splits for a in (split.x, split.y, split.y_a, split.y_p)):
-        arr.flags.writeable = False  # a seed's runs may share them; a write fails at once
-    return splits
-
-
 def run_single(config: ExperimentConfig, alpha: float, beta: float, seed: int,
                splits: tuple | None = None) -> tuple[RunRecord, TrainedModel]:
     """Train and evaluate one (alpha, beta, seed) configuration.
 
-    ``splits`` is the config's data split for ``seed``, as ``seed_splits`` or
-    ``make_splits`` builds it; None builds it. A run writes into no split
-    (training shuffles a copy), so the runs of a seed may share one. A test
+    ``splits`` is the config's data split for ``seed``, as ``make_splits``
+    builds it; None builds it from ``load_dataset(config)``. A run writes into
+    no split (training shuffles a copy), so the runs of a seed may share one. A test
     split that lacks a class of y_a or y_p (under "tpr", of y_a among its rows
     of task class k_y - 1), or a validation split that lacks a class of y_p,
     fails before training, not after it, where the metrics or the attacker's
@@ -68,7 +66,7 @@ def run_single(config: ExperimentConfig, alpha: float, beta: float, seed: int,
     """
     check_run_key(alpha, beta, seed)  # a bad argument fails before any data work
     config.train.validate()
-    train_ds, val_ds, test_ds = splits if splits is not None else seed_splits(config, seed)
+    train_ds, val_ds, test_ds = splits or make_splits(load_dataset(config), config.split, seed)
     class_counts(test_ds.y_a, test_ds.k_a, "test split: y_a")
     if config.utility_metric == "tpr":
         top = test_ds.k_y - 1
@@ -83,16 +81,17 @@ def run_single(config: ExperimentConfig, alpha: float, beta: float, seed: int,
     return record, trained
 
 
-def _sweep_entry(args) -> tuple[tuple, object]:
-    config, alpha, beta, seed = args
+def _init_worker(config: ExperimentConfig) -> None:
+    global _worker_config
+    _worker_config = config
+
+
+def _sweep_entry(key: tuple, config: ExperimentConfig | None = None) -> tuple[tuple, object]:
     try:
-        if seed not in _seed_memo:
-            _seed_memo.clear()  # free the last seed's splits before building these
-            _seed_memo[seed] = seed_splits(config, seed)
-        record, _ = run_single(config, alpha, beta, seed, splits=_seed_memo[seed])
-        return (alpha, beta, seed), record
+        record, _ = run_single(config or _worker_config, *key)
+        return key, record
     except Exception as exc:  # a failed run must not sink the sweep
-        return (alpha, beta, seed), f"{type(exc).__name__}: {exc}"
+        return key, f"{type(exc).__name__}: {exc}"
 
 
 def sweep(config: ExperimentConfig, jobs: int | None = None
@@ -100,24 +99,23 @@ def sweep(config: ExperimentConfig, jobs: int | None = None
     """Run the whole (alpha, beta, seed) grid.
 
     Returns (records sorted by key, failures keyed by (alpha, beta, seed)).
-    Runs go out seed by seed; each process (this one, or each pool worker when
-    jobs > 1) splits a seed's data once for that seed's runs. The output does
-    not depend on jobs. A worker that dies breaks the whole pool: every run
-    not finished by then fails as BrokenProcessPool, not just that worker's.
+    Each run splits the config's one dataset. A pool worker gets the config
+    once: under fork, dataset included; under spawn or forkserver, without it.
+    The output does not depend on jobs. A worker that dies breaks the whole pool:
+    every run not finished by then fails as BrokenProcessPool, not just its own.
     """
-    combos = [(config, a, b, s)
-              for s in sorted(config.seeds)
-              for a in sorted(config.alphas) for b in sorted(config.betas)]
+    keys = [(a, b, s) for s in sorted(config.seeds)
+            for a in sorted(config.alphas) for b in sorted(config.betas)]
     if jobs is None:  # the cores this process may use
         jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
-    _seed_memo.clear()
-    if jobs > 1 and len(combos) > 1:
+    if jobs > 1 and len(keys) > 1:
         from concurrent.futures import ProcessPoolExecutor, as_completed
         from concurrent.futures.process import BrokenProcessPool
         # Under fork the pool starts all its workers at the first submit.
-        with ProcessPoolExecutor(max_workers=min(jobs, len(combos))) as pool:
-            futures = {pool.submit(_sweep_entry, combo): combo[1:] for combo in combos}
+        with ProcessPoolExecutor(max_workers=min(jobs, len(keys)), initializer=_init_worker,
+                                 initargs=(config,)) as pool:
+            futures = {pool.submit(_sweep_entry, key): key for key in keys}
             outcomes = []
             for future in as_completed(futures):
                 try:
@@ -125,8 +123,7 @@ def sweep(config: ExperimentConfig, jobs: int | None = None
                 except BrokenProcessPool as exc:
                     outcomes.append((futures[future], f"{type(exc).__name__}: {exc}"))
     else:
-        outcomes = [_sweep_entry(c) for c in combos]
-    _seed_memo.clear()
+        outcomes = [_sweep_entry(key, config) for key in keys]
     records, failures = [], {}
     for key, outcome in outcomes:
         if isinstance(outcome, RunRecord):

@@ -239,11 +239,13 @@ def generate(spec: SyntheticSpec) -> LabeledDataset:
     return LabeledDataset(x, y, y_a, y_p, spec.k_y, spec.k_a, spec.k_p)
 
 
-def split_rows(split: SplitSpec, n: int, cells: int) -> tuple[int, int, int]:
+def split_rows(split: SplitSpec, ds: LabeledDataset) -> tuple[int, int, int]:
     """(test rows, validation rows, test rows per trio cell or 0) of ``split``, checked,
-    over ``n`` rows in ``cells`` (y, y_a, y_p) cells. Too few test rows (one per trio
-    cell when "trio-balanced") or no validation row fails naming the fraction."""
+    over ``ds``'s rows. Too few test rows (one per (y, y_a, y_p) cell when "trio-balanced")
+    or no validation row fails naming the fraction, a cell short of its test rows test_mode."""
     split.validate()
+    n, shape = len(ds), (ds.k_y, ds.k_a, ds.k_p)
+    cells = math.prod(shape)
     trio = split.test_mode == "trio-balanced"
     test, val = int(split.test_fraction * n), int(split.val_fraction * n)
     if test < (cells if trio else 1):
@@ -252,7 +254,14 @@ def split_rows(split: SplitSpec, n: int, cells: int) -> tuple[int, int, int]:
     if val == 0:
         raise ValueError(f"val_fraction: {split.val_fraction} of {n} rows yields 0 "
                          "validation rows")
-    return test, val, test // cells if trio else 0
+    per_cell = test // cells if trio else 0
+    rows = np.bincount(np.ravel_multi_index((ds.y, ds.y_a, ds.y_p), shape), minlength=cells)
+    short = np.flatnonzero(rows < per_cell)
+    if short.size:
+        y, y_a, y_p = np.unravel_index(short[0], shape)
+        raise ValueError(f"test_mode: cell (y={y}, y_a={y_a}, y_p={y_p}) has {rows[short[0]]} "
+                         f"rows, need {per_cell} for a trio-balanced test split")
+    return test, val, per_cell
 
 
 def make_splits(ds: LabeledDataset, split: SplitSpec, seed) \
@@ -260,7 +269,7 @@ def make_splits(ds: LabeledDataset, split: SplitSpec, seed) \
     """Carve disjoint (train, val, test) index sets per the split spec."""
     rng = np.random.default_rng(seed)
     n = len(ds)
-    test_target, val_target, per_cell = split_rows(split, n, ds.k_y * ds.k_a * ds.k_p)
+    test_target, val_target, per_cell = split_rows(split, ds)
 
     if split.test_mode == "trio-balanced":
         test_idx = []
@@ -268,17 +277,14 @@ def make_splits(ds: LabeledDataset, split: SplitSpec, seed) \
             for ca in range(ds.k_a):
                 for cp in range(ds.k_p):
                     cell = np.flatnonzero((ds.y == cy) & (ds.y_a == ca) & (ds.y_p == cp))
-                    if len(cell) < per_cell:
-                        raise ValueError(
-                            f"cell (y={cy}, y_a={ca}, y_p={cp}) has {len(cell)} rows, "
-                            f"need {per_cell} for a trio-balanced test split")
                     test_idx.append(rng.permutation(cell)[:per_cell])
         test_idx = np.concatenate(test_idx)
     else:
         test_idx = rng.permutation(n)[:test_target]
 
-    remaining = np.setdiff1d(np.arange(n), test_idx)
-    remaining = rng.permutation(remaining)
+    held = np.zeros(n, dtype=bool)
+    held[test_idx] = True
+    remaining = rng.permutation(np.flatnonzero(~held))
     val_idx = remaining[:val_target]
     train_idx = remaining[val_target:]
 

@@ -1,8 +1,10 @@
+import copy
 import csv
 import dataclasses
 import json
 import math
 import os
+import pickle
 import re
 import struct
 import subprocess
@@ -226,7 +228,6 @@ class TestConfig:
         ("data.kind", {"kind": "csv", "path": "d.csv"}),
         ("data.d_y", 1),
         ("data", "missing.csv"),
-        ("data.joint", [[[0.25, 0.25], [0.0, 0.25]], [[0.0, 0.25], [0.0, 0.0]]]),  # trio cells
     ], ids=lambda v: (v.removeprefix("train.") if isinstance(v, str)
                       else v["kind"] if isinstance(v, dict) else None))
     def test_bad_train_field_rejected_at_load(self, tmp_path, capsys, field, value):
@@ -292,6 +293,44 @@ class TestConfig:
         assert main(["sweep", "--config", str(path), "--jobs", "1"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def short_cell_csv(path) -> int:
+        """Write a CSV whose trio cell (0, 1, 0) keeps 3 of its rows; its row count."""
+        ds = data.generate(SyntheticSpec(n=800, seed=0))
+        cell = np.flatnonzero((ds.y == 0) & (ds.y_a == 1) & (ds.y_p == 0))
+        data.save_csv(ds.subset(np.setdiff1d(np.arange(len(ds)), cell[3:])), path)
+        return len(ds) - len(cell) + 3
+
+    @pytest.mark.parametrize("source", ["small-cell", "zero-cell", "csv"])
+    def test_short_trio_cell_fails_at_load(self, tmp_path, monkeypatch, capsys, source):
+        # A joint's small cell, or a CSV's, used to load, and then every run of a
+        # sweep failed in make_splits; a zero cell failed at load naming data.joint.
+        if source == "csv":
+            rows = self.short_cell_csv(tmp_path / "short.csv")
+            raw, have, need = {"data": str(tmp_path / "short.csv")}, 3, int(0.2 * rows) // 8
+        else:
+            joint = mild_correlation_joint()
+            joint[0, 1, 0] = 0.001 if source == "small-cell" else 0.0
+            raw = {"data": {"joint": (joint / joint.sum()).tolist()}}
+            have, need = (9 if source == "small-cell" else 0), 200
+        message = (f"split.test_mode: cell (y=0, y_a=1, y_p=0) has {have} rows, need {need} "
+                   "for a trio-balanced test split")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            from_dict(raw)
+        monkeypatch.setattr(pipeline, "run_single", TestSweep.refuse)
+        assert main(["sweep", "--config", str(config_json(tmp_path, **raw)), "--jobs", "1"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_field_fails_before_data_work(self, monkeypatch):
+        # The missing CSV is not read: train.epochs fails first.
+        def no_data(config):
+            raise AssertionError("the dataset was built for a bad field")
+
+        monkeypatch.setattr(pipeline, "load_dataset", no_data)
+        with pytest.raises(ConfigError, match="^train.epochs: "):
+            from_dict({"data": "missing.csv", "train": {"epochs": 0}})
 
     @pytest.mark.parametrize("section, fields", [
         ("split", {"val_fraction": 0.1}),
@@ -513,10 +552,10 @@ class TestTrainCommand:
     ], ids=["seed", "alpha"])
     def test_bad_run_argument_fails_before_data_work(self, tmp_path, capsys, monkeypatch,
                                                      flag, value, message):
-        def no_data(config):
-            raise AssertionError("the dataset was loaded for a bad run argument")
+        def no_split(ds, split, seed):
+            raise AssertionError("the dataset was split for a bad run argument")
 
-        monkeypatch.setattr(pipeline, "load_dataset", no_data)
+        monkeypatch.setattr(pipeline, "make_splits", no_split)
         args = {"--alpha": "0", "--beta": "0", "--seed": "0", flag: value}
         rc = main(["train", "--config", str(config_json(tmp_path)),
                    "--out", str(tmp_path / "out"), *[x for kv in args.items() for x in kv]])
@@ -587,7 +626,7 @@ class TestTrainCommand:
         # The metrics before class_rates replaced them, on the trained model's
         # predictions; tpr scores the highest task class.
         cfg = small_config(utility_metric=metric)
-        splits = pipeline.seed_splits(cfg, 0)
+        splits = make_splits(pipeline.load_dataset(cfg), cfg.split, 0)
         _, val_ds, test_ds = splits
         record, trained = pipeline.run_single(cfg, 1.0, 1.0, 0, splits=splits)
         bundle = trained.bundle
@@ -970,22 +1009,34 @@ class TestSweep:
         assert serial == parallel == self.per_cell_bytes(tmp_path / "cells.csv", cfg)
         assert len(serial.decode().splitlines()) == 1 + 8
 
-    def test_serial_sweep_splits_once_per_seed(self, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_runs_split_one_dataset_built_once(self, monkeypatch, jobs):
+        # Each run splits the config's one dataset for its seed; no run builds it
+        # again, in this process or (with the recording pool) a worker.
+        if jobs > 1:
+            self.recording_pool(monkeypatch)
         cfg = self.two_seed_config()
-        real = pipeline.make_splits
-        seeds = []
+        real_generate, built = pipeline.generate, []
+        seen = []
 
-        def counted(ds, split, seed):
-            seeds.append(seed)
-            return real(ds, split, seed)
+        def counted(spec):
+            built.append(spec)
+            return real_generate(spec)
 
-        monkeypatch.setattr(pipeline, "make_splits", counted)
-        records, failures = pipeline.sweep(cfg, jobs=1)
-        assert len(records) == 8 and not failures
-        assert seeds == [0, 1]  # seed-major order
+        def capture(ds, split, seed):
+            seen.append((ds, seed))
+            raise RuntimeError("captured")
+
+        monkeypatch.setattr(pipeline, "generate", counted)
+        monkeypatch.setattr(pipeline, "make_splits", capture)
+        records, failures = pipeline.sweep(cfg, jobs=jobs)
+        assert not records and len(failures) == 8
+        assert built == [cfg.data]  # ExperimentConfig() builds on first use
+        assert [seed for _, seed in seen] == [0] * 4 + [1] * 4  # seed-major order
+        assert all(ds is cfg.dataset for ds, _ in seen)
 
     def test_next_sweep_gets_its_own_data(self, tmp_path):
-        # The first sweep ends on seed 0, where the second one starts.
+        # Configs that differ only in data.seed: each sweep splits its own dataset.
         first = self.two_seed_config(seeds=[0])
         second = self.two_seed_config(data=dataclasses.replace(first.data, seed=1))
         first_bytes = self.results_bytes(tmp_path / "a.csv", *pipeline.sweep(first, jobs=1))
@@ -1003,16 +1054,18 @@ class TestSweep:
                 == self.results_bytes(tmp_path / "syn.csv", *synthetic))
 
     @staticmethod
-    def pool_sizes(monkeypatch):
-        """Make sweep's process pool a recorder of its max_workers that runs
-        each task at once in this process, so no worker process starts."""
+    def recording_pool(monkeypatch):
+        """Make sweep's process pool a recorder of its max_workers that runs its
+        initializer and then each task at once in this process, as a forked worker
+        would, so no worker process starts. Returns the recorded sizes."""
         import concurrent.futures
 
         sizes = []
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 sizes.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -1026,8 +1079,13 @@ class TestSweep:
                 return future
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(pipeline, "run_single", TestSweep.refuse)
         return sizes
+
+    @classmethod
+    def pool_sizes(cls, monkeypatch):
+        """The recording pool, with every run refused."""
+        monkeypatch.setattr(pipeline, "run_single", TestSweep.refuse)
+        return cls.recording_pool(monkeypatch)
 
     @staticmethod
     def refuse(config, alpha, beta, seed, splits=None):
@@ -1054,22 +1112,48 @@ class TestSweep:
         records, failures = pipeline.sweep(self.two_seed_config())
         assert sizes == workers and not records and len(failures) == 8
 
-    def test_runs_of_a_seed_share_read_only_splits(self, monkeypatch):
-        seen = []
-
-        def capture(config, alpha, beta, seed, splits=None):
-            seen.append(splits)
-            raise RuntimeError("captured")
-
-        monkeypatch.setattr(pipeline, "run_single", capture)
-        records, failures = pipeline.sweep(self.two_seed_config(), jobs=1)
-        assert not records and len(failures) == 8
-        assert all(s is seen[0] for s in seen[:4]) and all(s is seen[4] for s in seen[4:])
-        for ds in seen[0] + seen[4]:
-            assert not any(a.flags.writeable for a in (ds.x, ds.y, ds.y_a, ds.y_p))
+    def test_dataset_is_read_only_and_left_out_of_a_copy(self):
+        cfg = from_dict({"data": {"n": 400}, "split": {"test_mode": "as-is"}})
+        ds = cfg.dataset
+        assert pipeline.load_dataset(cfg) is ds  # built at load, kept
+        assert not any(a.flags.writeable for a in (ds.x, ds.y, ds.y_a, ds.y_p))
         with pytest.raises(ValueError, match="read-only"):
-            seen[0][0].x[0, 0] = 0.0
-        assert not pipeline._seed_memo  # a finished sweep holds no split
+            ds.x[0, 0] = 0.0
+        # A spawned worker's config, or a copy, builds its own on first use.
+        for other in (pickle.loads(pickle.dumps(cfg)), copy.copy(cfg), copy.deepcopy(cfg)):
+            assert other == cfg and not hasattr(other, "dataset")
+            rebuilt = pipeline.load_dataset(other)
+            assert rebuilt is other.dataset and rebuilt is not ds
+            assert all(np.array_equal(getattr(rebuilt, name), getattr(ds, name))
+                       for name in ("x", "y", "y_a", "y_p"))
+        cfg.data.seed = 1  # a changed source is built again by validate
+        cfg.validate()
+        assert cfg.dataset is not ds and not np.array_equal(cfg.dataset.x, ds.x)
+
+    @pytest.mark.parametrize("command", [
+        ["train", "--alpha", "0", "--beta", "0", "--seed", "0"], ["gen-data"],
+        ["sweep", "--jobs", "1"], ["sweep", "--jobs", "2"]], ids=" ".join)
+    def test_csv_config_is_read_once_per_command(self, tmp_path, monkeypatch, command):
+        # A 3-seed sweep used to read its CSV 4 times with --jobs 1, 7 with --jobs 2.
+        csv_path = tmp_path / "features.csv"
+        assert main(["gen-data", "--config", str(config_json(tmp_path)),
+                     "--out", str(csv_path)]) == 0
+        path = config_json(tmp_path, data=str(csv_path), seeds=[0, 1, 2])
+        passes = []
+
+        def counted(path):
+            passes.append(path)
+            return load_csv(path)
+
+        def no_train(*args, **kwargs):
+            raise ValueError("not trained")
+
+        if command == ["sweep", "--jobs", "2"]:
+            self.recording_pool(monkeypatch)
+        monkeypatch.setattr(pipeline, "load_csv", counted)
+        monkeypatch.setattr(pipeline, "train", no_train)  # every run splits, then stops
+        assert main([*command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert passes == [str(csv_path)]
 
     def test_diverged_attacker_recorded_as_failed_run(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(evaluation, "fit_multinomial_logistic", diverging_fit)
@@ -1180,7 +1264,6 @@ class TestAnalyze:
             passes.append(path)
             return load_csv(path)
 
-        monkeypatch.setattr(config, "load_csv", counted)
         monkeypatch.setattr(pipeline, "load_csv", counted)
         assert main(["analyze", "--config", str(path), "--out", str(out)]) == 0
         assert passes == [str(csv_path)]  # config load's, which analyze takes k_p from

@@ -241,9 +241,11 @@ class TestCsv:
                                     joint=np.full((3, 2, 4), 1 / 24), seed=17))
         path = tmp_path / "data.csv"
         save_csv(ds, path)
-        loaded = load_csv(path)
-        assert config_load(path).source_shape \
+        loaded, built = load_csv(path), config_load(path).dataset
+        assert (len(built), (built.k_y, built.k_a, built.k_p)) \
             == (len(loaded), (loaded.k_y, loaded.k_a, loaded.k_p)) == (240, (3, 2, 4))
+        for name in ("x", "y", "y_a", "y_p"):
+            assert np.array_equal(getattr(built, name), getattr(loaded, name)), name
 
     def test_byte_order_mark_skipped(self, tmp_path):
         # A spreadsheet's "CSV UTF-8" export starts with one; it used to fail
@@ -255,8 +257,10 @@ class TestCsv:
         a, b = load_csv(plain), load_csv(marked)
         for name in ("x", "y", "y_a", "y_p", "k_y", "k_a", "k_p"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
-        assert config_load(marked).source_shape == config_load(plain).source_shape \
-            == (40, (2, 2, 2))
+        c, d = config_load(marked).dataset, config_load(plain).dataset
+        for name in ("x", "y", "y_a", "y_p", "k_y", "k_a", "k_p"):
+            assert np.array_equal(getattr(c, name), getattr(a, name)), name
+            assert np.array_equal(getattr(d, name), getattr(a, name)), name
 
     @pytest.mark.parametrize("read", [load_csv, config_load])  # a run's read, config load's
     @pytest.mark.parametrize("text, match", [

@@ -2,8 +2,9 @@
 
 perfbench/tracing.py wraps fairpriv functions by module attribute and
 reports a name it cannot find only on stderr. A renamed function, or a step
-that no longer goes through the wrapped attribute, would silently drop or
-merge the spans that ``--trace 1`` turns into per-layer times.
+that no longer goes through the wrapped attribute (a call that goes around it),
+would silently drop or merge the spans that ``--trace 1`` turns into per-layer
+times.
 """
 
 import json
@@ -54,6 +55,12 @@ def test_one_span_per_step_and_update(tmp_path):
     spans = [s for f in (tmp_path / "spans").glob("spans-*.json")
              for s in json.loads(f.read_text())]
     counts = Counter(name for _, name, *_ in spans)
+    # The command builds its dataset once, inside config load, and its run splits it.
+    names = {span_id: name for span_id, name, *_ in spans}
+    assert counts["config.load"] == counts["data.generate"] == 1
+    assert [names.get(parent) for _, name, _, _, parent, *_ in spans
+            if name == "data.generate"] == ["config.load"]
+    assert counts["data.make_splits"] == 1
 
     cfg = load_config(path)
     train_ds, _, _ = make_splits(pipeline.load_dataset(cfg), cfg.split, 0)
