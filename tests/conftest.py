@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -67,3 +70,12 @@ def host_note(*detail) -> str:
     host = host_class()
     lead = [] if host == PINNING_HOST else [f"pinned on {PINNING_HOST}, running on {host}"]
     return "; ".join(lead + [str(d) for d in detail])
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def src_env() -> dict:
+    """This environment with the package's sources first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))

@@ -6,6 +6,7 @@ import math
 import os
 import pickle
 import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from fairpriv.cli import config, main, pipeline, report
 from fairpriv.cli.config import (ConfigError, ExperimentConfig, from_dict, load_config,
                                  mild_correlation_joint)
 from fairpriv.cli.modelio import MAGIC, VERSION, load_bundle, save_bundle
-from fairpriv import data, evaluation
+from fairpriv import cli, data, evaluation
 from fairpriv.data import (LabeledDataset, SplitSpec, SyntheticSpec, load_csv,
                           make_splits)
 from fairpriv.evaluation import MetricTriple, fit_attacker
@@ -27,7 +28,8 @@ from fairpriv.learncore import Mlp
 from fairpriv.training import ModelBundle, TrainConfig
 
 import test_evaluation as oracle
-from conftest import bundle_params
+from test_reference_reports import OUTPUTS as REPORT_FILES
+from conftest import bundle_params, src_env
 
 
 def diverging_fit(x, labels, k, class_weights, iters):
@@ -53,10 +55,24 @@ def small_config(**overrides):
     return cfg
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_block(heading: str, lang: str, text: str | None = None) -> str:
+    """The first ```lang block in the ``## heading`` section of ``text`` (README's
+    by default); a missing or blank block fails naming the heading."""
+    if text is None:
+        text = README.read_text(encoding="utf-8")
+    section = re.search(rf"^## {re.escape(heading)}\n(.*?)(?=^## |\Z)", text, re.M | re.S)
+    block = section and re.search(rf"^```{re.escape(lang)}\n(.*?)^```", section[1],
+                                  re.M | re.S)
+    if not block or not block[1].strip():
+        pytest.fail(f"README.md has no ```{lang} block, or a blank one, under '## {heading}'")
+    return block[1]
+
+
 def readme_config() -> dict:
-    """The json block under README's "Configuration" heading."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    return json.loads(readme.split("## Configuration")[1].split("```json")[1].split("```")[0])
+    return json.loads(readme_block("Configuration", "json"))
 
 
 def config_json(tmp_path, **kw):
@@ -115,9 +131,7 @@ class TestConfig:
         # LC_ALL=C a UTF-8 "é" failed as an uncaught UnicodeDecodeError.
         path = tmp_path / "config.json"
         path.write_bytes('{"output_dir": "rés"}'.encode("utf-8"))
-        src = Path(pipeline.__file__).resolve().parents[2]
-        env = dict(os.environ, PYTHONUTF8="0", LC_ALL="C", PYTHONPATH=os.pathsep.join(
-            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        env = dict(src_env(), PYTHONUTF8="0", LC_ALL="C")
         proc = subprocess.run(
             [sys.executable, "-c", "import sys; from fairpriv.cli.config import load_config; "
              "print(ascii(load_config(sys.argv[1]).output_dir))", str(path)],
@@ -364,7 +378,18 @@ class TestConfig:
         assert from_dict({"data": {"seed": 4}}).data.n == ExperimentConfig().data.n
 
     def test_readme_example_loads_to_defaults(self):
-        cfg, default = from_dict(readme_config()), ExperimentConfig()
+        # It lists exactly the keys from_dict accepts: ExperimentConfig's fields,
+        # with alphas and betas under grid, and in data, split and train exactly
+        # the fields of the types they load into.
+        def names(spec):
+            return {f.name for f in dataclasses.fields(spec)}
+
+        raw = readme_config()
+        assert set(raw) == names(ExperimentConfig) - {"alphas", "betas"} | {"grid"}
+        for section, spec, extra in (("data", SyntheticSpec, {"kind"}),
+                                     ("split", SplitSpec, set()), ("train", TrainConfig, set())):
+            assert set(raw[section]) == names(spec) | extra, section
+        cfg, default = from_dict(raw), ExperimentConfig()
         assert np.allclose(cfg.data.joint, default.data.joint)
         cfg.data.joint = default.data.joint
         assert cfg == default
@@ -856,15 +881,106 @@ class TestResultsFile:
             pipeline.load_results(results)
 
 
+class TestReadme:
+    def test_library_example_runs(self, tmp_path):
+        # A drift in the documented imports or in pipeline.run_single fails here.
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c", readme_block("Library use", "python")],
+            capture_output=True, text=True, env=src_env(), cwd=tmp_path, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_cli_lines_parse(self):
+        # Each documented command line parses, and together they show every subcommand.
+        parser = cli._build_parser()
+        commands = [shlex.split(line) for line in readme_block("CLI", "bash").splitlines()
+                    if line.startswith("fairpriv ")]
+        for argv in commands:
+            try:
+                parser.parse_args(argv[1:])
+            except SystemExit:
+                pytest.fail(f"README's CLI line does not parse: {shlex.join(argv)}")
+        assert {argv[1] for argv in commands} == set(cli._COMMANDS)
+
+    @pytest.mark.parametrize("text", [
+        "## Library use\n\nNo code here.\n",
+        "## Library use\n\n```python\n\n```\n",
+        "## Library use\n\n```bash\nfairpriv sweep\n```\n\n## Next\n\n```python\nx = 1\n```\n",
+    ], ids=["no-block", "blank-block", "block-under-next-heading"])
+    def test_missing_or_blank_block_fails(self, text):
+        # An empty block would run as an empty program and pass.
+        with pytest.raises(pytest.fail.Exception, match="'## Library use'"):
+            readme_block("Library use", "python", text)
+
+
+class TestMixedClassCounts:
+    """k_y, k_a and k_p all differ, a layout no benchmark workload trains: the
+    heads' output layers are padded to max(k_y, k_a, k_p) columns. pyproject's
+    filterwarnings makes a warning an error here and in the forked pool workers."""
+
+    @staticmethod
+    def sweep(config_path, out, capsys) -> str:
+        assert main(["sweep", "--config", str(config_path), "--out", str(out), "--jobs", "2"]) == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("metric", ["tpr", "accuracy"])  # no benchmark scores accuracy
+    def test_sweep_train_csv_and_analyze_agree(self, tmp_path, capsys, metric):
+        uniform = [[[1 / 24] * 4] * 2] * 3  # k_y x k_a x k_p
+        raw = {"data": {"n": 1200, "k_y": 3, "k_a": 2, "k_p": 4, "joint": uniform},
+               "train": {"epochs": 2}, "grid": {"alphas": [0.0, 1.0], "betas": [0.0, 1.0]},
+               "seeds": [0], "attacker_iters": 200, "utility_metric": metric}
+        config_path, out = tmp_path / "config.json", tmp_path / "out"
+        config_path.write_text(json.dumps(raw))
+        assert self.sweep(config_path, out, capsys).startswith("4 runs ok, 0 failed -> ")
+        swept = (out / "results.csv").read_bytes()
+        # The one-cell command rewrites the (1, 1, 0) row in place, with the
+        # sweep's bytes, and its model file keeps every head's width.
+        assert main(["train", "--config", str(config_path), "--out", str(out),
+                     "--alpha", "1", "--beta", "1", "--seed", "0"]) == 0
+        assert (out / "results.csv").read_bytes() == swept
+        bundle = load_bundle(out / "model_a1_b1_s0.bin")
+        assert [net.layer_sizes[-1] for net in (bundle.classifier, bundle.fairness_adv,
+                                                bundle.privacy_adv)] == [3, 2, 4]
+        # The same rows as a CSV dataset, whose class counts come from its
+        # labels: its sweep scores the same TPR class (2 of k_y = 3), byte for byte.
+        data_csv, csv_config, csv_out = (tmp_path / name for name in
+                                         ("data.csv", "csv_config.json", "csv"))
+        assert main(["gen-data", "--config", str(config_path), "--out", str(data_csv)]) == 0
+        csv_config.write_text(json.dumps({**raw, "data": str(data_csv)}))
+        self.sweep(csv_config, csv_out, capsys)
+        assert (csv_out / "results.csv").read_bytes() == swept
+        # The CSV config's analyze reads k_p (so the chance level, 1/4) from the
+        # CSV's labels: its report, tables and heatmaps are the same bytes.
+        for path, where in ((config_path, out), (csv_config, csv_out)):
+            assert main(["analyze", "--config", str(path), "--out", str(where)]) == 0
+        for name in REPORT_FILES:
+            assert (csv_out / name).read_bytes() == (out / name).read_bytes(), name
+        # Both tradeoff views, over the runs and over seed medians, with the same keys.
+        rep = json.loads((out / "report.json").read_text())
+        pooled, medians = rep["tradeoffs"], rep["tradeoffs_over_seed_medians"]
+        assert set(pooled) == set(medians)
+        assert set(pooled["correlations"]) == set(medians["correlations"])
+        assert [e.keys() for e in pooled["csr"]] == [e.keys() for e in medians["csr"]]
+        tables = (out / "tables.txt").read_text().splitlines()
+        assert "Tradeoffs" in tables and "Tradeoffs over seed medians" in tables
+
+    def test_nine_private_classes(self, tmp_path, capsys):
+        # A 9-wide padded head, and the attacker's softmax reducing over more
+        # classes than numpy's row sum adds in order.
+        uniform = [[[1 / 36] * 9] * 2] * 2  # k_y x k_a x k_p
+        config_path, out = tmp_path / "config.json", tmp_path / "out"
+        config_path.write_text(json.dumps({
+            "data": {"n": 1200, "k_p": 9, "d_p": 9, "joint": uniform}, "train": {"epochs": 2},
+            "grid": {"alphas": [1.0], "betas": [1.0]}, "seeds": [0], "attacker_iters": 200}))
+        assert self.sweep(config_path, out, capsys).startswith("1 runs ok, 0 failed -> ")
+        assert main(["analyze", "--config", str(config_path), "--out", str(out)]) == 0
+
+
 class TestModuleEntryPoint:
     """``python -m fairpriv`` runs the CLI and passes its exit code on."""
 
     def run(self, *args):
-        src = Path(pipeline.__file__).resolve().parents[2]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
         return subprocess.run([sys.executable, "-m", "fairpriv", *args],
-                              capture_output=True, text=True, env=env, timeout=120)
+                              capture_output=True, text=True, env=src_env(), timeout=120)
 
     def test_help(self):
         proc = self.run("--help")
@@ -1166,13 +1282,10 @@ class TestSweep:
         assert "Traceback" not in err
 
     def test_cli_import_leaves_process_pool_out(self):
-        src = Path(pipeline.__file__).resolve().parents[2]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, fairpriv.cli; print('concurrent.futures.process' in sys.modules)"],
-            capture_output=True, text=True, env=env, timeout=120)
+            capture_output=True, text=True, env=src_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 

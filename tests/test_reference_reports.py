@@ -1,8 +1,10 @@
-"""`fairpriv analyze` output bytes on the benchmark's committed reference results.
+"""Output bytes on the benchmark's committed reference results.
 
 Each of the 16 reference result files is analyzed under the config that
 perfbench/run.py builds for it; one sha256 over report.json, tables.txt and
-the three heatmaps pins every byte the report path writes. The paper's three
+the three heatmaps pins every byte the report path writes. Each attack_short
+input set is also swept again, and must write its reference file's bytes
+(the benchmark's own check allows a deviation of 1e-6). The paper's three
 directions (acceptance criteria 3-5) are checked on each recorded input set
 of the reduced sweep. The perfbench files are only read.
 """
@@ -18,6 +20,8 @@ import numpy as np
 import pytest
 
 from fairpriv.cli import main, pipeline
+
+from conftest import host_note
 
 ROOT = Path(__file__).resolve().parents[1]
 OUTPUTS = ("report.json", "tables.txt", "heatmap_utility.svg", "heatmap_fairness_gap.svg",
@@ -78,6 +82,23 @@ def analyze_digest(workload: str, k: int, tmp_path: Path) -> str:
 @pytest.mark.parametrize("k", range(8))
 def test_analyze_matches_recorded_digest(workload, k, tmp_path):
     assert analyze_digest(workload, k, tmp_path) == RECORDED[workload, k]
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_attack_short_sweep_matches_reference(k, tmp_path):
+    # attack_short is where the attacker fit shows; one input set alone misses a
+    # change that moves only some cells. results.csv shows the fit only through
+    # attack_balanced_acc, a ratio of counts, so a fit that flips no test
+    # prediction keeps these bytes (one stopped at half its steps does);
+    # TestGoldenBytes pins the fit's own bytes.
+    raw, _ = _perfbench_run().make_config("attack_short", k)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(config), "--jobs", "1", "--out", str(out)]) == 0
+    reference = ROOT / "perfbench" / "reference" / "attack_short" / f"inputs-{k}.csv"
+    assert (out / "results.csv").read_bytes() == reference.read_bytes(), host_note(
+        f"results.csv differs from {reference.relative_to(ROOT)}")
 
 
 @pytest.mark.parametrize("k", range(8))

@@ -9,7 +9,6 @@ times.
 
 import json
 import math
-import os
 import subprocess
 import sys
 from collections import Counter
@@ -18,6 +17,8 @@ from pathlib import Path
 from fairpriv.cli import pipeline
 from fairpriv.cli.config import load_config, mild_correlation_joint
 from fairpriv.data import make_splits
+
+from conftest import src_env
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -36,24 +37,31 @@ sys.exit(rc)
 """
 
 
-def test_one_span_per_step_and_update(tmp_path):
+def traced_cli(tmp_path, *argv) -> list:
+    """Run ``fairpriv *argv`` traced; the spans of all its processes."""
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_CLI, str(ROOT / "perfbench" / "tracing.py"),
+         str(tmp_path / "spans"), *argv, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=src_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "not recorded" not in proc.stderr, proc.stderr
+    return [s for f in (tmp_path / "spans").glob("spans-*.json")
+            for s in json.loads(f.read_text())]
+
+
+def small_config(tmp_path, **fields):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({
         "data": {"n": 800, "joint": mild_correlation_joint().tolist()},
         "train": {"epochs": 1, "extractor_hidden": [8], "adversary_hidden": [8, 8]},
-        "attacker_iters": 20,
-    }))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run(
-        [sys.executable, "-c", TRACED_CLI, str(ROOT / "perfbench" / "tracing.py"),
-         str(tmp_path / "spans"), "train", "--config", str(path), "--alpha", "1",
-         "--beta", "0", "--seed", "0", "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert "not recorded" not in proc.stderr, proc.stderr
-    spans = [s for f in (tmp_path / "spans").glob("spans-*.json")
-             for s in json.loads(f.read_text())]
+        "attacker_iters": 20, **fields}))
+    return path
+
+
+def test_one_span_per_step_and_update(tmp_path):
+    path = small_config(tmp_path)
+    spans = traced_cli(tmp_path, "train", "--config", str(path), "--alpha", "1",
+                       "--beta", "0", "--seed", "0")
     counts = Counter(name for _, name, *_ in spans)
     # The command builds its dataset once, inside config load, and its run splits it.
     names = {span_id: name for span_id, name, *_ in spans}
@@ -70,3 +78,20 @@ def test_one_span_per_step_and_update(tmp_path):
     assert counts["training.objective"] == batches
     assert counts["learncore.backward"] == counts["learncore.adam_step"] == batches
     assert counts["training.train"] == counts["pipeline.run_single"] == 1
+
+
+def test_pool_worker_runs_are_children_of_the_sweep(tmp_path):
+    # Forked workers keep the wrappers and the open sweep span, so each run's
+    # span names it as parent; parallel efficiency and CPU per run read these.
+    path = small_config(tmp_path, grid={"alphas": [0.0, 1.0], "betas": [0.0, 1.0]},
+                        seeds=[0])
+    spans = traced_cli(tmp_path, "sweep", "--config", str(path), "--jobs", "2")
+    [(sweep_id, _, _, _, _, _, attrs)] = [s for s in spans if s[1] == "pipeline.sweep"]
+    runs = [s for s in spans if s[1] == "pipeline.run_single"]
+    assert [parent for _, _, _, _, parent, *_ in runs] == [sweep_id] * 4
+    # Span ids are "<pid>:<index>": pool workers, not the sweeping process, ran
+    # every run. Which of the two workers takes which run is up to the scheduler.
+    sweep_pid = sweep_id.split(":")[0]
+    workers = {run[0].split(":")[0] for run in runs}
+    assert sweep_pid not in workers and 1 <= len(workers) <= 2, (sweep_pid, workers)
+    assert attrs["jobs"] == 2 and attrs["cpu_s"] > 0

@@ -4,8 +4,8 @@ A fork pool worker gets the sweeping process's config as the same object,
 dataset included. A spawn or forkserver worker gets a pickled copy, which
 ``ExperimentConfig.__getstate__`` leaves without its dataset, so the worker
 builds the dataset on its first run (Python 3.14 makes forkserver the Linux
-default). Each sweep runs in its own process group, killed whole if it
-outlives its timeout.
+default). Each sweep runs under ``-W error`` in its own process group, killed
+whole if it outlives its timeout.
 """
 
 import json
@@ -17,6 +17,10 @@ import time
 from pathlib import Path
 
 import pytest
+
+from fairpriv.cli import main
+
+from conftest import src_env
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -38,17 +42,15 @@ GRID = {"grid": {"alphas": [0.0, 1.0], "betas": [0.0, 1.0]}, "seeds": [0]}
 def run_group(args, timeout, stdin=None):
     """Run ``args`` in a new process group; (exit code, stderr). On a timeout the
     whole group, pool workers included, is killed and the test fails."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
     proc = subprocess.Popen(args, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, text=True, env=env,
+                            stderr=subprocess.PIPE, text=True, env=src_env(),
                             start_new_session=True)
     try:
         _, err = proc.communicate(stdin, timeout=timeout)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
-        pytest.fail(f"{args[2:]} did not exit within {timeout} s")
+        pytest.fail(f"{args[1:]} did not exit within {timeout} s")
     try:
         os.killpg(proc.pid, signal.SIGKILL)  # any process of the group still left
     except ProcessLookupError:
@@ -57,21 +59,26 @@ def run_group(args, timeout, stdin=None):
 
 
 def test_spawn_and_forkserver_sweeps_match_fork(tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        **GRID, "data": {"n": 800}, "attacker_iters": 100,
-        "train": {"epochs": 2, "extractor_hidden": [8], "adversary_hidden": [8, 8]}}))
+    raw = {**GRID, "data": {"n": 800}, "attacker_iters": 100,
+           "train": {"epochs": 2, "extractor_hidden": [8], "adversary_hidden": [8, 8]}}
+    config, csv_config = tmp_path / "config.json", tmp_path / "csv_config.json"
+    config.write_text(json.dumps(raw))
+    # The same rows as a CSV source: a forkserver worker reads the CSV itself.
+    assert main(["gen-data", "--config", str(config), "--out", str(tmp_path / "data.csv")]) == 0
+    csv_config.write_text(json.dumps({**raw, "data": str(tmp_path / "data.csv")}))
     script = tmp_path / "sweep.py"
     script.write_text(SCRIPT)
     results = {}
-    for method in ("fork", "spawn", "forkserver"):
-        out = tmp_path / method
-        rc, err = run_group([sys.executable, str(script), method, "sweep", "--config",
-                             str(config), "--jobs", "2", "--out", str(out)], timeout=300)
+    for method, path in (("fork", config), ("spawn", config), ("forkserver", config),
+                         ("forkserver", csv_config)):
+        out = tmp_path / f"{method}-{path.stem}"
+        rc, err = run_group([sys.executable, "-W", "error", str(script), method, "sweep",
+                             "--config", str(path), "--jobs", "2", "--out", str(out)],
+                            timeout=300)
         assert rc == 0, err
-        results[method] = (out / "results.csv").read_bytes()
-    assert len(results["fork"].splitlines()) == 1 + 4
-    assert results["spawn"] == results["fork"] and results["forkserver"] == results["fork"]
+        results[out.name] = (out / "results.csv").read_bytes()
+    assert len(results["fork-config"].splitlines()) == 1 + 4
+    assert [name for name, data in results.items() if data != results["fork-config"]] == []
 
 
 def test_spawn_workers_that_die_at_start_fail_every_run(tmp_path):
