@@ -53,7 +53,7 @@ class ExperimentConfig:
         _as_config_error("split.", split_rows, self.split, ds)
 
     def __getstate__(self) -> dict:
-        """Without ``dataset``: a pickled (spawned pool worker's) or copied config builds
+        """Without ``dataset``: a pickled (spawned sweep worker's) or copied config builds
         its own on first use."""
         return {k: v for k, v in self.__dict__.items() if k != "dataset"}
 

@@ -22,7 +22,6 @@ from .config import ExperimentConfig
 RESULTS_HEADER = ["alpha", "beta", "seed", *METRICS, "val_loss"]
 ERROR_MARKER = "ERROR"
 _FAILED_CELLS = [ERROR_MARKER] * (len(RESULTS_HEADER) - 3)  # a failed run's metric cells
-_worker_config = None  # in a sweep's pool worker, the sweep's config; set by its initializer
 
 
 def load_dataset(config: ExperimentConfig) -> LabeledDataset:
@@ -81,17 +80,71 @@ def run_single(config: ExperimentConfig, alpha: float, beta: float, seed: int,
     return record, trained
 
 
-def _init_worker(config: ExperimentConfig) -> None:
-    global _worker_config
-    _worker_config = config
-
-
-def _sweep_entry(key: tuple, config: ExperimentConfig | None = None) -> tuple[tuple, object]:
+def _outcome(config: ExperimentConfig, key: tuple) -> RunRecord | str:
+    """The run's record, or its error as ``"Type: message"``."""
     try:
-        record, _ = run_single(config or _worker_config, *key)
-        return key, record
+        return run_single(config, *key)[0]
     except Exception as exc:  # a failed run must not sink the sweep
-        return key, f"{type(exc).__name__}: {exc}"
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _serve(conn, config: ExperimentConfig) -> None:
+    """A sweep worker: answer each key it receives with its outcome, until None."""
+    for key in iter(conn.recv, None):
+        conn.send(_outcome(config, key))
+
+
+def _worker_outcomes(config: ExperimentConfig, keys: list, jobs: int) -> dict:
+    """Each key's outcome, from up to ``jobs`` worker processes that each hold one key
+    at a time and get the next, in key order, with their answer. A worker that dies
+    fails the key it held, and a fresh worker takes the keys left; every start after
+    the first ``jobs`` follows such a death, so at most ``jobs + len(keys)`` start.
+    Every worker has ended when this returns."""
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    outcomes, todo, held, workers = {}, keys[::-1], {}, []  # held: pipe -> (worker, key)
+
+    def give(conn, worker):
+        key = todo.pop() if todo else None
+        try:
+            conn.send(key)
+        except OSError:  # the worker died; wait() sees its pipe's end
+            pass
+        if key is None:
+            conn.close()
+        else:
+            held[conn] = worker, key
+
+    try:
+        while todo or held:
+            while todo and len(held) < jobs:
+                conn, child = multiprocessing.Pipe()
+                worker = multiprocessing.Process(target=_serve, args=(child, config))
+                worker.start()
+                workers.append(worker)
+                child.close()
+                give(conn, worker)
+            for conn in wait(list(held)):
+                worker, key = held.pop(conn)
+                try:
+                    outcomes[key] = conn.recv()
+                except (EOFError, ConnectionResetError):  # reset: its key was still unread
+                    worker.join()
+                    code = worker.exitcode
+                    outcomes[key] = "WorkerDied: " + (
+                        f"killed by signal {-code}" if code < 0 else f"exit code {code}")
+                    conn.close()
+                else:
+                    give(conn, worker)
+    except BaseException:  # a run may take minutes; end every worker, busy or not
+        for worker in workers:
+            worker.kill()
+        raise
+    finally:
+        for worker in workers:
+            worker.join()
+    return outcomes
 
 
 def sweep(config: ExperimentConfig, jobs: int | None = None
@@ -99,10 +152,12 @@ def sweep(config: ExperimentConfig, jobs: int | None = None
     """Run the whole (alpha, beta, seed) grid.
 
     Returns (records sorted by key, failures keyed by (alpha, beta, seed)).
-    Each run splits the config's one dataset. A pool worker gets the config
-    once: under fork, dataset included; under spawn or forkserver, without it.
-    The output does not depend on jobs. A worker that dies breaks the whole pool:
-    every run not finished by then fails as BrokenProcessPool, not just its own.
+    Each run splits the config's one dataset. With jobs > 1 and more than one run,
+    the runs go to at most ``jobs`` worker processes, each given the config once, as
+    its argument: under fork, dataset included; under spawn or forkserver, without it.
+    The output does not depend on jobs. A worker that dies fails only the run it
+    held, as ``WorkerDied: exit code N`` (``killed by signal N``), and a fresh
+    worker takes the runs left.
     """
     keys = [(a, b, s) for s in sorted(config.seeds)
             for a in sorted(config.alphas) for b in sorted(config.betas)]
@@ -110,22 +165,11 @@ def sweep(config: ExperimentConfig, jobs: int | None = None
         jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
     if jobs > 1 and len(keys) > 1:
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-        from concurrent.futures.process import BrokenProcessPool
-        # Under fork the pool starts all its workers at the first submit.
-        with ProcessPoolExecutor(max_workers=min(jobs, len(keys)), initializer=_init_worker,
-                                 initargs=(config,)) as pool:
-            futures = {pool.submit(_sweep_entry, key): key for key in keys}
-            outcomes = []
-            for future in as_completed(futures):
-                try:
-                    outcomes.append(future.result())
-                except BrokenProcessPool as exc:
-                    outcomes.append((futures[future], f"{type(exc).__name__}: {exc}"))
+        outcomes = _worker_outcomes(config, keys, jobs)
     else:
-        outcomes = [_sweep_entry(key, config) for key in keys]
+        outcomes = {key: _outcome(config, key) for key in keys}
     records, failures = [], {}
-    for key, outcome in outcomes:
+    for key, outcome in outcomes.items():
         if isinstance(outcome, RunRecord):
             records.append(outcome)
         else:

@@ -3,13 +3,16 @@ import csv
 import dataclasses
 import json
 import math
+import multiprocessing.connection
 import os
 import pickle
 import re
 import shlex
+import signal
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -915,7 +918,7 @@ class TestReadme:
 class TestMixedClassCounts:
     """k_y, k_a and k_p all differ, a layout no benchmark workload trains: the
     heads' output layers are padded to max(k_y, k_a, k_p) columns. pyproject's
-    filterwarnings makes a warning an error here and in the forked pool workers."""
+    filterwarnings makes a warning an error here and in the forked sweep workers."""
 
     @staticmethod
     def sweep(config_path, out, capsys) -> str:
@@ -1057,7 +1060,8 @@ class TestSweep:
         main(["sweep", "--config", str(path), "--jobs", "2", "--out", str(out2)])
         assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
 
-    def test_failed_run_markers_and_exit(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_run_markers_and_exit(self, tmp_path, monkeypatch, jobs):
         cfg = small_config()
         real = pipeline.run_single
 
@@ -1067,8 +1071,8 @@ class TestSweep:
             return real(config, alpha, beta, seed, splits=splits)
 
         monkeypatch.setattr(pipeline, "run_single", flaky)
-        records, failures = pipeline.sweep(cfg, jobs=1)
-        assert len(records) == 3 and list(failures) == [(1.0, 0.0, 0)]
+        records, failures = pipeline.sweep(cfg, jobs=jobs)
+        assert len(records) == 3 and failures == {(1.0, 0.0, 0): "RuntimeError: boom"}
         results = tmp_path / "results.csv"
         pipeline.write_results(results, records, failures)
         lines = results.read_text().splitlines()
@@ -1086,7 +1090,7 @@ class TestSweep:
         def dies(config, alpha, beta, seed, splits=None):
             if alpha == 1.0 and beta == 0.0:
                 if os.getpid() == sweeper:
-                    raise RuntimeError("must run in a pool worker")
+                    raise RuntimeError("must run in a worker")
                 os._exit(1)  # the worker process dies, as if killed
             return real(config, alpha, beta, seed, splits=splits)
 
@@ -1095,10 +1099,9 @@ class TestSweep:
         assert main(["sweep", "--config", str(path), "--jobs", "2",
                      "--out", str(out)]) == 1
         records, failed = pipeline.load_results(out / "results.csv")
-        keys = sorted([r.key for r in records] + failed)
-        assert keys == [(a, b, 0) for a in (0.0, 1.0) for b in (0.0, 1.0)]
-        assert (1.0, 0.0, 0) in failed
-        assert "BrokenProcessPool" in capsys.readouterr().err
+        assert len(records) == 3 and failed == [(1.0, 0.0, 0)]
+        assert ("  FAILED (alpha=1, beta=0, seed=0): WorkerDied: exit code 1\n"
+                in capsys.readouterr().err)
 
 
     @staticmethod
@@ -1118,6 +1121,56 @@ class TestSweep:
                    for a in cfg.alphas for b in cfg.betas for s in cfg.seeds]
         return self.results_bytes(path, records)
 
+    @staticmethod
+    def crash_on(keys, how):
+        """A run_single that ends its worker process ``how`` on ``keys``."""
+        real = pipeline.run_single
+
+        def crashes(config, alpha, beta, seed, splits=None):
+            if (alpha, beta, seed) in keys:
+                how()
+            return real(config, alpha, beta, seed, splits=splits)
+
+        return crashes
+
+    @pytest.mark.parametrize("how, message", [
+        (lambda: os._exit(9), "WorkerDied: exit code 9"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "WorkerDied: killed by signal 9"),
+    ], ids=["exit", "sigkill"])
+    def test_dead_worker_fails_only_its_own_run(self, tmp_path, monkeypatch, how, message):
+        cfg = self.two_seed_config()
+        whole, failures = pipeline.sweep(cfg, jobs=2)
+        assert not failures and multiprocessing.active_children() == []
+        key = (1.0, 0.0, 0)  # the third of 8 runs
+        monkeypatch.setattr(pipeline, "run_single", self.crash_on({key}, how))
+        records, failures = pipeline.sweep(cfg, jobs=2)
+        assert failures == {key: message}
+        assert (self.results_bytes(tmp_path / "crashed.csv", records)
+                == self.results_bytes(tmp_path / "whole.csv",
+                                      [r for r in whole if r.key != key]))
+        assert multiprocessing.active_children() == []
+
+    def test_sweep_ends_when_every_run_kills_its_worker(self, monkeypatch):
+        cfg = self.two_seed_config()
+        keys = {(a, b, s) for a in cfg.alphas for b in cfg.betas for s in cfg.seeds}
+        monkeypatch.setattr(pipeline, "run_single", self.crash_on(keys, lambda: os._exit(3)))
+        records, failures = pipeline.sweep(cfg, jobs=2)
+        assert not records and failures == {key: "WorkerDied: exit code 3" for key in keys}
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_a_sweep_that_raises(self, monkeypatch):
+        def interrupted(conns):
+            raise KeyboardInterrupt
+
+        # Each worker holds a run that takes a minute; the sweep must not wait for it.
+        monkeypatch.setattr(pipeline, "run_single", lambda *args, **kwargs: time.sleep(60))
+        monkeypatch.setattr(multiprocessing.connection, "wait", interrupted)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            pipeline.sweep(self.two_seed_config(), jobs=2)
+        assert multiprocessing.active_children() == []
+        assert time.monotonic() - start < 30
+
     def test_shared_splits_match_per_cell_runs(self, tmp_path):
         cfg = self.two_seed_config()
         serial = self.results_bytes(tmp_path / "serial.csv", *pipeline.sweep(cfg, jobs=1))
@@ -1128,28 +1181,36 @@ class TestSweep:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_runs_split_one_dataset_built_once(self, monkeypatch, jobs):
         # Each run splits the config's one dataset for its seed; no run builds it
-        # again, in this process or (with the recording pool) a worker.
-        if jobs > 1:
-            self.recording_pool(monkeypatch)
+        # again, in this process or a worker. The runs go out seed-major.
         cfg = self.two_seed_config()
-        real_generate, built = pipeline.generate, []
-        seen = []
+        sweeper, built, sent = os.getpid(), [], []
+        real_generate, real_send = pipeline.generate, multiprocessing.connection.Connection.send
 
         def counted(spec):
+            if os.getpid() != sweeper:
+                raise RuntimeError("generated in a worker")
             built.append(spec)
             return real_generate(spec)
 
         def capture(ds, split, seed):
-            seen.append((ds, seed))
-            raise RuntimeError("captured")
+            raise RuntimeError(f"split {seed} of {'the config' if ds is cfg.dataset else 'a'}"
+                               f" dataset")
+
+        def recorded(conn, obj):  # a fork worker records into its own copy
+            sent.append(obj)
+            real_send(conn, obj)
 
         monkeypatch.setattr(pipeline, "generate", counted)
         monkeypatch.setattr(pipeline, "make_splits", capture)
+        monkeypatch.setattr(multiprocessing.connection.Connection, "send", recorded)
+        pipeline.load_dataset(cfg)  # as config load does, before any worker starts
         records, failures = pipeline.sweep(cfg, jobs=jobs)
-        assert not records and len(failures) == 8
-        assert built == [cfg.data]  # ExperimentConfig() builds on first use
-        assert [seed for _, seed in seen] == [0] * 4 + [1] * 4  # seed-major order
-        assert all(ds is cfg.dataset for ds, _ in seen)
+        assert not records
+        assert failures == {(a, b, s): f"RuntimeError: split {s} of the config dataset"
+                            for a in cfg.alphas for b in cfg.betas for s in cfg.seeds}
+        assert built == [cfg.data]
+        order = list(failures) if jobs == 1 else [key for key in sent if key is not None]
+        assert [seed for _, _, seed in order] == [0] * 4 + [1] * 4  # seed-major
 
     def test_next_sweep_gets_its_own_data(self, tmp_path):
         # Configs that differ only in data.seed: each sweep splits its own dataset.
@@ -1170,63 +1231,38 @@ class TestSweep:
                 == self.results_bytes(tmp_path / "syn.csv", *synthetic))
 
     @staticmethod
-    def recording_pool(monkeypatch):
-        """Make sweep's process pool a recorder of its max_workers that runs its
-        initializer and then each task at once in this process, as a forked worker
-        would, so no worker process starts. Returns the recorded sizes."""
-        import concurrent.futures
-
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers, initializer, initargs):
-                sizes.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        return sizes
+    def refuse(config, alpha, beta, seed, splits=None):
+        raise RuntimeError(f"not run by {os.getpid()}")
 
     @classmethod
-    def pool_sizes(cls, monkeypatch):
-        """The recording pool, with every run refused."""
-        monkeypatch.setattr(pipeline, "run_single", TestSweep.refuse)
-        return cls.recording_pool(monkeypatch)
-
-    @staticmethod
-    def refuse(config, alpha, beta, seed, splits=None):
-        raise RuntimeError("not run")
+    def assert_runs_in(cls, monkeypatch, workers, jobs=None):
+        """Sweep two_seed_config with every run refused: its 8 runs ran in ``workers``
+        worker processes, or in this process if 0."""
+        monkeypatch.setattr(pipeline, "run_single", cls.refuse)
+        records, failures = pipeline.sweep(cls.two_seed_config(), jobs=jobs)
+        assert not records and len(failures) == 8
+        pids = {int(message.rsplit(" ", 1)[1]) for message in failures.values()}
+        if workers:
+            assert len(pids) == workers and os.getpid() not in pids
+        else:
+            assert pids == {os.getpid()}
 
     @pytest.mark.parametrize("jobs, workers", [(16, 8), (3, 3)])
     def test_pool_has_at_most_one_worker_per_run(self, monkeypatch, jobs, workers):
-        sizes = self.pool_sizes(monkeypatch)
-        records, failures = pipeline.sweep(self.two_seed_config(), jobs=jobs)
-        assert sizes == [workers] and not records and len(failures) == 8
+        self.assert_runs_in(monkeypatch, workers, jobs)
 
     @pytest.mark.parametrize("affinity, cpu_count, workers", [
-        ({0, 1, 2}, 64, [3]),  # an affinity mask or cpuset of 3 cores on a 64-core machine
-        ({5}, 64, []),  # one usable core runs serially
-        (None, 5, [5]),  # no sched_getaffinity on this platform
+        ({0, 1, 2}, 64, 3),  # an affinity mask or cpuset of 3 cores on a 64-core machine
+        ({5}, 64, 0),  # one usable core runs serially
+        (None, 5, 5),  # no sched_getaffinity on this platform
     ])
     def test_default_jobs_count_usable_cores(self, monkeypatch, affinity, cpu_count, workers):
-        sizes = self.pool_sizes(monkeypatch)
         if affinity is None:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         else:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity)
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-        records, failures = pipeline.sweep(self.two_seed_config())
-        assert sizes == workers and not records and len(failures) == 8
+        self.assert_runs_in(monkeypatch, workers)
 
     def test_dataset_is_read_only_and_left_out_of_a_copy(self):
         cfg = from_dict({"data": {"n": 400}, "split": {"test_mode": "as-is"}})
@@ -1255,21 +1291,20 @@ class TestSweep:
         assert main(["gen-data", "--config", str(config_json(tmp_path)),
                      "--out", str(csv_path)]) == 0
         path = config_json(tmp_path, data=str(csv_path), seeds=[0, 1, 2])
-        passes = []
+        passes = tmp_path / "passes.txt"
 
         def counted(path):
-            passes.append(path)
+            with open(passes, "a", encoding="utf-8") as fh:  # a sweep's workers write too
+                fh.write(f"{path}\n")
             return load_csv(path)
 
         def no_train(*args, **kwargs):
             raise ValueError("not trained")
 
-        if command == ["sweep", "--jobs", "2"]:
-            self.recording_pool(monkeypatch)
         monkeypatch.setattr(pipeline, "load_csv", counted)
         monkeypatch.setattr(pipeline, "train", no_train)  # every run splits, then stops
         assert main([*command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
-        assert passes == [str(csv_path)]
+        assert passes.read_text(encoding="utf-8").splitlines() == [str(csv_path)]
 
     def test_diverged_attacker_recorded_as_failed_run(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(evaluation, "fit_multinomial_logistic", diverging_fit)
@@ -1284,10 +1319,11 @@ class TestSweep:
     def test_cli_import_leaves_process_pool_out(self):
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, fairpriv.cli; print('concurrent.futures.process' in sys.modules)"],
+             "import json, sys, fairpriv.cli; print(json.dumps(list(sys.modules)))"],
             capture_output=True, text=True, env=src_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        loaded = set(json.loads(proc.stdout))
+        assert not loaded & {"concurrent.futures", "multiprocessing.connection"}
 
 def synthetic_records(alphas, betas, seeds, rng):
     records = []

@@ -1,6 +1,6 @@
 """Sweeps under the spawn and forkserver start methods.
 
-A fork pool worker gets the sweeping process's config as the same object,
+A fork worker gets the sweeping process's config as the same object,
 dataset included. A spawn or forkserver worker gets a pickled copy, which
 ``ExperimentConfig.__getstate__`` leaves without its dataset, so the worker
 builds the dataset on its first run (Python 3.14 makes forkserver the Linux
@@ -38,10 +38,29 @@ if __name__ == "__main__":
 
 GRID = {"grid": {"alphas": [0.0, 1.0], "betas": [0.0, 1.0]}, "seeds": [0]}
 
+# SCRIPT, with the run (1, 0, 0) ending its worker process. The wrap is at top
+# level, so a spawn or forkserver worker, which imports the script afresh, has it too.
+CRASH_SCRIPT = """
+import os
+
+from fairpriv.cli import pipeline
+
+real_run_single = pipeline.run_single
+
+
+def crashes(config, alpha, beta, seed, splits=None):
+    if (alpha, beta, seed) == (1.0, 0.0, 0):
+        os._exit(9)
+    return real_run_single(config, alpha, beta, seed, splits=splits)
+
+
+pipeline.run_single = crashes
+""" + SCRIPT
+
 
 def run_group(args, timeout, stdin=None):
     """Run ``args`` in a new process group; (exit code, stderr). On a timeout the
-    whole group, pool workers included, is killed and the test fails."""
+    whole group, sweep workers included, is killed and the test fails."""
     proc = subprocess.Popen(args, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True, env=src_env(),
                             start_new_session=True)
@@ -84,7 +103,7 @@ def test_spawn_and_forkserver_sweeps_match_fork(tmp_path):
 def test_spawn_workers_that_die_at_start_fail_every_run(tmp_path):
     # Fed on stdin, the script has no file a spawned worker could import as
     # __main__, so each worker dies while it starts. A config pickled with its
-    # 8000-row dataset used to leave this pool waiting on its workers forever.
+    # 8000-row dataset used to leave the sweep waiting on its workers forever.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**GRID, "train": {"epochs": 1}, "attacker_iters": 50}))
     start = time.monotonic()
@@ -95,4 +114,29 @@ def test_spawn_workers_that_die_at_start_fail_every_run(tmp_path):
     assert rc == 1, err
     failed = [line for line in err.splitlines() if line.startswith("  FAILED ")]
     assert len(failed) == 4, err
-    assert all(": BrokenProcessPool: " in line for line in failed), err
+    assert all(line.endswith(": WorkerDied: exit code 1") for line in failed), err
+
+
+def test_dead_worker_fails_only_its_own_run_under_each_start_method(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        **GRID, "data": {"n": 800}, "attacker_iters": 100,
+        "train": {"epochs": 2, "extractor_hidden": [8], "adversary_hidden": [8, 8]}}))
+    assert main(["sweep", "--config", str(config), "--jobs", "1",
+                 "--out", str(tmp_path / "whole")]) == 0
+    crashed = "1.0,0.0,0,"
+    whole = (tmp_path / "whole" / "results.csv").read_text().splitlines()
+    script = tmp_path / "crash.py"
+    script.write_text(CRASH_SCRIPT)
+    for method in ("fork", "spawn", "forkserver"):
+        out = tmp_path / method
+        rc, err = run_group([sys.executable, "-W", "error", str(script), method, "sweep",
+                             "--config", str(config), "--jobs", "2", "--out", str(out)],
+                            timeout=300)
+        assert rc == 1, err
+        assert [line for line in err.splitlines() if line.startswith("  FAILED ")] == [
+            "  FAILED (alpha=1, beta=0, seed=0): WorkerDied: exit code 9"], err
+        rows = (out / "results.csv").read_text().splitlines()
+        assert [row for row in rows if not row.startswith(crashed)] == [
+            row for row in whole if not row.startswith(crashed)]
+        assert crashed + "ERROR,ERROR,ERROR,ERROR" in rows
