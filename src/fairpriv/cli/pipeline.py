@@ -89,9 +89,12 @@ def _outcome(config: ExperimentConfig, key: tuple) -> RunRecord | str:
 
 
 def _serve(conn, config: ExperimentConfig) -> None:
-    """A sweep worker: answer each key it receives with its outcome, until None."""
-    for key in iter(conn.recv, None):
-        conn.send(_outcome(config, key))
+    """A sweep worker: answer each key it receives with its outcome, until its pipe ends."""
+    try:
+        while True:
+            conn.send(_outcome(config, conn.recv()))
+    except (EOFError, OSError):  # OSError: a reset (an answer went unread), a broken pipe
+        pass
 
 
 def _worker_outcomes(config: ExperimentConfig, keys: list, jobs: int) -> dict:
@@ -99,27 +102,28 @@ def _worker_outcomes(config: ExperimentConfig, keys: list, jobs: int) -> dict:
     at a time and get the next, in key order, with their answer. A worker that dies
     fails the key it held, and a fresh worker takes the keys left; every start after
     the first ``jobs`` follows such a death, so at most ``jobs + len(keys)`` start.
-    Every worker has ended when this returns."""
+    A worker ends with its pipe, whose other end only the sweeping process holds:
+    closed when no key is left or that process ends. All have ended when this returns."""
     import multiprocessing
     from multiprocessing.connection import wait
 
     outcomes, todo, held, workers = {}, keys[::-1], {}, []  # held: pipe -> (worker, key)
 
     def give(conn, worker):
-        key = todo.pop() if todo else None
+        if not todo:  # closing the pipe ends the worker
+            return conn.close()
+        key = todo.pop()
+        held[conn] = worker, key
         try:
             conn.send(key)
         except OSError:  # the worker died; wait() sees its pipe's end
             pass
-        if key is None:
-            conn.close()
-        else:
-            held[conn] = worker, key
 
     try:
         while todo or held:
             while todo and len(held) < jobs:
-                conn, child = multiprocessing.Pipe()
+                conn, child = multiprocessing.Pipe()  # any fork closes its copy of conn
+                multiprocessing.util.register_after_fork(conn, type(conn).close)
                 worker = multiprocessing.Process(target=_serve, args=(child, config))
                 worker.start()
                 workers.append(worker)
@@ -152,18 +156,19 @@ def sweep(config: ExperimentConfig, jobs: int | None = None
     """Run the whole (alpha, beta, seed) grid.
 
     Returns (records sorted by key, failures keyed by (alpha, beta, seed)).
-    Each run splits the config's one dataset. With jobs > 1 and more than one run,
-    the runs go to at most ``jobs`` worker processes, each given the config once, as
-    its argument: under fork, dataset included; under spawn or forkserver, without it.
+    Each run splits the config's one dataset, built before any run. With jobs > 1 and
+    more than one run, the runs go to at most ``jobs`` worker processes, each given
+    the config once, as its argument (under spawn or forkserver, without its dataset).
     The output does not depend on jobs. A worker that dies fails only the run it
-    held, as ``WorkerDied: exit code N`` (``killed by signal N``), and a fresh
-    worker takes the runs left.
+    held, as ``WorkerDied: exit code N`` (``killed by signal N``), and a fresh worker
+    takes the runs left. No worker outlives the sweeping process, even one killed.
     """
     keys = [(a, b, s) for s in sorted(config.seeds)
             for a in sorted(config.alphas) for b in sorted(config.betas)]
     if jobs is None:  # the cores this process may use
         jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
+    load_dataset(config)  # once, here: a fork worker shares it
     if jobs > 1 and len(keys) > 1:
         outcomes = _worker_outcomes(config, keys, jobs)
     else:

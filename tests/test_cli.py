@@ -1203,14 +1203,22 @@ class TestSweep:
         monkeypatch.setattr(pipeline, "generate", counted)
         monkeypatch.setattr(pipeline, "make_splits", capture)
         monkeypatch.setattr(multiprocessing.connection.Connection, "send", recorded)
-        pipeline.load_dataset(cfg)  # as config load does, before any worker starts
         records, failures = pipeline.sweep(cfg, jobs=jobs)
         assert not records
         assert failures == {(a, b, s): f"RuntimeError: split {s} of the config dataset"
                             for a in cfg.alphas for b in cfg.betas for s in cfg.seeds}
         assert built == [cfg.data]
-        order = list(failures) if jobs == 1 else [key for key in sent if key is not None]
+        order = list(failures) if jobs == 1 else sent
         assert [seed for _, _, seed in order] == [0] * 4 + [1] * 4  # seed-major
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_dataset_that_cannot_be_built_fails_the_sweep(self, tmp_path, monkeypatch, jobs):
+        # One error before any run starts, whatever jobs is; not one failure per run.
+        monkeypatch.setattr(pipeline, "run_single", self.refuse)
+        missing = tmp_path / "missing.csv"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(missing))}: No such file"):
+            pipeline.sweep(self.two_seed_config(data=str(missing)), jobs=jobs)
+        assert multiprocessing.active_children() == []
 
     def test_next_sweep_gets_its_own_data(self, tmp_path):
         # Configs that differ only in data.seed: each sweep splits its own dataset.

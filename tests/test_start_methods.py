@@ -57,6 +57,26 @@ def crashes(config, alpha, beta, seed, splits=None):
 pipeline.run_single = crashes
 """ + SCRIPT
 
+# SCRIPT, with each run marking the working directory as it starts and then
+# taking a second longer, so a worker holds it while the test kills the sweep.
+SLOW_SCRIPT = """
+import time
+from pathlib import Path
+
+from fairpriv.cli import pipeline
+
+real_run_single = pipeline.run_single
+
+
+def slow(config, alpha, beta, seed, splits=None):
+    Path("running").touch()
+    time.sleep(1)
+    return real_run_single(config, alpha, beta, seed, splits=splits)
+
+
+pipeline.run_single = slow
+""" + SCRIPT
+
 
 def run_group(args, timeout, stdin=None):
     """Run ``args`` in a new process group; (exit code, stderr). On a timeout the
@@ -75,6 +95,20 @@ def run_group(args, timeout, stdin=None):
     except ProcessLookupError:
         pass
     return proc.returncode, err
+
+
+def live_processes(session):
+    """The pids of the processes in ``session`` that have not exited (zombies excluded)."""
+    pids = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except OSError:  # it exited while we looked
+            continue
+        state, _, _, sid = stat.rsplit(")", 1)[1].split()[:4]
+        if int(sid) == session and state != "Z":
+            pids.append(int(pid))
+    return pids
 
 
 def test_spawn_and_forkserver_sweeps_match_fork(tmp_path):
@@ -140,3 +174,39 @@ def test_dead_worker_fails_only_its_own_run_under_each_start_method(tmp_path):
         assert [row for row in rows if not row.startswith(crashed)] == [
             row for row in whole if not row.startswith(crashed)]
         assert crashed + "ERROR,ERROR,ERROR,ERROR" in rows
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+def test_no_worker_outlives_a_killed_sweep(tmp_path, method):
+    # Kill -9 the sweeping process while a worker holds a run: each worker's pipe
+    # ends with it, so every worker exits, the one mid-run once its run is done.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        **GRID, "data": {"n": 800}, "attacker_iters": 100,
+        "train": {"epochs": 2, "extractor_hidden": [8], "adversary_hidden": [8, 8]}}))
+    script = tmp_path / "slow.py"
+    script.write_text(SLOW_SCRIPT)
+    with open(tmp_path / "stderr", "w") as err:
+        proc = subprocess.Popen([sys.executable, "-W", "error", str(script), method, "sweep",
+                                 "--config", str(config), "--jobs", "2",
+                                 "--out", str(tmp_path / "out")],
+                                stdout=subprocess.DEVNULL, stderr=err, env=src_env(),
+                                cwd=tmp_path, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 120
+        while not (tmp_path / "running").exists():
+            assert proc.poll() is None, (tmp_path / "stderr").read_text()
+            assert time.monotonic() < deadline, "no worker took a run within 120 s"
+            time.sleep(0.05)
+        proc.kill()  # the sweeping process only
+        proc.wait()
+        deadline = time.monotonic() + 20
+        while live_processes(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert live_processes(proc.pid) == []
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass

@@ -4,11 +4,11 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+from conftest import src_env
+
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 PROBE = """
@@ -23,8 +23,7 @@ print(json.dumps({"threads": len(os.listdir("/proc/self/task")),
 
 
 def probe(**env_vars):
-    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env = {k: v for k, v in src_env().items() if k not in THREAD_VARS}
     env.update(env_vars)
     out = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
