@@ -51,21 +51,16 @@ def evaluate_bundle(bundle, val_ds: LabeledDataset, test_ds: LabeledDataset,
     return MetricTriple(utility=m_u, fairness_gap=m_a, attack_balanced_acc=m_p)
 
 
-def run_single(config: ExperimentConfig, alpha: float, beta: float, seed: int,
-               splits: tuple | None = None) -> tuple[RunRecord, TrainedModel]:
-    """Train and evaluate one (alpha, beta, seed) configuration.
-
-    ``splits`` is the config's data split for ``seed``, as ``make_splits``
-    builds it; None builds it from ``load_dataset(config)``. A run writes into
-    no split (training shuffles a copy), so the runs of a seed may share one. A test
-    split that lacks a class of y_a or y_p (under "tpr", of y_a among its rows
-    of task class k_y - 1), or a validation split that lacks a class of y_p,
-    fails before training, not after it, where the metrics or the attacker's
-    reweighting would fail on it.
-    """
+def run_single(config: ExperimentConfig, alpha: float, beta: float, seed: int
+               ) -> tuple[RunRecord, TrainedModel]:
+    """Train and evaluate one (alpha, beta, seed) configuration on ``make_splits``'s
+    split of ``load_dataset(config)`` for ``seed``. A test split that lacks a class
+    of y_a or y_p (under "tpr", of y_a among its rows of task class k_y - 1), or a
+    validation split that lacks a class of y_p, fails before training, not after
+    it, where the metrics or the attacker's reweighting would fail on it."""
     check_run_key(alpha, beta, seed)  # a bad argument fails before any data work
     config.train.validate()
-    train_ds, val_ds, test_ds = splits or make_splits(load_dataset(config), config.split, seed)
+    train_ds, val_ds, test_ds = make_splits(load_dataset(config), config.split, seed)
     class_counts(test_ds.y_a, test_ds.k_a, "test split: y_a")
     if config.utility_metric == "tpr":
         top = test_ds.k_y - 1
@@ -89,7 +84,13 @@ def _outcome(config: ExperimentConfig, key: tuple) -> RunRecord | str:
 
 
 def _serve(conn, config: ExperimentConfig) -> None:
-    """A sweep worker: answer each key it receives with its outcome, until its pipe ends."""
+    """A sweep worker: answer each key it receives with its outcome, until its pipe ends.
+    A thread ends it the moment the sweeping process, its parent, ends, even mid-run."""
+    import multiprocessing
+    import threading
+
+    parent = multiprocessing.parent_process()  # the sweeping process, under any start method
+    threading.Thread(target=lambda: (parent.join(), os._exit(1)), daemon=True).start()
     try:
         while True:
             conn.send(_outcome(config, conn.recv()))
@@ -103,7 +104,8 @@ def _worker_outcomes(config: ExperimentConfig, keys: list, jobs: int) -> dict:
     fails the key it held, and a fresh worker takes the keys left; every start after
     the first ``jobs`` follows such a death, so at most ``jobs + len(keys)`` start.
     A worker ends with its pipe, whose other end only the sweeping process holds:
-    closed when no key is left or that process ends. All have ended when this returns."""
+    closed when no key is left or that process ends (which ends a busy one, too).
+    All have ended when this returns."""
     import multiprocessing
     from multiprocessing.connection import wait
 
@@ -122,7 +124,7 @@ def _worker_outcomes(config: ExperimentConfig, keys: list, jobs: int) -> dict:
     try:
         while todo or held:
             while todo and len(held) < jobs:
-                conn, child = multiprocessing.Pipe()  # any fork closes its copy of conn
+                conn, child = multiprocessing.Pipe()  # each fork, this worker too, closes its conn
                 multiprocessing.util.register_after_fork(conn, type(conn).close)
                 worker = multiprocessing.Process(target=_serve, args=(child, config))
                 worker.start()

@@ -94,8 +94,8 @@ class Mlp:
         """Weights and biases interleaved, first layer first."""
         return [p for wb in zip(self.weights, self.biases) for p in wb]
 
-    def forward(self, x: Matrix, keep: bool = True) -> list[Matrix]:
-        """Activations [x, h_1, ..., output]; with keep=False just [output].
+    def forward(self, x: Matrix) -> list[Matrix]:
+        """Activations [x, h_1, ..., output].
 
         Hidden activations are post-ReLU, which is all backward() needs.
         """
@@ -109,13 +109,12 @@ class Mlp:
             h = h @ w + b
             if i != last:
                 h = np.maximum(h, 0.0)
-            if keep:
-                acts.append(h)
-        return acts if keep else [h]
+            acts.append(h)
+        return acts
 
     def apply(self, x) -> Matrix:
-        """Forward pass on a raw matrix, keeping no activations."""
-        return self.forward(as_matrix(x), keep=False)[-1]
+        """The output of a forward pass on a raw matrix."""
+        return self.forward(as_matrix(x))[-1]
 
     def backward(self, acts: list[Matrix], grad_out: Matrix, grads: list[Matrix] | None = None,
                  input_grad: bool = True) -> Matrix | None:

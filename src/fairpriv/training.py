@@ -128,9 +128,8 @@ class TrainState:
 class Forward:
     """One pass of the objective.
 
-    ``acts`` holds the activations of the extractor and :class:`TrainState`'s two head nets,
-    only their outputs outside a training phase; ``dlogits`` the (3, n, K) gradients of
-    the phase's loss at the three heads' stacked logits, None outside a training phase.
+    ``acts`` holds the activations of the extractor and :class:`TrainState`'s two head nets;
+    ``dlogits`` the (3, n, K) gradients of the phase's loss at the three heads' stacked logits.
     """
 
     total: float
@@ -138,7 +137,7 @@ class Forward:
     ce_a: float
     ce_p: float
     acts: tuple
-    dlogits: np.ndarray | None
+    dlogits: np.ndarray
 
 
 @dataclass
@@ -208,27 +207,26 @@ def build_bundle(cfg: TrainConfig, seeds: list, input_dim: int, k_y: int, k_a: i
     )
 
 
-def objective(state: TrainState, batch: Batch, phase: str | None = None) -> Forward:
+def objective(state: TrainState, batch: Batch, phase: str) -> Forward:
     """Forward pass of the min-max objective on one batch, through ``state``'s nets.
 
     total = ce_c - alpha * ce_a - beta * ce_p, all with unit class weights,
     with the state's alpha and beta. The adversaries see the features
     concatenated with the one-hot task label. A zero coefficient's term is
     +0.0 for a finite cross entropy, so total == ce_c bitwise at (0, 0).
-    ``phase`` MAIN (loss: total) or ADV (loss: ce_a + ce_p) also keeps what
-    that phase's backward pass needs; without a phase the pass keeps no
-    activations. One cross-entropy call serves all three heads.
+    The pass keeps what the backward pass of ``phase`` needs: MAIN's loss is
+    total, ADV's is ce_a + ce_p. The phase changes no loss value. One
+    cross-entropy call serves all three heads.
     """
     if len(batch) == 0:
         raise ValueError("objective over an empty batch")
-    keep = phase is not None
-    ext = state.extractor.forward(batch.x, keep)
+    ext = state.extractor.forward(batch.x)
     features = ext[-1]
     batch.adv_in[:, :features.shape[1]] = features
-    cls = state.classifier.forward(features, keep)
-    adv = state.adversaries.forward(batch.adv_in, keep)
+    cls = state.classifier.forward(features)
+    adv = state.adversaries.forward(batch.adv_in)
     (ce_c, ce_a, ce_p), dlogits = lc.encoded_cross_entropy(
-        np.concatenate((cls[-1][None], adv[-1])), batch.targets, state.scales.get(phase))
+        np.concatenate((cls[-1][None], adv[-1])), batch.targets, state.scales[phase])
     total = ce_c - state.alpha * ce_a - state.beta * ce_p
     return Forward(total, ce_c, ce_a, ce_p, (ext, cls, adv), dlogits)
 
@@ -259,8 +257,8 @@ def alternating_epoch(state: TrainState, arrays: EpochArrays, shuffle_rng: np.ra
 
     MAIN phases update only the extractor and classifier on the full
     objective; ADV phases update only the adversaries on their own cross
-    entropies. With update_adversaries=False the ADV phases do nothing, which
-    turns the schedule into plain risk minimization over the same batches.
+    entropies. With update_adversaries=False the ADV phases update nothing,
+    which turns the schedule into plain risk minimization over the same batches.
     ``arrays`` holds the training split. Returns the mean objective value
     across batches.
     """
@@ -271,13 +269,12 @@ def alternating_epoch(state: TrainState, arrays: EpochArrays, shuffle_rng: np.ra
     totals = []
     for batch in arrays.batches:
         phase = MAIN if state.batch_count % 2 == 0 else ADV
-        update = phase == MAIN or update_adversaries
-        fwd = objective(state, batch, phase if update else None)
+        fwd = objective(state, batch, phase)
         if not (math.isfinite(fwd.total) and math.isfinite(fwd.ce_a + fwd.ce_p)):
             raise TrainingDivergedError(
                 f"non-finite loss at epoch {epoch}, {phase} phase, "
                 f"batch {state.batch_count}")
-        if update:
+        if phase == MAIN or update_adversaries:
             _backward(state, fwd, phase)
             lc.adam_step(state.main if phase == MAIN else state.adv)
         totals.append(fwd.total)

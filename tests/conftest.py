@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fairpriv.cli.config import ExperimentConfig, mild_correlation_joint
-from fairpriv.data import SplitSpec, SyntheticSpec, make_splits
+from fairpriv.data import SplitSpec, SyntheticSpec
 from fairpriv.hostinfo import host_class
 
 
@@ -36,12 +36,10 @@ def reference_runs():
     from fairpriv.cli import pipeline
 
     cfg = reference_config()
-    ds = pipeline.load_dataset(cfg)
     out = {}
     for seed in (0, 1, 2):
-        splits = make_splits(ds, cfg.split, seed)
         for alpha, beta in [(0.0, 0.0), (0.0, 10.0), (10.0, 0.0)]:
-            record, _ = pipeline.run_single(cfg, alpha, beta, seed, splits=splits)
+            record, _ = pipeline.run_single(cfg, alpha, beta, seed)
             out[(alpha, beta, seed)] = record.triple
     return out
 

@@ -158,10 +158,8 @@ class TestCriterion6NullLeak:
     def test_attack_cannot_invent_signal(self):
         cfg = reference_config()
         cfg.data = replace(cfg.data, mu_p=0.0)
-        ds = pipeline.load_dataset(cfg)
-        vals = [pipeline.run_single(cfg, 0.0, 0.0, s,
-                                    splits=make_splits(ds, cfg.split, s))[0]
-                .triple.attack_balanced_acc for s in (0, 1, 2)]
+        vals = [pipeline.run_single(cfg, 0.0, 0.0, s)[0].triple.attack_balanced_acc
+                for s in (0, 1, 2)]
         m_p = float(np.median(vals))
         assert abs(m_p - CHANCE) <= 0.05, f"mu_p=0 attack {m_p:.3f} far from chance"
         _pass(6, f"null leak: mu_p=0 baseline M^P={m_p:.3f} within 0.05 of chance")
@@ -353,6 +351,7 @@ class TestCriterion11AttackHygiene:
         x[canary_idx] = 5e5
         ds = LabeledDataset(x, base.y, base.y_a, base.y_p, base.k_y, base.k_a,
                             base.k_p)
+        cfg.dataset = ds  # every run of cfg splits the canary's dataset
 
         seed = None
         for s in range(40):
@@ -378,10 +377,9 @@ class TestCriterion11AttackHygiene:
 
         monkeypatch.setattr(pipeline, "fit_attacker", spy_fit)
         monkeypatch.setattr(pipeline, "attack_accuracy", spy_score)
-        splits = make_splits(ds, cfg.split, seed)
-        _, trained = pipeline.run_single(cfg, 0.0, 0.0, seed, splits=splits)
+        _, trained = pipeline.run_single(cfg, 0.0, 0.0, seed)
 
-        _, val_ds, test_ds = splits
+        _, val_ds, test_ds = make_splits(ds, cfg.split, seed)
         fit_expected = trained.bundle.extractor.apply(val_ds.x)
         score_expected = trained.bundle.extractor.apply(test_ds.x)
         assert np.array_equal(seen["fit"], fit_expected)

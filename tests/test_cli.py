@@ -548,8 +548,7 @@ class TestTrainCommand:
         # With k_a != k_p training pads the heads' output layers; the file must not show it.
         cfg = small_config(**({"data": data} if data else {}))
         ds = pipeline.load_dataset(cfg)
-        splits = make_splits(ds, cfg.split, 0)
-        record, trained = pipeline.run_single(cfg, 0.0, 1.0, 0, splits=splits)
+        record, trained = pipeline.run_single(cfg, 0.0, 1.0, 0)
         path = tmp_path / "model.bin"
         save_bundle(trained.bundle, path)
         b = trained.bundle
@@ -561,7 +560,7 @@ class TestTrainCommand:
         loaded = load_bundle(path)
         for a, b in zip(bundle_params(trained.bundle), bundle_params(loaded)):
             assert np.array_equal(a, b)
-        _, val_ds, test_ds = splits
+        _, val_ds, test_ds = make_splits(ds, cfg.split, 0)
         triple = pipeline.evaluate_bundle(loaded, val_ds, test_ds, cfg)
         assert triple == record.triple
 
@@ -599,9 +598,10 @@ class TestTrainCommand:
         def no_train(*args, **kwargs):
             raise AssertionError("train must not run")
 
+        monkeypatch.setattr(pipeline, "make_splits", lambda *args: (train_ds, val_ds, one_group))
         monkeypatch.setattr(pipeline, "train", no_train)
         with pytest.raises(ValueError) as info:
-            pipeline.run_single(cfg, 0.0, 0.0, 0, splits=(train_ds, val_ds, one_group))
+            pipeline.run_single(cfg, 0.0, 0.0, 0)
         assert str(info.value) == "test split: y_a lacks class(es) [1] of k_a = 2"
 
     def test_test_split_missing_private_class_fails_in_cli(self, tmp_path, capsys):
@@ -626,9 +626,10 @@ class TestTrainCommand:
         def no_train(*args, **kwargs):
             raise AssertionError("train must not run")
 
+        monkeypatch.setattr(pipeline, "make_splits", lambda *args: (train_ds, no_class_1, test_ds))
         monkeypatch.setattr(pipeline, "train", no_train)
         with pytest.raises(ValueError) as info:
-            pipeline.run_single(cfg, 0.0, 0.0, 0, splits=(train_ds, no_class_1, test_ds))
+            pipeline.run_single(cfg, 0.0, 0.0, 0)
         assert str(info.value) == "validation split: y_p lacks class(es) [1] of k_p = 2"
 
     def test_tpr_rows_missing_sensitive_class_fail_before_training(self, monkeypatch):
@@ -654,9 +655,8 @@ class TestTrainCommand:
         # The metrics before class_rates replaced them, on the trained model's
         # predictions; tpr scores the highest task class.
         cfg = small_config(utility_metric=metric)
-        splits = make_splits(pipeline.load_dataset(cfg), cfg.split, 0)
-        _, val_ds, test_ds = splits
-        record, trained = pipeline.run_single(cfg, 1.0, 1.0, 0, splits=splits)
+        _, val_ds, test_ds = make_splits(pipeline.load_dataset(cfg), cfg.split, 0)
+        record, trained = pipeline.run_single(cfg, 1.0, 1.0, 0)
         bundle = trained.bundle
         features = bundle.extractor.apply(test_ds.x)
         preds = np.argmax(bundle.classifier.apply(features), axis=1)
@@ -1065,10 +1065,10 @@ class TestSweep:
         cfg = small_config()
         real = pipeline.run_single
 
-        def flaky(config, alpha, beta, seed, splits=None):
+        def flaky(config, alpha, beta, seed):
             if alpha == 1.0 and beta == 0.0:
                 raise RuntimeError("boom")
-            return real(config, alpha, beta, seed, splits=splits)
+            return real(config, alpha, beta, seed)
 
         monkeypatch.setattr(pipeline, "run_single", flaky)
         records, failures = pipeline.sweep(cfg, jobs=jobs)
@@ -1087,12 +1087,12 @@ class TestSweep:
         real = pipeline.run_single
         sweeper = os.getpid()
 
-        def dies(config, alpha, beta, seed, splits=None):
+        def dies(config, alpha, beta, seed):
             if alpha == 1.0 and beta == 0.0:
                 if os.getpid() == sweeper:
                     raise RuntimeError("must run in a worker")
                 os._exit(1)  # the worker process dies, as if killed
-            return real(config, alpha, beta, seed, splits=splits)
+            return real(config, alpha, beta, seed)
 
         monkeypatch.setattr(pipeline, "run_single", dies)
         out = tmp_path / "out"
@@ -1126,10 +1126,10 @@ class TestSweep:
         """A run_single that ends its worker process ``how`` on ``keys``."""
         real = pipeline.run_single
 
-        def crashes(config, alpha, beta, seed, splits=None):
+        def crashes(config, alpha, beta, seed):
             if (alpha, beta, seed) in keys:
                 how()
-            return real(config, alpha, beta, seed, splits=splits)
+            return real(config, alpha, beta, seed)
 
         return crashes
 
@@ -1239,7 +1239,7 @@ class TestSweep:
                 == self.results_bytes(tmp_path / "syn.csv", *synthetic))
 
     @staticmethod
-    def refuse(config, alpha, beta, seed, splits=None):
+    def refuse(config, alpha, beta, seed):
         raise RuntimeError(f"not run by {os.getpid()}")
 
     @classmethod
@@ -1535,13 +1535,14 @@ class TestAttackHygiene:
         canary_idx = 17
         x[canary_idx] = 1e6  # unmistakable row
         ds = LabeledDataset(x, ds.y, ds.y_a, ds.y_p, ds.k_y, ds.k_a, ds.k_p)
+        cfg.dataset = ds  # every run of cfg splits the canary's dataset
 
         seed = next(s for s in range(50)
                     if canary_idx in np.flatnonzero(np.isin(
                         np.arange(len(ds)),
                         _test_indices(ds, cfg.split, s))))
 
-        train_ds, val_ds, test_ds = make_splits(ds, cfg.split, seed)
+        _, val_ds, test_ds = make_splits(ds, cfg.split, seed)
         assert np.any(np.all(test_ds.x == x[canary_idx], axis=1))
         assert not np.any(np.all(val_ds.x == x[canary_idx], axis=1))
 
@@ -1559,8 +1560,7 @@ class TestAttackHygiene:
 
         monkeypatch.setattr(pipeline, "fit_attacker", spy_fit)
         monkeypatch.setattr(pipeline, "attack_accuracy", spy_score)
-        _, trained = pipeline.run_single(cfg, 0.0, 0.0, seed,
-                                         splits=(train_ds, val_ds, test_ds))
+        _, trained = pipeline.run_single(cfg, 0.0, 0.0, seed)
 
         expected_fit = trained.bundle.extractor.apply(val_ds.x)
         expected_score = trained.bundle.extractor.apply(test_ds.x)

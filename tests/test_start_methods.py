@@ -48,18 +48,19 @@ from fairpriv.cli import pipeline
 real_run_single = pipeline.run_single
 
 
-def crashes(config, alpha, beta, seed, splits=None):
+def crashes(config, alpha, beta, seed):
     if (alpha, beta, seed) == (1.0, 0.0, 0):
         os._exit(9)
-    return real_run_single(config, alpha, beta, seed, splits=splits)
+    return real_run_single(config, alpha, beta, seed)
 
 
 pipeline.run_single = crashes
 """ + SCRIPT
 
 # SCRIPT, with each run marking the working directory as it starts and then
-# taking a second longer, so a worker holds it while the test kills the sweep.
+# taking SLOW_RUN_S seconds longer, so a worker holds it while the test kills the sweep.
 SLOW_SCRIPT = """
+import os
 import time
 from pathlib import Path
 
@@ -68,10 +69,10 @@ from fairpriv.cli import pipeline
 real_run_single = pipeline.run_single
 
 
-def slow(config, alpha, beta, seed, splits=None):
+def slow(config, alpha, beta, seed):
     Path("running").touch()
-    time.sleep(1)
-    return real_run_single(config, alpha, beta, seed, splits=splits)
+    time.sleep(float(os.environ["SLOW_RUN_S"]))
+    return real_run_single(config, alpha, beta, seed)
 
 
 pipeline.run_single = slow
@@ -176,11 +177,9 @@ def test_dead_worker_fails_only_its_own_run_under_each_start_method(tmp_path):
         assert crashed + "ERROR,ERROR,ERROR,ERROR" in rows
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
-@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
-def test_no_worker_outlives_a_killed_sweep(tmp_path, method):
-    # Kill -9 the sweeping process while a worker holds a run: each worker's pipe
-    # ends with it, so every worker exits, the one mid-run once its run is done.
+def kill_sweep_mid_run(tmp_path, method, run_s, deadline_s):
+    """SIGKILL a sweeping process once a worker holds a run that sleeps ``run_s`` seconds
+    first; fail unless every process of its session has ended ``deadline_s`` seconds later."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         **GRID, "data": {"n": 800}, "attacker_iters": 100,
@@ -191,7 +190,8 @@ def test_no_worker_outlives_a_killed_sweep(tmp_path, method):
         proc = subprocess.Popen([sys.executable, "-W", "error", str(script), method, "sweep",
                                  "--config", str(config), "--jobs", "2",
                                  "--out", str(tmp_path / "out")],
-                                stdout=subprocess.DEVNULL, stderr=err, env=src_env(),
+                                stdout=subprocess.DEVNULL, stderr=err,
+                                env={**src_env(), "SLOW_RUN_S": str(run_s)},
                                 cwd=tmp_path, start_new_session=True)
     try:
         deadline = time.monotonic() + 120
@@ -201,7 +201,7 @@ def test_no_worker_outlives_a_killed_sweep(tmp_path, method):
             time.sleep(0.05)
         proc.kill()  # the sweeping process only
         proc.wait()
-        deadline = time.monotonic() + 20
+        deadline = time.monotonic() + deadline_s
         while live_processes(proc.pid) and time.monotonic() < deadline:
             time.sleep(0.1)
         assert live_processes(proc.pid) == []
@@ -210,3 +210,18 @@ def test_no_worker_outlives_a_killed_sweep(tmp_path, method):
             os.killpg(proc.pid, signal.SIGKILL)
         except ProcessLookupError:
             pass
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+def test_no_worker_outlives_a_killed_sweep(tmp_path, method):
+    # Kill -9 the sweeping process while a worker holds a run: every worker
+    # exits with it, whether it is mid-run or waiting on its pipe.
+    kill_sweep_mid_run(tmp_path, method, run_s=1, deadline_s=20)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+def test_a_killed_sweep_ends_a_worker_mid_run(tmp_path, method):
+    # A worker that only read its pipe between runs would sleep out its 30 s run.
+    kill_sweep_mid_run(tmp_path, method, run_s=30, deadline_s=5)

@@ -8,8 +8,9 @@ import pytest
 from conftest import MAIN_NETS, NETS, bundle_params, host_note
 from fairpriv import training
 from fairpriv.data import LabeledDataset, SyntheticSpec, generate
-from fairpriv.training import (EpochArrays, ModelBundle, TrainConfig, TrainingDivergedError,
-                               TrainState, alternating_epoch, build_bundle, objective, train)
+from fairpriv.training import (MAIN, EpochArrays, ModelBundle, TrainConfig,
+                               TrainingDivergedError, TrainState, alternating_epoch,
+                               build_bundle, objective, train)
 
 
 def toy_dataset(n=200, seed=0, d=6):
@@ -50,7 +51,7 @@ class TestObjective:
         ds = toy_dataset()
         bundle = init_bundle(small_cfg(), ds.dim)
         fwd = objective(TrainState(bundle, small_cfg(), 0.0, 0.0),
-                        whole_batch(ds, small_cfg().feature_dim))
+                        whole_batch(ds, small_cfg().feature_dim), MAIN)
         assert fwd.total.hex() == fwd.ce_c.hex()  # not merely close: the same value
 
     def test_linear_combination(self):
@@ -64,7 +65,7 @@ class TestObjective:
                 p[:] = 0.0
         for alpha, beta in [(0.5, 0.25), (2.0, 3.0), (0.0, 1.0)]:
             fwd = objective(TrainState(bundle, small_cfg(), alpha, beta),
-                            whole_batch(ds, small_cfg().feature_dim))
+                            whole_batch(ds, small_cfg().feature_dim), MAIN)
             assert fwd.ce_c == pytest.approx(math.log(2), abs=1e-12)
             assert fwd.total == pytest.approx(
                 math.log(2) * (1 - alpha - beta), abs=1e-9)
@@ -74,7 +75,7 @@ class TestObjective:
         bundle = init_bundle(small_cfg(), ds.dim, seed=5)
         for alpha, beta in [(0.0, 0.0), (0.01, 10.0), (4.2, 0.3)]:
             fwd = objective(TrainState(bundle, small_cfg(), alpha, beta),
-                            whole_batch(ds, small_cfg().feature_dim))
+                            whole_batch(ds, small_cfg().feature_dim), MAIN)
             expected = fwd.ce_c - alpha * fwd.ce_a - beta * fwd.ce_p
             assert fwd.total == pytest.approx(expected, abs=1e-12)
 
@@ -87,7 +88,7 @@ class TestObjective:
                             rng.integers(0, 2, 512), 2, 2, 2)
         cfg = TrainConfig()  # default-sized networks
         bundle = init_bundle(cfg, ds.dim, seed=6)
-        fwd = objective(TrainState(bundle, cfg, 1.0, 1.0), whole_batch(ds, cfg.feature_dim))
+        fwd = objective(TrainState(bundle, cfg, 1.0, 1.0), whole_batch(ds, cfg.feature_dim), MAIN)
         for ce in (fwd.ce_c, fwd.ce_a, fwd.ce_p):
             assert abs(ce - math.log(2)) < 0.15
 
@@ -96,7 +97,7 @@ class TestObjective:
         bundle = init_bundle(small_cfg(), 6)
         with pytest.raises(ValueError):
             objective(TrainState(bundle, small_cfg(), 0.0, 0.0),
-                      whole_batch(ds, small_cfg().feature_dim))
+                      whole_batch(ds, small_cfg().feature_dim), MAIN)
 
 
 class TestAlternatingEpoch:
@@ -207,7 +208,7 @@ class TestTrain:
             cfg = small_cfg(epochs=12, feature_dim=6, extractor_hidden=(16,))
             trained = train(tr, va, cfg, alpha=alpha, beta=0.0, seed=17)
             val = whole_batch(va, cfg.feature_dim)
-            ce_a[alpha] = objective(TrainState(trained.bundle, cfg, alpha, 0.0), val).ce_a
+            ce_a[alpha] = objective(TrainState(trained.bundle, cfg, alpha, 0.0), val, MAIN).ce_a
         assert ce_a[10.0] > ce_a[0.0]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
