@@ -75,17 +75,10 @@ def run_single(config: ExperimentConfig, alpha: float, beta: float, seed: int
     return record, trained
 
 
-def _outcome(config: ExperimentConfig, key: tuple) -> RunRecord | str:
-    """The run's record, or its error as ``"Type: message"``."""
-    try:
-        return run_single(config, *key)[0]
-    except Exception as exc:  # a failed run must not sink the sweep
-        return f"{type(exc).__name__}: {exc}"
-
-
 def _serve(conn, config: ExperimentConfig) -> None:
-    """A sweep worker: answer each key it receives with its outcome, until its pipe ends.
-    A thread ends it the moment the sweeping process, its parent, ends, even mid-run."""
+    """A sweep worker: answer each key it receives with its run's record, or its error
+    as ``"Type: message"``, until its pipe ends. A thread ends it the moment the
+    sweeping process, its parent, ends, even mid-run."""
     import multiprocessing
     import threading
 
@@ -93,16 +86,22 @@ def _serve(conn, config: ExperimentConfig) -> None:
     threading.Thread(target=lambda: (parent.join(), os._exit(1)), daemon=True).start()
     try:
         while True:
-            conn.send(_outcome(config, conn.recv()))
+            key = conn.recv()
+            try:
+                outcome = run_single(config, *key)[0]
+            except Exception as exc:  # a failed run must not sink the sweep
+                outcome = f"{type(exc).__name__}: {exc}"
+            conn.send(outcome)
     except (EOFError, OSError):  # OSError: a reset (an answer went unread), a broken pipe
         pass
 
 
 def _worker_outcomes(config: ExperimentConfig, keys: list, jobs: int) -> dict:
-    """Each key's outcome, from up to ``jobs`` worker processes that each hold one key
-    at a time and get the next, in key order, with their answer. A worker that dies
-    fails the key it held, and a fresh worker takes the keys left; every start after
-    the first ``jobs`` follows such a death, so at most ``jobs + len(keys)`` start.
+    """Each key's outcome, from up to ``jobs`` worker processes (this process runs no
+    key) that each hold one key at a time and get the next, in key order, with their
+    answer. A worker that dies fails the key it held, and a fresh worker takes the keys
+    left; every start after the first ``jobs`` follows such a death, so at most
+    ``jobs + len(keys)`` start.
     A worker ends with its pipe, whose other end only the sweeping process holds:
     closed when no key is left or that process ends (which ends a busy one, too).
     All have ended when this returns."""
@@ -158,25 +157,24 @@ def sweep(config: ExperimentConfig, jobs: int | None = None
     """Run the whole (alpha, beta, seed) grid.
 
     Returns (records sorted by key, failures keyed by (alpha, beta, seed)).
-    Each run splits the config's one dataset, built before any run. With jobs > 1 and
-    more than one run, the runs go to at most ``jobs`` worker processes, each given
-    the config once, as its argument (under spawn or forkserver, without its dataset).
-    The output does not depend on jobs. A worker that dies fails only the run it
-    held, as ``WorkerDied: exit code N`` (``killed by signal N``), and a fresh worker
-    takes the runs left. No worker outlives the sweeping process, even one killed.
+    Each run splits the config's one dataset, built before any run. Every run goes
+    to one of at most ``jobs`` (an integer >= 1; default: the cores this process may
+    use) worker processes, ``jobs=1`` included; each worker is given the config once,
+    as its argument (under spawn or forkserver, without its dataset). The output does
+    not depend on jobs. A worker that dies fails only the run it held, as
+    ``WorkerDied: exit code N`` (``killed by signal N``), and a fresh worker takes the
+    runs left. No worker outlives the sweeping process, even one killed.
     """
     keys = [(a, b, s) for s in sorted(config.seeds)
             for a in sorted(config.alphas) for b in sorted(config.betas)]
     if jobs is None:  # the cores this process may use
         jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
+    if type(jobs) is not int or jobs < 1:  # 0 would start no worker and wait for ever
+        raise ValueError(f"jobs: must be an integer >= 1, got {jobs!r}")
     load_dataset(config)  # once, here: a fork worker shares it
-    if jobs > 1 and len(keys) > 1:
-        outcomes = _worker_outcomes(config, keys, jobs)
-    else:
-        outcomes = {key: _outcome(config, key) for key in keys}
     records, failures = [], {}
-    for key, outcome in outcomes.items():
+    for key, outcome in _worker_outcomes(config, keys, jobs).items():
         if isinstance(outcome, RunRecord):
             records.append(outcome)
         else:

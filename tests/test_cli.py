@@ -1082,26 +1082,36 @@ class TestSweep:
         loaded, failed = pipeline.load_results(results)
         assert len(loaded) == 3 and failed == [(1.0, 0.0, 0)]
 
-    def test_dead_worker_keeps_finished_runs(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_dead_worker_keeps_finished_runs(self, tmp_path, monkeypatch, capsys, jobs):
         path = config_json(tmp_path)
-        real = pipeline.run_single
-        sweeper = os.getpid()
-
-        def dies(config, alpha, beta, seed):
-            if alpha == 1.0 and beta == 0.0:
-                if os.getpid() == sweeper:
-                    raise RuntimeError("must run in a worker")
-                os._exit(1)  # the worker process dies, as if killed
-            return real(config, alpha, beta, seed)
-
-        monkeypatch.setattr(pipeline, "run_single", dies)
+        # The worker process dies, as if killed.
+        monkeypatch.setattr(pipeline, "run_single",
+                            self.crash_on({(1.0, 0.0, 0)}, lambda: os._exit(1)))
         out = tmp_path / "out"
-        assert main(["sweep", "--config", str(path), "--jobs", "2",
+        assert main(["sweep", "--config", str(path), "--jobs", jobs,
                      "--out", str(out)]) == 1
         records, failed = pipeline.load_results(out / "results.csv")
         assert len(records) == 3 and failed == [(1.0, 0.0, 0)]
         assert ("  FAILED (alpha=1, beta=0, seed=0): WorkerDied: exit code 1\n"
                 in capsys.readouterr().err)
+
+    def test_one_run_grid_runs_in_a_worker(self, monkeypatch):
+        cfg = small_config(alphas=[1.0], betas=[0.0])
+        monkeypatch.setattr(pipeline, "run_single",
+                            self.crash_on({(1.0, 0.0, 0)}, lambda: os._exit(5)))
+        assert pipeline.sweep(cfg) == ([], {(1.0, 0.0, 0): "WorkerDied: exit code 5"})
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs", [0, -1, 1.5, True])
+    def test_bad_jobs_fails_before_any_worker_starts(self, monkeypatch, jobs):
+        started = []
+        monkeypatch.setattr(pipeline, "run_single", self.refuse)
+        monkeypatch.setattr(multiprocessing.Process, "start",
+                            lambda worker: started.append(worker))
+        with pytest.raises(ValueError, match=r"^jobs: must be an integer >= 1, got "):
+            pipeline.sweep(self.two_seed_config(), jobs=jobs)
+        assert started == [] and multiprocessing.active_children() == []
 
 
     @staticmethod
@@ -1123,11 +1133,14 @@ class TestSweep:
 
     @staticmethod
     def crash_on(keys, how):
-        """A run_single that ends its worker process ``how`` on ``keys``."""
-        real = pipeline.run_single
+        """A run_single that ends its worker process ``how`` on ``keys``. In the
+        sweeping process it raises instead, so such a run fails the test, not pytest."""
+        real, sweeper = pipeline.run_single, os.getpid()
 
         def crashes(config, alpha, beta, seed):
             if (alpha, beta, seed) in keys:
+                if os.getpid() == sweeper:
+                    raise RuntimeError("must run in a worker")
                 how()
             return real(config, alpha, beta, seed)
 
@@ -1208,8 +1221,7 @@ class TestSweep:
         assert failures == {(a, b, s): f"RuntimeError: split {s} of the config dataset"
                             for a in cfg.alphas for b in cfg.betas for s in cfg.seeds}
         assert built == [cfg.data]
-        order = list(failures) if jobs == 1 else sent
-        assert [seed for _, _, seed in order] == [0] * 4 + [1] * 4  # seed-major
+        assert [seed for _, _, seed in sent] == [0] * 4 + [1] * 4  # seed-major
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_dataset_that_cannot_be_built_fails_the_sweep(self, tmp_path, monkeypatch, jobs):
@@ -1245,15 +1257,12 @@ class TestSweep:
     @classmethod
     def assert_runs_in(cls, monkeypatch, workers, jobs=None):
         """Sweep two_seed_config with every run refused: its 8 runs ran in ``workers``
-        worker processes, or in this process if 0."""
+        worker processes."""
         monkeypatch.setattr(pipeline, "run_single", cls.refuse)
         records, failures = pipeline.sweep(cls.two_seed_config(), jobs=jobs)
         assert not records and len(failures) == 8
         pids = {int(message.rsplit(" ", 1)[1]) for message in failures.values()}
-        if workers:
-            assert len(pids) == workers and os.getpid() not in pids
-        else:
-            assert pids == {os.getpid()}
+        assert len(pids) == workers and os.getpid() not in pids
 
     @pytest.mark.parametrize("jobs, workers", [(16, 8), (3, 3)])
     def test_pool_has_at_most_one_worker_per_run(self, monkeypatch, jobs, workers):
@@ -1261,7 +1270,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("affinity, cpu_count, workers", [
         ({0, 1, 2}, 64, 3),  # an affinity mask or cpuset of 3 cores on a 64-core machine
-        ({5}, 64, 0),  # one usable core runs serially
+        ({5}, 64, 1),  # one usable core: one worker
         (None, 5, 5),  # no sched_getaffinity on this platform
     ])
     def test_default_jobs_count_usable_cores(self, monkeypatch, affinity, cpu_count, workers):

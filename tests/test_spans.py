@@ -14,6 +14,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 from fairpriv.cli import pipeline
 from fairpriv.cli.config import load_config, mild_correlation_joint
 from fairpriv.data import make_splits
@@ -80,18 +82,19 @@ def test_one_span_per_step_and_update(tmp_path):
     assert counts["training.train"] == counts["pipeline.run_single"] == 1
 
 
-def test_pool_worker_runs_are_children_of_the_sweep(tmp_path):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_pool_worker_runs_are_children_of_the_sweep(tmp_path, jobs):
     # Forked workers keep the wrappers and the open sweep span, so each run's
-    # span names it as parent; parallel efficiency and CPU per run read these.
+    # span names it as parent; parallel efficiency, CPU per run and run times read these.
     path = small_config(tmp_path, grid={"alphas": [0.0, 1.0], "betas": [0.0, 1.0]},
                         seeds=[0])
-    spans = traced_cli(tmp_path, "sweep", "--config", str(path), "--jobs", "2")
+    spans = traced_cli(tmp_path, "sweep", "--config", str(path), "--jobs", str(jobs))
     [(sweep_id, _, _, _, _, _, attrs)] = [s for s in spans if s[1] == "pipeline.sweep"]
     runs = [s for s in spans if s[1] == "pipeline.run_single"]
     assert [parent for _, _, _, _, parent, *_ in runs] == [sweep_id] * 4
-    # Span ids are "<pid>:<index>": pool workers, not the sweeping process, ran
-    # every run. Which of the two workers takes which run is up to the scheduler.
+    # Span ids are "<pid>:<index>": workers, not the sweeping process, ran every
+    # run. Which of two workers takes which run is up to the scheduler.
     sweep_pid = sweep_id.split(":")[0]
     workers = {run[0].split(":")[0] for run in runs}
-    assert sweep_pid not in workers and 1 <= len(workers) <= 2, (sweep_pid, workers)
-    assert attrs["jobs"] == 2 and attrs["cpu_s"] > 0
+    assert sweep_pid not in workers and 1 <= len(workers) <= jobs, (sweep_pid, workers)
+    assert attrs["jobs"] == jobs and attrs["cpu_s"] > 0

@@ -8,6 +8,7 @@ default). Each sweep runs under ``-W error`` in its own process group, killed
 whole if it outlives its timeout.
 """
 
+import itertools
 import json
 import os
 import signal
@@ -163,10 +164,10 @@ def test_dead_worker_fails_only_its_own_run_under_each_start_method(tmp_path):
     whole = (tmp_path / "whole" / "results.csv").read_text().splitlines()
     script = tmp_path / "crash.py"
     script.write_text(CRASH_SCRIPT)
-    for method in ("fork", "spawn", "forkserver"):
-        out = tmp_path / method
+    for method, jobs in itertools.product(("fork", "spawn", "forkserver"), ("1", "2")):
+        out = tmp_path / f"{method}-{jobs}"
         rc, err = run_group([sys.executable, "-W", "error", str(script), method, "sweep",
-                             "--config", str(config), "--jobs", "2", "--out", str(out)],
+                             "--config", str(config), "--jobs", jobs, "--out", str(out)],
                             timeout=300)
         assert rc == 1, err
         assert [line for line in err.splitlines() if line.startswith("  FAILED ")] == [
