@@ -1,15 +1,18 @@
-"""Dense float64 MLPs with an explicit backward pass, softmax cross entropy, and Adam.
+"""Dense float64 MLPs, softmax cross entropy, Adam, and the training step's backward pass.
 
 Everything here operates on 2-D float64 arrays ("matrices") or stacks of
-them. An MLP's :meth:`Mlp.forward` keeps the activations that backward needs;
-:func:`backward` runs one training step's backward pass through a trunk net
-and the head nets that read its output. Adam updates one flat buffer per
-parameter group, and each net's weights and biases are views into it.
+them. :class:`Mlp` holds a net's weights and evaluates it. The training step
+is planned once per run: :func:`plan_layers` gives each layer's views into
+the Adam buffers, and :class:`StepArrays` holds, per batch length, every
+array a step writes. :func:`forward` runs a net into them, and
+:func:`backward` runs one step's backward pass through the fixed graph of an
+extractor, a classifier and a stacked adversary pair. Adam updates one flat
+buffer per parameter group, and each net's weights and biases are views into it.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -95,10 +98,7 @@ class Mlp:
         return [p for wb in zip(self.weights, self.biases) for p in wb]
 
     def forward(self, x: Matrix) -> list[Matrix]:
-        """Activations [x, h_1, ..., output].
-
-        Hidden activations are post-ReLU, which is all backward() needs.
-        """
+        """Activations [x, h_1, ..., output], hidden ones post-ReLU."""
         if x.shape[-1] != self.weights[0].shape[-2]:
             raise ShapeError(f"input width {x.shape[-1]} != layer input width "
                              f"{self.weights[0].shape[-2]}")
@@ -115,28 +115,6 @@ class Mlp:
     def apply(self, x) -> Matrix:
         """The output of a forward pass on a raw matrix."""
         return self.forward(as_matrix(x))[-1]
-
-    def backward(self, acts: list[Matrix], grad_out: Matrix, grads: list[Matrix] | None = None,
-                 input_grad: bool = True) -> Matrix | None:
-        """Backpropagate ``grad_out``, the loss gradient at this net's output.
-
-        ``acts`` come from forward(). The param gradients are written into
-        ``grads`` (params() order) unless it is None. Returns the gradient at
-        the net's input, or None when ``input_grad`` is False.
-        """
-        if grad_out.shape != acts[-1].shape:
-            raise ShapeError(f"grad_out {grad_out.shape} != output {acts[-1].shape}")
-        g = grad_out
-        for i in range(len(self.weights) - 1, -1, -1):
-            if grads is not None:
-                g.sum(axis=-2, keepdims=True, out=grads[2 * i + 1])
-                np.matmul(acts[i].swapaxes(-1, -2), g, out=grads[2 * i])
-            if i == 0 and not input_grad:
-                return None
-            g = g @ self.weights[i].swapaxes(-1, -2)
-            if i > 0:
-                g = g * (acts[i] > 0)  # ReLU gradient is zero at exactly 0
-        return g
 
     def copy(self) -> "Mlp":
         return Mlp([w.copy() for w in self.weights], [b.copy() for b in self.biases])
@@ -155,30 +133,148 @@ def mlp_init(layer_sizes: Sequence[int], seed) -> Mlp:
     return Mlp(weights, biases)
 
 
-def backward(heads, trunk=None) -> None:
-    """One step's backward pass through head nets and the trunk that feeds them.
+# ---------------------------------------------------------------------------
+# The training step
 
-    ``heads`` lists (net, acts, grad_out, grads): the activations from
-    Mlp.forward, the loss gradient at the net's output, and the arrays that
-    receive the net's param gradients (None skips them). With ``trunk`` =
-    (net, acts, grads), each head's input gradient is cut to the trunk's
-    output width (a head may read extra columns after it) and, for a stacked
-    head, summed over its head axis; the cuts are summed in list order, and
-    the sum is propagated through the trunk, whose input gradient is not formed.
+
+class Layer(NamedTuple):
+    """One dense layer as the training step uses it, planned once per run.
+
+    Every array is a view into an Adam buffer, so Adam's in-place updates
+    show through: the weights, the bias, the weights with their last two axes
+    swapped, and the two gradient views.
     """
-    width = trunk[0].layer_sizes[-1] if trunk is not None else 0
-    g_trunk = None
-    for net, acts, grad_out, grads in heads:
-        g_in = net.backward(acts, grad_out, grads, input_grad=trunk is not None)
-        if trunk is not None:
-            g_in = g_in[..., :width]
-            if g_in.ndim == 3:
-                g_in = g_in.sum(axis=0)
-            g_trunk = g_in if g_trunk is None else g_trunk + g_in
-    if trunk is not None:
-        net, acts, grads = trunk
-        net.backward(acts, g_trunk, grads, input_grad=False)
 
+    w: Matrix
+    b: Matrix
+    w_t: Matrix
+    grad_w: Matrix
+    grad_b: Matrix
+
+
+def plan_layers(net: Mlp, grads: list[Matrix]) -> tuple[Layer, ...]:
+    """``net``'s layers, with ``grads`` (in params() order) as their gradient views."""
+    return tuple(Layer(w, b, w.swapaxes(-1, -2), grad_w, grad_b) for w, b, grad_w, grad_b
+                 in zip(net.weights, net.biases, grads[0::2], grads[1::2]))
+
+
+class NetArrays:
+    """One net's layers and its arrays for batches of ``n`` rows, planned once per length.
+
+    ``hidden[j]`` holds hidden layer j's post-ReLU output, and ``back`` lists,
+    last layer first, each layer after the first with the arrays its
+    backward pass reads and writes: the transposed input, the input, the
+    ReLU mask and the loss gradient at the input. :func:`forward` sets
+    ``input_t``, its last input transposed. A stacked net's arrays keep its
+    leading head axis.
+    """
+
+    def __init__(self, layers: Sequence[Layer], n: int):
+        lead = layers[0].w.shape[:-2]
+        self.layers = layers
+        self.hidden = [np.empty((*lead, n, layer.w.shape[-1])) for layer in layers[:-1]]
+        self.back = [(layer, h.swapaxes(-1, -2), h, np.empty(h.shape, dtype=bool),
+                      np.empty_like(h)) for layer, h in zip(layers[:0:-1], self.hidden[::-1])]
+        self.input_t = None
+
+
+def forward(net: NetArrays, x: Matrix, out: Matrix) -> None:
+    """``x`` through the net: the hidden activations into its arrays, the output into ``out``.
+
+    Each layer is ``h @ w + b``, with the bias added and the ReLU of a
+    hidden layer applied in place.
+    """
+    net.input_t = x.swapaxes(-1, -2)
+    h = x
+    for layer, a in zip(net.layers, net.hidden):
+        np.matmul(h, layer.w, out=a)
+        a += layer.b
+        np.maximum(a, 0.0, out=a)
+        h = a
+    np.matmul(h, net.layers[-1].w, out=out)
+    out += net.layers[-1].b
+
+
+def _through(layer: Layer, g: Matrix, h: Matrix, mask: np.ndarray, out: Matrix) -> Matrix:
+    """The loss gradient at ``layer``'s input ``h``, a hidden layer's output, from
+    ``g`` at the layer's output."""
+    np.matmul(g, layer.w_t, out=out)
+    np.greater(h, 0.0, out=mask)
+    out *= mask  # the ReLU gradient is zero at exactly 0
+    return out
+
+
+def param_grads(net: NetArrays, g: Matrix) -> Matrix:
+    """Every layer's param gradients from ``g``, the loss gradient at the net's output.
+
+    Returns the gradient at the first layer's output; the gradient at the
+    net's input is not formed.
+    """
+    for layer, h_t, h, mask, out in net.back:
+        np.add.reduce(g, axis=-2, keepdims=True, out=layer.grad_b)
+        np.matmul(h_t, g, out=layer.grad_w)
+        g = _through(layer, g, h, mask, out)
+    first = net.layers[0]
+    np.add.reduce(g, axis=-2, keepdims=True, out=first.grad_b)
+    np.matmul(net.input_t, g, out=first.grad_w)
+    return g
+
+
+class StepArrays:
+    """The arrays of a training step on batches of ``n`` rows, planned once per length.
+
+    The graph is fixed: the extractor's output, the features, feeds the
+    classifier and, joined with extra columns, the adversaries, a stacked
+    pair of nets. ``logits`` holds the classifier's and the pair's (3, n, K)
+    logits. ``through_adversaries`` says whether a MAIN step backpropagates
+    through the pair into the features; when it does not, the classifier's
+    input gradient is the feature gradient.
+    """
+
+    def __init__(self, extractor: Sequence[Layer], classifier: Sequence[Layer],
+                 adversaries: Sequence[Layer], n: int, through_adversaries: bool):
+        self.extractor = NetArrays(extractor, n)
+        self.classifier = NetArrays(classifier, n)
+        self.adversaries = NetArrays(adversaries, n)
+        self.logits = np.empty((3, n, classifier[-1].w.shape[-1]))
+        self.classifier_logits, self.adversary_logits = self.logits[0], self.logits[1:]
+        width = extractor[-1].w.shape[-1]
+        self.features_grad = np.empty((n, width))
+        self.through_adversaries = through_adversaries
+        if through_adversaries:
+            self.classifier_grad = np.empty((n, width))
+            self.adversaries_grad = np.empty((2, n, adversaries[0].w.shape[-2]))
+            self.adversary_cuts = [self.adversaries_grad[j, :, :width] for j in (0, 1)]
+
+
+def backward(step: StepArrays, dlogits: np.ndarray, main: bool) -> None:
+    """One training step's backward pass, from ``dlogits``, the (3, n, K) loss
+    gradient at the logits, into the Adam gradient buffers.
+
+    A ``main`` step backpropagates through the classifier and, when
+    ``step.through_adversaries``, the adversaries into the features, and on
+    through the extractor, whose input gradient is not formed; the
+    adversaries get no param gradients. The feature gradient is (fairness +
+    privacy) + classifier, in that order, which fixes its rounding.
+    Otherwise the adversaries get their param gradients and the pass stops
+    at their first layers: the features are frozen for them.
+    """
+    if not main:
+        param_grads(step.adversaries, dlogits[1:])
+        return
+    g = param_grads(step.classifier, dlogits[0])
+    first = step.classifier.layers[0]
+    if step.through_adversaries:
+        g_pair = dlogits[1:]
+        for layer, _, h, mask, out in step.adversaries.back:
+            g_pair = _through(layer, g_pair, h, mask, out)
+        np.matmul(g_pair, step.adversaries.layers[0].w_t, out=step.adversaries_grad)
+        np.add(*step.adversary_cuts, out=step.features_grad)
+        np.matmul(g, first.w_t, out=step.classifier_grad)
+        step.features_grad += step.classifier_grad
+    else:
+        np.matmul(g, first.w_t, out=step.features_grad)
+    param_grads(step.extractor, step.features_grad)
 
 # ---------------------------------------------------------------------------
 # Adam
@@ -192,7 +288,7 @@ class AdamState:
     Building the state moves every net's weights and biases into
     ``params`` and rebinds them as views into it. ``grads`` has the same
     layout; ``net_grads[i]`` holds net i's views into it in params() order,
-    ready for Mlp.backward.
+    ready for :func:`plan_layers`.
     """
 
     def __init__(self, nets: Sequence[Mlp], lr: float):

@@ -91,11 +91,17 @@ class TrainState:
     probability and gradient are exactly 0, and Adam never moves it. The
     adversaries are stacked on a leading head axis of 2, so each of their
     layers is one matmul.
+
+    The training step is planned here, once per run: ``layers`` holds each
+    net's views into the Adam buffers, and ``steps`` the step's arrays for
+    each batch length seen (the full batch and an epoch's last one), freed
+    with the state.
     """
 
     def __init__(self, bundle: ModelBundle, cfg: TrainConfig, alpha: float, beta: float):
         heads = (bundle.classifier, bundle.fairness_adv, bundle.privacy_adv)
         self.widths = [net.layer_sizes[-1] for net in heads]
+        self.feature_dim = bundle.extractor.layer_sizes[-1]
         params = []
         for net, k in zip(heads, self.widths):
             pad = ((0, 0), (0, max(self.widths) - k))
@@ -112,6 +118,29 @@ class TrainState:
         # The heads' CE grad scales in each phase, as (3, 1, 1) arrays.
         self.scales = {MAIN: np.array((1.0, -self.alpha, -self.beta)).reshape(3, 1, 1),
                        ADV: np.ones((3, 1, 1))}
+        self.layers = (lc.plan_layers(self.extractor, self.main.net_grads[0]),
+                       lc.plan_layers(self.classifier, self.main.net_grads[1]),
+                       lc.plan_layers(self.adversaries, self.adv.net_grads[0]))
+        self.steps = {}  # batch length -> lc.StepArrays
+
+    def step_arrays(self, batch: Batch) -> lc.StepArrays:
+        """The step's arrays for batches of ``batch``'s length, planned at the first one.
+
+        At alpha == beta == 0 the MAIN loss does not reach the adversaries,
+        and MAIN steps skip them; otherwise the adversary whose coefficient
+        alone is 0 has its gradient scaled by -0.0.
+        """
+        step = self.steps.get(len(batch))
+        if step is None:
+            ext, _, adv = self.layers
+            for what, cols, fan_in in (("rows", batch.x, ext[0].w.shape[-2]),
+                                       ("adversary inputs", batch.adv_in, adv[0].w.shape[-2])):
+                if cols.shape[1] != fan_in:
+                    raise lc.ShapeError(f"batch {what} have {cols.shape[1]} columns, "
+                                        f"the nets read {fan_in}")
+            step = self.steps[len(batch)] = lc.StepArrays(
+                *self.layers, len(batch), bool(self.alpha or self.beta))
+        return step
 
     def bundle(self) -> ModelBundle:
         """A bundle of copies of the nets, each head cut to its real columns."""
@@ -128,15 +157,17 @@ class TrainState:
 class Forward:
     """One pass of the objective.
 
-    ``acts`` holds the activations of the extractor and :class:`TrainState`'s two head nets;
-    ``dlogits`` the (3, n, K) gradients of the phase's loss at the three heads' stacked logits.
+    ``step`` holds the pass's activations, and ``dlogits`` the (3, n, K)
+    gradients of the phase's loss at the three heads' stacked logits. The
+    step's arrays belong to the :class:`TrainState` that made the pass: they
+    stay valid until its next pass on a batch of the same length.
     """
 
     total: float
     ce_c: float
     ce_a: float
     ce_p: float
-    acts: tuple
+    step: lc.StepArrays
     dlogits: np.ndarray
 
 
@@ -212,43 +243,25 @@ def objective(state: TrainState, batch: Batch, phase: str) -> Forward:
 
     total = ce_c - alpha * ce_a - beta * ce_p, all with unit class weights,
     with the state's alpha and beta. The adversaries see the features
-    concatenated with the one-hot task label. A zero coefficient's term is
-    +0.0 for a finite cross entropy, so total == ce_c bitwise at (0, 0).
-    The pass keeps what the backward pass of ``phase`` needs: MAIN's loss is
-    total, ADV's is ce_a + ce_p. The phase changes no loss value. One
-    cross-entropy call serves all three heads.
+    concatenated with the one-hot task label: the extractor writes its output
+    into the batch's ``adv_in``, and the heads write their logits into the
+    step's stacked logits. A zero coefficient's term is +0.0 for a finite
+    cross entropy, so total == ce_c bitwise at (0, 0). The pass keeps what
+    the backward pass of ``phase`` needs: MAIN's loss is total, ADV's is
+    ce_a + ce_p. The phase changes no loss value. One cross-entropy call
+    serves all three heads.
     """
     if len(batch) == 0:
         raise ValueError("objective over an empty batch")
-    ext = state.extractor.forward(batch.x)
-    features = ext[-1]
-    batch.adv_in[:, :features.shape[1]] = features
-    cls = state.classifier.forward(features)
-    adv = state.adversaries.forward(batch.adv_in)
-    (ce_c, ce_a, ce_p), dlogits = lc.encoded_cross_entropy(
-        np.concatenate((cls[-1][None], adv[-1])), batch.targets, state.scales[phase])
+    step = state.step_arrays(batch)
+    features = batch.adv_in[:, :state.feature_dim]
+    lc.forward(step.extractor, batch.x, features)
+    lc.forward(step.classifier, features, step.classifier_logits)
+    lc.forward(step.adversaries, batch.adv_in, step.adversary_logits)
+    (ce_c, ce_a, ce_p), dlogits = lc.encoded_cross_entropy(step.logits, batch.targets,
+                                                          state.scales[phase])
     total = ce_c - state.alpha * ce_a - state.beta * ce_p
-    return Forward(total, ce_c, ce_a, ce_p, (ext, cls, adv), dlogits)
-
-
-def _backward(state: TrainState, fwd: Forward, phase: str) -> None:
-    """Gradients of the phase's loss into the buffers of the group it updates.
-
-    MAIN backpropagates through the adversaries and the classifier into the
-    extractor, without forming adversary weight gradients. The feature
-    gradient is (fairness + privacy) + classifier, in that order, which
-    fixes its rounding. At alpha == beta == 0 the MAIN loss does not reach
-    the adversaries, and MAIN skips them; otherwise the adversary whose
-    coefficient alone is 0 has its gradient scaled by -0.0. ADV stops at the
-    adversaries' first layers: the features are frozen for them.
-    """
-    ext, cls, adv = fwd.acts
-    if phase == ADV:
-        lc.backward([(state.adversaries, adv, fwd.dlogits[1:], state.adv.net_grads[0])])
-        return
-    heads = [(state.adversaries, adv, fwd.dlogits[1:], None)] if state.alpha or state.beta else []
-    heads.append((state.classifier, cls, fwd.dlogits[0], state.main.net_grads[1]))
-    lc.backward(heads, trunk=(state.extractor, ext, state.main.net_grads[0]))
+    return Forward(total, ce_c, ce_a, ce_p, step, dlogits)
 
 
 def alternating_epoch(state: TrainState, arrays: EpochArrays, shuffle_rng: np.random.Generator,
@@ -275,7 +288,7 @@ def alternating_epoch(state: TrainState, arrays: EpochArrays, shuffle_rng: np.ra
                 f"non-finite loss at epoch {epoch}, {phase} phase, "
                 f"batch {state.batch_count}")
         if phase == MAIN or update_adversaries:
-            _backward(state, fwd, phase)
+            lc.backward(fwd.step, fwd.dlogits, phase == MAIN)
             lc.adam_step(state.main if phase == MAIN else state.adv)
         totals.append(fwd.total)
         state.batch_count += 1

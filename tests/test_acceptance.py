@@ -18,8 +18,9 @@ from fairpriv.analysis import (CsrWeights, RunRecord, csr, grid_values, group_la
 from fairpriv.cli import main, pipeline
 from fairpriv.data import LabeledDataset, make_splits
 from fairpriv.evaluation import MetricTriple
-from fairpriv.learncore import encoded_cross_entropy, mlp_init
-from fairpriv.training import train
+from fairpriv import learncore
+from fairpriv.training import (ADV, MAIN, EpochArrays, TrainConfig, TrainState, build_bundle,
+                               objective, train)
 
 CHANCE = 0.5  # binary private label in the reference config
 
@@ -42,8 +43,26 @@ def _with_triple(record, **changes):
                      replace(record.triple, **changes), record.val_loss)
 
 
+def _widths(rng):
+    return tuple(int(w) for w in rng.integers(2, 9, int(rng.integers(0, 3))))
+
+
+def _min_hidden_preactivation(net, x) -> float:
+    """The smallest |pre-activation| of ``net``'s hidden layers on ``x``."""
+    hidden, smallest = x, np.inf
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        pre = hidden @ w + b
+        smallest = min(smallest, float(np.abs(pre).min()))
+        hidden = np.maximum(pre, 0.0)
+    return smallest
+
+
 class TestCriterion1GradientOracle:
     def test_gradients_match_finite_differences(self):
+        # The training step's own gradients: random nets, class counts, batch
+        # lengths and (alpha, beta), MAIN and ADV steps in turn, each checked
+        # against central differences of its phase's loss over every param
+        # of the group it updates.
         start = time.monotonic()
         rng = np.random.default_rng(20250811)
         h = 1e-5
@@ -52,59 +71,56 @@ class TestCriterion1GradientOracle:
         while checked < 50:
             attempts += 1
             assert attempts < 500, "could not build enough kink-free instances"
-            n_layers = int(rng.integers(1, 4))
-            sizes = [int(rng.integers(2, 17)) for _ in range(n_layers + 1)]
-            mlp = mlp_init(sizes, seed=int(rng.integers(0, 1 << 31)))
-            x = rng.standard_normal((int(rng.integers(1, 9)), sizes[0]))
-            y = rng.integers(0, sizes[-1], x.shape[0])
-            w = rng.uniform(0.2, 2.0, sizes[-1])
-            flat = np.arange(x.shape[0]) * sizes[-1] + y
-            row_w = w[y]
-            total_w = row_w.sum()
+            ks = tuple(int(k) for k in rng.integers(2, 5, 3))
+            n, d = int(rng.integers(1, 9)), int(rng.integers(2, 9))
+            cfg = TrainConfig(batch_size=n, feature_dim=int(rng.integers(2, 7)),
+                              extractor_hidden=_widths(rng), adversary_hidden=_widths(rng))
+            alpha, beta = (float(v) for v in rng.choice([0.0, 0.5, 3.0], 2))
+            seeds = np.random.SeedSequence(int(rng.integers(0, 1 << 31))).spawn(5)
+            state = TrainState(build_bundle(cfg, seeds, d, *ks), cfg, alpha, beta)
+            ds = LabeledDataset(rng.standard_normal((n, d)),
+                                *(rng.integers(0, k, n) for k in ks), *ks)
+            arrays = EpochArrays(ds, cfg.feature_dim, n)
+            arrays.fill(np.arange(n))
+            batch = arrays.batches[0]
+            phase = (MAIN, ADV)[checked % 2]
 
+            def loss_value():
+                fwd = objective(state, batch, phase)
+                return fwd.total if phase == MAIN else fwd.ce_a + fwd.ce_p
+
+            loss_value()  # writes the features into batch.adv_in
             # Central differences are invalid across ReLU kinks; skip instances
             # with a hidden pre-activation close enough to 0 for the +-h probe
             # to cross one.
-            hidden = x
-            too_close = False
-            for i, (wt, bt) in enumerate(zip(mlp.weights, mlp.biases)):
-                pre = hidden @ wt + bt
-                if i < len(mlp.weights) - 1:
-                    if np.min(np.abs(pre)) < 1e-4:
-                        too_close = True
-                        break
-                    hidden = np.maximum(pre, 0.0)
-            if too_close:
+            if min(_min_hidden_preactivation(state.extractor, batch.x),
+                   _min_hidden_preactivation(state.adversaries, batch.adv_in)) < 1e-4:
                 continue
 
-            def loss_value():
-                return encoded_cross_entropy(mlp.apply(x), flat, None, row_w, total_w)[0]
-
-            acts = mlp.forward(x)
-            _, dlogits = encoded_cross_entropy(acts[-1], flat, 1.0, row_w, total_w)
-            grads = [np.empty_like(p) for p in mlp.params()]
-            mlp.backward(acts, dlogits, grads)
-
-            for p, grad in zip(mlp.params(), grads):
-                fd = np.zeros_like(p)
-                for idx in np.ndindex(*p.shape):
-                    orig = p[idx]
-                    p[idx] = orig + h
-                    up = loss_value()
-                    p[idx] = orig - h
-                    down = loss_value()
-                    p[idx] = orig
-                    fd[idx] = (up - down) / (2.0 * h)
-                # The 1e-4 floor keeps finite-difference roundoff (~1e-10
-                # absolute) from dominating the ratio on near-zero gradients.
-                rel = np.abs(grad - fd) / np.maximum.reduce(
-                    [np.abs(grad), np.abs(fd), np.full_like(fd, 1e-4)])
-                assert rel.max() < 1e-5, f"sizes={sizes} rel={rel.max():.2e}"
+            fwd = objective(state, batch, phase)
+            learncore.backward(fwd.step, fwd.dlogits, phase == MAIN)
+            group = state.main if phase == MAIN else state.adv
+            grad = group.grads.copy()
+            params = group.params
+            fd = np.zeros_like(params)
+            for i in range(params.size):
+                orig = params[i]
+                params[i] = orig + h
+                up = loss_value()
+                params[i] = orig - h
+                down = loss_value()
+                params[i] = orig
+                fd[i] = (up - down) / (2.0 * h)
+            # The 1e-4 floor keeps finite-difference roundoff (~1e-10
+            # absolute) from dominating the ratio on near-zero gradients.
+            rel = np.abs(grad - fd) / np.maximum.reduce(
+                [np.abs(grad), np.abs(fd), np.full_like(fd, 1e-4)])
+            assert rel.max() < 1e-5, f"{phase} step, ks={ks}, {cfg} rel={rel.max():.2e}"
             checked += 1
         elapsed = time.monotonic() - start
         assert elapsed < 30.0, f"gradient oracle took {elapsed:.1f}s"
-        _pass(1, f"{checked} random MLP+CE instances match central differences "
-                 f"(rel err < 1e-5) in {elapsed:.1f}s")
+        _pass(1, f"{checked} random training steps (MAIN and ADV) match central "
+                 f"differences (rel err < 1e-5) in {elapsed:.1f}s")
 
 
 class TestCriterion2ErmReduction:

@@ -34,18 +34,28 @@ def linear(w):
     return Mlp([w], [np.zeros((1, w.shape[1]))])
 
 
-def param_grads(net, x, grad_out):
+def planned(net, x):
+    """``net`` planned as the training step plans it, with fresh gradient arrays,
+    after a forward pass on ``x``: (its NetArrays, its output, its param gradients)."""
     grads = [np.empty_like(p) for p in net.params()]
-    g_in = net.backward(net.forward(x), grad_out, grads)
-    return g_in, grads
+    arrays = lc.NetArrays(lc.plan_layers(net, grads), x.shape[0])
+    w = net.weights[-1]
+    out = np.empty((*w.shape[:-2], x.shape[0], w.shape[-1]))
+    lc.forward(arrays, x, out)
+    return arrays, out, grads
+
+
+def param_grads(net, x, grad_out):
+    """The gradient at ``net``'s input and its param gradients, from ``grad_out`` at its output."""
+    arrays, _, grads = planned(net, x)
+    return lc.param_grads(arrays, grad_out) @ arrays.layers[0].w_t, grads
 
 
 def ce_grads(mlp, x, y, w):
     """Loss and param grads of the weighted CE of mlp on (x, y)."""
-    acts = mlp.forward(x)
-    loss, dlogits = reference_softmax_ce(acts[-1], y, w, grad_scale=1.0)
-    grads = [np.empty_like(p) for p in mlp.params()]
-    mlp.backward(acts, dlogits, grads)
+    arrays, out, grads = planned(mlp, x)
+    loss, dlogits = reference_softmax_ce(out, y, w, grad_scale=1.0)
+    lc.param_grads(arrays, dlogits)
     return loss, grads
 
 
@@ -231,14 +241,14 @@ class TestStackedBytes:
         y = rng.integers(0, k, (heads, n))
         flat = np.empty((heads, n + 64), np.int64)[:, :n]  # a view like EpochArrays.batch's
         flat[...] = (np.arange(heads)[:, None] * n + np.arange(n)) * k + y
-        acts = stacked.forward(x)
+        arrays, logits, grads = planned(stacked, x)
         grad_scale = None if scales is None else np.reshape(scales, (heads, 1, 1))
-        losses, d = lc.encoded_cross_entropy(acts[-1], flat, grad_scale)
-        grads = [np.empty_like(p) for p in stacked.params()]
-        g_in = None if d is None else stacked.backward(acts, d, grads)
+        losses, d = lc.encoded_cross_entropy(logits, flat, grad_scale)
+        if d is not None:
+            g_in = lc.param_grads(arrays, d) @ arrays.layers[0].w_t
         for j, net in enumerate(nets):
-            acts_j = net.forward(x)
-            for a, a_j in zip(acts[1:], acts_j[1:]):
+            acts_j = net.forward(x)  # evaluation's path, unstacked
+            for a, a_j in zip(arrays.hidden + [logits], acts_j[1:]):
                 assert a[j].tobytes() == a_j.tobytes()
             loss_j, d_j = lc.encoded_cross_entropy(acts_j[-1], np.arange(n) * k + y[j],
                                                    None if scales is None else scales[j])
@@ -247,32 +257,50 @@ class TestStackedBytes:
                 assert d is None and d_j is None
                 continue
             assert d[j].tobytes() == d_j.tobytes()
-            grads_j = [np.empty_like(p) for p in net.params()]
-            assert g_in[j].tobytes() == net.backward(acts_j, d_j, grads_j).tobytes()
+            g_in_j, grads_j = param_grads(net, x, d_j)
+            assert g_in[j].tobytes() == g_in_j.tobytes()
             for g, g_j in zip(grads, grads_j):
                 assert g[j].tobytes() == g_j.tobytes()
 
     @pytest.mark.parametrize("scales", [(1.0, -0.7), (-0.0, -0.7), (-0.7, -0.0)])
-    def test_backward_sums_stacked_head_like_its_heads(self, scales):
-        # The trunk gradient is (head 0 + head 1) + other head with a stacked
-        # head, and (head 1 + head 0) + other head with the heads apart.
+    def test_feature_gradient_sums_the_pair_over_its_head_axis(self, scales):
+        # A MAIN step adds the pair's two input-gradient cuts with one add,
+        # then the classifier's: the bytes of the pair's gradient summed over
+        # its head axis, plus the classifier's, -0.0 included.
         rng = np.random.default_rng(7)
-        trunk, other = mlp_init([6, 16, 8], seed=1), mlp_init([8, 2], seed=2)
-        pair = [mlp_init([10, 32, 32, 2], seed) for seed in (3, 4)]
-        x, extra = rng.standard_normal((53, 6)), rng.standard_normal((53, 2))
-        t_acts = trunk.forward(x)
-        adv_in = np.hstack([t_acts[-1], extra])
-        o_acts = other.forward(t_acts[-1])
-        _, d_o = reference_softmax_ce(o_acts[-1], rng.integers(0, 2, 53), grad_scale=1.0)
-        d_pair = rng.standard_normal((2, 53, 2)) * np.reshape(scales, (2, 1, 1))
-        stacked = stack_nets(pair)
-        results = []
-        for heads in ([(stacked, stacked.forward(adv_in), d_pair, None)],
-                      [(pair[j], pair[j].forward(adv_in), d_pair[j], None) for j in (1, 0)]):
-            grads = [np.empty_like(p) for p in trunk.params()]
-            lc.backward(heads + [(other, o_acts, d_o, None)], trunk=(trunk, t_acts, grads))
-            results.append(b"".join(g.tobytes() for g in grads))
-        assert results[0] == results[1]
+        graph = Graph(mlp_init([6, 16, 8], seed=1), mlp_init([8, 2], seed=2),
+                      stack_nets([mlp_init([10, 32, 32, 2], seed) for seed in (3, 4)]), 53)
+        graph.forward(rng.standard_normal((53, 6)), rng.standard_normal((53, 2)))
+        d = rng.standard_normal((3, 53, 2)) * np.reshape((1.0, *scales), (3, 1, 1))
+        lc.backward(graph.step, d, True)
+        g_pair, _ = param_grads(graph.pair, graph.adv_in, d[1:])
+        g_cls, _ = param_grads(graph.classifier, graph.adv_in[:, :8], d[0])
+        assert graph.step.features_grad.tobytes() == (g_pair[..., :8].sum(axis=0)
+                                                      + g_cls).tobytes()
+
+
+class Graph:
+    """The training step's graph, planned for ``n`` rows: a trunk, a classifier
+    on its output, and a stacked pair on its output joined with extra columns."""
+
+    def __init__(self, trunk, classifier, pair, n, through_adversaries=True):
+        self.trunk, self.classifier, self.pair = trunk, classifier, pair
+        self.main = AdamState([trunk, classifier], lr=0.1)
+        self.adv = AdamState([pair], lr=0.1)
+        self.step = lc.StepArrays(lc.plan_layers(trunk, self.main.net_grads[0]),
+                                  lc.plan_layers(classifier, self.main.net_grads[1]),
+                                  lc.plan_layers(pair, self.adv.net_grads[0]), n,
+                                  through_adversaries)
+
+    def forward(self, x, extra):
+        """The step's forward pass; the (3, n, K) logits."""
+        width = self.trunk.weights[-1].shape[-1]
+        self.adv_in = np.hstack([np.empty((x.shape[0], width)), extra])
+        features = self.adv_in[:, :width]
+        lc.forward(self.step.extractor, x, features)
+        lc.forward(self.step.classifier, features, self.step.classifier_logits)
+        lc.forward(self.step.adversaries, self.adv_in, self.step.adversary_logits)
+        return self.step.logits
 
 
 class TestFusedCrossEntropy:
@@ -368,40 +396,32 @@ class TestBackward:
         for g, g_fd in zip(grads, fd):
             assert rel_err(g, g_fd).max() < 1e-5
 
-    def test_non_scalar_loss_rejected(self):
-        # The loss gradient handed to backward must match the net's output.
-        net = mlp_init([2, 2], seed=0)
-        with pytest.raises(ShapeError):
-            net.backward(net.forward(np.ones((2, 2))), np.ones((1, 1)))
-
-    def test_trunk_and_heads_match_fd(self):
-        # Two heads on one trunk, one reading extra columns after the trunk
-        # output: the trunk sees the sum of the heads' gradients.
+    @pytest.mark.parametrize("main", [True, False], ids=["MAIN", "ADV"])
+    def test_trunk_and_heads_match_fd(self, main):
+        # A classifier and a stacked pair on one trunk, the pair reading extra
+        # columns after the trunk output: a MAIN step's trunk sees the sum of
+        # the heads' gradients; an ADV step gives the pair's own.
         rng = np.random.default_rng(13)
-        trunk, head_a, head_b = (mlp_init([5, 6, 3], seed=1), mlp_init([3, 2], seed=2),
-                                 mlp_init([5, 4, 2], seed=3))
-        x = rng.standard_normal((6, 5))
-        extra = rng.standard_normal((6, 2))
-        y_a, y_b = rng.integers(0, 2, 6), rng.integers(0, 2, 6)
+        graph = Graph(mlp_init([5, 6, 3], seed=1), mlp_init([3, 2], seed=2),
+                      stack_nets([mlp_init([5, 4, 2], seed) for seed in (3, 4)]), 6)
+        x, extra = rng.standard_normal((6, 5)), rng.standard_normal((6, 2))
+        y = rng.integers(0, 2, (3, 6))
+        scales = (1.0, -0.7, -0.3) if main else (1.0, 1.0, 1.0)
 
-        def loss_value():
-            feats = trunk.apply(x)
-            return (reference_softmax_ce(head_a.apply(feats), y_a)[0]
-                    - 0.7 * reference_softmax_ce(head_b.apply(np.hstack([feats, extra])),
-                                                 y_b)[0])
+        def loss_value():  # evaluation's path
+            feats = graph.trunk.apply(x)
+            pair = graph.pair.apply(np.hstack([feats, extra]))
+            return sum(s * reference_softmax_ce(logits, t)[0] for s, logits, t
+                       in zip(scales, [graph.classifier.apply(feats), *pair], y))
 
-        t_acts = trunk.forward(x)
-        a_acts = head_a.forward(t_acts[-1])
-        b_acts = head_b.forward(np.hstack([t_acts[-1], extra]))
-        _, d_a = reference_softmax_ce(a_acts[-1], y_a, grad_scale=1.0)
-        _, d_b = reference_softmax_ce(b_acts[-1], y_b, grad_scale=-0.7)
-        grads = {id(n): [np.empty_like(p) for p in n.params()]
-                 for n in (trunk, head_a, head_b)}
-        lc.backward([(head_b, b_acts, d_b, grads[id(head_b)]),
-                     (head_a, a_acts, d_a, grads[id(head_a)])],
-                    trunk=(trunk, t_acts, grads[id(trunk)]))
-        for net in (trunk, head_a, head_b):
-            for g, g_fd in zip(grads[id(net)], finite_diff(loss_value, net.params())):
+        flat = (np.arange(3)[:, None] * 6 + np.arange(6)) * 2 + y
+        _, d = lc.encoded_cross_entropy(graph.forward(x, extra), flat,
+                                        np.reshape(scales, (3, 1, 1)))
+        lc.backward(graph.step, d, main)
+        group = graph.main if main else graph.adv
+        nets = (graph.trunk, graph.classifier) if main else (graph.pair,)
+        for net, grads in zip(nets, group.net_grads):
+            for g, g_fd in zip(grads, finite_diff(loss_value, net.params())):
                 assert rel_err(g, g_fd).max() < 1e-5
 
 
@@ -503,7 +523,8 @@ class TestProperties:
 
     def test_backward_overwrites_grads(self):
         net = linear(np.ones((2, 1)))
-        grads = [np.full((2, 1), 5.0), np.full((1, 1), 5.0)]
+        arrays, _, grads = planned(net, np.ones((1, 2)))
+        grads[0][:], grads[1][:] = 5.0, 5.0
         for _ in range(2):
-            net.backward(net.forward(np.ones((1, 2))), np.ones((1, 1)), grads)
+            lc.param_grads(arrays, np.ones((1, 1)))
             assert grads[0][0, 0] == 1.0 and grads[1][0, 0] == 1.0  # no accumulation

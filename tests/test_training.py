@@ -1,14 +1,17 @@
 import dataclasses
 import hashlib
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from conftest import MAIN_NETS, NETS, bundle_params, host_note
+from fairpriv import learncore as lc
 from fairpriv import training
 from fairpriv.data import LabeledDataset, SyntheticSpec, generate
-from fairpriv.training import (MAIN, EpochArrays, ModelBundle, TrainConfig,
+from fairpriv.learncore import ShapeError
+from fairpriv.training import (ADV, MAIN, EpochArrays, ModelBundle, TrainConfig,
                                TrainingDivergedError, TrainState, alternating_epoch,
                                build_bundle, objective, train)
 
@@ -91,6 +94,15 @@ class TestObjective:
         fwd = objective(TrainState(bundle, cfg, 1.0, 1.0), whole_batch(ds, cfg.feature_dim), MAIN)
         for ce in (fwd.ce_c, fwd.ce_a, fwd.ce_p):
             assert abs(ce - math.log(2)) < 0.15
+
+    @pytest.mark.parametrize("input_dim, feature_dim, match", [
+        (5, 4, "rows have 6 columns, the nets read 5"),
+        (6, 5, "adversary inputs have 7 columns, the nets read 6")])
+    def test_batch_of_wrong_width_rejected_when_planned(self, input_dim, feature_dim, match):
+        ds = toy_dataset(d=6)
+        state = TrainState(init_bundle(small_cfg(), input_dim), small_cfg(), 1.0, 1.0)
+        with pytest.raises(ShapeError, match=match):
+            objective(state, whole_batch(ds, feature_dim), MAIN)
 
     def test_empty_batch_rejected(self):
         ds = toy_dataset().subset([])
@@ -338,17 +350,221 @@ class TestMainStepHeads:
         ds = toy_dataset(n=32)
         cfg = small_cfg(batch_size=32)  # one batch: a MAIN step
         state = TrainState(init_bundle(cfg, ds.dim), cfg, alpha, beta)
-        names = {id(state.classifier): "classifier", id(state.adversaries): "adversaries"}
         real, calls = training.lc.backward, []
 
-        def spy(heads, trunk=None):
-            calls.append(([names[id(head[0])] for head in heads], trunk[0] is state.extractor))
-            return real(heads, trunk)
+        def spy(step, dlogits, main):
+            # NaN in every array the pass may write: those it wrote are finite.
+            adversaries = [grad for *_, grad in step.adversaries.back]
+            for a in [state.main.grads, state.adv.grads, *adversaries]:
+                a[...] = np.nan
+            real(step, dlogits, main)
+            written = [name for name, arrays in (("adversaries", adversaries),
+                                                 ("classifier", state.main.net_grads[1]))
+                       if all(np.isfinite(a).all() for a in arrays)]
+            calls.append((main, written, np.isfinite(state.main.net_grads[0][0]).all(),
+                          np.isnan(state.adv.grads).all()))
 
         monkeypatch.setattr(training.lc, "backward", spy)
         alternating_epoch(state, EpochArrays(ds, cfg.feature_dim, cfg.batch_size),
                           np.random.default_rng(0))
-        assert calls == [(nets, True)]
+        # A MAIN step: the extractor's param gradients, no adversary param gradient.
+        assert calls == [(True, nets, True, True)]
+
+
+# ---------------------------------------------------------------------------
+# The per-step path that the planned training step replaced, kept verbatim as
+# its oracle: Mlp.forward and Mlp.backward (as functions of the net),
+# learncore.backward, training.objective and training._backward.
+
+
+@dataclass
+class OracleForward:
+    total: float
+    ce_c: float
+    ce_a: float
+    ce_p: float
+    acts: tuple
+    dlogits: np.ndarray
+
+
+def oracle_mlp_forward(self, x):
+    """Activations [x, h_1, ..., output].
+
+    Hidden activations are post-ReLU, which is all backward() needs.
+    """
+    if x.shape[-1] != self.weights[0].shape[-2]:
+        raise ShapeError(f"input width {x.shape[-1]} != layer input width "
+                         f"{self.weights[0].shape[-2]}")
+    acts = [x]
+    h = x
+    last = len(self.weights) - 1
+    for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        h = h @ w + b
+        if i != last:
+            h = np.maximum(h, 0.0)
+        acts.append(h)
+    return acts
+
+
+def oracle_mlp_backward(self, acts, grad_out, grads=None, input_grad=True):
+    """Backpropagate ``grad_out``, the loss gradient at this net's output.
+
+    ``acts`` come from forward(). The param gradients are written into
+    ``grads`` (params() order) unless it is None. Returns the gradient at
+    the net's input, or None when ``input_grad`` is False.
+    """
+    if grad_out.shape != acts[-1].shape:
+        raise ShapeError(f"grad_out {grad_out.shape} != output {acts[-1].shape}")
+    g = grad_out
+    for i in range(len(self.weights) - 1, -1, -1):
+        if grads is not None:
+            g.sum(axis=-2, keepdims=True, out=grads[2 * i + 1])
+            np.matmul(acts[i].swapaxes(-1, -2), g, out=grads[2 * i])
+        if i == 0 and not input_grad:
+            return None
+        g = g @ self.weights[i].swapaxes(-1, -2)
+        if i > 0:
+            g = g * (acts[i] > 0)  # ReLU gradient is zero at exactly 0
+    return g
+
+
+def oracle_lc_backward(heads, trunk=None):
+    """One step's backward pass through head nets and the trunk that feeds them."""
+    width = trunk[0].layer_sizes[-1] if trunk is not None else 0
+    g_trunk = None
+    for net, acts, grad_out, grads in heads:
+        g_in = oracle_mlp_backward(net, acts, grad_out, grads, input_grad=trunk is not None)
+        if trunk is not None:
+            g_in = g_in[..., :width]
+            if g_in.ndim == 3:
+                g_in = g_in.sum(axis=0)
+            g_trunk = g_in if g_trunk is None else g_trunk + g_in
+    if trunk is not None:
+        net, acts, grads = trunk
+        oracle_mlp_backward(net, acts, g_trunk, grads, input_grad=False)
+
+
+def oracle_objective(state, batch, phase):
+    """Forward pass of the min-max objective on one batch, through ``state``'s nets."""
+    if len(batch) == 0:
+        raise ValueError("objective over an empty batch")
+    ext = oracle_mlp_forward(state.extractor, batch.x)
+    features = ext[-1]
+    batch.adv_in[:, :features.shape[1]] = features
+    cls = oracle_mlp_forward(state.classifier, features)
+    adv = oracle_mlp_forward(state.adversaries, batch.adv_in)
+    (ce_c, ce_a, ce_p), dlogits = lc.encoded_cross_entropy(
+        np.concatenate((cls[-1][None], adv[-1])), batch.targets, state.scales[phase])
+    total = ce_c - state.alpha * ce_a - state.beta * ce_p
+    return OracleForward(total, ce_c, ce_a, ce_p, (ext, cls, adv), dlogits)
+
+
+def oracle_backward(state, fwd, phase):
+    """Gradients of the phase's loss into the buffers of the group it updates."""
+    ext, cls, adv = fwd.acts
+    if phase == ADV:
+        oracle_lc_backward([(state.adversaries, adv, fwd.dlogits[1:], state.adv.net_grads[0])])
+        return
+    heads = [(state.adversaries, adv, fwd.dlogits[1:], None)] if state.alpha or state.beta else []
+    heads.append((state.classifier, cls, fwd.dlogits[0], state.main.net_grads[1]))
+    oracle_lc_backward(heads, trunk=(state.extractor, ext, state.main.net_grads[0]))
+
+
+def adam_bytes(state):
+    """Both Adam states' params, m and v."""
+    return [a.tobytes() for group in (state.main, state.adv)
+            for a in (group.params, group.m, group.v)]
+
+
+def losses(fwd):
+    return [v.hex() for v in (fwd.total, fwd.ce_c, fwd.ce_a, fwd.ce_p)]
+
+
+def planned_step(state, batch, update_adversaries=True):
+    """One step of alternating_epoch on ``batch``, through the planned step; its losses."""
+    phase = MAIN if state.batch_count % 2 == 0 else ADV
+    fwd = objective(state, batch, phase)
+    if phase == MAIN or update_adversaries:
+        lc.backward(fwd.step, fwd.dlogits, phase == MAIN)
+        lc.adam_step(state.main if phase == MAIN else state.adv)
+    state.batch_count += 1
+    return losses(fwd)
+
+
+class TestStepMatchesOracle:
+    """After every step of two epochs, the planned step's losses and both Adam
+    states' params, m and v are the oracle's, byte for byte."""
+
+    @pytest.mark.parametrize("n", [45, 33], ids=["last batch 13 rows", "last batch 1 row"])
+    @pytest.mark.parametrize("adversary_hidden", [(8,), (32, 32), (8, 8, 8)])
+    @pytest.mark.parametrize("extractor_hidden", [(), (32,), (16, 16)])
+    @pytest.mark.parametrize("ks", [(2, 2, 2), (2, 3, 2), (2, 10, 6)])
+    @pytest.mark.parametrize("alpha, beta, update_adversaries", [
+        (0.0, 0.0, True), (0.1, 0.0, True), (0.0, 10.0, True), (10.0, 10.0, True),
+        (10.0, 10.0, False)])
+    def test_two_epochs_match_oracle(self, alpha, beta, update_adversaries, ks,
+                                     extractor_hidden, adversary_hidden, n):
+        ds = mixed_dataset(ks, n)
+        cfg = small_cfg(epochs=2, batch_size=16, extractor_hidden=extractor_hidden,
+                        adversary_hidden=adversary_hidden)
+        bundle = init_bundle(cfg, ds.dim, ks)
+        states = [TrainState(bundle, cfg, alpha, beta) for _ in range(3)]
+        new, old, whole = states
+        arrays = [EpochArrays(ds, cfg.feature_dim, cfg.batch_size) for _ in states]
+        rng, whole_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(n)
+            arrays[0].fill(order)
+            arrays[1].fill(order)
+            for b_new, b_old in zip(arrays[0].batches, arrays[1].batches):
+                phase = MAIN if old.batch_count % 2 == 0 else ADV
+                got = planned_step(new, b_new, update_adversaries)
+                ref = oracle_objective(old, b_old, phase)
+                if phase == MAIN or update_adversaries:
+                    oracle_backward(old, ref, phase)
+                    lc.adam_step(old.main if phase == MAIN else old.adv)
+                old.batch_count += 1
+                assert got == losses(ref), (epoch, old.batch_count)
+                assert adam_bytes(new) == adam_bytes(old), (epoch, old.batch_count)
+            # alternating_epoch itself, on a third state, ends each epoch on the same bytes.
+            alternating_epoch(whole, arrays[2], whole_rng, update_adversaries, epoch)
+            assert adam_bytes(whole) == adam_bytes(old)
+
+
+class TestStepArrays:
+    """A state's step arrays belong to it: states stepped in turn do not share them."""
+
+    def test_two_states_stepped_in_turn_match_each_alone(self):
+        ks = (2, 3, 2)
+        ds = mixed_dataset(ks, 45)  # batches of 16, 16 and 13 rows
+        cfgs = [small_cfg(batch_size=16),
+                small_cfg(batch_size=16, extractor_hidden=(16, 16), adversary_hidden=(8,))]
+        keys = [(1.0, 0.5), (0.0, 10.0)]
+
+        def fresh(i):
+            state = TrainState(init_bundle(cfgs[i], ds.dim, ks, seed=i), cfgs[i], *keys[i])
+            arrays = EpochArrays(ds, cfgs[i].feature_dim, 16)
+            arrays.fill(np.random.default_rng(i).permutation(len(ds)))
+            return state, arrays
+
+        alone = []
+        for i in range(2):
+            state, arrays = fresh(i)
+            steps = [planned_step(state, batch) for _ in range(2) for batch in arrays.batches]
+            alone.append((steps, adam_bytes(state)))
+        pair = [fresh(0), fresh(1)]
+        together = [[], []]
+        for _ in range(2):
+            for b0, b1 in zip(pair[0][1].batches, pair[1][1].batches):
+                # State 1's pass runs between state 0's pass and its backward.
+                phases = [MAIN if s.batch_count % 2 == 0 else ADV for s, _ in pair]
+                fwds = [objective(s, b, phase) for (s, _), b, phase in zip(pair, (b0, b1), phases)]
+                for (s, _), fwd, phase, steps in zip(pair, fwds, phases, together):
+                    lc.backward(fwd.step, fwd.dlogits, phase == MAIN)
+                    lc.adam_step(s.main if phase == MAIN else s.adv)
+                    s.batch_count += 1
+                    steps.append(losses(fwd))
+        assert [(t, adam_bytes(s)) for t, (s, _) in zip(together, pair)] == alone
 
 
 class TestGoldenBytes:
