@@ -1,0 +1,90 @@
+"""bench/pairs.py's arithmetic, on hand-built perfbench result.json files."""
+
+import hashlib
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+spec = importlib.util.spec_from_file_location("pairs", ROOT / "bench" / "pairs.py")
+pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(pairs)
+
+END_TO_END = [{"name": "run_p50_s", "unit": "s", "better": "lower", "bound": 0.25},
+              {"name": "runs_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]
+
+
+def fake_tree(tmp_path, name, run_p50_s, runs_per_s, csvs=(b"a,b\n",)):
+    """A checkout in which perfbench left a result.json and one results.csv per pass."""
+    work = tmp_path / name / ".perfbench_work" / "w"
+    for i, data in enumerate(csvs):
+        (work / f"pass-{i}" / "out").mkdir(parents=True)
+        (work / f"pass-{i}" / "out" / "results.csv").write_bytes(data)
+    (work / "result.json").write_text(json.dumps({"metrics": {
+        "run_p50_s": {"value": run_p50_s, "unit": "s"},
+        "runs_per_s": {"value": runs_per_s, "unit": "1/s"}}, "stamp": {"nproc": 2}}))
+    return tmp_path / name
+
+
+def runs_of(tmp_path, parent, change):
+    """One run per pair from (run_p50_s, runs_per_s) values of each side."""
+    return [{side: pairs.read_run(fake_tree(tmp_path, f"{side}{i}", *values), "w")
+             for side, values in (("parent", p), ("change", c))}
+            for i, (p, c) in enumerate(zip(parent, change))]
+
+
+def test_read_run_keeps_result_and_hashes_passes_in_order(tmp_path):
+    csvs = [f"pass {i}\n".encode() for i in range(12)]  # pass-10 sorts after pass-9
+    run = pairs.read_run(fake_tree(tmp_path, "t", 1.0, 2.0, csvs), "w")
+    assert run["results_sha256"] == [hashlib.sha256(c).hexdigest() for c in csvs]
+    assert run["result"]["metrics"]["run_p50_s"]["value"] == 1.0
+    assert run["result"]["stamp"] == {"nproc": 2}
+
+
+def test_medians_quartiles_ratios_and_wins(tmp_path):
+    parent = [(10.0, 1.0), (12.0, 1.0), (11.0, 2.0), (13.0, 1.0)]
+    change = [(9.0, 2.0), (12.0, 1.0), (10.0, 1.0), (11.0, 3.0)]
+    summary = pairs.summarize(runs_of(tmp_path, parent, change), END_TO_END)
+    p50 = summary["run_p50_s"]
+    assert p50["parent"] == [10.0, 12.0, 11.0, 13.0] and p50["change"] == [9.0, 12.0, 10.0, 11.0]
+    # Inclusive quartiles of 10, 11, 12, 13: 10.75, 11.5, 12.25.
+    assert (p50["parent_q1"], p50["parent_median"], p50["parent_q3"]) == (10.75, 11.5, 12.25)
+    assert p50["parent_iqr"] == 1.5
+    assert p50["change_median"] == 10.5
+    assert p50["ratio"] == 10.5 / 11.5
+    assert p50["pair_ratios"] == [0.9, 1.0, 10.0 / 11.0, 11.0 / 13.0]
+    assert p50["change_wins"] == 3  # the tie counts for neither side
+    assert not p50["gain_shown"]  # 3 of 4 is short of nine in ten
+    per_s = summary["runs_per_s"]
+    assert per_s["better"] == "higher" and per_s["unit"] == "1/s"
+    assert per_s["change_wins"] == 2  # higher wins: pairs 0 and 3; pair 2 is a loss
+
+
+PARENT = [9.0, 9.2, 9.4, 9.6, 9.8, 10.0, 10.2, 10.4, 10.6, 10.8]  # quartiles 9.45 and 10.35
+
+
+@pytest.mark.parametrize("change, shown", [
+    ([8.0] * 10, True),  # every pair, by more than the parent's IQR
+    ([8.0] * 9 + [11.0], True),  # nine pairs in ten
+    ([8.0] * 8 + [11.0] * 2, False),  # eight in ten
+    ([p - 0.1 for p in PARENT], False),  # every pair, but by less than the parent's IQR
+], ids=["all", "nine", "eight", "within IQR"])
+def test_gain_shown_needs_nine_wins_in_ten_and_a_gap_beyond_the_parent_iqr(
+        tmp_path, change, shown):
+    runs = runs_of(tmp_path, [(p, 1.0) for p in PARENT], [(c, 1.0) for c in change])
+    row = pairs.summarize(runs, END_TO_END)["run_p50_s"]
+    assert row["parent_iqr"] == pytest.approx(0.9)
+    assert row["gain_shown"] is shown
+
+
+def test_one_pair_has_no_spread(tmp_path):
+    row = pairs.summarize(runs_of(tmp_path, [(2.0, 1.0)], [(1.0, 1.0)]), END_TO_END)["run_p50_s"]
+    assert (row["parent_q1"], row["parent_median"], row["parent_q3"]) == (2.0, 2.0, 2.0)
+    assert row["ratio"] == 0.5 and row["change_wins"] == 1 and row["gain_shown"]
+
+
+def test_sides_alternate_which_goes_first():
+    assert [pairs.pair_order(i)[0] for i in range(4)] == ["parent", "change"] * 2
+    assert all(sorted(pairs.pair_order(i)) == ["change", "parent"] for i in range(4))

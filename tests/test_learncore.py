@@ -283,14 +283,13 @@ class Graph:
     """The training step's graph, planned for ``n`` rows: a trunk, a classifier
     on its output, and a stacked pair on its output joined with extra columns."""
 
-    def __init__(self, trunk, classifier, pair, n, through_adversaries=True):
+    def __init__(self, trunk, classifier, pair, n):
         self.trunk, self.classifier, self.pair = trunk, classifier, pair
         self.main = AdamState([trunk, classifier], lr=0.1)
         self.adv = AdamState([pair], lr=0.1)
         self.step = lc.StepArrays(lc.plan_layers(trunk, self.main.net_grads[0]),
                                   lc.plan_layers(classifier, self.main.net_grads[1]),
-                                  lc.plan_layers(pair, self.adv.net_grads[0]), n,
-                                  through_adversaries)
+                                  lc.plan_layers(pair, self.adv.net_grads[0]), n, True)
 
     def forward(self, x, extra):
         """The step's forward pass; the (3, n, K) logits."""
