@@ -10,7 +10,10 @@ prune. The export's own, unchanged ``perfbench/run.py`` runs there, the two
 sides in turn, with the side that goes first alternating from pair to pair.
 Pair i runs perfbench seed i on both sides, so the pairs rotate through the
 input sets. Every run's ``result.json`` is kept in the BENCH file, with the
-sha256 of each pass's ``results.csv``.
+sha256 of each pass's ``results.csv``. The file also names the host class
+that ran, ``fairpriv.hostinfo.host_class()`` of the change's tree (for
+example ``SkylakeX/X86_V4``): the OpenBLAS kernel and numpy SIMD level,
+where perfbench's stamp gives only OpenBLAS's build config.
 
 For each end-to-end metric of the change's ``BENCHMARK.json`` the file gives
 the per-pair values, each side's median and quartiles, the change/parent
@@ -26,6 +29,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -51,6 +55,16 @@ def export(commit: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
     if proc.wait() != 0:
         raise SystemExit(f"git archive {commit} failed")
+
+
+def host_class(tree: Path) -> str:
+    """``fairpriv.hostinfo.host_class()`` as ``tree``'s source computes it. It runs in
+    a child process: importing fairpriv here would set OPENBLAS_NUM_THREADS, and
+    every perfbench run started after would inherit it."""
+    code = "from fairpriv.hostinfo import host_class; print(host_class())"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": str(tree / "src")})
+    return proc.stdout.strip()
 
 
 def read_run(tree: Path, workload: str) -> dict:
@@ -126,6 +140,7 @@ def main(argv=None) -> int:
         trees = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
             export(commits[side], trees[side])
+        bench["host_class"] = host_class(trees["change"])
         end_to_end = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
         for workload in args.workload:
             runs = []

@@ -1,21 +1,22 @@
-"""Sweep-level analytics over trained-run records.
+"""Sweep-level analytics over a complete result cube.
 
-Covers min-max normalization of each metric across the sweep, the
-conjunctive soft ranking (CSR) that scores every run under a preference
+``result_cube`` reads a sweep's records once into an (alpha, beta, seed,
+metric) array. On it: min-max normalization of each metric across the runs,
+the conjunctive soft ranking (CSR) that scores every run under a preference
 weighting, pairwise tradeoff correlations with utility negated to align
-improvement directions, and grouped-median heatmaps over regularization
-strength buckets.
+improvement directions, seed medians, and grouped-median heatmaps over
+regularization strength buckets. Each takes its runs in key order, so no
+result depends on the order of the records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
 from .data import _check_fields, _is_real
-from .evaluation import MetricTriple
 
 GROUP_ORDER = ("B", "L", "M", "H")
 
@@ -30,7 +31,8 @@ class Metric:
     letter: str  # its letter in tradeoff_correlations' keys
 
 
-# The per-run metrics, keyed by MetricTriple's fields in field order.
+# The per-run metrics, keyed by MetricTriple's fields in field order; a cube's
+# last axis follows this order.
 METRICS = {
     "utility": Metric(higher_is_better=True, weight="utility", letter="u"),
     "fairness_gap": Metric(higher_is_better=False, weight="fairness", letter="f"),
@@ -38,31 +40,38 @@ METRICS = {
 }
 
 
-@dataclass
-class RunRecord:
-    alpha: float
-    beta: float
-    seed: int
-    triple: MetricTriple
-    val_loss: float
+@dataclass(frozen=True)
+class ResultCube:
+    """A complete sweep: run (alphas[i], betas[j], seeds[k]) has metric values
+    ``values[i, j, k]`` (in METRICS order) and ``val_loss[i, j, k]``. The axes
+    are sorted, so C order is the runs' key order."""
+    alphas: tuple
+    betas: tuple
+    seeds: tuple
+    values: np.ndarray  # (alphas, betas, seeds, METRICS)
+    val_loss: np.ndarray  # (alphas, betas, seeds)
 
-    @property
-    def key(self) -> tuple:
-        return (self.alpha, self.beta, self.seed)
 
-
-def check_grid(records: list, alphas: list, betas: list, seeds: list) -> None:
-    """Require exactly one record per (alpha, beta, seed) grid point."""
+def result_cube(records, alphas, betas, seeds) -> ResultCube:
+    """The cube of ``records``, which must hold exactly one record per (alpha,
+    beta, seed) grid point, in any order."""
     seen = set()
     for r in records:
         if r.key in seen:
             raise ValueError(f"duplicate record for {r.key}")
         seen.add(r.key)
-    grid = {(a, b, s) for a in alphas for b in betas for s in seeds}
+    axes = tuple(tuple(sorted(axis)) for axis in (alphas, betas, seeds))
+    grid = set(product(*axes))
     missing, extra = sorted(grid - seen), sorted(seen - grid)
     if missing or extra:
         raise ValueError(f"records do not match the grid; missing cells: {missing[:20]}, "
                          f"cells outside the grid: {extra[:20]}")
+    runs = sorted(records, key=lambda r: r.key)  # the grid's C order
+    shape = tuple(map(len, axes))
+    values = np.array([[getattr(r.triple, name) for name in METRICS] for r in runs],
+                      dtype=np.float64).reshape(*shape, len(METRICS))
+    val_loss = np.array([r.val_loss for r in runs], dtype=np.float64).reshape(shape)
+    return ResultCube(*axes, values=values, val_loss=val_loss)
 
 
 @dataclass(frozen=True)
@@ -106,49 +115,41 @@ def group_label(v: float) -> str:
     raise ValueError(f"{v} falls outside every regularization group")
 
 
-def metric_values(records, metric: str) -> list:
-    """Each record's value of ``metric``, a key of METRICS."""
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}; expected one of {sorted(METRICS)}")
-    return [getattr(r.triple, metric) for r in records]
+def _runs(values: np.ndarray) -> np.ndarray:
+    """``values`` as one row per run, one column per metric."""
+    return np.asarray(values, dtype=np.float64).reshape(-1, len(METRICS))
 
 
-def normalize(records, metric: str) -> dict:
-    """Min-max normalize a metric over all records: worst -> 0, best -> 1.
-
-    Keyed by (alpha, beta, seed). If every record ties, a lone record
-    included, all values are 0.5.
-    """
-    if not records:
-        raise ValueError("normalization needs >= 1 record")
-    values = np.array(metric_values(records, metric))
-    lo, hi = values.min(), values.max()
-    if hi == lo:
-        return {r.key: 0.5 for r in records}
-    return {r.key: float((v - lo) / (hi - lo)) for r, v in zip(records, values)}
+def normalize(values: np.ndarray) -> np.ndarray:
+    """Min-max normalize each metric (the last axis) over all runs: lowest -> 0,
+    highest -> 1. A metric on which every run ties, a lone run included, is 0.5."""
+    runs = _runs(values)
+    if not len(runs):
+        raise ValueError("normalization needs >= 1 run")
+    lo, hi = runs.min(axis=0), runs.max(axis=0)
+    return np.divide(values - lo, hi - lo, out=np.full(np.shape(values), 0.5), where=hi > lo)
 
 
-def csr(records, weights: CsrWeights) -> dict:
-    """Conjunctive soft ranking in [0, 100] per record.
+def csr(values: np.ndarray, weights: CsrWeights) -> np.ndarray:
+    """Conjunctive soft ranking in [0, 100] per run (``values`` without its last axis).
 
     Convex combination of the normalized metrics, with the lower-is-better
     ones flipped so that higher is better for every term.
     """
     weights.validate()
-    scores = dict.fromkeys((r.key for r in records), 0.0)
-    for name, m in METRICS.items():  # terms add left to right in METRICS order
-        w, norm = getattr(weights, m.weight), normalize(records, name)
-        for key in scores:
-            scores[key] += w * (norm[key] if m.higher_is_better else 1.0 - norm[key])
-    return {key: 100.0 * total for key, total in scores.items()}
+    norm, total = normalize(values), 0.0
+    for k, m in enumerate(METRICS.values()):  # terms add left to right in METRICS order
+        total = total + getattr(weights, m.weight) * (
+            norm[..., k] if m.higher_is_better else 1.0 - norm[..., k])
+    return 100.0 * total
 
 
-def best_csr(records, weights: CsrWeights) -> tuple[float, RunRecord]:
-    """(score, record) of the top-scoring record; ties resolve to smaller alpha,
-    then beta, then seed."""
-    scores = csr(records, weights)
-    best = max(records, key=lambda r: (scores[r.key], -r.alpha, -r.beta, -r.seed))
-    return scores[best.key], best
+def best_csr(cube: ResultCube, weights: CsrWeights) -> tuple[float, tuple]:
+    """(score, (alpha, beta, seed)) of the top-scoring run; ties resolve to the
+    first in key order: smaller alpha, then beta, then seed."""
+    scores = csr(cube.values, weights)
+    i, j, k = np.unravel_index(np.argmax(scores), scores.shape)
+    return float(scores[i, j, k]), (cube.alphas[i], cube.betas[j], cube.seeds[k])
 
 
 def pearson(xs, ys) -> float | None:
@@ -170,49 +171,39 @@ def pearson(xs, ys) -> float | None:
     return float((dx * dy).sum() / (sx * sy))
 
 
-def tradeoff_correlations(records) -> dict:
-    """Pairwise metric correlations, utility negated to align directions.
+def tradeoff_correlations(values: np.ndarray) -> dict:
+    """Pairwise metric correlations over all runs, utility negated to align directions.
 
     Keys: "uf" (utility/fairness), "up" (utility/privacy), "fp"
     (fairness/privacy). Values may be None when a metric is constant.
     """
-    if len(records) < 2:
-        raise ValueError("correlations need >= 2 records")
-    series = {m.letter: [-v if m.higher_is_better else v for v in metric_values(records, name)]
-              for name, m in METRICS.items()}
+    columns = np.ascontiguousarray(_runs(values).T)  # each metric's runs, in key order
+    if columns.shape[1] < 2:
+        raise ValueError("correlations need >= 2 runs")
+    series = {m.letter: -col if m.higher_is_better else col
+              for m, col in zip(METRICS.values(), columns)}
     return {a + b: pearson(xs, ys) for (a, xs), (b, ys) in combinations(series.items(), 2)}
 
 
-def seed_medians(records) -> list:
-    """Collapse seeds: one record per (alpha, beta) holding per-metric medians."""
-    by_ab = {}
-    for r in records:
-        by_ab.setdefault((r.alpha, r.beta), []).append(r)
-    out = []
-    for (a, b), rs in sorted(by_ab.items()):
-        triple = MetricTriple(**{m: float(np.median(metric_values(rs, m))) for m in METRICS})
-        out.append(RunRecord(a, b, seed=-1, triple=triple,
-                             val_loss=float(np.median([x.val_loss for x in rs]))))
-    return out
+def seed_medians(cube: ResultCube) -> ResultCube:
+    """Collapse seeds: one run per (alpha, beta) holding per-metric medians, on a
+    seed axis of one entry, "median"."""
+    return ResultCube(cube.alphas, cube.betas, ("median",),
+                      values=np.median(cube.values, axis=2, keepdims=True),
+                      val_loss=np.median(cube.val_loss, axis=2, keepdims=True))
 
 
-def heatmap(records, metric: str) -> HeatmapGrid:
-    """Median of a metric per (alpha-group, beta-group) cell.
-
-    The grid covers the groups actually present in the records (the full
-    sweep populates all four per axis); any empty cell in that cover is an
-    error naming the cell.
-    """
-    per_run = metric_values(records, metric)
-    a_groups = [g for g in GROUP_ORDER if any(group_label(r.alpha) == g for r in records)]
-    b_groups = [g for g in GROUP_ORDER if any(group_label(r.beta) == g for r in records)]
-    values = np.zeros((len(a_groups), len(b_groups)))
-    for i, ga in enumerate(a_groups):
-        for j, gb in enumerate(b_groups):
-            cell = [v for r, v in zip(records, per_run)
-                    if group_label(r.alpha) == ga and group_label(r.beta) == gb]
-            if not cell:
-                raise ValueError(f"heatmap cell (alpha={ga}, beta={gb}) is empty")
-            values[i, j] = np.median(cell)
+def heatmap(cube: ResultCube, metric: str) -> HeatmapGrid:
+    """Median of a metric per (alpha-group, beta-group) cell, over the groups
+    the cube's axes populate (the full sweep populates all four per axis)."""
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}; expected one of {sorted(METRICS)}")
+    values = cube.values[..., list(METRICS).index(metric)]
+    a_labels = np.array([group_label(v) for v in cube.alphas])
+    b_labels = np.array([group_label(v) for v in cube.betas])
+    a_groups = [g for g in GROUP_ORDER if g in a_labels]
+    b_groups = [g for g in GROUP_ORDER if g in b_labels]
+    medians = [[np.median(values[a_labels == ga][:, b_labels == gb]) for gb in b_groups]
+               for ga in a_groups]
     return HeatmapGrid(metric=metric, alpha_groups=a_groups, beta_groups=b_groups,
-                       values=values)
+                       values=np.array(medians, dtype=np.float64))

@@ -7,7 +7,7 @@ import json
 import sys
 from pathlib import Path
 
-from ..analysis import check_grid
+from ..analysis import result_cube
 from ..data import save_csv
 from ..training import TrainingDivergedError
 from . import pipeline, report
@@ -72,15 +72,15 @@ def cmd_analyze(args) -> int:
     records, failed = pipeline.load_results(results_path)
     if failed:
         raise ValueError(f"{results_path}: error-marker rows for cells {failed}")
-    check_grid(records, sorted(config.alphas), sorted(config.betas), sorted(config.seeds))
-    rep = report.build_report(records, config, k_p=pipeline.load_dataset(config).k_p)
+    cube = result_cube(records, config.alphas, config.betas, config.seeds)
+    rep = report.build_report(cube, config, k_p=pipeline.load_dataset(config).k_p)
     report_path = out / "report.json"
     report_path.write_text(json.dumps(rep, indent=2, sort_keys=True) + "\n")
     tables_path = out / "tables.txt"
     tables_path.write_text(report.text_tables(rep))
     print(f"report -> {report_path}")
     print(f"tables -> {tables_path}")
-    for metric, grid in report.build_heatmaps(records).items():
+    for metric, grid in report.build_heatmaps(cube).items():
         svg_path = out / f"heatmap_{metric}.svg"
         svg_path.write_text(report.heatmap_svg(grid))
         print(f"heatmap -> {svg_path}")

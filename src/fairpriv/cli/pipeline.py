@@ -9,10 +9,11 @@ from __future__ import annotations
 import csv
 import math
 import os
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..analysis import METRICS, RunRecord
+from ..analysis import METRICS
 from ..data import (LabeledDataset, _errors_naming, class_counts, generate, load_csv,
                     make_splits)
 from ..evaluation import MetricTriple, attack_accuracy, fit_attacker, utility_and_gap
@@ -22,6 +23,20 @@ from .config import ExperimentConfig
 RESULTS_HEADER = ["alpha", "beta", "seed", *METRICS, "val_loss"]
 ERROR_MARKER = "ERROR"
 _FAILED_CELLS = [ERROR_MARKER] * (len(RESULTS_HEADER) - 3)  # a failed run's metric cells
+
+
+@dataclass
+class RunRecord:
+    """One run's row of results.csv; ``analysis.result_cube`` reads a sweep's records."""
+    alpha: float
+    beta: float
+    seed: int
+    triple: MetricTriple
+    val_loss: float
+
+    @property
+    def key(self) -> tuple:
+        return (self.alpha, self.beta, self.seed)
 
 
 def load_dataset(config: ExperimentConfig) -> LabeledDataset:

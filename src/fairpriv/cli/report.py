@@ -10,32 +10,30 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..analysis import (CSR_WEIGHTS, METRICS, HeatmapGrid, best_csr, csr, group_label,
-                        heatmap, metric_values, normalize, seed_medians,
-                        tradeoff_correlations)
+from ..analysis import (CSR_WEIGHTS, METRICS, HeatmapGrid, ResultCube, best_csr, csr,
+                        group_label, heatmap, normalize, seed_medians, tradeoff_correlations)
 
 
 def fmt_pct(v: float) -> str:
     return f"{100.0 * v:.2f}%"
 
 
-def single_metric_table(records, utility_metric: str, k_p: int) -> dict:
+def single_metric_table(cube: ResultCube, utility_metric: str, k_p: int) -> dict:
     """Baseline (no intervention, median over seeds) and best single metrics."""
     util_name = "Acc." if utility_metric == "accuracy" else "TPR"
     chance = 1.0 / k_p
     out = {
         "utility_metric": util_name,
         "chance_level": chance,
-        "best": {name: (max if m.higher_is_better else min)(metric_values(records, name))
-                 for name, m in METRICS.items()},
+        "best": {name: float((np.max if m.higher_is_better else np.min)(cube.values[..., k]))
+                 for k, (name, m) in enumerate(METRICS.items())},
         "baseline": None,
     }
     out["formatted"] = {f"best_{m.weight}": fmt_pct(out["best"][name])
                         for name, m in METRICS.items()}
-    base = [r for r in records if r.alpha == 0.0 and r.beta == 0.0]
-    if base:
-        out["baseline"] = {name: float(np.median(metric_values(base, name)))
-                           for name in METRICS}
+    if 0.0 in cube.alphas and 0.0 in cube.betas:
+        base = cube.values[cube.alphas.index(0.0), cube.betas.index(0.0)]
+        out["baseline"] = dict(zip(METRICS, map(float, np.median(base, axis=0))))
         out["formatted"].update({
             "baseline_utility": f"{fmt_pct(out['baseline']['utility'])} ({util_name})",
             "baseline_fairness": f"{fmt_pct(out['baseline']['fairness_gap'])} ({util_name} Gap)",
@@ -49,21 +47,21 @@ def _fmt_corr(v: float | None) -> str:
     return "undefined" if v is None else f"{v:.2f}"
 
 
-def tradeoff_table(records) -> dict | None:
+def tradeoff_table(cube: ResultCube) -> dict | None:
     """Correlations and best CSR per weighting of CSR_WEIGHTS; None below two
-    records, which leave nothing to correlate."""
-    if len(records) < 2:
+    runs, which leave nothing to correlate."""
+    if cube.val_loss.size < 2:
         return None
-    corr = tradeoff_correlations(records)
+    corr = tradeoff_correlations(cube.values)
     entries = []
     for w in CSR_WEIGHTS:
-        score, top = best_csr(records, w)
-        a_group, b_group = group_label(top.alpha), group_label(top.beta)
+        score, (alpha, beta, _) = best_csr(cube, w)
+        a_group, b_group = group_label(alpha), group_label(beta)
         entries.append({
             "weights": [w.utility, w.fairness, w.privacy],
             "score": score,
-            "alpha": top.alpha,
-            "beta": top.beta,
+            "alpha": alpha,
+            "beta": beta,
             "alpha_group": a_group,
             "beta_group": b_group,
             "formatted": f"{score:.2f}% ({a_group}., {b_group}.)",
@@ -74,30 +72,32 @@ def tradeoff_table(records) -> dict | None:
     }
 
 
-def run_table(records) -> list:
-    """Per-run rows with group labels, normalized metrics, and CSR scores
-    under CSR_WEIGHTS."""
-    norms = {name: normalize(records, name) for name in METRICS}
-    scores = {f"{w.utility:g}/{w.fairness:g}/{w.privacy:g}": csr(records, w)
+def run_table(cube: ResultCube) -> list:
+    """Per-run rows in key order, with group labels, normalized metrics, and CSR
+    scores under CSR_WEIGHTS."""
+    norm = normalize(cube.values)
+    scores = {f"{w.utility:g}/{w.fairness:g}/{w.privacy:g}": csr(cube.values, w)
               for w in CSR_WEIGHTS}
-    rows = []
-    for r in sorted(records, key=lambda r: r.key):
+    rows, axes = [], (cube.alphas, cube.betas, cube.seeds)
+    for at in np.ndindex(cube.val_loss.shape):
+        alpha, beta, seed = (axis[i] for axis, i in zip(axes, at))
         rows.append({
-            "alpha": r.alpha, "beta": r.beta, "seed": r.seed,
-            "alpha_group": group_label(r.alpha), "beta_group": group_label(r.beta),
-            **{name: getattr(r.triple, name) for name in METRICS}, "val_loss": r.val_loss,
-            "normalized": {name: norm[r.key] for name, norm in norms.items()},
-            "csr": {name: s[r.key] for name, s in scores.items()},
+            "alpha": alpha, "beta": beta, "seed": seed,
+            "alpha_group": group_label(alpha), "beta_group": group_label(beta),
+            **dict(zip(METRICS, map(float, cube.values[at]))),
+            "val_loss": float(cube.val_loss[at]),
+            "normalized": dict(zip(METRICS, map(float, norm[at]))),
+            "csr": {name: float(s[at]) for name, s in scores.items()},
         })
     return rows
 
 
-def build_report(records, config, k_p: int) -> dict:
+def build_report(cube: ResultCube, config, k_p: int) -> dict:
     return {
-        "single_metrics": single_metric_table(records, config.utility_metric, k_p),
-        "tradeoffs": tradeoff_table(records),
-        "tradeoffs_over_seed_medians": tradeoff_table(seed_medians(records)),
-        "runs": run_table(records),
+        "single_metrics": single_metric_table(cube, config.utility_metric, k_p),
+        "tradeoffs": tradeoff_table(cube),
+        "tradeoffs_over_seed_medians": tradeoff_table(seed_medians(cube)),
+        "runs": run_table(cube),
     }
 
 
@@ -183,5 +183,5 @@ def heatmap_svg(grid: HeatmapGrid) -> str:
     return "\n".join(parts) + "\n"
 
 
-def build_heatmaps(records) -> dict[str, HeatmapGrid]:
-    return {m: heatmap(records, m) for m in METRICS}
+def build_heatmaps(cube: ResultCube) -> dict[str, HeatmapGrid]:
+    return {m: heatmap(cube, m) for m in METRICS}

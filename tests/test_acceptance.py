@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from conftest import MAIN_NETS, bundle_params, median_of, reference_config
-from fairpriv.analysis import (CsrWeights, RunRecord, csr, grid_values, group_label,
-                               heatmap, normalize, pearson)
+from fairpriv.analysis import (CsrWeights, csr, grid_values, group_label, heatmap, normalize,
+                               pearson, result_cube)
 from fairpriv.cli import main, pipeline
 from fairpriv.data import LabeledDataset, make_splits
 from fairpriv.evaluation import MetricTriple
@@ -30,17 +30,16 @@ def _pass(n, msg):
 
 
 def _random_table(rng, n=None):
+    """n (default: 4 to 12) random runs' metrics, one row per run. Each row
+    still draws the grid point and val_loss of the record it once was, so the
+    trials check the tables they always checked."""
     n = n or int(rng.integers(4, 13))
-    grid = grid_values()
-    return [RunRecord(grid[rng.integers(0, 11)], grid[rng.integers(0, 11)], i,
-                      MetricTriple(rng.random(), rng.random(), rng.random()),
-                      rng.random())
-            for i in range(n)]
-
-
-def _with_triple(record, **changes):
-    return RunRecord(record.alpha, record.beta, record.seed,
-                     replace(record.triple, **changes), record.val_loss)
+    rows = []
+    for _ in range(n):
+        rng.integers(0, 11), rng.integers(0, 11)  # the record's alpha and beta
+        rows.append(rng.random(3))
+        rng.random()  # its val_loss
+    return np.array(rows)
 
 
 def _widths(rng):
@@ -185,38 +184,31 @@ class TestCriterion7CsrProperties:
     def test_on_1000_random_tables(self):
         rng = np.random.default_rng(7)
         for trial in range(1000):
-            records = _random_table(rng)
+            table = _random_table(rng)
             weights = CsrWeights(*rng.dirichlet(np.ones(3)))
-            scores = csr(records, weights)
+            scores = csr(table, weights)
 
             # range
-            assert all(-1e-9 <= s <= 100.0 + 1e-9 for s in scores.values())
+            assert all(-1e-9 <= s <= 100.0 + 1e-9 for s in scores)
 
-            # monotonicity: improving record 0 on any axis never lowers it
-            target = records[0]
-            base = scores[target.key]
-            for changes in ({"utility": min(1.0, target.triple.utility + 0.07)},
-                            {"fairness_gap": max(0.0, target.triple.fairness_gap - 0.07)},
-                            {"attack_balanced_acc":
-                             max(0.0, target.triple.attack_balanced_acc - 0.07)}):
-                improved = [_with_triple(target, **changes)] + records[1:]
-                assert csr(improved, weights)[target.key] >= base - 1e-9
+            # monotonicity: improving run 0 on any axis never lowers it
+            for k, improve in ((0, lambda v: min(1.0, v + 0.07)),
+                               (1, lambda v: max(0.0, v - 0.07)),
+                               (2, lambda v: max(0.0, v - 0.07))):
+                improved = table.copy()
+                improved[0, k] = improve(table[0, k])
+                assert csr(improved, weights)[0] >= scores[0] - 1e-9
 
-            # a record at all three extrema scores exactly 100
-            best = _with_triple(
-                target,
-                utility=max(r.triple.utility for r in records),
-                fairness_gap=min(r.triple.fairness_gap for r in records),
-                attack_balanced_acc=min(r.triple.attack_balanced_acc for r in records))
-            dominant = [best] + records[1:]
-            assert csr(dominant, weights)[best.key] == pytest.approx(100.0, abs=1e-9)
+            # a run at all three extrema scores exactly 100
+            dominant = table.copy()
+            dominant[0] = table[:, 0].max(), table[:, 1].min(), table[:, 2].min()
+            assert csr(dominant, weights)[0] == pytest.approx(100.0, abs=1e-9)
 
             # (1, 0, 0) ranking reduces to the raw utility ranking
-            pure = csr(records, CsrWeights(1.0, 0.0, 0.0))
-            for a in records:
-                for b in records:
-                    assert np.sign(pure[a.key] - pure[b.key]) == \
-                        np.sign(a.triple.utility - b.triple.utility)
+            pure, utility = csr(table, CsrWeights(1.0, 0.0, 0.0)), table[:, 0]
+            for a in range(len(table)):
+                for b in range(len(table)):
+                    assert np.sign(pure[a] - pure[b]) == np.sign(utility[a] - utility[b])
         _pass(7, "CSR monotonicity/range/extrema/utility-reduction on 1000 tables")
 
 
@@ -224,18 +216,19 @@ class TestCriterion8Normalization:
     def test_affine_invariance_and_degenerate_rule(self):
         rng = np.random.default_rng(8)
         for trial in range(1000):
-            records = _random_table(rng)
+            table = _random_table(rng)
             scale_f = rng.uniform(0.1, 10.0)
             shift = rng.uniform(-5.0, 5.0)
-            mapped = [_with_triple(r, utility=scale_f * r.triple.utility + shift)
-                      for r in records]
-            n1 = normalize(records, "utility")
-            n2 = normalize(mapped, "utility")
-            for key in n1:
-                assert n1[key] == pytest.approx(n2[key], abs=1e-9)
+            mapped = table.copy()
+            mapped[:, 0] = scale_f * table[:, 0] + shift
+            n1 = normalize(table)
+            n2 = normalize(mapped)
+            for v1, v2 in zip(n1[:, 0], n2[:, 0]):
+                assert v1 == pytest.approx(v2, abs=1e-9)
 
-            flat = [_with_triple(r, utility=0.37) for r in records]
-            assert set(normalize(flat, "utility").values()) == {0.5}
+            flat = table.copy()
+            flat[:, 0] = 0.37
+            assert set(normalize(flat)[:, 0]) == {0.5}
         _pass(8, "normalization affine invariance and degenerate rule on 1000 tables")
 
 
@@ -254,15 +247,13 @@ class TestCriterion9AnalysisOracles:
 
     def test_heatmap_against_brute_force(self):
         rng = np.random.default_rng(10)
+        values = grid_values()
         for _ in range(50):
-            records = []
-            for a in grid_values():
-                for b in grid_values():
-                    for s in range(int(rng.integers(1, 4))):
-                        records.append(RunRecord(a, b, s,
-                                                 MetricTriple(rng.random(), rng.random(),
-                                                              rng.random()), 0.0))
-            grid = heatmap(records, "fairness_gap")
+            seeds = range(int(rng.integers(1, 4)))  # one count for the whole cube
+            records = [pipeline.RunRecord(a, b, s, MetricTriple(rng.random(), rng.random(),
+                                                                rng.random()), 0.0)
+                       for a in values for b in values for s in seeds]
+            grid = heatmap(result_cube(records, values, values, seeds), "fairness_gap")
             for i, ga in enumerate(grid.alpha_groups):
                 for j, gb in enumerate(grid.beta_groups):
                     cell = [r.triple.fairness_gap for r in records

@@ -3,9 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fairpriv.analysis import (CSR_WEIGHTS, METRICS, CsrWeights, RunRecord, best_csr,
-                               check_grid, csr, grid_values, group_label, heatmap, normalize,
-                               pearson, seed_medians, tradeoff_correlations)
+from fairpriv.analysis import (CSR_WEIGHTS, METRICS, CsrWeights, best_csr, csr, grid_values,
+                               group_label, heatmap, normalize, pearson, result_cube,
+                               seed_medians, tradeoff_correlations)
+from fairpriv.cli.pipeline import RunRecord
 from fairpriv.evaluation import MetricTriple
 
 
@@ -13,13 +14,18 @@ def rec(alpha, beta, seed, u, a, p, val_loss=0.1):
     return RunRecord(alpha, beta, seed, MetricTriple(u, a, p), val_loss)
 
 
-def random_records(rng, n=12):
-    out = []
-    grid = grid_values()
-    for i in range(n):
-        out.append(rec(grid[rng.integers(0, 11)], grid[rng.integers(0, 11)], i,
-                       rng.random(), rng.random(), rng.random()))
-    return out
+def cube_of(records):
+    """The cube of ``records`` over the axis values they hold."""
+    return result_cube(records, *({r.key[i] for r in records} for i in range(3)))
+
+
+def column(values):
+    """One metric's values as a run x metric table: the metric first, the rest 0."""
+    return np.column_stack([values, np.zeros((len(values), 2))])
+
+
+def random_table(rng, n=12):
+    return rng.random((n, len(METRICS)))
 
 
 class TestMetricTable:
@@ -31,9 +37,9 @@ class TestMetricTable:
             f.name for f in dataclasses.fields(CsrWeights)]
 
     def test_unknown_metric_named(self):
+        cube = cube_of([rec(0.0, 0.0, 0, 0.5, 0.1, 0.5), rec(1.0, 0.0, 0, 0.6, 0.2, 0.5)])
         with pytest.raises(ValueError, match="unknown metric 'accuracy'"):
-            normalize([rec(0.0, 0.0, 0, 0.5, 0.1, 0.5), rec(1.0, 0.0, 0, 0.6, 0.2, 0.5)],
-                      "accuracy")
+            heatmap(cube, "accuracy")
 
 
 class TestGrid:
@@ -77,85 +83,120 @@ class TestGroupLabel:
             group_label(20.0)
 
 
+class TestResultCube:
+    def test_complete_grid_ok(self):
+        records = [rec(a, b, s, a + 0.1 * b + 0.01 * s, 0.1, 0.5, val_loss=s)
+                   for a in (0.0, 1.0) for b in (0.0, 1.0) for s in (0, 1)]
+        cube = result_cube(records, [1.0, 0.0], [0.0, 1.0], [1, 0])
+        assert (cube.alphas, cube.betas, cube.seeds) == ((0.0, 1.0), (0.0, 1.0), (0, 1))
+        assert cube.values.shape == (2, 2, 2, 3) and cube.val_loss.shape == (2, 2, 2)
+        for r in records:
+            at = cube.alphas.index(r.alpha), cube.betas.index(r.beta), cube.seeds.index(r.seed)
+            assert list(cube.values[at]) == [r.triple.utility, 0.1, 0.5]
+            assert cube.val_loss[at] == r.val_loss
+
+    def test_row_order_does_not_matter(self):
+        rng = np.random.default_rng(11)
+        grid = grid_values()
+        records = [rec(a, b, s, *rng.random(4)) for a in grid for b in grid[:3] for s in (0, 1)]
+        shuffled = [records[i] for i in rng.permutation(len(records))]
+        want, got = (result_cube(rs, grid, grid[:3], [0, 1]) for rs in (records, shuffled))
+        assert (got.alphas, got.betas, got.seeds) == (want.alphas, want.betas, want.seeds)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.val_loss.tobytes() == want.val_loss.tobytes()
+
+    def test_missing_cell_listed(self):
+        records = [rec(0.0, 0.0, 0, 0.5, 0.1, 0.5)]
+        with pytest.raises(ValueError, match=r"1\.0"):
+            result_cube(records, [0.0, 1.0], [0.0], [0])
+
+    def test_extra_cell_listed(self):
+        # Used to fail as "incomplete sweep; missing cells: []".
+        records = [rec(a, 0.0, 0, 0.5, 0.1, 0.5) for a in (0.0, 1.0)]
+        with pytest.raises(ValueError, match=r"outside the grid: \[\(1\.0, 0\.0, 0\)\]"):
+            result_cube(records, [0.0], [0.0], [0])
+
+    def test_duplicate_rejected(self):
+        records = [rec(0.0, 0.0, 0, 0.5, 0.1, 0.5)] * 2
+        with pytest.raises(ValueError, match="duplicate"):
+            result_cube(records, [0.0], [0.0], [0])
+
+
 class TestNormalize:
     def test_endpoints(self):
-        records = [rec(0, 0, 0, 0.2, 0, 0), rec(0, 0, 1, 0.9, 0, 0),
-                   rec(0, 0, 2, 0.5, 0, 0)]
-        n = normalize(records, "utility")
-        assert n[(0, 0, 0)] == 0.0 and n[(0, 0, 1)] == 1.0
+        n = normalize(column([0.2, 0.9, 0.5]))
+        assert n[0, 0] == 0.0 and n[1, 0] == 1.0
 
     def test_linear_map(self):
-        records = [rec(0, 0, i, v, 0, 0) for i, v in enumerate((2.0, 4.0, 6.0))]
-        n = normalize(records, "utility")
-        assert [n[(0, 0, i)] for i in range(3)] == [0.0, 0.5, 1.0]
+        assert list(normalize(column([2.0, 4.0, 6.0]))[:, 0]) == [0.0, 0.5, 1.0]
 
     def test_degenerate_all_half(self):
-        records = [rec(0, 0, i, 0.7, 0, 0) for i in range(4)]
-        assert set(normalize(records, "utility").values()) == {0.5}
+        assert set(normalize(column([0.7] * 4)).ravel()) == {0.5}
+
+    def test_each_metric_on_its_own_over_every_axis(self):
+        rng = np.random.default_rng(12)
+        values = rng.random((2, 3, 2, 3))
+        flat = values.reshape(-1, 3)
+        want = (flat - flat.min(axis=0)) / (flat.max(axis=0) - flat.min(axis=0))
+        assert normalize(values).tobytes() == want.reshape(values.shape).tobytes()
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             vals = rng.random(6)
             a, b = rng.uniform(0.1, 5.0), rng.uniform(-3, 3)
-            r1 = [rec(0, 0, i, v, 0, 0) for i, v in enumerate(vals)]
-            r2 = [rec(0, 0, i, a * v + b, 0, 0) for i, v in enumerate(vals)]
-            n1 = normalize(r1, "utility")
-            n2 = normalize(r2, "utility")
-            for key in n1:
-                assert n1[key] == pytest.approx(n2[key], abs=1e-9)
+            n1 = normalize(column(vals))
+            n2 = normalize(column(a * vals + b))
+            assert n1 == pytest.approx(n2, abs=1e-9)
 
     def test_one_record_ties(self):
-        # A lone record ties with itself, as in the all-ties case.
-        assert normalize([rec(0, 0, 0, 1, 0, 0)], "utility") == {(0, 0, 0): 0.5}
+        # A lone run ties with itself, as in the all-ties case.
+        assert list(normalize(np.array([[1.0, 0.0, 0.0]]))[0]) == [0.5] * 3
 
     def test_no_records(self):
-        with pytest.raises(ValueError, match="needs >= 1 record"):
-            normalize([], "utility")
+        with pytest.raises(ValueError, match="needs >= 1 run"):
+            normalize(np.empty((0, 3)))
 
 
 class TestCsr:
     def test_hand_worked_two_records(self):
-        records = [rec(0, 0, 0, 0.5, 0.2, 0.9), rec(0, 0, 1, 1.0, 0.1, 0.6)]
-        scores = csr(records, CsrWeights(1 / 3, 1 / 3, 1 / 3))
-        assert scores[(0, 0, 0)] == pytest.approx(0.0, abs=1e-12)
-        assert scores[(0, 0, 1)] == pytest.approx(100.0, abs=1e-12)
+        scores = csr(np.array([[0.5, 0.2, 0.9], [1.0, 0.1, 0.6]]), CsrWeights(1 / 3, 1 / 3, 1 / 3))
+        assert scores[0] == pytest.approx(0.0, abs=1e-12)
+        assert scores[1] == pytest.approx(100.0, abs=1e-12)
 
     def test_all_extrema_scores_100(self):
-        records = [rec(0, 0, 0, 0.9, 0.0, 0.5), rec(0, 0, 1, 0.5, 0.3, 0.8),
-                   rec(0, 0, 2, 0.7, 0.1, 0.6)]
-        scores = csr(records, CsrWeights(0.6, 0.2, 0.2))
-        assert scores[(0, 0, 0)] == pytest.approx(100.0)
+        values = np.array([[0.9, 0.0, 0.5], [0.5, 0.3, 0.8], [0.7, 0.1, 0.6]])
+        assert csr(values, CsrWeights(0.6, 0.2, 0.2))[0] == pytest.approx(100.0)
+
+    def test_one_score_per_run(self):
+        values = np.random.default_rng(13).random((2, 3, 4, 3))
+        scores = csr(values, CSR_WEIGHTS[0])
+        assert scores.shape == (2, 3, 4)
+        assert scores.tobytes() == csr(values.reshape(-1, 3), CSR_WEIGHTS[0]).tobytes()
 
     def test_pure_utility_matches_utility_order(self):
         rng = np.random.default_rng(1)
-        records = random_records(rng)
-        scores = csr(records, CsrWeights(1.0, 0.0, 0.0))
-        for a in records:
-            for b in records:
-                su, sv = scores[a.key], scores[b.key]
-                assert np.sign(su - sv) == np.sign(a.triple.utility - b.triple.utility)
+        values = random_table(rng)
+        scores = csr(values, CsrWeights(1.0, 0.0, 0.0))
+        for su, ua in zip(scores, values[:, 0]):
+            for sv, ub in zip(scores, values[:, 0]):
+                assert np.sign(su - sv) == np.sign(ua - ub)
 
     def test_monotone_in_each_metric(self):
         rng = np.random.default_rng(2)
         for _ in range(30):
-            records = random_records(rng, n=8)
+            values = random_table(rng, n=8)
             w = rng.dirichlet(np.ones(3))
             weights = CsrWeights(*w)
-            base = csr(records, weights)[records[0].key]
-            improved = [r for r in records]
-            t = records[0].triple
-            improved[0] = RunRecord(records[0].alpha, records[0].beta, records[0].seed,
-                                    MetricTriple(min(1.0, t.utility + 0.1),
-                                                 t.fairness_gap, t.attack_balanced_acc),
-                                    records[0].val_loss)
-            assert csr(improved, weights)[records[0].key] >= base - 1e-9
+            base = csr(values, weights)[0]
+            improved = values.copy()
+            improved[0, 0] = min(1.0, values[0, 0] + 0.1)
+            assert csr(improved, weights)[0] >= base - 1e-9
 
     def test_range(self):
         rng = np.random.default_rng(3)
-        records = random_records(rng)
-        scores = csr(records, CsrWeights(0.2, 0.2, 0.6))
-        assert all(-1e-9 <= s <= 100 + 1e-9 for s in scores.values())
+        scores = csr(random_table(rng), CsrWeights(0.2, 0.2, 0.6))
+        assert np.all((-1e-9 <= scores) & (scores <= 100 + 1e-9))
 
     def test_report_weightings_weigh_each_goal_0_6_in_turn(self):
         assert [dataclasses.astuple(w) for w in CSR_WEIGHTS] == [
@@ -165,22 +206,27 @@ class TestCsr:
 
     def test_invalid_weights(self):
         with pytest.raises(ValueError):
-            csr([rec(0, 0, 0, 1, 0, 0), rec(0, 0, 1, 0, 1, 1)],
-                CsrWeights(0.5, 0.5, 0.5))
+            csr(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]), CsrWeights(0.5, 0.5, 0.5))
 
 
 class TestBestCsr:
     def test_dominating_record(self):
-        records = [rec(1.0, 0.1, 0, 0.9, 0.0, 0.5), rec(0.0, 0.0, 0, 0.5, 0.3, 0.9)]
-        score, top = best_csr(records, CsrWeights(1 / 3, 1 / 3, 1 / 3))
+        cube = cube_of([rec(1.0, 0.1, 0, 0.9, 0.0, 0.5), rec(0.0, 0.1, 0, 0.5, 0.3, 0.9)])
+        score, key = best_csr(cube, CsrWeights(1 / 3, 1 / 3, 1 / 3))
         assert score == pytest.approx(100.0)
-        assert top is records[0]
+        assert key == (1.0, 0.1, 0)
 
     def test_tie_breaks_to_smaller_alpha(self):
-        records = [rec(1.0, 0.0, 0, 0.8, 0.1, 0.5), rec(0.1, 0.0, 0, 0.8, 0.1, 0.5),
-                   rec(0.0, 0.0, 0, 0.2, 0.9, 0.9)]
-        _, top = best_csr(records, CsrWeights(0.6, 0.2, 0.2))
-        assert top is records[1]
+        cube = cube_of([rec(1.0, 0.0, 0, 0.8, 0.1, 0.5), rec(0.1, 0.0, 0, 0.8, 0.1, 0.5),
+                        rec(0.0, 0.0, 0, 0.2, 0.9, 0.9)])
+        _, key = best_csr(cube, CsrWeights(0.6, 0.2, 0.2))
+        assert key == (0.1, 0.0, 0)
+
+    def test_full_tie_breaks_to_the_first_key(self):
+        cube = cube_of([rec(a, b, s, 0.5, 0.1, 0.5)
+                        for a in (1.0, 0.0) for b in (1.0, 0.1) for s in (2, 1)])
+        score, key = best_csr(cube, CSR_WEIGHTS[1])
+        assert score == pytest.approx(50.0) and key == (0.0, 0.1, 1)
 
 
 class TestPearson:
@@ -219,20 +265,17 @@ class TestTradeoffCorrelations:
         # Negation aligns improvement directions: when the gap falls exactly
         # as utility rises (joint improvement), pearson(-u, gap) is +1; when
         # better fairness costs utility, the correlation goes negative.
-        records = [rec(0, 0, i, u, 1 - u, 0.5 + 0.01 * i)
-                   for i, u in enumerate((0.2, 0.5, 0.9))]
-        assert tradeoff_correlations(records)["uf"] == pytest.approx(1.0)
-        trading = [rec(0, 0, i, u, u, 0.5 + 0.01 * i)
-                   for i, u in enumerate((0.2, 0.5, 0.9))]
-        assert tradeoff_correlations(trading)["uf"] == pytest.approx(-1.0)
+        u = np.array([0.2, 0.5, 0.9])
+        p = 0.5 + 0.01 * np.arange(3)
+        assert tradeoff_correlations(np.column_stack([u, 1 - u, p]))["uf"] == pytest.approx(1.0)
+        assert tradeoff_correlations(np.column_stack([u, u, p]))["uf"] == pytest.approx(-1.0)
 
     def test_constant_metric_undefined(self):
-        records = [rec(0, 0, i, u, 0.1 * u, 0.7) for i, u in enumerate((0.2, 0.4, 0.6))]
-        assert tradeoff_correlations(records)["up"] is None
+        u = np.array([0.2, 0.4, 0.6])
+        assert tradeoff_correlations(np.column_stack([u, 0.1 * u, [0.7] * 3]))["up"] is None
 
     def test_three_record_oracle(self):
-        records = [rec(0, 0, 0, 0.5, 0.30, 0.80), rec(0, 0, 1, 0.7, 0.20, 0.75),
-                   rec(0, 0, 2, 0.9, 0.25, 0.60)]
+        values = np.array([[0.5, 0.30, 0.80], [0.7, 0.20, 0.75], [0.9, 0.25, 0.60]])
         u = np.array([-0.5, -0.7, -0.9])
         f = np.array([0.30, 0.20, 0.25])
         p = np.array([0.80, 0.75, 0.60])
@@ -241,85 +284,77 @@ class TestTradeoffCorrelations:
             da, db = a - a.mean(), b - b.mean()
             return (da * db).sum() / np.sqrt((da ** 2).sum() * (db ** 2).sum())
 
-        out = tradeoff_correlations(records)
+        out = tradeoff_correlations(values)
         assert out["uf"] == pytest.approx(direct(u, f), abs=1e-12)
         assert out["up"] == pytest.approx(direct(u, p), abs=1e-12)
         assert out["fp"] == pytest.approx(direct(f, p), abs=1e-12)
 
+    def test_one_run_has_nothing_to_correlate(self):
+        with pytest.raises(ValueError, match="need >= 2 runs"):
+            tradeoff_correlations(np.ones((1, 1, 1, 3)))
+
 
 class TestHeatmap:
-    def full_grid_records(self, seeds=(0,)):
+    def full_grid_cube(self, seeds=(0,)):
         rng = np.random.default_rng(6)
-        records = []
-        for a in grid_values():
-            for b in grid_values():
-                for s in seeds:
-                    records.append(rec(a, b, s, rng.random(), rng.random(), rng.random()))
-        return records
+        grid = grid_values()
+        return result_cube([rec(a, b, s, rng.random(), rng.random(), rng.random())
+                            for a in grid for b in grid for s in seeds], grid, grid, seeds)
 
     def test_full_grid_is_4x4(self):
-        grid = heatmap(self.full_grid_records(), "utility")
+        grid = heatmap(self.full_grid_cube(), "utility")
         assert grid.alpha_groups == ["B", "L", "M", "H"]
         assert grid.beta_groups == ["B", "L", "M", "H"]
         assert grid.values.shape == (4, 4)
 
+    def test_only_populated_groups(self):
+        cube = cube_of([rec(a, b, 0, 0.5, 0.1, 0.5) for a in (0.0, 0.01, 10.0) for b in (0.2,)])
+        grid = heatmap(cube, "utility")
+        assert (grid.alpha_groups, grid.beta_groups) == (["B", "L", "H"], ["M"])
+        assert grid.values.shape == (3, 1)
+
     def test_single_record_cell_passthrough(self):
         records = [rec(0.0, 0.0, 0, 0.42, 0.1, 0.5), rec(0.0, 10.0, 0, 0.8, 0.1, 0.5),
                    rec(10.0, 0.0, 0, 0.6, 0.1, 0.5), rec(10.0, 10.0, 0, 0.7, 0.1, 0.5)]
-        grid = heatmap(records, "utility")
+        grid = heatmap(cube_of(records), "utility")
         assert grid.values[0, 0] == 0.42
 
     def test_median_rules(self):
-        base = [rec(0.0, 0.0, s, v, 0.1, 0.5)
-                for s, v in enumerate((0.1, 0.3, 0.2))]
-        grid = heatmap(base, "utility")
+        base = [rec(0.0, 0.0, s, v, 0.1, 0.5) for s, v in enumerate((0.1, 0.3, 0.2))]
+        grid = heatmap(cube_of(base), "utility")
         assert grid.values[0, 0] == pytest.approx(0.2)
         even = [rec(0.0, 0.0, s, v, 0.1, 0.5) for s, v in enumerate((0.1, 0.3))]
-        assert heatmap(even, "utility").values[0, 0] == pytest.approx(0.2)
+        assert heatmap(cube_of(even), "utility").values[0, 0] == pytest.approx(0.2)
 
     def test_matches_brute_force_medians(self):
-        records = self.full_grid_records(seeds=(0, 1, 2))
-        grid = heatmap(records, "attack_balanced_acc")
+        cube = self.full_grid_cube(seeds=(0, 1, 2))
+        grid = heatmap(cube, "attack_balanced_acc")
         for i, ga in enumerate(grid.alpha_groups):
             for j, gb in enumerate(grid.beta_groups):
-                cell = [r.triple.attack_balanced_acc for r in records
-                        if group_label(r.alpha) == ga and group_label(r.beta) == gb]
+                cell = [cube.values[ia, ib, k, 2]
+                        for ia, a in enumerate(cube.alphas) for ib, b in enumerate(cube.betas)
+                        for k in range(3) if group_label(a) == ga and group_label(b) == gb]
                 assert grid.values[i, j] == pytest.approx(np.median(cell), abs=1e-12)
-
-    def test_empty_cell_named(self):
-        records = [rec(0.0, 0.0, 0, 0.5, 0.1, 0.5), rec(10.0, 10.0, 0, 0.5, 0.1, 0.5)]
-        with pytest.raises(ValueError, match=r"alpha=B, beta=H"):
-            heatmap(records, "utility")
-
-
-class TestCheckGrid:
-    def test_complete_grid_ok(self):
-        records = [rec(a, b, s, 0.5, 0.1, 0.5)
-                   for a in (0.0, 1.0) for b in (0.0, 1.0) for s in (0, 1)]
-        check_grid(records, [0.0, 1.0], [0.0, 1.0], [0, 1])
-
-    def test_missing_cell_listed(self):
-        records = [rec(0.0, 0.0, 0, 0.5, 0.1, 0.5)]
-        with pytest.raises(ValueError, match=r"1\.0"):
-            check_grid(records, [0.0, 1.0], [0.0], [0])
-
-    def test_extra_cell_listed(self):
-        # Used to fail as "incomplete sweep; missing cells: []".
-        records = [rec(a, 0.0, 0, 0.5, 0.1, 0.5) for a in (0.0, 1.0)]
-        with pytest.raises(ValueError, match=r"outside the grid: \[\(1\.0, 0\.0, 0\)\]"):
-            check_grid(records, [0.0], [0.0], [0])
-
-    def test_duplicate_rejected(self):
-        records = [rec(0.0, 0.0, 0, 0.5, 0.1, 0.5)] * 2
-        with pytest.raises(ValueError, match="duplicate"):
-            check_grid(records, [0.0], [0.0], [0])
 
 
 class TestSeedMedians:
     def test_collapses_seeds(self):
-        records = [rec(0.0, 1.0, s, u, 0.1 * s, 0.5)
+        records = [rec(0.0, 1.0, s, u, 0.1 * s, 0.5, val_loss=u)
                    for s, u in enumerate((0.2, 0.9, 0.4))]
-        (m,) = seed_medians(records)
-        assert m.triple.utility == pytest.approx(0.4)
-        assert m.triple.fairness_gap == pytest.approx(0.1)
-        assert m.alpha == 0.0 and m.beta == 1.0
+        m = seed_medians(cube_of(records))
+        assert (m.alphas, m.betas, m.seeds) == ((0.0,), (1.0,), ("median",))
+        assert m.values.shape == (1, 1, 1, 3) and m.val_loss.shape == (1, 1, 1)
+        assert m.values[0, 0, 0, 0] == pytest.approx(0.4)
+        assert m.values[0, 0, 0, 1] == pytest.approx(0.1)
+        assert m.val_loss[0, 0, 0] == pytest.approx(0.4)
+
+    def test_each_cell_on_its_own(self):
+        rng = np.random.default_rng(14)
+        records = [rec(a, b, s, *rng.random(4)) for a in (0.0, 1.0) for b in (0.0, 0.1)
+                   for s in range(4)]
+        cube, m = cube_of(records), seed_medians(cube_of(records))
+        for i, j in np.ndindex(2, 2):
+            for k, name in enumerate(METRICS):
+                cell = [getattr(r.triple, name) for r in records
+                        if (r.alpha, r.beta) == (cube.alphas[i], cube.betas[j])]
+                assert m.values[i, j, 0, k] == np.median(cell)

@@ -3,9 +3,13 @@
 import hashlib
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from fairpriv.hostinfo import host_class
 
 ROOT = Path(__file__).resolve().parents[1]
 spec = importlib.util.spec_from_file_location("pairs", ROOT / "bench" / "pairs.py")
@@ -88,3 +92,23 @@ def test_one_pair_has_no_spread(tmp_path):
 def test_sides_alternate_which_goes_first():
     assert [pairs.pair_order(i)[0] for i in range(4)] == ["parent", "change"] * 2
     assert all(sorted(pairs.pair_order(i)) == ["change", "parent"] for i in range(4))
+
+
+def test_host_class_of_a_tree_is_this_process_host_class():
+    assert pairs.host_class(ROOT) == host_class()
+
+
+def test_host_class_leaves_fairpriv_out_of_the_runner():
+    # The runner's environment is every perfbench run's: importing fairpriv
+    # there would set OPENBLAS_NUM_THREADS for them all.
+    code = "\n".join([
+        "import importlib.util, sys",
+        f"spec = importlib.util.spec_from_file_location('pairs', {str(spec.origin)!r})",
+        "pairs = importlib.util.module_from_spec(spec)",
+        "spec.loader.exec_module(pairs)",
+        f"pairs.host_class(pairs.Path({str(ROOT)!r}))",
+        "print('fairpriv' in sys.modules)"])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairpriv.analysis import METRICS, RunRecord, grid_values, seed_medians
+from fairpriv.analysis import METRICS, grid_values, result_cube, seed_medians
 from fairpriv.cli import config, main, pipeline, report
 from fairpriv.cli.config import (ConfigError, ExperimentConfig, from_dict, load_config,
                                  mild_correlation_joint)
@@ -31,6 +31,7 @@ from fairpriv.learncore import Mlp
 from fairpriv.training import ModelBundle, TrainConfig
 
 import test_evaluation as oracle
+from test_analysis import cube_of
 from test_reference_reports import OUTPUTS as REPORT_FILES
 from conftest import bundle_params, src_env
 
@@ -1347,10 +1348,10 @@ def synthetic_records(alphas, betas, seeds, rng):
     for a in alphas:
         for b in betas:
             for s in seeds:
-                records.append(RunRecord(a, b, s,
-                                         MetricTriple(rng.random(), rng.random(),
-                                                      rng.random()),
-                                         rng.random()))
+                records.append(pipeline.RunRecord(a, b, s,
+                                                  MetricTriple(rng.random(), rng.random(),
+                                                               rng.random()),
+                                                  rng.random()))
     return records
 
 
@@ -1421,7 +1422,8 @@ class TestAnalyze:
         pipeline.write_results(out / "results.csv", synthetic_records(
             cfg.alphas, cfg.betas, cfg.seeds, np.random.default_rng(3)))
         records, _ = pipeline.load_results(out / "results.csv")
-        want = json.dumps(report.build_report(records, cfg, k_p=load_csv(csv_path).k_p),
+        cube = result_cube(records, cfg.alphas, cfg.betas, cfg.seeds)
+        want = json.dumps(report.build_report(cube, cfg, k_p=load_csv(csv_path).k_p),
                           indent=2, sort_keys=True) + "\n"
 
         passes = []
@@ -1440,7 +1442,7 @@ class TestAnalyze:
     def test_full_grid_heatmap_has_16_cells(self):
         rng = np.random.default_rng(1)
         records = synthetic_records(grid_values(), grid_values(), [0], rng)
-        grids = report.build_heatmaps(records)
+        grids = report.build_heatmaps(cube_of(records))
         assert set(grids) == {"utility", "fairness_gap", "attack_balanced_acc"}
         for grid in grids.values():
             svg = report.heatmap_svg(grid)
@@ -1450,16 +1452,15 @@ class TestAnalyze:
                 assert f">{label}</text>" in svg
 
     def test_table_formats_match_reported_layout(self):
-        # Table-style strings: "63.33% (TPR)" and "91.04% (H., H.)".
-        records = [
-            RunRecord(0.0, 0.0, s, MetricTriple(0.6333, 0.21, 0.7983), 0.3)
-            for s in (0, 1, 2)
-        ] + [
-            RunRecord(10.0, 0.1, s, MetricTriple(0.70, 0.08, 0.6777), 0.3)
-            for s in (0, 1, 2)
-        ]
+        # Table-style strings: "63.33% (TPR)" and "91.04% (H., H.)". The
+        # grid's two other cells are dominated by (10, 0.1).
+        triples = {(0.0, 0.0): MetricTriple(0.6333, 0.21, 0.7983),
+                   (10.0, 0.1): MetricTriple(0.70, 0.08, 0.6777)}
+        records = [pipeline.RunRecord(a, b, s, triples.get((a, b), MetricTriple(0.65, 0.1, 0.7)),
+                                      0.3)
+                   for a in (0.0, 10.0) for b in (0.0, 0.1) for s in (0, 1, 2)]
         cfg = small_config(utility_metric="tpr")
-        rep = report.build_report(records, cfg, k_p=3)
+        rep = report.build_report(cube_of(records), cfg, k_p=3)
         fmt = rep["single_metrics"]["formatted"]
         assert fmt["baseline_utility"] == "63.33% (TPR)"
         assert fmt["baseline_fairness"] == "21.00% (TPR Gap)"
@@ -1471,20 +1472,21 @@ class TestAnalyze:
             assert groups == f"({entry['alpha_group']}., {entry['beta_group']}.)"
 
     def test_dominating_record_scores_100(self):
-        records = [RunRecord(0.0, 0.0, 0, MetricTriple(0.9, 0.0, 0.5), 0.1),
-                   RunRecord(1.0, 1.0, 0, MetricTriple(0.5, 0.2, 0.9), 0.1)]
+        records = [pipeline.RunRecord(a, b, 0, MetricTriple(0.5, 0.2, 0.9), 0.1)
+                   for a, b in ((0.0, 1.0), (1.0, 0.0), (1.0, 1.0))]
+        records.append(pipeline.RunRecord(0.0, 0.0, 0, MetricTriple(0.9, 0.0, 0.5), 0.1))
         cfg = small_config()
-        rep = report.build_report(records, cfg, k_p=2)
+        rep = report.build_report(cube_of(records), cfg, k_p=2)
         for entry in rep["tradeoffs"]["csr"]:
             assert entry["score"] == pytest.approx(100.0)
 
     def test_report_holds_both_tradeoff_views(self):
         records = synthetic_records([0.0, 0.1, 1.0], [0.0, 1.0], [0, 1, 2],
                                     np.random.default_rng(3))
-        cfg = small_config()
-        rep = report.build_report(records, cfg, k_p=2)
-        assert rep["tradeoffs"] == report.tradeoff_table(records)
-        assert rep["tradeoffs_over_seed_medians"] == report.tradeoff_table(seed_medians(records))
+        cfg, cube = small_config(), cube_of(records)
+        rep = report.build_report(cube, cfg, k_p=2)
+        assert rep["tradeoffs"] == report.tradeoff_table(cube)
+        assert rep["tradeoffs_over_seed_medians"] == report.tradeoff_table(seed_medians(cube))
         assert rep["tradeoffs_over_seed_medians"] != rep["tradeoffs"]
         pooled, medians = report.text_tables(rep).split("\nTradeoffs over seed medians\n")
         assert "\nTradeoffs\n" in pooled
@@ -1525,7 +1527,7 @@ class TestAnalyze:
         records, _ = pipeline.load_results(out / "results.csv")
         assert main(["analyze", "--config", str(path), "--out", str(out)]) == 0
         rep = json.loads((out / "report.json").read_text())
-        pooled = report.tradeoff_table(records)
+        pooled = report.tradeoff_table(result_cube(records, cfg.alphas, cfg.betas, cfg.seeds))
         assert rep["tradeoffs"] == json.loads(json.dumps(pooled))
         assert rep["tradeoffs_over_seed_medians"] is None
         tables = (out / "tables.txt").read_text()

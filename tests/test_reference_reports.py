@@ -2,11 +2,12 @@
 
 Each of the 16 reference result files is analyzed under the config that
 perfbench/run.py builds for it; one sha256 over report.json, tables.txt and
-the three heatmaps pins every byte the report path writes. Each attack_short
-input set is also swept again, and must write its reference file's bytes
-(the benchmark's own check allows a deviation of 1e-6). The paper's three
-directions (acceptance criteria 3-5) are checked on each recorded input set
-of the reduced sweep. The perfbench files are only read.
+the three heatmaps pins every byte the report path writes, and a shuffled copy
+of the file must write the same bytes. Each attack_short input set is also
+swept again, and must write its reference file's bytes (the benchmark's own
+check allows a deviation of 1e-6). The paper's three directions (acceptance
+criteria 3-5) are checked on each recorded input set of the reduced sweep.
+The perfbench files are only read.
 """
 
 import hashlib
@@ -64,11 +65,17 @@ RECORDED = {
 }
 
 
-def analyze_digest(workload: str, k: int, tmp_path: Path) -> str:
+def reference_results(workload: str, k: int) -> Path:
+    return ROOT / "perfbench" / "reference" / workload / f"inputs-{k}.csv"
+
+
+def analyze_digest(workload: str, k: int, tmp_path: Path, results: Path | None = None) -> str:
+    """The digest of analyze's outputs for input set ``k``, on ``results`` (by
+    default, its reference results)."""
     raw, _ = _perfbench_run().make_config(workload, k)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw))
-    results = ROOT / "perfbench" / "reference" / workload / f"inputs-{k}.csv"
+    results = results or reference_results(workload, k)
     out = tmp_path / "out"
     assert main(["analyze", "--config", str(config), "--results", str(results),
                  "--out", str(out)]) == 0
@@ -84,6 +91,19 @@ def test_analyze_matches_recorded_digest(workload, k, tmp_path):
     assert analyze_digest(workload, k, tmp_path) == RECORDED[workload, k]
 
 
+@pytest.mark.parametrize("workload", ["sweep_reduced", "attack_short"])
+@pytest.mark.parametrize("k", range(8))
+def test_analyze_ignores_row_order(workload, k, tmp_path):
+    # The same runs in a shuffled row order write the same bytes: every sum
+    # takes the runs in key order, not in file order.
+    header, *rows = reference_results(workload, k).read_text().splitlines(keepends=True)
+    shuffled = [rows[i] for i in np.random.default_rng(k).permutation(len(rows))]
+    assert shuffled != rows
+    results = tmp_path / "shuffled.csv"
+    results.write_text(header + "".join(shuffled))
+    assert analyze_digest(workload, k, tmp_path, results) == RECORDED[workload, k]
+
+
 @pytest.mark.parametrize("k", range(8))
 def test_attack_short_sweep_matches_reference(k, tmp_path):
     # attack_short is where the attacker fit shows; one input set alone misses a
@@ -96,7 +116,7 @@ def test_attack_short_sweep_matches_reference(k, tmp_path):
     config.write_text(json.dumps(raw))
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(config), "--jobs", "1", "--out", str(out)]) == 0
-    reference = ROOT / "perfbench" / "reference" / "attack_short" / f"inputs-{k}.csv"
+    reference = reference_results("attack_short", k)
     assert (out / "results.csv").read_bytes() == reference.read_bytes(), host_note(
         f"results.csv differs from {reference.relative_to(ROOT)}")
 
@@ -105,8 +125,7 @@ def test_attack_short_sweep_matches_reference(k, tmp_path):
 def test_paper_directions_hold_on_recorded_input_set(k):
     # Acceptance criteria 3-5 and their thresholds, on data seed k's recorded
     # cells at grid seeds 2k and 2k + 1 (their median), training nothing.
-    path = ROOT / "perfbench" / "reference" / "sweep_reduced" / f"inputs-{k}.csv"
-    records, failed = pipeline.load_results(path)
+    records, failed = pipeline.load_results(reference_results("sweep_reduced", k))
     assert not failed and {r.seed for r in records} == {2 * k, 2 * k + 1}
 
     def median(alpha, beta, metric):
