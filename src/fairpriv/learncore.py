@@ -1,10 +1,10 @@
 """Dense float64 MLPs, softmax cross entropy, Adam, and the training step's backward pass.
 
 Everything here operates on 2-D float64 arrays ("matrices") or stacks of
-them. :class:`Mlp` holds a net's weights and evaluates it. The training step
-is planned once per run: :func:`plan_layers` gives each layer's views into
-the Adam buffers, and :class:`StepArrays` holds, per batch length, every
-array a step writes. :func:`forward` runs a net into them, and
+them. :class:`Mlp` holds a net's weights. The training step is planned once
+per run: :func:`plan_layers` gives each layer's views into the Adam buffers,
+and :class:`StepArrays` holds, per batch length, every array a step writes.
+:func:`forward`, the one forward loop, runs a net into them, and
 :func:`backward` runs one step's backward pass through the fixed graph of an
 extractor, a classifier and a stacked adversary pair. Adam updates one flat
 buffer per parameter group, and each net's weights and biases are views into it.
@@ -12,6 +12,7 @@ buffer per parameter group, and each net's weights and biases are views into it.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -97,24 +98,16 @@ class Mlp:
         """Weights and biases interleaved, first layer first."""
         return [p for wb in zip(self.weights, self.biases) for p in wb]
 
-    def forward(self, x: Matrix) -> list[Matrix]:
-        """Activations [x, h_1, ..., output], hidden ones post-ReLU."""
+    def apply(self, x) -> Matrix:
+        """The net's output on a raw matrix, through :func:`forward` on arrays it allocates."""
+        x = as_matrix(x)
         if x.shape[-1] != self.weights[0].shape[-2]:
             raise ShapeError(f"input width {x.shape[-1]} != layer input width "
                              f"{self.weights[0].shape[-2]}")
-        acts = [x]
-        h = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
-            if i != last:
-                h = np.maximum(h, 0.0)
-            acts.append(h)
-        return acts
-
-    def apply(self, x) -> Matrix:
-        """The output of a forward pass on a raw matrix."""
-        return self.forward(as_matrix(x))[-1]
+        w = self.weights[-1]
+        out = np.empty((*w.shape[:-2], x.shape[0], w.shape[-1]))
+        forward(NetArrays(plan_layers(self, [None] * len(self.params())), len(x)), x, out)
+        return out
 
     def copy(self) -> "Mlp":
         return Mlp([w.copy() for w in self.weights], [b.copy() for b in self.biases])
@@ -142,7 +135,7 @@ class Layer(NamedTuple):
 
     Every array is a view into an Adam buffer, so Adam's in-place updates
     show through: the weights, the bias, the weights with their last two axes
-    swapped, and the two gradient views.
+    swapped, and the two gradient views (None in :meth:`Mlp.apply`'s plan).
     """
 
     w: Matrix
@@ -294,22 +287,22 @@ class AdamState:
     def __init__(self, nets: Sequence[Mlp], lr: float):
         self.lr = lr
         self.step = 0
-        arrays = [p for net in nets for p in net.params()]
-        self.params = np.concatenate([p.ravel() for p in arrays])
+        self.shapes = [[p.shape for p in net.params()] for net in nets]
+        self.params = np.concatenate([p.ravel() for net in nets for p in net.params()])
         self.grads = np.zeros_like(self.params)
         self.m = np.zeros_like(self.params)
         self.v = np.zeros_like(self.params)
         self.tmp = np.empty((2, self.params.size))  # adam_step's scratch
-        self.net_grads = []
-        offset = 0
-        for net in nets:
-            views, grads = [], []
-            for p in net.params():
-                views.append(self.params[offset:offset + p.size].reshape(p.shape))
-                grads.append(self.grads[offset:offset + p.size].reshape(p.shape))
-                offset += p.size
+        for net, views in zip(nets, self.views(self.params)):
             net.weights, net.biases = views[0::2], views[1::2]
-            self.net_grads.append(grads)
+        self.net_grads = self.views(self.grads)
+
+    def views(self, buffer: np.ndarray) -> list[list[Matrix]]:
+        """Each net's params() as views into ``buffer``, laid out as ``params``."""
+        shapes = [shape for net in self.shapes for shape in net]
+        flat = np.split(buffer, np.cumsum([math.prod(s) for s in shapes])[:-1])
+        views = iter([p.reshape(shape) for p, shape in zip(flat, shapes)])
+        return [[next(views) for _ in net] for net in self.shapes]
 
 
 def adam_step(state: AdamState) -> None:

@@ -142,15 +142,16 @@ class TrainState:
                 *self.layers, len(batch), bool(self.alpha or self.beta))
         return step
 
-    def bundle(self) -> ModelBundle:
-        """A bundle of copies of the nets, each head cut to its real columns."""
+    def bundle(self, main: np.ndarray, adv: np.ndarray) -> ModelBundle:
+        """A bundle of copies of the nets in ``main`` and ``adv``, heads cut to real columns."""
+        (extractor, classifier), (adversaries,) = self.main.views(main), self.adv.views(adv)
         nets = []
-        for net, head, k in zip((self.classifier, self.adversaries, self.adversaries),
-                                ((), 0, 1), self.widths):  # (): the whole array
-            params = [p[head] for p in net.params()]
+        for params, head, k in zip((classifier, adversaries, adversaries), ((), 0, 1),
+                                   self.widths):  # (): the whole array
+            params = [p[head] for p in params]
             params[-2:] = [p[:, :k] for p in params[-2:]]
             nets.append(Mlp(params[0::2], params[1::2]).copy())
-        return ModelBundle(self.extractor.copy(), *nets)
+        return ModelBundle(Mlp(extractor[0::2], extractor[1::2]).copy(), *nets)
 
 
 @dataclass
@@ -295,17 +296,20 @@ def alternating_epoch(state: TrainState, arrays: EpochArrays, shuffle_rng: np.ra
     return float(np.mean(totals))
 
 
-def validation_loss(state: TrainState, x: Matrix, flat: np.ndarray) -> float:
-    """Selection loss on a split: the classifier CE on y, given as ``flat`` = row * K + y
-    into the (n, K) logits. Forward only; runs neither adversary."""
-    logits = state.classifier.apply(state.extractor.apply(x))
-    return lc.encoded_cross_entropy(logits, flat)[0]
+def validation_loss(state: TrainState, batch: Batch) -> float:
+    """Selection loss on a split given as one batch: the classifier CE on y. Forward
+    only, through the step's arrays for the split's length; runs neither adversary."""
+    step = state.step_arrays(batch)
+    features = batch.adv_in[:, :state.feature_dim]
+    lc.forward(step.extractor, batch.x, features)
+    lc.forward(step.classifier, features, step.classifier_logits)
+    return lc.encoded_cross_entropy(step.classifier_logits, batch.targets[0])[0]
 
 
 def train(train_data: LabeledDataset, val_data: LabeledDataset, cfg: TrainConfig, *,
           alpha: float, beta: float, seed: int, update_adversaries: bool = True) -> TrainedModel:
-    """Run cfg.epochs alternating epochs; keep the best-validation snapshot. The
-    seed's SeedSequence children 0-3 seed the nets, and child 4 the batch shuffling."""
+    """Run cfg.epochs alternating epochs; keep the best-validation params, bundled at
+    the end. The seed's SeedSequence children 0-3 seed the nets, child 4 the shuffling."""
     check_run_key(alpha, beta, seed)
     cfg.validate()
     if len(train_data) == 0 or len(val_data) == 0:
@@ -315,18 +319,20 @@ def train(train_data: LabeledDataset, val_data: LabeledDataset, cfg: TrainConfig
                                     train_data.k_p), cfg, alpha, beta)
     shuffle_rng = np.random.default_rng(seeds[4])
     arrays = EpochArrays(train_data, cfg.feature_dim, cfg.batch_size)
-    val_flat = np.arange(len(val_data)) * max(state.widths) + val_data.y
+    val = EpochArrays(val_data, cfg.feature_dim, len(val_data))  # one batch, in split order
+    val.fill(np.arange(len(val_data)))
+    best = (np.empty_like(state.main.params), np.empty_like(state.adv.params))
     best_loss = math.inf
-    best_bundle = None
     history = []
     for epoch in range(cfg.epochs):
         mean_total = alternating_epoch(state, arrays, shuffle_rng,
                                        update_adversaries=update_adversaries, epoch=epoch)
-        val_loss = validation_loss(state, val_data.x, val_flat)
+        val_loss = validation_loss(state, val.batches[0])
         if not np.isfinite(val_loss):
             raise TrainingDivergedError(f"non-finite validation loss at epoch {epoch}")
         history.append((mean_total, val_loss))
         if val_loss < best_loss:
             best_loss = val_loss
-            best_bundle = state.bundle()
-    return TrainedModel(bundle=best_bundle, best_val_loss=best_loss, history=history)
+            np.copyto(best[0], state.main.params)
+            np.copyto(best[1], state.adv.params)
+    return TrainedModel(bundle=state.bundle(*best), best_val_loss=best_loss, history=history)

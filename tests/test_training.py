@@ -6,14 +6,15 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import MAIN_NETS, NETS, bundle_params, host_note
+from conftest import (MAIN_NETS, NETS, bundle_params, host_note, oracle_mlp_apply,
+                      oracle_mlp_forward, reference_config)
 from fairpriv import learncore as lc
 from fairpriv import training
 from fairpriv.data import LabeledDataset, SyntheticSpec, generate
-from fairpriv.learncore import ShapeError
+from fairpriv.learncore import Mlp, ShapeError
 from fairpriv.training import (ADV, MAIN, EpochArrays, ModelBundle, TrainConfig,
-                               TrainingDivergedError, TrainState, alternating_epoch,
-                               build_bundle, objective, train)
+                               TrainedModel, TrainingDivergedError, TrainState,
+                               alternating_epoch, build_bundle, objective, train)
 
 
 def toy_dataset(n=200, seed=0, d=6):
@@ -47,6 +48,14 @@ def snapshot(params):
 
 def unchanged(params, before):
     return all(np.array_equal(p, b) for p, b in zip(params, before))
+
+
+def best_buffers(state):
+    """The best-epoch snapshot as train takes it: both Adam groups' params copied into buffers."""
+    best = (np.empty_like(state.main.params), np.empty_like(state.adv.params))
+    np.copyto(best[0], state.main.params)
+    np.copyto(best[1], state.adv.params)
+    return best
 
 
 class TestObjective:
@@ -279,11 +288,11 @@ class TestTrainState:
         assert all(np.shares_memory(p, state.main.params)
                    for p in state.extractor.params() + state.classifier.params())
         assert all(np.shares_memory(p, state.adv.params) for p in state.adversaries.params())
-        before = state.bundle()
+        before = state.bundle(*best_buffers(state))
         alternating_epoch(state, EpochArrays(ds, cfg.feature_dim, cfg.batch_size),
                           np.random.default_rng(1))
         assert state.main.step == state.adv.step == 1
-        after = state.bundle()
+        after = state.bundle(*best_buffers(state))
         assert [p.shape for p in bundle_params(after)] == [
             p.shape for p in bundle_params(before)]
         assert not any(np.array_equal(p, b) for p, b in zip(
@@ -302,15 +311,20 @@ class TestTrainState:
         source = init_bundle(cfg, ds.dim, ks)
         source_before = snapshot(bundle_params(source))
         state = TrainState(source, cfg, 1.0, 1.0)
-        snap = state.bundle()
+        best = best_buffers(state)
+        best_before = snapshot(best)
+        snap = state.bundle(*best)
         snap_before = snapshot(bundle_params(snap))
         assert unchanged(snap_before, source_before)
         alternating_epoch(state, EpochArrays(ds, cfg.feature_dim, cfg.batch_size),
                           np.random.default_rng(1))
         assert state.main.step == state.adv.step == 1
         assert unchanged(bundle_params(source), source_before)
+        assert unchanged(best, best_before)
         assert unchanged(bundle_params(snap), snap_before)
-        moved = state.bundle()
+        # The bundle reads the buffers it is given, not the nets as they are now.
+        assert unchanged(bundle_params(state.bundle(*best)), snap_before)
+        moved = state.bundle(*best_buffers(state))
         main = bundle_params(moved, MAIN_NETS)
         assert not unchanged(main, snap_before[:len(main)])
         assert not unchanged(bundle_params(moved, NETS[2:]), snap_before[len(main):])
@@ -373,8 +387,9 @@ class TestMainStepHeads:
 
 # ---------------------------------------------------------------------------
 # The per-step path that the planned training step replaced, kept verbatim as
-# its oracle: Mlp.forward and Mlp.backward (as functions of the net),
-# learncore.backward, training.objective and training._backward.
+# its oracle: Mlp.forward (conftest's oracle_mlp_forward) and Mlp.backward (as
+# functions of the net), learncore.backward, training.objective and
+# training._backward.
 
 
 @dataclass
@@ -385,25 +400,6 @@ class OracleForward:
     ce_p: float
     acts: tuple
     dlogits: np.ndarray
-
-
-def oracle_mlp_forward(self, x):
-    """Activations [x, h_1, ..., output].
-
-    Hidden activations are post-ReLU, which is all backward() needs.
-    """
-    if x.shape[-1] != self.weights[0].shape[-2]:
-        raise ShapeError(f"input width {x.shape[-1]} != layer input width "
-                         f"{self.weights[0].shape[-2]}")
-    acts = [x]
-    h = x
-    last = len(self.weights) - 1
-    for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-        h = h @ w + b
-        if i != last:
-            h = np.maximum(h, 0.0)
-        acts.append(h)
-    return acts
 
 
 def oracle_mlp_backward(self, acts, grad_out, grads=None, input_grad=True):
@@ -565,6 +561,122 @@ class TestStepArrays:
                     s.batch_count += 1
                     steps.append(losses(fwd))
         assert [(t, adam_bytes(s)) for t, (s, _) in zip(together, pair)] == alone
+
+
+# ---------------------------------------------------------------------------
+# The validation pass and best-epoch snapshot that train ran before both went
+# through the planned arrays, kept verbatim as their oracle:
+# training.validation_loss and TrainState.bundle (as a function of the state),
+# over Mlp.apply as it was (conftest's oracle_mlp_apply), and train, which
+# bundled the nets at every improving epoch.
+
+
+def oracle_validation_loss(state, x, flat):
+    """Selection loss on a split: the classifier CE on y, given as ``flat`` = row * K + y
+    into the (n, K) logits. Forward only; runs neither adversary."""
+    logits = oracle_mlp_apply(state.classifier, oracle_mlp_apply(state.extractor, x))
+    return lc.encoded_cross_entropy(logits, flat)[0]
+
+
+def oracle_bundle(self):
+    """A bundle of copies of the nets, each head cut to its real columns."""
+    nets = []
+    for net, head, k in zip((self.classifier, self.adversaries, self.adversaries),
+                            ((), 0, 1), self.widths):  # (): the whole array
+        params = [p[head] for p in net.params()]
+        params[-2:] = [p[:, :k] for p in params[-2:]]
+        nets.append(Mlp(params[0::2], params[1::2]).copy())
+    return ModelBundle(self.extractor.copy(), *nets)
+
+
+def oracle_train(train_data, val_data, cfg, *, alpha, beta, seed, update_adversaries=True):
+    """Run cfg.epochs alternating epochs; keep the best-validation snapshot. The
+    seed's SeedSequence children 0-3 seed the nets, and child 4 the batch shuffling."""
+    seeds = np.random.SeedSequence(seed).spawn(5)
+    state = TrainState(build_bundle(cfg, seeds, train_data.dim, train_data.k_y, train_data.k_a,
+                                    train_data.k_p), cfg, alpha, beta)
+    shuffle_rng = np.random.default_rng(seeds[4])
+    arrays = EpochArrays(train_data, cfg.feature_dim, cfg.batch_size)
+    val_flat = np.arange(len(val_data)) * max(state.widths) + val_data.y
+    best_loss = math.inf
+    best_bundle = None
+    history = []
+    for epoch in range(cfg.epochs):
+        mean_total = alternating_epoch(state, arrays, shuffle_rng,
+                                       update_adversaries=update_adversaries, epoch=epoch)
+        val_loss = oracle_validation_loss(state, val_data.x, val_flat)
+        if not np.isfinite(val_loss):
+            raise TrainingDivergedError(f"non-finite validation loss at epoch {epoch}")
+        history.append((mean_total, val_loss))
+        if val_loss < best_loss:
+            best_loss = val_loss
+            best_bundle = oracle_bundle(state)
+    return TrainedModel(bundle=best_bundle, best_val_loss=best_loss, history=history)
+
+
+def improving_epochs(history):
+    """The epochs whose validation loss beats every earlier one."""
+    losses = [val for _, val in history]
+    return [i for i, val in enumerate(losses) if val < min(losses[:i], default=math.inf)]
+
+
+class TestTrainMatchesOracle:
+    """train's bundle, best validation loss and history are the oracle's byte for
+    byte, and so are the bundle's outputs on the validation rows."""
+
+    @pytest.mark.parametrize("n_val", [30, 16], ids=["own length", "full batch's length"])
+    @pytest.mark.parametrize("adversary_hidden", [(8,), (32, 32), (8, 8, 8)])
+    @pytest.mark.parametrize("extractor_hidden", [(), (32,), (16, 16)])
+    @pytest.mark.parametrize("ks", [(2, 2, 2), (2, 3, 2), (2, 10, 6)])
+    @pytest.mark.parametrize("alpha, beta, update_adversaries", [
+        (0.0, 0.0, True), (0.1, 0.0, True), (0.0, 10.0, True), (10.0, 10.0, True),
+        (10.0, 10.0, False)])
+    def test_four_epochs_match_oracle(self, alpha, beta, update_adversaries, ks,
+                                      extractor_hidden, adversary_hidden, n_val):
+        ds = mixed_dataset(ks, 45 + n_val)  # batches of 16, 16 and 13 rows
+        tr, va = ds.subset(np.arange(45)), ds.subset(np.arange(45, 45 + n_val))
+        cfg = small_cfg(epochs=4, batch_size=16, extractor_hidden=extractor_hidden,
+                        adversary_hidden=adversary_hidden)
+        key = dict(alpha=alpha, beta=beta, seed=3, update_adversaries=update_adversaries)
+        got, ref = train(tr, va, cfg, **key), oracle_train(tr, va, cfg, **key)
+        assert ([(p.shape, p.tobytes()) for p in bundle_params(got.bundle)]
+                == [(p.shape, p.tobytes()) for p in bundle_params(ref.bundle)])
+        assert got.best_val_loss.hex() == ref.best_val_loss.hex()
+        assert ([(total.hex(), val.hex()) for total, val in got.history]
+                == [(total.hex(), val.hex()) for total, val in ref.history])
+        features = got.bundle.extractor.apply(va.x)
+        assert features.tobytes() == oracle_mlp_apply(ref.bundle.extractor, va.x).tobytes()
+        assert (got.bundle.classifier.apply(features).tobytes()
+                == oracle_mlp_apply(ref.bundle.classifier, features).tobytes())
+
+    def test_some_cases_select_an_earlier_epoch(self):
+        # The oracle test above is about the snapshot only where the best epoch
+        # is not the last: there the bundle's params differ from the nets'.
+        ds = mixed_dataset((2, 3, 2), 75)
+        tr, va = ds.subset(np.arange(45)), ds.subset(np.arange(45, 75))
+        cfg = small_cfg(epochs=4, batch_size=16, adversary_hidden=(32, 32))
+        trained = train(tr, va, cfg, alpha=10.0, beta=10.0, seed=3)
+        assert improving_epochs(trained.history)[-1] < cfg.epochs - 1
+
+
+class TestOneBundlePerRun:
+    def test_train_bundles_the_nets_once(self, monkeypatch):
+        # The best epoch is kept as two buffer copies; the nets are bundled once, at the end.
+        from fairpriv.cli import pipeline
+        from fairpriv.data import make_splits
+
+        cfg = reference_config()
+        train_ds, val_ds, _ = make_splits(pipeline.load_dataset(cfg), cfg.split, 0)
+        real, built = TrainState.bundle, []
+
+        def spy(state, *buffers):
+            built.append(real(state, *buffers))
+            return built[-1]
+
+        monkeypatch.setattr(TrainState, "bundle", spy)
+        trained = train(train_ds, val_ds, cfg.train, alpha=1.0, beta=1.0, seed=0)
+        assert len(improving_epochs(trained.history)) > 1
+        assert len(built) == 1 and built[0] is trained.bundle
 
 
 class TestGoldenBytes:
