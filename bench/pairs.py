@@ -20,8 +20,9 @@ the per-pair values, each side's median and quartiles, the change/parent
 ratio of the medians and of each pair, and the number of pairs the change
 wins (ties count for neither side). ``gain_shown`` applies the claim rule:
 the change wins at least nine pairs in ten, and the medians differ by more
-than the distance between the parent's quartiles. The file is written to
-the root of this checkout.
+than the distance between the parent's quartiles. Each workload's
+``same_results`` says whether every pass of both sides wrote the same
+``results.csv`` bytes. The file is written to the root of this checkout.
 """
 
 from __future__ import annotations
@@ -99,6 +100,12 @@ def quartiles(values: list) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def same_results(runs: list) -> bool:
+    """Whether every pass of both sides of every pair in ``runs`` wrote one results.csv
+    digest; the sides may run different numbers of passes."""
+    return len({sha for run in runs for side in SIDES for sha in run[side]["results_sha256"]}) == 1
+
+
 def summarize(runs: list, end_to_end: list) -> dict:
     """Each metric's per-pair values and their summary, from ``runs``: one
     {"parent": run, "change": run} per pair, each run as read_run gives it."""
@@ -152,12 +159,14 @@ def main(argv=None) -> int:
                     print(f"{workload} pair {i} {side}: " + ", ".join(
                         f"{k} {v['value']:.4g}" for k, v in value.items()), flush=True)
                 runs.append(run)
-            bench["workloads"][workload] = {"metrics": summarize(runs, end_to_end),
+            bench["workloads"][workload] = {"same_results": same_results(runs),
+                                            "metrics": summarize(runs, end_to_end),
                                             "runs": runs}
     bench["stamp"] = next(iter(bench["workloads"].values()))["runs"][0]["change"]["result"]["stamp"]
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(bench, indent=1) + "\n")
     for workload, data in bench["workloads"].items():
+        print(f"{workload:14s} same_results {data['same_results']}")
         for name, row in data["metrics"].items():
             print(f"{workload:14s} {name:12s} ratio {row['ratio']:.4f}, change wins "
                   f"{row['change_wins']}/{args.pairs}, gain shown {row['gain_shown']}")

@@ -239,10 +239,11 @@ def generate(spec: SyntheticSpec) -> LabeledDataset:
     return LabeledDataset(x, y, y_a, y_p, spec.k_y, spec.k_a, spec.k_p)
 
 
-def split_rows(split: SplitSpec, ds: LabeledDataset) -> tuple[int, int, int]:
-    """(test rows, validation rows, test rows per trio cell or 0) of ``split``, checked,
-    over ``ds``'s rows. Too few test rows (one per (y, y_a, y_p) cell when "trio-balanced")
-    or no validation row fails naming the fraction, a cell short of its test rows test_mode."""
+def split_rows(split: SplitSpec, ds: LabeledDataset) -> tuple[int, int, int, np.ndarray]:
+    """(test rows, validation rows, test rows per trio cell or 0, each row's (y, y_a, y_p)
+    cell index in C order) of ``split``, checked, over ``ds``'s rows. Too few test rows
+    (one per cell when "trio-balanced") or no validation row fails naming the fraction, a
+    cell short of its test rows test_mode."""
     split.validate()
     n, shape = len(ds), (ds.k_y, ds.k_a, ds.k_p)
     cells = math.prod(shape)
@@ -255,13 +256,14 @@ def split_rows(split: SplitSpec, ds: LabeledDataset) -> tuple[int, int, int]:
         raise ValueError(f"val_fraction: {split.val_fraction} of {n} rows yields 0 "
                          "validation rows")
     per_cell = test // cells if trio else 0
-    rows = np.bincount(np.ravel_multi_index((ds.y, ds.y_a, ds.y_p), shape), minlength=cells)
+    cell = np.ravel_multi_index((ds.y, ds.y_a, ds.y_p), shape)
+    rows = np.bincount(cell, minlength=cells)
     short = np.flatnonzero(rows < per_cell)
     if short.size:
         y, y_a, y_p = np.unravel_index(short[0], shape)
         raise ValueError(f"test_mode: cell (y={y}, y_a={y_a}, y_p={y_p}) has {rows[short[0]]} "
                          f"rows, need {per_cell} for a trio-balanced test split")
-    return test, val, per_cell
+    return test, val, per_cell, cell
 
 
 def make_splits(ds: LabeledDataset, split: SplitSpec, seed) \
@@ -269,16 +271,11 @@ def make_splits(ds: LabeledDataset, split: SplitSpec, seed) \
     """Carve disjoint (train, val, test) index sets per the split spec."""
     rng = np.random.default_rng(seed)
     n = len(ds)
-    test_target, val_target, per_cell = split_rows(split, ds)
+    test_target, val_target, per_cell, cell = split_rows(split, ds)
 
     if split.test_mode == "trio-balanced":
-        test_idx = []
-        for cy in range(ds.k_y):
-            for ca in range(ds.k_a):
-                for cp in range(ds.k_p):
-                    cell = np.flatnonzero((ds.y == cy) & (ds.y_a == ca) & (ds.y_p == cp))
-                    test_idx.append(rng.permutation(cell)[:per_cell])
-        test_idx = np.concatenate(test_idx)
+        test_idx = np.concatenate([rng.permutation(np.flatnonzero(cell == c))[:per_cell]
+                                   for c in range(ds.k_y * ds.k_a * ds.k_p)])
     else:
         test_idx = rng.permutation(n)[:test_target]
 

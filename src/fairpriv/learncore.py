@@ -7,7 +7,7 @@ and :class:`StepArrays` holds, per batch length, every array a step writes.
 :func:`forward`, the one forward loop, runs a net into them, and
 :func:`backward` runs one step's backward pass through the fixed graph of an
 extractor, a classifier and a stacked adversary pair. Adam updates one flat
-buffer per parameter group, and each net's weights and biases are views into it.
+buffer per parameter group, and hands out each net's params as views into it.
 """
 
 from __future__ import annotations
@@ -106,7 +106,8 @@ class Mlp:
                              f"{self.weights[0].shape[-2]}")
         w = self.weights[-1]
         out = np.empty((*w.shape[:-2], x.shape[0], w.shape[-1]))
-        forward(NetArrays(plan_layers(self, [None] * len(self.params())), len(x)), x, out)
+        params = self.params()
+        forward(NetArrays(plan_layers(params, [None] * len(params)), len(x)), x, out)
         return out
 
     def copy(self) -> "Mlp":
@@ -145,10 +146,10 @@ class Layer(NamedTuple):
     grad_b: Matrix
 
 
-def plan_layers(net: Mlp, grads: list[Matrix]) -> tuple[Layer, ...]:
-    """``net``'s layers, with ``grads`` (in params() order) as their gradient views."""
+def plan_layers(params: list[Matrix], grads: list[Matrix]) -> tuple[Layer, ...]:
+    """A net's layers from its ``params`` and gradient views ``grads``, both in params() order."""
     return tuple(Layer(w, b, w.swapaxes(-1, -2), grad_w, grad_b) for w, b, grad_w, grad_b
-                 in zip(net.weights, net.biases, grads[0::2], grads[1::2]))
+                 in zip(params[0::2], params[1::2], grads[0::2], grads[1::2]))
 
 
 class NetArrays:
@@ -276,25 +277,24 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class AdamState:
-    """Adam over one flat buffer holding the params of ``nets``.
+    """Adam over one flat buffer holding a copy of the params of ``nets``.
 
-    Building the state moves every net's weights and biases into
-    ``params`` and rebinds them as views into it. ``grads`` has the same
-    layout; ``net_grads[i]`` holds net i's views into it in params() order,
-    ready for :func:`plan_layers`.
+    Each net is given as its arrays in :meth:`Mlp.params` order, which the
+    state copies and leaves as they are. ``grads`` has the layout of
+    ``params``; ``net_params[i]`` and ``net_grads[i]`` hold net i's views
+    into the two, in the same order, ready for :func:`plan_layers`.
     """
 
-    def __init__(self, nets: Sequence[Mlp], lr: float):
+    def __init__(self, nets: Sequence[Sequence[Matrix]], lr: float):
         self.lr = lr
         self.step = 0
-        self.shapes = [[p.shape for p in net.params()] for net in nets]
-        self.params = np.concatenate([p.ravel() for net in nets for p in net.params()])
+        self.shapes = [[p.shape for p in net] for net in nets]
+        self.params = np.concatenate([p.ravel() for net in nets for p in net])
         self.grads = np.zeros_like(self.params)
         self.m = np.zeros_like(self.params)
         self.v = np.zeros_like(self.params)
         self.tmp = np.empty((2, self.params.size))  # adam_step's scratch
-        for net, views in zip(nets, self.views(self.params)):
-            net.weights, net.biases = views[0::2], views[1::2]
+        self.net_params = self.views(self.params)
         self.net_grads = self.views(self.grads)
 
     def views(self, buffer: np.ndarray) -> list[list[Matrix]]:

@@ -82,9 +82,11 @@ class TrainedModel:
 
 
 class TrainState:
-    """A run's training nets, their Adam states, its alpha and beta, and its batch count.
+    """A run's two Adam states, its alpha and beta, and its batch count.
 
-    Built from copies of ``bundle``'s arrays, which it leaves as they are.
+    The Adam states hold the only copy of the training params: ``main`` the
+    extractor's and the classifier's, ``adv`` the adversaries'. They copy
+    ``bundle``'s arrays, which they leave as they are.
     The classifier's and the adversaries' output layers are padded to
     K = max(k_y, k_a, k_p) columns with zero weights and -inf biases, so all
     three heads' logits share one (n, K) layout: a padded logit's
@@ -107,20 +109,15 @@ class TrainState:
             pad = ((0, 0), (0, max(self.widths) - k))
             *hidden, w, b = net.params()
             params.append(hidden + [np.pad(w, pad), np.pad(b, pad, constant_values=-np.inf)])
-        stacked = [np.stack(p) for p in zip(*params[1:])]
-        self.extractor = bundle.extractor.copy()
-        self.classifier = Mlp(params[0][0::2], params[0][1::2])
-        self.adversaries = Mlp(stacked[0::2], stacked[1::2])
-        self.main = AdamState([self.extractor, self.classifier], cfg.lr)
-        self.adv = AdamState([self.adversaries], cfg.lr)
+        self.main = AdamState([bundle.extractor.params(), params[0]], cfg.lr)
+        self.adv = AdamState([[np.stack(p) for p in zip(*params[1:])]], cfg.lr)
         self.alpha, self.beta = alpha, beta
         self.batch_count = 0  # persists across epochs so phases carry over
         # The heads' CE grad scales in each phase, as (3, 1, 1) arrays.
         self.scales = {MAIN: np.array((1.0, -self.alpha, -self.beta)).reshape(3, 1, 1),
                        ADV: np.ones((3, 1, 1))}
-        self.layers = (lc.plan_layers(self.extractor, self.main.net_grads[0]),
-                       lc.plan_layers(self.classifier, self.main.net_grads[1]),
-                       lc.plan_layers(self.adversaries, self.adv.net_grads[0]))
+        self.layers = tuple(map(lc.plan_layers, self.main.net_params + self.adv.net_params,
+                                self.main.net_grads + self.adv.net_grads))
         self.steps = {}  # batch length -> lc.StepArrays
 
     def step_arrays(self, batch: Batch) -> lc.StepArrays:
@@ -314,6 +311,10 @@ def train(train_data: LabeledDataset, val_data: LabeledDataset, cfg: TrainConfig
     cfg.validate()
     if len(train_data) == 0 or len(val_data) == 0:
         raise ValueError("train and validation splits must be nonempty")
+    for field in ("dim", "k_y", "k_a", "k_p"):
+        got, want = getattr(val_data, field), getattr(train_data, field)
+        if got != want:
+            raise ValueError(f"{field}: the validation split has {got}, the training split {want}")
     seeds = np.random.SeedSequence(seed).spawn(5)
     state = TrainState(build_bundle(cfg, seeds, train_data.dim, train_data.k_y, train_data.k_a,
                                     train_data.k_p), cfg, alpha, beta)

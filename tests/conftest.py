@@ -7,7 +7,7 @@ import pytest
 from fairpriv.cli.config import ExperimentConfig, mild_correlation_joint
 from fairpriv.data import SplitSpec, SyntheticSpec
 from fairpriv.hostinfo import host_class
-from fairpriv.learncore import ShapeError, as_matrix
+from fairpriv.learncore import Mlp, ShapeError, as_matrix
 
 
 def reference_config() -> ExperimentConfig:
@@ -57,6 +57,12 @@ MAIN_NETS = NETS[:2]
 def bundle_params(bundle, nets=NETS) -> list:
     """The params of ``bundle``'s nets named in ``nets``, net by net in that order."""
     return [p for name in nets for p in getattr(bundle, name).params()]
+
+
+def training_nets(state) -> tuple:
+    """A TrainState's extractor, classifier and stacked adversaries as Mlps over
+    its live ``net_params`` views into the Adam buffers."""
+    return tuple(Mlp(p[0::2], p[1::2]) for p in state.main.net_params + state.adv.net_params)
 
 
 # The host class that recorded every pinned byte: the TestGoldenBytes digests,

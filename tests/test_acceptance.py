@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import MAIN_NETS, bundle_params, median_of, reference_config
+from conftest import MAIN_NETS, bundle_params, median_of, reference_config, training_nets
 from fairpriv.analysis import (CsrWeights, csr, grid_values, group_label, heatmap, normalize,
                                pearson, result_cube)
 from fairpriv.cli import main, pipeline
@@ -92,8 +92,9 @@ class TestCriterion1GradientOracle:
             # Central differences are invalid across ReLU kinks; skip instances
             # with a hidden pre-activation close enough to 0 for the +-h probe
             # to cross one.
-            if min(_min_hidden_preactivation(state.extractor, batch.x),
-                   _min_hidden_preactivation(state.adversaries, batch.adv_in)) < 1e-4:
+            extractor, _, adversaries = training_nets(state)
+            if min(_min_hidden_preactivation(extractor, batch.x),
+                   _min_hidden_preactivation(adversaries, batch.adv_in)) < 1e-4:
                 continue
 
             fwd = objective(state, batch, phase)

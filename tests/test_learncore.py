@@ -39,7 +39,7 @@ def planned(net, x):
     """``net`` planned as the training step plans it, with fresh gradient arrays,
     after a forward pass on ``x``: (its NetArrays, its output, its param gradients)."""
     grads = [np.empty_like(p) for p in net.params()]
-    arrays = lc.NetArrays(lc.plan_layers(net, grads), x.shape[0])
+    arrays = lc.NetArrays(lc.plan_layers(net.params(), grads), x.shape[0])
     w = net.weights[-1]
     out = np.empty((*w.shape[:-2], x.shape[0], w.shape[-1]))
     lc.forward(arrays, x, out)
@@ -285,12 +285,13 @@ class Graph:
     on its output, and a stacked pair on its output joined with extra columns."""
 
     def __init__(self, trunk, classifier, pair, n):
-        self.trunk, self.classifier, self.pair = trunk, classifier, pair
-        self.main = AdamState([trunk, classifier], lr=0.1)
-        self.adv = AdamState([pair], lr=0.1)
-        self.step = lc.StepArrays(lc.plan_layers(trunk, self.main.net_grads[0]),
-                                  lc.plan_layers(classifier, self.main.net_grads[1]),
-                                  lc.plan_layers(pair, self.adv.net_grads[0]), n, True)
+        self.main = AdamState([trunk.params(), classifier.params()], lr=0.1)
+        self.adv = AdamState([pair.params()], lr=0.1)
+        params = self.main.net_params + self.adv.net_params
+        # The nets over the buffers' views, as the step sees them.
+        self.trunk, self.classifier, self.pair = (Mlp(p[0::2], p[1::2]) for p in params)
+        self.step = lc.StepArrays(*map(lc.plan_layers, params,
+                                       self.main.net_grads + self.adv.net_grads), n, True)
 
     def forward(self, x, extra):
         """The step's forward pass; the (3, n, K) logits."""
@@ -428,44 +429,61 @@ class TestBackward:
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
         net = linear(np.full((2, 2), 3.0))
-        state = AdamState([net], lr=0.1)
+        state = AdamState([net.params()], lr=0.1)
         adam_step(state)
-        assert np.array_equal(net.weights[0], np.full((2, 2), 3.0))
+        assert np.array_equal(state.net_params[0][0], np.full((2, 2), 3.0))
         assert state.step == 1
 
     def test_first_step_magnitude_near_lr(self):
         net = linear(np.zeros((1, 3)))
-        state = AdamState([net], lr=0.01)
+        state = AdamState([net.params()], lr=0.01)
         state.net_grads[0][0][:] = [[0.5, -2.0, 10.0]]
         adam_step(state)
-        assert np.all(np.abs(np.abs(net.weights[0]) - 0.01) < 1e-7)
-        assert np.sign(net.weights[0][0, 0]) == -1  # moves against the gradient
+        w = state.net_params[0][0]
+        assert np.all(np.abs(np.abs(w) - 0.01) < 1e-7)
+        assert np.sign(w[0, 0]) == -1  # moves against the gradient
 
     def test_deterministic(self):
         g = np.random.default_rng(7).standard_normal((3, 3))
         results = []
         for _ in range(2):
             net = linear(np.ones((3, 3)))
-            state = AdamState([net], lr=0.05)
+            state = AdamState([net.params()], lr=0.05)
             for _ in range(5):
                 state.net_grads[0][0][:] = g
                 adam_step(state)
-            results.append(net.weights[0].copy())
+            results.append(state.net_params[0][0].copy())
         assert np.array_equal(results[0], results[1])
 
     def test_shape_mismatch(self):
-        # Params become views into one flat buffer; the gradient views
-        # mirror their shapes.
+        # The params are copied into views of one flat buffer; the gradient
+        # views mirror their shapes.
         a, b = mlp_init([2, 3], seed=0), mlp_init([3, 4, 1], seed=1)
         before = [p.copy() for p in a.params() + b.params()]
-        state = AdamState([a, b], lr=0.1)
+        state = AdamState([a.params(), b.params()], lr=0.1)
         assert state.params.size == sum(p.size for p in before)
-        for p, g, orig in zip(a.params() + b.params(), state.net_grads[0] + state.net_grads[1],
-                              before):
+        for p, g, orig in zip(state.net_params[0] + state.net_params[1],
+                              state.net_grads[0] + state.net_grads[1], before):
             assert np.shares_memory(p, state.params) and np.array_equal(p, orig)
             assert g.shape == p.shape and np.shares_memory(g, state.grads)
         with pytest.raises(ValueError):
             state.net_grads[0][0][:] = np.ones((2, 4))
+
+    def test_given_arrays_stay_put_while_it_steps(self):
+        # The state copies the arrays it is given and leaves them, and the
+        # objects holding them, as they are.
+        a, b = mlp_init([2, 3], seed=0), mlp_init([3, 4, 1], seed=1)
+        given = [a.params(), b.params()]
+        before = [p.copy() for net in given for p in net]
+        state = AdamState(given, lr=0.1)
+        state.grads[:] = np.random.default_rng(2).standard_normal(state.grads.size)
+        for _ in range(3):
+            adam_step(state)
+        assert all(p is q for net, ps in zip((a, b), given) for p, q in zip(net.params(), ps))
+        for p, orig in zip([p for net in given for p in net], before):
+            assert p.tobytes() == orig.tobytes()
+            assert not np.shares_memory(p, state.params)
+        assert not np.array_equal(state.params, np.concatenate([p.ravel() for p in before]))
 
 
 class TestMlpInit:

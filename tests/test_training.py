@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (MAIN_NETS, NETS, bundle_params, host_note, oracle_mlp_apply,
-                      oracle_mlp_forward, reference_config)
+                      oracle_mlp_forward, reference_config, training_nets)
 from fairpriv import learncore as lc
 from fairpriv import training
 from fairpriv.data import LabeledDataset, SyntheticSpec, generate
@@ -244,6 +244,18 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(ds.subset([]), ds, small_cfg(), alpha=0.0, beta=0.0, seed=0)
 
+    @pytest.mark.parametrize("field, val_ks, val_dim", [
+        ("k_p", (3, 2, 4), 6),  # before the check, wrong validation losses and no error
+        ("k_y", (2, 2, 2), 6), ("k_a", (3, 3, 2), 6), ("dim", (3, 2, 2), 5)])
+    def test_validation_split_must_match_the_training_split(self, field, val_ks, val_dim):
+        tr = mixed_dataset((3, 2, 2), 64)
+        va = LabeledDataset(np.random.default_rng(1).standard_normal((2, val_dim)),
+                            *(np.arange(2),) * 3, *val_ks)
+        with pytest.raises(ValueError, match=f"^{field}: the validation split has "
+                                             f"{getattr(va, field)}, the training split "
+                                             f"{getattr(tr, field)}$"):
+            train(tr, va, small_cfg(), alpha=1.0, beta=1.0, seed=0)
+
 
 class TestModelBundle:
     def test_adversary_width_checked(self):
@@ -271,7 +283,8 @@ class TestTrainState:
     def test_padded_copies(self, ks):
         bundle = init_bundle(small_cfg(), 6, ks)
         state = TrainState(bundle, small_cfg(), 0.0, 0.0)
-        heads = ((state.classifier, ()), (state.adversaries, 0), (state.adversaries, 1))
+        _, classifier, adversaries = training_nets(state)
+        heads = ((classifier, ()), (adversaries, 0), (adversaries, 1))
         for (padded, j), net, k in zip(heads, (bundle.classifier, bundle.fairness_adv,
                                                bundle.privacy_adv), ks):
             *hidden, w, b = [p[j] for p in padded.params()]
@@ -280,14 +293,27 @@ class TestTrainState:
                        for p, q in zip(hidden + [w[:, :k], b[:, :k]], net.params()))
             assert np.all(w[:, k:] == 0.0) and np.all(b[:, k:] == -np.inf)
 
+    def test_builds_no_net_until_a_bundle_is_cut(self, monkeypatch):
+        # The Adam buffers are the only home of the training params.
+        bundle = init_bundle(small_cfg(), 6)
+
+        def built(*args):
+            pytest.fail("built an Mlp")
+
+        monkeypatch.setattr(lc, "Mlp", built)
+        monkeypatch.setattr(training, "Mlp", built)
+        state = TrainState(bundle, small_cfg(), 1.0, 1.0)
+        objective(state, whole_batch(toy_dataset(), small_cfg().feature_dim), MAIN)
+
     @pytest.mark.parametrize("ks", [(2, 3, 2), (3, 2, 2), (2, 2, 3)])
     def test_padding_stays_put_while_real_params_move(self, ks):
         ds = mixed_dataset(ks, 64)
         cfg = small_cfg(batch_size=32)  # 2 batches: MAIN, then ADV
         state = TrainState(init_bundle(cfg, ds.dim, ks), cfg, 1.0, 1.0)
+        extractor, classifier, adversaries = training_nets(state)
         assert all(np.shares_memory(p, state.main.params)
-                   for p in state.extractor.params() + state.classifier.params())
-        assert all(np.shares_memory(p, state.adv.params) for p in state.adversaries.params())
+                   for p in extractor.params() + classifier.params())
+        assert all(np.shares_memory(p, state.adv.params) for p in adversaries.params())
         before = state.bundle(*best_buffers(state))
         alternating_epoch(state, EpochArrays(ds, cfg.feature_dim, cfg.batch_size),
                           np.random.default_rng(1))
@@ -297,8 +323,8 @@ class TestTrainState:
             p.shape for p in bundle_params(before)]
         assert not any(np.array_equal(p, b) for p, b in zip(
             bundle_params(after), bundle_params(before)))
-        padded = [(state.classifier.weights[-1], state.classifier.biases[-1], ks[0])] + [
-            (state.adversaries.weights[-1][j], state.adversaries.biases[-1][j], k)
+        padded = [(classifier.weights[-1], classifier.biases[-1], ks[0])] + [
+            (adversaries.weights[-1][j], adversaries.biases[-1][j], k)
             for j, k in enumerate(ks[1:])]
         for w, b, k in padded:
             assert np.all(w[:, k:] == 0.0) and not np.any(np.signbit(w[:, k:]))
@@ -383,6 +409,15 @@ class TestMainStepHeads:
                           np.random.default_rng(0))
         # A MAIN step: the extractor's param gradients, no adversary param gradient.
         assert calls == [(True, nets, True, True)]
+
+
+class OracleState(TrainState):
+    """A TrainState that also holds its three training nets as Mlps over its Adam
+    buffers, the attributes the oracles below read."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.extractor, self.classifier, self.adversaries = training_nets(self)
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +539,8 @@ class TestStepMatchesOracle:
         cfg = small_cfg(epochs=2, batch_size=16, extractor_hidden=extractor_hidden,
                         adversary_hidden=adversary_hidden)
         bundle = init_bundle(cfg, ds.dim, ks)
-        states = [TrainState(bundle, cfg, alpha, beta) for _ in range(3)]
-        new, old, whole = states
+        new, old, whole = states = [make(bundle, cfg, alpha, beta)
+                                    for make in (TrainState, OracleState, TrainState)]
         arrays = [EpochArrays(ds, cfg.feature_dim, cfg.batch_size) for _ in states]
         rng, whole_rng = np.random.default_rng(5), np.random.default_rng(5)
         for epoch in range(cfg.epochs):
@@ -593,8 +628,8 @@ def oracle_train(train_data, val_data, cfg, *, alpha, beta, seed, update_adversa
     """Run cfg.epochs alternating epochs; keep the best-validation snapshot. The
     seed's SeedSequence children 0-3 seed the nets, and child 4 the batch shuffling."""
     seeds = np.random.SeedSequence(seed).spawn(5)
-    state = TrainState(build_bundle(cfg, seeds, train_data.dim, train_data.k_y, train_data.k_a,
-                                    train_data.k_p), cfg, alpha, beta)
+    state = OracleState(build_bundle(cfg, seeds, train_data.dim, train_data.k_y, train_data.k_a,
+                                     train_data.k_p), cfg, alpha, beta)
     shuffle_rng = np.random.default_rng(seeds[4])
     arrays = EpochArrays(train_data, cfg.feature_dim, cfg.batch_size)
     val_flat = np.arange(len(val_data)) * max(state.widths) + val_data.y
