@@ -21,8 +21,9 @@ ratio of the medians and of each pair, and the number of pairs the change
 wins (ties count for neither side). ``gain_shown`` applies the claim rule:
 the change wins at least nine pairs in ten, and the medians differ by more
 than the distance between the parent's quartiles. Each workload's
-``same_results`` says whether every pass of both sides wrote the same
-``results.csv`` bytes. The file is written to the root of this checkout.
+``same_results`` says whether, in every pair, every pass of both sides
+wrote the same ``results.csv`` bytes (pairs run different input sets, so
+their bytes differ). The file is written to the root of this checkout.
 """
 
 from __future__ import annotations
@@ -101,9 +102,10 @@ def quartiles(values: list) -> tuple[float, float, float]:
 
 
 def same_results(runs: list) -> bool:
-    """Whether every pass of both sides of every pair in ``runs`` wrote one results.csv
+    """Whether, in each pair of ``runs``, every pass of both sides wrote one results.csv
     digest; the sides may run different numbers of passes."""
-    return len({sha for run in runs for side in SIDES for sha in run[side]["results_sha256"]}) == 1
+    return all(len({sha for side in SIDES for sha in run[side]["results_sha256"]}) == 1
+               for run in runs)
 
 
 def summarize(runs: list, end_to_end: list) -> dict:

@@ -47,14 +47,16 @@ def test_read_run_keeps_result_and_hashes_passes_in_order(tmp_path):
     assert run["result"]["stamp"] == {"nproc": 2}
 
 
-def test_same_results_compares_digests_as_a_set(tmp_path):
-    # Equal bytes on both sides, one side running more passes: the same results.
-    runs = [{side: pairs.read_run(fake_tree(tmp_path, f"{side}{i}", 1.0, 1.0, [b"r\n"] * n), "w")
+def test_same_results_compares_each_pairs_digests_as_a_set(tmp_path):
+    # Each pair runs its own input set. Within a pair both sides write equal
+    # bytes, one side in more passes: the same results.
+    runs = [{side: pairs.read_run(fake_tree(tmp_path, f"{side}{i}", 1.0, 1.0,
+                                            [f"pair {i}\n".encode()] * n), "w")
              for side, n in (("parent", 16), ("change", 20))} for i in range(2)]
     assert pairs.same_results(runs)
     # One pass of one pair writes other bytes.
     runs[1]["change"] = pairs.read_run(fake_tree(tmp_path, "odd", 1.0, 1.0,
-                                                 [b"r\n"] * 19 + [b"s\n"]), "w")
+                                                 [b"pair 1\n"] * 19 + [b"other\n"]), "w")
     assert not pairs.same_results(runs)
 
 

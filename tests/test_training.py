@@ -245,7 +245,7 @@ class TestTrain:
             train(ds.subset([]), ds, small_cfg(), alpha=0.0, beta=0.0, seed=0)
 
     @pytest.mark.parametrize("field, val_ks, val_dim", [
-        ("k_p", (3, 2, 4), 6),  # before the check, wrong validation losses and no error
+        ("k_p", (3, 2, 4), 6),  # unchecked, wrong validation losses and no error
         ("k_y", (2, 2, 2), 6), ("k_a", (3, 3, 2), 6), ("dim", (3, 2, 2), 5)])
     def test_validation_split_must_match_the_training_split(self, field, val_ks, val_dim):
         tr = mixed_dataset((3, 2, 2), 64)
