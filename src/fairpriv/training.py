@@ -96,8 +96,8 @@ class TrainState:
 
     The training step is planned here, once per run: ``layers`` holds each
     net's views into the Adam buffers, and ``steps`` the step's arrays for
-    each batch length seen (the full batch and an epoch's last one), freed
-    with the state.
+    each batch length seen (the full batch, an epoch's last one and the
+    validation split's, one entry where two are equal), freed with the state.
     """
 
     def __init__(self, bundle: ModelBundle, cfg: TrainConfig, alpha: float, beta: float):
@@ -129,12 +129,6 @@ class TrainState:
         """
         step = self.steps.get(len(batch))
         if step is None:
-            ext, _, adv = self.layers
-            for what, cols, fan_in in (("rows", batch.x, ext[0].w.shape[-2]),
-                                       ("adversary inputs", batch.adv_in, adv[0].w.shape[-2])):
-                if cols.shape[1] != fan_in:
-                    raise lc.ShapeError(f"batch {what} have {cols.shape[1]} columns, "
-                                        f"the nets read {fan_in}")
             step = self.steps[len(batch)] = lc.StepArrays(
                 *self.layers, len(batch), bool(self.alpha or self.beta))
         return step
@@ -189,25 +183,33 @@ class Batch:
 
 
 class EpochArrays:
-    """A split's rows in one order, encoded once, and its batches as views.
+    """A split's rows in one order, encoded once for ``state``'s nets, and its batches as views.
 
     Built once per split; :meth:`fill` gathers the rows in a new order into
     the same buffers, so ``batches`` (contiguous row slices of
-    ``batch_size``) stay valid. A batch's flat gather index counts from the
-    start of its (3, rows, K) logits, K = max(k_y, k_a, k_p).
+    ``batch_size``) stay valid. The feature width and K = max(k_y, k_a, k_p)
+    come from the state: a batch's flat gather index counts from the start
+    of its (3, rows, K) logits. Training checks a split's shape here, once:
+    the split must be nonempty, and its dim and class counts the nets'.
     """
 
-    def __init__(self, ds: LabeledDataset, feature_dim: int, batch_size: int):
+    def __init__(self, ds: LabeledDataset, state: TrainState, batch_size: int):
         n = len(ds)
+        if n == 0:
+            raise ValueError("cannot encode an empty split")
+        nets = (state.layers[0][0].w.shape[0], *state.widths)
+        for field, want in zip(("dim", "k_y", "k_a", "k_p"), nets):
+            if (got := getattr(ds, field)) != want:
+                raise ValueError(f"{field}: the split has {got}, the nets {want}")
         self.ds = ds
         self.x = np.empty_like(ds.x)
-        self.adv_in = np.zeros((n, feature_dim + ds.k_y))
+        self.adv_in = np.zeros((n, state.feature_dim + ds.k_y))
         self.labels = np.stack((ds.y, ds.y_a, ds.y_p))
         self.flat = np.empty_like(self.labels)
         rows = np.arange(n)
         start = rows - rows % batch_size  # of each row's batch
         self.base = ((np.arange(3)[:, None] * np.minimum(n - start, batch_size) + rows - start)
-                     * max(ds.k_y, ds.k_a, ds.k_p))  # each label's flat index, less the label
+                     * max(state.widths))  # each label's flat index, less the label
         self.batches = [self.batch(slice(i, i + batch_size)) for i in range(0, n, batch_size)]
 
     def batch(self, rows: slice) -> Batch:
@@ -249,8 +251,6 @@ def objective(state: TrainState, batch: Batch, phase: str) -> Forward:
     ce_a + ce_p. The phase changes no loss value. One cross-entropy call
     serves all three heads.
     """
-    if len(batch) == 0:
-        raise ValueError("objective over an empty batch")
     step = state.step_arrays(batch)
     features = batch.adv_in[:, :state.feature_dim]
     lc.forward(step.extractor, batch.x, features)
@@ -273,10 +273,7 @@ def alternating_epoch(state: TrainState, arrays: EpochArrays, shuffle_rng: np.ra
     ``arrays`` holds the training split. Returns the mean objective value
     across batches.
     """
-    n = len(arrays.ds)
-    if n == 0:
-        raise ValueError("empty training set")
-    arrays.fill(shuffle_rng.permutation(n))
+    arrays.fill(shuffle_rng.permutation(len(arrays.ds)))
     totals = []
     for batch in arrays.batches:
         phase = MAIN if state.batch_count % 2 == 0 else ADV
@@ -309,18 +306,12 @@ def train(train_data: LabeledDataset, val_data: LabeledDataset, cfg: TrainConfig
     the end. The seed's SeedSequence children 0-3 seed the nets, child 4 the shuffling."""
     check_run_key(alpha, beta, seed)
     cfg.validate()
-    if len(train_data) == 0 or len(val_data) == 0:
-        raise ValueError("train and validation splits must be nonempty")
-    for field in ("dim", "k_y", "k_a", "k_p"):
-        got, want = getattr(val_data, field), getattr(train_data, field)
-        if got != want:
-            raise ValueError(f"{field}: the validation split has {got}, the training split {want}")
     seeds = np.random.SeedSequence(seed).spawn(5)
     state = TrainState(build_bundle(cfg, seeds, train_data.dim, train_data.k_y, train_data.k_a,
                                     train_data.k_p), cfg, alpha, beta)
     shuffle_rng = np.random.default_rng(seeds[4])
-    arrays = EpochArrays(train_data, cfg.feature_dim, cfg.batch_size)
-    val = EpochArrays(val_data, cfg.feature_dim, len(val_data))  # one batch, in split order
+    arrays = EpochArrays(train_data, state, cfg.batch_size)
+    val = EpochArrays(val_data, state, len(val_data))  # one batch, in split order
     val.fill(np.arange(len(val_data)))
     best = (np.empty_like(state.main.params), np.empty_like(state.adv.params))
     best_loss = math.inf

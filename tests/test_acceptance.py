@@ -79,7 +79,7 @@ class TestCriterion1GradientOracle:
             state = TrainState(build_bundle(cfg, seeds, d, *ks), cfg, alpha, beta)
             ds = LabeledDataset(rng.standard_normal((n, d)),
                                 *(rng.integers(0, k, n) for k in ks), *ks)
-            arrays = EpochArrays(ds, cfg.feature_dim, n)
+            arrays = EpochArrays(ds, state, n)
             arrays.fill(np.arange(n))
             batch = arrays.batches[0]
             phase = (MAIN, ADV)[checked % 2]

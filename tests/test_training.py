@@ -35,9 +35,9 @@ def init_bundle(cfg, input_dim, ks=(2, 2, 2), seed=0):
     return build_bundle(cfg, np.random.SeedSequence(seed).spawn(5), input_dim, *ks)
 
 
-def whole_batch(ds, feature_dim):
-    """All of ``ds`` in its own order as one batch, for features of that width."""
-    arrays = EpochArrays(ds, feature_dim, max(len(ds), 1))
+def whole_batch(ds, state):
+    """All of ``ds`` in its own order as one batch, encoded for ``state``'s nets."""
+    arrays = EpochArrays(ds, state, len(ds))
     arrays.fill(np.arange(len(ds)))
     return arrays.batch(slice(None))
 
@@ -62,8 +62,8 @@ class TestObjective:
     def test_zero_coefficients_reduce_to_task_ce(self):
         ds = toy_dataset()
         bundle = init_bundle(small_cfg(), ds.dim)
-        fwd = objective(TrainState(bundle, small_cfg(), 0.0, 0.0),
-                        whole_batch(ds, small_cfg().feature_dim), MAIN)
+        state = TrainState(bundle, small_cfg(), 0.0, 0.0)
+        fwd = objective(state, whole_batch(ds, state), MAIN)
         assert fwd.total.hex() == fwd.ce_c.hex()  # not merely close: the same value
 
     def test_linear_combination(self):
@@ -76,8 +76,8 @@ class TestObjective:
             for p in net.params():
                 p[:] = 0.0
         for alpha, beta in [(0.5, 0.25), (2.0, 3.0), (0.0, 1.0)]:
-            fwd = objective(TrainState(bundle, small_cfg(), alpha, beta),
-                            whole_batch(ds, small_cfg().feature_dim), MAIN)
+            state = TrainState(bundle, small_cfg(), alpha, beta)
+            fwd = objective(state, whole_batch(ds, state), MAIN)
             assert fwd.ce_c == pytest.approx(math.log(2), abs=1e-12)
             assert fwd.total == pytest.approx(
                 math.log(2) * (1 - alpha - beta), abs=1e-9)
@@ -86,8 +86,8 @@ class TestObjective:
         ds = toy_dataset(seed=3)
         bundle = init_bundle(small_cfg(), ds.dim, seed=5)
         for alpha, beta in [(0.0, 0.0), (0.01, 10.0), (4.2, 0.3)]:
-            fwd = objective(TrainState(bundle, small_cfg(), alpha, beta),
-                            whole_batch(ds, small_cfg().feature_dim), MAIN)
+            state = TrainState(bundle, small_cfg(), alpha, beta)
+            fwd = objective(state, whole_batch(ds, state), MAIN)
             expected = fwd.ce_c - alpha * fwd.ce_a - beta * fwd.ce_p
             assert fwd.total == pytest.approx(expected, abs=1e-12)
 
@@ -100,31 +100,32 @@ class TestObjective:
                             rng.integers(0, 2, 512), 2, 2, 2)
         cfg = TrainConfig()  # default-sized networks
         bundle = init_bundle(cfg, ds.dim, seed=6)
-        fwd = objective(TrainState(bundle, cfg, 1.0, 1.0), whole_batch(ds, cfg.feature_dim), MAIN)
+        state = TrainState(bundle, cfg, 1.0, 1.0)
+        fwd = objective(state, whole_batch(ds, state), MAIN)
         for ce in (fwd.ce_c, fwd.ce_a, fwd.ce_p):
             assert abs(ce - math.log(2)) < 0.15
 
-    @pytest.mark.parametrize("input_dim, feature_dim, match", [
-        (5, 4, "rows have 6 columns, the nets read 5"),
-        (6, 5, "adversary inputs have 7 columns, the nets read 6")])
-    def test_batch_of_wrong_width_rejected_when_planned(self, input_dim, feature_dim, match):
-        ds = toy_dataset(d=6)
-        state = TrainState(init_bundle(small_cfg(), input_dim), small_cfg(), 1.0, 1.0)
-        with pytest.raises(ShapeError, match=match):
-            objective(state, whole_batch(ds, feature_dim), MAIN)
+    @pytest.mark.parametrize("input_dim, ks, match", [
+        (5, (3, 2, 2), "^dim: the split has 6, the nets 5$"),
+        # Encoded for its own K of 3, this split once read ce_c 1.93 and ce_a inf
+        # through nets with K = 4, and raised nothing.
+        (6, (3, 2, 4), "^k_p: the split has 2, the nets 4$")], ids=["dim", "k_p"])
+    def test_split_of_other_shape_rejected_when_encoded(self, input_dim, ks, match):
+        state = TrainState(init_bundle(small_cfg(), input_dim, ks), small_cfg(), 1.0, 1.0)
+        with pytest.raises(ValueError, match=match):
+            whole_batch(mixed_dataset((3, 2, 2), 2), state)
 
     def test_empty_batch_rejected(self):
         ds = toy_dataset().subset([])
-        bundle = init_bundle(small_cfg(), 6)
-        with pytest.raises(ValueError):
-            objective(TrainState(bundle, small_cfg(), 0.0, 0.0),
-                      whole_batch(ds, small_cfg().feature_dim), MAIN)
+        state = TrainState(init_bundle(small_cfg(), 6), small_cfg(), 0.0, 0.0)
+        with pytest.raises(ValueError, match="empty"):
+            objective(state, whole_batch(ds, state), MAIN)
 
 
 class TestAlternatingEpoch:
     def _run_one_epoch(self, state, data, cfg):
         rng = np.random.default_rng(np.random.SeedSequence(0).spawn(5)[4])  # train's, at seed 0
-        arrays = EpochArrays(data, cfg.feature_dim, cfg.batch_size)
+        arrays = EpochArrays(data, state, cfg.batch_size)
         return alternating_epoch(state, arrays, rng)
 
     def test_main_phase_leaves_adversaries(self):
@@ -228,8 +229,8 @@ class TestTrain:
         for alpha in (0.0, 10.0):
             cfg = small_cfg(epochs=12, feature_dim=6, extractor_hidden=(16,))
             trained = train(tr, va, cfg, alpha=alpha, beta=0.0, seed=17)
-            val = whole_batch(va, cfg.feature_dim)
-            ce_a[alpha] = objective(TrainState(trained.bundle, cfg, alpha, 0.0), val, MAIN).ce_a
+            state = TrainState(trained.bundle, cfg, alpha, 0.0)
+            ce_a[alpha] = objective(state, whole_batch(va, state), MAIN).ce_a
         assert ce_a[10.0] > ce_a[0.0]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -241,19 +242,18 @@ class TestTrain:
 
     def test_nonempty_splits_required(self):
         ds = toy_dataset()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty"):
             train(ds.subset([]), ds, small_cfg(), alpha=0.0, beta=0.0, seed=0)
 
     @pytest.mark.parametrize("field, val_ks, val_dim", [
-        ("k_p", (3, 2, 4), 6),  # unchecked, wrong validation losses and no error
+        ("k_p", (3, 2, 4), 6),  # no width differs: only the class-count check catches it
         ("k_y", (2, 2, 2), 6), ("k_a", (3, 3, 2), 6), ("dim", (3, 2, 2), 5)])
     def test_validation_split_must_match_the_training_split(self, field, val_ks, val_dim):
         tr = mixed_dataset((3, 2, 2), 64)
         va = LabeledDataset(np.random.default_rng(1).standard_normal((2, val_dim)),
                             *(np.arange(2),) * 3, *val_ks)
-        with pytest.raises(ValueError, match=f"^{field}: the validation split has "
-                                             f"{getattr(va, field)}, the training split "
-                                             f"{getattr(tr, field)}$"):
+        with pytest.raises(ValueError, match=f"^{field}: the split has {getattr(va, field)}, "
+                                             f"the nets {getattr(tr, field)}$"):
             train(tr, va, small_cfg(), alpha=1.0, beta=1.0, seed=0)
 
 
@@ -303,7 +303,7 @@ class TestTrainState:
         monkeypatch.setattr(lc, "Mlp", built)
         monkeypatch.setattr(training, "Mlp", built)
         state = TrainState(bundle, small_cfg(), 1.0, 1.0)
-        objective(state, whole_batch(toy_dataset(), small_cfg().feature_dim), MAIN)
+        objective(state, whole_batch(toy_dataset(), state), MAIN)
 
     @pytest.mark.parametrize("ks", [(2, 3, 2), (3, 2, 2), (2, 2, 3)])
     def test_padding_stays_put_while_real_params_move(self, ks):
@@ -315,7 +315,7 @@ class TestTrainState:
                    for p in extractor.params() + classifier.params())
         assert all(np.shares_memory(p, state.adv.params) for p in adversaries.params())
         before = state.bundle(*best_buffers(state))
-        alternating_epoch(state, EpochArrays(ds, cfg.feature_dim, cfg.batch_size),
+        alternating_epoch(state, EpochArrays(ds, state, cfg.batch_size),
                           np.random.default_rng(1))
         assert state.main.step == state.adv.step == 1
         after = state.bundle(*best_buffers(state))
@@ -342,7 +342,7 @@ class TestTrainState:
         snap = state.bundle(*best)
         snap_before = snapshot(bundle_params(snap))
         assert unchanged(snap_before, source_before)
-        alternating_epoch(state, EpochArrays(ds, cfg.feature_dim, cfg.batch_size),
+        alternating_epoch(state, EpochArrays(ds, state, cfg.batch_size),
                           np.random.default_rng(1))
         assert state.main.step == state.adv.step == 1
         assert unchanged(bundle_params(source), source_before)
@@ -366,7 +366,7 @@ class TestCrossEntropyCalls:
         ds = mixed_dataset(ks, 96)
         cfg = small_cfg()  # 3 batches of 32: MAIN, ADV, MAIN
         state = TrainState(init_bundle(cfg, ds.dim, ks), cfg, alpha, beta)
-        arrays = EpochArrays(ds, cfg.feature_dim, cfg.batch_size)
+        arrays = EpochArrays(ds, state, cfg.batch_size)
         real, shapes = training.lc.encoded_cross_entropy, []
 
         def counted(*args):
@@ -405,7 +405,7 @@ class TestMainStepHeads:
                           np.isnan(state.adv.grads).all()))
 
         monkeypatch.setattr(training.lc, "backward", spy)
-        alternating_epoch(state, EpochArrays(ds, cfg.feature_dim, cfg.batch_size),
+        alternating_epoch(state, EpochArrays(ds, state, cfg.batch_size),
                           np.random.default_rng(0))
         # A MAIN step: the extractor's param gradients, no adversary param gradient.
         assert calls == [(True, nets, True, True)]
@@ -541,7 +541,7 @@ class TestStepMatchesOracle:
         bundle = init_bundle(cfg, ds.dim, ks)
         new, old, whole = states = [make(bundle, cfg, alpha, beta)
                                     for make in (TrainState, OracleState, TrainState)]
-        arrays = [EpochArrays(ds, cfg.feature_dim, cfg.batch_size) for _ in states]
+        arrays = [EpochArrays(ds, state, cfg.batch_size) for state in states]
         rng, whole_rng = np.random.default_rng(5), np.random.default_rng(5)
         for epoch in range(cfg.epochs):
             order = rng.permutation(n)
@@ -574,7 +574,7 @@ class TestStepArrays:
 
         def fresh(i):
             state = TrainState(init_bundle(cfgs[i], ds.dim, ks, seed=i), cfgs[i], *keys[i])
-            arrays = EpochArrays(ds, cfgs[i].feature_dim, 16)
+            arrays = EpochArrays(ds, state, 16)
             arrays.fill(np.random.default_rng(i).permutation(len(ds)))
             return state, arrays
 
@@ -631,7 +631,7 @@ def oracle_train(train_data, val_data, cfg, *, alpha, beta, seed, update_adversa
     state = OracleState(build_bundle(cfg, seeds, train_data.dim, train_data.k_y, train_data.k_a,
                                      train_data.k_p), cfg, alpha, beta)
     shuffle_rng = np.random.default_rng(seeds[4])
-    arrays = EpochArrays(train_data, cfg.feature_dim, cfg.batch_size)
+    arrays = EpochArrays(train_data, state, cfg.batch_size)
     val_flat = np.arange(len(val_data)) * max(state.widths) + val_data.y
     best_loss = math.inf
     best_bundle = None
