@@ -88,6 +88,14 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return read_run(tree, workload)
 
 
+def pair_count(text: str) -> int:
+    """``--pairs``: an integer >= 1, since each metric's summary needs a pair."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def pair_order(i: int) -> tuple[str, str]:
     """The sides of pair ``i`` in the order they run: the parent first in even pairs."""
     return SIDES if i % 2 == 0 else SIDES[::-1]
@@ -137,7 +145,7 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
     parser.add_argument("--workload", required=True, action="append")
-    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--pairs", type=pair_count, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--label", required=True)
     args = parser.parse_args(argv)

@@ -220,13 +220,12 @@ class StepArrays:
     The graph is fixed: the extractor's output, the features, feeds the
     classifier and, joined with extra columns, the adversaries, a stacked
     pair of nets. ``logits`` holds the classifier's and the pair's (3, n, K)
-    logits. ``through_adversaries`` says whether a MAIN step backpropagates
-    through the pair into the features; when it does not, the classifier's
-    input gradient is the feature gradient.
+    logits. A MAIN step's feature gradient is the pair's input gradient,
+    summed over its head axis, plus the classifier's.
     """
 
     def __init__(self, extractor: Sequence[Layer], classifier: Sequence[Layer],
-                 adversaries: Sequence[Layer], n: int, through_adversaries: bool):
+                 adversaries: Sequence[Layer], n: int):
         self.extractor = NetArrays(extractor, n)
         self.classifier = NetArrays(classifier, n)
         self.adversaries = NetArrays(adversaries, n)
@@ -234,22 +233,21 @@ class StepArrays:
         self.classifier_logits, self.adversary_logits = self.logits[0], self.logits[1:]
         width = extractor[-1].w.shape[-1]
         self.features_grad = np.empty((n, width))
-        self.through_adversaries = through_adversaries
-        if through_adversaries:
-            self.classifier_grad = np.empty((n, width))
-            self.adversaries_grad = np.empty((2, n, adversaries[0].w.shape[-2]))
-            self.adversary_cuts = [self.adversaries_grad[j, :, :width] for j in (0, 1)]
+        self.classifier_grad = np.empty((n, width))
+        self.adversaries_grad = np.empty((2, n, adversaries[0].w.shape[-2]))
+        self.adversary_cuts = [self.adversaries_grad[j, :, :width] for j in (0, 1)]
 
 
 def backward(step: StepArrays, dlogits: np.ndarray, main: bool) -> None:
     """One training step's backward pass, from ``dlogits``, the (3, n, K) loss
     gradient at the logits, into the Adam gradient buffers.
 
-    A ``main`` step backpropagates through the classifier and, when
-    ``step.through_adversaries``, the adversaries into the features, and on
-    through the extractor, whose input gradient is not formed; the
-    adversaries get no param gradients. The feature gradient is (fairness +
-    privacy) + classifier, in that order, which fixes its rounding.
+    A ``main`` step backpropagates through the classifier and both
+    adversaries into the features, and on through the extractor, whose input
+    gradient is not formed; the adversaries get no param gradients. The
+    feature gradient is (fairness + privacy) + classifier, in that order,
+    which fixes its rounding. An adversary whose coefficient is 0 has its
+    dlogits scaled by -0.0, so it adds ±0, which changes no nonzero value.
     Otherwise the adversaries get their param gradients and the pass stops
     at their first layers: the features are frozen for them.
     """
@@ -257,17 +255,13 @@ def backward(step: StepArrays, dlogits: np.ndarray, main: bool) -> None:
         param_grads(step.adversaries, dlogits[1:])
         return
     g = param_grads(step.classifier, dlogits[0])
-    first = step.classifier.layers[0]
-    if step.through_adversaries:
-        g_pair = dlogits[1:]
-        for layer, _, h, mask, out in step.adversaries.back:
-            g_pair = _through(layer, g_pair, h, mask, out)
-        np.matmul(g_pair, step.adversaries.layers[0].w_t, out=step.adversaries_grad)
-        np.add(*step.adversary_cuts, out=step.features_grad)
-        np.matmul(g, first.w_t, out=step.classifier_grad)
-        step.features_grad += step.classifier_grad
-    else:
-        np.matmul(g, first.w_t, out=step.features_grad)
+    g_pair = dlogits[1:]
+    for layer, _, h, mask, out in step.adversaries.back:
+        g_pair = _through(layer, g_pair, h, mask, out)
+    np.matmul(g_pair, step.adversaries.layers[0].w_t, out=step.adversaries_grad)
+    np.add(*step.adversary_cuts, out=step.features_grad)
+    np.matmul(g, step.classifier.layers[0].w_t, out=step.classifier_grad)
+    step.features_grad += step.classifier_grad
     param_grads(step.extractor, step.features_grad)
 
 # ---------------------------------------------------------------------------

@@ -121,16 +121,10 @@ class TrainState:
         self.steps = {}  # batch length -> lc.StepArrays
 
     def step_arrays(self, batch: Batch) -> lc.StepArrays:
-        """The step's arrays for batches of ``batch``'s length, planned at the first one.
-
-        At alpha == beta == 0 the MAIN loss does not reach the adversaries,
-        and MAIN steps skip them; otherwise the adversary whose coefficient
-        alone is 0 has its gradient scaled by -0.0.
-        """
+        """The step's arrays for batches of ``batch``'s length, planned at the first one."""
         step = self.steps.get(len(batch))
         if step is None:
-            step = self.steps[len(batch)] = lc.StepArrays(
-                *self.layers, len(batch), bool(self.alpha or self.beta))
+            step = self.steps[len(batch)] = lc.StepArrays(*self.layers, len(batch))
         return step
 
     def bundle(self, main: np.ndarray, adv: np.ndarray) -> ModelBundle:
@@ -263,15 +257,14 @@ def objective(state: TrainState, batch: Batch, phase: str) -> Forward:
 
 
 def alternating_epoch(state: TrainState, arrays: EpochArrays, shuffle_rng: np.random.Generator,
-                      update_adversaries: bool = True, epoch: int = 0) -> float:
+                      epoch: int = 0) -> float:
     """One pass over the data, alternating parameter groups every other batch.
 
     MAIN phases update only the extractor and classifier on the full
-    objective; ADV phases update only the adversaries on their own cross
-    entropies. With update_adversaries=False the ADV phases update nothing,
-    which turns the schedule into plain risk minimization over the same batches.
-    ``arrays`` holds the training split. Returns the mean objective value
-    across batches.
+    objective, backpropagated through the classifier and both adversaries;
+    ADV phases update only the adversaries on their own cross entropies.
+    Every batch runs a backward pass and an Adam step. ``arrays`` holds the
+    training split. Returns the mean objective value across batches.
     """
     arrays.fill(shuffle_rng.permutation(len(arrays.ds)))
     totals = []
@@ -282,9 +275,8 @@ def alternating_epoch(state: TrainState, arrays: EpochArrays, shuffle_rng: np.ra
             raise TrainingDivergedError(
                 f"non-finite loss at epoch {epoch}, {phase} phase, "
                 f"batch {state.batch_count}")
-        if phase == MAIN or update_adversaries:
-            lc.backward(fwd.step, fwd.dlogits, phase == MAIN)
-            lc.adam_step(state.main if phase == MAIN else state.adv)
+        lc.backward(fwd.step, fwd.dlogits, phase == MAIN)
+        lc.adam_step(state.main if phase == MAIN else state.adv)
         totals.append(fwd.total)
         state.batch_count += 1
     return float(np.mean(totals))
@@ -301,7 +293,7 @@ def validation_loss(state: TrainState, batch: Batch) -> float:
 
 
 def train(train_data: LabeledDataset, val_data: LabeledDataset, cfg: TrainConfig, *,
-          alpha: float, beta: float, seed: int, update_adversaries: bool = True) -> TrainedModel:
+          alpha: float, beta: float, seed: int) -> TrainedModel:
     """Run cfg.epochs alternating epochs; keep the best-validation params, bundled at
     the end. The seed's SeedSequence children 0-3 seed the nets, child 4 the shuffling."""
     check_run_key(alpha, beta, seed)
@@ -317,8 +309,7 @@ def train(train_data: LabeledDataset, val_data: LabeledDataset, cfg: TrainConfig
     best_loss = math.inf
     history = []
     for epoch in range(cfg.epochs):
-        mean_total = alternating_epoch(state, arrays, shuffle_rng,
-                                       update_adversaries=update_adversaries, epoch=epoch)
+        mean_total = alternating_epoch(state, arrays, shuffle_rng, epoch=epoch)
         val_loss = validation_loss(state, val.batches[0])
         if not np.isfinite(val_loss):
             raise TrainingDivergedError(f"non-finite validation loss at epoch {epoch}")

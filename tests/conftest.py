@@ -1,3 +1,4 @@
+import contextlib
 import os
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 
 from fairpriv.cli.config import ExperimentConfig, mild_correlation_joint
 from fairpriv.data import SplitSpec, SyntheticSpec
+from fairpriv import learncore
 from fairpriv.hostinfo import host_class
 from fairpriv.learncore import Mlp, ShapeError, as_matrix
 
@@ -63,6 +65,27 @@ def training_nets(state) -> tuple:
     """A TrainState's extractor, classifier and stacked adversaries as Mlps over
     its live ``net_params`` views into the Adam buffers."""
     return tuple(Mlp(p[0::2], p[1::2]) for p in state.main.net_params + state.adv.net_params)
+
+
+@contextlib.contextmanager
+def adversary_free():
+    """Adversary-free ERM (empirical risk minimization: training with no adversary)
+    inside the block, or as a decorator around a call.
+
+    ADV passes compute no gradient: ``learncore.backward`` returns at once
+    when ``main`` is false. The adversaries' gradient buffer then stays +0, so
+    their Adam steps move no byte of their params, m or v, and every MAIN
+    step sees the adversaries as initialized.
+    """
+    real = learncore.backward
+
+    def backward(step, dlogits, main):
+        if main:
+            real(step, dlogits, main)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learncore, "backward", backward)
+        yield
 
 
 # The host class that recorded every pinned byte: the TestGoldenBytes digests,

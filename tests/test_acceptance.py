@@ -12,7 +12,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import MAIN_NETS, bundle_params, median_of, reference_config, training_nets
+from conftest import (MAIN_NETS, adversary_free, bundle_params, median_of, reference_config,
+                      training_nets)
 from fairpriv.analysis import (CsrWeights, csr, grid_values, group_label, heatmap, normalize,
                                pearson, result_cube)
 from fairpriv.cli import main, pipeline
@@ -130,8 +131,9 @@ class TestCriterion2ErmReduction:
         train_ds, val_ds, _ = make_splits(ds, cfg.split, seed=0)
         tc = replace(cfg.train, epochs=5)
         key = dict(alpha=0.0, beta=0.0, seed=0)
-        full = train(train_ds, val_ds, tc, **key, update_adversaries=True)
-        erm = train(train_ds, val_ds, tc, **key, update_adversaries=False)
+        full = train(train_ds, val_ds, tc, **key)
+        with adversary_free():
+            erm = train(train_ds, val_ds, tc, **key)
         for a, b in zip(bundle_params(full.bundle, MAIN_NETS),
                         bundle_params(erm.bundle, MAIN_NETS)):
             assert np.array_equal(a, b)

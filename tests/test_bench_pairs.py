@@ -102,6 +102,18 @@ def test_one_pair_has_no_spread(tmp_path):
     assert row["ratio"] == 0.5 and row["change_wins"] == 1 and row["gain_shown"]
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_fewer_than_one_pair_rejected_before_any_export(monkeypatch, capsys, count):
+    # No pair leaves each metric's summary without data: the arguments are
+    # rejected before either tree is exported.
+    monkeypatch.setattr(pairs, "export", lambda *a: pytest.fail("exported a tree"))
+    with pytest.raises(SystemExit) as exc:
+        pairs.main(["--parent", "HEAD", "--change", "HEAD", "--workload", "attack_short",
+                    "--pairs", count, "--seconds", "0", "--label", "none"])
+    assert exc.value.code == 2
+    assert "--pairs: must be at least 1" in capsys.readouterr().err
+
+
 def test_sides_alternate_which_goes_first():
     assert [pairs.pair_order(i)[0] for i in range(4)] == ["parent", "change"] * 2
     assert all(sorted(pairs.pair_order(i)) == ["change", "parent"] for i in range(4))

@@ -263,11 +263,13 @@ class TestStackedBytes:
             for g, g_j in zip(grads, grads_j):
                 assert g[j].tobytes() == g_j.tobytes()
 
-    @pytest.mark.parametrize("scales", [(1.0, -0.7), (-0.0, -0.7), (-0.7, -0.0)])
+    @pytest.mark.parametrize("scales", [(1.0, -0.7), (-0.0, -0.7), (-0.7, -0.0), (-0.0, -0.0)])
     def test_feature_gradient_sums_the_pair_over_its_head_axis(self, scales):
         # A MAIN step adds the pair's two input-gradient cuts with one add,
         # then the classifier's: the bytes of the pair's gradient summed over
-        # its head axis, plus the classifier's, -0.0 included.
+        # its head axis, plus the classifier's, -0.0 included. With both
+        # scales -0.0, as at alpha = beta = 0, the pair adds ±0, and the
+        # feature gradient equals the classifier's (a zero's sign aside).
         rng = np.random.default_rng(7)
         graph = Graph(mlp_init([6, 16, 8], seed=1), mlp_init([8, 2], seed=2),
                       stack_nets([mlp_init([10, 32, 32, 2], seed) for seed in (3, 4)]), 53)
@@ -278,6 +280,8 @@ class TestStackedBytes:
         g_cls, _ = param_grads(graph.classifier, graph.adv_in[:, :8], d[0])
         assert graph.step.features_grad.tobytes() == (g_pair[..., :8].sum(axis=0)
                                                       + g_cls).tobytes()
+        if scales == (-0.0, -0.0):
+            assert np.array_equal(graph.step.features_grad, g_cls)
 
 
 class Graph:
@@ -291,7 +295,7 @@ class Graph:
         # The nets over the buffers' views, as the step sees them.
         self.trunk, self.classifier, self.pair = (Mlp(p[0::2], p[1::2]) for p in params)
         self.step = lc.StepArrays(*map(lc.plan_layers, params,
-                                       self.main.net_grads + self.adv.net_grads), n, True)
+                                       self.main.net_grads + self.adv.net_grads), n)
 
     def forward(self, x, extra):
         """The step's forward pass; the (3, n, K) logits."""

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import math
@@ -6,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import (MAIN_NETS, NETS, bundle_params, host_note, oracle_mlp_apply,
-                      oracle_mlp_forward, reference_config, training_nets)
+from conftest import (MAIN_NETS, NETS, adversary_free, bundle_params, host_note,
+                      oracle_mlp_apply, oracle_mlp_forward, reference_config, training_nets)
 from fairpriv import learncore as lc
 from fairpriv import training
 from fairpriv.data import LabeledDataset, SyntheticSpec, generate
@@ -196,8 +197,9 @@ class TestTrain:
         ds = toy_dataset(n=200, seed=10)
         tr, va = ds.subset(np.arange(160)), ds.subset(np.arange(160, 200))
         cfg, key = small_cfg(epochs=5), dict(alpha=0.0, beta=0.0, seed=11)
-        full = train(tr, va, cfg, **key, update_adversaries=True)
-        erm = train(tr, va, cfg, **key, update_adversaries=False)
+        full = train(tr, va, cfg, **key)
+        with adversary_free():
+            erm = train(tr, va, cfg, **key)
         for pa, pb in zip(bundle_params(full.bundle, MAIN_NETS),
                           bundle_params(erm.bundle, MAIN_NETS)):
             assert np.array_equal(pa, pb)
@@ -379,14 +381,11 @@ class TestCrossEntropyCalls:
 
 
 class TestMainStepHeads:
-    """Which heads a MAIN step backpropagates: the adversaries only when alpha or beta is not 0."""
+    """Which heads a MAIN step backpropagates: both, at every (alpha, beta), (0, 0) included."""
 
-    @pytest.mark.parametrize("alpha, beta, nets", [
-        (0.0, 0.0, ["classifier"]),
-        (1.0, 0.0, ["adversaries", "classifier"]),
-        (0.0, 1.0, ["adversaries", "classifier"]),
-    ], ids=["zero", "alpha", "beta"])
-    def test_heads_backpropagated(self, monkeypatch, alpha, beta, nets):
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
+                             ids=["zero", "alpha", "beta"])
+    def test_heads_backpropagated(self, monkeypatch, alpha, beta):
         ds = toy_dataset(n=32)
         cfg = small_cfg(batch_size=32)  # one batch: a MAIN step
         state = TrainState(init_bundle(cfg, ds.dim), cfg, alpha, beta)
@@ -408,7 +407,7 @@ class TestMainStepHeads:
         alternating_epoch(state, EpochArrays(ds, state, cfg.batch_size),
                           np.random.default_rng(0))
         # A MAIN step: the extractor's param gradients, no adversary param gradient.
-        assert calls == [(True, nets, True, True)]
+        assert calls == [(True, ["adversaries", "classifier"], True, True)]
 
 
 class OracleState(TrainState):
@@ -511,13 +510,12 @@ def losses(fwd):
     return [v.hex() for v in (fwd.total, fwd.ce_c, fwd.ce_a, fwd.ce_p)]
 
 
-def planned_step(state, batch, update_adversaries=True):
+def planned_step(state, batch):
     """One step of alternating_epoch on ``batch``, through the planned step; its losses."""
     phase = MAIN if state.batch_count % 2 == 0 else ADV
     fwd = objective(state, batch, phase)
-    if phase == MAIN or update_adversaries:
-        lc.backward(fwd.step, fwd.dlogits, phase == MAIN)
-        lc.adam_step(state.main if phase == MAIN else state.adv)
+    lc.backward(fwd.step, fwd.dlogits, phase == MAIN)
+    lc.adam_step(state.main if phase == MAIN else state.adv)
     state.batch_count += 1
     return losses(fwd)
 
@@ -543,23 +541,25 @@ class TestStepMatchesOracle:
                                     for make in (TrainState, OracleState, TrainState)]
         arrays = [EpochArrays(ds, state, cfg.batch_size) for state in states]
         rng, whole_rng = np.random.default_rng(5), np.random.default_rng(5)
-        for epoch in range(cfg.epochs):
-            order = rng.permutation(n)
-            arrays[0].fill(order)
-            arrays[1].fill(order)
-            for b_new, b_old in zip(arrays[0].batches, arrays[1].batches):
-                phase = MAIN if old.batch_count % 2 == 0 else ADV
-                got = planned_step(new, b_new, update_adversaries)
-                ref = oracle_objective(old, b_old, phase)
-                if phase == MAIN or update_adversaries:
-                    oracle_backward(old, ref, phase)
-                    lc.adam_step(old.main if phase == MAIN else old.adv)
-                old.batch_count += 1
-                assert got == losses(ref), (epoch, old.batch_count)
-                assert adam_bytes(new) == adam_bytes(old), (epoch, old.batch_count)
-            # alternating_epoch itself, on a third state, ends each epoch on the same bytes.
-            alternating_epoch(whole, arrays[2], whole_rng, update_adversaries, epoch)
-            assert adam_bytes(whole) == adam_bytes(old)
+        # Without adversary updates: adversary-free ERM against the oracle's skipped ADV steps.
+        with contextlib.nullcontext() if update_adversaries else adversary_free():
+            for epoch in range(cfg.epochs):
+                order = rng.permutation(n)
+                arrays[0].fill(order)
+                arrays[1].fill(order)
+                for b_new, b_old in zip(arrays[0].batches, arrays[1].batches):
+                    phase = MAIN if old.batch_count % 2 == 0 else ADV
+                    got = planned_step(new, b_new)
+                    ref = oracle_objective(old, b_old, phase)
+                    if phase == MAIN or update_adversaries:
+                        oracle_backward(old, ref, phase)
+                        lc.adam_step(old.main if phase == MAIN else old.adv)
+                    old.batch_count += 1
+                    assert got == losses(ref), (epoch, old.batch_count)
+                    assert adam_bytes(new) == adam_bytes(old), (epoch, old.batch_count)
+                # alternating_epoch itself, on a third state, ends each epoch on the same bytes.
+                alternating_epoch(whole, arrays[2], whole_rng, epoch=epoch)
+                assert adam_bytes(whole) == adam_bytes(old)
 
 
 class TestStepArrays:
@@ -624,7 +624,7 @@ def oracle_bundle(self):
     return ModelBundle(self.extractor.copy(), *nets)
 
 
-def oracle_train(train_data, val_data, cfg, *, alpha, beta, seed, update_adversaries=True):
+def oracle_train(train_data, val_data, cfg, *, alpha, beta, seed):
     """Run cfg.epochs alternating epochs; keep the best-validation snapshot. The
     seed's SeedSequence children 0-3 seed the nets, and child 4 the batch shuffling."""
     seeds = np.random.SeedSequence(seed).spawn(5)
@@ -637,8 +637,7 @@ def oracle_train(train_data, val_data, cfg, *, alpha, beta, seed, update_adversa
     best_bundle = None
     history = []
     for epoch in range(cfg.epochs):
-        mean_total = alternating_epoch(state, arrays, shuffle_rng,
-                                       update_adversaries=update_adversaries, epoch=epoch)
+        mean_total = alternating_epoch(state, arrays, shuffle_rng, epoch=epoch)
         val_loss = oracle_validation_loss(state, val_data.x, val_flat)
         if not np.isfinite(val_loss):
             raise TrainingDivergedError(f"non-finite validation loss at epoch {epoch}")
@@ -672,8 +671,9 @@ class TestTrainMatchesOracle:
         tr, va = ds.subset(np.arange(45)), ds.subset(np.arange(45, 45 + n_val))
         cfg = small_cfg(epochs=4, batch_size=16, extractor_hidden=extractor_hidden,
                         adversary_hidden=adversary_hidden)
-        key = dict(alpha=alpha, beta=beta, seed=3, update_adversaries=update_adversaries)
-        got, ref = train(tr, va, cfg, **key), oracle_train(tr, va, cfg, **key)
+        key = dict(alpha=alpha, beta=beta, seed=3)
+        with contextlib.nullcontext() if update_adversaries else adversary_free():
+            got, ref = train(tr, va, cfg, **key), oracle_train(tr, va, cfg, **key)
         assert ([(p.shape, p.tobytes()) for p in bundle_params(got.bundle)]
                 == [(p.shape, p.tobytes()) for p in bundle_params(ref.bundle)])
         assert got.best_val_loss.hex() == ref.best_val_loss.hex()
@@ -728,7 +728,7 @@ class TestGoldenBytes:
     """
 
     @staticmethod
-    def two_epochs(alpha, beta, seed, update_adversaries=True, **train_fields):
+    def two_epochs(alpha, beta, seed, **train_fields):
         from conftest import reference_config
         from fairpriv.cli import pipeline
         from fairpriv.data import make_splits
@@ -737,8 +737,7 @@ class TestGoldenBytes:
         train_ds, val_ds, _ = make_splits(pipeline.load_dataset(cfg), cfg.split, seed)
         tc = dataclasses.replace(cfg.train, **train_fields)
         tc.epochs = 2
-        return cfg, val_ds, train(train_ds, val_ds, tc, alpha=alpha, beta=beta, seed=seed,
-                                  update_adversaries=update_adversaries)
+        return cfg, val_ds, train(train_ds, val_ds, tc, alpha=alpha, beta=beta, seed=seed)
 
     @staticmethod
     def toy_run(alpha, beta, k_y=2, k_a=3, k_p=2, **train_fields):
@@ -756,9 +755,11 @@ class TestGoldenBytes:
     # but for the k_y == k_a != k_p cell, recorded with the engine that
     # stacked the adversaries' hidden layers when k_a != k_p, and the
     # k_y = 3, beta = 0 cell, recorded with the padded-head TrainState engine.
+    # The adversary-free cell keeps the name of the train option that ran it
+    # when it was recorded.
     CELLS = {
-        "update_adversaries=False": lambda: TestGoldenBytes.two_epochs(
-            10.0, 10.0, 0, update_adversaries=False)[2],
+        "update_adversaries=False": lambda: adversary_free()(TestGoldenBytes.two_epochs)(
+            10.0, 10.0, 0)[2],
         "k_a != k_p": lambda: TestGoldenBytes.toy_run(1.0, 1.0),
         "k_a != k_p, alpha = 0": lambda: TestGoldenBytes.toy_run(0.0, 2.0),
         "k_a != k_p, no hidden layer": lambda: TestGoldenBytes.toy_run(
