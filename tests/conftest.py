@@ -5,9 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fairpriv import learncore
 from fairpriv.cli.config import ExperimentConfig, mild_correlation_joint
 from fairpriv.data import SplitSpec, SyntheticSpec
-from fairpriv import learncore
 from fairpriv.hostinfo import host_class
 from fairpriv.learncore import Mlp, ShapeError, as_matrix
 
