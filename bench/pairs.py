@@ -20,7 +20,10 @@ the per-pair values, each side's median and quartiles, the change/parent
 ratio of the medians and of each pair, and the number of pairs the change
 wins (ties count for neither side). ``gain_shown`` applies the claim rule:
 the change wins at least nine pairs in ten, and the medians differ by more
-than the distance between the parent's quartiles. Each workload's
+than the distance between the parent's quartiles. Beside it, and not part of
+the rule, ``hl_ratio`` and ``hl_ci95`` give the Hodges-Lehmann estimate of the
+ratio and its exact Wilcoxon signed-rank 95 % interval (``null`` below 6
+pairs), from the per-pair log ratios. Each workload's
 ``same_results`` says whether, in every pair, every pass of both sides
 wrote the same ``results.csv`` bytes (pairs run different input sets, so
 their bytes differ). The file is written to the root of this checkout.
@@ -31,6 +34,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -116,6 +120,25 @@ def same_results(runs: list) -> bool:
                for run in runs)
 
 
+def hodges_lehmann(ratios: list) -> tuple[float, list | None]:
+    """The change/parent ratio that ``ratios``, one per pair, estimate: exp of the
+    median of the Walsh averages of their logs (Hodges & Lehmann 1963), and the exp of
+    the exact Wilcoxon signed-rank 95 % interval on those averages (ties not corrected
+    for). The interval is None below 6 pairs, where even the smallest and the largest
+    Walsh average leave a two-sided tail above 5 %."""
+    logs = [math.log(r) for r in ratios]
+    walsh = sorted((a + b) / 2 for i, a in enumerate(logs) for b in logs[i:])
+    counts = [1]  # counts[w]: the sign patterns of ranks 1..n whose positive ranks sum to w
+    for rank in range(1, len(logs) + 1):
+        counts = [c + (counts[w - rank] if w >= rank else 0)
+                  for w, c in enumerate(counts + [0] * rank)]
+    cut = tail = 0  # cut: the averages left out at each end, the most with a tail <= 2.5 %
+    while 40 * (tail := tail + counts[cut]) <= 2 ** len(logs):
+        cut += 1
+    interval = [math.exp(walsh[cut - 1]), math.exp(walsh[-cut])] if cut else None
+    return math.exp(statistics.median(walsh)), interval
+
+
 def summarize(runs: list, end_to_end: list) -> dict:
     """Each metric's per-pair values and their summary, from ``runs``: one
     {"parent": run, "change": run} per pair, each run as read_run gives it."""
@@ -132,6 +155,7 @@ def summarize(runs: list, end_to_end: list) -> dict:
         pairs = list(zip(values["parent"], values["change"]))
         row["ratio"] = row["change_median"] / row["parent_median"]
         row["pair_ratios"] = [c / p for p, c in pairs]
+        row["hl_ratio"], row["hl_ci95"] = hodges_lehmann(row["pair_ratios"])
         row["change_wins"] = sum(c < p if lower else c > p for p, c in pairs)
         row["gain_shown"] = (10 * row["change_wins"] >= 9 * len(pairs)
                              and abs(row["change_median"] - row["parent_median"])
@@ -178,8 +202,11 @@ def main(argv=None) -> int:
     for workload, data in bench["workloads"].items():
         print(f"{workload:14s} same_results {data['same_results']}")
         for name, row in data["metrics"].items():
+            interval = ("-".join(f"{v:.3f}" for v in row["hl_ci95"]) if row["hl_ci95"]
+                        else "none")
             print(f"{workload:14s} {name:12s} ratio {row['ratio']:.4f}, change wins "
-                  f"{row['change_wins']}/{args.pairs}, gain shown {row['gain_shown']}")
+                  f"{row['change_wins']}/{args.pairs}, gain shown {row['gain_shown']}, "
+                  f"HL {row['hl_ratio']:.3f} (95 % {interval})")
     print(f"wrote {path}")
     return 0
 

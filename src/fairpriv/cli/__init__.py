@@ -55,10 +55,11 @@ def cmd_train(args) -> int:
 def cmd_sweep(args) -> int:
     config = _load(args)
     out = _out_dir(args, config)
-    records, failures = pipeline.sweep(config, jobs=args.jobs)
+    outcomes = pipeline.sweep(config, jobs=args.jobs)
     results_path = out / "results.csv"
-    pipeline.write_results(results_path, records, failures)
-    print(f"{len(records)} runs ok, {len(failures)} failed -> {results_path}")
+    pipeline.write_results(results_path, outcomes)
+    failures = {k: o for k, o in outcomes.items() if not isinstance(o, pipeline.RunRecord)}
+    print(f"{len(outcomes) - len(failures)} runs ok, {len(failures)} failed -> {results_path}")
     for key, msg in sorted(failures.items()):
         print(f"  FAILED (alpha={key[0]:g}, beta={key[1]:g}, seed={key[2]}): {msg}",
               file=sys.stderr)
@@ -69,10 +70,10 @@ def cmd_analyze(args) -> int:
     config = _load(args)
     out = _out_dir(args, config)
     results_path = Path(args.results) if args.results else out / "results.csv"
-    records, failed = pipeline.load_results(results_path)
-    if failed:
+    outcomes = pipeline.load_results(results_path)
+    if failed := [k for k, o in outcomes.items() if not isinstance(o, pipeline.RunRecord)]:
         raise ValueError(f"{results_path}: error-marker rows for cells {failed}")
-    cube = result_cube(records, config.alphas, config.betas, config.seeds)
+    cube = result_cube(outcomes.values(), config.alphas, config.betas, config.seeds)
     rep = report.build_report(cube, config, k_p=pipeline.load_dataset(config).k_p)
     report_path = out / "report.json"
     report_path.write_text(json.dumps(rep, indent=2, sort_keys=True) + "\n")

@@ -123,7 +123,8 @@ def _worker_outcomes(config: ExperimentConfig, keys: list, jobs: int) -> dict:
     import multiprocessing
     from multiprocessing.connection import wait
 
-    outcomes, todo, held, workers = {}, keys[::-1], {}, []  # held: pipe -> (worker, key)
+    outcomes = dict.fromkeys(keys)  # in key order, each filled as its answer arrives
+    todo, held, workers = keys[::-1], {}, []  # held: pipe -> (worker, key)
 
     def give(conn, worker):
         if not todo:  # closing the pipe ends the worker
@@ -167,11 +168,11 @@ def _worker_outcomes(config: ExperimentConfig, keys: list, jobs: int) -> dict:
     return outcomes
 
 
-def sweep(config: ExperimentConfig, jobs: int | None = None
-          ) -> tuple[list[RunRecord], dict]:
+def sweep(config: ExperimentConfig, jobs: int | None = None) -> dict:
     """Run the whole (alpha, beta, seed) grid.
 
-    Returns (records sorted by key, failures keyed by (alpha, beta, seed)).
+    Returns each key's outcome, in key order: its run's ``RunRecord``, or its error as
+    ``"Type: message"``; ``write_results`` writes it as it is.
     Each run splits the config's one dataset, built before any run. Every run goes
     to one of at most ``jobs`` (an integer >= 1; default: the cores this process may
     use) worker processes, ``jobs=1`` included; each worker is given the config once,
@@ -188,14 +189,7 @@ def sweep(config: ExperimentConfig, jobs: int | None = None
     if type(jobs) is not int or jobs < 1:  # 0 would start no worker and wait for ever
         raise ValueError(f"jobs: must be an integer >= 1, got {jobs!r}")
     load_dataset(config)  # once, here: a fork worker shares it
-    records, failures = [], {}
-    for key, outcome in _worker_outcomes(config, keys, jobs).items():
-        if isinstance(outcome, RunRecord):
-            records.append(outcome)
-        else:
-            failures[key] = outcome
-    records.sort(key=lambda r: r.key)
-    return records, failures
+    return _worker_outcomes(config, keys, jobs)
 
 
 def _key_cells(key: tuple) -> list:
@@ -207,19 +201,20 @@ def record_row(record: RunRecord) -> list:
     return _key_cells(record.key) + [repr(float(v)) for v in values]
 
 
-def write_results(path, records: list, failures: dict | None = None) -> None:
-    """Replace ``path`` whole: a write that fails part-way leaves the old file as it was."""
-    rows = {r.key: record_row(r) for r in records}
-    for key in failures or {}:
-        rows[key] = _key_cells(key) + _FAILED_CELLS
+def write_results(path, outcomes: dict) -> None:
+    """Replace ``path`` whole with one row per key of ``outcomes``, in key order: a
+    ``RunRecord``'s ``record_row``, or ``ERROR`` cells for any other outcome. A write
+    that fails part-way leaves the old file as it was."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"  # same directory, so os.replace is atomic
     fh = open(tmp, "w", newline="", encoding="utf-8")
     try:
         with fh:
             writer = csv.writer(fh)
             writer.writerow(RESULTS_HEADER)
-            for key in sorted(rows):
-                writer.writerow(rows[key])
+            for key in sorted(outcomes):
+                outcome = outcomes[key]
+                writer.writerow(record_row(outcome) if isinstance(outcome, RunRecord)
+                                else _key_cells(key) + _FAILED_CELLS)
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)
@@ -228,11 +223,9 @@ def write_results(path, records: list, failures: dict | None = None) -> None:
 
 def append_result(path, record: RunRecord) -> None:
     """Add one run to a results CSV, replacing any earlier row for its key."""
-    records, failed = [], []
-    if os.path.exists(path) and os.path.getsize(path) > 0:
-        records, failed = load_results(path)
-    records = [r for r in records if r.key != record.key] + [record]
-    write_results(path, records, {key: ERROR_MARKER for key in failed if key != record.key})
+    outcomes = load_results(path) if os.path.exists(path) and os.path.getsize(path) else {}
+    outcomes[record.key] = record
+    write_results(path, outcomes)
 
 
 def _number(cell: str, where: str, integer: bool = False) -> float | int:
@@ -247,15 +240,16 @@ def _number(cell: str, where: str, integer: bool = False) -> float | int:
     return value
 
 
-def load_results(path) -> tuple[list[RunRecord], list[tuple]]:
-    """Read a results CSV; returns (records, keys of error-marker rows).
+def load_results(path) -> dict:
+    """Read a results CSV; returns each row's key and its ``RunRecord``, or
+    ``ERROR_MARKER`` for a failed run's row, in file order.
 
     A failed run has ``ERROR`` in all four metric cells. Any other field that does not
     parse, or is not finite, fails as ``path:line: field: ...``; a second row for a key,
     ``ERROR`` rows included, as ``path:line: duplicate of line ...``; a file that cannot
     be read (missing, not UTF-8, rejected by the csv module) as ``path: ...``.
     """
-    records, failed, lines = [], [], {}  # lines: each key's first line
+    outcomes, lines = {}, {}  # lines: each key's first line
     with _errors_naming(path), open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -272,9 +266,7 @@ def load_results(path) -> tuple[list[RunRecord], list[tuple]]:
                 raise ValueError(f"{path}:{lineno}: duplicate of line {lines[key]} "
                                  f"(alpha={alpha:g}, beta={beta:g}, seed={seed})")
             lines[key] = lineno
-            if len(values) == 3:
-                failed.append(key)
-                continue
-            triple = MetricTriple(*values[3:-1])  # METRICS is in field order
-            records.append(RunRecord(*key, triple=triple, val_loss=values[-1]))
-    return records, failed
+            outcomes[key] = ERROR_MARKER if len(values) == 3 else RunRecord(
+                *key, triple=MetricTriple(*values[3:-1]),  # METRICS is in field order
+                val_loss=values[-1])
+    return outcomes

@@ -121,7 +121,11 @@ class TrainState:
         self.steps = {}  # batch length -> lc.StepArrays
 
     def step_arrays(self, batch: Batch) -> lc.StepArrays:
-        """The step's arrays for batches of ``batch``'s length, planned at the first one."""
+        """The step's arrays for batches of ``batch``'s length, planned at the first one.
+        ``batch`` must be encoded for this state's K."""
+        if batch.k != max(self.widths):  # its targets would count from the wrong K
+            raise ValueError(f"batch encoded for K = {batch.k}, the nets have K = "
+                             f"{max(self.widths)}")
         step = self.steps.get(len(batch))
         if step is None:
             step = self.steps[len(batch)] = lc.StepArrays(*self.layers, len(batch))
@@ -165,12 +169,13 @@ class Batch:
     output into its first feature_dim columns, and the rest hold the one-hot
     task label. ``targets`` is the (3, n) flat gather index of y, y_a and
     y_p into the heads' stacked (3, n, K) logits, as
-    :func:`learncore.encoded_cross_entropy` takes it.
+    :func:`learncore.encoded_cross_entropy` takes it, for the K ``k``.
     """
 
     x: Matrix
     adv_in: Matrix
     targets: np.ndarray
+    k: int
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -202,13 +207,14 @@ class EpochArrays:
         self.flat = np.empty_like(self.labels)
         rows = np.arange(n)
         start = rows - rows % batch_size  # of each row's batch
+        self.k = max(state.widths)
         self.base = ((np.arange(3)[:, None] * np.minimum(n - start, batch_size) + rows - start)
-                     * max(state.widths))  # each label's flat index, less the label
+                     * self.k)  # each label's flat index, less the label
         self.batches = [self.batch(slice(i, i + batch_size)) for i in range(0, n, batch_size)]
 
     def batch(self, rows: slice) -> Batch:
         """A batch of views into the buffers."""
-        return Batch(self.x[rows], self.adv_in[rows], self.flat[:, rows])
+        return Batch(self.x[rows], self.adv_in[rows], self.flat[:, rows], self.k)
 
     def fill(self, order: np.ndarray) -> None:
         """Gather the rows in ``order``, a permutation of the split's rows."""

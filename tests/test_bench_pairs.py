@@ -2,11 +2,14 @@
 
 import hashlib
 import importlib.util
+import itertools
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fairpriv.hostinfo import host_class
@@ -100,6 +103,60 @@ def test_one_pair_has_no_spread(tmp_path):
     row = pairs.summarize(runs_of(tmp_path, [(2.0, 1.0)], [(1.0, 1.0)]), END_TO_END)["run_p50_s"]
     assert (row["parent_q1"], row["parent_median"], row["parent_q3"]) == (2.0, 2.0, 2.0)
     assert row["ratio"] == 0.5 and row["change_wins"] == 1 and row["gain_shown"]
+    assert row["hl_ratio"] == 0.5 and row["hl_ci95"] is None
+
+
+def brute_hodges_lehmann(ratios):
+    """The estimate and the 95 % interval from every Walsh average and every sign
+    pattern of the ranks."""
+    logs = [math.log(r) for r in ratios]
+    n = len(logs)
+    walsh = sorted((logs[i] + logs[j]) / 2
+                   for i, j in itertools.combinations_with_replacement(range(n), 2))
+    sums = [sum(rank for rank, positive in zip(range(1, n + 1), signs) if positive)
+            for signs in itertools.product((False, True), repeat=n)]
+    # The most averages cut from each end with P(W+ < cut) <= 2.5 % under the null.
+    cut = max(c for c in range(len(walsh) + 1) if 40 * sum(w < c for w in sums) <= 2 ** n)
+    interval = None if cut == 0 else [math.exp(walsh[cut - 1]), math.exp(walsh[len(walsh) - cut])]
+    return math.exp(float(np.median(walsh))), interval
+
+
+@pytest.mark.parametrize("ratios", [
+    [0.9, 1.1, 0.8, 1.05, 0.95, 0.85],
+    [1.2, 1.1, 1.3, 1.15, 1.25, 1.05, 0.98],
+    list(np.random.default_rng(0).lognormal(-0.1, 0.14, 10)),
+    list(np.random.default_rng(1).lognormal(0.0, 0.05, 13)),
+], ids=["6", "7", "10", "13"])
+def test_hodges_lehmann_matches_brute_force(tmp_path, ratios):
+    estimate, interval = pairs.hodges_lehmann(ratios)
+    want_estimate, want_interval = brute_hodges_lehmann(ratios)
+    assert estimate == pytest.approx(want_estimate, rel=1e-12)
+    assert interval == pytest.approx(want_interval, rel=1e-12)
+    assert interval[0] <= estimate <= interval[1]
+    # summarize reports them for each metric, from its pair ratios.
+    row = pairs.summarize(runs_of(tmp_path, [(1.0, 1.0)] * len(ratios),
+                                  [(r, 1.0) for r in ratios]), END_TO_END)["run_p50_s"]
+    assert (row["hl_ratio"], row["hl_ci95"]) == (estimate, interval)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_no_interval_below_six_pairs(n):
+    assert pairs.hodges_lehmann([0.9] * n) == (pytest.approx(0.9), None)
+    assert brute_hodges_lehmann([0.9] * n)[1] is None
+
+
+@pytest.mark.parametrize("label, workload, metric, estimate, interval", [
+    ("training_step", "sweep_reduced", "run_p50_s", 0.887, [0.795, 0.979]),
+    # An A/A, one commit against itself, whose interval excludes 1: the
+    # interval is reported, but it is not a claim rule.
+    ("aa_passes", "attack_short", "wall_s", 0.942, [0.899, 0.984]),
+])
+def test_committed_bench_files(label, workload, metric, estimate, interval):
+    bench = json.loads((ROOT / f"BENCH_{label}.json").read_text())
+    row = bench["workloads"][workload]["metrics"][metric]
+    got_estimate, got_interval = pairs.hodges_lehmann(row["pair_ratios"])
+    assert round(got_estimate, 3) == estimate
+    assert [round(v, 3) for v in got_interval] == interval
 
 
 @pytest.mark.parametrize("count", ["0", "-1"])

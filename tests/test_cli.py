@@ -505,7 +505,7 @@ class TestTrainCommand:
         path = config_json(tmp_path)
         out = tmp_path / "out"
         out.mkdir()
-        pipeline.write_results(out / "results.csv", [], {(1.0, 1.0, 0): "RuntimeError: boom"})
+        pipeline.write_results(out / "results.csv", {(1.0, 1.0, 0): "RuntimeError: boom"})
         args = ["train", "--config", str(path), "--alpha", "0", "--beta", "0",
                 "--seed", "0", "--out", str(out)]
         assert main(args) == 0
@@ -515,6 +515,24 @@ class TestTrainCommand:
         rows = first.decode().splitlines()
         assert len(rows) == 3  # header, the trained cell, the kept ERROR row
         assert rows[1].startswith("0.0,0.0,0,") and rows[2].startswith("1.0,1.0,0,ERROR")
+
+    def test_rerun_replaces_its_own_error_row(self, tmp_path, capsys):
+        # The trained key's ERROR row takes the run's values; every other row,
+        # another key's ERROR row included, keeps its bytes.
+        path = config_json(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        records = synthetic_records([0.0, 1.0], [0.0, 1.0], [0], np.random.default_rng(0))
+        pipeline.write_results(out / "results.csv", outcomes_of(
+            records[1:-1], {(0.0, 0.0, 0): "RuntimeError: boom", (1.0, 1.0, 0): "boom"}))
+        before = (out / "results.csv").read_text().splitlines()
+        assert before[1] == "0.0,0.0,0,ERROR,ERROR,ERROR,ERROR" and len(before) == 5
+        assert main(["train", "--config", str(path), "--alpha", "0", "--beta", "0",
+                     "--seed", "0", "--out", str(out)]) == 0
+        row = capsys.readouterr().out.splitlines()[0]
+        assert row.startswith("0.0,0.0,0,") and "ERROR" not in row
+        after = (out / "results.csv").read_text().splitlines()
+        assert after == before[:1] + [row] + before[2:]
 
     def test_negative_zero_key_is_the_zero_key(self, tmp_path):
         # --alpha -0 used to rewrite the sweep's "0.0,0.0,0" row as "-0.0,0.0,0"
@@ -775,15 +793,15 @@ class TestResultsFile:
         # It used to fail as "unexpected header ['\\ufeffalpha', ...]".
         plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
         records = synthetic_records([0.0, 1.0], [0.0], [0], np.random.default_rng(1))
-        pipeline.write_results(plain, records, {(1.0, 1.0, 0): "RuntimeError: boom"})
+        pipeline.write_results(plain, outcomes_of(records, {(1.0, 1.0, 0): "RuntimeError: boom"}))
         marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
         assert pipeline.load_results(marked) == pipeline.load_results(plain)
-        assert len(pipeline.load_results(plain)[0]) == 2
+        assert len(records_of(pipeline.load_results(plain))) == 2
 
     def test_failed_write_leaves_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "results.csv"
         old, new = synthetic_records([0.0], [0.0], [0, 1], np.random.default_rng(0))
-        pipeline.write_results(path, [old], {(1.0, 1.0, 0): "RuntimeError: boom"})
+        pipeline.write_results(path, outcomes_of([old], {(1.0, 1.0, 0): "RuntimeError: boom"}))
         before = path.read_bytes()
         real_writer = csv.writer
 
@@ -822,7 +840,7 @@ class TestResultsFile:
         out.mkdir()
         results = out / "results.csv"
         records = synthetic_records([0.0, 1.0], [0.0, 1.0], [0], np.random.default_rng(0))
-        pipeline.write_results(results, records)
+        pipeline.write_results(results, outcomes_of(records))
         lines = results.read_text().splitlines()
         row = lines[2].split(",")
         row[pipeline.RESULTS_HEADER.index(column)] = cell
@@ -846,7 +864,7 @@ class TestResultsFile:
         out.mkdir()
         results = out / "results.csv"
         records = synthetic_records([0.0, 1.0], [0.0, 1.0], [0], np.random.default_rng(0))
-        pipeline.write_results(results, records[:-1], {(1.0, 1.0, 0): "boom"})
+        pipeline.write_results(results, outcomes_of(records[:-1], {(1.0, 1.0, 0): "boom"}))
         lines = results.read_text().splitlines()
         results.write_text("\n".join(lines + [lines[copied - 1]]) + "\n")
         expected = f"{results}:6: duplicate of line {copied} ({key})"
@@ -879,7 +897,7 @@ class TestResultsFile:
 
     def test_error_row_key_is_checked(self, tmp_path):
         results = tmp_path / "results.csv"
-        pipeline.write_results(results, [], {(1.0, 0.0, 0): "boom"})
+        pipeline.write_results(results, {(1.0, 0.0, 0): "boom"})
         results.write_text(results.read_text().replace("1.0,0.0,0,", "1.0,0.0,zero,"))
         with pytest.raises(ValueError, match=r":2: seed: must be an integer, got 'zero'$"):
             pipeline.load_results(results)
@@ -1072,16 +1090,18 @@ class TestSweep:
             return real(config, alpha, beta, seed)
 
         monkeypatch.setattr(pipeline, "run_single", flaky)
-        records, failures = pipeline.sweep(cfg, jobs=jobs)
-        assert len(records) == 3 and failures == {(1.0, 0.0, 0): "RuntimeError: boom"}
+        outcomes = pipeline.sweep(cfg, jobs=jobs)
+        failures = failures_of(outcomes)
+        assert len(records_of(outcomes)) == 3
+        assert failures == {(1.0, 0.0, 0): "RuntimeError: boom"}
         results = tmp_path / "results.csv"
-        pipeline.write_results(results, records, failures)
+        pipeline.write_results(results, outcomes)
         lines = results.read_text().splitlines()
         assert len(lines) == 5
         marker = [l for l in lines if "ERROR" in l]
         assert len(marker) == 1 and marker[0].startswith("1.0,0.0,0")
-        loaded, failed = pipeline.load_results(results)
-        assert len(loaded) == 3 and failed == [(1.0, 0.0, 0)]
+        loaded = pipeline.load_results(results)
+        assert len(records_of(loaded)) == 3 and list(failures_of(loaded)) == [(1.0, 0.0, 0)]
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_dead_worker_keeps_finished_runs(self, tmp_path, monkeypatch, capsys, jobs):
@@ -1092,8 +1112,8 @@ class TestSweep:
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(path), "--jobs", jobs,
                      "--out", str(out)]) == 1
-        records, failed = pipeline.load_results(out / "results.csv")
-        assert len(records) == 3 and failed == [(1.0, 0.0, 0)]
+        loaded = pipeline.load_results(out / "results.csv")
+        assert len(records_of(loaded)) == 3 and list(failures_of(loaded)) == [(1.0, 0.0, 0)]
         assert ("  FAILED (alpha=1, beta=0, seed=0): WorkerDied: exit code 1\n"
                 in capsys.readouterr().err)
 
@@ -1101,7 +1121,7 @@ class TestSweep:
         cfg = small_config(alphas=[1.0], betas=[0.0])
         monkeypatch.setattr(pipeline, "run_single",
                             self.crash_on({(1.0, 0.0, 0)}, lambda: os._exit(5)))
-        assert pipeline.sweep(cfg) == ([], {(1.0, 0.0, 0): "WorkerDied: exit code 5"})
+        assert pipeline.sweep(cfg) == {(1.0, 0.0, 0): "WorkerDied: exit code 5"}
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("jobs", [0, -1, 1.5, True])
@@ -1123,14 +1143,14 @@ class TestSweep:
         return cfg
 
     @staticmethod
-    def results_bytes(path, records, failures=None):
-        pipeline.write_results(path, records, failures)
+    def results_bytes(path, outcomes):
+        pipeline.write_results(path, outcomes)
         return path.read_bytes()
 
     def per_cell_bytes(self, path, cfg):
         records = [pipeline.run_single(cfg, a, b, s)[0]
                    for a in cfg.alphas for b in cfg.betas for s in cfg.seeds]
-        return self.results_bytes(path, records)
+        return self.results_bytes(path, outcomes_of(records))
 
     @staticmethod
     def crash_on(keys, how):
@@ -1153,23 +1173,24 @@ class TestSweep:
     ], ids=["exit", "sigkill"])
     def test_dead_worker_fails_only_its_own_run(self, tmp_path, monkeypatch, how, message):
         cfg = self.two_seed_config()
-        whole, failures = pipeline.sweep(cfg, jobs=2)
-        assert not failures and multiprocessing.active_children() == []
+        whole = pipeline.sweep(cfg, jobs=2)
+        assert not failures_of(whole) and multiprocessing.active_children() == []
         key = (1.0, 0.0, 0)  # the third of 8 runs
         monkeypatch.setattr(pipeline, "run_single", self.crash_on({key}, how))
-        records, failures = pipeline.sweep(cfg, jobs=2)
-        assert failures == {key: message}
-        assert (self.results_bytes(tmp_path / "crashed.csv", records)
+        outcomes = pipeline.sweep(cfg, jobs=2)
+        assert failures_of(outcomes) == {key: message}
+        assert (self.results_bytes(tmp_path / "crashed.csv", outcomes_of(records_of(outcomes)))
                 == self.results_bytes(tmp_path / "whole.csv",
-                                      [r for r in whole if r.key != key]))
+                                      {k: r for k, r in whole.items() if k != key}))
         assert multiprocessing.active_children() == []
 
     def test_sweep_ends_when_every_run_kills_its_worker(self, monkeypatch):
         cfg = self.two_seed_config()
         keys = {(a, b, s) for a in cfg.alphas for b in cfg.betas for s in cfg.seeds}
         monkeypatch.setattr(pipeline, "run_single", self.crash_on(keys, lambda: os._exit(3)))
-        records, failures = pipeline.sweep(cfg, jobs=2)
-        assert not records and failures == {key: "WorkerDied: exit code 3" for key in keys}
+        outcomes = pipeline.sweep(cfg, jobs=2)
+        assert not records_of(outcomes)
+        assert outcomes == {key: "WorkerDied: exit code 3" for key in keys}
         assert multiprocessing.active_children() == []
 
     def test_no_worker_outlives_a_sweep_that_raises(self, monkeypatch):
@@ -1187,8 +1208,8 @@ class TestSweep:
 
     def test_shared_splits_match_per_cell_runs(self, tmp_path):
         cfg = self.two_seed_config()
-        serial = self.results_bytes(tmp_path / "serial.csv", *pipeline.sweep(cfg, jobs=1))
-        parallel = self.results_bytes(tmp_path / "par.csv", *pipeline.sweep(cfg, jobs=2))
+        serial = self.results_bytes(tmp_path / "serial.csv", pipeline.sweep(cfg, jobs=1))
+        parallel = self.results_bytes(tmp_path / "par.csv", pipeline.sweep(cfg, jobs=2))
         assert serial == parallel == self.per_cell_bytes(tmp_path / "cells.csv", cfg)
         assert len(serial.decode().splitlines()) == 1 + 8
 
@@ -1217,10 +1238,11 @@ class TestSweep:
         monkeypatch.setattr(pipeline, "generate", counted)
         monkeypatch.setattr(pipeline, "make_splits", capture)
         monkeypatch.setattr(multiprocessing.connection.Connection, "send", recorded)
-        records, failures = pipeline.sweep(cfg, jobs=jobs)
-        assert not records
-        assert failures == {(a, b, s): f"RuntimeError: split {s} of the config dataset"
+        outcomes = pipeline.sweep(cfg, jobs=jobs)
+        assert not records_of(outcomes)
+        assert outcomes == {(a, b, s): f"RuntimeError: split {s} of the config dataset"
                             for a in cfg.alphas for b in cfg.betas for s in cfg.seeds}
+        assert list(outcomes) == sorted(outcomes, key=lambda k: (k[2], *k[:2]))  # key order
         assert built == [cfg.data]
         assert [seed for _, _, seed in sent] == [0] * 4 + [1] * 4  # seed-major
 
@@ -1237,8 +1259,8 @@ class TestSweep:
         # Configs that differ only in data.seed: each sweep splits its own dataset.
         first = self.two_seed_config(seeds=[0])
         second = self.two_seed_config(data=dataclasses.replace(first.data, seed=1))
-        first_bytes = self.results_bytes(tmp_path / "a.csv", *pipeline.sweep(first, jobs=1))
-        second_bytes = self.results_bytes(tmp_path / "b.csv", *pipeline.sweep(second, jobs=1))
+        first_bytes = self.results_bytes(tmp_path / "a.csv", pipeline.sweep(first, jobs=1))
+        second_bytes = self.results_bytes(tmp_path / "b.csv", pipeline.sweep(second, jobs=1))
         assert second_bytes != first_bytes
         assert second_bytes == self.per_cell_bytes(tmp_path / "fresh.csv", second)
 
@@ -1248,8 +1270,8 @@ class TestSweep:
                      "--out", str(csv_path)]) == 0
         from_csv = pipeline.sweep(self.two_seed_config(data=str(csv_path)), jobs=2)
         synthetic = pipeline.sweep(self.two_seed_config(), jobs=2)
-        assert (self.results_bytes(tmp_path / "csv.csv", *from_csv)
-                == self.results_bytes(tmp_path / "syn.csv", *synthetic))
+        assert (self.results_bytes(tmp_path / "csv.csv", from_csv)
+                == self.results_bytes(tmp_path / "syn.csv", synthetic))
 
     @staticmethod
     def refuse(config, alpha, beta, seed):
@@ -1260,9 +1282,9 @@ class TestSweep:
         """Sweep two_seed_config with every run refused: its 8 runs ran in ``workers``
         worker processes."""
         monkeypatch.setattr(pipeline, "run_single", cls.refuse)
-        records, failures = pipeline.sweep(cls.two_seed_config(), jobs=jobs)
-        assert not records and len(failures) == 8
-        pids = {int(message.rsplit(" ", 1)[1]) for message in failures.values()}
+        outcomes = pipeline.sweep(cls.two_seed_config(), jobs=jobs)
+        assert not records_of(outcomes) and len(failures_of(outcomes)) == 8
+        pids = {int(message.rsplit(" ", 1)[1]) for message in outcomes.values()}
         assert len(pids) == workers and os.getpid() not in pids
 
     @pytest.mark.parametrize("jobs, workers", [(16, 8), (3, 3)])
@@ -1343,6 +1365,19 @@ class TestSweep:
         loaded = set(json.loads(proc.stdout))
         assert not loaded & {"concurrent.futures", "multiprocessing.connection"}
 
+def outcomes_of(records, failures=None) -> dict:
+    """A sweep's outcomes: each record under its key, then each failure's message."""
+    return {**{r.key: r for r in records}, **(failures or {})}
+
+
+def records_of(outcomes: dict) -> list:
+    return [o for o in outcomes.values() if isinstance(o, pipeline.RunRecord)]
+
+
+def failures_of(outcomes: dict) -> dict:
+    return {k: o for k, o in outcomes.items() if not isinstance(o, pipeline.RunRecord)}
+
+
 def synthetic_records(alphas, betas, seeds, rng):
     records = []
     for a in alphas:
@@ -1395,7 +1430,7 @@ class TestAnalyze:
         out.mkdir()
         cfg = load_config(path)
         records = synthetic_records([0.0], [0.0, 1.0], [0], np.random.default_rng(0))
-        pipeline.write_results(out / "results.csv", records)
+        pipeline.write_results(out / "results.csv", outcomes_of(records))
         rc = main(["analyze", "--config", str(path), "--out", str(out)])
         assert rc == 1
 
@@ -1404,8 +1439,8 @@ class TestAnalyze:
         out = tmp_path / "out"
         out.mkdir()
         records = synthetic_records([0.0, 1.0], [0.0, 1.0], [0], np.random.default_rng(0))
-        pipeline.write_results(out / "results.csv", records[:-1],
-                               {(1.0, 1.0, 0): "boom"})
+        pipeline.write_results(out / "results.csv",
+                               outcomes_of(records[:-1], {(1.0, 1.0, 0): "boom"}))
         assert main(["analyze", "--config", str(path), "--out", str(out)]) == 1
         assert "ERROR" in capsys.readouterr().err.upper()
 
@@ -1419,9 +1454,9 @@ class TestAnalyze:
         out = tmp_path / "out"
         out.mkdir()
         cfg = load_config(path)
-        pipeline.write_results(out / "results.csv", synthetic_records(
-            cfg.alphas, cfg.betas, cfg.seeds, np.random.default_rng(3)))
-        records, _ = pipeline.load_results(out / "results.csv")
+        pipeline.write_results(out / "results.csv", outcomes_of(synthetic_records(
+            cfg.alphas, cfg.betas, cfg.seeds, np.random.default_rng(3))))
+        records = records_of(pipeline.load_results(out / "results.csv"))
         cube = result_cube(records, cfg.alphas, cfg.betas, cfg.seeds)
         want = json.dumps(report.build_report(cube, cfg, k_p=load_csv(csv_path).k_p),
                           indent=2, sort_keys=True) + "\n"
@@ -1500,8 +1535,8 @@ class TestAnalyze:
         out = tmp_path / "out"
         out.mkdir()
         cfg = load_config(path)
-        pipeline.write_results(out / "results.csv", synthetic_records(
-            cfg.alphas, cfg.betas, cfg.seeds, np.random.default_rng(7)))
+        pipeline.write_results(out / "results.csv", outcomes_of(synthetic_records(
+            cfg.alphas, cfg.betas, cfg.seeds, np.random.default_rng(7))))
         assert main(["analyze", "--config", str(path), "--out", str(out)]) == 0
         rep = json.loads((out / "report.json").read_text())
         assert rep["tradeoffs"] is None and rep["tradeoffs_over_seed_medians"] is None
@@ -1522,9 +1557,9 @@ class TestAnalyze:
         out = tmp_path / "out"
         out.mkdir()
         cfg = load_config(path)
-        pipeline.write_results(out / "results.csv", synthetic_records(
-            cfg.alphas, cfg.betas, cfg.seeds, np.random.default_rng(5)))
-        records, _ = pipeline.load_results(out / "results.csv")
+        pipeline.write_results(out / "results.csv", outcomes_of(synthetic_records(
+            cfg.alphas, cfg.betas, cfg.seeds, np.random.default_rng(5))))
+        records = records_of(pipeline.load_results(out / "results.csv"))
         assert main(["analyze", "--config", str(path), "--out", str(out)]) == 0
         rep = json.loads((out / "report.json").read_text())
         pooled = report.tradeoff_table(result_cube(records, cfg.alphas, cfg.betas, cfg.seeds))

@@ -125,8 +125,8 @@ def test_attack_short_sweep_matches_reference(k, tmp_path):
 def test_paper_directions_hold_on_recorded_input_set(k):
     # Acceptance criteria 3-5 and their thresholds, on data seed k's recorded
     # cells at grid seeds 2k and 2k + 1 (their median), training nothing.
-    records, failed = pipeline.load_results(reference_results("sweep_reduced", k))
-    assert not failed and {r.seed for r in records} == {2 * k, 2 * k + 1}
+    records = list(pipeline.load_results(reference_results("sweep_reduced", k)).values())
+    assert pipeline.ERROR_MARKER not in records and {r.seed for r in records} == {2 * k, 2 * k + 1}
 
     def median(alpha, beta, metric):
         return float(np.median([getattr(r.triple, metric) for r in records

@@ -116,6 +116,21 @@ class TestObjective:
         with pytest.raises(ValueError, match=match):
             whole_batch(mixed_dataset((3, 2, 2), 2), state)
 
+    def test_batch_encoded_for_other_nets_rejected(self):
+        # These rows, encoded for (3, 2, 2) nets (K = 3), once gave both functions
+        # an inf loss through (3, 2, 4) nets (K = 4) and raised nothing: their
+        # flat targets counted from the wrong K.
+        rows = mixed_dataset((3, 2, 2), 6)
+        state = TrainState(init_bundle(small_cfg(), 6, (3, 2, 4)), small_cfg(), 1.0, 1.0)
+        other = TrainState(init_bundle(small_cfg(), 6, (3, 2, 2)), small_cfg(), 1.0, 1.0)
+        right = whole_batch(dataclasses.replace(rows, k_p=4), state)
+        assert training.validation_loss(state, right) == pytest.approx(2.0402, abs=1e-4)
+        wrong = whole_batch(rows, other)
+        for run in (lambda: training.validation_loss(state, wrong),
+                    lambda: objective(state, wrong, MAIN)):
+            with pytest.raises(ValueError, match="^batch encoded for K = 3, the nets have K = 4$"):
+                run()
+
     def test_empty_batch_rejected(self):
         ds = toy_dataset().subset([])
         state = TrainState(init_bundle(small_cfg(), 6), small_cfg(), 0.0, 0.0)
