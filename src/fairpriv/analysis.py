@@ -31,8 +31,8 @@ class Metric:
     letter: str  # its letter in tradeoff_correlations' keys
 
 
-# The per-run metrics, keyed by MetricTriple's fields in field order; a cube's
-# last axis follows this order.
+# The per-run metrics, keyed by their RunRecord fields (results.csv's metric
+# columns) in field order; a cube's last axis follows this order.
 METRICS = {
     "utility": Metric(higher_is_better=True, weight="utility", letter="u"),
     "fairness_gap": Metric(higher_is_better=False, weight="fairness", letter="f"),
@@ -68,7 +68,7 @@ def result_cube(records, alphas, betas, seeds) -> ResultCube:
                          f"cells outside the grid: {extra[:20]}")
     runs = sorted(records, key=lambda r: r.key)  # the grid's C order
     shape = tuple(map(len, axes))
-    values = np.array([[getattr(r.triple, name) for name in METRICS] for r in runs],
+    values = np.array([[getattr(r, name) for name in METRICS] for r in runs],
                       dtype=np.float64).reshape(*shape, len(METRICS))
     val_loss = np.array([r.val_loss for r in runs], dtype=np.float64).reshape(shape)
     return ResultCube(*axes, values=values, val_loss=val_loss)

@@ -9,34 +9,38 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ..analysis import METRICS
 from ..data import (LabeledDataset, _errors_naming, class_counts, generate, load_csv,
                     make_splits)
-from ..evaluation import MetricTriple, attack_accuracy, fit_attacker, utility_and_gap
+from ..evaluation import attack_accuracy, fit_attacker, utility_and_gap
 from ..training import TrainedModel, check_run_key, train
 from .config import ExperimentConfig
-
-RESULTS_HEADER = ["alpha", "beta", "seed", *METRICS, "val_loss"]
-ERROR_MARKER = "ERROR"
-_FAILED_CELLS = [ERROR_MARKER] * (len(RESULTS_HEADER) - 3)  # a failed run's metric cells
 
 
 @dataclass
 class RunRecord:
-    """One run's row of results.csv; ``analysis.result_cube`` reads a sweep's records."""
+    """One run's row of results.csv, a field per column; ``analysis.result_cube`` reads
+    a sweep's records. The metric fields are ``METRICS``, in its order."""
     alpha: float
     beta: float
     seed: int
-    triple: MetricTriple
+    utility: float
+    fairness_gap: float
+    attack_balanced_acc: float
     val_loss: float
 
     @property
     def key(self) -> tuple:
         return (self.alpha, self.beta, self.seed)
+
+
+RESULTS_HEADER = [f.name for f in fields(RunRecord)]
+ERROR_MARKER = "ERROR"
+_FAILED_CELLS = [ERROR_MARKER] * (len(RESULTS_HEADER) - 3)  # a failed run's metric cells
 
 
 def load_dataset(config: ExperimentConfig) -> LabeledDataset:
@@ -52,8 +56,9 @@ def load_dataset(config: ExperimentConfig) -> LabeledDataset:
 
 
 def evaluate_bundle(bundle, val_ds: LabeledDataset, test_ds: LabeledDataset,
-                    config: ExperimentConfig) -> MetricTriple:
-    """Utility and fairness gap on test; attack fit on val, scored on test."""
+                    config: ExperimentConfig) -> dict:
+    """The ``METRICS``, by name: utility and fairness gap on test; attack fit on val,
+    scored on test."""
     val_features = bundle.extractor.apply(val_ds.x)
     attacker = fit_attacker(val_features, val_ds.y, val_ds.y_p, iters=config.attacker_iters,
                             k_y=val_ds.k_y, k_p=val_ds.k_p)
@@ -63,7 +68,7 @@ def evaluate_bundle(bundle, val_ds: LabeledDataset, test_ds: LabeledDataset,
     preds = np.argmax(bundle.classifier.apply(test_features), axis=1)
     positive = test_ds.k_y - 1 if config.utility_metric == "tpr" else None  # None: accuracy
     m_u, m_a = utility_and_gap(preds, test_ds.y, test_ds.y_a, test_ds.k_a, positive)
-    return MetricTriple(utility=m_u, fairness_gap=m_a, attack_balanced_acc=m_p)
+    return {"utility": m_u, "fairness_gap": m_a, "attack_balanced_acc": m_p}
 
 
 def run_single(config: ExperimentConfig, alpha: float, beta: float, seed: int
@@ -84,10 +89,8 @@ def run_single(config: ExperimentConfig, alpha: float, beta: float, seed: int
     class_counts(test_ds.y_p, test_ds.k_p, "test split: y_p")
     class_counts(val_ds.y_p, val_ds.k_p, "validation split: y_p")
     trained = train(train_ds, val_ds, config.train, alpha=alpha, beta=beta, seed=seed)
-    triple = evaluate_bundle(trained.bundle, val_ds, test_ds, config)
-    record = RunRecord(alpha=alpha, beta=beta, seed=seed, triple=triple,
-                       val_loss=trained.best_val_loss)
-    return record, trained
+    metrics = evaluate_bundle(trained.bundle, val_ds, test_ds, config)
+    return RunRecord(alpha, beta, seed, **metrics, val_loss=trained.best_val_loss), trained
 
 
 def _serve(conn, config: ExperimentConfig) -> None:
@@ -197,8 +200,8 @@ def _key_cells(key: tuple) -> list:
 
 
 def record_row(record: RunRecord) -> list:
-    values = [getattr(record.triple, name) for name in METRICS] + [record.val_loss]
-    return _key_cells(record.key) + [repr(float(v)) for v in values]
+    return _key_cells(record.key) + [repr(float(getattr(record, name)))
+                                     for name in RESULTS_HEADER[3:]]
 
 
 def write_results(path, outcomes: dict) -> None:
@@ -266,7 +269,5 @@ def load_results(path) -> dict:
                 raise ValueError(f"{path}:{lineno}: duplicate of line {lines[key]} "
                                  f"(alpha={alpha:g}, beta={beta:g}, seed={seed})")
             lines[key] = lineno
-            outcomes[key] = ERROR_MARKER if len(values) == 3 else RunRecord(
-                *key, triple=MetricTriple(*values[3:-1]),  # METRICS is in field order
-                val_loss=values[-1])
+            outcomes[key] = ERROR_MARKER if len(values) == 3 else RunRecord(*values)
     return outcomes

@@ -15,13 +15,6 @@ from .data import class_counts, one_hot
 from .learncore import Matrix
 
 
-@dataclass
-class MetricTriple:
-    utility: float
-    fairness_gap: float
-    attack_balanced_acc: float
-
-
 def class_rates(labels, hits, k: int, name: str) -> np.ndarray:
     """The share of each class's rows in ``labels`` that ``hits`` marks: an
     exact count over an exact count, so each equals ``np.mean`` of that

@@ -33,7 +33,7 @@ def reference_config() -> ExperimentConfig:
 def reference_runs():
     """Trained reference runs shared across acceptance criteria.
 
-    Keys: (alpha, beta, seed) -> MetricTriple for the three intervention
+    Keys: (alpha, beta, seed) -> RunRecord for the three intervention
     points at seeds 0..2.
     """
     from fairpriv.cli import pipeline
@@ -43,7 +43,7 @@ def reference_runs():
     for seed in (0, 1, 2):
         for alpha, beta in [(0.0, 0.0), (0.0, 10.0), (10.0, 0.0)]:
             record, _ = pipeline.run_single(cfg, alpha, beta, seed)
-            out[(alpha, beta, seed)] = record.triple
+            out[(alpha, beta, seed)] = record
     return out
 
 

@@ -18,7 +18,6 @@ from fairpriv.analysis import (CsrWeights, csr, grid_values, group_label, heatma
                                pearson, result_cube)
 from fairpriv.cli import main, pipeline
 from fairpriv.data import LabeledDataset, make_splits
-from fairpriv.evaluation import MetricTriple
 from fairpriv import learncore
 from fairpriv.training import (ADV, MAIN, EpochArrays, TrainConfig, TrainState, build_bundle,
                                objective, train)
@@ -176,7 +175,7 @@ class TestCriterion6NullLeak:
     def test_attack_cannot_invent_signal(self):
         cfg = reference_config()
         cfg.data = replace(cfg.data, mu_p=0.0)
-        vals = [pipeline.run_single(cfg, 0.0, 0.0, s)[0].triple.attack_balanced_acc
+        vals = [pipeline.run_single(cfg, 0.0, 0.0, s)[0].attack_balanced_acc
                 for s in (0, 1, 2)]
         m_p = float(np.median(vals))
         assert abs(m_p - CHANCE) <= 0.05, f"mu_p=0 attack {m_p:.3f} far from chance"
@@ -253,13 +252,12 @@ class TestCriterion9AnalysisOracles:
         values = grid_values()
         for _ in range(50):
             seeds = range(int(rng.integers(1, 4)))  # one count for the whole cube
-            records = [pipeline.RunRecord(a, b, s, MetricTriple(rng.random(), rng.random(),
-                                                                rng.random()), 0.0)
+            records = [pipeline.RunRecord(a, b, s, rng.random(), rng.random(), rng.random(), 0.0)
                        for a in values for b in values for s in seeds]
             grid = heatmap(result_cube(records, values, values, seeds), "fairness_gap")
             for i, ga in enumerate(grid.alpha_groups):
                 for j, gb in enumerate(grid.beta_groups):
-                    cell = [r.triple.fairness_gap for r in records
+                    cell = [r.fairness_gap for r in records
                             if group_label(r.alpha) == ga and group_label(r.beta) == gb]
                     assert grid.values[i, j] == pytest.approx(np.median(cell), abs=1e-12)
 

@@ -7,11 +7,10 @@ from fairpriv.analysis import (CSR_WEIGHTS, METRICS, CsrWeights, best_csr, csr, 
                                group_label, heatmap, normalize, pearson, result_cube,
                                seed_medians, tradeoff_correlations)
 from fairpriv.cli.pipeline import RunRecord
-from fairpriv.evaluation import MetricTriple
 
 
 def rec(alpha, beta, seed, u, a, p, val_loss=0.1):
-    return RunRecord(alpha, beta, seed, MetricTriple(u, a, p), val_loss)
+    return RunRecord(alpha, beta, seed, u, a, p, val_loss)
 
 
 def cube_of(records):
@@ -29,8 +28,8 @@ def random_table(rng, n=12):
 
 
 class TestMetricTable:
-    def test_keys_follow_metric_triple_fields(self):
-        assert list(METRICS) == [f.name for f in dataclasses.fields(MetricTriple)]
+    def test_keys_follow_run_record_metric_fields(self):
+        assert list(METRICS) == [f.name for f in dataclasses.fields(RunRecord)][3:-1]
 
     def test_weights_are_csr_weight_fields(self):
         assert [m.weight for m in METRICS.values()] == [
@@ -92,7 +91,7 @@ class TestResultCube:
         assert cube.values.shape == (2, 2, 2, 3) and cube.val_loss.shape == (2, 2, 2)
         for r in records:
             at = cube.alphas.index(r.alpha), cube.betas.index(r.beta), cube.seeds.index(r.seed)
-            assert list(cube.values[at]) == [r.triple.utility, 0.1, 0.5]
+            assert list(cube.values[at]) == [r.utility, 0.1, 0.5]
             assert cube.val_loss[at] == r.val_loss
 
     def test_row_order_does_not_matter(self):
@@ -355,6 +354,6 @@ class TestSeedMedians:
         cube, m = cube_of(records), seed_medians(cube_of(records))
         for i, j in np.ndindex(2, 2):
             for k, name in enumerate(METRICS):
-                cell = [getattr(r.triple, name) for r in records
+                cell = [getattr(r, name) for r in records
                         if (r.alpha, r.beta) == (cube.alphas[i], cube.betas[j])]
                 assert m.values[i, j, 0, k] == np.median(cell)

@@ -26,7 +26,7 @@ from fairpriv.cli.modelio import MAGIC, VERSION, load_bundle, save_bundle
 from fairpriv import cli, data, evaluation
 from fairpriv.data import (LabeledDataset, SplitSpec, SyntheticSpec, load_csv,
                           make_splits)
-from fairpriv.evaluation import MetricTriple, fit_attacker
+from fairpriv.evaluation import fit_attacker
 from fairpriv.learncore import Mlp
 from fairpriv.training import ModelBundle, TrainConfig
 
@@ -498,8 +498,8 @@ class TestTrainCommand:
     def test_baseline_shows_leakage(self, tmp_path):
         cfg = small_config()
         record, _ = pipeline.run_single(cfg, 0.0, 0.0, 0)
-        assert record.triple.attack_balanced_acc > 0.5
-        assert record.triple.fairness_gap > 0.0
+        assert record.attack_balanced_acc > 0.5
+        assert record.fairness_gap > 0.0
 
     def test_rerun_replaces_row_and_keeps_others(self, tmp_path):
         path = config_json(tmp_path)
@@ -580,8 +580,8 @@ class TestTrainCommand:
         for a, b in zip(bundle_params(trained.bundle), bundle_params(loaded)):
             assert np.array_equal(a, b)
         _, val_ds, test_ds = make_splits(ds, cfg.split, 0)
-        triple = pipeline.evaluate_bundle(loaded, val_ds, test_ds, cfg)
-        assert triple == record.triple
+        metrics = pipeline.evaluate_bundle(loaded, val_ds, test_ds, cfg)
+        assert metrics == {name: getattr(record, name) for name in METRICS}
 
     def test_diverged_attacker_reported_without_traceback(self, tmp_path, capsys,
                                                           monkeypatch):
@@ -690,7 +690,8 @@ class TestTrainCommand:
                                 iters=cfg.attacker_iters, k_y=val_ds.k_y, k_p=val_ds.k_p)
         attack = oracle.balanced_accuracy(attacker.predict(features, test_ds.y), test_ds.y_p,
                                           test_ds.k_p)
-        assert dataclasses.astuple(record.triple) == (utility, gap, attack)
+        assert (record.utility, record.fairness_gap, record.attack_balanced_acc) == (
+            utility, gap, attack)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -734,7 +735,7 @@ class TestTrainCommand:
         cfg = small_config(data=str(csv_path))
         record, _ = pipeline.run_single(cfg, 0.0, 0.0, 0)
         synthetic = pipeline.run_single(small_config(), 0.0, 0.0, 0)[0]
-        assert record.triple == synthetic.triple  # CSV round trip is lossless
+        assert record == synthetic  # CSV round trip is lossless
 
     def test_non_finite_csv_feature_fails_by_name(self, tmp_path, capsys):
         # It used to train into a RuntimeWarning and a non-finite loss at epoch 0;
@@ -789,6 +790,10 @@ class TestTrainCommand:
 
 
 class TestResultsFile:
+    def test_columns_are_run_record_fields(self):
+        assert [f.name for f in dataclasses.fields(pipeline.RunRecord)] == pipeline.RESULTS_HEADER
+        assert pipeline.RESULTS_HEADER[3:-1] == list(METRICS)
+
     def test_byte_order_mark_skipped(self, tmp_path):
         # It used to fail as "unexpected header ['\\ufeffalpha', ...]".
         plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
@@ -1383,10 +1388,8 @@ def synthetic_records(alphas, betas, seeds, rng):
     for a in alphas:
         for b in betas:
             for s in seeds:
-                records.append(pipeline.RunRecord(a, b, s,
-                                                  MetricTriple(rng.random(), rng.random(),
-                                                               rng.random()),
-                                                  rng.random()))
+                records.append(pipeline.RunRecord(a, b, s, rng.random(), rng.random(),
+                                                  rng.random(), rng.random()))
     return records
 
 
@@ -1489,10 +1492,8 @@ class TestAnalyze:
     def test_table_formats_match_reported_layout(self):
         # Table-style strings: "63.33% (TPR)" and "91.04% (H., H.)". The
         # grid's two other cells are dominated by (10, 0.1).
-        triples = {(0.0, 0.0): MetricTriple(0.6333, 0.21, 0.7983),
-                   (10.0, 0.1): MetricTriple(0.70, 0.08, 0.6777)}
-        records = [pipeline.RunRecord(a, b, s, triples.get((a, b), MetricTriple(0.65, 0.1, 0.7)),
-                                      0.3)
+        metrics = {(0.0, 0.0): (0.6333, 0.21, 0.7983), (10.0, 0.1): (0.70, 0.08, 0.6777)}
+        records = [pipeline.RunRecord(a, b, s, *metrics.get((a, b), (0.65, 0.1, 0.7)), 0.3)
                    for a in (0.0, 10.0) for b in (0.0, 0.1) for s in (0, 1, 2)]
         cfg = small_config(utility_metric="tpr")
         rep = report.build_report(cube_of(records), cfg, k_p=3)
@@ -1507,9 +1508,9 @@ class TestAnalyze:
             assert groups == f"({entry['alpha_group']}., {entry['beta_group']}.)"
 
     def test_dominating_record_scores_100(self):
-        records = [pipeline.RunRecord(a, b, 0, MetricTriple(0.5, 0.2, 0.9), 0.1)
+        records = [pipeline.RunRecord(a, b, 0, 0.5, 0.2, 0.9, 0.1)
                    for a, b in ((0.0, 1.0), (1.0, 0.0), (1.0, 1.0))]
-        records.append(pipeline.RunRecord(0.0, 0.0, 0, MetricTriple(0.9, 0.0, 0.5), 0.1))
+        records.append(pipeline.RunRecord(0.0, 0.0, 0, 0.9, 0.0, 0.5, 0.1))
         cfg = small_config()
         rep = report.build_report(cube_of(records), cfg, k_p=2)
         for entry in rep["tradeoffs"]["csr"]:

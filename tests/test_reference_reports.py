@@ -129,7 +129,7 @@ def test_paper_directions_hold_on_recorded_input_set(k):
     assert pipeline.ERROR_MARKER not in records and {r.seed for r in records} == {2 * k, 2 * k + 1}
 
     def median(alpha, beta, metric):
-        return float(np.median([getattr(r.triple, metric) for r in records
+        return float(np.median([getattr(r, metric) for r in records
                                 if (r.alpha, r.beta) == (alpha, beta)]))
 
     attack, gap = median(0.0, 0.0, "attack_balanced_acc"), median(0.0, 0.0, "fairness_gap")
