@@ -33,20 +33,19 @@ def as_matrix(data) -> Matrix:
     return arr
 
 
-def encoded_cross_entropy(logits: Matrix, flat: np.ndarray, grad_scale: float | None = None,
-                          row_w: np.ndarray | None = None,
-                          total_w: float | None = None) -> tuple[float, Matrix | None]:
-    """Class-weighted softmax cross entropy on pre-encoded targets.
+def encoded_cross_entropy(logits: Matrix, flat: np.ndarray,
+                          grad_scale: float | None = None) -> tuple[float, Matrix | None]:
+    """Softmax cross entropy on pre-encoded targets.
 
-    Returns (loss, dlogits) with loss = (sum_i w_i * -log softmax(logits_i)[y_i])
-    / sum_i w_i, stabilized by per-row max subtraction. ``flat`` holds each
-    row's index into the flattened (n, k) logits, ``row * k + y_i``.
-    ``row_w`` and ``total_w`` are the rows' class weights w_i and their sum,
-    None for unit weights (the plain mean). dlogits is the gradient of
-    ``grad_scale * loss`` with respect to the logits, or None when no
-    grad_scale is given. Nothing is checked.
+    Returns (loss, dlogits) with loss the mean over rows of
+    -log softmax(logits_i)[y_i], stabilized by per-row max subtraction.
+    ``flat`` holds each row's index into the flattened (n, k) logits,
+    ``row * k + y_i``. dlogits is the gradient of ``grad_scale * loss`` with
+    respect to the logits, or None when no grad_scale is given. Nothing is
+    checked.
     Stacked (heads, n, k) logits, with (heads, n) indices into all of them
-    and a number or (heads, 1, 1) ``grad_scale``, give a list of per-head losses.
+    and a number or (heads, 1, 1) ``grad_scale``, give a list of per-head
+    losses, each the mean over that head's rows.
     """
     n, k = logits.shape[-2:]
     # Row max, column by column: exact. Column 1 % k is column 0 again when k == 1.
@@ -56,18 +55,15 @@ def encoded_cross_entropy(logits: Matrix, flat: np.ndarray, grad_scale: float | 
     log_probs = logits - m
     s = np.exp(log_probs).sum(axis=-1, keepdims=True)
     log_probs -= np.log(s, out=s)
-    picked = log_probs.take(flat)
-    total_w = float(n if row_w is None else total_w)
-    sums = (picked if row_w is None else row_w * picked).sum(axis=-1).tolist()
-    # Python's -s / total_w makes the IEEE negate and divide numpy would.
-    loss = -sums / total_w if logits.ndim == 2 else [-s / total_w for s in sums]
+    rows = float(n)
+    sums = log_probs.take(flat).sum(axis=-1).tolist()
+    # Python's -s / rows makes the IEEE negate and divide numpy would.
+    loss = -sums / rows if logits.ndim == 2 else [-s / rows for s in sums]
     if grad_scale is None:
         return loss, None
     dlogits = np.exp(log_probs, out=log_probs)
     np.subtract.at(dlogits.reshape(-1), flat, 1.0)  # faster than [flat] -= on a strided flat
-    if row_w is not None:
-        dlogits *= row_w[..., None]
-    dlogits *= grad_scale / total_w
+    dlogits *= grad_scale / rows
     return loss, dlogits
 
 

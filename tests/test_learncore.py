@@ -140,75 +140,51 @@ def reference_softmax_ce(logits, targets, class_weights=None, grad_scale=None):
     return float(loss), dlogits * (grad_scale / total_w)
 
 
-def encoded_ce(logits, y, w=None, grad_scale=None):
-    """lc.encoded_cross_entropy on plain targets and class weights."""
-    y = np.asarray(y)
-    flat = np.arange(logits.shape[0]) * logits.shape[1] + y
-    if w is None:
-        return lc.encoded_cross_entropy(logits, flat, grad_scale)
-    row_w = np.asarray(w, dtype=np.float64)[y]
-    return lc.encoded_cross_entropy(logits, flat, grad_scale, row_w, row_w.sum())
+def encoded_ce(logits, y, grad_scale=None):
+    """lc.encoded_cross_entropy on plain targets."""
+    flat = np.arange(logits.shape[0]) * logits.shape[1] + np.asarray(y)
+    return lc.encoded_cross_entropy(logits, flat, grad_scale)
 
 
-class TestWeightedCrossEntropy:
+class TestCrossEntropy:
     def test_uniform_binary(self):
-        loss, _ = encoded_ce(np.array([[0.0, 0.0]]), [1], [1.0, 1.0])
+        loss, _ = encoded_ce(np.array([[0.0, 0.0]]), [1])
         assert loss == pytest.approx(math.log(2), abs=1e-12)
 
     def test_uniform_three_class(self):
-        loss, _ = encoded_ce(np.zeros((4, 3)), [0, 1, 2, 0], np.ones(3))
+        loss, _ = encoded_ce(np.zeros((4, 3)), [0, 1, 2, 0])
         assert loss == pytest.approx(math.log(3), abs=1e-12)
-
-    def test_unit_weights_equal_unweighted_mean(self):
-        rng = np.random.default_rng(2)
-        logits = rng.standard_normal((10, 4))
-        y = rng.integers(0, 4, 10)
-        loss, d_weighted = encoded_ce(logits, y, np.ones(4), grad_scale=0.5)
-        z = logits - logits.max(axis=1, keepdims=True)
-        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-        plain = -logp[np.arange(10), y].mean()
-        assert loss == pytest.approx(plain, abs=0)
-        assert encoded_ce(logits, y)[0] == loss
-        assert np.array_equal(encoded_ce(logits, y, grad_scale=0.5)[1], d_weighted)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(3)
         logits = rng.standard_normal((6, 3))
         y = rng.integers(0, 3, 6)
-        w = np.array([0.2, 1.0, 3.0])
-        a = encoded_ce(logits, y, w)[0]
-        b = encoded_ce(logits + 123.0, y, w)[0]
+        a = encoded_ce(logits, y)[0]
+        b = encoded_ce(logits + 123.0, y)[0]
         assert a == pytest.approx(b, abs=1e-9)
 
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(12)
         logits = rng.standard_normal((7, 3))
         y = rng.integers(0, 3, 7)
-        w = np.array([0.5, 1.0, 2.0])
-        _, d = encoded_ce(logits, y, w, grad_scale=-3.0)
-        (fd,) = finite_diff(lambda: -3.0 * encoded_ce(logits, y, w)[0], [logits])
+        _, d = encoded_ce(logits, y, grad_scale=-3.0)
+        (fd,) = finite_diff(lambda: -3.0 * encoded_ce(logits, y)[0], [logits])
         assert rel_err(d, fd).max() < 1e-6
 
 
 class TestEncodedCrossEntropy:
     @pytest.mark.parametrize("k", range(2, 10))
     @pytest.mark.parametrize("n", [64, 53])  # a full batch and an epoch's last one
-    @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("grad_scale", [None, 1.0, -0.7])
-    def test_bytes_equal_reference(self, k, n, weighted, grad_scale):
+    def test_bytes_equal_reference(self, k, n, grad_scale):
         rng = np.random.default_rng(100 * k + n)
         logits = 4.0 * rng.standard_normal((n, k))
         y = rng.integers(0, k, n)
-        w = rng.uniform(0.1, 3.0, k) if weighted else None
-        ref_loss, ref_d = reference_softmax_ce(logits, y, w, grad_scale=grad_scale)
+        ref_loss, ref_d = reference_softmax_ce(logits, y, grad_scale=grad_scale)
 
         flat = np.arange(n) * k + y
-        row_w = total_w = None
-        if weighted:
-            row_w = w[y]
-            total_w = row_w.sum()
         before, flat_before = logits.copy(), flat.copy()
-        loss, d = lc.encoded_cross_entropy(logits, flat, grad_scale, row_w, total_w)
+        loss, d = lc.encoded_cross_entropy(logits, flat, grad_scale)
         assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
         if grad_scale is None:
             assert d is None and ref_d is None
