@@ -155,6 +155,19 @@ class TestCrossEntropy:
         loss, _ = encoded_ce(np.zeros((4, 3)), [0, 1, 2, 0])
         assert loss == pytest.approx(math.log(3), abs=1e-12)
 
+    def test_loss_is_mean_over_rows(self):
+        rng = np.random.default_rng(2)
+        logits = rng.standard_normal((3, 10, 4))
+        y = rng.integers(0, 4, (3, 10))
+        z = logits - logits.max(axis=-1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        plain = -np.take_along_axis(logp, y[..., None], axis=-1)[..., 0].mean(axis=-1)
+        flat = (np.arange(3)[:, None] * 10 + np.arange(10)) * 4 + y
+        losses, _ = lc.encoded_cross_entropy(logits, flat)
+        for j in range(3):
+            assert encoded_ce(logits[j], y[j])[0] == pytest.approx(plain[j], abs=0)
+            assert losses[j] == encoded_ce(logits[j], y[j])[0]
+
     def test_shift_invariance(self):
         rng = np.random.default_rng(3)
         logits = rng.standard_normal((6, 3))
@@ -175,16 +188,30 @@ class TestCrossEntropy:
 class TestEncodedCrossEntropy:
     @pytest.mark.parametrize("k", range(2, 10))
     @pytest.mark.parametrize("n", [64, 53])  # a full batch and an epoch's last one
+    @pytest.mark.parametrize("stacked", [False, True])
     @pytest.mark.parametrize("grad_scale", [None, 1.0, -0.7])
-    def test_bytes_equal_reference(self, k, n, grad_scale):
+    def test_bytes_equal_reference(self, k, n, stacked, grad_scale):
         rng = np.random.default_rng(100 * k + n)
         logits = 4.0 * rng.standard_normal((n, k))
         y = rng.integers(0, k, n)
         ref_loss, ref_d = reference_softmax_ce(logits, y, grad_scale=grad_scale)
 
         flat = np.arange(n) * k + y
+        scale = grad_scale
+        if stacked:
+            # The same rows as head 1 of three, the other heads on other rows
+            # and scales, the indices a view like EpochArrays.batch's.
+            logits = np.stack([4.0 * rng.standard_normal((n, k)), logits,
+                               4.0 * rng.standard_normal((n, k))])
+            ys = np.stack([rng.integers(0, k, n), y, rng.integers(0, k, n)])
+            flat = np.empty((3, n + 64), np.int64)[:, :n]
+            flat[...] = (np.arange(3)[:, None] * n + np.arange(n)) * k + ys
+            if grad_scale is not None:
+                scale = np.reshape((0.3, grad_scale, -1.0), (3, 1, 1))
         before, flat_before = logits.copy(), flat.copy()
-        loss, d = lc.encoded_cross_entropy(logits, flat, grad_scale)
+        loss, d = lc.encoded_cross_entropy(logits, flat, scale)
+        if stacked:
+            loss, d = loss[1], None if d is None else d[1]
         assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
         if grad_scale is None:
             assert d is None and ref_d is None
