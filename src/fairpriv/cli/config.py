@@ -18,15 +18,20 @@ class ConfigError(ValueError):
     """Bad experiment configuration; the message names the offending field."""
 
 
+# The default joint over (y, y_a, y_p): given y, y_a = y with probability 0.35 and,
+# independently, y_p = y with probability 0.6.
+DEFAULT_JOINT = (((0.105, 0.07), (0.195, 0.13)), ((0.13, 0.195), (0.07, 0.105)))
+
+
 @dataclass
 class ExperimentConfig:
-    """``ExperimentConfig()`` is the documented default experiment. Its sensitive
-    label leans away from the task label (delta_a < 0), which with the exacerbated
-    train split gives the trained baseline a visible fairness gap; its private
-    label leans mildly toward the task label."""
+    """``ExperimentConfig()`` is the documented default experiment. In its joint,
+    ``DEFAULT_JOINT``, the sensitive label leans away from the task label, which with
+    the exacerbated train split gives the trained baseline a visible fairness gap;
+    the private label leans mildly toward the task label."""
 
     data: SyntheticSpec | str = field(default_factory=lambda: SyntheticSpec(  # or a CSV path
-        n=8000, joint=mild_correlation_joint(-0.15, 0.10).tolist()))
+        n=8000, joint=np.array(DEFAULT_JOINT).tolist()))
     split: SplitSpec = field(default_factory=lambda: SplitSpec(
         train_mode="exacerbated", undersample_factor=0.25, test_mode="trio-balanced"))
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -90,18 +95,6 @@ def _as_config_error(prefix: str, check, *args):
         return check(*args)
     except ValueError as exc:
         raise ConfigError(f"{prefix}{exc}") from None
-
-
-def mild_correlation_joint(delta_a: float = -0.15, delta_p: float = 0.10) -> np.ndarray:
-    """Binary joint where y_a leans toward y by delta_a and y_p by delta_p."""
-    joint = np.zeros((2, 2, 2))
-    for y in range(2):
-        for a in range(2):
-            for p in range(2):
-                pa = 0.5 + delta_a if a == y else 0.5 - delta_a
-                pp = 0.5 + delta_p if p == y else 0.5 - delta_p
-                joint[y, a, p] = 0.5 * pa * pp
-    return joint
 
 
 def _replace(section: str, spec, fields: dict):

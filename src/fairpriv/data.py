@@ -190,9 +190,11 @@ def class_counts(labels, k: int, name: str) -> np.ndarray:
     if np.any((labels < 0) | (labels >= k)):
         raise ValueError(f"{name} has labels outside [0, {k})")
     counts = np.bincount(labels, minlength=k)
-    missing = np.flatnonzero(counts == 0).tolist()
-    if missing:
-        raise ValueError(f"{name} lacks class(es) {missing} of k_{name[-1]} = {k}")
+    missing = np.flatnonzero(counts == 0)
+    if missing.size:
+        shown = (str(missing.tolist()) if missing.size <= 5 else
+                 f"[{', '.join(map(str, missing[:5].tolist()))}, ...] ({missing.size} in all)")
+        raise ValueError(f"{name} lacks class(es) {shown} of k_{name[-1]} = {k}")
     return counts
 
 
@@ -352,9 +354,9 @@ def _errors_naming(path):
 
 def load_csv(path) -> LabeledDataset:
     """A dataset CSV, its header checked, then each row's field count, labels (integers
-    >= 0) and features (floats) in that order, then that every feature is finite and
-    every class up to each label's largest has a row. Every error names the path, and
-    a bad row's its line."""
+    >= 0) and features (floats) in that order, then that every label is below the row
+    count, that every feature is finite and that every class up to each label's largest
+    has a row. Every error names the path, and a bad row's its line."""
     xs, labels = [], []
     with _errors_naming(path), open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -381,6 +383,13 @@ def load_csv(path) -> LabeledDataset:
             except ValueError as exc:
                 raise ValueError(f"{path}:{line}: {exc}") from None
             labels.append(row_labels)
+    # Classes 0..label each need a row, so a label of at least the row count never
+    # loads; rejected here, before it sizes an array.
+    for line, row_labels in enumerate(labels, start=2):
+        for name, label in zip(_LABELS, row_labels):
+            if label >= len(labels):
+                raise ValueError(f"{path}:{line}: {name} is {label}, but classes 0..{label} "
+                                 f"need a row each and the file has {len(labels)} rows")
     x, columns = np.array(xs), np.array(labels, dtype=np.int64).reshape(-1, 3).T
     if not np.isfinite(x).all():  # float() parses "nan" and "inf"
         i, j = np.argwhere(~np.isfinite(x))[0]

@@ -342,11 +342,11 @@ class TestCriterion10EndToEndSweep:
 
 class TestCriterion11AttackHygiene:
     def test_canary_row_isolation(self, monkeypatch, tmp_path):
-        from fairpriv.cli.config import ExperimentConfig, mild_correlation_joint
+        from fairpriv.cli.config import DEFAULT_JOINT, ExperimentConfig
         from fairpriv.data import SplitSpec, SyntheticSpec
 
         cfg = ExperimentConfig(
-            data=SyntheticSpec(n=1600, joint=mild_correlation_joint(), seed=0),
+            data=SyntheticSpec(n=1600, joint=DEFAULT_JOINT, seed=0),
             split=SplitSpec(train_mode="exacerbated", undersample_factor=0.25,
                             test_mode="trio-balanced"),
             utility_metric="tpr", attacker_iters=500)

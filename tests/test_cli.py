@@ -20,8 +20,8 @@ import pytest
 
 from fairpriv.analysis import METRICS, grid_values, result_cube, seed_medians
 from fairpriv.cli import config, main, pipeline, report
-from fairpriv.cli.config import (ConfigError, ExperimentConfig, from_dict, load_config,
-                                 mild_correlation_joint)
+from fairpriv.cli.config import (DEFAULT_JOINT, ConfigError, ExperimentConfig, from_dict,
+                                 load_config)
 from fairpriv.cli.modelio import MAGIC, VERSION, load_bundle, save_bundle
 from fairpriv import cli, data, evaluation
 from fairpriv.data import (LabeledDataset, SplitSpec, SyntheticSpec, load_csv,
@@ -44,7 +44,7 @@ def diverging_fit(x, labels, k, class_weights, iters):
 def small_config(**overrides):
     """A fast end-to-end config: tiny data, short training."""
     cfg = ExperimentConfig(
-        data=SyntheticSpec(n=1600, joint=mild_correlation_joint(), seed=0),
+        data=SyntheticSpec(n=1600, joint=DEFAULT_JOINT, seed=0),
         split=SplitSpec(train_mode="exacerbated", undersample_factor=0.25,
                         test_mode="trio-balanced"),
         utility_metric="tpr",
@@ -82,7 +82,7 @@ def readme_config() -> dict:
 def config_json(tmp_path, **kw):
     raw = {
         "data": {"kind": "synthetic", "n": 1600, "seed": 0,
-                 "joint": mild_correlation_joint().tolist()},
+                 "joint": DEFAULT_JOINT},
         "split": {"train_mode": "exacerbated", "undersample_factor": 0.25,
                   "test_mode": "trio-balanced"},
         "train": {"epochs": 6, "extractor_hidden": [16], "adversary_hidden": [16, 16]},
@@ -129,6 +129,22 @@ class TestConfig:
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: {expected}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"data": 5}', "data: expected a CSV path string or a synthetic-spec object"),
+        ('{"split": [1]}', "split: expected an object, got [1]"),
+        ('{"train": [1]}', "train: expected an object, got [1]"),
+        ('{"grid": "all"}', 'grid: expected "default" or {alphas: [...], betas: [...]}'),
+        ("[1]", "c.json: top level must be a JSON object"),
+        ("{", "c.json: not valid JSON (Expecting property name enclosed in double quotes: "
+              "line 1 column 2 (char 1))"),
+    ], ids=["data", "split", "train", "grid", "top-level", "not-json"])
+    def test_malformed_config_rejected(self, tmp_path, text, message):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        expected = message.replace("c.json", str(path))
+        with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
+            load_config(path)
 
     def test_config_read_as_utf8_under_an_ascii_locale(self, tmp_path):
         # The file used to be decoded with the locale's encoding, so under
@@ -328,7 +344,7 @@ class TestConfig:
             rows = self.short_cell_csv(tmp_path / "short.csv")
             raw, have, need = {"data": str(tmp_path / "short.csv")}, 3, int(0.2 * rows) // 8
         else:
-            joint = mild_correlation_joint()
+            joint = np.array(DEFAULT_JOINT)
             joint[0, 1, 0] = 0.001 if source == "small-cell" else 0.0
             raw = {"data": {"joint": (joint / joint.sum()).tolist()}}
             have, need = (9 if source == "small-cell" else 0), 200
@@ -393,10 +409,7 @@ class TestConfig:
         for section, spec, extra in (("data", SyntheticSpec, {"kind"}),
                                      ("split", SplitSpec, set()), ("train", TrainConfig, set())):
             assert set(raw[section]) == names(spec) | extra, section
-        cfg, default = from_dict(raw), ExperimentConfig()
-        assert np.allclose(cfg.data.joint, default.data.joint)
-        cfg.data.joint = default.data.joint
-        assert cfg == default
+        assert from_dict(raw) == ExperimentConfig()
 
     def test_configs_compare_by_value(self):
         # The joint is nested lists both in ExperimentConfig() and after a load,
@@ -899,6 +912,12 @@ class TestResultsFile:
         assert main(["analyze", "--out", str(out), "--results", str(results)]) == 1
         assert capsys.readouterr().err == f"error: {expected}\n"
         assert not (out / "report.json").exists()
+
+    def test_short_row_names_line(self, tmp_path):
+        results = tmp_path / "r.csv"
+        results.write_text(",".join(pipeline.RESULTS_HEADER) + "\n0.0,0.0,0\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(results))}:2: expected 7 fields$"):
+            pipeline.load_results(results)
 
     def test_error_row_key_is_checked(self, tmp_path):
         results = tmp_path / "results.csv"

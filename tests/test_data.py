@@ -271,18 +271,29 @@ class TestCsv:
         ("x0,y,y_a,y_p\n1.0,0,0,0\n1.0,0,0\n", ":3: expected 4 fields"),
         ("x0,y,y_a,y_p\n1.0,0,0,0\n1.0,0,1.5,0\n", ":3: invalid literal"),
         ("x0,y,y_a,y_p\n1.0,0,0,0\n1.0,0,0,-1\n", ":3: y_p must be >= 0"),
-        ("x0,y,y_a,y_p\n1.0,0,0,0\n1.0,1,1,2\n", r": y_p lacks class\(es\) \[1\] of k_p = 3;"),
+        ("x0,y,y_a,y_p\n1.0,0,0,0\n1.0,1,1,2\n1.0,0,0,0\n",
+         r": y_p lacks class\(es\) \[1\] of k_p = 3;"),
         ("x0,y,y_a,y_p\n1.0,0,0,0\n1.0,1,0,1\n", r": y_a lacks class\(es\) \[1\] of k_a = 2;"),
-        ("x0,y,y_a,y_p\n1.0,0,0,0\n1.0,3,1,1\n", r": y lacks class\(es\) \[1, 2\] of k_y = 4;"),
+        ("x0,y,y_a,y_p\n1.0,0,0,0\n1.0,3,1,1\n1.0,0,0,0\n1.0,0,0,0\n",
+         r": y lacks class\(es\) \[1, 2\] of k_y = 4;"),
+        ("x0,y,y_a,y_p\n1.0,0,0,0\n1.0,2,1,1\n", r":3: y is 2, but classes 0..2 need a row "
+         "each and the file has 2 rows$"),
+        *((f"x0,y,y_a,y_p\n0.1,0,0,0\n0.2,1,1,1\n0.3,0,0,{n}\n",
+           rf":4: y_p is {n}, but classes 0..{n} need a row each and the file has 3 rows$")
+          for n in (10**6, 10**15, 10**20)),
         (f"x0,y,y_a,y_p\n{'1' * 200_000},0,0,0\n", ": field larger than field limit"),
     ], ids=["empty", "label-header", "feature-header", "no-rows", "field-count",
             "fractional-label", "negative-label", "empty-middle-class", "one-class",
-            "empty-classes", "huge-field"])
+            "empty-classes", "label-of-row-count", "label-1e6", "label-1e15", "label-1e20",
+            "huge-field"])
     def test_errors_name_file_and_line(self, tmp_path, read, text, match):
+        # A label of 1e6 printed every missing class (7.9 MB); 1e15 and 1e20 escaped
+        # the CLI's handler as a 7 PiB bincount's MemoryError and an OverflowError.
         path = tmp_path / "bad.csv"
         path.write_text(text)
-        with pytest.raises(ValueError, match="^" + re.escape(str(path)) + match):
+        with pytest.raises(ValueError, match="^" + re.escape(str(path)) + match) as exc:
             read(path)
+        assert len(str(exc.value)) < 1024
 
     @pytest.mark.parametrize("read", [load_csv, config_load])  # a run's read, config load's
     @pytest.mark.parametrize("make, match", [

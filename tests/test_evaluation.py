@@ -126,6 +126,17 @@ class TestClassCounts:
             class_counts([0, 0, 2], 3, "test split: y_p")
         assert str(info.value) == "test split: y_p lacks class(es) [1] of k_p = 3"
 
+    @pytest.mark.parametrize("k, named", [
+        (7, "[1, 2, 3, 4, 5]"),
+        (8, "[1, 2, 3, 4, 5, ...] (6 in all)"),
+        (10**6, "[1, 2, 3, 4, 5, ...] (999998 in all)"),
+    ])
+    def test_many_missing_classes_named_by_the_first_five(self, k, named):
+        # Every missing class used to be listed: 7.9 MB for k = 1e6.
+        with pytest.raises(ValueError) as info:
+            class_counts([0, k - 1], k, "y_p")
+        assert str(info.value) == f"y_p lacks class(es) {named} of k_p = {k}"
+
     @pytest.mark.parametrize("labels", [[0, 1, 2], [0, 1, -1]])
     def test_label_outside_classes(self, labels):
         with pytest.raises(ValueError, match=r"^y_a has labels outside \[0, 2\)$"):
@@ -521,6 +532,7 @@ class TestFitMultinomialLogistic:
         return min(counted_fit(monkeypatch, x, y, k, w, iters)[1]
                    for iters in range(3000, 3000 + period))
 
+    @pytest.mark.pinned_bytes
     @pytest.mark.parametrize("name", list(REPEATING))
     def test_exit_fires_within_an_eighth_of_the_cycle_start(self, monkeypatch, name):
         x, y, k, w, (start, period) = self.repeating_problem(name)
@@ -529,6 +541,7 @@ class TestFitMultinomialLogistic:
         exit_at = self.exit_step(monkeypatch, x, y, k, w, period)
         assert start + period <= exit_at <= start + start // 8 + period + 1, host_note()
 
+    @pytest.mark.pinned_bytes
     @pytest.mark.parametrize("name", list(REPEATING))
     def test_bitwise_equal_to_reference_loop_around_the_exit(self, monkeypatch, name):
         x, y, k, w, (_, period) = self.repeating_problem(name)

@@ -104,6 +104,7 @@ def test_analyze_ignores_row_order(workload, k, tmp_path):
     assert analyze_digest(workload, k, tmp_path, results) == RECORDED[workload, k]
 
 
+@pytest.mark.pinned_bytes
 @pytest.mark.parametrize("k", range(8))
 def test_attack_short_sweep_matches_reference(k, tmp_path):
     # attack_short is where the attacker fit shows; one input set alone misses a

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from fairpriv.cli import pipeline
-from fairpriv.cli.config import load_config, mild_correlation_joint
+from fairpriv.cli.config import DEFAULT_JOINT, load_config
 from fairpriv.data import make_splits
 
 from conftest import src_env
@@ -54,7 +54,7 @@ def traced_cli(tmp_path, *argv) -> list:
 def small_config(tmp_path, **fields):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({
-        "data": {"n": 800, "joint": mild_correlation_joint().tolist()},
+        "data": {"n": 800, "joint": DEFAULT_JOINT},
         "train": {"epochs": 1, "extractor_hidden": [8], "adversary_hidden": [8, 8]},
         "attacker_iters": 20, **fields}))
     return path

@@ -729,6 +729,7 @@ class TestOneBundlePerRun:
         assert len(built) == 1 and built[0] is trained.bundle
 
 
+@pytest.mark.pinned_bytes
 class TestGoldenBytes:
     """Trained weights, selection loss and attacker, pinned bitwise.
 
