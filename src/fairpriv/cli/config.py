@@ -58,8 +58,8 @@ class ExperimentConfig:
         _as_config_error("split.", split_rows, self.split, ds)
 
     def __getstate__(self) -> dict:
-        """Without ``dataset``: a pickled (spawned sweep worker's) or copied config builds
-        its own on first use."""
+        """Without ``dataset``: a copied config builds its own on first use, and a spawn or
+        forkserver sweep worker's pickled config receives the sweep's over its pipe."""
         return {k: v for k, v in self.__dict__.items() if k != "dataset"}
 
     def _validate_top_level(self) -> None:

@@ -49,10 +49,14 @@ def load_dataset(config: ExperimentConfig) -> LabeledDataset:
     ds = getattr(config, "dataset", None)
     if ds is None:
         ds = load_csv(config.data) if isinstance(config.data, str) else generate(config.data)
-        for arr in (ds.x, ds.y, ds.y_a, ds.y_p):
-            arr.flags.writeable = False  # every run of the command splits it
-        config.dataset = ds
+        _keep_read_only(config, ds)
     return ds
+
+
+def _keep_read_only(config: ExperimentConfig, ds: LabeledDataset) -> None:
+    for arr in (ds.x, ds.y, ds.y_a, ds.y_p):
+        arr.flags.writeable = False  # every run of the command splits it
+    config.dataset = ds
 
 
 def evaluate_bundle(bundle, val_ds: LabeledDataset, test_ds: LabeledDataset,
@@ -95,7 +99,8 @@ def run_single(config: ExperimentConfig, alpha: float, beta: float, seed: int
 
 def _serve(conn, config: ExperimentConfig) -> None:
     """A sweep worker: answer each key it receives with its run's record, or its error
-    as ``"Type: message"``, until its pipe ends. A thread ends it the moment the
+    as ``"Type: message"``, until its pipe ends. Unless forked, it first receives the
+    sweep's dataset, which its config came without. A thread ends it the moment the
     sweeping process, its parent, ends, even mid-run."""
     import multiprocessing
     import threading
@@ -103,6 +108,8 @@ def _serve(conn, config: ExperimentConfig) -> None:
     parent = multiprocessing.parent_process()  # the sweeping process, under any start method
     threading.Thread(target=lambda: (parent.join(), os._exit(1)), daemon=True).start()
     try:
+        if multiprocessing.get_start_method() != "fork":
+            _keep_read_only(config, conn.recv())
         while True:
             key = conn.recv()
             try:
@@ -128,27 +135,33 @@ def _worker_outcomes(config: ExperimentConfig, keys: list, jobs: int) -> dict:
 
     outcomes = dict.fromkeys(keys)  # in key order, each filled as its answer arrives
     todo, held, workers = keys[::-1], {}, []  # held: pipe -> (worker, key)
+    # A spawned or forkserver worker's config comes without its dataset (see _serve).
+    first = () if multiprocessing.get_start_method() == "fork" else (config.dataset,)
 
-    def give(conn, worker):
+    def give(conn, worker, *sends):
         if not todo:  # closing the pipe ends the worker
             return conn.close()
         key = todo.pop()
         held[conn] = worker, key
         try:
-            conn.send(key)
+            for item in (*sends, key):
+                conn.send(item)
         except OSError:  # the worker died; wait() sees its pipe's end
             pass
 
     try:
         while todo or held:
-            while todo and len(held) < jobs:
+            fresh = []
+            for _ in range(min(len(todo), jobs - len(held))):
                 conn, child = multiprocessing.Pipe()  # each fork, this worker too, closes its conn
                 multiprocessing.util.register_after_fork(conn, type(conn).close)
                 worker = multiprocessing.Process(target=_serve, args=(child, config))
                 worker.start()
                 workers.append(worker)
                 child.close()
-                give(conn, worker)
+                fresh.append((conn, worker))
+            for conn, worker in fresh:  # all started first: a send waits on its worker's start
+                give(conn, worker, *first)
             for conn in wait(list(held)):
                 worker, key = held.pop(conn)
                 try:
@@ -179,7 +192,8 @@ def sweep(config: ExperimentConfig, jobs: int | None = None) -> dict:
     Each run splits the config's one dataset, built before any run. Every run goes
     to one of at most ``jobs`` (an integer >= 1; default: the cores this process may
     use) worker processes, ``jobs=1`` included; each worker is given the config once,
-    as its argument (under spawn or forkserver, without its dataset). The output does
+    as its argument (under spawn or forkserver, without its dataset, which then
+    follows over the worker's pipe, read-only as a fork worker's). The output does
     not depend on jobs. A worker that dies fails only the run it held, as
     ``WorkerDied: exit code N`` (``killed by signal N``), and a fresh worker takes the
     runs left. No worker outlives the sweeping process, even one killed.

@@ -223,21 +223,26 @@ def _signal_block(labels: np.ndarray, k: int, mu: float, d: int,
 
 
 def generate(spec: SyntheticSpec) -> LabeledDataset:
-    """Sample a dataset from a SyntheticSpec (deterministic given spec.seed)."""
+    """Sample a dataset from a SyntheticSpec (deterministic given spec.seed). Sizes that
+    no allocation holds fail as a ValueError that names n and the feature width."""
     spec.validate()
     joint = spec.joint
     if joint is None:
         k = (spec.k_y, spec.k_a, spec.k_p)
         joint = np.full(k, 1.0 / math.prod(k))
     seeds = np.random.SeedSequence(spec.seed).spawn(5)
-    y, y_a, y_p = sample_labels(joint, spec.n, seeds[0])
-    blocks = [
-        _signal_block(y, spec.k_y, spec.mu_y, spec.d_y, np.random.default_rng(seeds[1])),
-        _signal_block(y_a, spec.k_a, spec.mu_a, spec.d_a, np.random.default_rng(seeds[2])),
-        _signal_block(y_p, spec.k_p, spec.mu_p, spec.d_p, np.random.default_rng(seeds[3])),
-        np.random.default_rng(seeds[4]).standard_normal((spec.n, spec.d_noise)),
-    ]
-    x = np.hstack([b for b in blocks if b.shape[1] > 0])
+    try:
+        y, y_a, y_p = sample_labels(joint, spec.n, seeds[0])
+        blocks = [
+            _signal_block(y, spec.k_y, spec.mu_y, spec.d_y, np.random.default_rng(seeds[1])),
+            _signal_block(y_a, spec.k_a, spec.mu_a, spec.d_a, np.random.default_rng(seeds[2])),
+            _signal_block(y_p, spec.k_p, spec.mu_p, spec.d_p, np.random.default_rng(seeds[3])),
+            np.random.default_rng(seeds[4]).standard_normal((spec.n, spec.d_noise)),
+        ]
+        x = np.hstack([b for b in blocks if b.shape[1] > 0])
+    except (MemoryError, OverflowError) as exc:  # OverflowError: n past a C long
+        raise ValueError(f"n = {spec.n} rows x {spec.dim} features: too large to build "
+                         f"({exc})") from None
     return LabeledDataset(x, y, y_a, y_p, spec.k_y, spec.k_a, spec.k_p)
 
 

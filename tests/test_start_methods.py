@@ -2,10 +2,11 @@
 
 A fork worker gets the sweeping process's config as the same object,
 dataset included. A spawn or forkserver worker gets a pickled copy, which
-``ExperimentConfig.__getstate__`` leaves without its dataset, so the worker
-builds the dataset on its first run (Python 3.14 makes forkserver the Linux
-default). Each sweep runs under ``-W error`` in its own process group, killed
-whole if it outlives its timeout.
+``ExperimentConfig.__getstate__`` leaves without its dataset, and then the
+sweeping process's dataset over its pipe, so it never reads a CSV source
+itself (Python 3.14 makes forkserver the Linux default). Each sweep runs
+under ``-W error`` in its own process group, killed whole if it outlives
+its timeout.
 """
 
 import itertools
@@ -80,6 +81,30 @@ pipeline.run_single = slow
 """ + SCRIPT
 
 
+# SCRIPT, with the sweep's CSV source reversed row by row (CHANGE "edit") or deleted
+# (CHANGE "remove") once the config has loaded it, before any worker starts.
+CSV_CHANGE_SCRIPT = """
+from pathlib import Path
+
+from fairpriv.cli import pipeline
+
+real_sweep = pipeline.sweep
+
+
+def sweep_changed_csv(config, jobs=None):
+    path = Path(config.data)
+    if CHANGE == "remove":
+        path.unlink()
+    else:
+        header, *rows = path.read_text().splitlines(keepends=True)
+        path.write_text(header + "".join(rows[::-1]))
+    return real_sweep(config, jobs)
+
+
+pipeline.sweep = sweep_changed_csv
+""" + SCRIPT
+
+
 def run_group(args, timeout, stdin=None):
     """Run ``args`` in a new process group; (exit code, stderr). On a timeout the
     whole group, sweep workers included, is killed and the test fails."""
@@ -118,7 +143,7 @@ def test_spawn_and_forkserver_sweeps_match_fork(tmp_path):
            "train": {"epochs": 2, "extractor_hidden": [8], "adversary_hidden": [8, 8]}}
     config, csv_config = tmp_path / "config.json", tmp_path / "csv_config.json"
     config.write_text(json.dumps(raw))
-    # The same rows as a CSV source: a forkserver worker reads the CSV itself.
+    # The same rows as a CSV source, read by the sweeping process alone.
     assert main(["gen-data", "--config", str(config), "--out", str(tmp_path / "data.csv")]) == 0
     csv_config.write_text(json.dumps({**raw, "data": str(tmp_path / "data.csv")}))
     script = tmp_path / "sweep.py"
@@ -134,6 +159,32 @@ def test_spawn_and_forkserver_sweeps_match_fork(tmp_path):
         results[out.name] = (out / "results.csv").read_bytes()
     assert len(results["fork-config"].splitlines()) == 1 + 4
     assert [name for name, data in results.items() if data != results["fork-config"]] == []
+
+
+@pytest.mark.parametrize("change", ["edit", "remove"])
+def test_workers_split_the_rows_the_sweep_loaded(tmp_path, change):
+    # A spawn or forkserver worker used to read the CSV again on its first run:
+    # an edited CSV gave other results, a deleted one failed every run.
+    raw = {**GRID, "data": {"n": 800}, "attacker_iters": 100,
+           "train": {"epochs": 2, "extractor_hidden": [8], "adversary_hidden": [8, 8]}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    assert main(["sweep", "--config", str(config), "--jobs", "1",
+                 "--out", str(tmp_path / "fork")]) == 0
+    script = tmp_path / "sweep.py"
+    script.write_text(f"CHANGE = {change!r}\n" + CSV_CHANGE_SCRIPT)
+    for method in ("spawn", "forkserver"):
+        data, csv_config, out = (tmp_path / f"{method}-{name}" for name in
+                                 ("data.csv", "config.json", "out"))
+        assert main(["gen-data", "--config", str(config), "--out", str(data)]) == 0
+        csv_config.write_text(json.dumps({**raw, "data": str(data)}))
+        rc, err = run_group([sys.executable, "-W", "error", str(script), method, "sweep",
+                             "--config", str(csv_config), "--jobs", "2", "--out", str(out)],
+                            timeout=300)
+        assert rc == 0, err
+        assert data.exists() == (change == "edit")
+        assert (out / "results.csv").read_bytes() == (
+            tmp_path / "fork" / "results.csv").read_bytes(), method
 
 
 def test_spawn_workers_that_die_at_start_fail_every_run(tmp_path):
