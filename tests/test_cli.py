@@ -1321,7 +1321,8 @@ class TestSweep:
         assert not any(a.flags.writeable for a in (ds.x, ds.y, ds.y_a, ds.y_p))
         with pytest.raises(ValueError, match="read-only"):
             ds.x[0, 0] = 0.0
-        # A spawned worker's config, or a copy, builds its own on first use.
+        # A pickled or copied config comes without the dataset and builds its own on
+        # first use (a sweep sends a spawned worker its own instead).
         for other in (pickle.loads(pickle.dumps(cfg)), copy.copy(cfg), copy.deepcopy(cfg)):
             assert other == cfg and not hasattr(other, "dataset")
             rebuilt = pipeline.load_dataset(other)
