@@ -99,8 +99,8 @@ def run_single(config: ExperimentConfig, alpha: float, beta: float, seed: int
 
 def _serve(conn, config: ExperimentConfig) -> None:
     """A sweep worker: answer each key it receives with its run's record, or its error
-    as ``"Type: message"``, until its pipe ends. Unless forked, it first receives the
-    sweep's dataset, which its config came without. A thread ends it the moment the
+    as ``"Type: message"``, until its pipe ends. A config that came without its dataset
+    (pickled, not forked) first receives the sweep's. A thread ends it the moment the
     sweeping process, its parent, ends, even mid-run."""
     import multiprocessing
     import threading
@@ -108,7 +108,7 @@ def _serve(conn, config: ExperimentConfig) -> None:
     parent = multiprocessing.parent_process()  # the sweeping process, under any start method
     threading.Thread(target=lambda: (parent.join(), os._exit(1)), daemon=True).start()
     try:
-        if multiprocessing.get_start_method() != "fork":
+        if getattr(config, "dataset", None) is None:  # pickled: see _worker_outcomes
             _keep_read_only(config, conn.recv())
         while True:
             key = conn.recv()

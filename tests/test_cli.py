@@ -610,6 +610,7 @@ class TestTrainCommand:
                                                 loaded.privacy_adv)] == [ds.k_y, ds.k_a, ds.k_p]
         saved, read = bundle_params(trained.bundle), bundle_params(loaded)
         assert len(read) == len(saved)
+        assert all(np.isfinite(p).all() for p in read)
         assert all(np.array_equal(a, b) for a, b in zip(saved, read))
         _, val_ds, test_ds = make_splits(ds, cfg.split, 0)
         metrics = pipeline.evaluate_bundle(loaded, val_ds, test_ds, cfg)
@@ -617,35 +618,22 @@ class TestTrainCommand:
 
     def test_model_file_bytes_follow_the_documented_layout(self, tmp_path):
         # Spelled out byte by byte, so the magic, the version and the net order are
-        # pinned independently of declared_bundle, which skips the header unread.
+        # pinned independently of declared_bundle, which skips the header unread. The
+        # classifier's weights are a column-major array, which the file stores row-major.
         shapes = ((3, 2), (2, 2), (4, 2), (4, 3))  # extractor, classifier, both heads
-        nets = [Mlp([np.arange(i * o, dtype=float).reshape(i, o) + 10 * k],
-                    [np.full((1, o), -float(k))]) for k, (i, o) in enumerate(shapes)]
+        weights = [np.arange(i * o, dtype=float).reshape(i, o) + 10 * k
+                   for k, (i, o) in enumerate(shapes)]
+        weights[1] = np.arange(4, dtype=float).reshape(2, 2).T + 10
+        assert not weights[1].flags.c_contiguous
+        nets = [Mlp([w], [np.full((1, w.shape[1]), -float(k))]) for k, w in enumerate(weights)]
         path = tmp_path / "model.bin"
         save_bundle(ModelBundle(*nets), path)
         expected = b"FPRVBNDL" + struct.pack("<I", 1)
         for net, (i, o) in zip(nets, shapes):
             expected += struct.pack("<3I", 2, i, o)
-            expected += net.weights[0].astype("<f8").tobytes()
+            expected += net.weights[0].astype("<f8").tobytes()  # C order: row-major
             expected += net.biases[0].astype("<f8").tobytes()
         assert path.read_bytes() == expected
-
-    def test_model_file_writes_weights_row_major(self, tmp_path):
-        # A weight matrix held as a transposed (column-major) view is written in the
-        # row-major order the layout declares, the same bytes as its C-ordered copy.
-        rng = np.random.default_rng(0)
-        transposed = [Mlp([rng.standard_normal((o, i)).T], [rng.standard_normal((1, o))])
-                      for i, o in ((3, 2), (2, 2), (4, 2), (4, 2))]
-        assert not transposed[0].weights[0].flags.c_contiguous
-        copied = [Mlp([np.ascontiguousarray(net.weights[0])], net.biases)
-                  for net in transposed]
-        for name, nets in (("transposed", transposed), ("copied", copied)):
-            save_bundle(ModelBundle(*nets), tmp_path / f"{name}.bin")
-        written = (tmp_path / "transposed.bin").read_bytes()
-        assert written == (tmp_path / "copied.bin").read_bytes()
-        read = bundle_params(declared_bundle(tmp_path / "transposed.bin"))
-        assert all(np.array_equal(a, b) for a, b in zip(bundle_params(ModelBundle(*transposed)),
-                                                       read))
 
     def test_diverged_attacker_reported_without_traceback(self, tmp_path, capsys,
                                                           monkeypatch):
