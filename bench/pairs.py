@@ -6,11 +6,15 @@
 Each commit is exported with ``git archive`` into a temporary directory
 outside the checkout. An exported tree, unlike a ``git worktree``, leaves
 the repository's metadata as it was, and a stopped run leaves nothing to
-prune. The export's own, unchanged ``perfbench/run.py`` runs there, the two
+prune. Both exports are compiled to bytecode before the first pair, so
+neither side's ``setup_s`` includes compiling fairpriv's sources, even where
+``PYTHONDONTWRITEBYTECODE`` is set (Python still reads bytecode that exists).
+The export's own, unchanged ``perfbench/run.py`` runs there, the two
 sides in turn, with the side that goes first alternating from pair to pair.
 Pair i runs perfbench seed i on both sides, so the pairs rotate through the
 input sets. Every run's ``result.json`` is kept in the BENCH file, with the
-sha256 of each pass's ``results.csv``. The file also names the host class
+sha256 of each pass's ``results.csv``, and the runs' environment variables
+that change timing (``null`` where unset). The file also names the host class
 that ran, ``fairpriv.hostinfo.host_class()`` of the change's tree (for
 example ``SkylakeX/X86_V4``): the OpenBLAS kernel and numpy SIMD level,
 where perfbench's stamp gives only OpenBLAS's build config.
@@ -46,6 +50,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 RUN_TIMEOUT_S = 900  # perfbench stops starting work after 170 s
+TIMING_ENV = ("PYTHONDONTWRITEBYTECODE", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+              "MKL_NUM_THREADS")
 
 
 def git(*args: str) -> str:
@@ -61,6 +67,11 @@ def export(commit: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
     if proc.wait() != 0:
         raise SystemExit(f"git archive {commit} failed")
+
+
+def compile_tree(tree: Path) -> None:
+    """Write the bytecode of every source file under ``tree``."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", str(tree)], check=True)
 
 
 def host_class(tree: Path) -> str:
@@ -176,11 +187,12 @@ def main(argv=None) -> int:
     commits = {side: git("rev-parse", "--verify", f"{getattr(args, side)}^{{commit}}")
                for side in SIDES}
     bench = {"label": args.label, **commits, "pairs": args.pairs, "seconds": args.seconds,
-             "workloads": {}}
+             "env": {name: os.environ.get(name) for name in TIMING_ENV}, "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="fairpriv-pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
             export(commits[side], trees[side])
+            compile_tree(trees[side])
         bench["host_class"] = host_class(trees["change"])
         end_to_end = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
         for workload in args.workload:

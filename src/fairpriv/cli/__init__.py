@@ -44,7 +44,7 @@ def cmd_train(args) -> int:
     if results_path.exists() and results_path.stat().st_size > 0:
         pipeline.load_results(results_path)  # a malformed file fails before training
     record, trained = pipeline.run_single(config, args.alpha, args.beta, args.seed)
-    model_path = out / f"model_a{args.alpha:g}_b{args.beta:g}_s{args.seed}.bin"
+    model_path = out / f"model_a{record.alpha:g}_b{record.beta:g}_s{record.seed}.bin"
     save_bundle(trained.bundle, model_path)
     pipeline.append_result(results_path, record)
     print(",".join(pipeline.record_row(record)))
@@ -88,11 +88,6 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def grid_float(text: str) -> float:
-    """``float(text)``, with -0 read as 0.0, as ``from_dict`` stores the grid."""
-    return float(text) + 0.0
-
-
 def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -116,8 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train and evaluate one configuration")
     common(p)
-    p.add_argument("--alpha", type=grid_float, required=True)
-    p.add_argument("--beta", type=grid_float, required=True)
+    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--beta", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
 
     p = sub.add_parser("sweep", help="run the full (alpha, beta) x seeds grid")

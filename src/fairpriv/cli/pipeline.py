@@ -83,6 +83,7 @@ def run_single(config: ExperimentConfig, alpha: float, beta: float, seed: int
     validation split that lacks a class of y_p, fails before training, not after
     it, where the metrics or the attacker's reweighting would fail on it."""
     check_run_key(alpha, beta, seed)  # a bad argument fails before any data work
+    alpha, beta = alpha + 0.0, beta + 0.0  # a key of -0 is the key 0
     config.train.validate()
     train_ds, val_ds, test_ds = make_splits(load_dataset(config), config.split, seed)
     class_counts(test_ds.y_a, test_ds.k_a, "test split: y_a")

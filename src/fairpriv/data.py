@@ -176,7 +176,11 @@ def _check_joint(joint, shape: tuple[int, int, int]) -> None:
 
 
 def one_hot(labels: np.ndarray, k: int) -> Matrix:
+    """One row per label, with 1.0 in the label's column of ``k``. A label outside
+    ``[0, k)`` is an error naming the first such label."""
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
+    if (bad := (y < 0) | (y >= k)).any():
+        raise ValueError(f"labels must lie in [0, {k}), got {y[bad][0]}")
     out = np.zeros((y.shape[0], k))
     out[np.arange(y.shape[0]), y] = 1.0
     return out

@@ -2,17 +2,17 @@
 
 The attack follows the threat model: a multinomial logistic adversary is fit
 on (features, task label) pairs from the validation split, standing in for
-public labeled data, and scored by balanced accuracy on the test split.
+public labeled data, and scored by balanced accuracy on the test split. The
+attacker is a one-layer :class:`Mlp` over the trained adversaries' input,
+[features, one-hot task label], run by the trained nets' forward loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import class_counts, one_hot
-from .learncore import Matrix
+from .learncore import Matrix, Mlp
 
 
 def class_rates(labels, hits, k: int, name: str) -> np.ndarray:
@@ -51,21 +51,9 @@ def utility_and_gap(preds, labels, groups, k_groups: int,
 # Attribute-inference attack
 
 
-@dataclass
-class LinearAttacker:
-    """Multinomial logistic model over [features, one-hot task label]."""
-
-    weights: Matrix  # (feature_dim + k_y) x k_p
-    bias: Matrix  # 1 x k_p
-    k_y: int
-
-    def scores(self, features: Matrix, task_labels) -> Matrix:
-        z = np.hstack([np.asarray(features, dtype=np.float64),
-                       one_hot(task_labels, self.k_y)])
-        return z @ self.weights + self.bias
-
-    def predict(self, features: Matrix, task_labels) -> np.ndarray:
-        return np.argmax(self.scores(features, task_labels), axis=1)
+def _attack_input(features: Matrix, task_labels, k_y: int) -> Matrix:
+    """[features, one-hot task label]: the attacker's input, one row per label."""
+    return np.hstack([np.asarray(features, dtype=np.float64), one_hot(task_labels, k_y)])
 
 
 def inverse_frequency_weights(labels, k: int) -> np.ndarray:
@@ -181,8 +169,9 @@ def fit_multinomial_logistic(x: Matrix, labels, k: int, class_weights,
 
 
 def fit_attacker(val_features: Matrix, val_y, val_yp, iters: int = 2000, *,
-                 k_y: int, k_p: int) -> LinearAttacker:
-    """Fit the attack model on validation features, reweighted by class.
+                 k_y: int, k_p: int) -> Mlp:
+    """Fit the attack model on validation features, reweighted by class: a
+    one-layer :class:`Mlp` from [features, one-hot task label] to k_p logits.
 
     Inverse-frequency loss reweighting keeps the attacker from collapsing to
     a constant prediction under class skew. The fit runs on standardized
@@ -190,10 +179,9 @@ def fit_attacker(val_features: Matrix, val_y, val_yp, iters: int = 2000, *,
     is folded back into the returned weights, so the attacker stays linear in
     the raw features.
     """
-    val_y = np.asarray(val_y, dtype=np.int64)
     val_yp = np.asarray(val_yp, dtype=np.int64)
     class_weights = inverse_frequency_weights(val_yp, k_p)
-    z = np.hstack([np.asarray(val_features, dtype=np.float64), one_hot(val_y, k_y)])
+    z = _attack_input(val_features, val_y, k_y)
     center = z.mean(axis=0)
     spread = z.std(axis=0)
     spread[spread == 0.0] = 1.0
@@ -201,15 +189,20 @@ def fit_attacker(val_features: Matrix, val_y, val_yp, iters: int = 2000, *,
         (z - center) / spread, val_yp, k_p, class_weights, iters)
     weights = weights_std / spread[:, None]
     bias = bias_std - (center / spread) @ weights_std
-    return LinearAttacker(weights, bias, k_y)
+    return Mlp([weights], [bias])
 
 
-def attack_accuracy(attacker: LinearAttacker, test_features: Matrix,
-                    test_y, test_yp) -> float:
-    """Balanced accuracy of the attacker on held-out (test) features: the
-    mean recall over its k_p classes, so chance level is 1/k_p."""
+def attack_accuracy(attacker: Mlp, test_features: Matrix, test_y, test_yp) -> float:
+    """Balanced accuracy of ``attacker``, a net over [features, one-hot task label],
+    on held-out (test) features: the mean recall over its k_p output classes, so
+    chance level is 1/k_p."""
+    width, k_p = attacker.layer_sizes[0], attacker.layer_sizes[-1]
+    d = np.shape(test_features)[-1]
+    if d >= width:
+        raise ValueError(f"features: {d} columns leave none of the attacker's {width} "
+                         f"input columns for the task label")
     test_yp = np.asarray(test_yp, dtype=np.int64)
-    preds = attacker.predict(test_features, test_y)
+    preds = np.argmax(attacker.apply(_attack_input(test_features, test_y, width - d)), axis=1)
     if preds.shape != test_yp.shape:
         raise ValueError(f"length mismatch: {preds.shape} preds vs {test_yp.shape} y_p")
-    return float(np.mean(class_rates(test_yp, preds == test_yp, attacker.weights.shape[1], "y_p")))
+    return float(np.mean(class_rates(test_yp, preds == test_yp, k_p, "y_p")))

@@ -194,3 +194,44 @@ def test_host_class_leaves_fairpriv_out_of_the_runner():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_compile_tree_writes_bytecode_that_python_would_not(tmp_path, monkeypatch):
+    # Python reads bytecode that exists even under PYTHONDONTWRITEBYTECODE=1,
+    # so a compiled tree's runs do not compile their sources.
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "mod.py").write_text("X = 1\n")
+    pairs.compile_tree(tmp_path)
+    assert len(list((tmp_path / "pkg" / "__pycache__").glob("mod.*.pyc"))) == 1
+
+
+def test_main_compiles_both_trees_first_and_records_the_timing_env(tmp_path, monkeypatch):
+    def export(commit, dest):
+        dest.mkdir(parents=True)
+        (dest / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+        (dest / "mod.py").write_text("X = 1\n")
+
+    runs = []
+
+    def run_side(tree, workload, seed, seconds):
+        compiled = [(tree.parent / side / "__pycache__").is_dir() for side in pairs.SIDES]
+        assert compiled == [True, True], "a run started before both trees were compiled"
+        runs.append(tree.name)
+        return pairs.read_run(fake_tree(tmp_path, f"run{len(runs)}", 1.0, 2.0), "w")
+
+    monkeypatch.setattr(pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(pairs, "git", lambda *args: "c0ffee")
+    monkeypatch.setattr(pairs, "export", export)
+    monkeypatch.setattr(pairs, "host_class", lambda tree: "Fake/X86_V1")
+    monkeypatch.setattr(pairs, "run_side", run_side)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    assert pairs.main(["--parent", "HEAD", "--change", "HEAD", "--workload", "w",
+                       "--pairs", "2", "--seconds", "0", "--label", "fake"]) == 0
+    assert runs == ["parent", "change", "change", "parent"]
+    bench = json.loads((tmp_path / "BENCH_fake.json").read_text())
+    assert bench["env"] == {"PYTHONDONTWRITEBYTECODE": "1", "OPENBLAS_NUM_THREADS": "1",
+                            "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None}

@@ -596,6 +596,20 @@ class TestTrainCommand:
         assert (out / "results.csv").read_bytes() == swept
         assert sorted(p.name for p in out.iterdir()) == ["model_a0_b0_s0.bin", "results.csv"]
 
+    @pytest.mark.parametrize("alpha, beta", [(-0.0, 1.0), (1.0, -0.0)])
+    def test_negative_zero_key_is_the_zero_key_in_run_single(self, tmp_path, alpha, beta):
+        # run_single used to keep a -0.0 key, so append_result replaced the
+        # "0.0,1.0,0" row with a "-0.0,1.0,0" row for byte-identical params.
+        cfg = small_config()
+        path = tmp_path / "results.csv"
+        record = pipeline.run_single(cfg, abs(alpha), abs(beta), 0)[0]
+        pipeline.append_result(path, record)
+        written = path.read_bytes()
+        negative = pipeline.run_single(cfg, alpha, beta, 0)[0]
+        assert [math.copysign(1.0, v) for v in (negative.alpha, negative.beta)] == [1.0, 1.0]
+        pipeline.append_result(path, negative)
+        assert negative == record and path.read_bytes() == written
+
     @pytest.mark.parametrize("data", [
         None, SyntheticSpec(n=1600, k_a=3, seed=0)], ids=["k_a=2", "k_a=3"])
     def test_weight_file_round_trip(self, tmp_path, data):
@@ -740,8 +754,9 @@ class TestTrainCommand:
         gap = oracle.group_gap(preds, test_ds.y, test_ds.y_a, metric, pos)
         attacker = fit_attacker(bundle.extractor.apply(val_ds.x), val_ds.y, val_ds.y_p,
                                 iters=cfg.attacker_iters, k_y=val_ds.k_y, k_p=val_ds.k_p)
-        attack = oracle.balanced_accuracy(attacker.predict(features, test_ds.y), test_ds.y_p,
-                                          test_ds.k_p)
+        attack = oracle.balanced_accuracy(
+            oracle.linear_predict(attacker, features, test_ds.y, test_ds.k_y), test_ds.y_p,
+            test_ds.k_p)
         assert (record.utility, record.fairness_gap, record.attack_balanced_acc) == (
             utility, gap, attack)
 

@@ -5,9 +5,9 @@ import pytest
 
 from fairpriv.cli.config import ConfigError, from_dict
 from fairpriv.data import (LabeledDataset, SplitSpec, SyntheticSpec, generate, load_csv,
-                           make_splits, sample_labels, save_csv)
-from fairpriv.evaluation import (LinearAttacker, attack_accuracy, fit_attacker,
-                                 fit_multinomial_logistic)
+                           make_splits, one_hot, sample_labels, save_csv)
+from fairpriv.evaluation import attack_accuracy, fit_attacker, fit_multinomial_logistic
+from fairpriv.learncore import Mlp
 
 
 def config_load(path):
@@ -29,6 +29,17 @@ def raw_feature_attack(ds, n_fit, seed=0):
     held = ds.subset(np.arange(n_fit, len(ds)))
     attacker = fit_attacker(fit.x, fit.y, fit.y_p, iters=1500, k_y=ds.k_y, k_p=ds.k_p)
     return attack_accuracy(attacker, held.x, held.y, held.y_p)
+
+
+class TestOneHot:
+    def test_rows(self):
+        assert one_hot([1, 0, 2], 3).tolist() == [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+
+    @pytest.mark.parametrize("labels, bad", [([0, -1, 2], -1), ([1, 3, -2], 3)])
+    def test_label_outside_classes_named(self, labels, bad):
+        # numpy wraps a negative index: [-1] with k = 2 read as [[0, 1]].
+        with pytest.raises(ValueError, match=rf"^labels must lie in \[0, 3\), got {bad}$"):
+            one_hot(labels, 3)
 
 
 class TestSampleLabels:
@@ -135,8 +146,7 @@ class TestMakeSplits:
         split = SplitSpec(test_mode="trio-balanced")
         _, _, test = make_splits(ds, split, seed=1)
         # A zero-weight attacker whose bias picks class 0 predicts it everywhere.
-        constant = LinearAttacker(np.zeros((test.x.shape[1] + 2, 2)), np.array([[1.0, 0.0]]),
-                                  k_y=2)
+        constant = Mlp([np.zeros((test.x.shape[1] + 2, 2))], [np.array([[1.0, 0.0]])])
         assert attack_accuracy(constant, test.x, test.y, test.y_p) == 0.5
 
     def test_undersample_factor_one_balances_only(self):

@@ -4,11 +4,12 @@ import itertools
 import numpy as np
 import pytest
 
-from fairpriv import evaluation
-from fairpriv.evaluation import (LinearAttacker, attack_accuracy, class_counts, class_rates,
+from fairpriv import evaluation, learncore
+from fairpriv.evaluation import (attack_accuracy, class_counts, class_rates,
                                  fit_attacker, fit_multinomial_logistic,
                                  inverse_frequency_weights, utility_and_gap)
 from fairpriv.data import one_hot
+from fairpriv.learncore import Mlp
 from conftest import host_note
 from test_learncore import reference_softmax_ce
 
@@ -94,10 +95,21 @@ def oracle_utility_and_gap(preds, labels, groups, positive_class):
             group_gap(preds, labels, groups, "tpr", positive_class))
 
 
+def linear_logits(attacker, features, task_labels, k_y):
+    """A one-layer attacker's logits as the linear attacker class computed them
+    before the attacker became an Mlp: [features, one-hot task label] @ w + b."""
+    z = np.hstack([np.asarray(features, dtype=np.float64), one_hot(task_labels, k_y)])
+    return z @ attacker.weights[0] + attacker.biases[0]
+
+
+def linear_predict(attacker, features, task_labels, k_y):
+    return np.argmax(linear_logits(attacker, features, task_labels, k_y), axis=1)
+
+
 def attack_score(preds, labels, k):
     """attack_accuracy of a k-class attacker whose predictions are ``preds``:
     its features are the one-hot predictions, which it reads out unchanged."""
-    attacker = LinearAttacker(np.vstack([np.eye(k), np.zeros((2, k))]), np.zeros((1, k)), k_y=2)
+    attacker = Mlp([np.vstack([np.eye(k), np.zeros((2, k))])], [np.zeros((1, k))])
     return attack_accuracy(attacker, one_hot(preds, k), np.zeros(len(preds), int), labels)
 
 
@@ -169,10 +181,12 @@ class TestMatchesOracle:
     @pytest.mark.parametrize("k", range(2, 8))
     def test_attack_accuracy_bitwise(self, k):
         rng = np.random.default_rng(k)
-        attacker = LinearAttacker(rng.standard_normal((6, k)), rng.standard_normal((1, k)), k_y=2)
+        attacker = Mlp([rng.standard_normal((6, k))], [rng.standard_normal((1, k))])
         x, y = rng.standard_normal((400, 4)), rng.integers(0, 2, 400)
         y_p = rng.integers(0, k, 400)
-        expected = balanced_accuracy(attacker.predict(x, y), y_p, k)
+        z = np.hstack([x, one_hot(y, 2)])
+        assert attacker.apply(z).tobytes() == linear_logits(attacker, x, y, 2).tobytes()
+        expected = balanced_accuracy(linear_predict(attacker, x, y, 2), y_p, k)
         got = attack_accuracy(attacker, x, y, y_p)
         assert same_bits(got, expected) and type(got) is float
 
@@ -324,7 +338,7 @@ class TestFitAttacker:
         attacker = fit_attacker(x, y, y_p, iters=2000, k_y=2, k_p=2)
         z = np.hstack([x, one_hot(y, 2)])
         w = inverse_frequency_weights(y_p, 2)
-        ce, _ = reference_softmax_ce(z @ attacker.weights + attacker.bias, y_p, w)
+        ce, _ = reference_softmax_ce(linear_logits(attacker, x, y, 2), y_p, w)
         assert ce < 0.05
 
     def test_independent_features_near_chance(self):
@@ -336,7 +350,7 @@ class TestFitAttacker:
     def test_skewed_classes_not_constant(self):
         x, y, y_p = two_gaussian_features(1000, mu=6.0, seed=5, skew=0.1)
         attacker = fit_attacker(x, y, y_p, iters=2000, k_y=2, k_p=2)
-        preds = attacker.predict(x, y)
+        preds = linear_predict(attacker, x, y, 2)
         assert len(np.unique(preds)) == 2
 
     def test_missing_class_rejected(self):
@@ -348,8 +362,17 @@ class TestFitAttacker:
         x, y, y_p = two_gaussian_features(300, mu=2.0, seed=7)
         a = fit_attacker(x, y, y_p, iters=500, k_y=2, k_p=2)
         b = fit_attacker(x, y, y_p, iters=500, k_y=2, k_p=2)
-        assert np.array_equal(a.weights, b.weights)
-        assert np.array_equal(a.bias, b.bias)
+        assert isinstance(a, Mlp) and a.layer_sizes == [6, 2]  # one layer over [x, one-hot y]
+        assert np.array_equal(a.weights[0], b.weights[0])
+        assert np.array_equal(a.biases[0], b.biases[0])
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_task_label_outside_classes_rejected(self, bad):
+        # numpy wraps a -1 index: one_hot encoded it as class k_y - 1.
+        x, y, y_p = two_gaussian_features(40, mu=2.0, seed=7)
+        y[3] = bad
+        with pytest.raises(ValueError, match=rf"^labels must lie in \[0, 2\), got {bad}$"):
+            fit_attacker(x, y, y_p, iters=10, k_y=2, k_p=2)
 
     def test_huge_inputs_diverge(self):
         # Inputs scaled by 1e150 still fit; by 1e200 the logits overflow.
@@ -597,7 +620,7 @@ class TestFitMultinomialLogistic:
 
 class TestAttackAccuracy:
     def test_zero_weight_attacker_is_chance(self):
-        attacker = LinearAttacker(np.zeros((6, 3)), np.zeros((1, 3)), k_y=2)
+        attacker = Mlp([np.zeros((6, 3))], [np.zeros((1, 3))])
         rng = np.random.default_rng(8)
         x = rng.standard_normal((90, 4))
         y = rng.integers(0, 2, 90)
@@ -606,7 +629,7 @@ class TestAttackAccuracy:
 
     def test_class_count_is_the_attackers(self):
         # Test labels without class 2 cannot score a 3-class attacker.
-        attacker = LinearAttacker(np.zeros((6, 3)), np.zeros((1, 3)), k_y=2)
+        attacker = Mlp([np.zeros((6, 3))], [np.zeros((1, 3))])
         with pytest.raises(ValueError, match=r"^y_p lacks class\(es\) \[2\] of k_p = 3$"):
             attack_accuracy(attacker, np.zeros((4, 4)), np.zeros(4, int), [0, 1, 0, 1])
 
@@ -615,4 +638,51 @@ class TestAttackAccuracy:
         attacker = fit_attacker(x[:1000], y[:1000], y_p[:1000], iters=2000, k_y=2, k_p=2)
         ba = attack_accuracy(attacker, x[1000:], y[1000:], y_p[1000:])
         assert ba > 0.97
+
+    def test_one_forward_pass_per_call(self, monkeypatch):
+        # The attacker's logits come from the trained nets' one forward loop.
+        calls = []
+
+        def counting_forward(*args):
+            calls.append(args)
+            return real_forward(*args)
+
+        real_forward = learncore.forward
+        monkeypatch.setattr(learncore, "forward", counting_forward)
+        x, y, y_p = two_gaussian_features(200, mu=2.0, seed=9)
+        attacker = fit_attacker(x, y, y_p, iters=50, k_y=2, k_p=2)
+        attack_accuracy(attacker, x, y, y_p)
+        assert len(calls) == 1
+
+    def test_hidden_layer_net_matches_brute_force(self):
+        # A net with hidden layers over [features, one-hot y], as the trained
+        # privacy adversary is, scored as the mean of per-class recalls.
+        rng = np.random.default_rng(10)
+        k_y, k_p, d = 3, 3, 4
+        net = learncore.mlp_init([d + k_y, 8, 5, k_p], seed=11)
+        net.biases = [rng.standard_normal(b.shape) for b in net.biases]
+        x, y = rng.standard_normal((300, d)), rng.integers(0, k_y, 300)
+        y_p = rng.integers(0, k_p, 300)
+        h = np.hstack([x, np.eye(k_y)[y]])
+        for w, b in zip(net.weights[:-1], net.biases[:-1]):
+            h = np.maximum(h @ w + b, 0.0)
+        preds = np.argmax(h @ net.weights[-1] + net.biases[-1], axis=1)
+        recalls = [np.mean(preds[y_p == c] == c) for c in range(k_p)]
+        assert attack_accuracy(net, x, y, y_p) == pytest.approx(np.mean(recalls), abs=1e-15)
+
+    @pytest.mark.parametrize("d", [6, 7])
+    def test_features_as_wide_as_the_input_rejected(self, d):
+        # They used to fail inside a matmul, naming neither width.
+        attacker = Mlp([np.zeros((6, 2))], [np.zeros((1, 2))])
+        with pytest.raises(ValueError, match=rf"^features: {d} columns leave none of the "
+                                             r"attacker's 6 input columns for the task label$"):
+            attack_accuracy(attacker, np.zeros((4, d)), np.zeros(4, int), [0, 1, 0, 1])
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_task_label_outside_classes_rejected(self, bad):
+        # An attacker that reads the one-hot task label out as y_p scored a -1
+        # label as class 1: 1.0 here, with no error.
+        attacker = Mlp([np.vstack([np.zeros((4, 2)), np.eye(2)])], [np.zeros((1, 2))])
+        with pytest.raises(ValueError, match=rf"^labels must lie in \[0, 2\), got {bad}$"):
+            attack_accuracy(attacker, np.zeros((4, 4)), [bad, bad, 0, 0], [1, 1, 0, 0])
 

@@ -871,6 +871,6 @@ class TestGoldenBytes:
                                 val_ds.y_p, iters=cfg.attacker_iters,
                                 k_y=val_ds.k_y, k_p=val_ds.k_p)
         h = hashlib.sha256()
-        for a in (attacker.weights, attacker.bias):
+        for a in (attacker.weights[0], attacker.biases[0]):
             h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
         assert h.hexdigest() == digest, host_note()
